@@ -1,33 +1,10 @@
 """Stochastic-geometry simulator and analytic bounds for cellular downlinks
 powered by spatially correlated renewable energy fields."""
 
-from .aggregation import (ClusterAssignment, Distributed, LineSpec, build_clusters,
-                          certified_efficiency, clustered_window, delivered_power,
-                          line_loss, simulate_distributed, sufficient_voltage,
-                          supplied_power, supply_statistics)
-from .bounds import (ASYMPTOTIC_MARGIN, BoundInputs, aggregated_outage_bound,
-                     aggregation_power_floor, cell_distance_moment, cell_radius_pow,
-                     energy_shortfall_bound, fading_tail_terms_equal_split,
-                     fading_tail_terms_inversion, in_asymptotic_regime,
-                     max_power_markov_bound, poisson_raw_moment,
-                     power_law_outage_bound, total_outage_bound)
-from .channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFading,
-                      fading_cdf, mean_inverse_fading, path_gain, required_power,
-                      sample_fading)
-from .coverage import (OnSite, OutageEstimate, ScenarioConfig, Scheme, TrialTally,
-                       bound_values, estimates_from_tally, resolve_window,
-                       run_trials_chunk, simulate_both, simulate_onsite)
-from .energy_field import (EnergyFieldSpec, FieldMoments, FieldRealization, Kernel,
-                           boolean_exp_moments, cdf_boolean_exp, cdf_boolean_plaw,
-                           draw_field, export_raster, field_values, influence_radius,
-                           intensity_at, joint_cdf_boolean_exp, sample_intensity,
-                           sample_intensity_pair, shot_noise_mean, validation_window)
-from .geometry import (HexLattice, NeighborIndex, PointSet, Window,
-                       hex_cell_circumradius, hex_lattice, hex_pitch, nearest,
-                       sample_in_hex_cell, sample_ppp, substream, thin)
-from .harness import (ConfigError, ExperimentConfig, ResultRow, apply_sweep,
-                      effective_seed, emit_csv, ks_statistic, load_config,
-                      normalized_equivalent, parse_config_text, run_point,
-                      run_sweep, serialize_config, validate_field_law, wilson_ci)
+from .aggregation import Distributed, LineSpec
+from .channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
+from .coverage import OnSite, ScenarioConfig, Scheme, bound_values, simulate_both
+from .energy_field import EnergyFieldSpec, Kernel
+from .harness import emit_csv, load_config, normalized_equivalent, run_sweep
 
 __version__ = "0.1.0"

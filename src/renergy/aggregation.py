@@ -21,8 +21,8 @@ import numpy as np
 
 from .bounds import aggregation_power_floor  # noqa: F401  (re-export; natural home)
 from .energy_field import EnergyFieldSpec, FieldRealization, draw_field, field_values
-from .geometry import (HexLattice, Window, hex_cell_circumradius, hex_lattice,
-                       hex_pitch, nearest_site_indices, substream)
+from .geometry import (HexLattice, Window, hex_lattice, hex_pitch,
+                       nearest_site_indices, substream)
 
 
 @dataclass(frozen=True)
@@ -247,13 +247,3 @@ def supply_statistics(spec: EnergyFieldSpec, lambda_b: float, lambda_h: float,
         rows.append(supplied_power(assignment, real, line, eta, lambda_b).per_station)
     return np.vstack(rows)
 
-
-def simulate_distributed(cfg, n_trials: int, seed: int):
-    """Outage estimate for the distributed architecture of a scenario.
-
-    Thin wrapper over the shared trial engine; see coverage.simulate_both.
-    """
-    from .coverage import simulate_both
-    if not isinstance(cfg.architecture, Distributed):
-        raise ValueError("scenario architecture is not Distributed")
-    return simulate_both(cfg, n_trials, seed)[cfg.scheme]

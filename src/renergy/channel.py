@@ -14,17 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-
-from .geometry import substream
+from scipy import integrate, special, stats
 
 # Total scatter power of the Rician phasor; split evenly between the real and
 # imaginary branches. Exposed so alternative readings can be tested.
 RICIAN_SCATTER_VAR = 1.0
-
-# Deterministic seed for the cached numeric moment of truncated Rician fading.
-_RICIAN_MOMENT_SEED = 0x5EED0E47
-_RICIAN_MOMENT_DRAWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -142,25 +136,18 @@ def required_power(theta: float, d, h, spec: ChannelSpec,
 
 @functools.lru_cache(maxsize=None)
 def _rician_mean_inverse(floor: float) -> float:
-    rng = substream(_RICIAN_MOMENT_SEED)
-    total = 0.0
-    n = _RICIAN_MOMENT_DRAWS
-    chunk = 1_000_000
-    s = math.sqrt(RICIAN_SCATTER_VAR / 2.0)
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        re = 1.0 + s * rng.standard_normal(m)
-        im = s * rng.standard_normal(m)
-        h = np.maximum(re * re + im * im, floor)
-        total += float((1.0 / h).sum())
-        done += m
-    return total / n
+    # With s2 the per-branch scatter variance, the unfloored gain is
+    # s2 * ncx2(df=2, nc=1/s2), so E[1/max(H, f)] = F(f)/f + int_f^inf p(h)/h dh.
+    s2 = RICIAN_SCATTER_VAR / 2.0
+    law = stats.ncx2(df=2, nc=1.0 / s2, scale=s2)
+    tail, _ = integrate.quad(lambda h: law.pdf(h) / h, floor, np.inf)
+    return float(law.cdf(floor)) / floor + tail
 
 
 def mean_inverse_fading(fading: Fading) -> float:
     """E[1/H]. Closed form 1/(omega - 1) for chi-squared fading with
-    omega >= 2; a cached fixed-seed numeric estimate for truncated Rician.
+    omega >= 2; cached quadrature over the noncentral chi-squared law for
+    truncated Rician.
 
     Raises for omega = 1, where the moment is infinite.
     """

@@ -16,15 +16,15 @@ low-confidence (too few users observed) or a failed validation.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
 from .bounds import in_asymptotic_regime
-from .coverage import Scheme, bound_values
+from .coverage import Scheme, bound_inputs, bound_values
 from .energy_field import EnergyFieldSpec, Kernel
 from .harness import (ConfigError, ExperimentConfig, apply_sweep, effective_seed,
-                      emit_csv, load_config, run_sweep, validate_field_law)
+                      emit_csv, load_config, parse_config_text, run_sweep,
+                      validate_field_law)
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -167,7 +167,6 @@ def _cmd_validate_field(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     exp = load_config(args.config)
     cfg = exp.scenario
-    from .coverage import _bound_inputs  # shared construction, not a stable API
     for scheme in Scheme:
         vals = bound_values(cfg, scheme)
         print(f"[{scheme.value}]")
@@ -175,7 +174,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             print("  no closed-form bound applies to this configuration")
         for name, v in sorted(vals.items()):
             print(f"  {name} = {v:.6g}")
-    b = _bound_inputs(cfg)
+    b = bound_inputs(cfg)
     print(f"deep-tail asymptotic regime: {'yes' if in_asymptotic_regime(b) else 'no'}")
     return _EXIT_OK
 
@@ -192,7 +191,6 @@ def _repro_experiment(figure: str) -> ExperimentConfig:
         "distributed.lambda_a = 0.78",
         "distributed.voltage = inf",
     ])
-    from .harness import parse_config_text
     exp = parse_config_text(text)
     return replace(exp, sweep_param="cluster_size", sweep_values=_FIG5_CLUSTER)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -57,7 +57,6 @@ class ScenarioConfig:
     lambda_u: float = 7.8
     theta: float = 8.0
     eta: float = 1.0
-    scheme: Scheme = Scheme.CHANNEL_INDEPENDENT
     architecture: OnSite | Distributed = OnSite()
     estimator: str = "user_weighted"
     wrap: bool = True
@@ -235,7 +234,9 @@ class OutageEstimate:
         return 0.5 * (self.ci_hi - self.ci_lo)
 
 
-def _bound_inputs(cfg: ScenarioConfig, tau: float = 1.0) -> BoundInputs | None:
+def bound_inputs(cfg: ScenarioConfig, tau: float = 1.0) -> BoundInputs:
+    """Closed-form bound inputs for a scenario; e_h_inv and omega are None
+    where the fading law lacks them. tau is the certified line efficiency."""
     fading = cfg.channel.fading
     omega = fading.omega if isinstance(fading, ChiSquaredFading) else None
     try:
@@ -271,11 +272,11 @@ def bound_values(cfg: ScenarioConfig, scheme: Scheme) -> dict[str, float]:
     kernel = cfg.field.kernel
     if isinstance(cfg.architecture, Distributed):
         if kernel is Kernel.BOOLEAN_MAX_EXP:
-            b = _bound_inputs(cfg, tau=_certified_tau(cfg))
+            b = bound_inputs(cfg, tau=_certified_tau(cfg))
             if b.e_h_inv is not None:
                 vals["aggregated"] = aggregated_outage_bound(b)
         return vals
-    b = _bound_inputs(cfg)
+    b = bound_inputs(cfg)
     if kernel is Kernel.BOOLEAN_MAX_EXP:
         if b.e_h_inv is not None:
             vals["energy_shortfall"] = energy_shortfall_bound(b)
@@ -329,13 +330,3 @@ def simulate_both(cfg: ScenarioConfig, n_trials: int, seed: int
     tally = run_trials_chunk(cfg, 0, n_trials, seed)
     return estimates_from_tally(cfg, tally)
 
-
-def simulate_onsite(cfg: ScenarioConfig, n_trials: int, seed: int) -> OutageEstimate:
-    """Outage estimate for an on-site scenario under its configured scheme."""
-    if not isinstance(cfg.architecture, OnSite):
-        raise ValueError("scenario architecture is not OnSite")
-    return simulate_both(cfg, n_trials, seed)[cfg.scheme]
-
-
-def with_scheme(cfg: ScenarioConfig, scheme: Scheme) -> ScenarioConfig:
-    return replace(cfg, scheme=scheme)

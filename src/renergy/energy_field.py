@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet, Window, distances_to, sample_ppp
+from .geometry import (PointSet, Window, nearest_site_indices, sample_ppp,
+                       separation)
 
 
 class Kernel(enum.Enum):
@@ -89,66 +90,39 @@ def decay_power_law(d, nu: float):
     return 1.0 / (1.0 + (d * d) / nu)
 
 
+def _boolean_kernel(spec: EnergyFieldSpec, d: np.ndarray) -> np.ndarray:
+    """Boolean field value at nearest-center distance d; d = +inf (no center)
+    gives exactly 0 for both kernels."""
+    decay = decay_exp if spec.kernel is Kernel.BOOLEAN_MAX_EXP else decay_power_law
+    return spec.gamma * decay(d, spec.nu)
+
+
 _SHOT_OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 
 
-def _min_center_distances(centers: np.ndarray, points: np.ndarray, window: Window,
-                          chunk: int = 4096) -> np.ndarray:
-    """Distance from each point to the nearest center; +inf when no centers."""
-    out = np.full(len(points), np.inf)
-    if len(centers) == 0:
-        return out
-    if len(points) == 1:
-        return np.array([distances_to(centers, points[0], window).min()])
-    for lo in range(0, len(points), chunk):
-        block = points[lo:lo + chunk]
-        d = np.abs(block[:, None, :] - centers[None, :, :])
-        if window.wrap:
-            np.minimum(d[..., 0], window.width - d[..., 0], out=d[..., 0])
-            np.minimum(d[..., 1], window.height - d[..., 1], out=d[..., 1])
-        out[lo:lo + chunk] = np.hypot(d[..., 0], d[..., 1]).min(axis=1)
-    return out
-
-
-def _shot_sums(centers: np.ndarray, points: np.ndarray, window: Window, nu: float,
-               chunk: int = 1024) -> np.ndarray:
-    """Sum of exponential kernels over centers and, when wrapping, their images."""
-    out = np.zeros(len(points))
-    if len(centers) == 0:
-        return out
-    offsets = _SHOT_OFFSETS if window.wrap else [(0, 0)]
-    shifts = [np.array([dx * window.width, dy * window.height]) for dx, dy in offsets]
-    for lo in range(0, len(points), chunk):
-        block = points[lo:lo + chunk]
-        acc = np.zeros(len(block))
-        for shift in shifts:
-            diff = block[:, None, :] - (centers + shift)[None, :, :]
-            sq = diff[..., 0] ** 2 + diff[..., 1] ** 2
-            acc += np.exp(-sq / nu).sum(axis=1)
-        out[lo:lo + chunk] = acc
-    return out
+def _image_sums(dx: np.ndarray, dy: np.ndarray, window: Window, nu: float) -> np.ndarray:
+    """Exponential kernel summed over a center and, when wrapping, its eight
+    window images, for per-axis point-minus-center differences dx, dy."""
+    acc = np.zeros(np.broadcast(dx, dy).shape)
+    for ox, oy in (_SHOT_OFFSETS if window.wrap else [(0, 0)]):
+        ex = dx + ox * window.width
+        ey = dy + oy * window.height
+        acc += np.exp(-(ex * ex + ey * ey) / nu)
+    return acc
 
 
 def field_values(real: FieldRealization, points) -> np.ndarray:
     """Field values at one or many locations inside the window."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec = real.spec
+    centers = real.centers.points
     if spec.kernel is Kernel.SHOT_NOISE_EXP:
-        return spec.gamma * _shot_sums(real.centers.points, pts, real.window, spec.nu)
-    d = _min_center_distances(real.centers.points, pts, real.window)
-    vals = np.zeros(len(pts))
-    finite = np.isfinite(d)
-    if spec.kernel is Kernel.BOOLEAN_MAX_EXP:
-        vals[finite] = spec.gamma * decay_exp(d[finite], spec.nu)
-    else:
-        vals[finite] = spec.gamma * decay_power_law(d[finite], spec.nu)
-    return vals
-
-
-def intensity_at(real: FieldRealization, point) -> float:
-    """Field value at a single location (0 when the window holds no center
-    and the kernel is a boolean max)."""
-    return float(field_values(real, point)[0])
+        sums = _image_sums(pts[:, None, 0] - centers[None, :, 0],
+                           pts[:, None, 1] - centers[None, :, 1], real.window, spec.nu)
+        return spec.gamma * sums.sum(axis=1)
+    if len(centers) == 0:
+        return _boolean_kernel(spec, np.full(len(pts), np.inf))
+    return _boolean_kernel(spec, nearest_site_indices(pts, centers, real.window)[1])
 
 
 def influence_radius(x: float, spec: EnergyFieldSpec) -> float:
@@ -247,56 +221,33 @@ def joint_cdf_boolean_exp(x1: float, x2: float, d: float, spec: EnergyFieldSpec)
     return marg * math.exp(spec.lambda_e * disk_overlap_area(r1, r2, d))
 
 
-def _grouped_min(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-group minimum of consecutive value runs; empty groups give +inf."""
+def _grouped(ufunc: np.ufunc, values: np.ndarray, counts: np.ndarray,
+             empty: float) -> np.ndarray:
+    """Per-group reduction of consecutive value runs; empty groups give `empty`."""
     n = len(counts)
-    out = np.full(n, np.inf)
+    out = np.full(n, empty)
     if values.size == 0 or n == 0:
         return out
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
-    padded = np.append(values, np.inf)
-    mins = np.minimum.reduceat(padded, starts)
+    reduced = ufunc.reduceat(np.append(values, empty), starts)
     nonempty = counts > 0
-    out[nonempty] = mins[nonempty]
+    out[nonempty] = reduced[nonempty]
     return out
 
 
-def _grouped_sum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    n = len(counts)
-    out = np.zeros(n)
-    if values.size == 0 or n == 0:
-        return out
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    padded = np.append(values, 0.0)
-    sums = np.add.reduceat(padded, starts)
-    nonempty = counts > 0
-    out[nonempty] = sums[nonempty]
-    return out
-
-
-def _batch_distances(xs: np.ndarray, ys: np.ndarray, point, window: Window) -> np.ndarray:
-    dx = np.abs(xs - point[0])
-    dy = np.abs(ys - point[1])
-    if window.wrap:
-        np.minimum(dx, window.width - dx, out=dx)
-        np.minimum(dy, window.height - dy, out=dy)
-    return np.hypot(dx, dy)
-
-
-def sample_intensity(spec: EnergyFieldSpec, window: Window, point, n: int,
-                     rng: np.random.Generator, chunk: int = 200_000) -> np.ndarray:
-    """n independent field realizations evaluated at one location.
+def _sample_fields(spec: EnergyFieldSpec, window: Window, points, n: int,
+                   rng: np.random.Generator, chunk: int) -> np.ndarray:
+    """n independent field realizations evaluated at each of k locations, (n, k).
 
     Vectorized across realizations: center counts are drawn per realization,
     positions in bulk, and per-realization reductions done with grouped ufuncs.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    point = np.asarray(point, dtype=float)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     lam_area = spec.lambda_e * window.area
-    out = np.empty(n)
+    out = np.empty((n, len(points)))
     pos = 0
     while pos < n:
         m = min(chunk, n - pos)
@@ -304,26 +255,22 @@ def sample_intensity(spec: EnergyFieldSpec, window: Window, point, n: int,
         total = int(counts.sum())
         xs = rng.uniform(0.0, window.width, total)
         ys = rng.uniform(0.0, window.height, total)
-        if spec.kernel is Kernel.SHOT_NOISE_EXP:
-            acc = np.zeros(total)
-            offs = _SHOT_OFFSETS if window.wrap else [(0, 0)]
-            for dx, dy in offs:
-                ddx = xs + dx * window.width - point[0]
-                ddy = ys + dy * window.height - point[1]
-                acc += np.exp(-(ddx * ddx + ddy * ddy) / spec.nu)
-            out[pos:pos + m] = spec.gamma * _grouped_sum(acc, counts)
-        else:
-            d = _batch_distances(xs, ys, point, window)
-            dmin = _grouped_min(d, counts)
-            vals = np.zeros(m)
-            finite = np.isfinite(dmin)
-            if spec.kernel is Kernel.BOOLEAN_MAX_EXP:
-                vals[finite] = spec.gamma * np.exp(-(dmin[finite] ** 2) / spec.nu)
+        for col, (px, py) in enumerate(points):
+            if spec.kernel is Kernel.SHOT_NOISE_EXP:
+                sums = _image_sums(px - xs, py - ys, window, spec.nu)
+                out[pos:pos + m, col] = spec.gamma * _grouped(np.add, sums, counts, 0.0)
             else:
-                vals[finite] = spec.gamma / (1.0 + (dmin[finite] ** 2) / spec.nu)
-            out[pos:pos + m] = vals
+                d = separation(px - xs, py - ys, window)
+                out[pos:pos + m, col] = _boolean_kernel(
+                    spec, _grouped(np.minimum, d, counts, np.inf))
         pos += m
     return out
+
+
+def sample_intensity(spec: EnergyFieldSpec, window: Window, point, n: int,
+                     rng: np.random.Generator, chunk: int = 200_000) -> np.ndarray:
+    """n independent field realizations evaluated at one location."""
+    return _sample_fields(spec, window, point, n, rng, chunk)[:, 0]
 
 
 def sample_intensity_pair(spec: EnergyFieldSpec, window: Window, p1, p2, n: int,
@@ -331,28 +278,7 @@ def sample_intensity_pair(spec: EnergyFieldSpec, window: Window, p1, p2, n: int,
     """n realizations of the boolean exponential field at two locations, (n, 2)."""
     if spec.kernel is not Kernel.BOOLEAN_MAX_EXP:
         raise ValueError("pair sampling is implemented for the boolean exponential kernel")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    lam_area = spec.lambda_e * window.area
-    out = np.empty((n, 2))
-    pos = 0
-    while pos < n:
-        m = min(chunk, n - pos)
-        counts = rng.poisson(lam_area, m)
-        total = int(counts.sum())
-        xs = rng.uniform(0.0, window.width, total)
-        ys = rng.uniform(0.0, window.height, total)
-        for col, p in enumerate((p1, p2)):
-            d = _batch_distances(xs, ys, p, window)
-            dmin = _grouped_min(d, counts)
-            vals = np.zeros(m)
-            finite = np.isfinite(dmin)
-            vals[finite] = spec.gamma * np.exp(-(dmin[finite] ** 2) / spec.nu)
-            out[pos:pos + m, col] = vals
-        pos += m
-    return out
+    return _sample_fields(spec, window, [p1, p2], n, rng, chunk)
 
 
 def validation_window(spec: EnergyFieldSpec, n_samples: int, min_side: float | None = None) -> Window:

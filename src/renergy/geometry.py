@@ -1,5 +1,5 @@
 """Spatial primitives: observation windows, point sets, Poisson sampling,
-hexagonal lattices, and exact nearest-neighbor queries with optional wraparound
+hexagonal lattices, and exact nearest-site queries with optional wraparound
 (toroidal) metric.
 
 Distances on a wrapped window use the minimal-image convention, which equals
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -96,72 +95,15 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> Po
     return PointSet(sample_ppp_points(intensity, window, rng), intensity)
 
 
-def thin(pset: PointSet, keep_prob: float, rng: np.random.Generator) -> PointSet:
-    """Independent thinning; the result is a PPP with intensity keep_prob * lambda."""
-    if not 0.0 <= keep_prob <= 1.0:
-        raise ValueError("keep probability must lie in [0, 1]")
-    mask = rng.random(len(pset)) < keep_prob
-    return PointSet(pset.points[mask], pset.intensity * keep_prob)
-
-
-def distance(a, b, window: Window) -> float:
-    """Distance between two points, minimal-image if the window wraps."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+def separation(dx, dy, window: Window) -> np.ndarray:
+    """Distance for per-axis coordinate differences dx, dy (arrays of equal or
+    broadcastable shape); minimal-image when the window wraps."""
+    dx = np.abs(dx)
+    dy = np.abs(dy)
     if window.wrap:
-        d[0] = min(d[0], window.width - d[0])
-        d[1] = min(d[1], window.height - d[1])
-    return float(math.hypot(d[0], d[1]))
-
-
-def distances_to(points: np.ndarray, query, window: Window) -> np.ndarray:
-    """Vector of distances from every row of points to a single query point."""
-    d = np.abs(points - np.asarray(query, dtype=float))
-    if window.wrap:
-        np.minimum(d[:, 0], window.width - d[:, 0], out=d[:, 0])
-        np.minimum(d[:, 1], window.height - d[:, 1], out=d[:, 1])
-    return np.hypot(d[:, 0], d[:, 1])
-
-
-def nearest(query, pset: PointSet, window: Window) -> tuple[np.ndarray, float]:
-    """Exhaustive exact nearest member of pset to query.
-
-    Ties are broken toward the lowest point index. Raises on an empty set.
-    """
-    if len(pset) == 0:
-        raise ValueError("nearest() on an empty point set")
-    d = distances_to(pset.points, query, window)
-    i = int(np.argmin(d))
-    return pset.points[i].copy(), float(d[i])
-
-
-_TILE_OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=float)
-
-
-class NeighborIndex:
-    """Accelerated exact nearest-member index (kd-tree).
-
-    Wrapped windows are handled by tiling the points over the nine surrounding
-    window images, so queries inside the window return exact minimal-image
-    neighbors. Results agree with the exhaustive scan in `nearest`.
-    """
-
-    def __init__(self, pset: PointSet, window: Window):
-        if len(pset) == 0:
-            raise ValueError("cannot index an empty point set")
-        self.window = window
-        self.n = len(pset)
-        if window.wrap:
-            shifts = _TILE_OFFSETS * np.array([window.width, window.height])
-            tiled = (pset.points[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
-            self._tree = cKDTree(tiled)
-        else:
-            self._tree = cKDTree(pset.points)
-
-    def query(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Indices into the original set and distances, for one or many points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dist, idx = self._tree.query(pts)
-        return idx % self.n, dist
+        np.minimum(dx, window.width - dx, out=dx)
+        np.minimum(dy, window.height - dy, out=dy)
+    return np.hypot(dx, dy)
 
 
 def nearest_site_indices(points: np.ndarray, sites: np.ndarray, window: Window,
@@ -169,18 +111,16 @@ def nearest_site_indices(points: np.ndarray, sites: np.ndarray, window: Window,
     """Exact nearest site for every point, with first-index tie-breaking.
 
     Evaluates the full distance matrix in chunks; intended for moderate site
-    counts (lattice assignment), where deterministic tie handling matters.
+    counts (lattice assignment, energy centers), where deterministic tie
+    handling matters.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out_idx = np.empty(len(pts), dtype=np.int64)
     out_d = np.empty(len(pts))
     for lo in range(0, len(pts), chunk):
         block = pts[lo:lo + chunk]
-        d = np.abs(block[:, None, :] - sites[None, :, :])
-        if window.wrap:
-            np.minimum(d[..., 0], window.width - d[..., 0], out=d[..., 0])
-            np.minimum(d[..., 1], window.height - d[..., 1], out=d[..., 1])
-        dist = np.hypot(d[..., 0], d[..., 1])
+        dist = separation(block[:, None, 0] - sites[None, :, 0],
+                          block[:, None, 1] - sites[None, :, 1], window)
         amin = np.argmin(dist, axis=1)
         out_idx[lo:lo + chunk] = amin
         out_d[lo:lo + chunk] = dist[np.arange(len(block)), amin]

@@ -30,7 +30,7 @@ from .coverage import (OnSite, OutageEstimate, Scheme, ScenarioConfig, TrialTall
 from .energy_field import (EnergyFieldSpec, Kernel, cdf_boolean_exp,
                            cdf_boolean_plaw, sample_intensity, validation_window)
 from .geometry import substream
-from .stats import KSResult, ks_statistic, wilson_ci  # noqa: F401  (re-exported)
+from .stats import KSResult, ks_statistic
 
 SEED_ENV_VAR = "RENERGY_SEED"
 DEFAULT_SEED = 1729
@@ -59,7 +59,6 @@ _DEFAULTS: dict[str, object] = {
     "network.lambda_u": 7.8,
     "network.theta": 8.0,
     "network.eta": 1.0,
-    "scenario.scheme": "channel_independent",
     "scenario.architecture": "onsite",
     "scenario.estimator": "user_weighted",
     "scenario.wrap": True,
@@ -198,19 +197,13 @@ def build_experiment(values: dict[str, object]) -> ExperimentConfig:
         raise ConfigError(f"scenario.architecture: expected 'onsite' or 'distributed', "
                           f"got {arch_token!r}")
 
-    scheme_token = values["scenario.scheme"]
-    try:
-        scheme = Scheme(scheme_token)
-    except ValueError:
-        raise ConfigError(f"scenario.scheme: expected one of "
-                          f"{[s.value for s in Scheme]}, got {scheme_token!r}") from None
     try:
         scenario = ScenarioConfig(field=field, channel=channel,
                                   lambda_b=float(values["network.lambda_b"]),
                                   lambda_u=float(values["network.lambda_u"]),
                                   theta=float(values["network.theta"]),
                                   eta=float(values["network.eta"]),
-                                  scheme=scheme, architecture=architecture,
+                                  architecture=architecture,
                                   estimator=str(values["scenario.estimator"]),
                                   wrap=bool(values["scenario.wrap"]),
                                   window_side=values["scenario.window_side"])
@@ -285,7 +278,6 @@ def serialize_config(exp: ExperimentConfig) -> str:
         "channel.ref_dist": ch.ref_dist, "channel.noise_dbm": ch.noise_dbm,
         "network.lambda_b": s.lambda_b, "network.lambda_u": s.lambda_u,
         "network.theta": s.theta, "network.eta": s.eta,
-        "scenario.scheme": s.scheme.value,
         "scenario.estimator": s.estimator, "scenario.wrap": s.wrap,
         "scenario.window_side": s.window_side,
         "run.trials": exp.n_trials, "run.seed": exp.seed,

@@ -8,11 +8,11 @@ import pytest
 
 from renergy.aggregation import (Distributed, LineSpec, build_clusters,
                                  certified_efficiency, clustered_window,
-                                 delivered_power, line_loss, simulate_distributed,
+                                 delivered_power, line_loss,
                                  sufficient_voltage, supplied_power,
                                  supply_statistics)
 from renergy.channel import ChannelSpec
-from renergy.coverage import OnSite, ScenarioConfig, Scheme, run_trials_chunk
+from renergy.coverage import ScenarioConfig, run_trials_chunk
 from renergy.energy_field import EnergyFieldSpec, Kernel, draw_field
 from renergy.geometry import hex_cell_circumradius, hex_pitch, substream
 
@@ -196,14 +196,3 @@ def test_single_harvester_clusters_match_onsite():
     se = math.sqrt(p_on.var(ddof=1) / n_chunks + p_dist.var(ddof=1) / n_chunks)
     assert abs(p_on.mean() - p_dist.mean()) < 4.0 * se + 1e-9
 
-
-def test_simulate_distributed_wrapper():
-    field = field_spec(gamma=20.0)
-    cfg = ScenarioConfig(field=field, channel=ChannelSpec.normalized(),
-                         lambda_b=1.0, lambda_u=10.0, theta=8.0,
-                         architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
-    est = simulate_distributed(cfg, 100, 5)
-    assert est.scheme is Scheme.CHANNEL_INDEPENDENT
-    assert 0.0 <= est.p_out <= 1.0
-    with pytest.raises(ValueError):
-        simulate_distributed(replace(cfg, architecture=OnSite()), 10, 5)

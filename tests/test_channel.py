@@ -13,9 +13,9 @@ from renergy.geometry import substream
 # theta * noise / gain at the reference distance with unit fading for the
 # physical defaults: 8 * 1e-12 W / 1e-7 = 8e-5 W.
 REQUIRED_AT_REF = 8e-5
-# Deterministic (fixed-seed) estimate of E[1/H] for the truncated Rician law;
-# cross-checked against an independent sampler below.
-RICIAN_MEAN_INV_01 = 1.4875431573453144
+# E[1/H] for the truncated Rician law at floor 0.1, by quadrature over the
+# noncentral chi-squared law; cross-checked against an independent sampler below.
+RICIAN_MEAN_INV_01 = 1.4875864134246701
 
 
 def test_fading_spec_validation():

@@ -1,10 +1,13 @@
 """End-to-end command-line behaviour and exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import renergy
 from renergy.cli import main
 
 
@@ -103,9 +106,13 @@ def test_unknown_verb_is_usage_error():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
+    # the child imports the same package as this process, installed or not
+    src = str(Path(renergy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "renergy", "run", "--trials", "20",
          "--seed", "7", "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

@@ -8,9 +8,8 @@ import pytest
 
 from renergy.aggregation import Distributed, LineSpec
 from renergy.channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
-from renergy.coverage import (OnSite, ScenarioConfig, Scheme, TrialTally,
-                              bound_values, estimates_from_tally, resolve_window,
-                              run_trials_chunk, simulate_both, simulate_onsite)
+from renergy.coverage import (ScenarioConfig, Scheme, bound_values,
+                              estimates_from_tally, resolve_window, run_trials_chunk)
 from renergy.energy_field import EnergyFieldSpec, Kernel
 from renergy.geometry import hex_pitch
 from renergy.stats import wilson_ci
@@ -201,12 +200,6 @@ def test_distributed_lossless_certifies_full_efficiency():
     b_lossless = bound_values(lossless, Scheme.CHANNEL_INDEPENDENT)["aggregated"]
     b_lossy = bound_values(lossy, Scheme.CHANNEL_INDEPENDENT)["aggregated"]
     assert b_lossless == pytest.approx(0.8 * b_lossy, rel=1e-12)
-
-
-def test_simulate_onsite_rejects_distributed():
-    dcfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
-    with pytest.raises(ValueError):
-        simulate_onsite(dcfg, 10, 1)
 
 
 def test_zero_user_accounting():

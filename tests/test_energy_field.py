@@ -9,7 +9,7 @@ from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
                                   boolean_exp_moments, cdf_boolean_exp,
                                   cdf_boolean_plaw, decay_exp, decay_power_law,
                                   disk_overlap_area, draw_field, export_raster,
-                                  field_values, influence_radius, intensity_at,
+                                  field_values, influence_radius,
                                   joint_cdf_boolean_exp, sample_intensity,
                                   sample_intensity_pair, shot_noise_mean,
                                   validation_window)
@@ -57,10 +57,10 @@ def test_field_values_max_kernel_by_hand():
     real = FieldRealization(spec, centers, w)
     # (9, 9) is toroidally sqrt(8) from (1, 1) and sqrt(32) from (5, 5)
     expect = 3.0 * math.exp(-8.0 / 4.0)
-    assert intensity_at(real, (9.0, 9.0)) == pytest.approx(expect, rel=1e-12)
+    assert field_values(real, (9.0, 9.0))[0] == pytest.approx(expect, rel=1e-12)
     # without wrap the same point is far from both centers
     flat = FieldRealization(spec, centers, Window(10.0, 10.0, wrap=False))
-    assert intensity_at(flat, (9.0, 9.0)) == pytest.approx(
+    assert field_values(flat, (9.0, 9.0))[0] == pytest.approx(
         3.0 * math.exp(-32.0 / 4.0), rel=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_field_values_shot_kernel_sums_images():
     for dx in (-10.0, 0.0, 10.0):
         for dy in (-10.0, 0.0, 10.0):
             expect += 2.0 * math.exp(-((8.0 + dx) ** 2 + (8.0 + dy) ** 2) / 40.0)
-    assert intensity_at(real, (9.0, 9.0)) == pytest.approx(expect, rel=1e-12)
+    assert field_values(real, (9.0, 9.0))[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_field_values_power_law_kernel():
@@ -83,18 +83,19 @@ def test_field_values_power_law_kernel():
     spec = EnergyFieldSpec(gamma=5.0, lambda_e=0.02, nu=2.0,
                            kernel=Kernel.BOOLEAN_MAX_PLAW)
     real = FieldRealization(spec, centers, w)
-    assert intensity_at(real, (2.0, 1.0)) == pytest.approx(
+    assert field_values(real, (2.0, 1.0))[0] == pytest.approx(
         5.0 / (1.0 + 1.0 / 2.0), rel=1e-12)
 
 
 def test_empty_field_values():
     w = Window(5.0, 5.0)
-    spec = exp_spec()
-    real = FieldRealization(spec, PointSet(np.empty((0, 2))), w)
-    assert intensity_at(real, (1.0, 1.0)) == 0.0
-    shot = FieldRealization(EnergyFieldSpec(1.0, 0.05, 1.0, Kernel.SHOT_NOISE_EXP),
-                            PointSet(np.empty((0, 2))), w)
-    assert intensity_at(shot, (1.0, 1.0)) == 0.0
+    for kernel in Kernel:
+        spec = EnergyFieldSpec(1.0, 0.05, 1.0, kernel)
+        real = FieldRealization(spec, PointSet(np.empty((0, 2))), w)
+        assert field_values(real, (1.0, 1.0))[0] == 0.0
+        # the sampler's empty realizations read exactly 0 as well
+        sparse = EnergyFieldSpec(1.0, 1e-9, 1.0, kernel)
+        assert not sample_intensity(sparse, w, (1.0, 1.0), 200, substream(411, 0)).any()
 
 
 def test_cdf_reference_values():
@@ -224,6 +225,17 @@ def test_joint_cdf_against_paired_sampling():
         assert abs(emp - joint_cdf_boolean_exp(x1, x2, d, spec)) < 0.01
 
 
+def test_pair_columns_equal_single_point_samples():
+    # both entries draw counts, then xs, then ys, so one seed gives one stream
+    spec = exp_spec(psi=0.3)
+    w = Window(9.0, 7.0, wrap=True)
+    p1, p2 = (0.3, 6.5), (8.0, 1.0)
+    pairs = sample_intensity_pair(spec, w, p1, p2, 5000, substream(410, 0), chunk=1500)
+    for col, p in enumerate((p1, p2)):
+        single = sample_intensity(spec, w, p, 5000, substream(410, 0), chunk=1500)
+        assert np.array_equal(pairs[:, col], single)
+
+
 def test_validation_window_controls_tail_mass():
     for psi, n in ((0.05, 100000), (0.2, 100000), (1.0, 10000)):
         spec = exp_spec(psi=psi)
@@ -242,4 +254,4 @@ def test_export_raster_roundtrip(tmp_path):
     rows = np.loadtxt(path)
     assert rows.shape == (64, 3)
     for x, y, v in rows[:10]:
-        assert v == pytest.approx(intensity_at(real, (x, y)), rel=1e-9)
+        assert v == pytest.approx(field_values(real, (x, y))[0], rel=1e-9)

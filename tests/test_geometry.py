@@ -1,14 +1,18 @@
-"""Geometry layer: windows, point processes, lattices, neighbor queries."""
+"""Geometry layer: windows, point processes, lattices, nearest-site queries."""
 
 import math
 
 import numpy as np
 import pytest
 
-from renergy.geometry import (NeighborIndex, PointSet, Window, distance,
-                              distances_to, hex_cell_circumradius, hex_lattice,
-                              hex_pitch, nearest, nearest_site_indices,
-                              sample_in_hex_cell, sample_ppp, substream, thin)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+
+from renergy.energy_field import EnergyFieldSpec, FieldRealization, Kernel, field_values
+from renergy.geometry import (PointSet, Window, hex_cell_circumradius, hex_lattice,
+                              hex_pitch, nearest_site_indices, sample_in_hex_cell,
+                              sample_ppp, separation, substream)
 
 # Reference values for a unit-density triangular lattice (closed forms
 # sqrt(2/sqrt(3)) and sqrt(2/(3*sqrt(3))), frozen by an independent script).
@@ -80,66 +84,83 @@ def test_ppp_points_inside_window():
     assert ps.intensity == 30.0
 
 
-def test_thinning_keeps_binomial_fraction():
-    w = Window(10.0, 10.0)
-    ps = sample_ppp(50.0, w, substream(77, 0))
-    kept = thin(ps, 0.3, substream(77, 1))
-    n, m = len(ps), len(kept)
-    sd = math.sqrt(n * 0.3 * 0.7)
-    assert abs(m - 0.3 * n) < 4 * sd
-    assert kept.intensity == pytest.approx(15.0)
-    with pytest.raises(ValueError):
-        thin(ps, 1.5, substream(77, 2))
-
-
 def test_minimal_image_distance():
     w = Window(10.0, 10.0, wrap=True)
-    assert distance((1.0, 1.0), (9.0, 9.0), w) == pytest.approx(math.sqrt(8.0))
     flat = Window(10.0, 10.0, wrap=False)
-    assert distance((1.0, 1.0), (9.0, 9.0), flat) == pytest.approx(math.sqrt(128.0))
-    # distances_to agrees with scalar distance
-    pts = substream(3, 0).uniform(0, 10, size=(50, 2))
-    d = distances_to(pts, (1.0, 1.0), w)
+    dx, dy = np.array([1.0 - 9.0]), np.array([1.0 - 9.0])
+    assert separation(dx, dy, w)[0] == pytest.approx(math.sqrt(8.0))
+    assert separation(dx, dy, flat)[0] == pytest.approx(math.sqrt(128.0))
+    assert dx[0] == -8.0 and dy[0] == -8.0  # inputs are left untouched
+    # on the torus it is the minimum over the nine translated copies
+    d = substream(3, 0).uniform(-10.0, 10.0, size=(2, 50))
+    s = separation(d[0], d[1], w)
     for i in range(50):
-        assert d[i] == pytest.approx(distance(pts[i], (1.0, 1.0), w))
+        assert s[i] == pytest.approx(min(math.hypot(d[0, i] + ox, d[1, i] + oy)
+                                         for ox in (-10.0, 0.0, 10.0)
+                                         for oy in (-10.0, 0.0, 10.0)))
 
 
 def test_nearest_breaks_ties_toward_lowest_index():
-    ps = PointSet(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    sites = np.array([[0.0, 1.0], [1.0, 0.0]])
     w = Window(10.0, 10.0, wrap=False)
-    point, d = nearest((0.0, 0.0), ps, w)
-    assert d == pytest.approx(1.0)
-    assert np.array_equal(point, [0.0, 1.0])
+    origin = np.array([[0.0, 0.0]])
+    idx, d = nearest_site_indices(origin, sites, w)
+    assert idx[0] == 0 and d[0] == pytest.approx(1.0)
+    assert nearest_site_indices(origin, sites[::-1], w)[0][0] == 0
     with pytest.raises(ValueError):
-        nearest((0.0, 0.0), PointSet(np.empty((0, 2))), w)
+        nearest_site_indices(origin, np.empty((0, 2)), w)
+
+
+def _image_distances(point, sites, window):
+    """Distance from point to every site by exhaustive search over the nine
+    translated copies of the sites (the sites themselves when flat)."""
+    shifts = [(ox * window.width, oy * window.height)
+              for ox in (-1, 0, 1) for oy in (-1, 0, 1)] if window.wrap else [(0.0, 0.0)]
+    px, py = point
+    return [min(math.hypot(px - sx - ox, py - sy - oy) for ox, oy in shifts)
+            for sx, sy in sites]
+
+
+_BOX = (8.0, 6.0)
+_box_points = st.lists(st.tuples(st.floats(0.0, _BOX[0], exclude_max=True),
+                                 st.floats(0.0, _BOX[1], exclude_max=True)),
+                       min_size=1, max_size=25)
 
 
 @pytest.mark.parametrize("wrap", [True, False])
-def test_neighbor_index_matches_exhaustive(wrap):
-    w = Window(8.0, 6.0, wrap=wrap)
-    rng = substream(2024, int(wrap))
-    sites = PointSet(rng.uniform((0, 0), (8, 6), size=(300, 2)))
-    queries = rng.uniform((0, 0), (8, 6), size=(1000, 2))
-    idx, dist = NeighborIndex(sites, w).query(queries)
-    for i in range(len(queries)):
-        _, d_exact = nearest(queries[i], sites, w)
+@settings(max_examples=60, deadline=None)
+@given(sites=_box_points, queries=_box_points)
+def test_neighbor_index_matches_exhaustive(wrap, sites, queries):
+    """nearest_site_indices and the boolean field agree with the brute force."""
+    w = Window(*_BOX, wrap=wrap)
+    sites, queries = np.array(sites), np.array(queries)
+    idx, dist = nearest_site_indices(queries, sites, w, chunk=7)
+    spec = EnergyFieldSpec(gamma=2.0, lambda_e=1.0, nu=9.0, kernel=Kernel.BOOLEAN_MAX_EXP)
+    vals = field_values(FieldRealization(spec, PointSet(sites), w), queries)
+    for i, q in enumerate(queries):
+        d = _image_distances(q, sites, w)
+        d_exact = min(d)
         assert dist[i] == pytest.approx(d_exact, abs=1e-9)
         # the reported index must realize the minimal distance
-        assert distance(sites.points[idx[i]], queries[i], w) == pytest.approx(
-            d_exact, abs=1e-9)
+        assert d[idx[i]] == pytest.approx(d_exact, abs=1e-9)
+        assert vals[i] == pytest.approx(2.0 * math.exp(-d_exact ** 2 / 9.0), rel=1e-9)
 
 
 def test_nearest_site_indices_agrees_with_neighbor_index():
+    """Cross-check against an independent neighbor index: scipy's kd-tree
+    with a periodic box."""
     w = Window(5.0, 5.0, wrap=True)
     rng = substream(31, 0)
     sites = rng.uniform((0, 0), (5, 5), size=(40, 2))
     pts = rng.uniform((0, 0), (5, 5), size=(500, 2))
     idx_a, dist_a = nearest_site_indices(pts, sites, w, chunk=64)
-    idx_b, dist_b = NeighborIndex(PointSet(sites), w).query(pts)
+    dist_b, idx_b = cKDTree(sites, boxsize=(5.0, 5.0)).query(pts)
     assert np.allclose(dist_a, dist_b, atol=1e-9)
     disagree = idx_a != idx_b
     # any disagreement must be an exact distance tie
-    assert np.all(np.isclose(dist_a[disagree], dist_b[disagree], atol=1e-9))
+    tied = separation(pts[disagree, 0] - sites[idx_b[disagree], 0],
+                      pts[disagree, 1] - sites[idx_b[disagree], 1], w)
+    assert np.allclose(dist_a[disagree], tied, atol=1e-9)
 
 
 def test_hex_pitch_and_radius_reference_values():
@@ -157,13 +178,13 @@ def test_hex_lattice_commensurate_count_and_spacing():
     lat = hex_lattice(density, w)
     assert len(lat.sites) == round(w.area * density) == 12
     assert lat.cell_area == pytest.approx(1.0 / density)
-    # one site at the window center
-    d0 = distances_to(lat.sites.points, w.center, w).min()
-    assert d0 < 1e-9
-    # toroidal nearest-neighbor spacing equals the pitch for every site
     pts = lat.sites.points
+    # one site at the window center
+    assert nearest_site_indices(w.center, pts, w)[1][0] < 1e-9
+    # toroidal nearest-neighbor spacing equals the pitch for every site
     for i in range(len(pts)):
-        d = distances_to(np.delete(pts, i, axis=0), pts[i], w)
+        others = np.delete(pts, i, axis=0)
+        d = separation(others[:, 0] - pts[i, 0], others[:, 1] - pts[i, 1], w)
         assert d.min() == pytest.approx(a, rel=1e-9)
 
 

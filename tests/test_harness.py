@@ -15,7 +15,8 @@ from renergy.harness import (DEFAULT_SEED, SEED_ENV_VAR, ConfigError,
                              emit_csv, ks_statistic, load_config,
                              normalized_equivalent, parse_config_text,
                              row_record, run_point, run_sweep,
-                             serialize_config, validate_field_law, wilson_ci)
+                             serialize_config, validate_field_law)
+from renergy.stats import wilson_ci
 
 
 def test_empty_config_gives_defaults():
@@ -39,6 +40,9 @@ def test_config_parsing_errors_name_the_key():
         parse_config_text("run.trials = 2.5\n")
     with pytest.raises(ConfigError):
         parse_config_text("scenario.wrap = maybe\n")
+    # run and sweep always report both schemes, so there is no scheme key
+    with pytest.raises(ConfigError, match="scenario.scheme"):
+        parse_config_text("scenario.scheme = inversion\n")
     # comments, blank lines, and repeated keys (last wins) are accepted
     exp = parse_config_text("\n# c\nrun.seed = 1\nrun.seed = 7\n")
     assert exp.seed == 7
@@ -56,7 +60,6 @@ def test_config_roundtrip_distributed_profile():
     channel.fading = chi_squared
     channel.omega = 3
     scenario.architecture = distributed
-    scenario.scheme = inversion
     distributed.lambda_h = 3.12
     distributed.lambda_a = 0.39
     distributed.voltage = lossless
