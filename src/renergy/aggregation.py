@@ -21,8 +21,8 @@ import numpy as np
 
 from .bounds import aggregation_power_floor  # noqa: F401  (re-export; natural home)
 from .energy_field import EnergyFieldSpec, FieldRealization, draw_field, field_values
-from .geometry import (HexLattice, Window, hex_lattice, hex_pitch,
-                       nearest_site_indices, substream)
+from .geometry import (HexLattice, Window, default_window_side, hex_lattice,
+                       hex_pitch, nearest_site_indices, substream)
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class LineSpec:
     mode: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if self.voltage is not None and not self.voltage > 0:
             raise ValueError("voltage must be positive (or None for the rule)")
         if not 0 < self.tau < 1:
@@ -61,10 +61,10 @@ class Distributed:
     line: LineSpec = field(default_factory=LineSpec)
 
     def __post_init__(self) -> None:
-        if self.lambda_a <= 0:
-            raise ValueError("lambda_a must be positive")
-        if self.lambda_h < self.lambda_a:
-            raise ValueError("lambda_h must be at least lambda_a")
+        if not 0 < self.lambda_a < math.inf:
+            raise ValueError("lambda_a must be positive and finite")
+        if not self.lambda_a <= self.lambda_h < math.inf:
+            raise ValueError("lambda_h must be finite and at least lambda_a")
 
     @property
     def cluster_size(self) -> float:
@@ -139,10 +139,6 @@ def sufficient_voltage(tau: float, beta: float, eta: float, gamma: float,
                            * math.sqrt(2.0 / (3.0 * math.sqrt(3.0)))) * lambda_a ** -0.25
 
 
-def resolve_voltage(line: LineSpec, eta: float, gamma: float, lambda_a: float) -> float:
-    return line.voltage if line.voltage is not None else \
-        sufficient_voltage(line.tau, line.beta, eta, gamma, lambda_a)
-
 
 def certified_efficiency(voltage: float, beta: float, eta: float, gamma: float,
                          lambda_a: float) -> float:
@@ -206,6 +202,16 @@ def _stations_per_aggregator(lambda_b: float, lambda_a: float) -> int:
     return int(n)
 
 
+def resolve_line(line: LineSpec, eta: float, gamma: float, lambda_b: float,
+                 lambda_a: float) -> tuple[float, int]:
+    """Feeder voltage (the rule voltage when line.voltage is None) and the
+    number of stations each aggregator feeds."""
+    n_per = _stations_per_aggregator(lambda_b, lambda_a)
+    voltage = line.voltage if line.voltage is not None else \
+        sufficient_voltage(line.tau, line.beta, eta, gamma, lambda_a)
+    return voltage, n_per
+
+
 def supplied_power(assignment: ClusterAssignment, real: FieldRealization,
                    line: LineSpec, eta: float, lambda_b: float) -> SupplyResult:
     """Per-station supplied power for one field realization.
@@ -216,9 +222,8 @@ def supplied_power(assignment: ClusterAssignment, real: FieldRealization,
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    spec = real.spec
-    n_per = _stations_per_aggregator(lambda_b, assignment.aggregators.density)
-    voltage = resolve_voltage(line, eta, spec.gamma, assignment.aggregators.density)
+    voltage, n_per = resolve_line(line, eta, real.spec.gamma, lambda_b,
+                                  assignment.aggregators.density)
     g = field_values(real, assignment.harvesters.sites.points)
     harvested = eta * g
     delivered = delivered_power(harvested, assignment.line_lengths, voltage,
@@ -237,8 +242,7 @@ def supply_statistics(spec: EnergyFieldSpec, lambda_b: float, lambda_h: float,
     shape (n_trials, n_stations). Trials use counter-derived substreams."""
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
-    side = min_side if min_side is not None else \
-        max(10.0 / math.sqrt(lambda_b), 10.0 * math.sqrt(spec.nu))
+    side = min_side if min_side is not None else default_window_side(lambda_b, spec.nu)
     window = clustered_window(lambda_a, side)
     assignment = build_clusters(lambda_h, lambda_a, window)
     rows = []

@@ -62,10 +62,13 @@ class ChannelSpec:
     fading: Fading = TruncatedRicianFading(0.1)
 
     def __post_init__(self) -> None:
-        if self.alpha <= 2:
-            raise ValueError("alpha must exceed 2")
-        if self.ref_dist <= 0:
-            raise ValueError("ref_dist must be positive")
+        if not 2 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and exceed 2")
+        if not 0 < self.ref_dist < math.inf:
+            raise ValueError("ref_dist must be positive and finite")
+        for name in ("ref_loss_db", "noise_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def noise_w(self) -> float:
@@ -135,10 +138,10 @@ def required_power(theta: float, d, h, spec: ChannelSpec,
 
 
 @functools.lru_cache(maxsize=None)
-def _rician_mean_inverse(floor: float) -> float:
+def _rician_mean_inverse(floor: float, scatter_var: float) -> float:
     # With s2 the per-branch scatter variance, the unfloored gain is
     # s2 * ncx2(df=2, nc=1/s2), so E[1/max(H, f)] = F(f)/f + int_f^inf p(h)/h dh.
-    s2 = RICIAN_SCATTER_VAR / 2.0
+    s2 = scatter_var / 2.0
     law = stats.ncx2(df=2, nc=1.0 / s2, scale=s2)
     tail, _ = integrate.quad(lambda h: law.pdf(h) / h, floor, np.inf)
     return float(law.cdf(floor)) / floor + tail
@@ -156,4 +159,4 @@ def mean_inverse_fading(fading: Fading) -> float:
             raise ValueError(
                 "mean inverse fading is infinite for omega = 1; use omega >= 2")
         return 1.0 / (fading.omega - 1.0)
-    return _rician_mean_inverse(fading.floor)
+    return _rician_mean_inverse(fading.floor, RICIAN_SCATTER_VAR)

@@ -10,23 +10,29 @@ allocation schemes are then evaluated on the same draws:
 * inversion - users are granted their exact required powers in increasing
   order until the budget runs out; the remainder are in outage.
 
+The station's budget is its equal share of what the harvesters of its
+aggregator deliver over their feeder lines. On-site harvesting is the same
+supply with one harvester at the station, a zero-length lossless line and one
+station per aggregator.
+
 Outage is reported per user. Every tally field is an integer, so chunked or
 multi-process runs merge into bit-identical totals, and each trial draws from
 a stream keyed by its absolute index, making results independent of chunking.
+Fields and station powers are computed for a block of trials at once, then
+each trial's users are drawn from the same stream, after its field.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .aggregation import (Distributed, _stations_per_aggregator, build_clusters,
-                          certified_efficiency, clustered_window, delivered_power,
-                          resolve_voltage)
+from .aggregation import (Distributed, LineSpec, build_clusters, certified_efficiency,
+                          clustered_window, delivered_power, resolve_line)
 from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_bound,
                      fading_tail_terms_equal_split, fading_tail_terms_inversion,
                      max_power_markov_bound, power_law_outage_bound,
@@ -34,8 +40,8 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
 from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import EnergyFieldSpec, Kernel, draw_field, field_values
-from .geometry import (Window, hex_cell_circumradius, nearest_site_indices,
-                       sample_in_hex_cell, substream)
+from .geometry import (Window, default_window_side, hex_cell_circumradius,
+                       nearest_site_indices, sample_in_hex_cell, substream)
 from .stats import wilson_ci
 
 
@@ -64,18 +70,20 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("lambda_b", "lambda_u", "theta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         if self.estimator not in ("user_weighted", "palm"):
             raise ValueError("estimator must be 'user_weighted' or 'palm'")
-        if self.window_side is not None and self.window_side <= 0:
-            raise ValueError("window_side must be positive")
-        if isinstance(self.architecture, Distributed):
+        if self.window_side is not None and not 0 < self.window_side < math.inf:
+            raise ValueError("window_side must be positive and finite")
+        arch = self.architecture
+        if isinstance(arch, Distributed):
             if not self.wrap:
                 raise ValueError("the distributed architecture needs wrap=True")
-            _stations_per_aggregator(self.lambda_b, self.architecture.lambda_a)
+            resolve_line(arch.line, self.eta, self.field.gamma, self.lambda_b,
+                         arch.lambda_a)
 
     @property
     def mean_users_per_cell(self) -> float:
@@ -97,7 +105,7 @@ def resolve_window(cfg: ScenarioConfig) -> Window:
     are padded with an edge guard instead.
     """
     side = cfg.window_side if cfg.window_side is not None else \
-        max(10.0 / math.sqrt(cfg.lambda_b), 10.0 * math.sqrt(cfg.field.nu))
+        default_window_side(cfg.lambda_b, cfg.field.nu)
     if isinstance(cfg.architecture, Distributed):
         return clustered_window(cfg.architecture.lambda_a, side)
     if not cfg.wrap:
@@ -129,31 +137,57 @@ class TrialTally:
                 self.union_trials, self.gain_clamps)
 
 
-@dataclass(frozen=True)
-class _DistributedState:
+# Trials whose fields are drawn, evaluated and pushed through the feeder lines
+# together before their users are drawn. It saves per-trial numpy calls and
+# cannot change a tally: every trial still reads only its own stream.
+_BLOCK = 256
+
+# On-site harvesting as the one-harvester cluster: the station's own harvester
+# over a zero-length lossless line, one station per aggregator.
+_ONSITE_LINE = LineSpec(voltage=math.inf)
+
+
+@dataclass(frozen=True, eq=False)
+class _Supply:
+    """What powers the typical station: the harvesters of its aggregator,
+    their feeder lines, and the station's equal share of what arrives."""
+
     positions: np.ndarray     # harvesters feeding the typical aggregator
     line_lengths: np.ndarray
+    line: LineSpec
     voltage: float
     stations_per_aggregator: int
-    peak_station_power: float
+    peak_budget: float        # eta * gamma, the largest harvester budget
+    peak_station_power: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        peak = self.station_power(np.full((1, len(self.line_lengths)), self.peak_budget))
+        object.__setattr__(self, "peak_station_power", float(peak[0]))
+
+    def station_power(self, budgets: np.ndarray) -> np.ndarray:
+        """Station power per row of a (trials, harvesters) budget array."""
+        line = self.line
+        delivered = delivered_power(budgets, self.line_lengths, self.voltage,
+                                    line.beta, line.mode, line.tau)
+        return delivered.sum(axis=1) / self.stations_per_aggregator
 
 
-def _distributed_state(cfg: ScenarioConfig, window: Window) -> _DistributedState:
+def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
     arch = cfg.architecture
-    assign = build_clusters(arch.lambda_h, arch.lambda_a, window)
     center = np.asarray(window.center, dtype=float)[None, :]
-    typical = int(nearest_site_indices(center, assign.aggregators.sites.points,
-                                       window)[0][0])
-    members = assign.assignment == typical
-    positions = assign.harvesters.sites.points[members]
-    lengths = assign.line_lengths[members]
-    n_per = _stations_per_aggregator(cfg.lambda_b, arch.lambda_a)
-    voltage = resolve_voltage(arch.line, cfg.eta, cfg.field.gamma, arch.lambda_a)
-    peak_budget = np.full(len(lengths), cfg.eta * cfg.field.gamma)
-    peak = delivered_power(peak_budget, lengths, voltage, arch.line.beta,
-                           arch.line.mode, arch.line.tau)
-    return _DistributedState(positions, lengths, voltage, n_per,
-                             float(np.sum(peak)) / n_per)
+    if isinstance(arch, Distributed):
+        assign = build_clusters(arch.lambda_h, arch.lambda_a, window)
+        typical = int(nearest_site_indices(center, assign.aggregators.sites.points,
+                                           window)[0][0])
+        members = assign.assignment == typical
+        positions = assign.harvesters.sites.points[members]
+        lengths = assign.line_lengths[members]
+        line, lambda_a = arch.line, arch.lambda_a
+    else:
+        positions, lengths = center, np.zeros(1)
+        line, lambda_a = _ONSITE_LINE, cfg.lambda_b
+    voltage, n_per = resolve_line(line, cfg.eta, cfg.field.gamma, cfg.lambda_b, lambda_a)
+    return _Supply(positions, lengths, line, voltage, n_per, cfg.eta * cfg.field.gamma)
 
 
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:
@@ -165,45 +199,34 @@ def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> T
     cell_radius = hex_cell_circumradius(cfg.lambda_b)
     mu = cfg.mean_users_per_cell
     palm = cfg.estimator == "palm"
-    center = np.asarray(window.center, dtype=float)[None, :]
-    dist_state = None
-    if isinstance(cfg.architecture, Distributed):
-        dist_state = _distributed_state(cfg, window)
-        peak_power = dist_state.peak_station_power
-        line = cfg.architecture.line
-    else:
-        peak_power = cfg.eta * cfg.field.gamma
+    supply = _supply(cfg, window)
+    peak_power = supply.peak_station_power
     tally = TrialTally()
     clamp_box = [0]
-    for t in range(start, stop):
-        rng = substream(seed, t)
-        real = draw_field(cfg.field, window, rng)
-        if dist_state is None:
-            power = cfg.eta * float(field_values(real, center)[0])
-        else:
-            budgets = cfg.eta * field_values(real, dist_state.positions)
-            delivered = delivered_power(budgets, dist_state.line_lengths,
-                                        dist_state.voltage, line.beta,
-                                        line.mode, line.tau)
-            power = float(np.sum(delivered)) / dist_state.stations_per_aggregator
-        k = int(rng.poisson(mu))
-        if palm:
-            k += 1
-        tally.trials += 1
-        if k == 0:
-            tally.zero_user_trials += 1
-            continue
-        tally.users += k
-        pos = sample_in_hex_cell(cell_radius, k, rng)
-        dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
-        h = sample_fading(cfg.channel, rng, k)
-        need = required_power(cfg.theta, dist, h, cfg.channel, clamp_box)
-        tally.out_ci += int(np.count_nonzero(need > power / k))
-        tally.persist_ci += int(np.count_nonzero(need > peak_power / k))
-        csum = np.cumsum(np.sort(need))
-        tally.out_inv += k - int(np.searchsorted(csum, power, side="right"))
-        tally.persist_inv += k - int(np.searchsorted(csum, peak_power, side="right"))
-        tally.union_trials += int(csum[-1] > power)
+    for lo in range(start, stop, _BLOCK):
+        rngs = [substream(seed, t) for t in range(lo, min(lo + _BLOCK, stop))]
+        budgets = cfg.eta * np.vstack([
+            field_values(draw_field(cfg.field, window, rng), supply.positions)
+            for rng in rngs])
+        for rng, power in zip(rngs, supply.station_power(budgets).tolist()):
+            k = int(rng.poisson(mu))
+            if palm:
+                k += 1
+            tally.trials += 1
+            if k == 0:
+                tally.zero_user_trials += 1
+                continue
+            tally.users += k
+            pos = sample_in_hex_cell(cell_radius, k, rng)
+            dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
+            h = sample_fading(cfg.channel, rng, k)
+            need = required_power(cfg.theta, dist, h, cfg.channel, clamp_box)
+            tally.out_ci += int(np.count_nonzero(need > power / k))
+            tally.persist_ci += int(np.count_nonzero(need > peak_power / k))
+            csum = np.cumsum(np.sort(need))
+            tally.out_inv += k - int(np.searchsorted(csum, power, side="right"))
+            tally.persist_inv += k - int(np.searchsorted(csum, peak_power, side="right"))
+            tally.union_trials += int(csum[-1] > power)
     tally.gain_clamps = clamp_box[0]
     return tally
 

@@ -47,8 +47,8 @@ class EnergyFieldSpec:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "lambda_e", "nu"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not isinstance(self.kernel, Kernel):
             raise ValueError(f"unknown kernel {self.kernel!r}")
 

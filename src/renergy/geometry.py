@@ -127,6 +127,12 @@ def nearest_site_indices(points: np.ndarray, sites: np.ndarray, window: Window,
     return out_idx, out_d
 
 
+def default_window_side(lambda_b: float, nu: float) -> float:
+    """Default arena side: ten station pitches or ten kernel length scales,
+    whichever is larger, for station density lambda_b and kernel scale nu."""
+    return max(10.0 / math.sqrt(lambda_b), 10.0 * math.sqrt(nu))
+
+
 def hex_pitch(density: float) -> float:
     """Nearest-neighbor spacing of a triangular lattice with the given site density."""
     if density <= 0:

@@ -33,6 +33,19 @@ def test_line_spec_validation():
         LineSpec(mode="clip")
     with pytest.raises(ValueError):
         Distributed(lambda_h=1.0, lambda_a=2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            LineSpec(beta=bad)
+        with pytest.raises(ValueError, match="lambda_a"):
+            Distributed(lambda_h=1.0, lambda_a=bad)
+        with pytest.raises(ValueError, match="lambda_h"):
+            Distributed(lambda_h=bad, lambda_a=1.0)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="voltage"):
+            LineSpec(voltage=bad)
+        with pytest.raises(ValueError, match="tau"):
+            LineSpec(tau=bad)
+    assert LineSpec(voltage=math.inf).voltage == math.inf  # lossless
 
 
 def test_clustered_window_is_commensurate():

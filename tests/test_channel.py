@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from renergy import channel
 from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFading,
                              fading_cdf, mean_inverse_fading, path_gain,
                              required_power, sample_fading)
@@ -33,6 +34,12 @@ def test_channel_spec_validation_and_noise():
     assert spec.noise_w == pytest.approx(1e-12, rel=1e-12)  # -90 dBm
     with pytest.raises(ValueError):
         ChannelSpec(alpha=2.0)
+    for name in ("alpha", "ref_loss_db", "ref_dist", "noise_dbm"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                ChannelSpec(**{name: bad})
+    with pytest.raises(ValueError):
+        TruncatedRicianFading(math.nan)
     norm = ChannelSpec.normalized(alpha=3.5)
     assert norm.noise_w == pytest.approx(1.0)
     assert path_gain(2.0, norm) == pytest.approx(2.0 ** -3.5, rel=1e-12)
@@ -133,6 +140,16 @@ def test_mean_inverse_fading_rician():
     # a higher floor can only lower E[1/H]
     assert mean_inverse_fading(TruncatedRicianFading(0.25)) < v
 
+
+
+def test_rician_moment_follows_scatter_variance(monkeypatch):
+    fading = TruncatedRicianFading(0.1)
+    assert mean_inverse_fading(fading) == pytest.approx(RICIAN_MEAN_INV_01, rel=1e-6)
+    # a changed variance takes effect at once, as it does in sample_fading
+    monkeypatch.setattr(channel, "RICIAN_SCATTER_VAR", 2.0)
+    assert mean_inverse_fading(fading) == pytest.approx(1.21341, rel=1e-5)
+    monkeypatch.undo()
+    assert mean_inverse_fading(fading) == pytest.approx(RICIAN_MEAN_INV_01, rel=1e-6)
 
 def test_required_power_vectorized_consistency():
     spec = ChannelSpec.normalized()

@@ -9,6 +9,7 @@ import pytest
 
 import renergy
 from renergy.cli import main
+from renergy.harness import ConfigError, load_config
 
 
 def test_run_prints_table(capsys):
@@ -52,6 +53,20 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("line, section, name", [
+    ("field.gamma = nan", "field", "gamma"),
+    ("network.theta = nan", "scenario", "theta"),
+    ("field.lambda_e = inf", "field", "lambda_e"),
+])
+def test_non_finite_config_values_exit_2(tmp_path, capsys, line, section, name):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"^{section}: {name}"):
+        load_config(cfg)
+    assert main(["run", "--config", str(cfg), "--trials", "40"]) == 2
+    assert f"error: {section}: {name}" in capsys.readouterr().err
 
 
 def test_low_confidence_exit_code(tmp_path, capsys):

@@ -8,7 +8,10 @@ import pytest
 
 from renergy.aggregation import Distributed, LineSpec
 from renergy.channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
-from renergy.coverage import (ScenarioConfig, Scheme, bound_values,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_trials_chunk)
 from renergy.energy_field import EnergyFieldSpec, Kernel
 from renergy.geometry import hex_pitch
@@ -32,6 +35,12 @@ def test_scenario_validation():
         unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.3))  # 1/0.3
     with pytest.raises(ValueError):
         unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5), wrap=False)
+    for bad in (math.nan, math.inf):
+        for name in ("lambda_b", "lambda_u", "theta", "window_side"):
+            with pytest.raises(ValueError, match=name):
+                replace(unit_cfg(), **{name: bad})
+        with pytest.raises(ValueError, match="eta"):
+            unit_cfg(eta=bad)
 
 
 def test_resolve_window_rules():
@@ -61,6 +70,40 @@ def test_tally_merge_is_exact():
     whole = run_trials_chunk(cfg, 0, 100, 71)
     parts = run_trials_chunk(cfg, 0, 37, 71) + run_trials_chunk(cfg, 37, 100, 71)
     assert whole == parts
+
+
+# One architecture per supply case: on-site, a lossy exact line at the rule
+# voltage, and the tau floor.
+_SPLIT_CASES = {
+    "onsite": unit_cfg(),
+    "exact_rule_voltage": unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5)),
+    "tau_floor": unit_cfg(architecture=Distributed(
+        lambda_h=2.0, lambda_a=0.5, line=LineSpec(mode="tau_floor"))),
+}
+_SPLIT_TRIALS, _SPLIT_SEED = 600, 19
+
+
+def _split_tally(cfg, cuts):
+    edges = [0, *sorted(cuts), _SPLIT_TRIALS]
+    return sum((run_trials_chunk(cfg, a, b, _SPLIT_SEED) for a, b in zip(edges, edges[1:])),
+               TrialTally())
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_tallies_do_not_depend_on_chunk_edges(case):
+    # the cuts fall inside and across the engine's internal trial blocks
+    cfg = _SPLIT_CASES[case]
+    whole = run_trials_chunk(cfg, 0, _SPLIT_TRIALS, _SPLIT_SEED)
+    assert whole.out_inv > 0 and whole.out_ci > whole.out_inv
+    assert _split_tally(cfg, [1, 257]) == whole
+    assert _split_tally(cfg, [255, 256, 513]) == whole
+
+
+@settings(max_examples=10, deadline=None)
+@given(cuts=st.lists(st.integers(0, _SPLIT_TRIALS), max_size=4))
+def test_onsite_tally_split_property(cuts):
+    cfg = _SPLIT_CASES["onsite"]
+    assert _split_tally(cfg, cuts) == _split_tally(cfg, [])
 
 
 def test_chunks_reproducible_and_seed_sensitive():

@@ -39,6 +39,11 @@ def test_spec_validation():
         EnergyFieldSpec(gamma=0.0, lambda_e=1.0, nu=1.0, kernel=Kernel.BOOLEAN_MAX_EXP)
     with pytest.raises(ValueError):
         EnergyFieldSpec(gamma=1.0, lambda_e=-0.1, nu=1.0, kernel=Kernel.BOOLEAN_MAX_EXP)
+    for bad in (math.nan, math.inf):
+        for name in ("gamma", "lambda_e", "nu"):
+            kw = {"gamma": 1.0, "lambda_e": 1.0, "nu": 1.0, name: bad}
+            with pytest.raises(ValueError, match=name):
+                EnergyFieldSpec(**kw)
     assert exp_spec(psi=0.3, nu=2.0).psi == pytest.approx(0.3)
 
 
