@@ -22,8 +22,8 @@ from dataclasses import replace
 from .bounds import in_asymptotic_regime
 from .coverage import Scheme, bound_inputs, bound_values
 from .energy_field import EnergyFieldSpec, Kernel
-from .harness import (ConfigError, ExperimentConfig, apply_sweep, effective_seed,
-                      emit_csv, load_config, parse_config_text, run_sweep,
+from .harness import (ConfigError, ExperimentConfig, effective_seed, emit_csv,
+                      load_config, parse_config_text, parse_numbers, run_sweep,
                       validate_field_law)
 
 _EXIT_OK = 0
@@ -37,7 +37,6 @@ _FIG5_CLUSTER = (20.0, 40.0, 80.0, 160.0, 320.0)
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file (defaults to the built-in profile)")
     p.add_argument("--out", help="CSV output path (prints a table if omitted)")
     p.add_argument("--trials", type=int, help="trials per point")
     p.add_argument("--seed", type=int, help="master seed (beats RENERGY_SEED)")
@@ -50,10 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "renewably powered cellular downlinks")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    _add_run_args(sub.add_parser("run", help="run the configured point"))
+    rn = sub.add_parser("run", help="run the configured point")
 
     sp = sub.add_parser("sweep", help="run a one-parameter sweep")
-    _add_run_args(sp)
     sp.add_argument("--sweep", required=True, metavar="KEY=V1,V2,...",
                     help="parameter name and comma-separated values")
 
@@ -65,41 +63,31 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--seed", type=int, default=None)
 
     bp = sub.add_parser("bounds", help="print applicable closed-form bounds")
-    bp.add_argument("--config", help="config file (defaults to the built-in profile)")
 
+    # repro runs a canned profile, so it takes no --config
     rp = sub.add_parser("repro", help="rebuild a canned reference sweep")
     rp.add_argument("figure", choices=("fig4", "fig5"))
-    _add_run_args(rp)
+
+    for p in (rn, sp, bp):
+        p.add_argument("--config", help="config file (defaults to the built-in profile)")
+    for p in (rn, sp, rp):
+        _add_run_args(p)
     return parser
 
 
-def _apply_overrides(exp: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.trials is not None:
-        if args.trials <= 0:
-            raise ConfigError("--trials must be positive")
-        exp = replace(exp, n_trials=args.trials)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
-        exp = replace(exp, workers=args.workers)
-    exp = replace(exp, seed=effective_seed(exp.seed, args.seed))
-    if args.out is not None:
-        exp = replace(exp, output=args.out)
-    return exp
+def _apply_overrides(exp: ExperimentConfig, args: argparse.Namespace,
+                     **changes) -> ExperimentConfig:
+    """exp with the command-line settings; ExperimentConfig checks them all."""
+    flags = {"n_trials": args.trials, "workers": args.workers, "output": args.out}
+    changes.update({k: v for k, v in flags.items() if v is not None})
+    return replace(exp, seed=effective_seed(exp.seed, args.seed), **changes)
 
 
 def _parse_sweep_flag(text: str) -> tuple[str, tuple[float, ...]]:
     key, sep, raw = text.partition("=")
-    key = key.strip()
-    if not sep or not key:
+    if not sep or not key.strip():
         raise ConfigError("--sweep expects KEY=V1,V2,...")
-    try:
-        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"--sweep values must be numbers, got {raw!r}") from None
-    if not values:
-        raise ConfigError("--sweep needs at least one value")
-    return key, values
+    return key.strip(), parse_numbers("--sweep", raw)
 
 
 def _print_rows(rows) -> None:
@@ -133,10 +121,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    exp = _apply_overrides(load_config(args.config), args)
     param, values = _parse_sweep_flag(args.sweep)
-    apply_sweep(exp.scenario, param, values[0])  # fail fast on a bad key
-    exp = replace(exp, sweep_param=param, sweep_values=values)
+    exp = _apply_overrides(load_config(args.config), args,
+                           sweep_param=param, sweep_values=values)
     return _finish_rows(run_sweep(exp), exp.output)
 
 
@@ -144,10 +131,7 @@ def _cmd_validate_field(args: argparse.Namespace) -> int:
     kernels = {"exp": (Kernel.BOOLEAN_MAX_EXP,),
                "plaw": (Kernel.BOOLEAN_MAX_PLAW,),
                "both": (Kernel.BOOLEAN_MAX_EXP, Kernel.BOOLEAN_MAX_PLAW)}[args.kernel]
-    try:
-        psis = tuple(float(tok) for tok in args.psi.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"--psi values must be numbers, got {args.psi!r}") from None
+    psis = parse_numbers("--psi", args.psi)
     if not psis or any(p <= 0 for p in psis):
         raise ConfigError("--psi needs positive values")
     seed = effective_seed(0, args.seed)

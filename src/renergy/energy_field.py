@@ -295,18 +295,3 @@ def validation_window(spec: EnergyFieldSpec, n_samples: int, min_side: float | N
     side = 2.0 * math.sqrt(math.log(1.0 / eps) / (math.pi * spec.lambda_e))
     side = max(side, 10.0 * math.sqrt(spec.nu), min_side or 0.0)
     return Window(side, side, wrap=True)
-
-
-def export_raster(real: FieldRealization, path: str, nx: int = 64, ny: int = 64) -> None:
-    """Write an (x, y, value) plain-text raster of the field over its window."""
-    if nx <= 0 or ny <= 0:
-        raise ValueError("raster resolution must be positive")
-    w, h = real.window.width, real.window.height
-    xs = (np.arange(nx) + 0.5) * (w / nx)
-    ys = (np.arange(ny) + 0.5) * (h / ny)
-    grid = np.array([[x, y] for y in ys for x in xs])
-    vals = field_values(real, grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# x y value\n")
-        for (x, y), v in zip(grid, vals):
-            fh.write(f"{x:.8g} {y:.8g} {v:.10g}\n")

@@ -52,11 +52,6 @@ class Window:
     def center(self) -> np.ndarray:
         return np.array([0.5 * self.width, 0.5 * self.height])
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return (p[:, 0] >= 0) & (p[:, 0] < self.width) & \
-               (p[:, 1] >= 0) & (p[:, 1] < self.height)
-
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
@@ -79,20 +74,15 @@ class PointSet:
         return self.points.shape[0]
 
 
-def sample_ppp_points(intensity: float, window: Window, rng: np.random.Generator) -> np.ndarray:
-    """Raw homogeneous Poisson sample on the window as an (n, 2) array."""
+def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> PointSet:
+    """Homogeneous Poisson point process: Poisson count, uniform positions."""
     if intensity < 0:
         raise ValueError("intensity must be non-negative")
     n = rng.poisson(intensity * window.area)
     pts = np.empty((n, 2))
     pts[:, 0] = rng.uniform(0.0, window.width, n)
     pts[:, 1] = rng.uniform(0.0, window.height, n)
-    return pts
-
-
-def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> PointSet:
-    """Homogeneous Poisson point process: Poisson count, uniform positions."""
-    return PointSet(sample_ppp_points(intensity, window, rng), intensity)
+    return PointSet(pts, intensity)
 
 
 def separation(dx, dy, window: Window) -> np.ndarray:
@@ -154,7 +144,6 @@ class HexLattice:
     density: float
     sites: PointSet
     cell_area: float
-    pitch: float
     window: Window
 
 
@@ -189,7 +178,7 @@ def hex_lattice(density: float, window: Window) -> HexLattice:
         rows.append(np.column_stack([xs, np.full(len(xs), y)]))
     pts = np.vstack(rows) if rows else np.empty((0, 2))
     return HexLattice(density=density, sites=PointSet(pts, 0.0),
-                      cell_area=1.0 / density, pitch=a, window=window)
+                      cell_area=1.0 / density, window=window)
 
 
 def sample_in_hex_cell(circumradius: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -40,96 +41,29 @@ class ConfigError(ValueError):
     """Bad configuration key, value, or combination."""
 
 
-# Reference profile: 0.78 stations/km^2, ten users per station on average,
-# 8 dB SINR target over 70 dB reference loss at 100 m with -90 dBm noise,
-# truncated Rician fading, and a kilowatt-class peak harvest rate.
-_DEFAULTS: dict[str, object] = {
-    "field.gamma": 1000.0,
-    "field.lambda_e": 0.05,
-    "field.nu": 1.0,
-    "field.kernel": "boolean_max_exp",
-    "channel.alpha": 4.0,
-    "channel.ref_loss_db": 70.0,
-    "channel.ref_dist": 0.1,
-    "channel.noise_dbm": -90.0,
-    "channel.fading": "truncated_rician",
-    "channel.omega": 2,
-    "channel.floor": 0.1,
-    "network.lambda_b": 0.78,
-    "network.lambda_u": 7.8,
-    "network.theta": 8.0,
-    "network.eta": 1.0,
-    "scenario.architecture": "onsite",
-    "scenario.estimator": "user_weighted",
-    "scenario.wrap": True,
-    "scenario.window_side": None,
-    "distributed.lambda_h": 15.6,
-    "distributed.lambda_a": 0.78,
-    "distributed.tau": 0.9,
-    "distributed.beta": 1.0,
-    "distributed.voltage": None,
-    "distributed.mode": "exact",
-    "run.trials": 20000,
-    "run.seed": DEFAULT_SEED,
-    "run.workers": 1,
-    "run.output": None,
-    "sweep.param": None,
-    "sweep.values": None,
-}
+# Reference values the dataclasses have no defaults for. With the dataclass
+# defaults they make the reference profile: 0.78 stations/km^2, ten users per
+# station on average, 8 dB SINR target over 70 dB reference loss at 100 m with
+# -90 dBm noise, truncated Rician fading, and a kilowatt-class peak harvest rate.
+_REF_FIELD = EnergyFieldSpec(gamma=1000.0, lambda_e=0.05, nu=1.0)
+_REF_DISTRIBUTED = Distributed(lambda_h=15.6, lambda_a=0.78)
+_REF_CHI_SQUARED = ChiSquaredFading(2)
+_REF_RICIAN = TruncatedRicianFading(0.1)
 
+# Keys whose None value is written "auto".
+_AUTO_KEYS = ("scenario.window_side", "distributed.voltage")
 _KERNEL_TOKENS = {k.value for k in Kernel}
 _BOOL_TOKENS = {"true": True, "false": False, "yes": True, "no": False,
                 "1": True, "0": False}
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    try:
-        return _BOOL_TOKENS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_value(key: str, raw: str) -> object:
-    default = _DEFAULTS[key]
-    raw = raw.strip()
-    if key in ("scenario.window_side", "distributed.voltage") and raw.lower() == "auto":
-        return None
-    if key == "distributed.voltage" and raw.lower() in ("inf", "lossless"):
-        return math.inf
-    if key in ("run.output", "sweep.param"):
-        return raw or None
-    if key == "sweep.values":
-        if not raw:
-            return None
-        try:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
-    if isinstance(default, bool):
-        return _parse_bool(key, raw)
-    if isinstance(default, int):
-        return _parse_int(key, raw)
-    if isinstance(default, float) or key in ("scenario.window_side", "distributed.voltage"):
-        return _parse_float(key, raw)
-    return raw
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A scenario plus its run and sweep settings; every check of the run and
+    sweep settings is made here, so config files, CLI overrides and replace()
+    are held to the same rules before any trial runs."""
+
     scenario: ScenarioConfig
     n_trials: int = 20000
     seed: int = DEFAULT_SEED
@@ -138,96 +72,157 @@ class ExperimentConfig:
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if not self.n_trials > 0:
+            raise ConfigError(f"run.trials: must be positive, got {self.n_trials}")
+        if not self.workers >= 1:
+            raise ConfigError(f"run.workers: must be at least 1, got {self.workers}")
+        if not self.seed >= 0:
+            raise ConfigError(f"run.seed: must be non-negative, got {self.seed}")
+        if self.sweep_values is not None and not self.sweep_values:
+            raise ConfigError("sweep.values: needs at least one value")
+        if (self.sweep_param is None) != (self.sweep_values is None):
+            raise ConfigError("sweep.param and sweep.values must be given together")
+        for value in self.sweep_values or ():
+            apply_sweep(self.scenario, self.sweep_param, value)
+
+
+def _settings(exp: ExperimentConfig) -> dict[str, object]:
+    """Every config key with its value in exp, in file order. Settings of a
+    fading law or an architecture that exp does not use keep the reference
+    values."""
+    s = exp.scenario
+    fading = s.channel.fading
+    chi_squared = isinstance(fading, ChiSquaredFading)
+    distributed = isinstance(s.architecture, Distributed)
+    arch = s.architecture if distributed else _REF_DISTRIBUTED
+    return {
+        "field.gamma": s.field.gamma,
+        "field.lambda_e": s.field.lambda_e,
+        "field.nu": s.field.nu,
+        "field.kernel": s.field.kernel.value,
+        "channel.alpha": s.channel.alpha,
+        "channel.ref_loss_db": s.channel.ref_loss_db,
+        "channel.ref_dist": s.channel.ref_dist,
+        "channel.noise_dbm": s.channel.noise_dbm,
+        "channel.fading": "chi_squared" if chi_squared else "truncated_rician",
+        "channel.omega": (fading if chi_squared else _REF_CHI_SQUARED).omega,
+        "channel.floor": (_REF_RICIAN if chi_squared else fading).floor,
+        "network.lambda_b": s.lambda_b,
+        "network.lambda_u": s.lambda_u,
+        "network.theta": s.theta,
+        "network.eta": s.eta,
+        "scenario.architecture": "distributed" if distributed else "onsite",
+        "scenario.estimator": s.estimator,
+        "scenario.wrap": s.wrap,
+        "scenario.window_side": s.window_side,
+        "distributed.lambda_h": arch.lambda_h,
+        "distributed.lambda_a": arch.lambda_a,
+        "distributed.tau": arch.line.tau,
+        "distributed.beta": arch.line.beta,
+        "distributed.voltage": arch.line.voltage,
+        "distributed.mode": arch.line.mode,
+        "run.trials": exp.n_trials,
+        "run.seed": exp.seed,
+        "run.workers": exp.workers,
+        "run.output": exp.output,
+        "sweep.param": exp.sweep_param,
+        "sweep.values": exp.sweep_values,
+    }
+
+
+_DEFAULTS = _settings(ExperimentConfig(ScenarioConfig(field=_REF_FIELD,
+                                                      channel=ChannelSpec(fading=_REF_RICIAN))))
+
+
+def parse_numbers(key: str, raw: str) -> tuple[float, ...]:
+    """Comma-separated numbers (empty items skipped); errors name the key."""
+    try:
+        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+
+
+def _parse_value(key: str, raw: str) -> object:
+    raw = raw.strip()
+    if key in _AUTO_KEYS and raw.lower() == "auto":
+        return None
+    if key == "distributed.voltage" and raw.lower() == "lossless":
+        return math.inf
+    if key == "sweep.values":
+        return parse_numbers(key, raw) if raw else None
+    kind = float if key in _AUTO_KEYS else type(_DEFAULTS[key])
+    if kind is type(None):  # run.output, sweep.param
+        return raw or None
+    if kind is str:
+        return raw
+    try:
+        return _BOOL_TOKENS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}") from None
+
+
+@contextmanager
+def _section(name: str):
+    """Report a spec constructor's ValueError as a ConfigError naming the section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
 
 def _build_fading(values: dict[str, object]):
     name = values["channel.fading"]
     if name == "chi_squared":
-        try:
-            return ChiSquaredFading(int(values["channel.omega"]))
-        except ValueError as exc:
-            raise ConfigError(f"channel.omega: {exc}") from None
+        with _section("channel.omega"):
+            return ChiSquaredFading(values["channel.omega"])
     if name == "truncated_rician":
-        try:
-            return TruncatedRicianFading(float(values["channel.floor"]))
-        except ValueError as exc:
-            raise ConfigError(f"channel.floor: {exc}") from None
+        with _section("channel.floor"):
+            return TruncatedRicianFading(values["channel.floor"])
     raise ConfigError(
         f"channel.fading: expected 'chi_squared' or 'truncated_rician', got {name!r}")
 
 
 def build_experiment(values: dict[str, object]) -> ExperimentConfig:
-    """Assemble a validated ExperimentConfig from a fully-populated key map."""
-    kernel_token = values["field.kernel"]
-    if kernel_token not in _KERNEL_TOKENS:
+    """ExperimentConfig from a fully-populated key map; the inverse of _settings."""
+    v = values
+    if v["field.kernel"] not in _KERNEL_TOKENS:
         raise ConfigError(f"field.kernel: expected one of {sorted(_KERNEL_TOKENS)}, "
-                          f"got {kernel_token!r}")
-    try:
-        field = EnergyFieldSpec(gamma=float(values["field.gamma"]),
-                                lambda_e=float(values["field.lambda_e"]),
-                                nu=float(values["field.nu"]),
-                                kernel=Kernel(kernel_token))
-    except ValueError as exc:
-        raise ConfigError(f"field: {exc}") from None
-    try:
-        channel = ChannelSpec(alpha=float(values["channel.alpha"]),
-                              ref_loss_db=float(values["channel.ref_loss_db"]),
-                              ref_dist=float(values["channel.ref_dist"]),
-                              noise_dbm=float(values["channel.noise_dbm"]),
-                              fading=_build_fading(values))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from None
+                          f"got {v['field.kernel']!r}")
+    with _section("field"):
+        field = EnergyFieldSpec(gamma=v["field.gamma"], lambda_e=v["field.lambda_e"],
+                                nu=v["field.nu"], kernel=Kernel(v["field.kernel"]))
+    fading = _build_fading(v)
+    with _section("channel"):
+        channel = ChannelSpec(alpha=v["channel.alpha"], ref_loss_db=v["channel.ref_loss_db"],
+                              ref_dist=v["channel.ref_dist"],
+                              noise_dbm=v["channel.noise_dbm"], fading=fading)
 
-    arch_token = values["scenario.architecture"]
-    if arch_token == "onsite":
+    if v["scenario.architecture"] == "onsite":
         architecture: OnSite | Distributed = OnSite()
-    elif arch_token == "distributed":
-        try:
-            line = LineSpec(beta=float(values["distributed.beta"]),
-                            voltage=values["distributed.voltage"],
-                            tau=float(values["distributed.tau"]),
-                            mode=str(values["distributed.mode"]))
-            architecture = Distributed(lambda_h=float(values["distributed.lambda_h"]),
-                                       lambda_a=float(values["distributed.lambda_a"]),
-                                       line=line)
-        except ValueError as exc:
-            raise ConfigError(f"distributed: {exc}") from None
+    elif v["scenario.architecture"] == "distributed":
+        with _section("distributed"):
+            line = LineSpec(beta=v["distributed.beta"], voltage=v["distributed.voltage"],
+                            tau=v["distributed.tau"], mode=v["distributed.mode"])
+            architecture = Distributed(lambda_h=v["distributed.lambda_h"],
+                                       lambda_a=v["distributed.lambda_a"], line=line)
     else:
         raise ConfigError(f"scenario.architecture: expected 'onsite' or 'distributed', "
-                          f"got {arch_token!r}")
+                          f"got {v['scenario.architecture']!r}")
 
-    try:
+    with _section("scenario"):
         scenario = ScenarioConfig(field=field, channel=channel,
-                                  lambda_b=float(values["network.lambda_b"]),
-                                  lambda_u=float(values["network.lambda_u"]),
-                                  theta=float(values["network.theta"]),
-                                  eta=float(values["network.eta"]),
+                                  lambda_b=v["network.lambda_b"],
+                                  lambda_u=v["network.lambda_u"],
+                                  theta=v["network.theta"], eta=v["network.eta"],
                                   architecture=architecture,
-                                  estimator=str(values["scenario.estimator"]),
-                                  wrap=bool(values["scenario.wrap"]),
-                                  window_side=values["scenario.window_side"])
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
-
-    n_trials = int(values["run.trials"])
-    workers = int(values["run.workers"])
-    seed = int(values["run.seed"])
-    if n_trials <= 0:
-        raise ConfigError("run.trials: must be positive")
-    if workers < 1:
-        raise ConfigError("run.workers: must be at least 1")
-    if seed < 0:
-        raise ConfigError("run.seed: must be non-negative")
-    sweep_param = values["sweep.param"]
-    sweep_values = values["sweep.values"]
-    if (sweep_param is None) != (sweep_values is None):
-        raise ConfigError("sweep.param and sweep.values must be given together")
-    if sweep_param is not None:
-        apply_sweep(scenario, str(sweep_param), float(sweep_values[0]))  # validate early
-    return ExperimentConfig(scenario=scenario, n_trials=n_trials, seed=seed,
-                            workers=workers, output=values["run.output"],
-                            sweep_param=sweep_param, sweep_values=sweep_values)
+                                  estimator=v["scenario.estimator"],
+                                  wrap=v["scenario.wrap"],
+                                  window_side=v["scenario.window_side"])
+    return ExperimentConfig(scenario=scenario, n_trials=v["run.trials"],
+                            seed=v["run.seed"], workers=v["run.workers"],
+                            output=v["run.output"], sweep_param=v["sweep.param"],
+                            sweep_values=v["sweep.values"])
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -248,59 +243,28 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path: str | Path | None) -> ExperimentConfig:
     """Experiment from a config file; None loads the built-in defaults."""
-    if path is None:
-        return build_experiment(dict(_DEFAULTS))
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_config_text("" if path is None else Path(path).read_text(encoding="utf-8"))
 
 
-def _fmt_value(key: str, value: object) -> str:
+def _cell(value: object) -> str:
+    """A config value or CSV cell as text; floats keep 17 significant digits,
+    which round-trips every double."""
     if value is None:
-        return "auto" if key in ("scenario.window_side", "distributed.voltage") else ""
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        return ",".join(f"{v:.17g}" for v in value)
+        return ",".join(_cell(v) for v in value)
     if isinstance(value, float):
-        return "inf" if math.isinf(value) else f"{value:.17g}"
+        return f"{value:.17g}"
     return str(value)
 
 
 def serialize_config(exp: ExperimentConfig) -> str:
     """Config text that parses back to an equal ExperimentConfig."""
-    s = exp.scenario
-    ch = s.channel
-    fading = ch.fading
-    values = dict(_DEFAULTS)
-    values.update({
-        "field.gamma": s.field.gamma, "field.lambda_e": s.field.lambda_e,
-        "field.nu": s.field.nu, "field.kernel": s.field.kernel.value,
-        "channel.alpha": ch.alpha, "channel.ref_loss_db": ch.ref_loss_db,
-        "channel.ref_dist": ch.ref_dist, "channel.noise_dbm": ch.noise_dbm,
-        "network.lambda_b": s.lambda_b, "network.lambda_u": s.lambda_u,
-        "network.theta": s.theta, "network.eta": s.eta,
-        "scenario.estimator": s.estimator, "scenario.wrap": s.wrap,
-        "scenario.window_side": s.window_side,
-        "run.trials": exp.n_trials, "run.seed": exp.seed,
-        "run.workers": exp.workers, "run.output": exp.output,
-        "sweep.param": exp.sweep_param, "sweep.values": exp.sweep_values,
-    })
-    if isinstance(fading, ChiSquaredFading):
-        values["channel.fading"] = "chi_squared"
-        values["channel.omega"] = fading.omega
-    else:
-        values["channel.fading"] = "truncated_rician"
-        values["channel.floor"] = fading.floor
-    if isinstance(s.architecture, Distributed):
-        arch = s.architecture
-        values.update({
-            "scenario.architecture": "distributed",
-            "distributed.lambda_h": arch.lambda_h, "distributed.lambda_a": arch.lambda_a,
-            "distributed.tau": arch.line.tau, "distributed.beta": arch.line.beta,
-            "distributed.voltage": arch.line.voltage, "distributed.mode": arch.line.mode,
-        })
-    else:
-        values["scenario.architecture"] = "onsite"
-    return "".join(f"{key} = {_fmt_value(key, values[key])}\n" for key in _DEFAULTS)
+    lines = [f"{key} = {'auto' if value is None and key in _AUTO_KEYS else _cell(value)}\n"
+             for key, value in _settings(exp).items()]
+    return "".join(lines)
 
 
 def effective_seed(config_seed: int, override: int | None = None) -> int:
@@ -338,7 +302,8 @@ def apply_sweep(scenario: ScenarioConfig, param: str, value: float) -> ScenarioC
             return replace(scenario, **{param: value})
         if param in ("cluster_size", "lambda_h", "voltage"):
             if not isinstance(scenario.architecture, Distributed):
-                raise ConfigError(f"sweep parameter {param!r} needs the distributed architecture")
+                raise ConfigError(
+                    f"sweep.param: {param!r} needs the distributed architecture")
             arch = scenario.architecture
             if param == "cluster_size":
                 arch = replace(arch, lambda_a=arch.lambda_h / value)
@@ -350,8 +315,8 @@ def apply_sweep(scenario: ScenarioConfig, param: str, value: float) -> ScenarioC
     except ConfigError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"sweep {param}={value}: {exc}") from None
-    raise ConfigError(f"unknown sweep parameter {param!r}")
+        raise ConfigError(f"sweep.values: {param}={value}: {exc}") from None
+    raise ConfigError(f"sweep.param: unknown sweep parameter {param!r}")
 
 
 def run_point(scenario: ScenarioConfig, n_trials: int, seed: int,
@@ -438,16 +403,6 @@ _BOUND_COLUMNS = {
 }
 
 
-def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else f"{value:.17g}"
-    return str(value)
-
-
 def row_record(row: ResultRow) -> dict[str, str]:
     """Row rendered to the fixed CSV schema (all values already strings)."""
     s = row.scenario
@@ -478,7 +433,7 @@ def row_record(row: ResultRow) -> dict[str, str]:
         "tau": s.architecture.line.tau if distributed else None,
         "beta": s.architecture.line.beta if distributed else None,
         "voltage": (("auto" if s.architecture.line.voltage is None
-                     else _csv_cell(s.architecture.line.voltage)) if distributed else None),
+                     else s.architecture.line.voltage) if distributed else None),
         "line_mode": s.architecture.line.mode if distributed else None,
         "estimator": s.estimator, "wrap": s.wrap,
         "window_side": resolve_window(s).width,
@@ -492,7 +447,7 @@ def row_record(row: ResultRow) -> dict[str, str]:
     }
     for col, key in _BOUND_COLUMNS.items():
         rec[col] = est.bound_values.get(key)
-    return {col: _csv_cell(rec[col]) for col in _CSV_COLUMNS}
+    return {col: _cell(rec[col]) for col in _CSV_COLUMNS}
 
 
 _PLOT_TEMPLATE = '''"""Companion plot for {csv_name}: per-user outage per scheme{vs}."""

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import renergy
+from renergy import harness
 from renergy.cli import main
-from renergy.harness import ConfigError, load_config
+from renergy.harness import SEED_ENV_VAR, ConfigError, load_config
 
 
 def test_run_prints_table(capsys):
@@ -40,11 +41,23 @@ def test_sweep_smoke(tmp_path):
     assert len(lines) == 1 + 4  # header + 2 values x 2 schemes
 
 
-def test_sweep_flag_errors(capsys):
+def test_sweep_flag_errors(monkeypatch, capsys):
+    calls = []
+    run_point = harness.run_point
+
+    def recording_run_point(scenario, n_trials, seed, workers=1):
+        calls.append(scenario.theta)
+        return run_point(scenario, 1, seed)
+
+    monkeypatch.setattr(harness, "run_point", recording_run_point)
     assert main(["sweep", "--sweep", "nonsense=1,2", "--trials", "10"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["sweep", "--sweep", "theta"]) == 2
     assert main(["sweep", "--sweep", "theta=a,b"]) == 2
+    # a bad later value stops the sweep before its first point runs
+    assert main(["sweep", "--sweep", "theta=4,-1", "--trials", "2000"]) == 2
+    assert "error: sweep.values: theta=-1" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):
@@ -67,6 +80,20 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, line, section, name):
         load_config(cfg)
     assert main(["run", "--config", str(cfg), "--trials", "40"]) == 2
     assert f"error: {section}: {name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, seed_env, key", [
+    (["--trials", "0"], None, "run.trials"),
+    (["--trials", "5", "--workers", "0"], None, "run.workers"),
+    (["--trials", "5", "--seed", "-1"], None, "run.seed"),
+    (["--trials", "5"], "-1", "run.seed"),
+], ids=["trials", "workers", "seed", "seed_env"])
+def test_bad_run_overrides_exit_2(monkeypatch, capsys, args, seed_env, key):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    if seed_env is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, seed_env)
+    assert main(["run", *args]) == 2
+    assert f"error: {key}:" in capsys.readouterr().err
 
 
 def test_low_confidence_exit_code(tmp_path, capsys):
@@ -111,6 +138,14 @@ def test_repro_fig5(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 5 * 2  # five cluster sizes, two schemes
     assert ",distributed," in lines[1]
+
+
+def test_repro_takes_no_config_flag(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("field.gamma = nonsense\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["repro", "fig4", "--config", str(cfg)])
+    assert exc.value.code == 2
 
 
 def test_unknown_verb_is_usage_error():

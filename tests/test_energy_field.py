@@ -8,7 +8,7 @@ import pytest
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
                                   boolean_exp_moments, cdf_boolean_exp,
                                   cdf_boolean_plaw, decay_exp, decay_power_law,
-                                  disk_overlap_area, draw_field, export_raster,
+                                  disk_overlap_area, draw_field,
                                   field_values, influence_radius,
                                   joint_cdf_boolean_exp, sample_intensity,
                                   sample_intensity_pair, shot_noise_mean,
@@ -248,15 +248,3 @@ def test_validation_window_controls_tail_mass():
         assert w.width >= 10.0 * math.sqrt(spec.nu)
         tail = math.exp(-spec.lambda_e * math.pi * (w.width / 2.0) ** 2)
         assert tail <= 0.1 * 1.63 / math.sqrt(n) + 1e-12
-
-
-def test_export_raster_roundtrip(tmp_path):
-    spec = exp_spec(psi=0.3)
-    w = Window(12.0, 12.0, wrap=True)
-    real = draw_field(spec, w, substream(409, 0))
-    path = tmp_path / "field.dat"
-    export_raster(real, str(path), nx=8, ny=8)
-    rows = np.loadtxt(path)
-    assert rows.shape == (64, 3)
-    for x, y, v in rows[:10]:
-        assert v == pytest.approx(field_values(real, (x, y))[0], rel=1e-9)

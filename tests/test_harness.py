@@ -1,7 +1,9 @@
 """Config parsing, sweep orchestration, CSV output, and the stats helpers."""
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,9 +45,27 @@ def test_config_parsing_errors_name_the_key():
     # run and sweep always report both schemes, so there is no scheme key
     with pytest.raises(ConfigError, match="scenario.scheme"):
         parse_config_text("scenario.scheme = inversion\n")
+    # run and sweep settings are checked by ExperimentConfig, every sweep value
+    # before any trial runs
+    for text, key in (("run.trials = 0", "run.trials"), ("run.workers = 0", "run.workers"),
+                      ("run.seed = -1", "run.seed"),
+                      ("sweep.param = theta\nsweep.values = ,", "sweep.values"),
+                      ("sweep.values = 4", "sweep.param and sweep.values"),
+                      ("sweep.param = theta\nsweep.values = 4, -1", "sweep.values: theta=-1"),
+                      ("sweep.param = nonsense\nsweep.values = 1", "sweep.param")):
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            parse_config_text(text + "\n")
     # comments, blank lines, and repeated keys (last wins) are accepted
     exp = parse_config_text("\n# c\nrun.seed = 1\nrun.seed = 7\n")
     assert exp.seed == 7
+
+
+def test_readme_matches_defaults_and_csv_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    ini = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert parse_config_text(ini) == load_config(None)
+    columns = re.search(r"Fixed column order:\n\n```\n(.*?)```", readme, re.S).group(1)
+    assert columns.replace(",", " ").split() == _CSV_COLUMNS
 
 
 def test_config_roundtrip_default():
