@@ -22,9 +22,9 @@ from dataclasses import replace
 from .bounds import in_asymptotic_regime
 from .coverage import Scheme, bound_inputs, bound_values
 from .energy_field import EnergyFieldSpec, Kernel
-from .harness import (ConfigError, ExperimentConfig, effective_seed, emit_csv,
-                      load_config, parse_config_text, parse_numbers, run_sweep,
-                      validate_field_law)
+from .harness import (SEED_ENV_VAR, ConfigError, ExperimentConfig, effective_seed,
+                      emit_csv, load_config, parse_config_text, parse_numbers,
+                      run_sweep, validate_field_law)
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -135,6 +135,9 @@ def _cmd_validate_field(args: argparse.Namespace) -> int:
     if not psis or any(p <= 0 for p in psis):
         raise ConfigError("--psi needs positive values")
     seed = effective_seed(0, args.seed)
+    if seed < 0:
+        source = "--seed" if args.seed is not None else SEED_ENV_VAR
+        raise ConfigError(f"{source}: must be a non-negative integer, got {seed}")
     all_ok = True
     for kernel in kernels:
         for psi in psis:

@@ -15,11 +15,14 @@ aggregator deliver over their feeder lines. On-site harvesting is the same
 supply with one harvester at the station, a zero-length lossless line and one
 station per aggregator.
 
-Outage is reported per user. Every tally field is an integer, so chunked or
-multi-process runs merge into bit-identical totals, and each trial draws from
-a stream keyed by its absolute index, making results independent of chunking.
-Fields and station powers are computed for a block of trials at once, then
-each trial's users are drawn from the same stream, after its field.
+Outage is reported per user, and every tally field is an integer, so chunked
+or multi-process runs merge exactly. Trials are grouped by absolute index into
+blocks of 256, and block b draws everything from one stream, substream(seed,
+b), in a fixed order: center counts, center x, center y, users per cell, user
+positions, fading gains. Drawing is split from evaluation: a chunk draws every
+block it touches whole, but evaluates fields, station powers and both
+allocations only for its own trials, as flat arrays over their users. Tallies
+therefore do not depend on where chunks start and stop or on the worker count.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
                      total_outage_bound)
 from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
-from .energy_field import EnergyFieldSpec, Kernel, draw_field, field_values
+from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
+                           field_values)
 from .geometry import (Window, default_window_side, hex_cell_circumradius,
                        nearest_site_indices, sample_in_hex_cell, substream)
 from .stats import wilson_ci
@@ -137,9 +141,8 @@ class TrialTally:
                 self.union_trials, self.gain_clamps)
 
 
-# Trials whose fields are drawn, evaluated and pushed through the feeder lines
-# together before their users are drawn. It saves per-trial numpy calls and
-# cannot change a tally: every trial still reads only its own stream.
+# Trials per random-number block: block b holds trials [b * _BLOCK,
+# (b + 1) * _BLOCK) and draws all of them from substream(seed, b).
 _BLOCK = 256
 
 # On-site harvesting as the one-harvester cluster: the station's own harvester
@@ -161,15 +164,17 @@ class _Supply:
     peak_station_power: float = field(init=False)
 
     def __post_init__(self) -> None:
-        peak = self.station_power(np.full((1, len(self.line_lengths)), self.peak_budget))
+        peak = self.station_power(np.full((len(self.line_lengths), 1), self.peak_budget))
         object.__setattr__(self, "peak_station_power", float(peak[0]))
 
     def station_power(self, budgets: np.ndarray) -> np.ndarray:
-        """Station power per row of a (trials, harvesters) budget array."""
+        """Station power per column of a (harvesters, trials) budget array."""
         line = self.line
-        delivered = delivered_power(budgets, self.line_lengths, self.voltage,
+        delivered = delivered_power(budgets, self.line_lengths[:, None], self.voltage,
                                     line.beta, line.mode, line.tau)
-        return delivered.sum(axis=1) / self.stations_per_aggregator
+        # Each trial's sum runs over one contiguous row, so its rounding does
+        # not depend on how many trials are evaluated together.
+        return np.ascontiguousarray(delivered.T).sum(axis=1) / self.stations_per_aggregator
 
 
 def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
@@ -190,43 +195,85 @@ def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
     return _Supply(positions, lengths, line, voltage, n_per, cfg.eta * cfg.field.gamma)
 
 
+@dataclass(frozen=True, eq=False)
+class _BlockDraws:
+    """Everything one block of trials draws, in stream order: the fields, the
+    users per trial, the user positions relative to the station and their
+    fading gains. Trial t's users are rows offsets[t]:offsets[t + 1]."""
+
+    field: FieldRealization
+    users: np.ndarray
+    offsets: np.ndarray
+    positions: np.ndarray
+    fading: np.ndarray
+
+
+def _draw_block(cfg: ScenarioConfig, window: Window, seed: int, block: int) -> _BlockDraws:
+    rng = substream(seed, block)
+    fields = draw_field(cfg.field, window, rng, _BLOCK)
+    users = rng.poisson(cfg.mean_users_per_cell, _BLOCK)
+    if cfg.estimator == "palm":
+        users += 1
+    offsets = np.zeros(_BLOCK + 1, dtype=np.int64)
+    np.cumsum(users, out=offsets[1:])
+    n = int(offsets[-1])
+    positions = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), n, rng)
+    return _BlockDraws(fields, users, offsets, positions, sample_fading(cfg.channel, rng, n))
+
+
+def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws, lo: int,
+                 hi: int, tally: TrialTally, clamp_box: list) -> None:
+    """Add trials lo..hi-1 of a drawn block to the tally; only their fields
+    are evaluated and only their users' clamps counted."""
+    k = draws.users[lo:hi]
+    first, last = int(draws.offsets[lo]), int(draws.offsets[hi])
+    n_users = last - first
+    tally.trials += hi - lo
+    tally.zero_user_trials += int(np.count_nonzero(k == 0))
+    tally.users += n_users
+    if n_users == 0:
+        return
+    budgets = cfg.eta * field_values(draws.field.select(lo, hi), supply.positions)
+    power = supply.station_power(budgets)
+    pos = draws.positions[first:last]
+    dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
+    need = required_power(cfg.theta, dist, draws.fading[first:last], cfg.channel,
+                          clamp_box)
+    per_user = np.maximum(k, 1)   # zero-user trials have no share to compare
+    tally.out_ci += int(np.count_nonzero(need > np.repeat(power / per_user, k)))
+    tally.persist_ci += int(np.count_nonzero(
+        need > np.repeat(supply.peak_station_power / per_user, k)))
+    # Inversion: each trial's needs sorted in one row of a matrix padded with
+    # +inf, pads zeroed after the sort; every row's cumsum then does exactly
+    # the arithmetic of np.cumsum(np.sort(need)) for that trial.
+    valid = np.arange(int(k.max())) < k[:, None]
+    grants = np.full(valid.shape, np.inf)
+    grants[valid] = need
+    grants.sort(axis=1)
+    grants[~valid] = 0.0
+    csum = grants.cumsum(axis=1)
+    tally.out_inv += n_users - int(np.count_nonzero((csum <= power[:, None]) & valid))
+    tally.persist_inv += n_users - int(np.count_nonzero(
+        (csum <= supply.peak_station_power) & valid))
+    tally.union_trials += int(np.count_nonzero((k > 0) & (csum[:, -1] > power)))
+
+
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:
     """Run trials [start, stop) of the given master seed and tally events for
     both schemes from shared draws."""
     if start < 0 or stop < start:
         raise ValueError("need 0 <= start <= stop")
     window = resolve_window(cfg)
-    cell_radius = hex_cell_circumradius(cfg.lambda_b)
-    mu = cfg.mean_users_per_cell
-    palm = cfg.estimator == "palm"
     supply = _supply(cfg, window)
-    peak_power = supply.peak_station_power
     tally = TrialTally()
     clamp_box = [0]
-    for lo in range(start, stop, _BLOCK):
-        rngs = [substream(seed, t) for t in range(lo, min(lo + _BLOCK, stop))]
-        budgets = cfg.eta * np.vstack([
-            field_values(draw_field(cfg.field, window, rng), supply.positions)
-            for rng in rngs])
-        for rng, power in zip(rngs, supply.station_power(budgets).tolist()):
-            k = int(rng.poisson(mu))
-            if palm:
-                k += 1
-            tally.trials += 1
-            if k == 0:
-                tally.zero_user_trials += 1
-                continue
-            tally.users += k
-            pos = sample_in_hex_cell(cell_radius, k, rng)
-            dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
-            h = sample_fading(cfg.channel, rng, k)
-            need = required_power(cfg.theta, dist, h, cfg.channel, clamp_box)
-            tally.out_ci += int(np.count_nonzero(need > power / k))
-            tally.persist_ci += int(np.count_nonzero(need > peak_power / k))
-            csum = np.cumsum(np.sort(need))
-            tally.out_inv += k - int(np.searchsorted(csum, power, side="right"))
-            tally.persist_inv += k - int(np.searchsorted(csum, peak_power, side="right"))
-            tally.union_trials += int(csum[-1] > power)
+    t = start
+    while t < stop:
+        block, offset = divmod(t, _BLOCK)
+        n = min(stop - t, _BLOCK - offset)
+        _tally_block(cfg, supply, _draw_block(cfg, window, seed, block), offset,
+                     offset + n, tally, clamp_box)
+        t += n
     tally.gain_clamps = clamp_box[0]
     return tally
 

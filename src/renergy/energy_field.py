@@ -11,6 +11,10 @@ construction only, the power-law decay (1 + d^2/nu)^(-1). The dimensionless
 product psi = nu * lambda_e controls every distributional property of the
 boolean exponential field; its closed forms below are exact on the infinite
 plane and hold on a wrapped window up to the minimal-image truncation.
+
+A realization may also hold a block of independent realizations (draw_field
+with n), which field_values evaluates in one grouped pass; the samplers and
+the trial engine both draw and evaluate fields this way.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (PointSet, Window, nearest_site_indices, sample_ppp,
-                       separation)
+from .geometry import PointSet, Window, sample_ppp, separation, uniform_points
 
 
 class Kernel(enum.Enum):
@@ -60,14 +63,31 @@ class EnergyFieldSpec:
 
 @dataclass(frozen=True, eq=False)
 class FieldRealization:
+    """Energy centers of one field realization, or of a block of independent
+    realizations stored one after another, counts[i] centers for the i-th."""
+
     spec: EnergyFieldSpec
     centers: PointSet
     window: Window
+    counts: np.ndarray | None = None   # None: a single realization
+
+    def select(self, lo: int, hi: int) -> "FieldRealization":
+        """Realizations lo..hi-1 of a block, as a block."""
+        first = int(self.counts[:lo].sum())
+        last = first + int(self.counts[lo:hi].sum())
+        centers = PointSet(self.centers.points[first:last], self.centers.intensity)
+        return FieldRealization(self.spec, centers, self.window, self.counts[lo:hi])
 
 
-def draw_field(spec: EnergyFieldSpec, window: Window, rng: np.random.Generator) -> FieldRealization:
-    """Sample the center process and wrap it with the spec."""
-    return FieldRealization(spec, sample_ppp(spec.lambda_e, window, rng), window)
+def draw_field(spec: EnergyFieldSpec, window: Window, rng: np.random.Generator,
+               n: int | None = None) -> FieldRealization:
+    """Sample the center process and wrap it with the spec. With n, a block of
+    n realizations: all n center counts first, then every x, then every y."""
+    if n is None:
+        return FieldRealization(spec, sample_ppp(spec.lambda_e, window, rng), window)
+    counts = rng.poisson(spec.lambda_e * window.area, n)
+    centers = PointSet(uniform_points(window, int(counts.sum()), rng), spec.lambda_e)
+    return FieldRealization(spec, centers, window, counts)
 
 
 def decay_exp(d, nu: float):
@@ -111,18 +131,30 @@ def _image_sums(dx: np.ndarray, dy: np.ndarray, window: Window, nu: float) -> np
     return acc
 
 
+# Largest (points x centers) array the field kernel builds at once; a block
+# of trials over a few hundred harvesters is evaluated in tiles of points.
+_TILE_ELEMENTS = 1 << 15
+
+
 def field_values(real: FieldRealization, points) -> np.ndarray:
-    """Field values at one or many locations inside the window."""
+    """Field values at one or many locations inside the window: shape (k,) for
+    k points of a single realization, (k, n) for a block of n realizations."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec = real.spec
-    centers = real.centers.points
-    if spec.kernel is Kernel.SHOT_NOISE_EXP:
-        sums = _image_sums(pts[:, None, 0] - centers[None, :, 0],
-                           pts[:, None, 1] - centers[None, :, 1], real.window, spec.nu)
-        return spec.gamma * sums.sum(axis=1)
-    if len(centers) == 0:
-        return _boolean_kernel(spec, np.full(len(pts), np.inf))
-    return _boolean_kernel(spec, nearest_site_indices(pts, centers, real.window)[1])
+    block = real.counts is not None
+    counts = real.counts if block else np.array([len(real.centers)])
+    xs, ys = real.centers.points[:, 0], real.centers.points[:, 1]
+    out = np.empty((len(pts), len(counts)))
+    tile = max(1, _TILE_ELEMENTS // max(1, len(xs)))
+    for lo in range(0, len(pts), tile):
+        px, py = pts[lo:lo + tile, 0, None], pts[lo:lo + tile, 1, None]
+        if spec.kernel is Kernel.SHOT_NOISE_EXP:
+            sums = _image_sums(px - xs, py - ys, real.window, spec.nu)
+            out[lo:lo + tile] = spec.gamma * _grouped(np.add, sums, counts, 0.0)
+        else:
+            d = separation(px - xs, py - ys, real.window)
+            out[lo:lo + tile] = _boolean_kernel(spec, _grouped(np.minimum, d, counts, np.inf))
+    return out if block else out[:, 0]
 
 
 def influence_radius(x: float, spec: EnergyFieldSpec) -> float:
@@ -223,47 +255,26 @@ def joint_cdf_boolean_exp(x1: float, x2: float, d: float, spec: EnergyFieldSpec)
 
 def _grouped(ufunc: np.ufunc, values: np.ndarray, counts: np.ndarray,
              empty: float) -> np.ndarray:
-    """Per-group reduction of consecutive value runs; empty groups give `empty`."""
-    n = len(counts)
-    out = np.full(n, empty)
-    if values.size == 0 or n == 0:
-        return out
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    reduced = ufunc.reduceat(np.append(values, empty), starts)
+    """Per-row reduction of consecutive runs of counts[i] columns of a 2-D
+    array, (rows, len(counts)); empty runs give `empty`."""
+    out = np.full((len(values), len(counts)), empty)
     nonempty = counts > 0
-    out[nonempty] = reduced[nonempty]
+    if nonempty.any():
+        starts = np.cumsum(counts) - counts
+        out[:, nonempty] = ufunc.reduceat(values, starts[nonempty], axis=1)
     return out
 
 
 def _sample_fields(spec: EnergyFieldSpec, window: Window, points, n: int,
                    rng: np.random.Generator, chunk: int) -> np.ndarray:
-    """n independent field realizations evaluated at each of k locations, (n, k).
-
-    Vectorized across realizations: center counts are drawn per realization,
-    positions in bulk, and per-realization reductions done with grouped ufuncs.
-    """
+    """n independent field realizations evaluated at each of k locations, (n, k),
+    drawn and evaluated in blocks of `chunk` realizations."""
     if n <= 0:
         raise ValueError("n must be positive")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    lam_area = spec.lambda_e * window.area
-    out = np.empty((n, len(points)))
-    pos = 0
-    while pos < n:
+    out = np.empty((n, len(np.atleast_2d(points))))
+    for pos in range(0, n, chunk):
         m = min(chunk, n - pos)
-        counts = rng.poisson(lam_area, m)
-        total = int(counts.sum())
-        xs = rng.uniform(0.0, window.width, total)
-        ys = rng.uniform(0.0, window.height, total)
-        for col, (px, py) in enumerate(points):
-            if spec.kernel is Kernel.SHOT_NOISE_EXP:
-                sums = _image_sums(px - xs, py - ys, window, spec.nu)
-                out[pos:pos + m, col] = spec.gamma * _grouped(np.add, sums, counts, 0.0)
-            else:
-                d = separation(px - xs, py - ys, window)
-                out[pos:pos + m, col] = _boolean_kernel(
-                    spec, _grouped(np.minimum, d, counts, np.inf))
-        pos += m
+        out[pos:pos + m] = field_values(draw_field(spec, window, rng, m), points).T
     return out
 
 

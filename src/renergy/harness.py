@@ -323,7 +323,7 @@ def run_point(scenario: ScenarioConfig, n_trials: int, seed: int,
               workers: int = 1) -> TrialTally:
     """Tally n_trials trials, splitting the trial range over processes.
 
-    Trial substreams are keyed by absolute index, so the merged tally is
+    Random streams are keyed by absolute trial block, so the merged tally is
     identical for every worker count.
     """
     if n_trials <= 0:

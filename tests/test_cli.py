@@ -112,6 +112,18 @@ def test_validate_field_smoke(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("args, seed_env, key", [
+    (["--seed", "-1"], None, "--seed"),
+    ([], "-1", SEED_ENV_VAR),
+], ids=["flag", "env"])
+def test_validate_field_bad_seed_exits_2(monkeypatch, capsys, args, seed_env, key):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    if seed_env is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, seed_env)
+    assert main(["validate-field", "--samples", "200", "--psi", "0.2", *args]) == 2
+    assert f"error: {key}: must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_bounds_verb(capsys):
     rc = main(["bounds"])
     out = capsys.readouterr().out

@@ -6,15 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from renergy.aggregation import Distributed, LineSpec
-from renergy.channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from renergy import coverage
+from renergy.aggregation import Distributed, LineSpec
+from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFading,
+                             required_power)
 from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_trials_chunk)
-from renergy.energy_field import EnergyFieldSpec, Kernel
-from renergy.geometry import hex_pitch
+from renergy.energy_field import EnergyFieldSpec, FieldRealization, Kernel, field_values
+from renergy.geometry import PointSet, hex_pitch
 from renergy.stats import wilson_ci
 
 
@@ -91,19 +93,125 @@ def _split_tally(cfg, cuts):
 
 @pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
 def test_tallies_do_not_depend_on_chunk_edges(case):
-    # the cuts fall inside and across the engine's internal trial blocks
+    # 600 trials are blocks [0, 256), [256, 512) and part of [512, 768)
     cfg = _SPLIT_CASES[case]
     whole = run_trials_chunk(cfg, 0, _SPLIT_TRIALS, _SPLIT_SEED)
     assert whole.out_inv > 0 and whole.out_ci > whole.out_inv
     assert _split_tally(cfg, [1, 257]) == whole
     assert _split_tally(cfg, [255, 256, 513]) == whole
+    assert _split_tally(cfg, [100, 200]) == whole            # inside one block
+    assert _split_tally(cfg, [256, 512]) == whole            # at block edges
+    assert _split_tally(cfg, [250, 260, 505, 520]) == whole  # across edges
+    assert _split_tally(cfg, [254, 255, 256, 257]) == whole  # 1-trial chunks
+    assert _split_tally(cfg, [10, 590]) == whole             # one chunk, 3 blocks
+    singles = [run_trials_chunk(cfg, t, t + 1, _SPLIT_SEED) for t in range(250, 262)]
+    assert sum(singles, TrialTally()) == run_trials_chunk(cfg, 250, 262, _SPLIT_SEED)
 
 
 @settings(max_examples=10, deadline=None)
 @given(cuts=st.lists(st.integers(0, _SPLIT_TRIALS), max_size=4))
+@example(cuts=[0, 0, 600])
+@example(cuts=[255, 256, 257])
+@example(cuts=[256, 512])
+@example(cuts=[3, 597])
 def test_onsite_tally_split_property(cuts):
     cfg = _SPLIT_CASES["onsite"]
     assert _split_tally(cfg, cuts) == _split_tally(cfg, [])
+
+
+@settings(max_examples=8, deadline=None)
+@given(cuts=st.lists(st.integers(0, _SPLIT_TRIALS), max_size=4))
+@example(cuts=[255, 256, 257])
+@example(cuts=[3, 597])
+def test_distributed_tally_split_property(cuts):
+    cfg = _SPLIT_CASES["exact_rule_voltage"]
+    assert _split_tally(cfg, cuts) == _split_tally(cfg, [])
+
+
+def _oracle_tally(cfg, start, stop, seed):
+    """Scalar reference engine: the engine's drawn blocks, evaluated trial by
+    trial with np.sort, np.cumsum and searchsorted, as the per-trial loop the
+    block engine replaced did."""
+    window = resolve_window(cfg)
+    supply = coverage._supply(cfg, window)
+    peak = supply.peak_station_power
+    blocks = {}
+    tally = TrialTally()
+    clamp_box = [0]
+    for t in range(start, stop):
+        b, i = divmod(t, coverage._BLOCK)
+        if b not in blocks:
+            blocks[b] = coverage._draw_block(cfg, window, seed, b)
+        draws = blocks[b]
+        counts = draws.field.counts
+        c0 = int(counts[:i].sum())
+        centers = PointSet(draws.field.centers.points[c0:c0 + counts[i]])
+        budgets = cfg.eta * field_values(FieldRealization(cfg.field, centers, window),
+                                         supply.positions)
+        power = float(supply.station_power(budgets[:, None])[0])
+        k = int(draws.users[i])
+        tally.trials += 1
+        if k == 0:
+            tally.zero_user_trials += 1
+            continue
+        tally.users += k
+        u = slice(int(draws.offsets[i]), int(draws.offsets[i]) + k)
+        pos = draws.positions[u]
+        dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
+        need = required_power(cfg.theta, dist, draws.fading[u], cfg.channel, clamp_box)
+        tally.out_ci += int(np.count_nonzero(need > power / k))
+        tally.persist_ci += int(np.count_nonzero(need > peak / k))
+        csum = np.cumsum(np.sort(need))
+        tally.out_inv += k - int(np.searchsorted(csum, power, side="right"))
+        tally.persist_inv += k - int(np.searchsorted(csum, peak, side="right"))
+        tally.union_trials += int(csum[-1] > power)
+    tally.gain_clamps = clamp_box[0]
+    return tally
+
+
+_ORACLE_SUPPLIES = {
+    "onsite": {},
+    "onsite_flat": {"wrap": False},
+    "exact_voltage": {"architecture": Distributed(
+        lambda_h=2.0, lambda_a=0.5, line=LineSpec(voltage=3.0))},
+    "rule_voltage": {"architecture": Distributed(lambda_h=2.0, lambda_a=0.5)},
+    "tau_floor": {"architecture": Distributed(
+        lambda_h=2.0, lambda_a=0.5, line=LineSpec(mode="tau_floor"))},
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel=st.sampled_from(list(Kernel)),
+       fading=st.sampled_from([ChiSquaredFading(1), ChiSquaredFading(2),
+                               TruncatedRicianFading(0.1)]),
+       estimator=st.sampled_from(["user_weighted", "palm"]),
+       supply=st.sampled_from(sorted(_ORACLE_SUPPLIES)),
+       psi=st.sampled_from([0.05, 0.5]), lambda_u=st.sampled_from([0.5, 10.0]),
+       ref_dist=st.sampled_from([1.0, 3.0]),
+       start=st.integers(0, 700), length=st.integers(0, 400),
+       seed=st.integers(0, 2**32))
+@example(kernel=Kernel.BOOLEAN_MAX_EXP, fading=ChiSquaredFading(1),
+         estimator="user_weighted", supply="onsite", psi=0.05, lambda_u=10.0,
+         ref_dist=3.0, start=200, length=400, seed=3)
+def test_block_engine_matches_scalar_oracle(kernel, fading, estimator, supply, psi,
+                                            lambda_u, ref_dist, start, length, seed):
+    # lambda_u 0.5 leaves most cells empty; ref_dist 3 puts a user inside the
+    # path-gain clamp radius every few dozen trials
+    cfg = unit_cfg(psi=psi, lambda_u=lambda_u, kernel=kernel, fading=fading,
+                   estimator=estimator, **_ORACLE_SUPPLIES[supply])
+    cfg = replace(cfg, channel=replace(cfg.channel, ref_dist=ref_dist))
+    stop = start + length
+    assert run_trials_chunk(cfg, start, stop, seed) == _oracle_tally(cfg, start, stop, seed)
+
+
+def test_oracle_sees_clamps_and_both_outage_kinds():
+    # the explicit example of the oracle property exercises every outage field
+    cfg = unit_cfg(fading=ChiSquaredFading(1))
+    cfg = replace(cfg, channel=replace(cfg.channel, ref_dist=3.0))
+    tally = _oracle_tally(cfg, 200, 600, 3)
+    assert tally.gain_clamps > 0 and tally.union_trials > 0
+    assert tally.out_ci > tally.out_inv > 0
+    assert tally.persist_ci > tally.persist_inv > 0
 
 
 def test_chunks_reproducible_and_seed_sensitive():

@@ -248,3 +248,23 @@ def test_validation_window_controls_tail_mass():
         assert w.width >= 10.0 * math.sqrt(spec.nu)
         tail = math.exp(-spec.lambda_e * math.pi * (w.width / 2.0) ** 2)
         assert tail <= 0.1 * 1.63 / math.sqrt(n) + 1e-12
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_block_field_values_match_single_realizations(kernel, wrap):
+    # a block evaluated in one grouped pass, in tiles of points, equals each
+    # realization evaluated alone; psi 0.02 leaves some realizations empty
+    spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.02, nu=1.0, kernel=kernel)
+    w = Window(9.0, 7.0, wrap=wrap)
+    block = draw_field(spec, w, substream(412, 0), 40)
+    assert (block.counts == 0).any() and len(block.centers) == block.counts.sum()
+    pts = substream(412, 1).uniform(0.0, 7.0, size=(700, 2))
+    values = field_values(block, pts)
+    assert values.shape == (700, 40)
+    starts = np.cumsum(block.counts) - block.counts
+    for i, (a, c) in enumerate(zip(starts, block.counts)):
+        single = FieldRealization(spec, PointSet(block.centers.points[a:a + c]), w)
+        assert np.array_equal(values[:, i], field_values(single, pts))
+    part = block.select(5, 17)
+    assert np.array_equal(field_values(part, pts), values[:, 5:17])
