@@ -21,8 +21,8 @@ import numpy as np
 
 from .bounds import aggregation_power_floor  # noqa: F401  (re-export; natural home)
 from .energy_field import EnergyFieldSpec, FieldRealization, draw_field, field_values
-from .geometry import (HexLattice, Window, default_window_side, hex_lattice,
-                       hex_pitch, nearest_site_indices, substream)
+from .geometry import (BLOCK, HexLattice, Window, block_spans, default_window_side,
+                       hex_lattice, hex_pitch, nearest_site_indices, substream)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class Distributed:
         return self.lambda_h / self.lambda_a
 
 
-def clustered_window(lambda_a: float, min_side: float, wrap: bool = True) -> Window:
+def clustered_window(lambda_a: float, min_side: float) -> Window:
     """Smallest window with sides >= min_side that is commensurate with the
     aggregator lattice periods, so hexagonal cells tile the torus exactly
     and every line length obeys the cell-corner bound."""
@@ -80,7 +80,7 @@ def clustered_window(lambda_a: float, min_side: float, wrap: bool = True) -> Win
     a = hex_pitch(lambda_a)
     px = max(1, math.ceil(min_side / a - 1e-9))
     py = max(1, math.ceil(min_side / (math.sqrt(3.0) * a) - 1e-9))
-    return Window(px * a, py * (math.sqrt(3.0) * a), wrap=wrap)
+    return Window(px * a, py * (math.sqrt(3.0) * a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +185,9 @@ def delivered_power(budget, length, voltage: float, beta: float,
 
 @dataclass(frozen=True, eq=False)
 class SupplyResult:
+    """Supply over a block of n field realizations; every array has a
+    trailing realization axis of length n."""
+
     per_station: np.ndarray     # equal-split power at every station
     per_aggregator: np.ndarray  # summed delivered power per aggregator
     harvested: np.ndarray       # per-harvester budget eta * g
@@ -214,7 +217,7 @@ def resolve_line(line: LineSpec, eta: float, gamma: float, lambda_b: float,
 
 def supplied_power(assignment: ClusterAssignment, real: FieldRealization,
                    line: LineSpec, eta: float, lambda_b: float) -> SupplyResult:
-    """Per-station supplied power for one field realization.
+    """Per-station supplied power for every realization of a field block.
 
     Harvested budgets are eta times the field at each harvester; each budget
     is pushed through its feeder line; aggregator totals are split equally
@@ -226,11 +229,12 @@ def supplied_power(assignment: ClusterAssignment, real: FieldRealization,
                                   assignment.aggregators.density)
     g = field_values(real, assignment.harvesters.sites.points)
     harvested = eta * g
-    delivered = delivered_power(harvested, assignment.line_lengths, voltage,
+    delivered = delivered_power(harvested, assignment.line_lengths[:, None], voltage,
                                 line.beta, line.mode, line.tau)
-    per_agg = np.bincount(assignment.assignment, weights=delivered,
-                          minlength=len(assignment.aggregators.sites))
-    per_station = np.repeat(per_agg / n_per, n_per)
+    # harvester by harvester in index order, as np.bincount sums one column
+    per_agg = np.zeros((len(assignment.aggregators.sites), len(real.counts)))
+    np.add.at(per_agg, assignment.assignment, delivered)
+    per_station = np.repeat(per_agg / n_per, n_per, axis=0)
     return SupplyResult(per_station, per_agg, harvested, delivered, voltage, n_per)
 
 
@@ -239,15 +243,15 @@ def supply_statistics(spec: EnergyFieldSpec, lambda_b: float, lambda_h: float,
                       n_trials: int, seed: int,
                       min_side: float | None = None) -> np.ndarray:
     """Per-station supplied-power samples over independent field draws,
-    shape (n_trials, n_stations). Trials use counter-derived substreams."""
+    shape (n_trials, n_stations). Trial t is realization t % BLOCK of the
+    block drawn from substream(seed, t // BLOCK)."""
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     side = min_side if min_side is not None else default_window_side(lambda_b, spec.nu)
     window = clustered_window(lambda_a, side)
     assignment = build_clusters(lambda_h, lambda_a, window)
     rows = []
-    for t in range(n_trials):
-        real = draw_field(spec, window, substream(seed, t))
-        rows.append(supplied_power(assignment, real, line, eta, lambda_b).per_station)
+    for block, lo, hi in block_spans(0, n_trials):
+        real = draw_field(spec, window, substream(seed, block), BLOCK).select(lo, hi)
+        rows.append(supplied_power(assignment, real, line, eta, lambda_b).per_station.T)
     return np.vstack(rows)
-

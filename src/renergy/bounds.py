@@ -68,6 +68,15 @@ def _require(b: BoundInputs, *names: str) -> None:
             raise ValueError(f"bound requires {name}")
 
 
+def _shortfall_term(b: BoundInputs, fading_moment: float) -> float:
+    """2 / (2 + alpha pi psi) * inner^min(pi psi, 1), where inner is the
+    per-cell load at the covering-disk radius, weighted by a fading moment."""
+    pp = math.pi * b.psi
+    inner = (cell_radius_pow(b.alpha) * b.theta * fading_moment * b.lambda_u
+             / (b.gamma_eta * b.lambda_b ** (1.0 + b.alpha / 2.0)))
+    return 2.0 / (2.0 + b.alpha * pp) * inner ** min(pp, 1.0)
+
+
 def energy_shortfall_bound(b: BoundInputs) -> float:
     """Bound on the outage component caused by field randomness alone.
 
@@ -75,10 +84,7 @@ def energy_shortfall_bound(b: BoundInputs) -> float:
     inequality on the per-cell load.
     """
     _require(b, "e_h_inv")
-    pp = math.pi * b.psi
-    inner = (cell_radius_pow(b.alpha) * b.theta * b.e_h_inv * b.lambda_u
-             / (b.gamma_eta * b.lambda_b ** (1.0 + b.alpha / 2.0)))
-    return 2.0 / (2.0 + b.alpha * pp) * inner ** min(pp, 1.0)
+    return _shortfall_term(b, b.e_h_inv)
 
 
 def max_power_markov_bound(b: BoundInputs) -> float:
@@ -116,10 +122,7 @@ def _tail_first_term(b: BoundInputs) -> float:
     _require(b, "omega")
     if b.omega < 2:
         raise ValueError("tail bounds need omega >= 2")
-    pp = math.pi * b.psi
-    inner = (cell_radius_pow(b.alpha) * b.theta * math.gamma(b.omega - 1) * b.lambda_u
-             / (b.gamma_eta * b.lambda_b ** (1.0 + b.alpha / 2.0)))
-    return 2.0 / (2.0 + b.alpha * pp) * inner ** min(pp, 1.0)
+    return _shortfall_term(b, math.gamma(b.omega - 1))
 
 
 def _tail_base(b: BoundInputs) -> float:
@@ -146,6 +149,15 @@ def fading_tail_terms_inversion(b: BoundInputs) -> tuple[float, float]:
     return t1, t2
 
 
+def _occupancy_and_corner(lambda_e: float, lambda_h: float, nu: float
+                          ) -> tuple[float, float]:
+    """Chance that a harvester's cell holds an energy center, and the kernel
+    decay over the cell's corner radius: the least such a center gives it."""
+    occupancy = 1.0 - math.exp(-lambda_e / lambda_h)
+    corner = math.exp(-2.0 / (3.0 * math.sqrt(3.0) * nu * lambda_h))
+    return occupancy, corner
+
+
 def aggregation_power_floor(tau: float, gamma: float, eta: float, lambda_h: float,
                             lambda_b: float, lambda_e: float, nu: float) -> float:
     """Almost-sure large-cluster lower bound on per-station supplied power.
@@ -157,8 +169,7 @@ def aggregation_power_floor(tau: float, gamma: float, eta: float, lambda_h: floa
                     ("lambda_b", lambda_b), ("lambda_e", lambda_e), ("nu", nu)):
         if v <= 0:
             raise ValueError(f"{name} must be positive")
-    occupancy = 1.0 - math.exp(-lambda_e / lambda_h)
-    corner = math.exp(-2.0 / (3.0 * math.sqrt(3.0) * nu * lambda_h))
+    occupancy, corner = _occupancy_and_corner(lambda_e, lambda_h, nu)
     return tau * gamma * eta * lambda_h / lambda_b * occupancy * corner
 
 
@@ -166,8 +177,7 @@ def aggregated_outage_bound(b: BoundInputs) -> float:
     """Outage bound for stations fed by large aggregated harvester clusters,
     with supplied power replaced by its almost-sure floor."""
     _require(b, "e_h_inv", "lambda_h", "lambda_e", "nu")
-    occupancy = 1.0 - math.exp(-b.lambda_e / b.lambda_h)
-    corner = math.exp(-2.0 / (3.0 * math.sqrt(3.0) * b.nu * b.lambda_h))
+    occupancy, corner = _occupancy_and_corner(b.lambda_e, b.lambda_h, b.nu)
     return (cell_distance_moment(b.alpha) * b.theta * b.e_h_inv * b.lambda_u
             / (b.tau * b.gamma_eta * b.lambda_b ** (b.alpha / 2.0)
                * b.lambda_h * occupancy * corner))

@@ -16,13 +16,15 @@ supply with one harvester at the station, a zero-length lossless line and one
 station per aggregator.
 
 Outage is reported per user, and every tally field is an integer, so chunked
-or multi-process runs merge exactly. Trials are grouped by absolute index into
-blocks of 256, and block b draws everything from one stream, substream(seed,
-b), in a fixed order: center counts, center x, center y, users per cell, user
-positions, fading gains. Drawing is split from evaluation: a chunk draws every
-block it touches whole, but evaluates fields, station powers and both
-allocations only for its own trials, as flat arrays over their users. Tallies
-therefore do not depend on where chunks start and stop or on the worker count.
+or multi-process runs merge exactly. Trials follow the library's one draw
+convention (geometry.BLOCK, geometry.block_spans): they are grouped by
+absolute index into blocks of 256, and block b draws everything from one
+stream, substream(seed, b), in a fixed order: center counts, center x, center
+y, users per cell, user positions, fading gains. Drawing is split from
+evaluation: a chunk draws every block it touches whole, but evaluates fields,
+station powers and both allocations only for its own trials, as flat arrays
+over their users. Tallies therefore do not depend on where chunks start and
+stop or on the worker count.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
                            field_values)
-from .geometry import (Window, default_window_side, hex_cell_circumradius,
-                       nearest_site_indices, sample_in_hex_cell, substream)
+from .geometry import (BLOCK, Window, block_spans, default_window_side,
+                       hex_cell_circumradius, nearest_site_indices, sample_in_hex_cell,
+                       substream)
 from .stats import wilson_ci
 
 
@@ -141,10 +144,6 @@ class TrialTally:
                 self.union_trials, self.gain_clamps)
 
 
-# Trials per random-number block: block b holds trials [b * _BLOCK,
-# (b + 1) * _BLOCK) and draws all of them from substream(seed, b).
-_BLOCK = 256
-
 # On-site harvesting as the one-harvester cluster: the station's own harvester
 # over a zero-length lossless line, one station per aggregator.
 _ONSITE_LINE = LineSpec(voltage=math.inf)
@@ -210,11 +209,11 @@ class _BlockDraws:
 
 def _draw_block(cfg: ScenarioConfig, window: Window, seed: int, block: int) -> _BlockDraws:
     rng = substream(seed, block)
-    fields = draw_field(cfg.field, window, rng, _BLOCK)
-    users = rng.poisson(cfg.mean_users_per_cell, _BLOCK)
+    fields = draw_field(cfg.field, window, rng, BLOCK)
+    users = rng.poisson(cfg.mean_users_per_cell, BLOCK)
     if cfg.estimator == "palm":
         users += 1
-    offsets = np.zeros(_BLOCK + 1, dtype=np.int64)
+    offsets = np.zeros(BLOCK + 1, dtype=np.int64)
     np.cumsum(users, out=offsets[1:])
     n = int(offsets[-1])
     positions = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), n, rng)
@@ -261,19 +260,13 @@ def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws, lo: i
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:
     """Run trials [start, stop) of the given master seed and tally events for
     both schemes from shared draws."""
-    if start < 0 or stop < start:
-        raise ValueError("need 0 <= start <= stop")
     window = resolve_window(cfg)
     supply = _supply(cfg, window)
     tally = TrialTally()
     clamp_box = [0]
-    t = start
-    while t < stop:
-        block, offset = divmod(t, _BLOCK)
-        n = min(stop - t, _BLOCK - offset)
-        _tally_block(cfg, supply, _draw_block(cfg, window, seed, block), offset,
-                     offset + n, tally, clamp_box)
-        t += n
+    for block, lo, hi in block_spans(start, stop):
+        _tally_block(cfg, supply, _draw_block(cfg, window, seed, block), lo, hi,
+                     tally, clamp_box)
     tally.gain_clamps = clamp_box[0]
     return tally
 

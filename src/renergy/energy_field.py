@@ -12,9 +12,11 @@ product psi = nu * lambda_e controls every distributional property of the
 boolean exponential field; its closed forms below are exact on the infinite
 plane and hold on a wrapped window up to the minimal-image truncation.
 
-A realization may also hold a block of independent realizations (draw_field
-with n), which field_values evaluates in one grouped pass; the samplers and
-the trial engine both draw and evaluate fields this way.
+Every realization is a block: a FieldRealization holds n independent
+realizations (draw_field with n, one by default; a hand-built set of centers
+is a block of one), and field_values evaluates all of them in one grouped
+pass. The samplers, the trial engine and the aggregated supply all draw and
+evaluate fields this way.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet, Window, sample_ppp, separation, uniform_points
+from .geometry import PointSet, Window, separation, uniform_points
 
 
 class Kernel(enum.Enum):
@@ -63,13 +65,22 @@ class EnergyFieldSpec:
 
 @dataclass(frozen=True, eq=False)
 class FieldRealization:
-    """Energy centers of one field realization, or of a block of independent
-    realizations stored one after another, counts[i] centers for the i-th."""
+    """Energy centers of a block of independent realizations stored one after
+    another, counts[i] centers for the i-th. Without counts, all the centers
+    form a block of one."""
 
     spec: EnergyFieldSpec
     centers: PointSet
     window: Window
-    counts: np.ndarray | None = None   # None: a single realization
+    counts: np.ndarray | None = None   # an int64 array once constructed
+
+    def __post_init__(self) -> None:
+        counts = np.asarray(self.counts if self.counts is not None
+                            else [len(self.centers)], dtype=np.int64)
+        if counts.ndim != 1 or counts.min(initial=0) < 0 \
+                or counts.sum() != len(self.centers):
+            raise ValueError("counts must split the centers into realizations")
+        object.__setattr__(self, "counts", counts)
 
     def select(self, lo: int, hi: int) -> "FieldRealization":
         """Realizations lo..hi-1 of a block, as a block."""
@@ -80,11 +91,9 @@ class FieldRealization:
 
 
 def draw_field(spec: EnergyFieldSpec, window: Window, rng: np.random.Generator,
-               n: int | None = None) -> FieldRealization:
-    """Sample the center process and wrap it with the spec. With n, a block of
-    n realizations: all n center counts first, then every x, then every y."""
-    if n is None:
-        return FieldRealization(spec, sample_ppp(spec.lambda_e, window, rng), window)
+               n: int = 1) -> FieldRealization:
+    """A block of n realizations of the center process: all n center counts
+    first, then every x, then every y."""
     counts = rng.poisson(spec.lambda_e * window.area, n)
     centers = PointSet(uniform_points(window, int(counts.sum()), rng), spec.lambda_e)
     return FieldRealization(spec, centers, window, counts)
@@ -137,12 +146,11 @@ _TILE_ELEMENTS = 1 << 15
 
 
 def field_values(real: FieldRealization, points) -> np.ndarray:
-    """Field values at one or many locations inside the window: shape (k,) for
-    k points of a single realization, (k, n) for a block of n realizations."""
+    """Field values at k locations inside the window for each of a block's n
+    realizations, shape (k, n)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     spec = real.spec
-    block = real.counts is not None
-    counts = real.counts if block else np.array([len(real.centers)])
+    counts = real.counts
     xs, ys = real.centers.points[:, 0], real.centers.points[:, 1]
     out = np.empty((len(pts), len(counts)))
     tile = max(1, _TILE_ELEMENTS // max(1, len(xs)))
@@ -154,7 +162,7 @@ def field_values(real: FieldRealization, points) -> np.ndarray:
         else:
             d = separation(px - xs, py - ys, real.window)
             out[lo:lo + tile] = _boolean_kernel(spec, _grouped(np.minimum, d, counts, np.inf))
-    return out if block else out[:, 0]
+    return out
 
 
 def influence_radius(x: float, spec: EnergyFieldSpec) -> float:
@@ -292,7 +300,7 @@ def sample_intensity_pair(spec: EnergyFieldSpec, window: Window, p1, p2, n: int,
     return _sample_fields(spec, window, [p1, p2], n, rng, chunk)
 
 
-def validation_window(spec: EnergyFieldSpec, n_samples: int, min_side: float | None = None) -> Window:
+def validation_window(spec: EnergyFieldSpec, n_samples: int) -> Window:
     """Window large enough that minimal-image truncation of the field law is
     far below the resolution of an n-sample empirical CDF.
 
@@ -304,5 +312,5 @@ def validation_window(spec: EnergyFieldSpec, n_samples: int, min_side: float | N
         raise ValueError("n_samples must be positive")
     eps = 0.1 * 1.63 / math.sqrt(n_samples)
     side = 2.0 * math.sqrt(math.log(1.0 / eps) / (math.pi * spec.lambda_e))
-    side = max(side, 10.0 * math.sqrt(spec.nu), min_side or 0.0)
+    side = max(side, 10.0 * math.sqrt(spec.nu))
     return Window(side, side, wrap=True)

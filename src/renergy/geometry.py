@@ -1,6 +1,11 @@
-"""Spatial primitives: observation windows, point sets, Poisson sampling,
+"""Spatial primitives: random streams, observation windows, point sets,
 hexagonal lattices, and exact nearest-site queries with optional wraparound
 (toroidal) metric.
+
+Random draws follow one convention: realizations (trials) are grouped by
+absolute index into blocks of BLOCK, and block b draws all of its
+realizations from substream(seed, b); block_spans splits a run of
+realizations at block edges.
 
 Distances on a wrapped window use the minimal-image convention, which equals
 the minimum over the nine translated copies of the window.
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +31,22 @@ def substream(seed: int, *key: int) -> np.random.Generator:
         raise ValueError("seed must be a non-negative integer")
     entropy = (int(seed),) + tuple(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+
+
+BLOCK = 256   # realizations per random-number block
+
+
+def block_spans(start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """(block, lo, hi) for every block that realizations [start, stop) touch,
+    lo..hi-1 being their positions within it."""
+    if start < 0 or stop < start:
+        raise ValueError("need 0 <= start <= stop")
+    t = start
+    while t < stop:
+        block, lo = divmod(t, BLOCK)
+        hi = min(BLOCK, lo + stop - t)
+        yield block, lo, hi
+        t += hi - lo
 
 
 @dataclass(frozen=True)
@@ -88,14 +110,6 @@ def uniform_points(window: Window, n: int, rng: np.random.Generator) -> np.ndarr
         row *= side
     xy.setflags(write=False)
     return xy.T
-
-
-def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> PointSet:
-    """Homogeneous Poisson point process: Poisson count, uniform positions."""
-    if intensity < 0:
-        raise ValueError("intensity must be non-negative")
-    n = rng.poisson(intensity * window.area)
-    return PointSet(uniform_points(window, n, rng), intensity)
 
 
 def separation(dx, dy, window: Window) -> np.ndarray:

@@ -6,6 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from renergy.aggregation import (Distributed, LineSpec, build_clusters,
                                  certified_efficiency, clustered_window,
                                  delivered_power, line_loss,
@@ -14,7 +17,7 @@ from renergy.aggregation import (Distributed, LineSpec, build_clusters,
 from renergy.channel import ChannelSpec
 from renergy.coverage import ScenarioConfig, run_trials_chunk
 from renergy.energy_field import EnergyFieldSpec, Kernel, draw_field
-from renergy.geometry import hex_cell_circumradius, hex_pitch, substream
+from renergy.geometry import BLOCK, hex_cell_circumradius, hex_pitch, substream
 
 
 def field_spec(gamma=10.0, psi=0.05):
@@ -140,7 +143,7 @@ def test_supplied_power_conservation_and_split():
     real = draw_field(field_spec(), w, substream(901, 0))
     line = LineSpec(beta=1.0, voltage=5.0)
     res = supplied_power(asg, real, line, eta=0.9, lambda_b=lambda_b)
-    losses = line_loss(res.delivered, asg.line_lengths, 5.0, 1.0)
+    losses = line_loss(res.delivered, asg.line_lengths[:, None], 5.0, 1.0)
     assert np.allclose(res.delivered + losses, res.harvested, rtol=1e-12)
     assert res.per_station.sum() == pytest.approx(res.per_aggregator.sum(), rel=1e-12)
     assert res.stations_per_aggregator == 2
@@ -148,6 +151,55 @@ def test_supplied_power_conservation_and_split():
     # lossless lines deliver everything
     res_inf = supplied_power(asg, real, LineSpec(voltage=math.inf), 0.9, lambda_b)
     assert np.allclose(res_inf.delivered, res_inf.harvested, rtol=1e-12)
+
+
+@pytest.mark.parametrize("line", [LineSpec(beta=1.0, voltage=5.0), LineSpec(tau=0.7),
+                                  LineSpec(mode="tau_floor")],
+                         ids=["exact", "rule_voltage", "tau_floor"])
+def test_block_supplied_power_matches_each_realization(line):
+    # one pass over a block gives, column by column, what each realization
+    # gives alone, and each aggregator total is np.bincount's sum exactly
+    w = clustered_window(0.5, 12.0)
+    asg = build_clusters(2.0, 0.5, w)
+    block = draw_field(field_spec(psi=0.02), w, substream(903, 0), 24)
+    assert (block.counts == 0).any()
+    res = supplied_power(asg, block, line, eta=0.9, lambda_b=1.0)
+    assert res.per_station.shape == (2 * len(asg.aggregators.sites), 24)
+    for i in range(24):
+        one = supplied_power(asg, block.select(i, i + 1), line, eta=0.9, lambda_b=1.0)
+        for name in ("per_station", "per_aggregator", "harvested", "delivered"):
+            assert np.array_equal(getattr(res, name)[:, i], getattr(one, name)[:, 0]), name
+        totals = np.bincount(asg.assignment, weights=res.delivered[:, i],
+                             minlength=len(asg.aggregators.sites))
+        assert np.array_equal(res.per_aggregator[:, i], totals)
+
+
+_lattices = st.fixed_dictionaries({
+    "lambda_a": st.floats(0.05, 2.0), "ratio": st.floats(1.0, 8.0),
+    "tau": st.floats(0.5, 0.95), "beta": st.floats(0.1, 5.0), "eta": st.floats(0.3, 1.0),
+    "gamma": st.floats(1.0, 1e3), "lambda_e": st.floats(0.05, 2.0),
+    "nu": st.floats(0.1, 2.0),
+    "voltage": st.one_of(st.none(), st.just(math.inf), st.floats(0.5, 1e6)),
+    "mode": st.sampled_from(["exact", "tau_floor"]),
+    "n": st.integers(1, 8), "seed": st.integers(0, 2**32)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=_lattices)
+def test_delivery_never_exceeds_harvest(c):
+    # every harvester of every realization delivers at most its harvest; at
+    # the rule voltage its line loses at most the (1 - tau) share
+    lam_a = c["lambda_a"]
+    w = clustered_window(lam_a, 1.2 * hex_pitch(lam_a))
+    asg = build_clusters(c["ratio"] * lam_a, lam_a, w)
+    spec = EnergyFieldSpec(gamma=c["gamma"], lambda_e=c["lambda_e"], nu=c["nu"])
+    block = draw_field(spec, w, substream(c["seed"], 0), c["n"])
+    line = LineSpec(beta=c["beta"], voltage=c["voltage"], tau=c["tau"], mode=c["mode"])
+    res = supplied_power(asg, block, line, c["eta"], lambda_b=lam_a)
+    assert res.delivered.shape == res.harvested.shape == (len(asg.harvesters.sites), c["n"])
+    assert np.all(res.delivered <= res.harvested)
+    if c["voltage"] is None:
+        assert np.all(res.delivered >= c["tau"] * res.harvested * (1.0 - 1e-9))
 
 
 def test_supplied_power_rejects_fractional_station_ratio():
@@ -166,6 +218,21 @@ def test_supply_statistics_shape_and_determinism():
     assert s1.shape[0] == 8 and s1.shape[1] > 0
     assert np.array_equal(s1, s2)
     assert np.all(s1 >= 0.0)
+
+
+def test_supply_statistics_rows_keyed_by_absolute_trial():
+    # trial t is realization t % BLOCK of block t // BLOCK, so a shorter run
+    # is a prefix of a longer one, and rows past the block edge come from
+    # the next block's stream
+    args = (field_spec(), 1.0, 2.0, 0.5, LineSpec(voltage=math.inf), 1.0)
+    n = BLOCK + 44
+    long = supply_statistics(*args, n, 78, min_side=10.0)
+    assert long.shape[0] == n
+    assert np.array_equal(long[:40], supply_statistics(*args, 40, 78, min_side=10.0))
+    w = clustered_window(0.5, 10.0)
+    second = draw_field(field_spec(), w, substream(78, 1), BLOCK).select(0, 44)
+    res = supplied_power(build_clusters(2.0, 0.5, w), second, args[4], 1.0, 1.0)
+    assert np.array_equal(long[BLOCK:], res.per_station.T)
 
 
 def test_zero_length_lines_lose_nothing():

@@ -16,7 +16,7 @@ from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFadin
 from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_trials_chunk)
 from renergy.energy_field import EnergyFieldSpec, FieldRealization, Kernel, field_values
-from renergy.geometry import PointSet, hex_pitch
+from renergy.geometry import BLOCK, PointSet, hex_pitch
 from renergy.stats import wilson_ci
 
 
@@ -139,7 +139,7 @@ def _oracle_tally(cfg, start, stop, seed):
     tally = TrialTally()
     clamp_box = [0]
     for t in range(start, stop):
-        b, i = divmod(t, coverage._BLOCK)
+        b, i = divmod(t, BLOCK)
         if b not in blocks:
             blocks[b] = coverage._draw_block(cfg, window, seed, b)
         draws = blocks[b]
@@ -148,7 +148,7 @@ def _oracle_tally(cfg, start, stop, seed):
         centers = PointSet(draws.field.centers.points[c0:c0 + counts[i]])
         budgets = cfg.eta * field_values(FieldRealization(cfg.field, centers, window),
                                          supply.positions)
-        power = float(supply.station_power(budgets[:, None])[0])
+        power = float(supply.station_power(budgets)[0])
         k = int(draws.users[i])
         tally.trials += 1
         if k == 0:

@@ -13,7 +13,7 @@ from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
                                   joint_cdf_boolean_exp, sample_intensity,
                                   sample_intensity_pair, shot_noise_mean,
                                   validation_window)
-from renergy.geometry import PointSet, Window, substream
+from renergy.geometry import PointSet, Window, substream, uniform_points
 from renergy.stats import ks_statistic
 
 # Frozen reference values (independent high-precision oracle):
@@ -62,10 +62,10 @@ def test_field_values_max_kernel_by_hand():
     real = FieldRealization(spec, centers, w)
     # (9, 9) is toroidally sqrt(8) from (1, 1) and sqrt(32) from (5, 5)
     expect = 3.0 * math.exp(-8.0 / 4.0)
-    assert field_values(real, (9.0, 9.0))[0] == pytest.approx(expect, rel=1e-12)
+    assert field_values(real, (9.0, 9.0))[0, 0] == pytest.approx(expect, rel=1e-12)
     # without wrap the same point is far from both centers
     flat = FieldRealization(spec, centers, Window(10.0, 10.0, wrap=False))
-    assert field_values(flat, (9.0, 9.0))[0] == pytest.approx(
+    assert field_values(flat, (9.0, 9.0))[0, 0] == pytest.approx(
         3.0 * math.exp(-32.0 / 4.0), rel=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_field_values_shot_kernel_sums_images():
     for dx in (-10.0, 0.0, 10.0):
         for dy in (-10.0, 0.0, 10.0):
             expect += 2.0 * math.exp(-((8.0 + dx) ** 2 + (8.0 + dy) ** 2) / 40.0)
-    assert field_values(real, (9.0, 9.0))[0] == pytest.approx(expect, rel=1e-12)
+    assert field_values(real, (9.0, 9.0))[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_field_values_power_law_kernel():
@@ -88,8 +88,24 @@ def test_field_values_power_law_kernel():
     spec = EnergyFieldSpec(gamma=5.0, lambda_e=0.02, nu=2.0,
                            kernel=Kernel.BOOLEAN_MAX_PLAW)
     real = FieldRealization(spec, centers, w)
-    assert field_values(real, (2.0, 1.0))[0] == pytest.approx(
+    assert field_values(real, (2.0, 1.0))[0, 0] == pytest.approx(
         5.0 / (1.0 + 1.0 / 2.0), rel=1e-12)
+
+
+def test_every_realization_is_a_block():
+    spec = exp_spec()
+    w = Window(5.0, 4.0)
+    centers = PointSet(np.array([[1.0, 1.0], [2.0, 2.0]]))
+    assert FieldRealization(spec, centers, w).counts.tolist() == [2]
+    assert FieldRealization(spec, centers, w, np.array([0, 2])).counts.tolist() == [0, 2]
+    for bad in ([1], [3, -1], [[2]]):
+        with pytest.raises(ValueError):
+            FieldRealization(spec, centers, w, np.array(bad))
+    # a drawn block of one is a Poisson count, then its uniform positions
+    real, rng = draw_field(spec, w, substream(413, 0)), substream(413, 0)
+    expect = uniform_points(w, rng.poisson(spec.lambda_e * w.area), rng)
+    assert real.counts.tolist() == [len(expect)]
+    assert np.array_equal(real.centers.points, expect)
 
 
 def test_empty_field_values():
@@ -97,7 +113,7 @@ def test_empty_field_values():
     for kernel in Kernel:
         spec = EnergyFieldSpec(1.0, 0.05, 1.0, kernel)
         real = FieldRealization(spec, PointSet(np.empty((0, 2))), w)
-        assert field_values(real, (1.0, 1.0))[0] == 0.0
+        assert field_values(real, (1.0, 1.0))[0, 0] == 0.0
         # the sampler's empty realizations read exactly 0 as well
         sparse = EnergyFieldSpec(1.0, 1e-9, 1.0, kernel)
         assert not sample_intensity(sparse, w, (1.0, 1.0), 200, substream(411, 0)).any()
@@ -265,6 +281,6 @@ def test_block_field_values_match_single_realizations(kernel, wrap):
     starts = np.cumsum(block.counts) - block.counts
     for i, (a, c) in enumerate(zip(starts, block.counts)):
         single = FieldRealization(spec, PointSet(block.centers.points[a:a + c]), w)
-        assert np.array_equal(values[:, i], field_values(single, pts))
+        assert np.array_equal(values[:, i], field_values(single, pts)[:, 0])
     part = block.select(5, 17)
     assert np.array_equal(field_values(part, pts), values[:, 5:17])

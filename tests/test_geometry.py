@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from renergy.energy_field import EnergyFieldSpec, FieldRealization, Kernel, field_values
-from renergy.geometry import (PointSet, Window, hex_cell_circumradius, hex_lattice,
-                              hex_pitch, nearest_site_indices, sample_in_hex_cell,
-                              sample_ppp, separation, substream)
+from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
+                                  field_values)
+from renergy.geometry import (BLOCK, PointSet, Window, block_spans, hex_cell_circumradius,
+                              hex_lattice, hex_pitch, nearest_site_indices,
+                              sample_in_hex_cell, separation, substream)
 
 # Reference values for a unit-density triangular lattice (closed forms
 # sqrt(2/sqrt(3)) and sqrt(2/(3*sqrt(3))), frozen by an independent script).
@@ -39,6 +40,17 @@ def test_substream_rejects_negative_seed():
         substream(-1, 0)
 
 
+def test_block_spans_split_at_block_edges():
+    assert list(block_spans(0, 0)) == list(block_spans(300, 300)) == []
+    assert list(block_spans(3, 10)) == [(0, 3, 10)]
+    assert list(block_spans(200, BLOCK)) == [(0, 200, BLOCK)]
+    assert list(block_spans(BLOCK - 1, 2 * BLOCK + 5)) == [
+        (0, BLOCK - 1, BLOCK), (1, 0, BLOCK), (2, 0, 5)]
+    for start, stop in ((-1, 3), (5, 3)):
+        with pytest.raises(ValueError):
+            list(block_spans(start, stop))
+
+
 def test_window_basics():
     w = Window(4.0, 2.0)
     assert w.area == 8.0
@@ -56,19 +68,23 @@ def test_pointset_is_immutable_and_copies():
         ps.points[0, 0] = 1.0
 
 
+def _center_block(intensity, window, rng, n=1):
+    """A block of n draws of the energy-center process at the given intensity."""
+    return draw_field(EnergyFieldSpec(gamma=1.0, lambda_e=intensity, nu=1.0),
+                      window, rng, n)
+
+
 def test_ppp_void_probability():
     # P(no point in a unit window at intensity 1) = exp(-1)
     w = Window(1.0, 1.0)
-    empties = sum(len(sample_ppp(1.0, w, substream(101, t))) == 0
-                  for t in range(4000))
-    p = empties / 4000
+    counts = _center_block(1.0, w, substream(101, 0), 4000).counts
+    p = np.count_nonzero(counts == 0) / 4000
     assert abs(p - math.exp(-1.0)) < 0.025  # ~3.3 binomial sd
 
 
 def test_ppp_count_mean_and_variance():
     w = Window(5.0, 4.0)
-    counts = np.array([len(sample_ppp(10.0, w, substream(55, t)))
-                       for t in range(500)])
+    counts = _center_block(10.0, w, substream(55, 0), 500).counts
     # Poisson(200): mean within 4 standard errors, variance within 25%
     assert abs(counts.mean() - 200.0) < 4.0 * math.sqrt(200.0 / 500)
     assert 150.0 < counts.var() < 250.0
@@ -76,7 +92,7 @@ def test_ppp_count_mean_and_variance():
 
 def test_ppp_points_inside_window():
     w = Window(3.0, 7.0)
-    ps = sample_ppp(30.0, w, substream(9, 0))
+    ps = _center_block(30.0, w, substream(9, 0), 4).centers
     assert np.all(ps.points[:, 0] >= 0) and np.all(ps.points[:, 0] < 3.0)
     assert np.all(ps.points[:, 1] >= 0) and np.all(ps.points[:, 1] < 7.0)
     assert ps.intensity == 30.0
@@ -141,7 +157,7 @@ def test_neighbor_index_matches_exhaustive(wrap, sites, queries):
         assert dist[i] == pytest.approx(d_exact, abs=1e-9)
         # the reported index must realize the minimal distance
         assert d[idx[i]] == pytest.approx(d_exact, abs=1e-9)
-        assert vals[i] == pytest.approx(2.0 * math.exp(-d_exact ** 2 / 9.0), rel=1e-9)
+        assert vals[i, 0] == pytest.approx(2.0 * math.exp(-d_exact ** 2 / 9.0), rel=1e-9)
 
 
 def test_nearest_site_indices_agrees_with_neighbor_index():
