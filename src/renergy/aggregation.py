@@ -227,7 +227,7 @@ def supplied_power(assignment: ClusterAssignment, real: FieldRealization,
         raise ValueError("eta must lie in (0, 1]")
     voltage, n_per = resolve_line(line, eta, real.spec.gamma, lambda_b,
                                   assignment.aggregators.density)
-    g = field_values(real, assignment.harvesters.sites.points)
+    g = field_values(real, assignment.harvesters.sites)
     harvested = eta * g
     delivered = delivered_power(harvested, assignment.line_lengths[:, None], voltage,
                                 line.beta, line.mode, line.tau)

@@ -13,7 +13,8 @@ allocation schemes are then evaluated on the same draws:
 The station's budget is its equal share of what the harvesters of its
 aggregator deliver over their feeder lines. On-site harvesting is the same
 supply with one harvester at the station, a zero-length lossless line and one
-station per aggregator.
+station per aggregator. The supply is built once per scenario and window and
+reused by every chunk.
 
 Outage is reported per user, and every tally field is an integer, so chunked
 or multi-process runs merge exactly. Trials follow the library's one draw
@@ -32,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -46,7 +48,7 @@ from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
                            field_values)
-from .geometry import (BLOCK, Window, block_spans, default_window_side,
+from .geometry import (BLOCK, PointSet, Window, block_spans, default_window_side,
                        hex_cell_circumradius, nearest_site_indices, sample_in_hex_cell,
                        substream)
 from .stats import wilson_ci
@@ -154,7 +156,7 @@ class _Supply:
     """What powers the typical station: the harvesters of its aggregator,
     their feeder lines, and the station's equal share of what arrives."""
 
-    positions: np.ndarray     # harvesters feeding the typical aggregator
+    positions: PointSet       # harvesters feeding the typical aggregator
     line_lengths: np.ndarray
     line: LineSpec
     voltage: float
@@ -176,7 +178,11 @@ class _Supply:
         return np.ascontiguousarray(delivered.T).sum(axis=1) / self.stations_per_aggregator
 
 
+@lru_cache(maxsize=32)
 def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
+    """The typical station's supply, built once per scenario and window:
+    every chunk of trials, and every field block, reuses it, along with its
+    harvester positions' axis factorization."""
     arch = cfg.architecture
     center = np.asarray(window.center, dtype=float)[None, :]
     if isinstance(arch, Distributed):
@@ -191,7 +197,9 @@ def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
         positions, lengths = center, np.zeros(1)
         line, lambda_a = _ONSITE_LINE, cfg.lambda_b
     voltage, n_per = resolve_line(line, cfg.eta, cfg.field.gamma, cfg.lambda_b, lambda_a)
-    return _Supply(positions, lengths, line, voltage, n_per, cfg.eta * cfg.field.gamma)
+    lengths.setflags(write=False)   # shared by every later call
+    return _Supply(PointSet(positions), lengths, line, voltage, n_per,
+                   cfg.eta * cfg.field.gamma)
 
 
 @dataclass(frozen=True, eq=False)

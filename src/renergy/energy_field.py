@@ -17,6 +17,14 @@ realizations (draw_field with n, one by default; a hand-built set of centers
 is a block of one), and field_values evaluates all of them in one grouped
 pass. The samplers, the trial engine and the aggregated supply all draw and
 evaluate fields this way.
+
+For the boolean kernels field_values factors the evaluation points by axis
+(PointSet.axes, computed once per point set): squared per-axis differences
+are computed once per distinct coordinate and center, gathered and added per
+tile of points, reduced to each realization's minimum squared distance, and
+only then square-rooted. The result equals the minimum over per-pair
+distances bit for bit. Tiles hold whole realizations and a bounded number of
+point-center pairs, so memory does not grow with the block.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet, Window, separation, uniform_points
+from .geometry import PointSet, Window, folded_square, uniform_points
 
 
 class Kernel(enum.Enum):
@@ -140,28 +148,64 @@ def _image_sums(dx: np.ndarray, dy: np.ndarray, window: Window, nu: float) -> np
     return acc
 
 
-# Largest (points x centers) array the field kernel builds at once; a block
-# of trials over a few hundred harvesters is evaluated in tiles of points.
-_TILE_ELEMENTS = 1 << 15
+# Largest (points x centers) array the field kernel builds at once. The
+# boolean kernel also keeps each per-axis array (distinct coordinates x
+# centers) within it and takes at most _TILE_POINTS points per tile; only a
+# single realization with more centers than that is evaluated whole.
+_TILE_ELEMENTS = 1 << 16
+_TILE_POINTS = 1024
 
 
 def field_values(real: FieldRealization, points) -> np.ndarray:
     """Field values at k locations inside the window for each of a block's n
-    realizations, shape (k, n)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    realizations, shape (k, n). points is a PointSet or a (k, 2) array; a
+    PointSet that is evaluated again keeps its axis factorization."""
+    pts = points if isinstance(points, PointSet) else PointSet(points)
     spec = real.spec
+    if spec.kernel is not Kernel.SHOT_NOISE_EXP:
+        return _boolean_kernel(spec, np.sqrt(_nearest_square(real, pts)))
     counts = real.counts
     xs, ys = real.centers.points[:, 0], real.centers.points[:, 1]
     out = np.empty((len(pts), len(counts)))
     tile = max(1, _TILE_ELEMENTS // max(1, len(xs)))
     for lo in range(0, len(pts), tile):
-        px, py = pts[lo:lo + tile, 0, None], pts[lo:lo + tile, 1, None]
-        if spec.kernel is Kernel.SHOT_NOISE_EXP:
-            sums = _image_sums(px - xs, py - ys, real.window, spec.nu)
-            out[lo:lo + tile] = spec.gamma * _grouped(np.add, sums, counts, 0.0)
-        else:
-            d = separation(px - xs, py - ys, real.window)
-            out[lo:lo + tile] = _boolean_kernel(spec, _grouped(np.minimum, d, counts, np.inf))
+        px, py = pts.points[lo:lo + tile, 0, None], pts.points[lo:lo + tile, 1, None]
+        sums = _image_sums(px - xs, py - ys, real.window, spec.nu)
+        out[lo:lo + tile] = spec.gamma * _grouped(np.add, sums, counts, 0.0)
+    return out
+
+
+def _nearest_square(real: FieldRealization, pts: PointSet) -> np.ndarray:
+    """Squared (minimal-image) distance from each point to the nearest center
+    of each realization, (k, n); +inf for an empty realization.
+
+    The points are factored by axis: the folded squared difference is
+    computed once per distinct coordinate and center, and a tile's squared
+    distances are gathered from those rows and added. Per pair this is the
+    arithmetic of geometry.separation before its sqrt, and sqrt is monotone
+    and correctly rounded, so the caller's sqrt of the minimum equals the
+    minimum of the distances bit for bit. Tiles hold whole realizations,
+    so a block of any size is evaluated in bounded memory.
+    """
+    ux, ix, uy, iy = pts.axes
+    window, counts = real.window, real.counts
+    xs, ys = real.centers.points[:, 0], real.centers.points[:, 1]
+    out = np.empty((len(ix), len(counts)))
+    step = max(1, min(len(ix), _TILE_POINTS))
+    span = max(1, _TILE_ELEMENTS // max(step, len(ux), len(uy)))
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        first = int(ends[lo] - counts[lo])
+        hi = max(lo + 1, int(np.searchsorted(ends, first + span, side="right")))
+        last = int(ends[hi - 1])
+        dx2 = folded_square(ux[:, None] - xs[first:last], window.width, window.wrap)
+        dy2 = folded_square(uy[:, None] - ys[first:last], window.height, window.wrap)
+        for p in range(0, len(ix), step):
+            d2 = dx2[ix[p:p + step]]
+            d2 += dy2[iy[p:p + step]]
+            out[p:p + step, lo:hi] = _grouped(np.minimum, d2, counts[lo:hi], np.inf)
+        lo = hi
     return out
 
 
@@ -279,7 +323,8 @@ def _sample_fields(spec: EnergyFieldSpec, window: Window, points, n: int,
     drawn and evaluated in blocks of `chunk` realizations."""
     if n <= 0:
         raise ValueError("n must be positive")
-    out = np.empty((n, len(np.atleast_2d(points))))
+    points = PointSet(points)
+    out = np.empty((n, len(points)))
     for pos in range(0, n, chunk):
         m = min(chunk, n - pos)
         out[pos:pos + m] = field_values(draw_field(spec, window, rng, m), points).T

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -97,6 +98,16 @@ class PointSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(distinct x, each point's index into them, distinct y, each
+        point's index into them), computed once per point set. Lattice
+        points share few coordinates, so per-axis work over the distinct
+        values is much smaller than over the points."""
+        ux, ix = np.unique(self.points[:, 0], return_inverse=True)
+        uy, iy = np.unique(self.points[:, 1], return_inverse=True)
+        return ux, ix, uy, iy
+
 
 def uniform_points(window: Window, n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform points in the window, all x coordinates drawn before all y.
@@ -112,21 +123,26 @@ def uniform_points(window: Window, n: int, rng: np.random.Generator) -> np.ndarr
     return xy.T
 
 
+def folded_square(d, side: float, wrap: bool) -> np.ndarray:
+    """Squared one-axis distance for coordinate differences d, as a new
+    array; on a wrapped axis of length side, |d| is first folded to
+    min(|d|, side - |d|)."""
+    d = np.abs(d)
+    if wrap:
+        np.minimum(d, side - d, out=d)
+    d *= d
+    return d
+
+
 def separation(dx, dy, window: Window) -> np.ndarray:
     """Distance for per-axis coordinate differences dx, dy (arrays of equal or
     broadcastable shape); minimal-image when the window wraps."""
     dx, dy = np.broadcast_arrays(dx, dy)
-    dx = np.abs(dx)
-    dy = np.abs(dy)
-    if window.wrap:
-        np.minimum(dx, window.width - dx, out=dx)
-        np.minimum(dy, window.height - dy, out=dy)
     # sqrt(dx^2 + dy^2) in place: a tenth of np.hypot's time, and coordinates
     # in km are far from where hypot's overflow guard matters
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
+    d2 = folded_square(dx, window.width, window.wrap)
+    d2 += folded_square(dy, window.height, window.wrap)
+    return np.sqrt(d2, out=d2)
 
 
 def nearest_site_indices(points: np.ndarray, sites: np.ndarray, window: Window,

@@ -22,15 +22,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
-
 from .aggregation import Distributed, LineSpec
 from .channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
 from .coverage import (OnSite, OutageEstimate, Scheme, ScenarioConfig, TrialTally,
                        estimates_from_tally, resolve_window, run_trials_chunk)
 from .energy_field import (EnergyFieldSpec, Kernel, cdf_boolean_exp,
                            cdf_boolean_plaw, sample_intensity, validation_window)
-from .geometry import substream
+from .geometry import BLOCK, substream
 from .stats import KSResult, ks_statistic
 
 SEED_ENV_VAR = "RENERGY_SEED"
@@ -319,6 +317,15 @@ def apply_sweep(scenario: ScenarioConfig, param: str, value: float) -> ScenarioC
     raise ConfigError(f"sweep.param: unknown sweep parameter {param!r}")
 
 
+def chunk_edges(n_trials: int, parts: int) -> list[int]:
+    """Edges of at most `parts` chunks covering trials [0, n_trials), cut only
+    at multiples of geometry.BLOCK, so that every block is drawn by exactly
+    one chunk; the chunks hold near-equal numbers of blocks."""
+    blocks = -(-n_trials // BLOCK)
+    parts = max(1, min(parts, blocks))
+    return [min(n_trials, BLOCK * (blocks * i // parts)) for i in range(parts + 1)]
+
+
 def run_point(scenario: ScenarioConfig, n_trials: int, seed: int,
               workers: int = 1) -> TrialTally:
     """Tally n_trials trials, splitting the trial range over processes.
@@ -328,13 +335,13 @@ def run_point(scenario: ScenarioConfig, n_trials: int, seed: int,
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
-    if workers <= 1 or n_trials < 2 * workers:
+    edges = chunk_edges(n_trials, 2 * workers) if workers > 1 else [0, n_trials]
+    if len(edges) <= 2:
         return run_trials_chunk(scenario, 0, n_trials, seed)
-    edges = np.linspace(0, n_trials, 2 * workers + 1).astype(int)
     total = TrialTally()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_trials_chunk, scenario, int(a), int(b), seed)
-                   for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    with ProcessPoolExecutor(max_workers=min(workers, len(edges) - 1)) as pool:
+        futures = [pool.submit(run_trials_chunk, scenario, a, b, seed)
+                   for a, b in zip(edges[:-1], edges[1:])]
         for fut in futures:
             total = total + fut.result()
     return total

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renergy import coverage
-from renergy.aggregation import Distributed, LineSpec
+from renergy.aggregation import Distributed, LineSpec, build_clusters
 from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFading,
                              required_power)
 from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
@@ -126,6 +126,28 @@ def test_onsite_tally_split_property(cuts):
 def test_distributed_tally_split_property(cuts):
     cfg = _SPLIT_CASES["exact_rule_voltage"]
     assert _split_tally(cfg, cuts) == _split_tally(cfg, [])
+
+
+def test_supply_is_built_once_per_scenario(monkeypatch):
+    # run_trials_chunk looks build_clusters up in coverage's globals
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return build_clusters(*args)
+
+    monkeypatch.setattr(coverage, "build_clusters", counting_build)
+    coverage._supply.cache_clear()
+    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+    chunks = [run_trials_chunk(cfg, a, b, 23) for a, b in ((0, 100), (100, 300), (300, 520))]
+    assert len(calls) == 1
+    assert sum(chunks, TrialTally()) == run_trials_chunk(cfg, 0, 520, 23)
+    assert len(calls) == 1
+    other = replace(cfg, architecture=Distributed(lambda_h=2.0, lambda_a=0.25))
+    run_trials_chunk(other, 0, 10, 23)
+    assert len(calls) == 2 and calls[1][1] == 0.25
+    run_trials_chunk(cfg, 0, 10, 23)
+    assert len(calls) == 2
 
 
 def _oracle_tally(cfg, start, stop, seed):

@@ -1,10 +1,15 @@
 """Random energy field: kernels, exact laws, moments, joint statistics."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from renergy import energy_field
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
                                   boolean_exp_moments, cdf_boolean_exp,
                                   cdf_boolean_plaw, decay_exp, decay_power_law,
@@ -284,3 +289,75 @@ def test_block_field_values_match_single_realizations(kernel, wrap):
         assert np.array_equal(values[:, i], field_values(single, pts)[:, 0])
     part = block.select(5, 17)
     assert np.array_equal(field_values(part, pts), values[:, 5:17])
+
+
+def _brute_boolean_field(spec, window, centers, counts, pts):
+    """Each realization alone: every point-center distance, its sqrt, then
+    the minimum, then the kernel; an empty realization reads 0."""
+    decay = decay_exp if spec.kernel is Kernel.BOOLEAN_MAX_EXP else decay_power_law
+    out = np.zeros((len(pts), len(counts)))
+    start = 0
+    for i, c in enumerate(counts):
+        cs = centers[start:start + c]
+        start += c
+        if c == 0:
+            continue
+        dx = np.abs(pts[:, None, 0] - cs[None, :, 0])
+        dy = np.abs(pts[:, None, 1] - cs[None, :, 1])
+        if window.wrap:
+            dx = np.minimum(dx, window.width - dx)
+            dy = np.minimum(dy, window.height - dy)
+        out[:, i] = spec.gamma * decay(np.sqrt(dx * dx + dy * dy).min(axis=1), spec.nu)
+    return out
+
+
+_GRID = st.tuples(st.integers(0, 17), st.integers(0, 13))   # 0.5 km steps in 9 x 7
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=st.sampled_from([Kernel.BOOLEAN_MAX_EXP, Kernel.BOOLEAN_MAX_PLAW]),
+       wrap=st.booleans(),
+       points=st.lists(_GRID, min_size=1, max_size=30),
+       cells=st.lists(_GRID, min_size=1, max_size=20),
+       counts=st.lists(st.integers(0, 5), min_size=1, max_size=10),
+       tile_elements=st.sampled_from([1, 6, 40, 1 << 16]),
+       tile_points=st.sampled_from([1, 4, 1024]))
+@example(kernel=Kernel.BOOLEAN_MAX_PLAW, wrap=True, points=[(0, 0), (17, 13), (9, 7)],
+         cells=[(1, 1), (17, 0), (9, 12)], counts=[2, 0, 3, 0], tile_elements=6,
+         tile_points=1)
+def test_factored_kernel_equals_brute_force(kernel, wrap, points, cells, counts,
+                                            tile_elements, tile_points):
+    # points and centers on a grid repeat coordinates and tie distances
+    # exactly; small tiles split the points and the realizations of a block
+    spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.05, nu=2.0, kernel=kernel)
+    w = Window(9.0, 7.0, wrap=wrap)
+    centers = 0.5 * np.array([cells[i % len(cells)] for i in range(sum(counts))],
+                             dtype=float).reshape(-1, 2)
+    pts = 0.5 * np.array(points, dtype=float)
+    block = FieldRealization(spec, PointSet(centers), w, np.array(counts))
+    expect = _brute_boolean_field(spec, w, centers, counts, pts)
+    with mock.patch.object(energy_field, "_TILE_ELEMENTS", tile_elements), \
+            mock.patch.object(energy_field, "_TILE_POINTS", tile_points):
+        assert np.array_equal(field_values(block, pts), expect)
+        assert np.array_equal(field_values(block, PointSet(pts)), expect)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.BOOLEAN_MAX_EXP, Kernel.BOOLEAN_MAX_PLAW])
+def test_field_values_memory_is_bounded_on_a_large_block(kernel):
+    # one point over a block of about 1.1M centers: one (points x centers)
+    # array of it alone is 8.8 MB, while the tiled kernel peaks at 2.5 MB
+    spec = EnergyFieldSpec(gamma=1.0, lambda_e=4.0, nu=1.0, kernel=kernel)
+    w = Window(20.0, 20.0)
+    block = draw_field(spec, w, substream(415, 0), 700)
+    assert len(block.centers) >= 1_000_000
+    point = PointSet(w.center)
+    tracemalloc.start()
+    try:
+        values = field_values(block, point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"field_values peaked at {peak / 2**20:.1f} MB"
+    head = block.select(0, 3)
+    assert np.array_equal(values[:, :3], _brute_boolean_field(
+        spec, w, head.centers.points, head.counts, point.points))

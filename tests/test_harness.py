@@ -12,8 +12,9 @@ from renergy.aggregation import Distributed
 from renergy.channel import ChiSquaredFading
 from renergy.coverage import run_trials_chunk
 from renergy.energy_field import Kernel
+from renergy.geometry import BLOCK
 from renergy.harness import (DEFAULT_SEED, SEED_ENV_VAR, ConfigError,
-                             _CSV_COLUMNS, apply_sweep, effective_seed,
+                             _CSV_COLUMNS, apply_sweep, chunk_edges, effective_seed,
                              emit_csv, ks_statistic, load_config,
                              normalized_equivalent, parse_config_text,
                              row_record, run_point, run_sweep,
@@ -134,6 +135,25 @@ def test_run_point_worker_invariance():
     t2 = run_point(scenario, 160, 77, workers=2)
     assert t1 == t2
     assert t1.trials == 160
+
+
+@pytest.mark.parametrize("n_trials, parts", [(20000, 4), (400, 16), (600, 4), (160, 4),
+                                             (256, 2), (257, 2), (1, 3), (5000, 7)])
+def test_chunk_edges_cut_at_blocks_and_draw_each_block_once(n_trials, parts):
+    edges = chunk_edges(n_trials, parts)
+    assert edges[0] == 0 and edges[-1] == n_trials
+    assert all(a < b for a, b in zip(edges, edges[1:]))
+    assert all(e % BLOCK == 0 for e in edges[:-1])
+    assert len(edges) - 1 <= parts
+    blocks = [b for a, e in zip(edges, edges[1:]) for b in range(a // BLOCK, -(-e // BLOCK))]
+    assert sorted(blocks) == list(range(-(-n_trials // BLOCK)))
+
+
+def test_run_point_merges_block_chunks_exactly():
+    # 700 trials at 2 workers: three chunks, one per block
+    scenario = load_config(None).scenario
+    assert chunk_edges(700, 4) == [0, 256, 512, 700]
+    assert run_point(scenario, 700, 78, workers=2) == run_trials_chunk(scenario, 0, 700, 78)
 
 
 def test_run_sweep_row_structure():
