@@ -16,6 +16,7 @@ low-confidence (too few users observed) or a failed validation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -132,8 +133,10 @@ def _cmd_validate_field(args: argparse.Namespace) -> int:
                "plaw": (Kernel.BOOLEAN_MAX_PLAW,),
                "both": (Kernel.BOOLEAN_MAX_EXP, Kernel.BOOLEAN_MAX_PLAW)}[args.kernel]
     psis = parse_numbers("--psi", args.psi)
-    if not psis or any(p <= 0 for p in psis):
-        raise ConfigError("--psi needs positive values")
+    if not psis or not all(0 < p < math.inf for p in psis):
+        raise ConfigError(f"--psi: must be positive finite numbers, got {args.psi!r}")
+    if args.samples <= 0:
+        raise ConfigError(f"--samples: must be a positive integer, got {args.samples}")
     seed = effective_seed(0, args.seed)
     if seed < 0:
         source = "--seed" if args.seed is not None else SEED_ENV_VAR

@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
+from typing import Iterator
 
 from .aggregation import Distributed, LineSpec
 from .channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
@@ -326,25 +327,41 @@ def chunk_edges(n_trials: int, parts: int) -> list[int]:
     return [min(n_trials, BLOCK * (blocks * i // parts)) for i in range(parts + 1)]
 
 
-def run_point(scenario: ScenarioConfig, n_trials: int, seed: int,
-              workers: int = 1) -> TrialTally:
-    """Tally n_trials trials, splitting the trial range over processes.
+def _tallies(scenarios: tuple[ScenarioConfig, ...], n_trials: int, seed: int,
+             workers: int) -> Iterator[TrialTally]:
+    """Tally n_trials trials at each scenario, yielding the tallies in order.
 
-    Random streams are keyed by absolute trial block, so the merged tally is
-    identical for every worker count.
+    With several workers and more than one block per point, one process pool
+    serves every point: all of their block-aligned chunks are queued at once,
+    so no worker waits between points, and each point's tally is merged as
+    its chunks finish. A chunk that raises cancels the chunks not yet started
+    and its exception propagates. Random streams are keyed by absolute trial
+    block, so each tally is identical for every worker count.
     """
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
     edges = chunk_edges(n_trials, 2 * workers) if workers > 1 else [0, n_trials]
     if len(edges) <= 2:
-        return run_trials_chunk(scenario, 0, n_trials, seed)
-    total = TrialTally()
-    with ProcessPoolExecutor(max_workers=min(workers, len(edges) - 1)) as pool:
-        futures = [pool.submit(run_trials_chunk, scenario, a, b, seed)
-                   for a, b in zip(edges[:-1], edges[1:])]
-        for fut in futures:
-            total = total + fut.result()
-    return total
+        for scenario in scenarios:
+            yield run_trials_chunk(scenario, 0, n_trials, seed)
+        return
+    spans = list(zip(edges[:-1], edges[1:]))
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(spans)))
+    try:
+        futures = [[pool.submit(run_trials_chunk, scenario, a, b, seed) for a, b in spans]
+                   for scenario in scenarios]
+        for point in futures:
+            yield sum((fut.result() for fut in point), TrialTally())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_point(scenario: ScenarioConfig, n_trials: int, seed: int,
+              workers: int = 1) -> TrialTally:
+    """Tally n_trials trials, splitting the trial range over processes; the
+    merged tally is identical for every worker count."""
+    if n_trials <= 0:
+        raise ValueError("n_trials must be positive")
+    [tally] = _tallies((scenario,), n_trials, seed, workers)
+    return tally
 
 
 @dataclass(frozen=True)
@@ -365,22 +382,29 @@ class ResultRow:
 
 def run_sweep(exp: ExperimentConfig, seed: int | None = None) -> list[ResultRow]:
     """Run every sweep point (or the single configured point) and return rows
-    for both schemes at each point, computed from shared draws."""
+    for both schemes at each point, computed from shared draws.
+
+    Each row's wall_time is its point's time from the previous point's rows
+    to its own, so the points' times add up to the sweep's, pool start-up
+    included in the first point.
+    """
     seed = exp.seed if seed is None else seed
     values: tuple[float | None, ...] = exp.sweep_values or (None,)
+    scenarios = tuple(exp.scenario if value is None else
+                      apply_sweep(exp.scenario, exp.sweep_param, value) for value in values)
     rows: list[ResultRow] = []
-    for value in values:
-        scen = exp.scenario if value is None else \
-            apply_sweep(exp.scenario, exp.sweep_param, value)
-        t0 = perf_counter()
-        tally = run_point(scen, exp.n_trials, seed, exp.workers)
-        wall = perf_counter() - t0
+    t0 = perf_counter()
+    tallies = _tallies(scenarios, exp.n_trials, seed, exp.workers)
+    # strict: zip exhausts the tallies, which shuts the pool down here
+    for value, scen, tally in zip(values, scenarios, tallies, strict=True):
         estimates = estimates_from_tally(scen, tally)
+        t1 = perf_counter()
         for scheme in Scheme:
             rows.append(ResultRow(scheme=scheme, sweep_param=exp.sweep_param,
                                   sweep_value=value, scenario=scen,
                                   estimate=estimates[scheme], n_trials=exp.n_trials,
-                                  seed=seed, workers=exp.workers, wall_time=wall))
+                                  seed=seed, workers=exp.workers, wall_time=t1 - t0))
+        t0 = t1
     return rows
 
 

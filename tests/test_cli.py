@@ -42,14 +42,15 @@ def test_sweep_smoke(tmp_path):
 
 
 def test_sweep_flag_errors(monkeypatch, capsys):
+    # record where the sweep runner looks up its trial engine
     calls = []
-    run_point = harness.run_point
+    run_trials_chunk = harness.run_trials_chunk
 
-    def recording_run_point(scenario, n_trials, seed, workers=1):
+    def recording_chunk(scenario, start, stop, seed):
         calls.append(scenario.theta)
-        return run_point(scenario, 1, seed)
+        return run_trials_chunk(scenario, start, stop, seed)
 
-    monkeypatch.setattr(harness, "run_point", recording_run_point)
+    monkeypatch.setattr(harness, "run_trials_chunk", recording_chunk)
     assert main(["sweep", "--sweep", "nonsense=1,2", "--trials", "10"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["sweep", "--sweep", "theta"]) == 2
@@ -58,6 +59,9 @@ def test_sweep_flag_errors(monkeypatch, capsys):
     assert main(["sweep", "--sweep", "theta=4,-1", "--trials", "2000"]) == 2
     assert "error: sweep.values: theta=-1" in capsys.readouterr().err
     assert calls == []
+    # the recorder sees every point of a good sweep
+    assert main(["sweep", "--sweep", "theta=4,8", "--trials", "300"]) == 0
+    assert calls == [4.0, 8.0]
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):
@@ -122,6 +126,18 @@ def test_validate_field_bad_seed_exits_2(monkeypatch, capsys, args, seed_env, ke
         monkeypatch.setenv(SEED_ENV_VAR, seed_env)
     assert main(["validate-field", "--samples", "200", "--psi", "0.2", *args]) == 2
     assert f"error: {key}: must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--samples", "0"], "--samples: must be a positive integer, got 0"),
+    (["--psi", "nan"], "--psi: must be positive finite numbers, got 'nan'"),
+    (["--psi", "0.2,inf"], "--psi: must be positive finite numbers, got '0.2,inf'"),
+    (["--psi", "0.2,-1"], "--psi: must be positive finite numbers, got '0.2,-1'"),
+    (["--psi", "x"], "--psi: expected comma-separated numbers"),
+], ids=["samples", "psi_nan", "psi_inf", "psi_negative", "psi_text"])
+def test_validate_field_bad_flags_exit_2(capsys, args, message):
+    assert main(["validate-field", "--samples", "200", "--psi", "0.2", *args]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_bounds_verb(capsys):

@@ -1,19 +1,25 @@
 """Config parsing, sweep orchestration, CSV output, and the stats helpers."""
 
 import math
+import os
 import re
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from renergy.aggregation import Distributed
-from renergy.channel import ChiSquaredFading
-from renergy.coverage import run_trials_chunk
-from renergy.energy_field import Kernel
+from renergy import harness
+from renergy.aggregation import Distributed, LineSpec
+from renergy.channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
+from renergy.coverage import OnSite, ScenarioConfig, TrialTally, run_trials_chunk
+from renergy.energy_field import EnergyFieldSpec, Kernel
 from renergy.geometry import BLOCK
-from renergy.harness import (DEFAULT_SEED, SEED_ENV_VAR, ConfigError,
+from renergy.harness import (DEFAULT_SEED, SEED_ENV_VAR, ConfigError, ExperimentConfig,
                              _CSV_COLUMNS, apply_sweep, chunk_edges, effective_seed,
                              emit_csv, ks_statistic, load_config,
                              normalized_equivalent, parse_config_text,
@@ -99,6 +105,54 @@ def test_config_roundtrip_distributed_profile():
     assert parse_config_text(serialize_config(exp)) == exp
 
 
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def experiments(draw):
+    """ExperimentConfigs over both architectures, both fading laws, every
+    kernel, auto and explicit window side and voltage, with and without a
+    sweep."""
+    field = EnergyFieldSpec(gamma=draw(_POSITIVE), lambda_e=draw(_POSITIVE),
+                            nu=draw(_POSITIVE), kernel=draw(st.sampled_from(Kernel)))
+    fading = draw(st.builds(ChiSquaredFading, st.integers(1, 8))
+                  | st.builds(TruncatedRicianFading, st.floats(1e-3, 0.999)))
+    channel = ChannelSpec(alpha=draw(st.floats(2.001, 8.0)),
+                          ref_loss_db=draw(st.floats(-200.0, 200.0)),
+                          ref_dist=draw(_POSITIVE), noise_dbm=draw(st.floats(-200.0, 200.0)),
+                          fading=fading)
+    lambda_b = draw(_POSITIVE)
+    distributed = draw(st.booleans())
+    architecture = OnSite()
+    if distributed:
+        lambda_a = lambda_b / draw(st.integers(1, 8))
+        line = LineSpec(beta=draw(_POSITIVE), tau=draw(st.floats(0.01, 0.99)),
+                        voltage=draw(st.none() | _POSITIVE | st.just(math.inf)),
+                        mode=draw(st.sampled_from(("exact", "tau_floor"))))
+        architecture = Distributed(lambda_h=lambda_a * draw(st.floats(1.0, 400.0)),
+                                   lambda_a=lambda_a, line=line)
+    scenario = ScenarioConfig(field=field, channel=channel, lambda_b=lambda_b,
+                              lambda_u=draw(_POSITIVE), theta=draw(_POSITIVE),
+                              eta=draw(st.floats(0.01, 1.0)), architecture=architecture,
+                              estimator=draw(st.sampled_from(("user_weighted", "palm"))),
+                              wrap=distributed or draw(st.booleans()),
+                              window_side=draw(st.none() | _POSITIVE))
+    sweep = draw(st.none() | st.tuples(
+        st.sampled_from(("psi", "gamma", "gamma_eta", "lambda_e", "theta", "lambda_u", "eta")),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4).map(tuple)))
+    param, values = sweep or (None, None)
+    return ExperimentConfig(scenario=scenario, n_trials=draw(st.integers(1, 10**7)),
+                            seed=draw(st.integers(0, 2**63)), workers=draw(st.integers(1, 64)),
+                            output=draw(st.none() | st.from_regex(r"[\w./-]+", fullmatch=True)),
+                            sweep_param=param, sweep_values=values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiments())
+def test_config_roundtrip_property(exp):
+    assert parse_config_text(serialize_config(exp)) == exp
+
+
 def test_apply_sweep_parameters():
     base = load_config(None).scenario
     nu4 = replace(base, field=replace(base.field, nu=4.0))
@@ -130,11 +184,64 @@ def test_effective_seed_precedence(monkeypatch):
 
 
 def test_run_point_worker_invariance():
+    # 600 trials are three blocks, so two workers split them over a pool
     scenario = load_config(None).scenario
-    t1 = run_point(scenario, 160, 77, workers=1)
-    t2 = run_point(scenario, 160, 77, workers=2)
+    t1 = run_point(scenario, 600, 77, workers=1)
+    t2 = run_point(scenario, 600, 77, workers=2)
     assert t1 == t2
-    assert t1.trials == 160
+    assert t1.trials == 600
+
+
+def test_run_sweep_csv_worker_invariance_with_one_pool(monkeypatch, tmp_path):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    exp = parse_config_text("sweep.param = psi\nsweep.values = 0.05, 0.1, 0.2, 0.35\n"
+                            "run.trials = 600\nrun.seed = 12\n")
+    csvs = []
+    for workers in (1, 2):
+        pools.clear()
+        rows = run_sweep(replace(exp, workers=workers))
+        assert len(pools) == (workers > 1)
+        csvs.append(emit_csv(rows, tmp_path / f"w{workers}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+class ChunkFailure(RuntimeError):
+    pass
+
+
+_CHUNK_LOG = "RENERGY_TEST_CHUNK_LOG"
+
+
+def _failing_chunk(scenario, start, stop, seed):
+    """Stands in for harness.run_trials_chunk in pool workers: logs each call,
+    fails every chunk at theta 4 and takes a while at other values."""
+    with open(os.environ[_CHUNK_LOG], "a", encoding="utf-8") as fh:
+        fh.write(f"{scenario.theta}\n")
+    if scenario.theta == 4.0:
+        raise ChunkFailure(f"chunk [{start}, {stop}) at theta 4")
+    time.sleep(0.2)
+    return TrialTally(trials=stop - start)
+
+
+def test_run_sweep_fails_fast_on_a_worker_error(monkeypatch, tmp_path):
+    log = tmp_path / "chunks.log"
+    monkeypatch.setenv(_CHUNK_LOG, str(log))
+    monkeypatch.setattr(harness, "run_trials_chunk", _failing_chunk)
+    exp = parse_config_text("sweep.param = theta\nsweep.values = 4, 8, 16, 32\n"
+                            "run.trials = 1024\nrun.workers = 2\n")
+    assert chunk_edges(1024, 4) == [0, 256, 512, 768, 1024]
+    with pytest.raises(ChunkFailure, match="at theta 4"):
+        run_sweep(exp)
+    # the queued chunks were cancelled: the last point never started
+    ran = log.read_text(encoding="utf-8").split()
+    assert "4.0" in ran and "32.0" not in ran
 
 
 @pytest.mark.parametrize("n_trials, parts", [(20000, 4), (400, 16), (600, 4), (160, 4),
