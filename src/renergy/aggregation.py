@@ -89,7 +89,6 @@ class ClusterAssignment:
     aggregators: HexLattice
     assignment: np.ndarray    # aggregator index per harvester
     line_lengths: np.ndarray  # harvester-to-aggregator distance
-    window: Window
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=len(self.aggregators.sites))
@@ -102,7 +101,7 @@ def build_clusters(lambda_h: float, lambda_a: float, window: Window) -> ClusterA
     harv = hex_lattice(lambda_h, window)
     aggs = hex_lattice(lambda_a, window)
     idx, dist = nearest_site_indices(harv.sites.points, aggs.sites.points, window)
-    return ClusterAssignment(harv, aggs, idx, dist, window)
+    return ClusterAssignment(harv, aggs, idx, dist)
 
 
 def line_loss(power: float, length: float, voltage: float, beta: float):

@@ -85,17 +85,15 @@ class ChannelSpec:
                    fading=fading if fading is not None else ChiSquaredFading(2))
 
 
-def sample_fading(spec: ChannelSpec, rng: np.random.Generator, size: int | None = None):
-    """Draw fading power gains according to the spec's fading law."""
+def sample_fading(spec: ChannelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw `size` fading power gains according to the spec's fading law."""
     fad = spec.fading
     if isinstance(fad, ChiSquaredFading):
         return rng.gamma(fad.omega, 1.0, size)
-    n = 1 if size is None else size
     s = math.sqrt(RICIAN_SCATTER_VAR / 2.0)
-    re = 1.0 + s * rng.standard_normal(n)
-    im = s * rng.standard_normal(n)
-    h = np.maximum(re * re + im * im, fad.floor)
-    return float(h[0]) if size is None else h
+    re = 1.0 + s * rng.standard_normal(size)
+    im = s * rng.standard_normal(size)
+    return np.maximum(re * re + im * im, fad.floor)
 
 
 def fading_cdf(fading: Fading, t):

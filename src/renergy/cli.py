@@ -135,8 +135,9 @@ def _cmd_validate_field(args: argparse.Namespace) -> int:
     psis = parse_numbers("--psi", args.psi)
     if not psis or not all(0 < p < math.inf for p in psis):
         raise ConfigError(f"--psi: must be positive finite numbers, got {args.psi!r}")
-    if args.samples <= 0:
-        raise ConfigError(f"--samples: must be a positive integer, got {args.samples}")
+    if args.samples < 100:
+        raise ConfigError(f"--samples: the asymptotic KS test needs at least 100, "
+                          f"got {args.samples}")
     seed = effective_seed(0, args.seed)
     if seed < 0:
         source = "--seed" if args.seed is not None else SEED_ENV_VAR

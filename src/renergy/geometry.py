@@ -193,7 +193,6 @@ class HexLattice:
     density: float
     sites: PointSet
     cell_area: float
-    window: Window
 
 
 def hex_lattice(density: float, window: Window) -> HexLattice:
@@ -226,8 +225,7 @@ def hex_lattice(density: float, window: Window) -> HexLattice:
         xs = xs[(xs >= -tol) & (xs < window.width - tol)]
         rows.append(np.column_stack([xs, np.full(len(xs), y)]))
     pts = np.vstack(rows) if rows else np.empty((0, 2))
-    return HexLattice(density=density, sites=PointSet(pts, 0.0),
-                      cell_area=1.0 / density, window=window)
+    return HexLattice(density=density, sites=PointSet(pts, 0.0), cell_area=1.0 / density)
 
 
 def sample_in_hex_cell(circumradius: float, n: int, rng: np.random.Generator) -> np.ndarray:

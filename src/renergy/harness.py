@@ -5,11 +5,19 @@ default; an empty file reproduces the built-in reference profile (a suburban
 macro deployment with on-site kilowatt-class harvesting). Unknown keys and
 out-of-range values raise ConfigError naming the key.
 
-Output CSV columns are fixed and documented in _CSV_COLUMNS order. All floats
-are written with repr-stable 17-significant-digit formatting and runs are
-keyed by (config, seed) only, so a rerun — at any worker count — produces a
-byte-identical file. Wall-clock time is kept on the in-memory result rows
-only, never serialized.
+Output CSV columns are fixed and documented in _CSV_COLUMNS order. A row's
+scenario columns are its config settings named without their section
+(``field.gamma`` -> ``gamma``), written as the config file writes them, with
+the ``distributed`` columns empty on on-site rows; the estimate columns are
+the OutageEstimate fields of the same names, and ``bound_<name>`` is bound
+``<name>``. Only psi, fading_param, line_mode and the resolved window_side
+are named by hand. A sweep point is its scenario's settings with one key
+edited.
+
+All floats are written with repr-stable 17-significant-digit formatting and
+runs are keyed by (config, seed) only, so a rerun — at any worker count —
+produces a byte-identical file. Wall-clock time is kept on the in-memory
+result rows only, never serialized.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Iterator
@@ -259,11 +267,15 @@ def _cell(value: object) -> str:
     return str(value)
 
 
+def _setting_text(key: str, value: object) -> str:
+    """A setting as a config file writes it."""
+    return "auto" if value is None and key in _AUTO_KEYS else _cell(value)
+
+
 def serialize_config(exp: ExperimentConfig) -> str:
     """Config text that parses back to an equal ExperimentConfig."""
-    lines = [f"{key} = {'auto' if value is None and key in _AUTO_KEYS else _cell(value)}\n"
-             for key, value in _settings(exp).items()]
-    return "".join(lines)
+    return "".join(f"{key} = {_setting_text(key, value)}\n"
+                   for key, value in _settings(exp).items())
 
 
 def effective_seed(config_seed: int, override: int | None = None) -> int:
@@ -280,42 +292,39 @@ def effective_seed(config_seed: int, override: int | None = None) -> int:
     return int(config_seed)
 
 
+# Sweep parameters and the setting each one edits.
+_SWEEP_KEYS = {"psi": "field.lambda_e", "gamma_eta": "field.gamma", "gamma": "field.gamma",
+               "lambda_e": "field.lambda_e", "theta": "network.theta",
+               "lambda_u": "network.lambda_u", "lambda_b": "network.lambda_b",
+               "eta": "network.eta", "cluster_size": "distributed.lambda_a",
+               "lambda_h": "distributed.lambda_h", "voltage": "distributed.voltage"}
+
+
 def apply_sweep(scenario: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    """Scenario with one named parameter replaced by a sweep value.
+    """Scenario with the setting of one named parameter edited to a sweep value.
 
     psi rescales the center density at fixed kernel scale; gamma_eta rescales
     the peak field at fixed aperture; cluster_size sets the aggregator density
     from the fixed harvester density.
     """
-    f = scenario.field
+    if param not in _SWEEP_KEYS:
+        raise ConfigError(f"sweep.param: unknown sweep parameter {param!r}")
+    key = _SWEEP_KEYS[param]
+    values = _settings(ExperimentConfig(scenario))
+    if key.startswith("distributed.") and values["scenario.architecture"] != "distributed":
+        raise ConfigError(f"sweep.param: {param!r} needs the distributed architecture")
     try:
         if param == "psi":
-            return replace(scenario, field=replace(f, lambda_e=value / f.nu))
-        if param == "gamma_eta":
-            return replace(scenario, field=replace(f, gamma=value / scenario.eta))
-        if param == "gamma":
-            return replace(scenario, field=replace(f, gamma=value))
-        if param == "lambda_e":
-            return replace(scenario, field=replace(f, lambda_e=value))
-        if param in ("theta", "lambda_u", "lambda_b", "eta"):
-            return replace(scenario, **{param: value})
-        if param in ("cluster_size", "lambda_h", "voltage"):
-            if not isinstance(scenario.architecture, Distributed):
-                raise ConfigError(
-                    f"sweep.param: {param!r} needs the distributed architecture")
-            arch = scenario.architecture
-            if param == "cluster_size":
-                arch = replace(arch, lambda_a=arch.lambda_h / value)
-            elif param == "lambda_h":
-                arch = replace(arch, lambda_h=value)
-            else:
-                arch = replace(arch, line=replace(arch.line, voltage=value))
-            return replace(scenario, architecture=arch)
-    except ConfigError:
-        raise
+            values[key] = value / values["field.nu"]
+        elif param == "gamma_eta":
+            values[key] = value / values["network.eta"]
+        elif param == "cluster_size":
+            values[key] = values["distributed.lambda_h"] / value
+        else:
+            values[key] = value
+        return build_experiment(values).scenario
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"sweep.values: {param}={value}: {exc}") from None
-    raise ConfigError(f"sweep.param: unknown sweep parameter {param!r}")
 
 
 def chunk_edges(n_trials: int, parts: int) -> list[int]:
@@ -376,7 +385,6 @@ class ResultRow:
     estimate: OutageEstimate
     n_trials: int
     seed: int
-    workers: int
     wall_time: float
 
 
@@ -403,7 +411,7 @@ def run_sweep(exp: ExperimentConfig, seed: int | None = None) -> list[ResultRow]
             rows.append(ResultRow(scheme=scheme, sweep_param=exp.sweep_param,
                                   sweep_value=value, scenario=scen,
                                   estimate=estimates[scheme], n_trials=exp.n_trials,
-                                  seed=seed, workers=exp.workers, wall_time=t1 - t0))
+                                  seed=seed, wall_time=t1 - t0))
         t0 = t1
     return rows
 
@@ -424,60 +432,25 @@ _CSV_COLUMNS = [
     "flags",
 ]
 
-_BOUND_COLUMNS = {
-    "bound_energy_shortfall": "energy_shortfall",
-    "bound_max_power_markov": "max_power_markov",
-    "bound_total": "total",
-    "bound_tail_total": "tail_total",
-    "bound_aggregated": "aggregated",
-    "bound_power_law_total": "power_law_total",
-}
-
 
 def row_record(row: ResultRow) -> dict[str, str]:
     """Row rendered to the fixed CSV schema (all values already strings)."""
-    s = row.scenario
-    est = row.estimate
-    fading = s.channel.fading
-    distributed = isinstance(s.architecture, Distributed)
-    flags = []
-    if est.low_confidence:
-        flags.append("low_confidence")
+    s, est = row.scenario, row.estimate
+    values = _settings(ExperimentConfig(s, seed=row.seed))
+    onsite = values["scenario.architecture"] == "onsite"
+    rec = {key.partition(".")[2]: "" if onsite and key.startswith("distributed.")
+           else _setting_text(key, value) for key, value in values.items()}
+    rec.update((f.name, getattr(est, f.name)) for f in fields(est))
+    rec.update((col, est.bound_values.get(col.removeprefix("bound_")))
+               for col in _CSV_COLUMNS if col.startswith("bound_"))
+    flags = ["low_confidence"] if est.low_confidence else []
     flags.extend(f"bound_gt_1:{name}" for name, v in sorted(est.bound_values.items())
                  if v > 1.0)
-    rec = {
-        "scheme": row.scheme.value,
-        "sweep_param": row.sweep_param,
-        "sweep_value": row.sweep_value,
-        "kernel": s.field.kernel.value,
-        "gamma": s.field.gamma, "lambda_e": s.field.lambda_e, "nu": s.field.nu,
-        "psi": s.field.psi,
-        "alpha": s.channel.alpha, "ref_loss_db": s.channel.ref_loss_db,
-        "ref_dist": s.channel.ref_dist, "noise_dbm": s.channel.noise_dbm,
-        "fading": "chi_squared" if isinstance(fading, ChiSquaredFading) else "truncated_rician",
-        "fading_param": float(fading.omega) if isinstance(fading, ChiSquaredFading)
-                        else fading.floor,
-        "lambda_b": s.lambda_b, "lambda_u": s.lambda_u, "theta": s.theta, "eta": s.eta,
-        "architecture": "distributed" if distributed else "onsite",
-        "lambda_h": s.architecture.lambda_h if distributed else None,
-        "lambda_a": s.architecture.lambda_a if distributed else None,
-        "tau": s.architecture.line.tau if distributed else None,
-        "beta": s.architecture.line.beta if distributed else None,
-        "voltage": (("auto" if s.architecture.line.voltage is None
-                     else s.architecture.line.voltage) if distributed else None),
-        "line_mode": s.architecture.line.mode if distributed else None,
-        "estimator": s.estimator, "wrap": s.wrap,
-        "window_side": resolve_window(s).width,
-        "n_trials": row.n_trials, "seed": row.seed,
-        "p_out": est.p_out, "ci_lo": est.ci_lo, "ci_hi": est.ci_hi,
-        "n_users": est.n_users, "n_outages": est.n_outages,
-        "zero_user_trials": est.zero_user_trials, "union_rate": est.union_rate,
-        "p_energy_random": est.p_energy_random, "p_max_power": est.p_max_power,
-        "gain_clamps": est.gain_clamps, "low_confidence": est.low_confidence,
-        "flags": ";".join(flags),
-    }
-    for col, key in _BOUND_COLUMNS.items():
-        rec[col] = est.bound_values.get(key)
+    rec.update(scheme=row.scheme.value, sweep_param=row.sweep_param,
+               sweep_value=row.sweep_value, psi=s.field.psi,
+               fading_param=rec["omega" if rec["fading"] == "chi_squared" else "floor"],
+               line_mode=rec["mode"], window_side=resolve_window(s).width,
+               flags=";".join(flags))
     return {col: _cell(rec[col]) for col in _CSV_COLUMNS}
 
 
@@ -530,7 +503,7 @@ def emit_csv(rows: list[ResultRow], path: str | Path) -> Path:
     """
     path = Path(path)
     lines = [",".join(_CSV_COLUMNS)]
-    lines.extend(",".join(row_record(r)[c] for c in _CSV_COLUMNS) for r in rows)
+    lines.extend(",".join(row_record(r).values()) for r in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     sweep = next((r.sweep_param for r in rows if r.sweep_param), None)
     script = _PLOT_TEMPLATE.format(

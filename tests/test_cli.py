@@ -129,12 +129,13 @@ def test_validate_field_bad_seed_exits_2(monkeypatch, capsys, args, seed_env, ke
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--samples", "0"], "--samples: must be a positive integer, got 0"),
+    (["--samples", "0"], "--samples: the asymptotic KS test needs at least 100, got 0"),
+    (["--samples", "50"], "--samples: the asymptotic KS test needs at least 100, got 50"),
     (["--psi", "nan"], "--psi: must be positive finite numbers, got 'nan'"),
     (["--psi", "0.2,inf"], "--psi: must be positive finite numbers, got '0.2,inf'"),
     (["--psi", "0.2,-1"], "--psi: must be positive finite numbers, got '0.2,-1'"),
     (["--psi", "x"], "--psi: expected comma-separated numbers"),
-], ids=["samples", "psi_nan", "psi_inf", "psi_negative", "psi_text"])
+], ids=["samples", "samples_below_100", "psi_nan", "psi_inf", "psi_negative", "psi_text"])
 def test_validate_field_bad_flags_exit_2(capsys, args, message):
     assert main(["validate-field", "--samples", "200", "--psi", "0.2", *args]) == 2
     assert f"error: {message}" in capsys.readouterr().err

@@ -58,7 +58,8 @@ def test_config_parsing_errors_name_the_key():
                       ("run.seed = -1", "run.seed"),
                       ("sweep.param = theta\nsweep.values = ,", "sweep.values"),
                       ("sweep.values = 4", "sweep.param and sweep.values"),
-                      ("sweep.param = theta\nsweep.values = 4, -1", "sweep.values: theta=-1"),
+                      ("sweep.param = theta\nsweep.values = 4, -1",
+                       "sweep.values: theta=-1.0: scenario: theta"),
                       ("sweep.param = nonsense\nsweep.values = 1", "sweep.param")):
         with pytest.raises(ConfigError, match=f"^{key}"):
             parse_config_text(text + "\n")
@@ -154,22 +155,35 @@ def test_config_roundtrip_property(exp):
 
 
 def test_apply_sweep_parameters():
-    base = load_config(None).scenario
-    nu4 = replace(base, field=replace(base.field, nu=4.0))
-    assert apply_sweep(nu4, "psi", 0.8).field.lambda_e == pytest.approx(0.2)
-    half_eta = replace(base, eta=0.5)
-    swept = apply_sweep(half_eta, "gamma_eta", 300.0)
-    assert swept.field.gamma * swept.eta == pytest.approx(300.0)
-    assert apply_sweep(base, "theta", 2.0).theta == 2.0
-    assert apply_sweep(base, "lambda_u", 3.0).lambda_u == 3.0
-    dist = replace(base, architecture=Distributed(lambda_h=15.6, lambda_a=0.78))
-    swept = apply_sweep(dist, "cluster_size", 40.0)
-    assert swept.architecture.lambda_a == pytest.approx(15.6 / 40.0)
-    assert swept.architecture.cluster_size == pytest.approx(40.0)
-    with pytest.raises(ConfigError):
-        apply_sweep(base, "cluster_size", 4.0)
-    with pytest.raises(ConfigError):
-        apply_sweep(base, "nonsense", 1.0)
+    # every sweep point is its scenario's config with one setting edited; psi,
+    # gamma_eta and cluster_size set lambda_e, gamma and lambda_a from the
+    # other settings
+    onsite = parse_config_text("field.nu = 4\nnetwork.eta = 0.5\n").scenario
+    dist = parse_config_text("field.nu = 4\nnetwork.eta = 0.5\n"
+                             "scenario.architecture = distributed\n").scenario
+    edits = [("psi", 0.8, "field.lambda_e", 0.8 / 4.0),
+             ("gamma_eta", 300.0, "field.gamma", 300.0 / 0.5),
+             ("gamma", 50.0, "field.gamma", 50.0),
+             ("lambda_e", 0.1, "field.lambda_e", 0.1),
+             ("theta", 2.0, "network.theta", 2.0),
+             ("lambda_u", 3.0, "network.lambda_u", 3.0),
+             ("lambda_b", 1.56, "network.lambda_b", 1.56),
+             ("eta", 0.25, "network.eta", 0.25),
+             ("cluster_size", 40.0, "distributed.lambda_a", 15.6 / 40.0),
+             ("lambda_h", 31.2, "distributed.lambda_h", 31.2),
+             ("voltage", 5000.0, "distributed.voltage", 5000.0)]
+    for base in (onsite, dist):
+        text = serialize_config(ExperimentConfig(base))
+        for param, value, key, setting in edits:
+            if base is onsite and key.startswith("distributed."):
+                with pytest.raises(ConfigError, match=f"^sweep.param: {param!r} needs"):
+                    apply_sweep(base, param, value)
+            else:
+                expected = parse_config_text(f"{text}{key} = {setting!r}\n").scenario
+                assert apply_sweep(base, param, value) == expected, param
+    assert apply_sweep(dist, "cluster_size", 40.0).architecture.cluster_size == pytest.approx(40.0)
+    with pytest.raises(ConfigError, match="^sweep.param: unknown"):
+        apply_sweep(onsite, "nonsense", 1.0)
 
 
 def test_effective_seed_precedence(monkeypatch):
@@ -316,9 +330,35 @@ def test_row_record_float_fidelity():
     assert rec["architecture"] == "distributed"
     assert rec["sweep_param"] == "" and rec["sweep_value"] == ""
     assert "wall_time" not in rec
-    onsite_rec = row_record(run_sweep(parse_config_text("run.trials = 20\n"))[0])
-    assert onsite_rec["architecture"] == "onsite"
-    assert onsite_rec["lambda_h"] == "" and onsite_rec["voltage"] == ""
+    # every scenario column, as text, pinned for three profiles
+    columns = _CSV_COLUMNS[_CSV_COLUMNS.index("kernel"):_CSV_COLUMNS.index("window_side") + 1]
+    shared = {"lambda_e": "0.050000000000000003", "nu": "1", "psi": "0.050000000000000003",
+              "alpha": "4", "ref_loss_db": "70", "ref_dist": "0.10000000000000001",
+              "noise_dbm": "-90", "lambda_b": "0.78000000000000003",
+              "lambda_u": "7.7999999999999998", "theta": "8", "eta": "1"}
+    onsite = {"fading": "truncated_rician", "fading_param": "0.10000000000000001",
+              "architecture": "onsite", "lambda_h": "", "lambda_a": "", "tau": "",
+              "beta": "", "voltage": "", "line_mode": "", "estimator": "user_weighted"}
+    pinned = [
+        ("scenario.architecture = distributed\nscenario.estimator = palm\n"
+         "distributed.mode = tau_floor\nchannel.fading = chi_squared\n"
+         "channel.omega = 3\nfield.gamma = 10\n",
+         {"kernel": "boolean_max_exp", "gamma": "10", "fading": "chi_squared",
+          "fading_param": "3", "architecture": "distributed", "lambda_h": "15.6",
+          "lambda_a": "0.78000000000000003", "tau": "0.90000000000000002", "beta": "1",
+          "voltage": "auto", "line_mode": "tau_floor", "estimator": "palm", "wrap": "true",
+          "window_side": "12.167108553861205"}),
+        ("field.kernel = boolean_max_plaw\nscenario.wrap = false\n"
+         "scenario.window_side = 14\n",
+         {"kernel": "boolean_max_plaw", "gamma": "1000", **onsite, "wrap": "false",
+          "window_side": "24"}),
+        ("",
+         {"kernel": "boolean_max_exp", "gamma": "1000", **onsite, "wrap": "true",
+          "window_side": "11.322770341445958"}),
+    ]
+    for text, expected in pinned:
+        rec = row_record(run_sweep(parse_config_text(text + "run.trials = 20\n"))[0])
+        assert {col: rec[col] for col in columns} == {**shared, **expected}
 
 
 def test_wilson_ci_reference_values():
