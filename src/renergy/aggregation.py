@@ -104,23 +104,6 @@ def build_clusters(lambda_h: float, lambda_a: float, window: Window) -> ClusterA
     return ClusterAssignment(harv, aggs, idx, dist)
 
 
-def line_loss(power: float, length: float, voltage: float, beta: float):
-    """Ohmic feeder loss beta * power^2 * length / voltage^2."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if voltage <= 0:
-        raise ValueError("voltage must be positive")
-    power = np.asarray(power, dtype=float)
-    length = np.asarray(length, dtype=float)
-    if np.any(power < 0) or np.any(length < 0):
-        raise ValueError("power and length must be non-negative")
-    if math.isinf(voltage):
-        out = np.zeros(np.broadcast(power, length).shape)
-        return float(out) if out.ndim == 0 else out
-    out = beta * power * power * length / (voltage * voltage)
-    return float(out) if out.ndim == 0 else out
-
-
 def sufficient_voltage(tau: float, beta: float, eta: float, gamma: float,
                        lambda_a: float) -> float:
     """Transmission voltage that certifies delivery efficiency tau for every

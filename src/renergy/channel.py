@@ -5,6 +5,18 @@ Fading gains are either chi-squared-like (a Gamma(omega, 1) gain, the sum of
 omega unit-mean exponential branch gains) or a truncated Rician gain built
 from a unit line-of-sight phasor plus circular complex scatter, floored away
 from zero so its inverse has finite moments.
+
+The bounds need one scalar of the fading law, E[1/H]. For the Rician gain it
+is an exact series in the scatter's inverse power c = 1/RICIAN_SCATTER_VAR:
+the unfloored gain has density c e^(-c(h+1)) I0(2c sqrt(h)), and expanding
+I0 term by term gives, with x = c * floor,
+
+    E[1/max(H, floor)] = F(floor)/floor + c e^(-c) [E1(x) + sum_{k>=1} c^k Gamma(k, x)/(k!)^2]
+    F(floor) = e^(-c) sum_{k>=0} c^k/k! P(k+1, x)
+
+where Gamma(k, x) is the upper incomplete gamma function and P the
+regularized lower one. Every term is positive, so the sums are accurate to
+round-off.
 """
 
 from __future__ import annotations
@@ -14,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
 
 # Total scatter power of the Rician phasor; split evenly between the real and
 # imaginary branches. Exposed so alternative readings can be tested.
@@ -96,14 +107,6 @@ def sample_fading(spec: ChannelSpec, rng: np.random.Generator, size: int) -> np.
     return np.maximum(re * re + im * im, fad.floor)
 
 
-def fading_cdf(fading: Fading, t):
-    """CDF of the fading gain; closed form exists for the chi-squared family."""
-    if isinstance(fading, ChiSquaredFading):
-        t = np.asarray(t, dtype=float)
-        return special.gammainc(fading.omega, np.maximum(t, 0.0))
-    raise NotImplementedError("no closed-form CDF for truncated Rician fading")
-
-
 def path_gain(d, spec: ChannelSpec, clamp_counter: list | None = None):
     """Power gain at distance d (km): 10^(-ref_loss_db/10) * (d/ref_dist)^(-alpha).
 
@@ -135,20 +138,74 @@ def required_power(theta: float, d, h, spec: ChannelSpec,
     return float(q) if q.ndim == 0 else q
 
 
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _exp1(x: float) -> float:
+    """Exponential integral E1(x) = Gamma(0, x) for x > 0."""
+    if x <= 1.0:
+        # E1(x) = -euler_gamma - ln(x) - sum_{n>=1} (-x)^n / (n n!)
+        s, term, n = 0.0, 1.0, 0
+        while abs(term) > 1e-17 * abs(s):
+            n += 1
+            term *= -x / n
+            s += term / n
+        return -_EULER_GAMMA - math.log(x) - s
+    # continued fraction e^(-x) / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))),
+    # evaluated by the modified Lentz method
+    b = x + 1.0
+    c, d = 1e300, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        b += 2.0
+        d = 1.0 / (b - i * i * d)
+        c = b - i * i / c
+        h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            return h * math.exp(-x)
+
+
 @functools.lru_cache(maxsize=None)
 def _rician_mean_inverse(floor: float, scatter_var: float) -> float:
-    # With s2 the per-branch scatter variance, the unfloored gain is
-    # s2 * ncx2(df=2, nc=1/s2), so E[1/max(H, f)] = F(f)/f + int_f^inf p(h)/h dh.
-    s2 = scatter_var / 2.0
-    law = stats.ncx2(df=2, nc=1.0 / s2, scale=s2)
-    tail, _ = integrate.quad(lambda h: law.pdf(h) / h, floor, np.inf)
-    return float(law.cdf(floor)) / floor + tail
+    # the series in the module docstring; w is c^k/k! throughout
+    c = 1.0 / scatter_var
+    x = c * floor
+    ex = math.exp(-x)
+    # tail: c^k Gamma(k, x)/(k!)^2 = c^k/(k k!) Q(k, x), with the regularized
+    # upper gamma Q(k, x) = e^(-x) sum_{j<k} x^j/j! built up along k
+    tail, w, q_sum, xj, k = _exp1(x), 1.0, 0.0, 1.0, 0
+    while True:
+        k += 1
+        w *= c / k
+        q_sum += xj
+        xj *= x / k
+        term = w / k * ex * q_sum
+        tail += term
+        if term < 1e-17 * tail:
+            break
+    # CDF: P(k+1, x) = e^(-x) x^(k+1)/(k+1)! (1 + x/(k+2) + x^2/((k+2)(k+3)) + ...)
+    cdf, w, lead, k = 0.0, 1.0, x * ex, 0
+    while True:
+        upper, t, j = 1.0, 1.0, k + 1
+        while t > 1e-17 * upper:
+            j += 1
+            t *= x / j
+            upper += t
+        term = w * lead * upper
+        cdf += term
+        if term < 1e-17 * cdf:
+            break
+        k += 1
+        w *= c / k
+        lead *= x / (k + 1)
+    return math.exp(-c) * (cdf / floor + c * tail)
 
 
 def mean_inverse_fading(fading: Fading) -> float:
     """E[1/H]. Closed form 1/(omega - 1) for chi-squared fading with
-    omega >= 2; cached quadrature over the noncentral chi-squared law for
-    truncated Rician.
+    omega >= 2; for truncated Rician, the exact series of the module
+    docstring, cached per floor and scatter variance.
 
     Raises for omega = 1, where the moment is infinite.
     """

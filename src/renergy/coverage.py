@@ -53,6 +53,16 @@ from .geometry import (BLOCK, PointSet, Window, block_spans, default_window_side
                        substream)
 from .stats import wilson_ci
 
+# glibc's malloc starts with small mmap and trim thresholds (128 KiB) and
+# raises both, for the life of the process, when it frees a mapped block
+# larger than the current threshold. Left small, the trim threshold hands a
+# block's temporaries (about 300 KB per 256 on-site trials) back to the kernel
+# at every block, and the next block faults them in again. Freeing one 4 MiB
+# array here raises the thresholds once; its pages are never touched, and
+# other allocators are unaffected.
+_threshold_raiser = np.empty(4 << 20, dtype=np.uint8)
+del _threshold_raiser
+
 
 class Scheme(str, enum.Enum):
     CHANNEL_INDEPENDENT = "channel_independent"

@@ -11,13 +11,30 @@ from hypothesis import strategies as st
 
 from renergy.aggregation import (Distributed, LineSpec, build_clusters,
                                  certified_efficiency, clustered_window,
-                                 delivered_power, line_loss,
+                                 delivered_power,
                                  sufficient_voltage, supplied_power,
                                  supply_statistics)
 from renergy.channel import ChannelSpec
 from renergy.coverage import ScenarioConfig, run_trials_chunk
 from renergy.energy_field import EnergyFieldSpec, Kernel, draw_field
 from renergy.geometry import BLOCK, hex_cell_circumradius, hex_pitch, substream
+
+
+def line_loss(power, length, voltage: float, beta: float):
+    """Oracle: ohmic feeder loss beta * power^2 * length / voltage^2."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if voltage <= 0:
+        raise ValueError("voltage must be positive")
+    power = np.asarray(power, dtype=float)
+    length = np.asarray(length, dtype=float)
+    if np.any(power < 0) or np.any(length < 0):
+        raise ValueError("power and length must be non-negative")
+    if math.isinf(voltage):
+        out = np.zeros(np.broadcast(power, length).shape)
+        return float(out) if out.ndim == 0 else out
+    out = beta * power * power * length / (voltage * voltage)
+    return float(out) if out.ndim == 0 else out
 
 
 def field_spec(gamma=10.0, psi=0.05):

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special, stats
 
 from renergy import channel
 from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFading,
-                             fading_cdf, mean_inverse_fading, path_gain,
-                             required_power, sample_fading)
+                             mean_inverse_fading, path_gain, required_power,
+                             sample_fading)
 from renergy.geometry import substream
 
 # theta * noise / gain at the reference distance with unit fading for the
@@ -17,6 +18,24 @@ REQUIRED_AT_REF = 8e-5
 # E[1/H] for the truncated Rician law at floor 0.1, by quadrature over the
 # noncentral chi-squared law; cross-checked against an independent sampler below.
 RICIAN_MEAN_INV_01 = 1.4875864134246701
+
+
+def fading_cdf(fading, t):
+    """Oracle: CDF of the fading gain; closed form for the chi-squared family."""
+    if isinstance(fading, ChiSquaredFading):
+        t = np.asarray(t, dtype=float)
+        return special.gammainc(fading.omega, np.maximum(t, 0.0))
+    raise NotImplementedError("no closed-form CDF for truncated Rician fading")
+
+
+def rician_mean_inverse_by_quadrature(floor, scatter_var):
+    """Oracle: E[1/max(H, floor)] = F(floor)/floor + int_floor^inf p(h)/h dh,
+    the unfloored gain being s2 * ncx2(df=2, nc=1/s2) with s2 the per-branch
+    scatter variance."""
+    s2 = scatter_var / 2.0
+    law = stats.ncx2(df=2, nc=1.0 / s2, scale=s2)
+    tail, _ = integrate.quad(lambda h: law.pdf(h) / h, floor, np.inf)
+    return float(law.cdf(floor)) / floor + tail
 
 
 def test_fading_spec_validation():
@@ -150,6 +169,22 @@ def test_rician_moment_follows_scatter_variance(monkeypatch):
     assert mean_inverse_fading(fading) == pytest.approx(1.21341, rel=1e-5)
     monkeypatch.undo()
     assert mean_inverse_fading(fading) == pytest.approx(RICIAN_MEAN_INV_01, rel=1e-6)
+
+
+@pytest.mark.parametrize("scatter_var", [0.5, 1.0, 2.0])
+def test_rician_moment_series_matches_quadrature(monkeypatch, scatter_var):
+    monkeypatch.setattr(channel, "RICIAN_SCATTER_VAR", scatter_var)
+    for floor in (0.01, 0.05, 0.1, 0.25, 0.5, 0.9):
+        assert mean_inverse_fading(TruncatedRicianFading(floor)) == pytest.approx(
+            rician_mean_inverse_by_quadrature(floor, scatter_var), rel=1e-12)
+
+
+def test_exponential_integral_matches_scipy():
+    # both sides of x = 1, where the evaluation switches from the power series
+    # to the continued fraction
+    for x in (1e-12, 1e-4, 0.1, 0.5, 1.0, 1.0 + 1e-9, 1.8, 5.0, 40.0, 600.0):
+        assert channel._exp1(x) == pytest.approx(float(special.exp1(x)), rel=1e-14)
+
 
 def test_required_power_vectorized_consistency():
     spec = ChannelSpec.normalized()

@@ -253,6 +253,20 @@ def test_inversion_never_worse_than_equal_split():
     assert est[Scheme.INVERSION].p_out <= est[Scheme.CHANNEL_INDEPENDENT].p_out
 
 
+@settings(max_examples=100, deadline=None)
+@given(supply=st.sampled_from(sorted(_ORACLE_SUPPLIES)),
+       psi=st.sampled_from([0.05, 0.5]), gamma=st.sampled_from([5.0, 20.0, 80.0]),
+       trial=st.integers(0, 2 * BLOCK), seed=st.integers(0, 2**32))
+def test_inversion_never_worse_than_equal_split_per_trial(supply, psi, gamma, trial,
+                                                          seed):
+    # the users equal split covers (need <= P/k) have the smallest needs, and
+    # m of them need at most m P/k <= P, so inversion covers them too
+    cfg = unit_cfg(gamma=gamma, psi=psi, **_ORACLE_SUPPLIES[supply])
+    tally = run_trials_chunk(cfg, trial, trial + 1, seed)
+    assert tally.out_inv <= tally.out_ci
+    assert tally.persist_inv <= tally.persist_ci
+
+
 def test_union_event_equals_total_demand_exceedance():
     # under inversion, some user is uncovered exactly when the total demand
     # exceeds the budget, so per-trial the two events coincide

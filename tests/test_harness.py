@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renergy import harness
+from renergy import harness, stats
 from renergy.aggregation import Distributed, LineSpec
 from renergy.channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
 from renergy.coverage import OnSite, ScenarioConfig, TrialTally, run_trials_chunk
@@ -389,6 +390,25 @@ def test_ks_statistic_behaviour():
         ks_statistic(u[:50], ident)
     with pytest.raises(ValueError):
         ks_statistic(u, lambda x: x * 2.0)
+
+
+def test_wilson_z_matches_scipy_normal_quantile():
+    # bit for bit at the default level, so default intervals are unchanged
+    z = stats._two_sided_z(0.95)
+    assert z == float(scipy.stats.norm.ppf(0.975)) == 1.959963984540054
+    for level in (0.5, 0.68, 0.8, 0.9, 0.99, 0.999, 0.9999):
+        ref = float(scipy.stats.norm.ppf(0.5 * (1.0 + level)))
+        assert abs(stats._two_sided_z(level) - ref) <= 4 * math.ulp(ref)
+
+
+def test_kolmogorov_critical_value_matches_scipy():
+    # levels on both sides of x = 1, where the survival series switches form
+    for level in (1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.5, 0.9):
+        assert stats._kolmogorov_isf(level) == pytest.approx(
+            float(scipy.stats.kstwobign.isf(level)), rel=0, abs=1e-12)
+    u = np.random.default_rng(8).uniform(size=400)
+    assert ks_statistic(u, lambda x: x, level=0.05).critical == pytest.approx(
+        float(scipy.stats.kstwobign.isf(0.05)) / 20.0, rel=1e-14)
 
 
 def test_validate_field_law_smoke():
