@@ -24,8 +24,12 @@ stream, substream(seed, b), in a fixed order: center counts, center x, center
 y, users per cell, user positions, fading gains. Drawing is split from
 evaluation: a chunk draws every block it touches whole, but evaluates fields,
 station powers and both allocations only for its own trials, as flat arrays
-over their users. Tallies therefore do not depend on where chunks start and
-stop or on the worker count.
+over their users. A block that a chunk edge cuts is kept in a one-entry memo,
+so the chunk on the edge's other side does not draw it again; whole blocks are
+drawn afresh. The chunk's trials are evaluated in passes of at most BLOCK
+trials from at most two blocks: each whole block is one pass, and the tail of
+one block joins the head of the next when together they fit. Tallies
+therefore do not depend on where chunks start and stop or on the worker count.
 """
 
 from __future__ import annotations
@@ -238,10 +242,46 @@ def _draw_block(cfg: ScenarioConfig, window: Window, seed: int, block: int) -> _
     return _BlockDraws(fields, users, offsets, positions, sample_fading(cfg.channel, rng, n))
 
 
+@lru_cache(maxsize=1)
+def _cut_block(cfg: ScenarioConfig, window: Window, seed: int, block: int) -> _BlockDraws:
+    """A block that a chunk edge cuts, kept read-only for the chunk on the
+    edge's other side: consecutive chunks then draw it once."""
+    draws = _draw_block(cfg, window, seed, block)
+    for a in (draws.users, draws.offsets, draws.positions, draws.fading,
+              draws.field.counts):
+        a.setflags(write=False)
+    return draws
+
+
+_Span = tuple[_BlockDraws, int, int]   # a drawn block and trials lo..hi-1 of it
+
+
+def _join(spans: list[_Span]) -> _Span:
+    """Consecutive spans as one span over the concatenation of their trials."""
+    if len(spans) == 1:
+        return spans[0]
+    fields = [d.field.select(lo, hi) for d, lo, hi in spans]
+    users = np.concatenate([d.users[lo:hi] for d, lo, hi in spans])
+    offsets = np.zeros(len(users) + 1, dtype=np.int64)
+    np.cumsum(users, out=offsets[1:])
+    rows = [(d, slice(int(d.offsets[lo]), int(d.offsets[hi]))) for d, lo, hi in spans]
+    # centers keep draw_field's layout: each coordinate contiguous
+    xy = np.concatenate([f.centers.points.T for f in fields], axis=1)
+    xy.setflags(write=False)
+    first = fields[0]
+    field = FieldRealization(first.spec, PointSet(xy.T, first.centers.intensity),
+                             first.window, np.concatenate([f.counts for f in fields]))
+    draws = _BlockDraws(field, users, offsets,
+                        np.concatenate([d.positions[r] for d, r in rows]),
+                        np.concatenate([d.fading[r] for d, r in rows]))
+    return draws, 0, len(users)
+
+
 def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws, lo: int,
                  hi: int, tally: TrialTally, clamp_box: list) -> None:
-    """Add trials lo..hi-1 of a drawn block to the tally; only their fields
-    are evaluated and only their users' clamps counted."""
+    """Add trials lo..hi-1 of a drawn block, or of spans joined into one, to
+    the tally; only their fields are evaluated and only their users' clamps
+    counted."""
     k = draws.users[lo:hi]
     first, last = int(draws.offsets[lo]), int(draws.offsets[hi])
     n_users = last - first
@@ -282,9 +322,21 @@ def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> T
     supply = _supply(cfg, window)
     tally = TrialTally()
     clamp_box = [0]
+
+    # Consecutive spans share an evaluation pass while it holds at most BLOCK
+    # trials, so only a chunk's partial first and last spans can join.
+    spans: list[_Span] = []
+    size = 0
     for block, lo, hi in block_spans(start, stop):
-        _tally_block(cfg, supply, _draw_block(cfg, window, seed, block), lo, hi,
-                     tally, clamp_box)
+        if size + hi - lo > BLOCK:
+            _tally_block(cfg, supply, *_join(spans), tally, clamp_box)
+            spans, size = [], 0
+        draws = _draw_block(cfg, window, seed, block) if hi - lo == BLOCK \
+            else _cut_block(cfg, window, seed, block)
+        spans.append((draws, lo, hi))
+        size += hi - lo
+    if spans:
+        _tally_block(cfg, supply, *_join(spans), tally, clamp_box)
     tally.gain_clamps = clamp_box[0]
     return tally
 

@@ -45,11 +45,16 @@ _CFG = ScenarioConfig(field=EnergyFieldSpec(gamma=20.0, lambda_e=0.05, nu=1.0),
                       channel=ChannelSpec.normalized(), lambda_b=1.0, lambda_u=10.0)
 
 
-@pytest.mark.parametrize("architecture", [None, Distributed(lambda_h=2.0, lambda_a=0.5)],
-                         ids=["onsite", "distributed"])
-def test_traced_chunk_accounts_for_every_layer(bench_run, architecture):
+@pytest.mark.parametrize("architecture, warm",
+                         [(None, False), (Distributed(lambda_h=2.0, lambda_a=0.5), False),
+                          (None, True)],
+                         ids=["onsite", "distributed", "onsite_memo_hit"])
+def test_traced_chunk_accounts_for_every_layer(bench_run, architecture, warm):
     from tracing import Tracer
     cfg = _CFG if architecture is None else replace(_CFG, architecture=architecture)
+    if warm:
+        # leaves block 0, which the traced chunk begins in, drawn and kept
+        harness.run_trials_chunk(cfg, 0, 200, 5)
     tracer = Tracer()
     bench_run._register(tracer)
     originals = [getattr(module, attr) for module, attr, _, _ in tracer._targets]
@@ -62,6 +67,8 @@ def test_traced_chunk_accounts_for_every_layer(bench_run, architecture):
     summary = tracer.summary()
     assert summary[bench_run.RTC]["calls"] == 1
     assert tracer.counters["trials"] == tally.trials == 400
+    if warm:   # three blocks touched, two drawn
+        assert summary["geometry.substream"]["under"][bench_run.RTC]["calls"] == 2
     checks = _Checks()
     metrics = bench_run._layer_metrics(summary, tracer.counters, 0.0, 0.0, 0.0, checks)
     assert not checks.failures

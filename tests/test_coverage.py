@@ -16,7 +16,7 @@ from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFadin
 from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_trials_chunk)
 from renergy.energy_field import EnergyFieldSpec, FieldRealization, Kernel, field_values
-from renergy.geometry import BLOCK, PointSet, hex_pitch
+from renergy.geometry import BLOCK, PointSet, hex_pitch, substream
 from renergy.stats import wilson_ci
 
 
@@ -148,6 +148,67 @@ def test_supply_is_built_once_per_scenario(monkeypatch):
     assert len(calls) == 2 and calls[1][1] == 0.25
     run_trials_chunk(cfg, 0, 10, 23)
     assert len(calls) == 2
+
+
+_MEMO_CASES = {
+    f"{arch}-{estimator}": unit_cfg(estimator=estimator, **kw)
+    for arch, kw in (("onsite", {}),
+                     ("distributed", {"architecture": Distributed(lambda_h=2.0,
+                                                                  lambda_a=0.5)}))
+    for estimator in ("user_weighted", "palm")
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEMO_CASES))
+def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
+    # run_trials_chunk looks substream and _tally_block up in coverage's globals
+    drawn, passes = [], []
+    tally_block = coverage._tally_block
+
+    def counting_substream(seed, block):
+        drawn.append(block)
+        return substream(seed, block)
+
+    def recording_tally_block(cfg, supply, draws, lo, hi, *rest):
+        passes.append(hi - lo)
+        tally_block(cfg, supply, draws, lo, hi, *rest)
+
+    monkeypatch.setattr(coverage, "substream", counting_substream)
+    monkeypatch.setattr(coverage, "_tally_block", recording_tally_block)
+    coverage._cut_block.cache_clear()
+    cfg = _MEMO_CASES[case]
+    n = 8 * BLOCK
+    chunks = [run_trials_chunk(cfg, a, min(a + 200, n), 31) for a in range(0, n, 200)]
+    assert drawn == list(range(8))   # cutting the run at 200s drew 18 blocks
+    # a chunk across a block edge is one pass over the tail and the head
+    assert passes == [200] * 10 + [48]
+    del drawn[:], passes[:]
+    memo = coverage._cut_block.cache_info()
+    whole = run_trials_chunk(cfg, 0, n, 31)
+    assert drawn == list(range(8)) and passes == [BLOCK] * 8
+    assert coverage._cut_block.cache_info() == memo   # whole blocks bypass it
+    assert sum(chunks, TrialTally()) == whole
+
+
+def test_cut_block_memo_is_read_only_and_keyed():
+    cfg = unit_cfg()
+    draws = coverage._cut_block(cfg, resolve_window(cfg), 3, 1)
+    for a in (draws.users, draws.offsets, draws.positions, draws.fading,
+              draws.field.counts, draws.field.centers.points):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the memo holds one block: runs that take turns evict each other's
+    runs = [(cfg, 5), (unit_cfg(psi=0.5), 5), (cfg, 6)]
+    edges = range(0, 1000, 200)
+    alone = [sum((run_trials_chunk(c, a, a + 200, s) for a in edges), TrialTally())
+             for c, s in runs]
+    taking_turns = [TrialTally() for _ in runs]
+    for a in edges:
+        for i, (c, s) in enumerate(runs):
+            taking_turns[i] += run_trials_chunk(c, a, a + 200, s)
+    assert taking_turns == alone
+    assert alone == [run_trials_chunk(c, 0, 1000, s) for c, s in runs]
+    assert len(set(map(str, alone))) == 3
 
 
 def _oracle_tally(cfg, start, stop, seed):
