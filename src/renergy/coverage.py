@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Mapping
 
@@ -151,13 +151,8 @@ class TrialTally:
     gain_clamps: int = 0
 
     def __add__(self, other: "TrialTally") -> "TrialTally":
-        return TrialTally(*(a + b for a, b in
-                            zip(self._astuple(), other._astuple())))
-
-    def _astuple(self) -> tuple[int, ...]:
-        return (self.trials, self.zero_user_trials, self.users, self.out_ci,
-                self.persist_ci, self.out_inv, self.persist_inv,
-                self.union_trials, self.gain_clamps)
+        return TrialTally(**{f.name: getattr(self, f.name) + getattr(other, f.name)
+                             for f in fields(self)})
 
 
 # On-site harvesting as the one-harvester cluster: the station's own harvester
@@ -269,8 +264,8 @@ def _join(spans: list[_Span]) -> _Span:
     xy = np.concatenate([f.centers.points.T for f in fields], axis=1)
     xy.setflags(write=False)
     first = fields[0]
-    field = FieldRealization(first.spec, PointSet(xy.T, first.centers.intensity),
-                             first.window, np.concatenate([f.counts for f in fields]))
+    field = FieldRealization(first.spec, PointSet(xy.T), first.window,
+                             np.concatenate([f.counts for f in fields]))
     draws = _BlockDraws(field, users, offsets,
                         np.concatenate([d.positions[r] for d, r in rows]),
                         np.concatenate([d.fading[r] for d, r in rows]))

@@ -18,13 +18,17 @@ is a block of one), and field_values evaluates all of them in one grouped
 pass. The samplers, the trial engine and the aggregated supply all draw and
 evaluate fields this way.
 
-For the boolean kernels field_values factors the evaluation points by axis
-(PointSet.axes, computed once per point set): squared per-axis differences
-are computed once per distinct coordinate and center, gathered and added per
-tile of points, reduced to each realization's minimum squared distance, and
-only then square-rooted. The result equals the minimum over per-pair
-distances bit for bit. Tiles hold whole realizations and a bounded number of
-point-center pairs, so memory does not grow with the block.
+field_values evaluates all three kernels with one loop that factors the
+evaluation points by axis (PointSet.axes, computed once per point set): a
+per-axis step runs once per distinct coordinate and center, its rows are
+gathered and combined per tile of points, and each realization reduces its
+pairs. The boolean kernels combine folded squared differences by adding them,
+take each realization's minimum squared distance and only then the sqrt, so
+the result equals the minimum over per-pair distances bit for bit. The
+shot-noise kernel's image sum factors exactly by axis, so it multiplies the
+per-axis sums of exp(-d^2/nu) over a center's images and adds over the
+centers. Tiles hold whole realizations and a bounded number of point-center
+pairs, so memory does not grow with the block.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -94,7 +99,7 @@ class FieldRealization:
         """Realizations lo..hi-1 of a block, as a block."""
         first = int(self.counts[:lo].sum())
         last = first + int(self.counts[lo:hi].sum())
-        centers = PointSet(self.centers.points[first:last], self.centers.intensity)
+        centers = PointSet(self.centers.points[first:last])
         return FieldRealization(self.spec, centers, self.window, self.counts[lo:hi])
 
 
@@ -103,7 +108,7 @@ def draw_field(spec: EnergyFieldSpec, window: Window, rng: np.random.Generator,
     """A block of n realizations of the center process: all n center counts
     first, then every x, then every y."""
     counts = rng.poisson(spec.lambda_e * window.area, n)
-    centers = PointSet(uniform_points(window, int(counts.sum()), rng), spec.lambda_e)
+    centers = PointSet(uniform_points(window, int(counts.sum()), rng))
     return FieldRealization(spec, centers, window, counts)
 
 
@@ -134,24 +139,24 @@ def _boolean_kernel(spec: EnergyFieldSpec, d: np.ndarray) -> np.ndarray:
     return spec.gamma * decay(d, spec.nu)
 
 
-_SHOT_OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-
-
-def _image_sums(dx: np.ndarray, dy: np.ndarray, window: Window, nu: float) -> np.ndarray:
-    """Exponential kernel summed over a center and, when wrapping, its eight
-    window images, for per-axis point-minus-center differences dx, dy."""
-    acc = np.zeros(np.broadcast(dx, dy).shape)
-    for ox, oy in (_SHOT_OFFSETS if window.wrap else [(0, 0)]):
-        ex = dx + ox * window.width
-        ey = dy + oy * window.height
-        acc += np.exp(-(ex * ex + ey * ey) / nu)
+def _image_decay(d: np.ndarray, side: float, wrap: bool, nu: float) -> np.ndarray:
+    """Per-axis factor of the shot-noise kernel: exp(-d^2/nu) for coordinate
+    differences d, summed over the images d - side, d, d + side when the axis
+    wraps. The product of the two axes' factors is the kernel summed over a
+    center and its eight window images."""
+    acc = np.zeros_like(d)
+    for shift in ((-side, 0.0, side) if wrap else (0.0,)):
+        e = d + shift
+        e *= e
+        e /= -nu
+        acc += np.exp(e, out=e)
     return acc
 
 
-# Largest (points x centers) array the field kernel builds at once. The
-# boolean kernel also keeps each per-axis array (distinct coordinates x
-# centers) within it and takes at most _TILE_POINTS points per tile; only a
-# single realization with more centers than that is evaluated whole.
+# Largest (points x centers) array the field kernel builds at once. Each
+# per-axis array (distinct coordinates x centers) also stays within it, and a
+# tile takes at most _TILE_POINTS points; only a single realization with more
+# centers than that is evaluated whole.
 _TILE_ELEMENTS = 1 << 16
 _TILE_POINTS = 1024
 
@@ -162,30 +167,28 @@ def field_values(real: FieldRealization, points) -> np.ndarray:
     PointSet that is evaluated again keeps its axis factorization."""
     pts = points if isinstance(points, PointSet) else PointSet(points)
     spec = real.spec
-    if spec.kernel is not Kernel.SHOT_NOISE_EXP:
-        return _boolean_kernel(spec, np.sqrt(_nearest_square(real, pts)))
-    counts = real.counts
-    xs, ys = real.centers.points[:, 0], real.centers.points[:, 1]
-    out = np.empty((len(pts), len(counts)))
-    tile = max(1, _TILE_ELEMENTS // max(1, len(xs)))
-    for lo in range(0, len(pts), tile):
-        px, py = pts.points[lo:lo + tile, 0, None], pts.points[lo:lo + tile, 1, None]
-        sums = _image_sums(px - xs, py - ys, real.window, spec.nu)
-        out[lo:lo + tile] = spec.gamma * _grouped(np.add, sums, counts, 0.0)
-    return out
+    if spec.kernel is Kernel.SHOT_NOISE_EXP:
+        image_decay = partial(_image_decay, nu=spec.nu)
+        return spec.gamma * _pair_reduce(real, pts, image_decay, np.multiply,
+                                         np.add, 0.0)
+    d2 = _pair_reduce(real, pts, folded_square, np.add, np.minimum, np.inf)
+    return _boolean_kernel(spec, np.sqrt(d2))
 
 
-def _nearest_square(real: FieldRealization, pts: PointSet) -> np.ndarray:
-    """Squared (minimal-image) distance from each point to the nearest center
-    of each realization, (k, n); +inf for an empty realization.
+def _pair_reduce(real: FieldRealization, pts: PointSet, axis_step, combine: np.ufunc,
+                 reduce: np.ufunc, empty: float) -> np.ndarray:
+    """Per-pair values reduced over each realization's centers, (k, n): a pair
+    of point and center takes combine(axis_step(dx), axis_step(dy)), and each
+    realization reduces its pairs with `reduce`; an empty one gives `empty`.
 
-    The points are factored by axis: the folded squared difference is
-    computed once per distinct coordinate and center, and a tile's squared
-    distances are gathered from those rows and added. Per pair this is the
-    arithmetic of geometry.separation before its sqrt, and sqrt is monotone
-    and correctly rounded, so the caller's sqrt of the minimum equals the
-    minimum of the distances bit for bit. Tiles hold whole realizations,
-    so a block of any size is evaluated in bounded memory.
+    axis_step(d, side, wrap) maps per-axis coordinate differences to a new
+    array. The points are factored by axis: it runs once per distinct
+    coordinate and center, and a tile's pair values are gathered from its
+    rows and combined. For the boolean kernels (folded_square, add, minimum)
+    each pair's d^2 is the arithmetic of geometry.separation before its sqrt,
+    and sqrt is monotone and correctly rounded, so the caller's sqrt of the
+    minimum equals the minimum of the distances bit for bit. Tiles hold whole
+    realizations, so a block of any size is evaluated in bounded memory.
     """
     ux, ix, uy, iy = pts.axes
     window, counts = real.window, real.counts
@@ -199,12 +202,12 @@ def _nearest_square(real: FieldRealization, pts: PointSet) -> np.ndarray:
         first = int(ends[lo] - counts[lo])
         hi = max(lo + 1, int(np.searchsorted(ends, first + span, side="right")))
         last = int(ends[hi - 1])
-        dx2 = folded_square(ux[:, None] - xs[first:last], window.width, window.wrap)
-        dy2 = folded_square(uy[:, None] - ys[first:last], window.height, window.wrap)
+        ax = axis_step(ux[:, None] - xs[first:last], window.width, window.wrap)
+        ay = axis_step(uy[:, None] - ys[first:last], window.height, window.wrap)
         for p in range(0, len(ix), step):
-            d2 = dx2[ix[p:p + step]]
-            d2 += dy2[iy[p:p + step]]
-            out[p:p + step, lo:hi] = _grouped(np.minimum, d2, counts[lo:hi], np.inf)
+            pair = ax[ix[p:p + step]]
+            combine(pair, ay[iy[p:p + step]], out=pair)
+            out[p:p + step, lo:hi] = _grouped(reduce, pair, counts[lo:hi], empty)
         lo = hi
     return out
 

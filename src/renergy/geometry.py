@@ -78,13 +78,9 @@ class Window:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Immutable planar point collection with the intensity that generated it.
-
-    intensity is 0 for deterministic constructions (lattices, fixtures).
-    """
+    """Immutable planar point collection."""
 
     points: np.ndarray
-    intensity: float = 0.0
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
@@ -92,8 +88,6 @@ class PointSet:
             pts = pts.copy()
             pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.intensity < 0:
-            raise ValueError("intensity must be non-negative")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -225,7 +219,7 @@ def hex_lattice(density: float, window: Window) -> HexLattice:
         xs = xs[(xs >= -tol) & (xs < window.width - tol)]
         rows.append(np.column_stack([xs, np.full(len(xs), y)]))
     pts = np.vstack(rows) if rows else np.empty((0, 2))
-    return HexLattice(density=density, sites=PointSet(pts, 0.0), cell_area=1.0 / density)
+    return HexLattice(density=density, sites=PointSet(pts), cell_area=1.0 / density)
 
 
 def sample_in_hex_cell(circumradius: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -311,11 +311,40 @@ def _brute_boolean_field(spec, window, centers, counts, pts):
     return out
 
 
+def _brute_shot_noise(spec, window, centers, counts, pts):
+    """Each realization alone: the kernel of every point-center pair and, on
+    a wrapped window, of the center's eight images, summed; an empty
+    realization reads 0."""
+    shifts = (-1, 0, 1) if window.wrap else (0,)
+    out = np.zeros((len(pts), len(counts)))
+    start = 0
+    for i, c in enumerate(counts):
+        cs = centers[start:start + c]
+        start += c
+        for ox in shifts:
+            for oy in shifts:
+                dx = pts[:, None, 0] - cs[None, :, 0] + ox * window.width
+                dy = pts[:, None, 1] - cs[None, :, 1] + oy * window.height
+                out[:, i] += np.exp(-(dx * dx + dy * dy) / spec.nu).sum(axis=1)
+    return spec.gamma * out
+
+
+def _assert_matches_brute_force(spec, window, centers, counts, pts, values):
+    """Boolean kernels bit for bit; shot noise to round-off, since a product
+    of per-axis image sums rounds differently from the sum over images."""
+    if spec.kernel is Kernel.SHOT_NOISE_EXP:
+        expect = _brute_shot_noise(spec, window, centers, counts, pts)
+        np.testing.assert_allclose(values, expect, rtol=1e-12, atol=0.0)
+    else:
+        expect = _brute_boolean_field(spec, window, centers, counts, pts)
+        assert np.array_equal(values, expect)
+
+
 _GRID = st.tuples(st.integers(0, 17), st.integers(0, 13))   # 0.5 km steps in 9 x 7
 
 
 @settings(max_examples=80, deadline=None)
-@given(kernel=st.sampled_from([Kernel.BOOLEAN_MAX_EXP, Kernel.BOOLEAN_MAX_PLAW]),
+@given(kernel=st.sampled_from(list(Kernel)),
        wrap=st.booleans(),
        points=st.lists(_GRID, min_size=1, max_size=30),
        cells=st.lists(_GRID, min_size=1, max_size=20),
@@ -323,6 +352,9 @@ _GRID = st.tuples(st.integers(0, 17), st.integers(0, 13))   # 0.5 km steps in 9 
        tile_elements=st.sampled_from([1, 6, 40, 1 << 16]),
        tile_points=st.sampled_from([1, 4, 1024]))
 @example(kernel=Kernel.BOOLEAN_MAX_PLAW, wrap=True, points=[(0, 0), (17, 13), (9, 7)],
+         cells=[(1, 1), (17, 0), (9, 12)], counts=[2, 0, 3, 0], tile_elements=6,
+         tile_points=1)
+@example(kernel=Kernel.SHOT_NOISE_EXP, wrap=True, points=[(0, 0), (17, 13), (9, 7)],
          cells=[(1, 1), (17, 0), (9, 12)], counts=[2, 0, 3, 0], tile_elements=6,
          tile_points=1)
 def test_factored_kernel_equals_brute_force(kernel, wrap, points, cells, counts,
@@ -335,17 +367,18 @@ def test_factored_kernel_equals_brute_force(kernel, wrap, points, cells, counts,
                              dtype=float).reshape(-1, 2)
     pts = 0.5 * np.array(points, dtype=float)
     block = FieldRealization(spec, PointSet(centers), w, np.array(counts))
-    expect = _brute_boolean_field(spec, w, centers, counts, pts)
     with mock.patch.object(energy_field, "_TILE_ELEMENTS", tile_elements), \
             mock.patch.object(energy_field, "_TILE_POINTS", tile_points):
-        assert np.array_equal(field_values(block, pts), expect)
-        assert np.array_equal(field_values(block, PointSet(pts)), expect)
+        for where in (pts, PointSet(pts)):
+            _assert_matches_brute_force(spec, w, centers, counts, pts,
+                                        field_values(block, where))
 
 
-@pytest.mark.parametrize("kernel", [Kernel.BOOLEAN_MAX_EXP, Kernel.BOOLEAN_MAX_PLAW])
+@pytest.mark.parametrize("kernel", list(Kernel))
 def test_field_values_memory_is_bounded_on_a_large_block(kernel):
     # one point over a block of about 1.1M centers: one (points x centers)
     # array of it alone is 8.8 MB, while the tiled kernel peaks at 2.5 MB
+    # (boolean) and 3.5 MB (shot noise)
     spec = EnergyFieldSpec(gamma=1.0, lambda_e=4.0, nu=1.0, kernel=kernel)
     w = Window(20.0, 20.0)
     block = draw_field(spec, w, substream(415, 0), 700)
@@ -359,5 +392,5 @@ def test_field_values_memory_is_bounded_on_a_large_block(kernel):
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"field_values peaked at {peak / 2**20:.1f} MB"
     head = block.select(0, 3)
-    assert np.array_equal(values[:, :3], _brute_boolean_field(
-        spec, w, head.centers.points, head.counts, point.points))
+    _assert_matches_brute_force(spec, w, head.centers.points, head.counts,
+                                point.points, values[:, :3])
