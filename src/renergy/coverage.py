@@ -78,6 +78,13 @@ class OnSite:
     """Each station consumes its own harvester's output directly."""
 
 
+# Most energy centers, and most users, one block of trials may expect to draw,
+# and most harvesters a distributed scenario's lattice may hold: 2^26 points
+# hold 1 GiB of coordinates. The largest scenario in the acceptance suite
+# expects about 1e5 centers per block.
+_BLOCK_VALUES_CAP = 1 << 26
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     field: EnergyFieldSpec
@@ -107,6 +114,26 @@ class ScenarioConfig:
                 raise ValueError("the distributed architecture needs wrap=True")
             resolve_line(arch.line, self.eta, self.field.gamma, self.lambda_b,
                          arch.lambda_a)
+        area = resolve_window(self).area
+        centers = BLOCK * self.field.lambda_e * area
+        if not centers <= _BLOCK_VALUES_CAP:
+            window_keys = "field.nu, network.lambda_b, scenario.window_side"
+            if isinstance(arch, Distributed):
+                window_keys += ", distributed.lambda_a"
+            raise ValueError(
+                f"a block of {BLOCK} trials would draw {centers:.3g} energy centers, "
+                f"more than 2^26; lower field.lambda_e or the window it fills "
+                f"({window_keys})")
+        users = BLOCK * self.mean_users_per_cell
+        if not users <= _BLOCK_VALUES_CAP:
+            raise ValueError(
+                f"a block of {BLOCK} trials would draw {users:.3g} users, more than "
+                f"2^26; lower network.lambda_u or raise network.lambda_b")
+        if isinstance(arch, Distributed) and not arch.lambda_h * area <= _BLOCK_VALUES_CAP:
+            raise ValueError(
+                f"the harvester lattice would hold {arch.lambda_h * area:.3g} harvesters, "
+                f"more than 2^26; lower distributed.lambda_h or the window it fills "
+                f"(field.nu, network.lambda_b, scenario.window_side, distributed.lambda_a)")
 
     @property
     def mean_users_per_cell(self) -> float:

@@ -29,6 +29,13 @@ shot-noise kernel's image sum factors exactly by axis, so it multiplies the
 per-axis sums of exp(-d^2/nu) over a center's images and adds over the
 centers. Tiles hold whole realizations and a bounded number of point-center
 pairs, so memory does not grow with the block.
+
+The samplers (sample_intensity, sample_intensity_pair) take no chunk size:
+they draw and evaluate as many whole realizations at a time as hold
+_DRAW_CENTERS (2^20) expected centers, about 16 MiB of coordinates, and at
+least one, so their memory does not grow with n. Each draw takes its
+realizations from the caller's rng in draw_field's order (counts, then x,
+then y), so the samples a seed gives depend on where the draws split a call.
 """
 
 from __future__ import annotations
@@ -159,6 +166,11 @@ def _image_decay(d: np.ndarray, side: float, wrap: bool, nu: float) -> np.ndarra
 # centers than that is evaluated whole.
 _TILE_ELEMENTS = 1 << 16
 _TILE_POINTS = 1024
+
+# Expected energy centers the samplers draw at once (16 MiB of coordinates).
+# A draw takes as many whole realizations as this holds; a single realization
+# with more expected centers than that is drawn whole.
+_DRAW_CENTERS = 1 << 20
 
 
 def field_values(real: FieldRealization, points) -> np.ndarray:
@@ -321,31 +333,33 @@ def _grouped(ufunc: np.ufunc, values: np.ndarray, counts: np.ndarray,
 
 
 def _sample_fields(spec: EnergyFieldSpec, window: Window, points, n: int,
-                   rng: np.random.Generator, chunk: int) -> np.ndarray:
+                   rng: np.random.Generator) -> np.ndarray:
     """n independent field realizations evaluated at each of k locations, (n, k),
-    drawn and evaluated in blocks of `chunk` realizations."""
+    drawn and evaluated m realizations at a time, m being as many as hold
+    _DRAW_CENTERS expected centers (one realization at least)."""
     if n <= 0:
         raise ValueError("n must be positive")
     points = PointSet(points)
     out = np.empty((n, len(points)))
-    for pos in range(0, n, chunk):
-        m = min(chunk, n - pos)
+    per_draw = max(1, _DRAW_CENTERS // max(1, math.ceil(spec.lambda_e * window.area)))
+    for pos in range(0, n, per_draw):
+        m = min(per_draw, n - pos)
         out[pos:pos + m] = field_values(draw_field(spec, window, rng, m), points).T
     return out
 
 
 def sample_intensity(spec: EnergyFieldSpec, window: Window, point, n: int,
-                     rng: np.random.Generator, chunk: int = 200_000) -> np.ndarray:
+                     rng: np.random.Generator) -> np.ndarray:
     """n independent field realizations evaluated at one location."""
-    return _sample_fields(spec, window, point, n, rng, chunk)[:, 0]
+    return _sample_fields(spec, window, point, n, rng)[:, 0]
 
 
 def sample_intensity_pair(spec: EnergyFieldSpec, window: Window, p1, p2, n: int,
-                          rng: np.random.Generator, chunk: int = 200_000) -> np.ndarray:
+                          rng: np.random.Generator) -> np.ndarray:
     """n realizations of the boolean exponential field at two locations, (n, 2)."""
     if spec.kernel is not Kernel.BOOLEAN_MAX_EXP:
         raise ValueError("pair sampling is implemented for the boolean exponential kernel")
-    return _sample_fields(spec, window, [p1, p2], n, rng, chunk)
+    return _sample_fields(spec, window, [p1, p2], n, rng)
 
 
 def validation_window(spec: EnergyFieldSpec, n_samples: int) -> Window:
@@ -354,7 +368,9 @@ def validation_window(spec: EnergyFieldSpec, n_samples: int) -> Window:
 
     The mass of realizations whose nearest center is beyond half the window
     side is exp(-pi lambda_e (side/2)^2); the side is chosen to push that mass
-    below a tenth of the one-percent KS critical value.
+    below a tenth of the one-percent KS critical value. The side is never
+    below 10 sqrt(nu), ten kernel length scales, so at psi = 1 (where that
+    floor binds) a realization holds 100 expected centers.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")

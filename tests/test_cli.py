@@ -87,6 +87,22 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, line, section, name):
     assert f"error: {section}: {name}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, key", [
+    ("network.lambda_u = 1e308", "network.lambda_u"),
+    ("field.nu = 1e300", "field.nu"),
+    ("field.lambda_e = 1e6", "field.lambda_e"),
+    ("scenario.architecture = distributed\ndistributed.lambda_h = 1e9",
+     "distributed.lambda_h"),
+])
+def test_oversize_scenarios_exit_2(tmp_path, capsys, lines, key):
+    # rejected when the config is built, before any block is drawn
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(lines + "\n")
+    assert main(["run", "--config", str(cfg), "--trials", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario: ") and key in err
+
+
 @pytest.mark.parametrize("args, seed_env, key", [
     (["--trials", "0"], None, "run.trials"),
     (["--trials", "5", "--workers", "0"], None, "run.workers"),

@@ -45,6 +45,31 @@ def test_scenario_validation():
             unit_cfg(eta=bad)
 
 
+def test_oversize_scenarios_are_rejected_when_built():
+    # at most 2^26 expected centers and users per block of 256 trials; the
+    # unit scenario's window is 10 x 10, so lambda_e may reach 2^26 / 25600
+    # and lambda_u (one station per unit area) 2^26 / 256
+    unit_cfg(psi=2621.0)
+    unit_cfg(lambda_u=262144.0)
+    with pytest.raises(ValueError, match="energy centers.*field.lambda_e"):
+        unit_cfg(psi=2622.0)
+    with pytest.raises(ValueError, match="energy centers.*field.nu"):
+        replace(unit_cfg(), field=EnergyFieldSpec(gamma=20.0, lambda_e=0.05, nu=1e300))
+    with pytest.raises(ValueError, match="users.*network.lambda_u"):
+        unit_cfg(lambda_u=262145.0)
+    with pytest.raises(ValueError, match="users.*network.lambda_u"):
+        unit_cfg(lambda_u=1e308)
+    # a distributed scenario also caps its harvester lattice, and its window
+    # follows the aggregator lattice too
+    dist = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+    most = coverage._BLOCK_VALUES_CAP / resolve_window(dist).area
+    unit_cfg(architecture=Distributed(lambda_h=0.999 * most, lambda_a=0.5))
+    with pytest.raises(ValueError, match="harvesters.*distributed.lambda_h"):
+        unit_cfg(architecture=Distributed(lambda_h=1.001 * most, lambda_a=0.5))
+    with pytest.raises(ValueError, match="energy centers.*distributed.lambda_a"):
+        unit_cfg(psi=1e4, architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+
+
 def test_resolve_window_rules():
     cfg = unit_cfg()
     w = resolve_window(cfg)

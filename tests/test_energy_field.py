@@ -251,15 +251,49 @@ def test_joint_cdf_against_paired_sampling():
         assert abs(emp - joint_cdf_boolean_exp(x1, x2, d, spec)) < 0.01
 
 
-def test_pair_columns_equal_single_point_samples():
-    # both entries draw counts, then xs, then ys, so one seed gives one stream
+def test_pair_columns_equal_single_point_samples(monkeypatch):
+    # both entries draw counts, then xs, then ys, so one seed gives one stream;
+    # 19 expected centers a realization make draws of 1500 realizations
+    monkeypatch.setattr(energy_field, "_DRAW_CENTERS", 1500 * 19)
     spec = exp_spec(psi=0.3)
     w = Window(9.0, 7.0, wrap=True)
     p1, p2 = (0.3, 6.5), (8.0, 1.0)
-    pairs = sample_intensity_pair(spec, w, p1, p2, 5000, substream(410, 0), chunk=1500)
+    pairs = sample_intensity_pair(spec, w, p1, p2, 5000, substream(410, 0))
     for col, p in enumerate((p1, p2)):
-        single = sample_intensity(spec, w, p, 5000, substream(410, 0), chunk=1500)
+        single = sample_intensity(spec, w, p, 5000, substream(410, 0))
         assert np.array_equal(pairs[:, col], single)
+
+
+@pytest.mark.parametrize("budget, draws", [(100, [5, 5, 5, 5, 3]), (10, [1] * 23),
+                                           (1 << 20, [23])])
+def test_sampler_draws_whole_realizations_within_the_budget(monkeypatch, budget, draws):
+    # 19 expected centers a realization (lambda_e * area = 18.9): a budget of
+    # 100 takes 5 realizations a draw, and one below 19 still draws one whole
+    monkeypatch.setattr(energy_field, "_DRAW_CENTERS", budget)
+    spec = exp_spec(psi=0.3)
+    w = Window(9.0, 7.0, wrap=True)
+    point = (2.5, 4.0)
+    rng = substream(416, 0)
+    expected = np.concatenate([field_values(draw_field(spec, w, rng, m), [point])[0]
+                               for m in draws])
+    assert np.array_equal(sample_intensity(spec, w, point, 23, substream(416, 0)),
+                          expected)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_sampler_memory_is_bounded(kernel):
+    # at psi = 1 the validation window holds 100 expected centers a
+    # realization, so 50,000 realizations drawn at once would take 80 MB of
+    # coordinates; draws of 2^20 expected centers take 16 MiB
+    spec = EnergyFieldSpec(gamma=1.0, lambda_e=1.0, nu=1.0, kernel=kernel)
+    w = validation_window(spec, 50_000)
+    tracemalloc.start()
+    try:
+        sample_intensity(spec, w, w.center, 50_000, substream(417, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"sample_intensity peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_validation_window_controls_tail_mass():

@@ -11,15 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from renergy import harness, stats
-from renergy.aggregation import Distributed, LineSpec
+from renergy import coverage, harness, stats
+from renergy.aggregation import Distributed, LineSpec, clustered_window
 from renergy.channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
-from renergy.coverage import OnSite, ScenarioConfig, TrialTally, run_trials_chunk
+from renergy.coverage import (OnSite, ScenarioConfig, TrialTally, resolve_window,
+                              run_trials_chunk)
 from renergy.energy_field import EnergyFieldSpec, Kernel
-from renergy.geometry import BLOCK
+from renergy.geometry import BLOCK, default_window_side
 from renergy.harness import (DEFAULT_SEED, SEED_ENV_VAR, ConfigError, ExperimentConfig,
                              _CSV_COLUMNS, apply_sweep, chunk_edges, effective_seed,
                              emit_csv, ks_statistic, load_config,
@@ -110,13 +111,18 @@ def test_config_roundtrip_distributed_profile():
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 
 
+def _under_cap(per_unit: float, top: float) -> float:
+    """Largest draw, at most top, whose product with per_unit keeps within
+    ScenarioConfig's cap on centers, users and harvesters."""
+    return min(top, coverage._BLOCK_VALUES_CAP / per_unit * (1.0 - 1e-9))
+
+
 @st.composite
 def experiments(draw):
     """ExperimentConfigs over both architectures, both fading laws, every
     kernel, auto and explicit window side and voltage, with and without a
     sweep."""
-    field = EnergyFieldSpec(gamma=draw(_POSITIVE), lambda_e=draw(_POSITIVE),
-                            nu=draw(_POSITIVE), kernel=draw(st.sampled_from(Kernel)))
+    gamma, nu, kernel = draw(_POSITIVE), draw(_POSITIVE), draw(st.sampled_from(Kernel))
     fading = draw(st.builds(ChiSquaredFading, st.integers(1, 8))
                   | st.builds(TruncatedRicianFading, st.floats(1e-3, 0.999)))
     channel = ChannelSpec(alpha=draw(st.floats(2.001, 8.0)),
@@ -124,6 +130,7 @@ def experiments(draw):
                           ref_dist=draw(_POSITIVE), noise_dbm=draw(st.floats(-200.0, 200.0)),
                           fading=fading)
     lambda_b = draw(_POSITIVE)
+    window_side = draw(st.none() | _POSITIVE)
     distributed = draw(st.booleans())
     architecture = OnSite()
     if distributed:
@@ -131,18 +138,33 @@ def experiments(draw):
         line = LineSpec(beta=draw(_POSITIVE), tau=draw(st.floats(0.01, 0.99)),
                         voltage=draw(st.none() | _POSITIVE | st.just(math.inf)),
                         mode=draw(st.sampled_from(("exact", "tau_floor"))))
-        architecture = Distributed(lambda_h=lambda_a * draw(st.floats(1.0, 400.0)),
+        side = window_side if window_side is not None else default_window_side(lambda_b, nu)
+        area = clustered_window(lambda_a, side).area  # resolve_window's distributed arena
+        most = _under_cap(lambda_a * area, 400.0)
+        assume(most >= 1.0)  # the aggregator lattice alone exceeds the cap
+        architecture = Distributed(lambda_h=lambda_a * draw(st.floats(1.0, most)),
                                    lambda_a=lambda_a, line=line)
-    scenario = ScenarioConfig(field=field, channel=channel, lambda_b=lambda_b,
-                              lambda_u=draw(_POSITIVE), theta=draw(_POSITIVE),
+    # lambda_e is drawn once the window is known: over [1e-3, 1e3], but never
+    # past the cap on a block's expected centers in that window
+    scenario = ScenarioConfig(field=EnergyFieldSpec(gamma=gamma, lambda_e=1e-3, nu=nu,
+                                                    kernel=kernel),
+                              channel=channel, lambda_b=lambda_b,
+                              lambda_u=lambda_b * draw(_POSITIVE), theta=draw(_POSITIVE),
                               eta=draw(st.floats(0.01, 1.0)), architecture=architecture,
                               estimator=draw(st.sampled_from(("user_weighted", "palm"))),
                               wrap=distributed or draw(st.booleans()),
-                              window_side=draw(st.none() | _POSITIVE))
+                              window_side=window_side)
+    area = resolve_window(scenario).area
+    lambda_e = draw(st.floats(1e-3, _under_cap(BLOCK * area, 1e3)))
+    scenario = replace(scenario, field=replace(scenario.field, lambda_e=lambda_e))
     sweep = draw(st.none() | st.tuples(
         st.sampled_from(("psi", "gamma", "gamma_eta", "lambda_e", "theta", "lambda_u", "eta")),
         st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4).map(tuple)))
     param, values = sweep or (None, None)
+    if param in ("psi", "lambda_e"):
+        # a sweep point must keep the block within the cap too
+        top = max(values) / (nu if param == "psi" else 1.0)
+        assume(BLOCK * top * area <= coverage._BLOCK_VALUES_CAP)
     return ExperimentConfig(scenario=scenario, n_trials=draw(st.integers(1, 10**7)),
                             seed=draw(st.integers(0, 2**63)), workers=draw(st.integers(1, 64)),
                             output=draw(st.none() | st.from_regex(r"[\w./-]+", fullmatch=True)),
