@@ -204,4 +204,4 @@ ASYMPTOTIC_MARGIN = 100.0
 
 def in_asymptotic_regime(b: BoundInputs, margin: float = ASYMPTOTIC_MARGIN) -> bool:
     """True when the peak harvested power is deep enough for the tail bounds."""
-    return b.gamma_eta >= margin * (2.0 * b.lambda_b / (3.0 * math.sqrt(3.0))) ** (b.alpha / 2.0) * b.theta
+    return margin * _tail_base(b) <= 1.0

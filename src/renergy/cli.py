@@ -84,11 +84,14 @@ def _apply_overrides(exp: ExperimentConfig, args: argparse.Namespace,
     return replace(exp, seed=effective_seed(exp.seed, args.seed), **changes)
 
 
-def _parse_sweep_flag(text: str) -> tuple[str, tuple[float, ...]]:
-    key, sep, raw = text.partition("=")
+def _sweep_overrides(args: argparse.Namespace) -> dict:
+    """The sweep verb's --sweep flag as config changes; none for run."""
+    if args.verb != "sweep":
+        return {}
+    key, sep, raw = args.sweep.partition("=")
     if not sep or not key.strip():
         raise ConfigError("--sweep expects KEY=V1,V2,...")
-    return key.strip(), parse_numbers("--sweep", raw)
+    return {"sweep_param": key.strip(), "sweep_values": parse_numbers("--sweep", raw)}
 
 
 def _print_rows(rows) -> None:
@@ -117,14 +120,7 @@ def _finish_rows(rows, out: str | None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    exp = _apply_overrides(load_config(args.config), args)
-    return _finish_rows(run_sweep(exp), exp.output)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    param, values = _parse_sweep_flag(args.sweep)
-    exp = _apply_overrides(load_config(args.config), args,
-                           sweep_param=param, sweep_values=values)
+    exp = _apply_overrides(load_config(args.config), args, **_sweep_overrides(args))
     return _finish_rows(run_sweep(exp), exp.output)
 
 
@@ -195,15 +191,12 @@ def _cmd_repro(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {"run": _cmd_run, "sweep": _cmd_sweep,
+    handlers = {"run": _cmd_run, "sweep": _cmd_run,
                 "validate-field": _cmd_validate_field,
                 "bounds": _cmd_bounds, "repro": _cmd_repro}
     try:
         return handlers[args.verb](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:   # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

@@ -18,18 +18,18 @@ reused by every chunk.
 
 Outage is reported per user, and every tally field is an integer, so chunked
 or multi-process runs merge exactly. Trials follow the library's one draw
-convention (geometry.BLOCK, geometry.block_spans): they are grouped by
-absolute index into blocks of 256, and block b draws everything from one
-stream, substream(seed, b), in a fixed order: center counts, center x, center
-y, users per cell, user positions, fading gains. Drawing is split from
-evaluation: a chunk draws every block it touches whole, but evaluates fields,
-station powers and both allocations only for its own trials, as flat arrays
-over their users. A block that a chunk edge cuts is kept in a one-entry memo,
-so the chunk on the edge's other side does not draw it again; whole blocks are
-drawn afresh. The chunk's trials are evaluated in passes of at most BLOCK
-trials from at most two blocks: each whole block is one pass, and the tail of
-one block joins the head of the next when together they fit. Tallies
-therefore do not depend on where chunks start and stop or on the worker count.
+convention (geometry.BLOCK): they are grouped by absolute index into blocks of
+256, and block b draws everything from one stream, substream(seed, b), in a
+fixed order: center counts, center x, center y, users per cell, user
+positions, fading gains. Drawing is split from evaluation. A chunk
+[start, stop) runs in passes of BLOCK consecutive trials,
+[a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK); a pass draws the blocks it touches, at
+most two, and evaluates fields, station powers and both allocations for its
+own trials only, as flat arrays over their users. The last block drawn is kept
+read-only in a one-entry memo, so consecutive chunks draw the block an edge
+between them cuts once. Each trial's arithmetic does not depend on the other
+trials of its pass, so tallies do not depend on where chunks start and stop or
+on the worker count.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
                            field_values)
-from .geometry import (BLOCK, PointSet, Window, block_spans, default_window_side,
+from .geometry import (BLOCK, PointSet, Window, default_window_side,
                        hex_cell_circumradius, nearest_site_indices, sample_in_hex_cell,
                        substream)
 from .stats import wilson_ci
@@ -240,84 +240,80 @@ def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
 
 @dataclass(frozen=True, eq=False)
 class _BlockDraws:
-    """Everything one block of trials draws, in stream order: the fields, the
-    users per trial, the user positions relative to the station and their
-    fading gains. Trial t's users are rows offsets[t]:offsets[t + 1]."""
+    """Everything a run of consecutive trials draws, in stream order: the
+    fields, the users per trial, the user positions relative to the station
+    and their fading gains. Trial t's users are rows offsets[t]:offsets[t + 1]."""
 
     field: FieldRealization
     users: np.ndarray
-    offsets: np.ndarray
     positions: np.ndarray
     fading: np.ndarray
 
+    @property
+    def offsets(self) -> np.ndarray:
+        offsets = np.zeros(len(self.users) + 1, dtype=np.int64)
+        np.cumsum(self.users, out=offsets[1:])
+        return offsets
 
+    def select(self, lo: int, hi: int) -> "_BlockDraws":
+        """Trials lo..hi-1, as views."""
+        first = int(self.users[:lo].sum())
+        last = first + int(self.users[lo:hi].sum())
+        return _BlockDraws(self.field.select(lo, hi), self.users[lo:hi],
+                           self.positions[first:last], self.fading[first:last])
+
+
+@lru_cache(maxsize=1)
 def _draw_block(cfg: ScenarioConfig, window: Window, seed: int, block: int) -> _BlockDraws:
+    """Block `block` of trials, drawn read-only from substream(seed, block)."""
     rng = substream(seed, block)
     fields = draw_field(cfg.field, window, rng, BLOCK)
     users = rng.poisson(cfg.mean_users_per_cell, BLOCK)
     if cfg.estimator == "palm":
         users += 1
-    offsets = np.zeros(BLOCK + 1, dtype=np.int64)
-    np.cumsum(users, out=offsets[1:])
-    n = int(offsets[-1])
+    n = int(users.sum())
     positions = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), n, rng)
-    return _BlockDraws(fields, users, offsets, positions, sample_fading(cfg.channel, rng, n))
-
-
-@lru_cache(maxsize=1)
-def _cut_block(cfg: ScenarioConfig, window: Window, seed: int, block: int) -> _BlockDraws:
-    """A block that a chunk edge cuts, kept read-only for the chunk on the
-    edge's other side: consecutive chunks then draw it once."""
-    draws = _draw_block(cfg, window, seed, block)
-    for a in (draws.users, draws.offsets, draws.positions, draws.fading,
-              draws.field.counts):
+    draws = _BlockDraws(fields, users, positions, sample_fading(cfg.channel, rng, n))
+    for a in (fields.counts, users, positions, draws.fading):
         a.setflags(write=False)
     return draws
 
 
-_Span = tuple[_BlockDraws, int, int]   # a drawn block and trials lo..hi-1 of it
-
-
-def _join(spans: list[_Span]) -> _Span:
-    """Consecutive spans as one span over the concatenation of their trials."""
-    if len(spans) == 1:
-        return spans[0]
-    fields = [d.field.select(lo, hi) for d, lo, hi in spans]
-    users = np.concatenate([d.users[lo:hi] for d, lo, hi in spans])
-    offsets = np.zeros(len(users) + 1, dtype=np.int64)
-    np.cumsum(users, out=offsets[1:])
-    rows = [(d, slice(int(d.offsets[lo]), int(d.offsets[hi]))) for d, lo, hi in spans]
+def _draws(cfg: ScenarioConfig, window: Window, seed: int, a: int, b: int) -> _BlockDraws:
+    """The draws of trials [a, b), at most BLOCK of them: a whole block as
+    drawn, part of one block as views, or the tail of one block joined to the
+    head of the next."""
+    block, lo = divmod(a, BLOCK)
+    hi = lo + b - a
+    draws = _draw_block(cfg, window, seed, block)
+    if hi <= BLOCK:
+        return draws if hi - lo == BLOCK else draws.select(lo, hi)
+    parts = (draws.select(lo, BLOCK),
+             _draw_block(cfg, window, seed, block + 1).select(0, hi - BLOCK))
     # centers keep draw_field's layout: each coordinate contiguous
-    xy = np.concatenate([f.centers.points.T for f in fields], axis=1)
+    xy = np.concatenate([p.field.centers.points.T for p in parts], axis=1)
     xy.setflags(write=False)
-    first = fields[0]
-    field = FieldRealization(first.spec, PointSet(xy.T), first.window,
-                             np.concatenate([f.counts for f in fields]))
-    draws = _BlockDraws(field, users, offsets,
-                        np.concatenate([d.positions[r] for d, r in rows]),
-                        np.concatenate([d.fading[r] for d, r in rows]))
-    return draws, 0, len(users)
+    field = FieldRealization(cfg.field, PointSet(xy.T), window,
+                             np.concatenate([p.field.counts for p in parts]))
+    return _BlockDraws(field, *(np.concatenate([getattr(p, name) for p in parts])
+                                for name in ("users", "positions", "fading")))
 
 
-def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws, lo: int,
-                 hi: int, tally: TrialTally, clamp_box: list) -> None:
-    """Add trials lo..hi-1 of a drawn block, or of spans joined into one, to
-    the tally; only their fields are evaluated and only their users' clamps
-    counted."""
-    k = draws.users[lo:hi]
-    first, last = int(draws.offsets[lo]), int(draws.offsets[hi])
-    n_users = last - first
-    tally.trials += hi - lo
+def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws,
+                 tally: TrialTally, clamp_box: list) -> None:
+    """Add every trial of the draws to the tally."""
+    k = draws.users
+    n_users = len(draws.positions)
+    tally.trials += len(k)
     tally.zero_user_trials += int(np.count_nonzero(k == 0))
     tally.users += n_users
     if n_users == 0:
         return
-    budgets = cfg.eta * field_values(draws.field.select(lo, hi), supply.positions)
+    budgets = cfg.eta * field_values(draws.field, supply.positions)
     power = supply.station_power(budgets)
-    pos = draws.positions[first:last]
+    pos = draws.positions
     dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
-    need = required_power(cfg.theta, dist, draws.fading[first:last], cfg.channel,
-                          clamp_box)
+    need = required_power(cfg.theta, dist, draws.fading, cfg.channel, clamp_box)
     per_user = np.maximum(k, 1)   # zero-user trials have no share to compare
     tally.out_ci += int(np.count_nonzero(need > np.repeat(power / per_user, k)))
     tally.persist_ci += int(np.count_nonzero(
@@ -340,25 +336,15 @@ def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws, lo: i
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:
     """Run trials [start, stop) of the given master seed and tally events for
     both schemes from shared draws."""
+    if not 0 <= start <= stop:
+        raise ValueError("need 0 <= start <= stop")
     window = resolve_window(cfg)
     supply = _supply(cfg, window)
     tally = TrialTally()
     clamp_box = [0]
-
-    # Consecutive spans share an evaluation pass while it holds at most BLOCK
-    # trials, so only a chunk's partial first and last spans can join.
-    spans: list[_Span] = []
-    size = 0
-    for block, lo, hi in block_spans(start, stop):
-        if size + hi - lo > BLOCK:
-            _tally_block(cfg, supply, *_join(spans), tally, clamp_box)
-            spans, size = [], 0
-        draws = _draw_block(cfg, window, seed, block) if hi - lo == BLOCK \
-            else _cut_block(cfg, window, seed, block)
-        spans.append((draws, lo, hi))
-        size += hi - lo
-    if spans:
-        _tally_block(cfg, supply, *_join(spans), tally, clamp_box)
+    for a in range(start, stop, BLOCK):
+        draws = _draws(cfg, window, seed, a, min(a + BLOCK, stop))
+        _tally_block(cfg, supply, draws, tally, clamp_box)
     tally.gain_clamps = clamp_box[0]
     return tally
 

@@ -139,8 +139,12 @@ def separation(dx, dy, window: Window) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
-def nearest_site_indices(points: np.ndarray, sites: np.ndarray, window: Window,
-                         chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+# Points per chunk of nearest_site_indices' distance matrix.
+_NEAREST_CHUNK = 2048
+
+
+def nearest_site_indices(points: np.ndarray, sites: np.ndarray, window: Window
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest site for every point, with first-index tie-breaking.
 
     Evaluates the full distance matrix in chunks; intended for moderate site
@@ -150,6 +154,7 @@ def nearest_site_indices(points: np.ndarray, sites: np.ndarray, window: Window,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out_idx = np.empty(len(pts), dtype=np.int64)
     out_d = np.empty(len(pts))
+    chunk = _NEAREST_CHUNK
     for lo in range(0, len(pts), chunk):
         block = pts[lo:lo + chunk]
         dist = separation(block[:, None, 0] - sites[None, :, 0],
@@ -186,7 +191,6 @@ class HexLattice:
 
     density: float
     sites: PointSet
-    cell_area: float
 
 
 def hex_lattice(density: float, window: Window) -> HexLattice:
@@ -219,7 +223,7 @@ def hex_lattice(density: float, window: Window) -> HexLattice:
         xs = xs[(xs >= -tol) & (xs < window.width - tol)]
         rows.append(np.column_stack([xs, np.full(len(xs), y)]))
     pts = np.vstack(rows) if rows else np.empty((0, 2))
-    return HexLattice(density=density, sites=PointSet(pts), cell_area=1.0 / density)
+    return HexLattice(density=density, sites=PointSet(pts))
 
 
 def sample_in_hex_cell(circumradius: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -184,8 +184,9 @@ _MEMO_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MEMO_CASES))
-def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
+def _record_passes(monkeypatch):
+    """Lists of the blocks drawn and of the trials per pass, filled as the
+    engine runs, with the block memo emptied."""
     # run_trials_chunk looks substream and _tally_block up in coverage's globals
     drawn, passes = [], []
     tally_block = coverage._tally_block
@@ -194,13 +195,19 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
         drawn.append(block)
         return substream(seed, block)
 
-    def recording_tally_block(cfg, supply, draws, lo, hi, *rest):
-        passes.append(hi - lo)
-        tally_block(cfg, supply, draws, lo, hi, *rest)
+    def recording_tally_block(cfg, supply, draws, *rest):
+        passes.append(len(draws.users))
+        tally_block(cfg, supply, draws, *rest)
 
     monkeypatch.setattr(coverage, "substream", counting_substream)
     monkeypatch.setattr(coverage, "_tally_block", recording_tally_block)
-    coverage._cut_block.cache_clear()
+    coverage._draw_block.cache_clear()
+    return drawn, passes
+
+
+@pytest.mark.parametrize("case", sorted(_MEMO_CASES))
+def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
+    drawn, passes = _record_passes(monkeypatch)
     cfg = _MEMO_CASES[case]
     n = 8 * BLOCK
     chunks = [run_trials_chunk(cfg, a, min(a + 200, n), 31) for a in range(0, n, 200)]
@@ -208,18 +215,31 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     # a chunk across a block edge is one pass over the tail and the head
     assert passes == [200] * 10 + [48]
     del drawn[:], passes[:]
-    memo = coverage._cut_block.cache_info()
     whole = run_trials_chunk(cfg, 0, n, 31)
     assert drawn == list(range(8)) and passes == [BLOCK] * 8
-    assert coverage._cut_block.cache_info() == memo   # whole blocks bypass it
     assert sum(chunks, TrialTally()) == whole
 
 
-def test_cut_block_memo_is_read_only_and_keyed():
+@pytest.mark.parametrize("start, stop, passes, blocks", [
+    (500, 1000, [256, 244], [1, 2, 3]),
+    (100, 612, [256, 256], [0, 1, 2]),
+])
+def test_chunk_runs_in_fewest_passes(monkeypatch, start, stop, passes, blocks):
+    # ceil((stop - start) / BLOCK) passes wherever the chunk starts, and each
+    # block it touches drawn once; splitting at block edges took three passes
+    drawn, seen = _record_passes(monkeypatch)
     cfg = unit_cfg()
-    draws = coverage._cut_block(cfg, resolve_window(cfg), 3, 1)
-    for a in (draws.users, draws.offsets, draws.positions, draws.fading,
-              draws.field.counts, draws.field.centers.points):
+    tally = run_trials_chunk(cfg, start, stop, 19)
+    assert seen == passes and len(passes) == -(-(stop - start) // BLOCK)
+    assert drawn == blocks
+    assert tally == _oracle_tally(cfg, start, stop, 19)
+
+
+def test_block_memo_is_read_only_and_keyed():
+    cfg = unit_cfg()
+    draws = coverage._draw_block(cfg, resolve_window(cfg), 3, 1)
+    for a in (draws.users, draws.positions, draws.fading, draws.field.counts,
+              draws.field.centers.points):
         with pytest.raises(ValueError):
             a[0] = 0
     # the memo holds one block: runs that take turns evict each other's

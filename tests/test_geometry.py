@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from renergy import geometry
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
                                   field_values)
 from renergy.geometry import (BLOCK, PointSet, Window, block_spans, hex_cell_circumradius,
@@ -147,7 +148,10 @@ def test_neighbor_index_matches_exhaustive(wrap, sites, queries):
     """nearest_site_indices and the boolean field agree with the brute force."""
     w = Window(*_BOX, wrap=wrap)
     sites, queries = np.array(sites), np.array(queries)
-    idx, dist = nearest_site_indices(queries, sites, w, chunk=7)
+    # the monkeypatch fixture would not be reset between hypothesis examples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_NEAREST_CHUNK", 7)
+        idx, dist = nearest_site_indices(queries, sites, w)
     spec = EnergyFieldSpec(gamma=2.0, lambda_e=1.0, nu=9.0, kernel=Kernel.BOOLEAN_MAX_EXP)
     vals = field_values(FieldRealization(spec, PointSet(sites), w), queries)
     for i, q in enumerate(queries):
@@ -159,14 +163,15 @@ def test_neighbor_index_matches_exhaustive(wrap, sites, queries):
         assert vals[i, 0] == pytest.approx(2.0 * math.exp(-d_exact ** 2 / 9.0), rel=1e-9)
 
 
-def test_nearest_site_indices_agrees_with_neighbor_index():
+def test_nearest_site_indices_agrees_with_neighbor_index(monkeypatch):
     """Cross-check against an independent neighbor index: scipy's kd-tree
     with a periodic box."""
+    monkeypatch.setattr(geometry, "_NEAREST_CHUNK", 64)
     w = Window(5.0, 5.0, wrap=True)
     rng = substream(31, 0)
     sites = rng.uniform((0, 0), (5, 5), size=(40, 2))
     pts = rng.uniform((0, 0), (5, 5), size=(500, 2))
-    idx_a, dist_a = nearest_site_indices(pts, sites, w, chunk=64)
+    idx_a, dist_a = nearest_site_indices(pts, sites, w)
     dist_b, idx_b = cKDTree(sites, boxsize=(5.0, 5.0)).query(pts)
     assert np.allclose(dist_a, dist_b, atol=1e-9)
     disagree = idx_a != idx_b
@@ -190,7 +195,6 @@ def test_hex_lattice_commensurate_count_and_spacing():
     w = Window(3 * a, 2 * math.sqrt(3.0) * a, wrap=True)
     lat = hex_lattice(density, w)
     assert len(lat.sites) == round(w.area * density) == 12
-    assert lat.cell_area == pytest.approx(1.0 / density)
     pts = lat.sites.points
     # one site at the window center
     assert nearest_site_indices(w.center, pts, w)[1][0] < 1e-9
