@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import aggregation_power_floor  # noqa: F401  (re-export; natural home)
 from .energy_field import EnergyFieldSpec, FieldRealization, draw_field, field_values
-from .geometry import (BLOCK, HexLattice, Window, block_spans, default_window_side,
+from .geometry import (BLOCK, HexLattice, Window, default_window_side,
                        hex_lattice, hex_pitch, nearest_site_indices, substream)
 
 
@@ -233,7 +233,8 @@ def supply_statistics(spec: EnergyFieldSpec, lambda_b: float, lambda_h: float,
     window = clustered_window(lambda_a, side)
     assignment = build_clusters(lambda_h, lambda_a, window)
     rows = []
-    for block, lo, hi in block_spans(0, n_trials):
-        real = draw_field(spec, window, substream(seed, block), BLOCK).select(lo, hi)
+    for a in range(0, n_trials, BLOCK):
+        block = draw_field(spec, window, substream(seed, a // BLOCK), BLOCK)
+        real = block.select(0, min(BLOCK, n_trials - a))
         rows.append(supplied_power(assignment, real, line, eta, lambda_b).per_station.T)
     return np.vstack(rows)

@@ -63,7 +63,8 @@ class ChannelSpec:
     """Link-budget parameters. Distances are in km.
 
     ref_loss_db is the path loss at ref_dist; beyond that the loss follows the
-    power law with exponent alpha > 2.
+    power law with exponent alpha > 2. Distances below min_dist are clamped to
+    it.
     """
 
     alpha: float = 4.0
@@ -80,6 +81,11 @@ class ChannelSpec:
         for name in ("ref_loss_db", "noise_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+
+    @property
+    def min_dist(self) -> float:
+        """The path-gain clamp radius."""
+        return self.ref_dist / 100.0
 
     @property
     def noise_w(self) -> float:
@@ -107,34 +113,25 @@ def sample_fading(spec: ChannelSpec, rng: np.random.Generator, size: int) -> np.
     return np.maximum(re * re + im * im, fad.floor)
 
 
-def path_gain(d, spec: ChannelSpec, clamp_counter: list | None = None):
-    """Power gain at distance d (km): 10^(-ref_loss_db/10) * (d/ref_dist)^(-alpha).
-
-    Distances below ref_dist/100 are clamped to ref_dist/100; pass a one-item
-    list as clamp_counter to count clamp events. Non-positive distances raise.
-    """
+def path_gain(d, spec: ChannelSpec):
+    """Power gain at distance d (km): 10^(-ref_loss_db/10) * (d/ref_dist)^(-alpha),
+    with d clamped up to spec.min_dist. Non-positive distances raise."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    dmin = spec.ref_dist / 100.0
-    clamped = d < dmin
-    if np.any(clamped):
-        if clamp_counter is not None:
-            clamp_counter[0] += int(np.count_nonzero(clamped))
-        d = np.maximum(d, dmin)
+    d = np.maximum(d, spec.min_dist)
     g = 10.0 ** (-spec.ref_loss_db / 10.0) * (d / spec.ref_dist) ** (-spec.alpha)
     return float(g) if g.ndim == 0 else g
 
 
-def required_power(theta: float, d, h, spec: ChannelSpec,
-                   clamp_counter: list | None = None):
+def required_power(theta: float, d, h, spec: ChannelSpec):
     """Transmit power that makes the received SNR exactly theta."""
     if theta <= 0:
         raise ValueError("theta must be positive")
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0):
         raise ValueError("fading gain must be positive")
-    q = theta * spec.noise_w / (h * path_gain(d, spec, clamp_counter))
+    q = theta * spec.noise_w / (h * path_gain(d, spec))
     return float(q) if q.ndim == 0 else q
 
 

@@ -90,7 +90,7 @@ def _sweep_overrides(args: argparse.Namespace) -> dict:
         return {}
     key, sep, raw = args.sweep.partition("=")
     if not sep or not key.strip():
-        raise ConfigError("--sweep expects KEY=V1,V2,...")
+        raise ConfigError(f"--sweep: expected KEY=V1,V2,..., got {args.sweep!r}")
     return {"sweep_param": key.strip(), "sweep_values": parse_numbers("--sweep", raw)}
 
 
@@ -120,7 +120,15 @@ def _finish_rows(rows, out: str | None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    exp = _apply_overrides(load_config(args.config), args, **_sweep_overrides(args))
+    exp, sweep = load_config(args.config), _sweep_overrides(args)
+    try:
+        exp = _apply_overrides(exp, args, **sweep)
+    except ConfigError as exc:
+        # ExperimentConfig's sweep errors name the config keys; these name the flag
+        key, _, reason = str(exc).partition(": ")
+        if not sweep or key not in ("sweep.param", "sweep.values"):
+            raise
+        raise ConfigError(f"--sweep: {reason}") from None
     return _finish_rows(run_sweep(exp), exp.output)
 
 

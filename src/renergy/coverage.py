@@ -17,19 +17,21 @@ station per aggregator. The supply is built once per scenario and window and
 reused by every chunk.
 
 Outage is reported per user, and every tally field is an integer, so chunked
-or multi-process runs merge exactly. Trials follow the library's one draw
-convention (geometry.BLOCK): they are grouped by absolute index into blocks of
-256, and block b draws everything from one stream, substream(seed, b), in a
-fixed order: center counts, center x, center y, users per cell, user
-positions, fading gains. Drawing is split from evaluation. A chunk
-[start, stop) runs in passes of BLOCK consecutive trials,
-[a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK); a pass draws the blocks it touches, at
-most two, and evaluates fields, station powers and both allocations for its
-own trials only, as flat arrays over their users. The last block drawn is kept
-read-only in a one-entry memo, so consecutive chunks draw the block an edge
-between them cuts once. Each trial's arithmetic does not depend on the other
-trials of its pass, so tallies do not depend on where chunks start and stop or
-on the worker count.
+or multi-process runs merge exactly. Trials are grouped by absolute index into
+blocks of geometry.BLOCK (256), and block b draws everything from one stream,
+substream(seed, b), in a fixed order: center counts, center x, center y, users
+per cell, user positions, fading gains. Drawing is split from evaluation. A
+chunk [start, stop) runs in passes of BLOCK consecutive trials,
+[a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK); a pass draws the
+blocks it touches, at most two, evaluates fields, station powers and both
+allocations for its own trials only, as flat arrays over their users, and
+returns their tally. That tally counts the users nearer the station than the
+path-gain clamp radius, ChannelSpec.min_dist, as gain clamps. A chunk's tally
+is the sum of its passes' tallies. The last block drawn is kept read-only in a
+one-entry memo, so consecutive chunks draw the block an edge between them cuts
+once. Each trial's arithmetic does not depend on the other trials of its pass,
+so tallies do not depend on where chunks start and stop or on the worker
+count.
 """
 
 from __future__ import annotations
@@ -242,18 +244,12 @@ def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
 class _BlockDraws:
     """Everything a run of consecutive trials draws, in stream order: the
     fields, the users per trial, the user positions relative to the station
-    and their fading gains. Trial t's users are rows offsets[t]:offsets[t + 1]."""
+    and their fading gains, trial by trial."""
 
     field: FieldRealization
     users: np.ndarray
     positions: np.ndarray
     fading: np.ndarray
-
-    @property
-    def offsets(self) -> np.ndarray:
-        offsets = np.zeros(len(self.users) + 1, dtype=np.int64)
-        np.cumsum(self.users, out=offsets[1:])
-        return offsets
 
     def select(self, lo: int, hi: int) -> "_BlockDraws":
         """Trials lo..hi-1, as views."""
@@ -299,24 +295,22 @@ def _draws(cfg: ScenarioConfig, window: Window, seed: int, a: int, b: int) -> _B
                                 for name in ("users", "positions", "fading")))
 
 
-def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws,
-                 tally: TrialTally, clamp_box: list) -> None:
-    """Add every trial of the draws to the tally."""
+def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws) -> TrialTally:
+    """The tally of every trial of the draws."""
     k = draws.users
-    n_users = len(draws.positions)
-    tally.trials += len(k)
-    tally.zero_user_trials += int(np.count_nonzero(k == 0))
-    tally.users += n_users
-    if n_users == 0:
-        return
+    tally = TrialTally(trials=len(k), zero_user_trials=int(np.count_nonzero(k == 0)),
+                       users=len(draws.positions))
+    if tally.users == 0:
+        return tally
     budgets = cfg.eta * field_values(draws.field, supply.positions)
     power = supply.station_power(budgets)
     pos = draws.positions
     dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
-    need = required_power(cfg.theta, dist, draws.fading, cfg.channel, clamp_box)
+    tally.gain_clamps = int(np.count_nonzero(dist < cfg.channel.min_dist))
+    need = required_power(cfg.theta, dist, draws.fading, cfg.channel)
     per_user = np.maximum(k, 1)   # zero-user trials have no share to compare
-    tally.out_ci += int(np.count_nonzero(need > np.repeat(power / per_user, k)))
-    tally.persist_ci += int(np.count_nonzero(
+    tally.out_ci = int(np.count_nonzero(need > np.repeat(power / per_user, k)))
+    tally.persist_ci = int(np.count_nonzero(
         need > np.repeat(supply.peak_station_power / per_user, k)))
     # Inversion: each trial's needs sorted in one row of a matrix padded with
     # +inf, pads zeroed after the sort; every row's cumsum then does exactly
@@ -327,26 +321,22 @@ def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws,
     grants.sort(axis=1)
     grants[~valid] = 0.0
     csum = grants.cumsum(axis=1)
-    tally.out_inv += n_users - int(np.count_nonzero((csum <= power[:, None]) & valid))
-    tally.persist_inv += n_users - int(np.count_nonzero(
+    tally.out_inv = tally.users - int(np.count_nonzero((csum <= power[:, None]) & valid))
+    tally.persist_inv = tally.users - int(np.count_nonzero(
         (csum <= supply.peak_station_power) & valid))
-    tally.union_trials += int(np.count_nonzero((k > 0) & (csum[:, -1] > power)))
+    tally.union_trials = int(np.count_nonzero((k > 0) & (csum[:, -1] > power)))
+    return tally
 
 
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:
     """Run trials [start, stop) of the given master seed and tally events for
-    both schemes from shared draws."""
+    both schemes from shared draws: the sum of its passes' tallies."""
     if not 0 <= start <= stop:
         raise ValueError("need 0 <= start <= stop")
     window = resolve_window(cfg)
     supply = _supply(cfg, window)
-    tally = TrialTally()
-    clamp_box = [0]
-    for a in range(start, stop, BLOCK):
-        draws = _draws(cfg, window, seed, a, min(a + BLOCK, stop))
-        _tally_block(cfg, supply, draws, tally, clamp_box)
-    tally.gain_clamps = clamp_box[0]
-    return tally
+    return sum((_tally_block(cfg, supply, _draws(cfg, window, seed, a, min(a + BLOCK, stop)))
+                for a in range(start, stop, BLOCK)), TrialTally())
 
 
 @dataclass(frozen=True)

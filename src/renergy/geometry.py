@@ -2,10 +2,11 @@
 hexagonal lattices, and exact nearest-site queries with optional wraparound
 (toroidal) metric.
 
-Random draws follow one convention: realizations (trials) are grouped by
-absolute index into blocks of BLOCK, and block b draws all of its
-realizations from substream(seed, b); block_spans splits a run of
-realizations at block edges.
+Runs of realizations (trials, or the field draws of
+aggregation.supply_statistics) are grouped by absolute index into blocks of
+BLOCK, and block b draws all of its realizations from substream(seed, b). The
+field samplers (energy_field.sample_intensity, sample_intensity_pair) draw
+from the generator their caller passes instead.
 
 Distances on a wrapped window use the minimal-image convention, which equals
 the minimum over the nine translated copies of the window.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -35,19 +35,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 BLOCK = 256   # realizations per random-number block
-
-
-def block_spans(start: int, stop: int) -> Iterator[tuple[int, int, int]]:
-    """(block, lo, hi) for every block that realizations [start, stop) touch,
-    lo..hi-1 being their positions within it."""
-    if start < 0 or stop < start:
-        raise ValueError("need 0 <= start <= stop")
-    t = start
-    while t < stop:
-        block, lo = divmod(t, BLOCK)
-        hi = min(BLOCK, lo + stop - t)
-        yield block, lo, hi
-        t += hi - lo
 
 
 @dataclass(frozen=True)

@@ -76,15 +76,12 @@ def test_path_gain_reference_and_scaling():
 
 def test_path_gain_clamps_tiny_distances():
     spec = ChannelSpec()
-    counter = [0]
-    g_floor = path_gain(0.1 / 100.0, spec)
-    g = path_gain(1e-9, spec, clamp_counter=counter)
-    assert g == pytest.approx(g_floor, rel=1e-12)
-    assert counter[0] == 1
-    # vectorized counting
-    counter = [0]
-    path_gain(np.array([1e-9, 0.05, 1e-8]), spec, clamp_counter=counter)
-    assert counter[0] == 2
+    assert spec.min_dist == spec.ref_dist / 100.0
+    g_floor = path_gain(spec.min_dist, spec)
+    assert g_floor == pytest.approx(1e-7 * 100.0 ** 4, rel=1e-12)
+    assert path_gain(1e-9, spec) == g_floor
+    assert np.array_equal(path_gain(np.array([1e-9, 0.05, 1e-8]), spec),
+                          [g_floor, path_gain(0.05, spec), g_floor])
 
 
 def test_required_power_reference_value():

@@ -52,13 +52,16 @@ def test_sweep_flag_errors(monkeypatch, capsys):
         return run_trials_chunk(scenario, start, stop, seed)
 
     monkeypatch.setattr(harness, "run_trials_chunk", recording_chunk)
+    # errors name the flag, not the config key it sets
     assert main(["sweep", "--sweep", "nonsense=1,2", "--trials", "10"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: --sweep: unknown sweep parameter 'nonsense'" in capsys.readouterr().err
+    assert main(["sweep", "--sweep", "psi="]) == 2
+    assert "error: --sweep: needs at least one value" in capsys.readouterr().err
     assert main(["sweep", "--sweep", "theta"]) == 2
     assert main(["sweep", "--sweep", "theta=a,b"]) == 2
     # a bad later value stops the sweep before its first point runs
     assert main(["sweep", "--sweep", "theta=4,-1", "--trials", "2000"]) == 2
-    assert "error: sweep.values: theta=-1" in capsys.readouterr().err
+    assert "error: --sweep: theta=-1" in capsys.readouterr().err
     assert calls == []
     # the recorder sees every point of a good sweep
     assert main(["sweep", "--sweep", "theta=4,8", "--trials", "300"]) == 0

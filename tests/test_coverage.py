@@ -122,6 +122,7 @@ def test_tallies_do_not_depend_on_chunk_edges(case):
     cfg = _SPLIT_CASES[case]
     whole = run_trials_chunk(cfg, 0, _SPLIT_TRIALS, _SPLIT_SEED)
     assert whole.out_inv > 0 and whole.out_ci > whole.out_inv
+    assert whole.gain_clamps > 0
     assert _split_tally(cfg, [1, 257]) == whole
     assert _split_tally(cfg, [255, 256, 513]) == whole
     assert _split_tally(cfg, [100, 200]) == whole            # inside one block
@@ -195,9 +196,9 @@ def _record_passes(monkeypatch):
         drawn.append(block)
         return substream(seed, block)
 
-    def recording_tally_block(cfg, supply, draws, *rest):
+    def recording_tally_block(cfg, supply, draws):
         passes.append(len(draws.users))
-        tally_block(cfg, supply, draws, *rest)
+        return tally_block(cfg, supply, draws)
 
     monkeypatch.setattr(coverage, "substream", counting_substream)
     monkeypatch.setattr(coverage, "_tally_block", recording_tally_block)
@@ -265,7 +266,6 @@ def _oracle_tally(cfg, start, stop, seed):
     peak = supply.peak_station_power
     blocks = {}
     tally = TrialTally()
-    clamp_box = [0]
     for t in range(start, stop):
         b, i = divmod(t, BLOCK)
         if b not in blocks:
@@ -283,17 +283,18 @@ def _oracle_tally(cfg, start, stop, seed):
             tally.zero_user_trials += 1
             continue
         tally.users += k
-        u = slice(int(draws.offsets[i]), int(draws.offsets[i]) + k)
+        u0 = int(draws.users[:i].sum())
+        u = slice(u0, u0 + k)
         pos = draws.positions[u]
         dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
-        need = required_power(cfg.theta, dist, draws.fading[u], cfg.channel, clamp_box)
+        tally.gain_clamps += int(np.count_nonzero(dist < cfg.channel.min_dist))
+        need = required_power(cfg.theta, dist, draws.fading[u], cfg.channel)
         tally.out_ci += int(np.count_nonzero(need > power / k))
         tally.persist_ci += int(np.count_nonzero(need > peak / k))
         csum = np.cumsum(np.sort(need))
         tally.out_inv += k - int(np.searchsorted(csum, power, side="right"))
         tally.persist_inv += k - int(np.searchsorted(csum, peak, side="right"))
         tally.union_trials += int(csum[-1] > power)
-    tally.gain_clamps = clamp_box[0]
     return tally
 
 

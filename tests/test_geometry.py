@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from renergy import geometry
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
                                   field_values)
-from renergy.geometry import (BLOCK, PointSet, Window, block_spans, hex_cell_circumradius,
+from renergy.geometry import (PointSet, Window, hex_cell_circumradius,
                               hex_lattice, hex_pitch, nearest_site_indices,
                               sample_in_hex_cell, separation, substream)
 
@@ -39,17 +39,6 @@ def test_substream_multicomponent_keys_differ():
 def test_substream_rejects_negative_seed():
     with pytest.raises(ValueError):
         substream(-1, 0)
-
-
-def test_block_spans_split_at_block_edges():
-    assert list(block_spans(0, 0)) == list(block_spans(300, 300)) == []
-    assert list(block_spans(3, 10)) == [(0, 3, 10)]
-    assert list(block_spans(200, BLOCK)) == [(0, 200, BLOCK)]
-    assert list(block_spans(BLOCK - 1, 2 * BLOCK + 5)) == [
-        (0, BLOCK - 1, BLOCK), (1, 0, BLOCK), (2, 0, 5)]
-    for start, stop in ((-1, 3), (5, 3)):
-        with pytest.raises(ValueError):
-            list(block_spans(start, stop))
 
 
 def test_window_basics():
