@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import aggregation_power_floor  # noqa: F401  (re-export; natural home)
 from .energy_field import EnergyFieldSpec, FieldRealization, draw_field, field_values
-from .geometry import (BLOCK, HexLattice, Window, default_window_side,
+from .geometry import (BLOCK, FIELD_STREAM, HexLattice, Window, default_window_side,
                        hex_lattice, hex_pitch, nearest_site_indices, substream)
 
 
@@ -226,7 +226,8 @@ def supply_statistics(spec: EnergyFieldSpec, lambda_b: float, lambda_h: float,
                       min_side: float | None = None) -> np.ndarray:
     """Per-station supplied-power samples over independent field draws,
     shape (n_trials, n_stations). Trial t is realization t % BLOCK of the
-    block drawn from substream(seed, t // BLOCK)."""
+    block of fields drawn from substream(seed, t // BLOCK, FIELD_STREAM), the
+    stream the trial engine draws block t // BLOCK's fields from."""
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     side = min_side if min_side is not None else default_window_side(lambda_b, spec.nu)
@@ -234,7 +235,7 @@ def supply_statistics(spec: EnergyFieldSpec, lambda_b: float, lambda_h: float,
     assignment = build_clusters(lambda_h, lambda_a, window)
     rows = []
     for a in range(0, n_trials, BLOCK):
-        block = draw_field(spec, window, substream(seed, a // BLOCK), BLOCK)
+        block = draw_field(spec, window, substream(seed, a // BLOCK, FIELD_STREAM), BLOCK)
         real = block.select(0, min(BLOCK, n_trials - a))
         rows.append(supplied_power(assignment, real, line, eta, lambda_b).per_station.T)
     return np.vstack(rows)

@@ -18,28 +18,35 @@ reused by every chunk.
 
 Outage is reported per user, and every tally field is an integer, so chunked
 or multi-process runs merge exactly. Trials are grouped by absolute index into
-blocks of geometry.BLOCK (256), and block b draws everything from one stream,
-substream(seed, b), in a fixed order: center counts, center x, center y, users
-per cell, user positions, fading gains. Drawing is split from evaluation. A
+blocks of geometry.BLOCK (256), and block b draws from two streams: its fields
+(center counts, center x, center y) from substream(seed, b, FIELD_STREAM), and
+its users per cell, user positions and fading gains, in that order, from
+substream(seed, b, USER_STREAM). A trial's user side, everything but the field
+and the station's power, depends only on ScenarioConfig.user_settings:
+lambda_u, lambda_b, estimator, theta and channel. Scenarios with equal user
+settings form a group, and run_group_chunk runs a group's trials together: a
 chunk [start, stop) runs in passes of BLOCK consecutive trials,
-[a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK); a pass draws the
-blocks it touches, at most two, evaluates fields, station powers and both
-allocations for its own trials only, as flat arrays over their users, and
-returns their tally. That tally counts the users nearer the station than the
-path-gain clamp radius, ChannelSpec.min_dist, as gain clamps. A chunk's tally
-is the sum of its passes' tallies. The last block drawn is kept read-only in a
-one-entry memo, so consecutive chunks draw the block an edge between them cuts
-once. Each trial's arithmetic does not depend on the other trials of its pass,
-so tallies do not depend on where chunks start and stop or on the worker
-count.
+[a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK). A pass draws its
+users from the blocks it touches, at most two, and evaluates them once for the
+whole group: distances, gain clamps (users nearer the station than the
+path-gain clamp radius, ChannelSpec.min_dist), required powers, and each
+trial's needs sorted and summed. Then, scenario by scenario, it draws the
+pass's fields and evaluates the field values, the station powers and both
+allocations against the shared users, and adds the result to that scenario's
+tally. run_trials_chunk is the group of one. The last block of fields and the
+last block of users drawn are each kept read-only in a one-entry memo, so
+consecutive chunks draw the block an edge between them cuts once. Each trial's
+arithmetic depends neither on the other trials of its pass nor on the other
+scenarios of its group, so tallies do not depend on where chunks start and
+stop, on the worker count, or on which scenarios run together.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache, partial
 from typing import Mapping
 
 import numpy as np
@@ -54,9 +61,9 @@ from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
                            field_values)
-from .geometry import (BLOCK, PointSet, Window, default_window_side,
-                       hex_cell_circumradius, nearest_site_indices, sample_in_hex_cell,
-                       substream)
+from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
+                       default_window_side, hex_cell_circumradius, nearest_site_indices,
+                       sample_in_hex_cell, substream)
 from .stats import wilson_ci
 
 # glibc's malloc starts with small mmap and trim thresholds (128 KiB) and
@@ -140,6 +147,14 @@ class ScenarioConfig:
     @property
     def mean_users_per_cell(self) -> float:
         return self.lambda_u / self.lambda_b
+
+    @property
+    def user_settings(self) -> tuple:
+        """The settings a trial's user side depends on: how many users, where
+        and with what fading they are drawn, and the power each one needs.
+        Scenarios with equal user settings draw the same users and run as
+        one group."""
+        return (self.lambda_u, self.lambda_b, self.estimator, self.theta, self.channel)
 
 
 # Margin, in multiples of the kernel length scale, kept between the typical
@@ -241,102 +256,166 @@ def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
 
 
 @dataclass(frozen=True, eq=False)
-class _BlockDraws:
-    """Everything a run of consecutive trials draws, in stream order: the
-    fields, the users per trial, the user positions relative to the station
-    and their fading gains, trial by trial."""
+class _UserDraws:
+    """The users of a run of consecutive trials, in stream order: the users
+    per trial, their positions relative to the station and their fading
+    gains, trial by trial."""
 
-    field: FieldRealization
     users: np.ndarray
     positions: np.ndarray
     fading: np.ndarray
 
-    def select(self, lo: int, hi: int) -> "_BlockDraws":
+    def select(self, lo: int, hi: int) -> "_UserDraws":
         """Trials lo..hi-1, as views."""
         first = int(self.users[:lo].sum())
         last = first + int(self.users[lo:hi].sum())
-        return _BlockDraws(self.field.select(lo, hi), self.users[lo:hi],
-                           self.positions[first:last], self.fading[first:last])
+        return _UserDraws(self.users[lo:hi], self.positions[first:last],
+                          self.fading[first:last])
 
 
 @lru_cache(maxsize=1)
-def _draw_block(cfg: ScenarioConfig, window: Window, seed: int, block: int) -> _BlockDraws:
-    """Block `block` of trials, drawn read-only from substream(seed, block)."""
-    rng = substream(seed, block)
-    fields = draw_field(cfg.field, window, rng, BLOCK)
+def _draw_fields(spec: EnergyFieldSpec, window: Window, seed: int,
+                 block: int) -> FieldRealization:
+    """Block `block` of fields, drawn read-only from its field stream."""
+    real = draw_field(spec, window, substream(seed, block, FIELD_STREAM), BLOCK)
+    real.counts.setflags(write=False)
+    return real
+
+
+@lru_cache(maxsize=1)
+def _draw_users(cfg: ScenarioConfig, seed: int, block: int) -> _UserDraws:
+    """Block `block` of users, drawn read-only from its user stream."""
+    rng = substream(seed, block, USER_STREAM)
     users = rng.poisson(cfg.mean_users_per_cell, BLOCK)
     if cfg.estimator == "palm":
         users += 1
     n = int(users.sum())
     positions = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), n, rng)
-    draws = _BlockDraws(fields, users, positions, sample_fading(cfg.channel, rng, n))
-    for a in (fields.counts, users, positions, draws.fading):
+    draws = _UserDraws(users, positions, sample_fading(cfg.channel, rng, n))
+    for a in (users, positions, draws.fading):
         a.setflags(write=False)
     return draws
 
 
-def _draws(cfg: ScenarioConfig, window: Window, seed: int, a: int, b: int) -> _BlockDraws:
-    """The draws of trials [a, b), at most BLOCK of them: a whole block as
-    drawn, part of one block as views, or the tail of one block joined to the
-    head of the next."""
+def _pass_parts(draw, a: int, b: int) -> tuple:
+    """Trials [a, b), at most BLOCK of them, from the blocks draw(block)
+    returns: a whole block as drawn, part of one block as views, or the tail
+    of one block and the head of the next."""
     block, lo = divmod(a, BLOCK)
     hi = lo + b - a
-    draws = _draw_block(cfg, window, seed, block)
+    first = draw(block)
     if hi <= BLOCK:
-        return draws if hi - lo == BLOCK else draws.select(lo, hi)
-    parts = (draws.select(lo, BLOCK),
-             _draw_block(cfg, window, seed, block + 1).select(0, hi - BLOCK))
+        return (first if hi - lo == BLOCK else first.select(lo, hi),)
+    return first.select(lo, BLOCK), draw(block + 1).select(0, hi - BLOCK)
+
+
+def _pass_fields(cfg: ScenarioConfig, window: Window, seed: int, a: int,
+                 b: int) -> FieldRealization:
+    """The fields of trials [a, b), at most BLOCK of them."""
+    parts = _pass_parts(partial(_draw_fields, cfg.field, window, seed), a, b)
+    if len(parts) == 1:
+        return parts[0]
     # centers keep draw_field's layout: each coordinate contiguous
-    xy = np.concatenate([p.field.centers.points.T for p in parts], axis=1)
+    xy = np.concatenate([p.centers.points.T for p in parts], axis=1)
     xy.setflags(write=False)
-    field = FieldRealization(cfg.field, PointSet(xy.T), window,
-                             np.concatenate([p.field.counts for p in parts]))
-    return _BlockDraws(field, *(np.concatenate([getattr(p, name) for p in parts])
-                                for name in ("users", "positions", "fading")))
+    return FieldRealization(cfg.field, PointSet(xy.T), window,
+                            np.concatenate([p.counts for p in parts]))
 
 
-def _tally_block(cfg: ScenarioConfig, supply: _Supply, draws: _BlockDraws) -> TrialTally:
-    """The tally of every trial of the draws."""
+def _pass_users(cfg: ScenarioConfig, seed: int, a: int, b: int) -> _UserDraws:
+    """The users of trials [a, b), at most BLOCK of them."""
+    parts = _pass_parts(partial(_draw_users, cfg, seed), a, b)
+    if len(parts) == 1:
+        return parts[0]
+    return _UserDraws(*(np.concatenate([getattr(p, f.name) for p in parts])
+                        for f in fields(_UserDraws)))
+
+
+@dataclass(frozen=True, eq=False)
+class _UserSide:
+    """A pass's users, evaluated once for every scenario of its group: the
+    tally counts that do not depend on the station's power, each user's
+    required power, each trial's needs sorted and summed in one row of a
+    matrix padded with +inf (csum), and each trial's total demand."""
+
+    tally: TrialTally
+    users: np.ndarray
+    need: np.ndarray
+    csum: np.ndarray
+    total: np.ndarray
+
+
+def _user_side(cfg: ScenarioConfig, draws: _UserDraws) -> _UserSide:
     k = draws.users
     tally = TrialTally(trials=len(k), zero_user_trials=int(np.count_nonzero(k == 0)),
                        users=len(draws.positions))
-    if tally.users == 0:
-        return tally
-    budgets = cfg.eta * field_values(draws.field, supply.positions)
-    power = supply.station_power(budgets)
     pos = draws.positions
     dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
     tally.gain_clamps = int(np.count_nonzero(dist < cfg.channel.min_dist))
     need = required_power(cfg.theta, dist, draws.fading, cfg.channel)
+    # Inversion: each trial's needs sorted in one row of a matrix padded with
+    # +inf; every row's cumsum then does exactly the arithmetic of
+    # np.cumsum(np.sort(need)) for that trial, and its pads stay +inf, so no
+    # finite power covers them. The matrix has at least one column, so the
+    # total below has an entry to read in a pass without users.
+    valid = np.arange(max(int(k.max()), 1)) < k[:, None]
+    grants = np.full(valid.shape, np.inf)
+    grants[valid] = need
+    grants.sort(axis=1)
+    csum = grants.cumsum(axis=1)
+    # each trial's total demand; -inf, below any power, where it has no users
+    total = np.where(k > 0, csum[np.arange(len(k)), k - 1], -np.inf)
+    return _UserSide(tally, k, need, csum, total)
+
+
+def _point_tally(cfg: ScenarioConfig, supply: _Supply, real: FieldRealization,
+                 side: _UserSide) -> TrialTally:
+    """The tally of a pass at one scenario: its fields' station powers
+    against the pass's users."""
+    tally = replace(side.tally)
+    if tally.users == 0:
+        return tally
+    budgets = cfg.eta * field_values(real, supply.positions)
+    power = supply.station_power(budgets)
+    k, need, csum = side.users, side.need, side.csum
     per_user = np.maximum(k, 1)   # zero-user trials have no share to compare
     tally.out_ci = int(np.count_nonzero(need > np.repeat(power / per_user, k)))
     tally.persist_ci = int(np.count_nonzero(
         need > np.repeat(supply.peak_station_power / per_user, k)))
-    # Inversion: each trial's needs sorted in one row of a matrix padded with
-    # +inf, pads zeroed after the sort; every row's cumsum then does exactly
-    # the arithmetic of np.cumsum(np.sort(need)) for that trial.
-    valid = np.arange(int(k.max())) < k[:, None]
-    grants = np.full(valid.shape, np.inf)
-    grants[valid] = need
-    grants.sort(axis=1)
-    grants[~valid] = 0.0
-    csum = grants.cumsum(axis=1)
-    tally.out_inv = tally.users - int(np.count_nonzero((csum <= power[:, None]) & valid))
+    tally.out_inv = tally.users - int(np.count_nonzero(csum <= power[:, None]))
     tally.persist_inv = tally.users - int(np.count_nonzero(
-        (csum <= supply.peak_station_power) & valid))
-    tally.union_trials = int(np.count_nonzero((k > 0) & (csum[:, -1] > power)))
+        csum <= supply.peak_station_power))
+    tally.union_trials = int(np.count_nonzero(side.total > power))
     return tally
+
+
+def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
+                    seed: int) -> list[TrialTally]:
+    """Run trials [start, stop) of the given master seed at every scenario of
+    a group, which must share their user_settings, and tally events for both
+    schemes from shared draws: one tally per scenario, each the sum of its
+    passes' tallies. Every pass draws and evaluates its users once."""
+    if not 0 <= start <= stop:
+        raise ValueError("need 0 <= start <= stop")
+    if len({cfg.user_settings for cfg in cfgs}) != 1:
+        raise ValueError("a group needs scenarios with equal user_settings")
+    windows = [resolve_window(cfg) for cfg in cfgs]
+    supplies = [_supply(cfg, window) for cfg, window in zip(cfgs, windows)]
+    tallies = [TrialTally() for _ in cfgs]
+    for a in range(start, stop, BLOCK):
+        b = min(a + BLOCK, stop)
+        side = _user_side(cfgs[0], _pass_users(cfgs[0], seed, a, b))
+        for i, (cfg, window, supply) in enumerate(zip(cfgs, windows, supplies)):
+            tallies[i] += _point_tally(cfg, supply, _pass_fields(cfg, window, seed, a, b),
+                                       side)
+    return tallies
 
 
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:
     """Run trials [start, stop) of the given master seed and tally events for
-    both schemes from shared draws: the sum of its passes' tallies."""
-    if not 0 <= start <= stop:
-        raise ValueError("need 0 <= start <= stop")
-    window = resolve_window(cfg)
-    supply = _supply(cfg, window)
-    return sum((_tally_block(cfg, supply, _draws(cfg, window, seed, a, min(a + BLOCK, stop)))
-                for a in range(start, stop, BLOCK)), TrialTally())
+    both schemes from shared draws: the group of one."""
+    [tally] = run_group_chunk((cfg,), start, stop, seed)
+    return tally
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ hexagonal lattices, and exact nearest-site queries with optional wraparound
 
 Runs of realizations (trials, or the field draws of
 aggregation.supply_statistics) are grouped by absolute index into blocks of
-BLOCK, and block b draws all of its realizations from substream(seed, b). The
-field samplers (energy_field.sample_intensity, sample_intensity_pair) draw
-from the generator their caller passes instead.
+BLOCK. Block b has two streams: its fields come from
+substream(seed, b, FIELD_STREAM) and its users, their positions and their
+fading from substream(seed, b, USER_STREAM), so a setting that changes the
+field leaves every user draw as it was. The field samplers
+(energy_field.sample_intensity, sample_intensity_pair) draw from the
+generator their caller passes instead.
 
 Distances on a wrapped window use the minimal-image convention, which equals
 the minimum over the nine translated copies of the window.
@@ -35,6 +38,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 BLOCK = 256   # realizations per random-number block
+FIELD_STREAM, USER_STREAM = 0, 1   # last key of a block's field and user streams
 
 
 @dataclass(frozen=True)

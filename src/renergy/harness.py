@@ -33,8 +33,11 @@ from typing import Iterator
 
 from .aggregation import Distributed, LineSpec
 from .channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
-from .coverage import (OnSite, OutageEstimate, Scheme, ScenarioConfig, TrialTally,
-                       estimates_from_tally, resolve_window, run_trials_chunk)
+# run_trials_chunk is re-exported for callers that run chunks of one point
+# through the harness, as the benchmark's time-to-CI loop does
+from .coverage import (OnSite, OutageEstimate, Scheme, ScenarioConfig, TrialTally,  # noqa: F401
+                       estimates_from_tally, resolve_window, run_group_chunk,
+                       run_trials_chunk)
 from .energy_field import (EnergyFieldSpec, Kernel, cdf_boolean_exp,
                            cdf_boolean_plaw, sample_intensity, validation_window)
 from .geometry import BLOCK, substream
@@ -340,25 +343,39 @@ def _tallies(scenarios: tuple[ScenarioConfig, ...], n_trials: int, seed: int,
              workers: int) -> Iterator[TrialTally]:
     """Tally n_trials trials at each scenario, yielding the tallies in order.
 
+    Scenarios with equal user_settings form a group, in order of their first
+    scenario, and each chunk of a group is one task, run_group_chunk, which
+    draws and evaluates the users once for all of the group's scenarios.
     With several workers and more than one block per point, one process pool
-    serves every point: all of their block-aligned chunks are queued at once,
-    so no worker waits between points, and each point's tally is merged as
-    its chunks finish. A chunk that raises cancels the chunks not yet started
-    and its exception propagates. Random streams are keyed by absolute trial
-    block, so each tally is identical for every worker count.
+    serves every group: all of their block-aligned chunks are queued at
+    once, so no worker waits between groups, and each point's tally is
+    merged as its group's chunks finish. A chunk that raises cancels the
+    chunks not yet started and its exception propagates. Random streams are
+    keyed by absolute trial block, so each tally is identical for every
+    worker count and grouping.
     """
+    groups: dict[tuple, tuple[ScenarioConfig, ...]] = {}
+    places = []   # (group key, place in the group) of every point, in point order
+    for scenario in scenarios:
+        key = scenario.user_settings
+        group = groups.get(key, ())
+        places.append((key, len(group)))
+        groups[key] = group + (scenario,)
     edges = chunk_edges(n_trials, 2 * workers) if workers > 1 else [0, n_trials]
     if len(edges) <= 2:
-        for scenario in scenarios:
-            yield run_trials_chunk(scenario, 0, n_trials, seed)
+        done: dict[tuple, list[TrialTally]] = {}
+        for key, j in places:
+            if key not in done:
+                done[key] = run_group_chunk(groups[key], 0, n_trials, seed)
+            yield done[key][j]
         return
     spans = list(zip(edges[:-1], edges[1:]))
     pool = ProcessPoolExecutor(max_workers=min(workers, len(spans)))
     try:
-        futures = [[pool.submit(run_trials_chunk, scenario, a, b, seed) for a, b in spans]
-                   for scenario in scenarios]
-        for point in futures:
-            yield sum((fut.result() for fut in point), TrialTally())
+        futures = {key: [pool.submit(run_group_chunk, group, a, b, seed) for a, b in spans]
+                   for key, group in groups.items()}
+        for key, j in places:
+            yield sum((fut.result()[j] for fut in futures[key]), TrialTally())
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -394,7 +411,8 @@ def run_sweep(exp: ExperimentConfig, seed: int | None = None) -> list[ResultRow]
 
     Each row's wall_time is its point's time from the previous point's rows
     to its own, so the points' times add up to the sweep's, pool start-up
-    included in the first point.
+    included in the first point. Points that run as one group (see
+    _tallies) finish together, so the group's time falls on its first point.
     """
     seed = exp.seed if seed is None else seed
     values: tuple[float | None, ...] = exp.sweep_values or (None,)

@@ -17,7 +17,8 @@ from renergy.aggregation import (Distributed, LineSpec, build_clusters,
 from renergy.channel import ChannelSpec
 from renergy.coverage import ScenarioConfig, run_trials_chunk
 from renergy.energy_field import EnergyFieldSpec, Kernel, draw_field
-from renergy.geometry import BLOCK, hex_cell_circumradius, hex_pitch, substream
+from renergy.geometry import (BLOCK, FIELD_STREAM, hex_cell_circumradius, hex_pitch,
+                              substream)
 
 
 def line_loss(power, length, voltage: float, beta: float):
@@ -240,14 +241,14 @@ def test_supply_statistics_shape_and_determinism():
 def test_supply_statistics_rows_keyed_by_absolute_trial():
     # trial t is realization t % BLOCK of block t // BLOCK, so a shorter run
     # is a prefix of a longer one, and rows past the block edge come from
-    # the next block's stream
+    # the next block's field stream
     args = (field_spec(), 1.0, 2.0, 0.5, LineSpec(voltage=math.inf), 1.0)
     n = BLOCK + 44
     long = supply_statistics(*args, n, 78, min_side=10.0)
     assert long.shape[0] == n
     assert np.array_equal(long[:40], supply_statistics(*args, 40, 78, min_side=10.0))
     w = clustered_window(0.5, 10.0)
-    second = draw_field(field_spec(), w, substream(78, 1), BLOCK).select(0, 44)
+    second = draw_field(field_spec(), w, substream(78, 1, FIELD_STREAM), BLOCK).select(0, 44)
     res = supplied_power(build_clusters(2.0, 0.5, w), second, args[4], 1.0, 1.0)
     assert np.array_equal(long[BLOCK:], res.per_station.T)
 

@@ -45,13 +45,13 @@ def test_sweep_smoke(tmp_path):
 def test_sweep_flag_errors(monkeypatch, capsys):
     # record where the sweep runner looks up its trial engine
     calls = []
-    run_trials_chunk = harness.run_trials_chunk
+    run_group_chunk = harness.run_group_chunk
 
-    def recording_chunk(scenario, start, stop, seed):
-        calls.append(scenario.theta)
-        return run_trials_chunk(scenario, start, stop, seed)
+    def recording_group(scenarios, start, stop, seed):
+        calls.extend(scenario.theta for scenario in scenarios)
+        return run_group_chunk(scenarios, start, stop, seed)
 
-    monkeypatch.setattr(harness, "run_trials_chunk", recording_chunk)
+    monkeypatch.setattr(harness, "run_group_chunk", recording_group)
     # errors name the flag, not the config key it sets
     assert main(["sweep", "--sweep", "nonsense=1,2", "--trials", "10"]) == 2
     assert "error: --sweep: unknown sweep parameter 'nonsense'" in capsys.readouterr().err

@@ -14,9 +14,12 @@ from renergy.aggregation import Distributed, LineSpec, build_clusters
 from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFading,
                              required_power)
 from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
-                              estimates_from_tally, resolve_window, run_trials_chunk)
+                              estimates_from_tally, resolve_window, run_group_chunk,
+                              run_trials_chunk)
 from renergy.energy_field import EnergyFieldSpec, FieldRealization, Kernel, field_values
-from renergy.geometry import BLOCK, PointSet, hex_pitch, substream
+from renergy.geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, hex_pitch,
+                              substream)
+from renergy.harness import apply_sweep
 from renergy.stats import wilson_ci
 
 
@@ -186,24 +189,30 @@ _MEMO_CASES = {
 
 
 def _record_passes(monkeypatch):
-    """Lists of the blocks drawn and of the trials per pass, filled as the
-    engine runs, with the block memo emptied."""
-    # run_trials_chunk looks substream and _tally_block up in coverage's globals
-    drawn, passes = [], []
-    tally_block = coverage._tally_block
+    """The blocks drawn from each stream and the trials per pass, filled as
+    the engine runs, with the block memos emptied."""
+    # run_group_chunk looks substream and _user_side up in coverage's globals
+    drawn, passes = {FIELD_STREAM: [], USER_STREAM: []}, []
+    user_side = coverage._user_side
 
-    def counting_substream(seed, block):
-        drawn.append(block)
-        return substream(seed, block)
+    def counting_substream(seed, block, stream):
+        drawn[stream].append(block)
+        return substream(seed, block, stream)
 
-    def recording_tally_block(cfg, supply, draws):
+    def recording_user_side(cfg, draws):
         passes.append(len(draws.users))
-        return tally_block(cfg, supply, draws)
+        return user_side(cfg, draws)
 
     monkeypatch.setattr(coverage, "substream", counting_substream)
-    monkeypatch.setattr(coverage, "_tally_block", recording_tally_block)
-    coverage._draw_block.cache_clear()
+    monkeypatch.setattr(coverage, "_user_side", recording_user_side)
+    coverage._draw_fields.cache_clear()
+    coverage._draw_users.cache_clear()
     return drawn, passes
+
+
+def _each_stream(blocks):
+    """Blocks drawn once from the field stream and once from the user stream."""
+    return {FIELD_STREAM: list(blocks), USER_STREAM: list(blocks)}
 
 
 @pytest.mark.parametrize("case", sorted(_MEMO_CASES))
@@ -212,12 +221,13 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     cfg = _MEMO_CASES[case]
     n = 8 * BLOCK
     chunks = [run_trials_chunk(cfg, a, min(a + 200, n), 31) for a in range(0, n, 200)]
-    assert drawn == list(range(8))   # cutting the run at 200s drew 18 blocks
+    assert drawn == _each_stream(range(8))   # cutting the run at 200s drew 18 blocks
     # a chunk across a block edge is one pass over the tail and the head
     assert passes == [200] * 10 + [48]
-    del drawn[:], passes[:]
+    for blocks in (*drawn.values(), passes):
+        blocks.clear()
     whole = run_trials_chunk(cfg, 0, n, 31)
-    assert drawn == list(range(8)) and passes == [BLOCK] * 8
+    assert drawn == _each_stream(range(8)) and passes == [BLOCK] * 8
     assert sum(chunks, TrialTally()) == whole
 
 
@@ -232,15 +242,59 @@ def test_chunk_runs_in_fewest_passes(monkeypatch, start, stop, passes, blocks):
     cfg = unit_cfg()
     tally = run_trials_chunk(cfg, start, stop, 19)
     assert seen == passes and len(passes) == -(-(stop - start) // BLOCK)
-    assert drawn == blocks
+    assert drawn == _each_stream(blocks)
     assert tally == _oracle_tally(cfg, start, stop, 19)
+
+
+def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
+    # fig4's sweep shape: psi points share every user draw and need
+    drawn, passes = _record_passes(monkeypatch)
+    group = tuple(unit_cfg(psi=psi) for psi in (0.05, 0.2, 0.5))
+    tallies = run_group_chunk(group, 0, 2 * BLOCK, 7)
+    assert passes == [BLOCK, BLOCK]
+    assert drawn == {USER_STREAM: [0, 1], FIELD_STREAM: [0, 0, 0, 1, 1, 1]}
+    assert len({t.users for t in tallies}) == 1
+    assert len({t.out_inv for t in tallies}) == 3
+    with pytest.raises(ValueError, match="user_settings"):
+        run_group_chunk((group[0], replace(group[0], theta=4.0)), 0, 10, 7)
+    with pytest.raises(ValueError, match="user_settings"):
+        run_group_chunk((), 0, 10, 7)
+
+
+# Sweep edits that keep a scenario's user settings, by architecture; a
+# cluster_size edit changes the distributed window as well.
+_GROUP_BASES = {"onsite": unit_cfg(),
+                "distributed": unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))}
+_GROUP_EDITS = {
+    "onsite": [("psi", v) for v in (0.02, 0.2, 0.5)] + [("gamma_eta", v) for v in (5.0, 80.0)],
+    "distributed": [("psi", v) for v in (0.02, 0.2)] + [("gamma_eta", 80.0)]
+                   + [("cluster_size", v) for v in (2.0, 8.0)],
+}
+_GROUPS = st.sampled_from(sorted(_GROUP_EDITS)).flatmap(
+    lambda arch: st.tuples(st.just(arch), st.lists(st.sampled_from(_GROUP_EDITS[arch]),
+                                                   min_size=1, max_size=4)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(group=_GROUPS, estimator=st.sampled_from(["user_weighted", "palm"]),
+       start=st.integers(0, 700), length=st.integers(0, 400), seed=st.integers(0, 2**32))
+@example(group=("distributed", [("psi", 0.2), ("cluster_size", 8.0), ("gamma_eta", 80.0)]),
+         estimator="palm", start=250, length=300, seed=5)
+def test_group_tallies_equal_points_run_alone(group, estimator, start, length, seed):
+    arch, edits = group
+    base = replace(_GROUP_BASES[arch], estimator=estimator)
+    cfgs = (base, *(apply_sweep(base, param, value) for param, value in edits))
+    stop = start + length
+    assert run_group_chunk(cfgs, start, stop, seed) == \
+        [run_trials_chunk(cfg, start, stop, seed) for cfg in cfgs]
 
 
 def test_block_memo_is_read_only_and_keyed():
     cfg = unit_cfg()
-    draws = coverage._draw_block(cfg, resolve_window(cfg), 3, 1)
-    for a in (draws.users, draws.positions, draws.fading, draws.field.counts,
-              draws.field.centers.points):
+    users = coverage._draw_users(cfg, 3, 1)
+    real = coverage._draw_fields(cfg.field, resolve_window(cfg), 3, 1)
+    for a in (users.users, users.positions, users.fading, real.counts,
+              real.centers.points):
         with pytest.raises(ValueError):
             a[0] = 0
     # the memo holds one block: runs that take turns evict each other's
@@ -258,9 +312,10 @@ def test_block_memo_is_read_only_and_keyed():
 
 
 def _oracle_tally(cfg, start, stop, seed):
-    """Scalar reference engine: the engine's drawn blocks, evaluated trial by
-    trial with np.sort, np.cumsum and searchsorted, as the per-trial loop the
-    block engine replaced did."""
+    """Scalar reference engine: the engine's drawn blocks of fields and of
+    users, each from its own stream, evaluated trial by trial with np.sort,
+    np.cumsum and searchsorted, as the per-trial loop the block engine
+    replaced did."""
     window = resolve_window(cfg)
     supply = coverage._supply(cfg, window)
     peak = supply.peak_station_power
@@ -269,11 +324,12 @@ def _oracle_tally(cfg, start, stop, seed):
     for t in range(start, stop):
         b, i = divmod(t, BLOCK)
         if b not in blocks:
-            blocks[b] = coverage._draw_block(cfg, window, seed, b)
-        draws = blocks[b]
-        counts = draws.field.counts
+            blocks[b] = (coverage._draw_fields(cfg.field, window, seed, b),
+                         coverage._draw_users(cfg, seed, b))
+        real, draws = blocks[b]
+        counts = real.counts
         c0 = int(counts[:i].sum())
-        centers = PointSet(draws.field.centers.points[c0:c0 + counts[i]])
+        centers = PointSet(real.centers.points[c0:c0 + counts[i]])
         budgets = cfg.eta * field_values(FieldRealization(cfg.field, centers, window),
                                          supply.positions)
         power = float(supply.station_power(budgets)[0])
@@ -321,7 +377,7 @@ _ORACLE_SUPPLIES = {
        seed=st.integers(0, 2**32))
 @example(kernel=Kernel.BOOLEAN_MAX_EXP, fading=ChiSquaredFading(1),
          estimator="user_weighted", supply="onsite", psi=0.05, lambda_u=10.0,
-         ref_dist=3.0, start=200, length=400, seed=3)
+         ref_dist=3.0, start=200, length=400, seed=8)
 def test_block_engine_matches_scalar_oracle(kernel, fading, estimator, supply, psi,
                                             lambda_u, ref_dist, start, length, seed):
     # lambda_u 0.5 leaves most cells empty; ref_dist 3 puts a user inside the
@@ -337,7 +393,7 @@ def test_oracle_sees_clamps_and_both_outage_kinds():
     # the explicit example of the oracle property exercises every outage field
     cfg = unit_cfg(fading=ChiSquaredFading(1))
     cfg = replace(cfg, channel=replace(cfg.channel, ref_dist=3.0))
-    tally = _oracle_tally(cfg, 200, 600, 3)
+    tally = _oracle_tally(cfg, 200, 600, 8)
     assert tally.gain_clamps > 0 and tally.union_trials > 0
     assert tally.out_ci > tally.out_inv > 0
     assert tally.persist_ci > tally.persist_inv > 0
@@ -502,3 +558,6 @@ def test_zero_user_accounting():
     assert tally.trials == 500
     assert 0 < tally.zero_user_trials < 500
     assert tally.users > 0
+    # passes in which no cell has a user leave every count but the trials at 0
+    empty = run_trials_chunk(unit_cfg(lambda_u=1e-9), 0, 500, 13)
+    assert empty == TrialTally(trials=500, zero_user_trials=500)

@@ -249,6 +249,24 @@ def test_run_sweep_csv_worker_invariance_with_one_pool(monkeypatch, tmp_path):
     assert csvs[0] == csvs[1]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("config", [
+    "sweep.param = psi\nsweep.values = 0.05, 0.2, 0.5\n",
+    "scenario.architecture = distributed\nscenario.estimator = palm\n"
+    "sweep.param = cluster_size\nsweep.values = 20, 80\n",
+], ids=["onsite_psi", "distributed_cluster_size"])
+def test_fused_sweep_rows_equal_points_run_alone(tmp_path, config, workers):
+    exp = replace(parse_config_text(config + "run.trials = 600\nrun.seed = 12\n"),
+                  workers=workers)
+    scenarios = [apply_sweep(exp.scenario, exp.sweep_param, v) for v in exp.sweep_values]
+    assert len({s.user_settings for s in scenarios}) == 1   # one group
+    fused = emit_csv(run_sweep(exp), tmp_path / "fused.csv").read_text().splitlines()
+    alone = [emit_csv(run_sweep(replace(exp, sweep_values=(v,))),
+                      tmp_path / f"alone-{i}.csv").read_text().splitlines()
+             for i, v in enumerate(exp.sweep_values)]
+    assert fused == alone[0][:1] + [row for lines in alone for row in lines[1:]]
+
+
 class ChunkFailure(RuntimeError):
     pass
 
@@ -256,21 +274,22 @@ class ChunkFailure(RuntimeError):
 _CHUNK_LOG = "RENERGY_TEST_CHUNK_LOG"
 
 
-def _failing_chunk(scenario, start, stop, seed):
-    """Stands in for harness.run_trials_chunk in pool workers: logs each call,
-    fails every chunk at theta 4 and takes a while at other values."""
+def _failing_group(scenarios, start, stop, seed):
+    """Stands in for harness.run_group_chunk in pool workers: logs each
+    call's scenarios, fails every chunk at theta 4 and takes a while at other
+    values. A theta sweep runs one group per point."""
     with open(os.environ[_CHUNK_LOG], "a", encoding="utf-8") as fh:
-        fh.write(f"{scenario.theta}\n")
-    if scenario.theta == 4.0:
+        fh.writelines(f"{scenario.theta}\n" for scenario in scenarios)
+    if any(scenario.theta == 4.0 for scenario in scenarios):
         raise ChunkFailure(f"chunk [{start}, {stop}) at theta 4")
     time.sleep(0.2)
-    return TrialTally(trials=stop - start)
+    return [TrialTally(trials=stop - start) for _ in scenarios]
 
 
 def test_run_sweep_fails_fast_on_a_worker_error(monkeypatch, tmp_path):
     log = tmp_path / "chunks.log"
     monkeypatch.setenv(_CHUNK_LOG, str(log))
-    monkeypatch.setattr(harness, "run_trials_chunk", _failing_chunk)
+    monkeypatch.setattr(harness, "run_group_chunk", _failing_group)
     exp = parse_config_text("sweep.param = theta\nsweep.values = 4, 8, 16, 32\n"
                             "run.trials = 1024\nrun.workers = 2\n")
     assert chunk_edges(1024, 4) == [0, 256, 512, 768, 1024]
