@@ -202,6 +202,6 @@ def power_law_outage_bound(b: BoundInputs) -> tuple[float, float]:
 ASYMPTOTIC_MARGIN = 100.0
 
 
-def in_asymptotic_regime(b: BoundInputs, margin: float = ASYMPTOTIC_MARGIN) -> bool:
+def in_asymptotic_regime(b: BoundInputs) -> bool:
     """True when the peak harvested power is deep enough for the tail bounds."""
-    return margin * _tail_base(b) <= 1.0
+    return ASYMPTOTIC_MARGIN * _tail_base(b) <= 1.0

@@ -24,21 +24,28 @@ its users per cell, user positions and fading gains, in that order, from
 substream(seed, b, USER_STREAM). A trial's user side, everything but the field
 and the station's power, depends only on ScenarioConfig.user_settings:
 lambda_u, lambda_b, estimator, theta and channel. Scenarios with equal user
-settings form a group, and run_group_chunk runs a group's trials together: a
-chunk [start, stop) runs in passes of BLOCK consecutive trials,
-[a, min(a + BLOCK, stop)) for a in range(start, stop, BLOCK). A pass draws its
-users from the blocks it touches, at most two, and evaluates them once for the
-whole group: distances, gain clamps (users nearer the station than the
-path-gain clamp radius, ChannelSpec.min_dist), required powers, and each
-trial's needs sorted and summed. Then, scenario by scenario, it draws the
-pass's fields and evaluates the field values, the station powers and both
-allocations against the shared users, and adds the result to that scenario's
-tally. run_trials_chunk is the group of one. The last block of fields and the
-last block of users drawn are each kept read-only in a one-entry memo, so
-consecutive chunks draw the block an edge between them cuts once. Each trial's
-arithmetic depends neither on the other trials of its pass nor on the other
-scenarios of its group, so tallies do not depend on where chunks start and
-stop, on the worker count, or on which scenarios run together.
+settings form a group, and run_group_chunk runs a group's trials together, in
+passes of BLOCK consecutive trials: [a, min(a + BLOCK, stop)) for a in
+range(start, stop, BLOCK). One rule draws a pass from either stream
+(_pass_draw): a whole block as drawn, views of part of one block, or the tail
+of one block joined to the head of the next. The last block drawn from each
+stream is memoized read-only, so consecutive chunks draw the block an edge
+between them cuts once.
+
+A pass evaluates its users once for the whole group: distances, gain clamps
+(users nearer the station than ChannelSpec.min_dist, the path-gain clamp
+radius), required powers, and each trial's needs sorted and summed in one row
+of a matrix padded with +inf. One rule counts both schemes' outages at
+per-trial station powers P (_outages): of a trial's k users, equal split
+covers those whose need is at most P / max(k, 1), inversion those whose
+running sum of needs is at most P; no finite power covers a pad. At the peak
+station power it gives the max-power outages (persist_*), counted once per
+pass for each distinct peak of the group. Then each scenario draws the pass's
+fields, evaluates their station powers and adds the outages at those powers
+to its tally. run_trials_chunk is the group of one. A trial's arithmetic
+depends neither on the other trials of its pass nor on the other scenarios of
+its group, so tallies do not depend on where chunks start and stop, on the
+worker count, or on which scenarios run together.
 """
 
 from __future__ import annotations
@@ -272,6 +279,11 @@ class _UserDraws:
         return _UserDraws(self.users[lo:hi], self.positions[first:last],
                           self.fading[first:last])
 
+    def join(self, other: "_UserDraws") -> "_UserDraws":
+        """These trials followed by other's."""
+        return _UserDraws(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)])
+                            for f in fields(self)))
+
 
 @lru_cache(maxsize=1)
 def _draw_fields(spec: EnergyFieldSpec, window: Window, seed: int,
@@ -297,94 +309,70 @@ def _draw_users(cfg: ScenarioConfig, seed: int, block: int) -> _UserDraws:
     return draws
 
 
-def _pass_parts(draw, a: int, b: int) -> tuple:
+def _pass_draw(draw, a: int, b: int):
     """Trials [a, b), at most BLOCK of them, from the blocks draw(block)
     returns: a whole block as drawn, part of one block as views, or the tail
-    of one block and the head of the next."""
+    of one block joined to the head of the next."""
     block, lo = divmod(a, BLOCK)
     hi = lo + b - a
     first = draw(block)
     if hi <= BLOCK:
-        return (first if hi - lo == BLOCK else first.select(lo, hi),)
-    return first.select(lo, BLOCK), draw(block + 1).select(0, hi - BLOCK)
-
-
-def _pass_fields(cfg: ScenarioConfig, window: Window, seed: int, a: int,
-                 b: int) -> FieldRealization:
-    """The fields of trials [a, b), at most BLOCK of them."""
-    parts = _pass_parts(partial(_draw_fields, cfg.field, window, seed), a, b)
-    if len(parts) == 1:
-        return parts[0]
-    # centers keep draw_field's layout: each coordinate contiguous
-    xy = np.concatenate([p.centers.points.T for p in parts], axis=1)
-    xy.setflags(write=False)
-    return FieldRealization(cfg.field, PointSet(xy.T), window,
-                            np.concatenate([p.counts for p in parts]))
-
-
-def _pass_users(cfg: ScenarioConfig, seed: int, a: int, b: int) -> _UserDraws:
-    """The users of trials [a, b), at most BLOCK of them."""
-    parts = _pass_parts(partial(_draw_users, cfg, seed), a, b)
-    if len(parts) == 1:
-        return parts[0]
-    return _UserDraws(*(np.concatenate([getattr(p, f.name) for p in parts])
-                        for f in fields(_UserDraws)))
+        return first if hi - lo == BLOCK else first.select(lo, hi)
+    return first.select(lo, BLOCK).join(draw(block + 1).select(0, hi - BLOCK))
 
 
 @dataclass(frozen=True, eq=False)
 class _UserSide:
-    """A pass's users, evaluated once for every scenario of its group: the
-    tally counts that do not depend on the station's power, each user's
-    required power, each trial's needs sorted and summed in one row of a
-    matrix padded with +inf (csum), and each trial's total demand."""
+    """A pass's users, evaluated once for its group: the counts that do not
+    depend on the field, each trial's users (at least one) and needs sorted
+    and summed, its total demand, and the outages at each peak power."""
 
     tally: TrialTally
-    users: np.ndarray
-    need: np.ndarray
+    per_user: np.ndarray
+    grants: np.ndarray
     csum: np.ndarray
     total: np.ndarray
+    persist: dict[float, tuple[int, int]] = field(default_factory=dict)
 
 
-def _user_side(cfg: ScenarioConfig, draws: _UserDraws) -> _UserSide:
+def _user_side(cfg: ScenarioConfig, draws: _UserDraws, peaks: tuple) -> _UserSide:
     k = draws.users
     tally = TrialTally(trials=len(k), zero_user_trials=int(np.count_nonzero(k == 0)),
                        users=len(draws.positions))
     pos = draws.positions
     dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
     tally.gain_clamps = int(np.count_nonzero(dist < cfg.channel.min_dist))
-    need = required_power(cfg.theta, dist, draws.fading, cfg.channel)
-    # Inversion: each trial's needs sorted in one row of a matrix padded with
-    # +inf; every row's cumsum then does exactly the arithmetic of
-    # np.cumsum(np.sort(need)) for that trial, and its pads stay +inf, so no
-    # finite power covers them. The matrix has at least one column, so the
-    # total below has an entry to read in a pass without users.
+    # Rows of sorted needs padded with +inf: a row's cumsum is np.cumsum(np.sort(need))
+    # bit for bit; one column at least, so a pass without users has a total to read.
     valid = np.arange(max(int(k.max()), 1)) < k[:, None]
     grants = np.full(valid.shape, np.inf)
-    grants[valid] = need
+    grants[valid] = required_power(cfg.theta, dist, draws.fading, cfg.channel)
     grants.sort(axis=1)
     csum = grants.cumsum(axis=1)
     # each trial's total demand; -inf, below any power, where it has no users
     total = np.where(k > 0, csum[np.arange(len(k)), k - 1], -np.inf)
-    return _UserSide(tally, k, need, csum, total)
+    side = _UserSide(tally, np.maximum(k, 1), grants, csum, total)
+    for peak in peaks:   # the max-power outages depend only on the users and the peak
+        side.persist[peak] = _outages(side, np.full(len(k), peak))
+    return side
+
+
+def _outages(side: _UserSide, power: np.ndarray) -> tuple[int, int]:
+    """Users in outage under equal split and under inversion at per-trial powers."""
+    users = side.tally.users
+    return (users - int(np.count_nonzero(side.grants <= (power / side.per_user)[:, None])),
+            users - int(np.count_nonzero(side.csum <= power[:, None])))
 
 
 def _point_tally(cfg: ScenarioConfig, supply: _Supply, real: FieldRealization,
                  side: _UserSide) -> TrialTally:
-    """The tally of a pass at one scenario: its fields' station powers
-    against the pass's users."""
+    """A pass's tally at one scenario: its fields' station powers against its users."""
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
-    budgets = cfg.eta * field_values(real, supply.positions)
-    power = supply.station_power(budgets)
-    k, need, csum = side.users, side.need, side.csum
-    per_user = np.maximum(k, 1)   # zero-user trials have no share to compare
-    tally.out_ci = int(np.count_nonzero(need > np.repeat(power / per_user, k)))
-    tally.persist_ci = int(np.count_nonzero(
-        need > np.repeat(supply.peak_station_power / per_user, k)))
-    tally.out_inv = tally.users - int(np.count_nonzero(csum <= power[:, None]))
-    tally.persist_inv = tally.users - int(np.count_nonzero(
-        csum <= supply.peak_station_power))
+    power = supply.station_power(cfg.eta * field_values(real, supply.positions))
+    tally.out_ci, tally.out_inv = _outages(side, power)
+    tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     tally.union_trials = int(np.count_nonzero(side.total > power))
     return tally
 
@@ -401,13 +389,15 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
         raise ValueError("a group needs scenarios with equal user_settings")
     windows = [resolve_window(cfg) for cfg in cfgs]
     supplies = [_supply(cfg, window) for cfg, window in zip(cfgs, windows)]
+    peaks = tuple(dict.fromkeys(supply.peak_station_power for supply in supplies))
     tallies = [TrialTally() for _ in cfgs]
     for a in range(start, stop, BLOCK):
         b = min(a + BLOCK, stop)
-        side = _user_side(cfgs[0], _pass_users(cfgs[0], seed, a, b))
+        side = _user_side(cfgs[0], _pass_draw(partial(_draw_users, cfgs[0], seed), a, b),
+                          peaks)
         for i, (cfg, window, supply) in enumerate(zip(cfgs, windows, supplies)):
-            tallies[i] += _point_tally(cfg, supply, _pass_fields(cfg, window, seed, a, b),
-                                       side)
+            real = _pass_draw(partial(_draw_fields, cfg.field, window, seed), a, b)
+            tallies[i] += _point_tally(cfg, supply, real, side)
     return tallies
 
 

@@ -109,6 +109,13 @@ class FieldRealization:
         centers = PointSet(self.centers.points[first:last])
         return FieldRealization(self.spec, centers, self.window, self.counts[lo:hi])
 
+    def join(self, other: "FieldRealization") -> "FieldRealization":
+        """These realizations then other's, each coordinate contiguous as drawn."""
+        xy = np.concatenate([self.centers.points.T, other.centers.points.T], axis=1)
+        xy.setflags(write=False)
+        return FieldRealization(self.spec, PointSet(xy.T), self.window,
+                                np.concatenate([self.counts, other.counts]))
+
 
 def draw_field(spec: EnergyFieldSpec, window: Window, rng: np.random.Generator,
                n: int = 1) -> FieldRealization:

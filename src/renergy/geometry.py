@@ -139,8 +139,8 @@ def nearest_site_indices(points: np.ndarray, sites: np.ndarray, window: Window
     """Exact nearest site for every point, with first-index tie-breaking.
 
     Evaluates the full distance matrix in chunks; intended for moderate site
-    counts (lattice assignment, energy centers), where deterministic tie
-    handling matters.
+    counts (assigning harvesters to aggregators, and finding the typical
+    station's aggregator), where deterministic tie handling matters.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out_idx = np.empty(len(pts), dtype=np.int64)

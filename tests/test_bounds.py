@@ -162,4 +162,3 @@ def test_asymptotic_regime_threshold():
     thresh = ASYMPTOTIC_MARGIN * (2.0 / (3.0 * math.sqrt(3.0))) ** 2 * 8.0
     assert in_asymptotic_regime(base_inputs(gamma_eta=thresh * 1.01))
     assert not in_asymptotic_regime(base_inputs(gamma_eta=thresh * 0.99))
-    assert in_asymptotic_regime(base_inputs(gamma_eta=thresh * 0.5), margin=40.0)

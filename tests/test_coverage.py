@@ -189,25 +189,34 @@ _MEMO_CASES = {
 
 
 def _record_passes(monkeypatch):
-    """The blocks drawn from each stream and the trials per pass, filled as
-    the engine runs, with the block memos emptied."""
-    # run_group_chunk looks substream and _user_side up in coverage's globals
+    """The blocks drawn from each stream, the trials per pass and the calls
+    to the outage count, filled as the engine runs, with the block memos
+    emptied. Each pass's user side also records the peak powers it counts."""
+    # run_group_chunk looks substream, _user_side and _outages up in
+    # coverage's globals
     drawn, passes = {FIELD_STREAM: [], USER_STREAM: []}, []
-    user_side = coverage._user_side
+    outages = []
+    user_side, count_outages = coverage._user_side, coverage._outages
 
     def counting_substream(seed, block, stream):
         drawn[stream].append(block)
         return substream(seed, block, stream)
 
-    def recording_user_side(cfg, draws):
+    def recording_user_side(cfg, draws, peaks):
         passes.append(len(draws.users))
-        return user_side(cfg, draws)
+        outages.append(("peaks", *peaks))
+        return user_side(cfg, draws, peaks)
+
+    def counting_outages(side, power):
+        outages.append("count")
+        return count_outages(side, power)
 
     monkeypatch.setattr(coverage, "substream", counting_substream)
     monkeypatch.setattr(coverage, "_user_side", recording_user_side)
+    monkeypatch.setattr(coverage, "_outages", counting_outages)
     coverage._draw_fields.cache_clear()
     coverage._draw_users.cache_clear()
-    return drawn, passes
+    return drawn, passes, outages
 
 
 def _each_stream(blocks):
@@ -217,7 +226,7 @@ def _each_stream(blocks):
 
 @pytest.mark.parametrize("case", sorted(_MEMO_CASES))
 def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
-    drawn, passes = _record_passes(monkeypatch)
+    drawn, passes, _ = _record_passes(monkeypatch)
     cfg = _MEMO_CASES[case]
     n = 8 * BLOCK
     chunks = [run_trials_chunk(cfg, a, min(a + 200, n), 31) for a in range(0, n, 200)]
@@ -238,7 +247,7 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
 def test_chunk_runs_in_fewest_passes(monkeypatch, start, stop, passes, blocks):
     # ceil((stop - start) / BLOCK) passes wherever the chunk starts, and each
     # block it touches drawn once; splitting at block edges took three passes
-    drawn, seen = _record_passes(monkeypatch)
+    drawn, seen, _ = _record_passes(monkeypatch)
     cfg = unit_cfg()
     tally = run_trials_chunk(cfg, start, stop, 19)
     assert seen == passes and len(passes) == -(-(stop - start) // BLOCK)
@@ -247,14 +256,24 @@ def test_chunk_runs_in_fewest_passes(monkeypatch, start, stop, passes, blocks):
 
 
 def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
-    # fig4's sweep shape: psi points share every user draw and need
-    drawn, passes = _record_passes(monkeypatch)
+    # fig4's sweep shape: psi points share every user draw and need, and the
+    # one peak power's outages
+    drawn, passes, outages = _record_passes(monkeypatch)
     group = tuple(unit_cfg(psi=psi) for psi in (0.05, 0.2, 0.5))
     tallies = run_group_chunk(group, 0, 2 * BLOCK, 7)
     assert passes == [BLOCK, BLOCK]
     assert drawn == {USER_STREAM: [0, 1], FIELD_STREAM: [0, 0, 0, 1, 1, 1]}
+    # each pass: the peak's counts once, in the user side, then one per point
+    assert outages == [("peaks", 20.0), "count", "count", "count", "count"] * 2
     assert len({t.users for t in tallies}) == 1
     assert len({t.out_inv for t in tallies}) == 3
+    assert len({t.persist_inv for t in tallies}) == 1
+    # a gamma_eta group counts each distinct peak once per pass
+    outages.clear()
+    group = tuple(apply_sweep(unit_cfg(), "gamma_eta", g) for g in (5.0, 80.0, 5.0))
+    tallies = run_group_chunk(group, 0, 2 * BLOCK, 7)
+    assert outages == [("peaks", 5.0, 80.0), *["count"] * 5] * 2
+    assert tallies[0] == tallies[2] and tallies[0].persist_ci > tallies[1].persist_ci
     with pytest.raises(ValueError, match="user_settings"):
         run_group_chunk((group[0], replace(group[0], theta=4.0)), 0, 10, 7)
     with pytest.raises(ValueError, match="user_settings"):

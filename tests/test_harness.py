@@ -4,7 +4,7 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -317,6 +317,36 @@ def test_run_point_merges_block_chunks_exactly():
     scenario = load_config(None).scenario
     assert chunk_edges(700, 4) == [0, 256, 512, 700]
     assert run_point(scenario, 700, 78, workers=2) == run_trials_chunk(scenario, 0, 700, 78)
+
+
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size and runs each
+        chunk as it is submitted, starting no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    scenario = load_config(None).scenario
+    # 4096 workers cut 8 blocks into 8 chunks, run by no more processes than CPUs
+    n = 8 * BLOCK
+    assert len(chunk_edges(n, 2 * 4096)) == 9
+    assert run_point(scenario, n, 5, workers=4096) == run_trials_chunk(scenario, 0, n, 5)
+    assert sizes == [3]
+    assert run_point(scenario, n, 5, workers=2) == run_trials_chunk(scenario, 0, n, 5)
+    assert sizes == [3, 2]
 
 
 def test_run_sweep_row_structure():
