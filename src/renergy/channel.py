@@ -39,7 +39,7 @@ class ChiSquaredFading:
     omega: int
 
     def __post_init__(self) -> None:
-        if int(self.omega) != self.omega or self.omega < 1:
+        if not (1 <= self.omega < math.inf and int(self.omega) == self.omega):
             raise ValueError("omega must be an integer >= 1")
         object.__setattr__(self, "omega", int(self.omega))
 

@@ -25,12 +25,16 @@ substream(seed, b, USER_STREAM). A trial's user side, everything but the field
 and the station's power, depends only on ScenarioConfig.user_settings:
 lambda_u, lambda_b, estimator, theta and channel. Scenarios with equal user
 settings form a group, and run_group_chunk runs a group's trials together, in
-passes of BLOCK consecutive trials: [a, min(a + BLOCK, stop)) for a in
-range(start, stop, BLOCK). One rule draws a pass from either stream
-(_pass_draw): a whole block as drawn, views of part of one block, or the tail
-of one block joined to the head of the next. The last block drawn from each
-stream is memoized read-only, so consecutive chunks draw the block an edge
-between them cuts once.
+passes of m * BLOCK consecutive trials: [a, min(a + m * BLOCK, stop)) for a
+in range(start, stop, m * BLOCK). A pass spans as many whole blocks m as keep
+its expected values within _PASS_VALUES (2^17), and one at least; a trial
+expects the group's users per cell plus the energy centers and field points
+of its densest scenario (lambda_e * window area + the supply's harvesters).
+One rule draws a pass from either stream (_pass_draw): each block the pass
+spans, whole as drawn or as views of the part it covers, the blocks joined
+when there are several. The last block drawn from each stream is memoized
+read-only, so consecutive chunks draw the block an edge between them cuts
+once.
 
 A pass evaluates its users once for the whole group: distances, gain clamps
 (users nearer the station than ChannelSpec.min_dist, the path-gain clamp
@@ -99,6 +103,11 @@ class OnSite:
 # hold 1 GiB of coordinates. The largest scenario in the acceptance suite
 # expects about 1e5 centers per block.
 _BLOCK_VALUES_CAP = 1 << 26
+
+# Budget of expected values that sets a pass's length (see the module
+# docstring). A longer pass spreads each numpy call's fixed cost over more
+# trials, at the price of its temporaries, about 0.8 MiB per on-site block.
+_PASS_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -279,10 +288,11 @@ class _UserDraws:
         return _UserDraws(self.users[lo:hi], self.positions[first:last],
                           self.fading[first:last])
 
-    def join(self, other: "_UserDraws") -> "_UserDraws":
-        """These trials followed by other's."""
-        return _UserDraws(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)])
-                            for f in fields(self)))
+    @staticmethod
+    def join(parts: list["_UserDraws"]) -> "_UserDraws":
+        """The trials of parts, one after another."""
+        return _UserDraws(*(np.concatenate([getattr(part, f.name) for part in parts])
+                            for f in fields(_UserDraws)))
 
 
 @lru_cache(maxsize=1)
@@ -310,15 +320,15 @@ def _draw_users(cfg: ScenarioConfig, seed: int, block: int) -> _UserDraws:
 
 
 def _pass_draw(draw, a: int, b: int):
-    """Trials [a, b), at most BLOCK of them, from the blocks draw(block)
-    returns: a whole block as drawn, part of one block as views, or the tail
-    of one block joined to the head of the next."""
-    block, lo = divmod(a, BLOCK)
-    hi = lo + b - a
-    first = draw(block)
-    if hi <= BLOCK:
-        return first if hi - lo == BLOCK else first.select(lo, hi)
-    return first.select(lo, BLOCK).join(draw(block + 1).select(0, hi - BLOCK))
+    """Trials [a, b) from the blocks draw(block) returns: each block they
+    span, as drawn where they cover it whole and as views of the part they
+    cover otherwise, joined when there are several."""
+    parts = []
+    for block in range(a // BLOCK, -(-b // BLOCK)):
+        lo, hi = max(a - block * BLOCK, 0), min(b - block * BLOCK, BLOCK)
+        drawn = draw(block)
+        parts.append(drawn if hi - lo == BLOCK else drawn.select(lo, hi))
+    return parts[0] if len(parts) == 1 else type(parts[0]).join(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,9 +400,13 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
     windows = [resolve_window(cfg) for cfg in cfgs]
     supplies = [_supply(cfg, window) for cfg, window in zip(cfgs, windows)]
     peaks = tuple(dict.fromkeys(supply.peak_station_power for supply in supplies))
+    per_trial = cfgs[0].mean_users_per_cell + max(
+        cfg.field.lambda_e * window.area + len(supply.positions)
+        for cfg, window, supply in zip(cfgs, windows, supplies))
+    step = BLOCK * max(1, int(_PASS_VALUES // (BLOCK * per_trial)))
     tallies = [TrialTally() for _ in cfgs]
-    for a in range(start, stop, BLOCK):
-        b = min(a + BLOCK, stop)
+    for a in range(start, stop, step):
+        b = min(a + step, stop)
         side = _user_side(cfgs[0], _pass_draw(partial(_draw_users, cfgs[0], seed), a, b),
                           peaks)
         for i, (cfg, window, supply) in enumerate(zip(cfgs, windows, supplies)):

@@ -109,12 +109,15 @@ class FieldRealization:
         centers = PointSet(self.centers.points[first:last])
         return FieldRealization(self.spec, centers, self.window, self.counts[lo:hi])
 
-    def join(self, other: "FieldRealization") -> "FieldRealization":
-        """These realizations then other's, each coordinate contiguous as drawn."""
-        xy = np.concatenate([self.centers.points.T, other.centers.points.T], axis=1)
+    @staticmethod
+    def join(parts: list["FieldRealization"]) -> "FieldRealization":
+        """The realizations of parts, one block after another, each coordinate
+        contiguous as drawn."""
+        xy = np.concatenate([part.centers.points.T for part in parts], axis=1)
         xy.setflags(write=False)
-        return FieldRealization(self.spec, PointSet(xy.T), self.window,
-                                np.concatenate([self.counts, other.counts]))
+        first = parts[0]
+        return FieldRealization(first.spec, PointSet(xy.T), first.window,
+                                np.concatenate([part.counts for part in parts]))
 
 
 def draw_field(spec: EnergyFieldSpec, window: Window, rng: np.random.Generator,

@@ -346,10 +346,10 @@ def _tallies(scenarios: tuple[ScenarioConfig, ...], n_trials: int, seed: int,
     Scenarios with equal user_settings form a group, in order of their first
     scenario, and each chunk of a group is one task, run_group_chunk, which
     draws and evaluates the users once for all of the group's scenarios.
-    With several workers and more than one block per point, one process pool,
-    of no more processes than the CPUs this process may use, serves every
-    group: all of their block-aligned chunks are queued at once, so no
-    worker waits between groups, and each point's tally is
+    Workers beyond the CPUs this process may use are not counted. With
+    several workers and more than one block per point, one process pool
+    serves every group: all of their block-aligned chunks are queued at
+    once, so no worker waits between groups, and each point's tally is
     merged as its group's chunks finish. A chunk that raises cancels the
     chunks not yet started and its exception propagates. Random streams are
     keyed by absolute trial block, so each tally is identical for every
@@ -362,6 +362,7 @@ def _tallies(scenarios: tuple[ScenarioConfig, ...], n_trials: int, seed: int,
         group = groups.get(key, ())
         places.append((key, len(group)))
         groups[key] = group + (scenario,)
+    workers = min(workers, len(os.sched_getaffinity(0)))   # more would only wait their turn
     edges = chunk_edges(n_trials, 2 * workers) if workers > 1 else [0, n_trials]
     if len(edges) <= 2:
         done: dict[tuple, list[TrialTally]] = {}
@@ -371,8 +372,7 @@ def _tallies(scenarios: tuple[ScenarioConfig, ...], n_trials: int, seed: int,
             yield done[key][j]
         return
     spans = list(zip(edges[:-1], edges[1:]))
-    cpus = len(os.sched_getaffinity(0))   # more processes would only wait their turn
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(spans), cpus))
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(spans)))
     try:
         futures = {key: [pool.submit(run_group_chunk, group, a, b, seed) for a, b in spans]
                    for key, group in groups.items()}

@@ -39,8 +39,9 @@ def rician_mean_inverse_by_quadrature(floor, scatter_var):
 
 
 def test_fading_spec_validation():
-    with pytest.raises(ValueError):
-        ChiSquaredFading(0)
+    for bad in (0, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="omega"):
+            ChiSquaredFading(bad)
     with pytest.raises(ValueError):
         TruncatedRicianFading(0.0)
     with pytest.raises(ValueError):

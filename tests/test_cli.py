@@ -240,9 +240,9 @@ faults = None
 if sys.platform.startswith("linux"):
     import resource
     cfg = harness.apply_sweep(cli._repro_experiment("fig4").scenario, "psi", 0.5)
-    run_trials_chunk(cfg, 0, 256, 11)  # warm-up: the heap grows to a block's needs
+    run_trials_chunk(cfg, 0, 5120, 11)  # warm-up: the heap grows to a long pass's needs
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_trials_chunk(cfg, 256, 256 + 5120, 11)
+    run_trials_chunk(cfg, 5120, 2 * 5120, 11)
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5120
 codes = [cli.main(argv) for argv in (["repro", "fig4", "--trials", "300", "--out", sys.argv[1]],
                                      ["bounds"],

@@ -235,22 +235,28 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     assert passes == [200] * 10 + [48]
     for blocks in (*drawn.values(), passes):
         blocks.clear()
+    # at 16-19 expected values per trial, eight blocks fit one pass
     whole = run_trials_chunk(cfg, 0, n, 31)
-    assert drawn == _each_stream(range(8)) and passes == [BLOCK] * 8
+    assert drawn == _each_stream(range(8)) and passes == [n]
     assert sum(chunks, TrialTally()) == whole
 
 
-@pytest.mark.parametrize("start, stop, passes, blocks", [
-    (500, 1000, [256, 244], [1, 2, 3]),
-    (100, 612, [256, 256], [0, 1, 2]),
+@pytest.mark.parametrize("psi, start, stop, passes, blocks", [
+    (6.0, 500, 1000, [256, 244], [1, 2, 3]),
+    (6.0, 100, 612, [256, 256], [0, 1, 2]),
+    (2.0, 100, 1300, [512, 512, 176], [0, 1, 2, 3, 4, 5]),
+    (0.05, 500, 1000, [500], [1, 2, 3]),
 ])
-def test_chunk_runs_in_fewest_passes(monkeypatch, start, stop, passes, blocks):
-    # ceil((stop - start) / BLOCK) passes wherever the chunk starts, and each
-    # block it touches drawn once; splitting at block edges took three passes
+def test_chunk_runs_in_fewest_passes(monkeypatch, psi, start, stop, passes, blocks):
+    # a pass takes as many blocks of trials as keep its expected values within
+    # _PASS_VALUES, one at least: at 611 values per trial one block already
+    # exceeds it, 211 fit two blocks and 16 fit 32. A chunk runs in the
+    # fewest such passes wherever it starts, and each block it touches is
+    # drawn once
     drawn, seen, _ = _record_passes(monkeypatch)
-    cfg = unit_cfg()
+    cfg = unit_cfg(psi=psi)
     tally = run_trials_chunk(cfg, start, stop, 19)
-    assert seen == passes and len(passes) == -(-(stop - start) // BLOCK)
+    assert seen == passes
     assert drawn == _each_stream(blocks)
     assert tally == _oracle_tally(cfg, start, stop, 19)
 
@@ -260,19 +266,26 @@ def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
     # one peak power's outages
     drawn, passes, outages = _record_passes(monkeypatch)
     group = tuple(unit_cfg(psi=psi) for psi in (0.05, 0.2, 0.5))
-    tallies = run_group_chunk(group, 0, 2 * BLOCK, 7)
-    assert passes == [BLOCK, BLOCK]
-    assert drawn == {USER_STREAM: [0, 1], FIELD_STREAM: [0, 0, 0, 1, 1, 1]}
+    n = 10 * BLOCK
+    tallies = run_group_chunk(group, 0, n, 7)
+    # the densest point, 61 values per trial, sets the group's passes to
+    # eight blocks; the sparsest alone runs the chunk in one pass
+    assert passes == [8 * BLOCK, 2 * BLOCK]
+    assert drawn == {USER_STREAM: list(range(10)),
+                     FIELD_STREAM: [*range(8)] * 3 + [8, 9] * 3}
     # each pass: the peak's counts once, in the user side, then one per point
     assert outages == [("peaks", 20.0), "count", "count", "count", "count"] * 2
     assert len({t.users for t in tallies}) == 1
     assert len({t.out_inv for t in tallies}) == 3
     assert len({t.persist_inv for t in tallies}) == 1
+    passes.clear()
+    run_trials_chunk(group[0], 0, n, 7)
+    assert passes == [n]
     # a gamma_eta group counts each distinct peak once per pass
     outages.clear()
     group = tuple(apply_sweep(unit_cfg(), "gamma_eta", g) for g in (5.0, 80.0, 5.0))
-    tallies = run_group_chunk(group, 0, 2 * BLOCK, 7)
-    assert outages == [("peaks", 5.0, 80.0), *["count"] * 5] * 2
+    tallies = run_group_chunk(group, 0, n, 7)
+    assert outages == [("peaks", 5.0, 80.0), *["count"] * 5]
     assert tallies[0] == tallies[2] and tallies[0].persist_ci > tallies[1].persist_ci
     with pytest.raises(ValueError, match="user_settings"):
         run_group_chunk((group[0], replace(group[0], theta=4.0)), 0, 10, 7)

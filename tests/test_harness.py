@@ -320,16 +320,17 @@ def test_run_point_merges_block_chunks_exactly():
 
 
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
-    sizes = []
+    sizes, submits = [], []
 
     class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records its size and runs each
-        chunk as it is submitted, starting no process."""
+        """Stands in for ProcessPoolExecutor: records its size and its
+        chunks, and runs each chunk as it is submitted, starting no process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def submit(self, fn, *args):
+            submits.append(args)
             future = Future()
             future.set_result(fn(*args))
             return future
@@ -340,13 +341,15 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     scenario = load_config(None).scenario
-    # 4096 workers cut 8 blocks into 8 chunks, run by no more processes than CPUs
+    # 4096 workers on 3 CPUs cut 8 blocks into the 6 chunks of 3 workers, not
+    # into 8 one-block chunks, run by no more processes than CPUs
     n = 8 * BLOCK
     assert len(chunk_edges(n, 2 * 4096)) == 9
     assert run_point(scenario, n, 5, workers=4096) == run_trials_chunk(scenario, 0, n, 5)
-    assert sizes == [3]
+    assert sizes == [3] and len(submits) <= 6
+    submits.clear()
     assert run_point(scenario, n, 5, workers=2) == run_trials_chunk(scenario, 0, n, 5)
-    assert sizes == [3, 2]
+    assert sizes == [3, 2] and len(submits) == 4
 
 
 def test_run_sweep_row_structure():
