@@ -90,9 +90,6 @@ class ClusterAssignment:
     assignment: np.ndarray    # aggregator index per harvester
     line_lengths: np.ndarray  # harvester-to-aggregator distance
 
-    def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=len(self.aggregators.sites))
-
 
 def build_clusters(lambda_h: float, lambda_a: float, window: Window) -> ClusterAssignment:
     """Assign every harvester to its nearest aggregator (lowest index on ties)."""
@@ -115,8 +112,8 @@ def sufficient_voltage(tau: float, beta: float, eta: float, gamma: float,
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0, 1)")
     for name, v in (("beta", beta), ("eta", eta), ("gamma", gamma), ("lambda_a", lambda_a)):
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     return tau * math.sqrt(beta * eta * gamma / (1.0 - tau)
                            * math.sqrt(2.0 / (3.0 * math.sqrt(3.0)))) * lambda_a ** -0.25
 
@@ -126,13 +123,13 @@ def certified_efficiency(voltage: float, beta: float, eta: float, gamma: float,
                          lambda_a: float) -> float:
     """Delivery efficiency guaranteed on every line at the given voltage;
     exact inverse of sufficient_voltage. Returns 1.0 for lossless lines."""
-    if voltage <= 0:
+    if not voltage > 0:
         raise ValueError("voltage must be positive")
     if math.isinf(voltage):
         return 1.0
     for name, v in (("beta", beta), ("eta", eta), ("gamma", gamma), ("lambda_a", lambda_a)):
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     k = beta * eta * gamma * math.sqrt(2.0 / (3.0 * math.sqrt(3.0))) / math.sqrt(lambda_a)
     v2 = voltage * voltage
     return (math.sqrt(v2 * v2 + 4.0 * k * v2) - v2) / (2.0 * k)
@@ -155,8 +152,10 @@ def delivered_power(budget, length, voltage: float, beta: float,
             raise ValueError("tau_floor mode needs tau in (0, 1)")
         out = tau * budget
         return float(out) if out.ndim == 0 else out
-    if voltage <= 0:
+    if not voltage > 0:
         raise ValueError("voltage must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if math.isinf(voltage):
         out = budget * np.ones_like(length)
         return float(out) if out.ndim == 0 else out

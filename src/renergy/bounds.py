@@ -54,10 +54,10 @@ class BoundInputs:
 
     def __post_init__(self) -> None:
         for name in ("psi", "gamma_eta", "theta", "lambda_b", "lambda_u"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.alpha <= 2:
-            raise ValueError("alpha must exceed 2")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 2 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and exceed 2")
         if not 0 < self.tau <= 1:
             raise ValueError("tau must lie in (0, 1]")
 
@@ -102,8 +102,8 @@ def total_outage_bound(b: BoundInputs) -> float:
 
 def poisson_raw_moment(mu: float, order: int) -> float:
     """order-th raw moment of a Poisson(mu) variable (Stirling expansion)."""
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
+    if not 0 <= mu < math.inf:
+        raise ValueError("mu must be non-negative and finite")
     if int(order) != order or order < 0:
         raise ValueError("order must be a non-negative integer")
     order = int(order)
@@ -167,8 +167,8 @@ def aggregation_power_floor(tau: float, gamma: float, eta: float, lambda_h: floa
     """
     for name, v in (("tau", tau), ("gamma", gamma), ("eta", eta), ("lambda_h", lambda_h),
                     ("lambda_b", lambda_b), ("lambda_e", lambda_e), ("nu", nu)):
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     occupancy, corner = _occupancy_and_corner(lambda_e, lambda_h, nu)
     return tau * gamma * eta * lambda_h / lambda_b * occupancy * corner
 

@@ -164,15 +164,15 @@ def default_window_side(lambda_b: float, nu: float) -> float:
 
 def hex_pitch(density: float) -> float:
     """Nearest-neighbor spacing of a triangular lattice with the given site density."""
-    if density <= 0:
-        raise ValueError("density must be positive")
+    if not 0 < density < math.inf:
+        raise ValueError("density must be positive and finite")
     return math.sqrt(2.0 / (math.sqrt(3.0) * density))
 
 
 def hex_cell_circumradius(density: float) -> float:
     """Corner radius of the hexagonal cell of area 1/density."""
-    if density <= 0:
-        raise ValueError("density must be positive")
+    if not 0 < density < math.inf:
+        raise ValueError("density must be positive and finite")
     return math.sqrt(2.0 / (3.0 * math.sqrt(3.0) * density))
 
 

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from renergy.aggregation import certified_efficiency, delivered_power, sufficient_voltage
 from renergy.bounds import (ASYMPTOTIC_MARGIN, BoundInputs, aggregated_outage_bound,
                             aggregation_power_floor, cell_distance_moment,
                             cell_radius_pow, energy_shortfall_bound,
@@ -15,6 +16,7 @@ from renergy.bounds import (ASYMPTOTIC_MARGIN, BoundInputs, aggregated_outage_bo
                             fading_tail_terms_inversion, in_asymptotic_regime,
                             max_power_markov_bound, poisson_raw_moment,
                             power_law_outage_bound, total_outage_bound)
+from renergy.geometry import hex_cell_circumradius, hex_pitch
 
 SHORTFALL_REF = 0.37912554244981446
 MARKOV_REF = 0.0039506172839506173
@@ -146,6 +148,37 @@ def test_power_floor_reference_and_limits():
     with pytest.raises(ValueError):
         aggregation_power_floor(tau=0.0, gamma=1.0, eta=1.0, lambda_h=1.0,
                                 lambda_b=1.0, lambda_e=1.0, nu=1.0)
+
+
+# Valid keyword arguments of the public numeric helpers; each positive
+# parameter must also reject NaN and +inf (a voltage of +inf is a lossless line).
+_HELPER_ARGS = {
+    sufficient_voltage: dict(tau=0.9, beta=1.0, eta=1.0, gamma=1.0, lambda_a=1.0),
+    certified_efficiency: dict(voltage=1.0, beta=1.0, eta=1.0, gamma=1.0, lambda_a=1.0),
+    delivered_power: dict(budget=8.0, length=1.0, voltage=3.0, beta=1.0),
+    aggregation_power_floor: dict(tau=1.0, gamma=1.0, eta=1.0, lambda_h=1.0, lambda_b=1.0,
+                                  lambda_e=0.05, nu=1.0),
+    poisson_raw_moment: dict(mu=1.0, order=2),
+    hex_pitch: dict(density=1.0),
+    hex_cell_circumradius: dict(density=1.0),
+    BoundInputs: dict(psi=0.05, gamma_eta=1000.0, theta=8.0, alpha=4.0, lambda_b=1.0,
+                      lambda_u=10.0),
+}
+_NON_FINITE_CASES = [
+    pytest.param(f, name, bad, id=f"{f.__name__}-{name}-{bad}")
+    for f, kw in _HELPER_ARGS.items()
+    for name in kw if name not in ("budget", "length", "order")
+    for bad in (math.nan, math.inf)
+    if not (name == "voltage" and bad == math.inf)
+]
+
+
+@pytest.mark.parametrize("func, name, bad", _NON_FINITE_CASES)
+def test_numeric_helpers_reject_nan_and_inf(func, name, bad):
+    kw = _HELPER_ARGS[func]
+    func(**kw)
+    with pytest.raises(ValueError, match=name):
+        func(**{**kw, name: bad})
 
 
 def test_power_law_reference_values():
