@@ -145,7 +145,7 @@ def delivered_power(budget, length, voltage: float, beta: float,
     """
     budget = np.asarray(budget, dtype=float)
     length = np.asarray(length, dtype=float)
-    if np.any(budget < 0) or np.any(length < 0):
+    if not (np.all(budget >= 0) and np.all(length >= 0)):
         raise ValueError("budget and length must be non-negative")
     if mode == "tau_floor":
         if tau is None or not 0 < tau < 1:

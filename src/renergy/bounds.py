@@ -60,6 +60,10 @@ class BoundInputs:
             raise ValueError("alpha must be finite and exceed 2")
         if not 0 < self.tau <= 1:
             raise ValueError("tau must lie in (0, 1]")
+        for name in ("e_h_inv", "lambda_h", "lambda_e", "nu"):
+            v = getattr(self, name)
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def _require(b: BoundInputs, *names: str) -> None:

@@ -21,14 +21,24 @@ evaluate fields this way.
 field_values evaluates all three kernels with one loop that factors the
 evaluation points by axis (PointSet.axes, computed once per point set): a
 per-axis step runs once per distinct coordinate and center, its rows are
-gathered and combined per tile of points, and each realization reduces its
-pairs. The boolean kernels combine folded squared differences by adding them,
-take each realization's minimum squared distance and only then the sqrt, so
-the result equals the minimum over per-pair distances bit for bit. The
-shot-noise kernel's image sum factors exactly by axis, so it multiplies the
-per-axis sums of exp(-d^2/nu) over a center's images and adds over the
-centers. Tiles hold whole realizations and a bounded number of point-center
-pairs, so memory does not grow with the block.
+gathered and combined per tile, and each realization reduces its pairs. The
+boolean kernels combine folded squared differences by adding them, take each
+realization's minimum squared distance and only then the sqrt, so the result
+equals the minimum over per-pair distances bit for bit. The shot-noise
+kernel's image sum factors exactly by axis, so it multiplies the per-axis
+sums of exp(-d^2/nu) over a center's images and adds over the centers.
+
+A tile of whole realizations reduces by segments (one reduceat segment per
+point and realization) or, for the boolean minimum at _SLOT_POINTS points or
+more, by slots: slot s holds the s-th center of every realization that has
+more than s, and one elementwise minimum folds it into a (points x
+realizations) accumulator. Segments cost per point and realization, slots
+per slot, so a tile goes slot-wise when its realizations are short and its
+points x realizations are many per slot; the rule, its constants and their
+measurements are beside _TILE_ELEMENTS. A minimum is exact in any order, so
+both give the same bits; a sum is not, so shot noise keeps the segments.
+Tiles bound the pairs and the accumulator, so memory does not grow with the
+block.
 
 The samplers (sample_intensity, sample_intensity_pair) take no chunk size:
 they draw and evaluate as many whole realizations at a time as hold
@@ -131,20 +141,20 @@ def draw_field(spec: EnergyFieldSpec, window: Window, rng: np.random.Generator,
 
 def decay_exp(d, nu: float):
     """Squared-exponential kernel exp(-d^2 / nu)."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ValueError("nu must be positive and finite")
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
+    if not np.all(d >= 0):
         raise ValueError("distance must be non-negative")
     return np.exp(-(d * d) / nu)
 
 
 def decay_power_law(d, nu: float):
     """Power-law kernel (1 + d^2 / nu)^(-1)."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ValueError("nu must be positive and finite")
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
+    if not np.all(d >= 0):
         raise ValueError("distance must be non-negative")
     return 1.0 / (1.0 + (d * d) / nu)
 
@@ -170,12 +180,34 @@ def _image_decay(d: np.ndarray, side: float, wrap: bool, nu: float) -> np.ndarra
     return acc
 
 
-# Largest (points x centers) array the field kernel builds at once. Each
-# per-axis array (distinct coordinates x centers) also stays within it, and a
-# tile takes at most _TILE_POINTS points; only a single realization with more
-# centers than that is evaluated whole.
+# Largest (points x centers) array the segment reduction builds at once. Each
+# per-axis array (distinct coordinates x centers) of either reduction also
+# stays within it, and a segment tile takes at most _TILE_POINTS points; only
+# a single realization with more centers than that is evaluated whole.
 _TILE_ELEMENTS = 1 << 16
 _TILE_POINTS = 1024
+
+# The boolean kernels' minimum reduces a tile of whole realizations in one of
+# two exact ways: one reduceat segment per (point, realization), or slot by
+# slot (_slot_reduce), one elementwise minimum per slot into a (points x
+# realizations) accumulator. Segments cost an inner-loop call per point and
+# realization; slots cost a few calls per slot (the tile's largest count)
+# and one more pass over each pair. So from _SLOT_POINTS points the
+# realizations go in tiles of at most _SLOT_PAIRS // points, and a tile goes
+# slot-wise when its realizations average at most _SLOT_MEAN_CENTERS centers
+# and its points x realizations reach _SLOT_PAIRS_PER_SLOT times its slots.
+# Measured on the d^2 step of a 256-realization block (2 cores, numpy 2.4),
+# slots over segments: the fig5 harvesters at clusters 320-40 (307-43
+# points, 7-12 centers a realization) 1.3-1.4x; 307 points at 6 centers
+# 1.5x, at 25-99 centers 0.96-0.99x; 43 points at 14 centers 1.17x, at 29
+# 0.88x; 19 points 0.96x; one point 0.16-0.30x; acceptance 7's lattice (768
+# and 1024 points, 38-51 centers) 0.94-0.97x. Sums keep the segments: a
+# slot-wise sum adds in another order and moves shot-noise values in the
+# last bits.
+_SLOT_POINTS = 32
+_SLOT_PAIRS = 1 << 17
+_SLOT_MEAN_CENTERS = 16
+_SLOT_PAIRS_PER_SLOT = 256
 
 # Expected energy centers the samplers draw at once (16 MiB of coordinates).
 # A draw takes as many whole realizations as this holds; a single realization
@@ -205,33 +237,97 @@ def _pair_reduce(real: FieldRealization, pts: PointSet, axis_step, combine: np.u
 
     axis_step(d, side, wrap) maps per-axis coordinate differences to a new
     array. The points are factored by axis: it runs once per distinct
-    coordinate and center, and a tile's pair values are gathered from its
-    rows and combined. For the boolean kernels (folded_square, add, minimum)
-    each pair's d^2 is the arithmetic of geometry.separation before its sqrt,
-    and sqrt is monotone and correctly rounded, so the caller's sqrt of the
+    coordinate and center, and pair values are gathered from its rows and
+    combined. For the boolean kernels (folded_square, add, minimum) each
+    pair's d^2 is the arithmetic of geometry.separation before its sqrt, and
+    sqrt is monotone and correctly rounded, so the caller's sqrt of the
     minimum equals the minimum of the distances bit for bit. Tiles hold whole
     realizations, so a block of any size is evaluated in bounded memory.
+
+    A minimum is exact in any order, so with many points it reduces each
+    tile slot by slot (_slot_reduce) where the tile's realizations are short;
+    every other tile, and every sum, reduces by segments (_segment_reduce).
     """
+    counts = real.counts
+    out = np.empty((len(pts), len(counts)))
+    if reduce is not np.minimum or len(pts) < _SLOT_POINTS:
+        _segment_reduce(real, pts, axis_step, combine, reduce, empty, 0, len(counts), out)
+        return out
+    span = max(1, _SLOT_PAIRS // len(pts))
+    for lo in range(0, len(counts), span):
+        hi = min(lo + span, len(counts))
+        tile = counts[lo:hi]
+        short = (tile.sum() <= _SLOT_MEAN_CENTERS * len(tile)
+                 and len(pts) * len(tile) >= _SLOT_PAIRS_PER_SLOT * tile.max())
+        tile_reduce = _slot_reduce if short else _segment_reduce
+        tile_reduce(real, pts, axis_step, combine, reduce, empty, lo, hi, out)
+    return out
+
+
+def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
+                    combine: np.ufunc, reduce: np.ufunc, empty: float, lo: int,
+                    hi: int, out: np.ndarray) -> None:
+    """_pair_reduce of realizations lo..hi-1 into out[:, lo:hi], in tiles of
+    at most _TILE_POINTS points and about _TILE_ELEMENTS pairs, each
+    realization's pairs reduced by one reduceat segment per point."""
     ux, ix, uy, iy = pts.axes
     window, counts = real.window, real.counts
     xs, ys = real.centers.points[:, 0], real.centers.points[:, 1]
-    out = np.empty((len(ix), len(counts)))
     step = max(1, min(len(ix), _TILE_POINTS))
     span = max(1, _TILE_ELEMENTS // max(step, len(ux), len(uy)))
     ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(counts):
+    while lo < hi:
         first = int(ends[lo] - counts[lo])
-        hi = max(lo + 1, int(np.searchsorted(ends, first + span, side="right")))
-        last = int(ends[hi - 1])
+        top = min(hi, max(lo + 1, int(np.searchsorted(ends, first + span, side="right"))))
+        last = int(ends[top - 1])
         ax = axis_step(ux[:, None] - xs[first:last], window.width, window.wrap)
         ay = axis_step(uy[:, None] - ys[first:last], window.height, window.wrap)
         for p in range(0, len(ix), step):
             pair = ax[ix[p:p + step]]
             combine(pair, ay[iy[p:p + step]], out=pair)
-            out[p:p + step, lo:hi] = _grouped(reduce, pair, counts[lo:hi], empty)
-        lo = hi
-    return out
+            out[p:p + step, lo:top] = _grouped(reduce, pair, counts[lo:top], empty)
+        lo = top
+
+
+def _slot_reduce(real: FieldRealization, pts: PointSet, axis_step, combine: np.ufunc,
+                 reduce: np.ufunc, empty: float, lo: int, hi: int,
+                 out: np.ndarray) -> None:
+    """_pair_reduce of realizations lo..hi-1 into out[:, lo:hi], slot by slot.
+
+    Slot s holds the s-th center of every realization with more than s. With
+    the realizations ordered by count, largest first, slot s covers the first
+    n_s of them, so it folds into the first n_s columns of one (points x
+    realizations) accumulator with one elementwise reduce. The per-axis step
+    runs once per run of consecutive slots whose arrays fit _TILE_ELEMENTS.
+    """
+    ux, ix, uy, iy = pts.axes
+    window = real.window
+    tile = real.counts[lo:hi]
+    order = np.argsort(-tile, kind="stable")
+    ranked = tile[order]
+    starts = (np.cumsum(real.counts)[lo:hi] - tile)[order]
+    n = len(tile) - np.cumsum(np.bincount(ranked))[:-1]   # realizations per slot
+    ends = np.cumsum(n)
+    first = ends - n                                       # slot s's first column
+    slot = np.repeat(np.arange(len(n)), n)
+    centers = starts[np.arange(len(slot)) - first[slot]] + slot
+    xs = real.centers.points[centers, 0]
+    ys = real.centers.points[centers, 1]
+    acc = np.full((len(ix), len(tile)), empty)
+    cols = max(1, _TILE_ELEMENTS // max(len(ux), len(uy)))
+    s = 0
+    while s < len(n):
+        top = max(s + 1, int(np.searchsorted(ends, first[s] + cols, side="right")))
+        a, b = int(first[s]), int(ends[top - 1])
+        ax = axis_step(ux[:, None] - xs[a:b], window.width, window.wrap)
+        ay = axis_step(uy[:, None] - ys[a:b], window.height, window.wrap)
+        for e, m in zip((first[s:top] - a).tolist(), n[s:top].tolist()):
+            pair = ax[:, e:e + m][ix]
+            combine(pair, ay[:, e:e + m][iy], out=pair)
+            head = acc[:, :m]
+            reduce(head, pair, out=head)
+        s = top
+    out[:, lo + order] = acc
 
 
 def influence_radius(x: float, spec: EnergyFieldSpec) -> float:

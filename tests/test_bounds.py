@@ -16,6 +16,7 @@ from renergy.bounds import (ASYMPTOTIC_MARGIN, BoundInputs, aggregated_outage_bo
                             fading_tail_terms_inversion, in_asymptotic_regime,
                             max_power_markov_bound, poisson_raw_moment,
                             power_law_outage_bound, total_outage_bound)
+from renergy.energy_field import decay_exp, decay_power_law
 from renergy.geometry import hex_cell_circumradius, hex_pitch
 
 SHORTFALL_REF = 0.37912554244981446
@@ -151,7 +152,9 @@ def test_power_floor_reference_and_limits():
 
 
 # Valid keyword arguments of the public numeric helpers; each positive
-# parameter must also reject NaN and +inf (a voltage of +inf is a lossless line).
+# parameter must also reject NaN and +inf. A distance, budget or line length
+# may be +inf (the kernels read 0 there), and so may a voltage (a lossless
+# line), so those reject NaN only.
 _HELPER_ARGS = {
     sufficient_voltage: dict(tau=0.9, beta=1.0, eta=1.0, gamma=1.0, lambda_a=1.0),
     certified_efficiency: dict(voltage=1.0, beta=1.0, eta=1.0, gamma=1.0, lambda_a=1.0),
@@ -162,14 +165,17 @@ _HELPER_ARGS = {
     hex_pitch: dict(density=1.0),
     hex_cell_circumradius: dict(density=1.0),
     BoundInputs: dict(psi=0.05, gamma_eta=1000.0, theta=8.0, alpha=4.0, lambda_b=1.0,
-                      lambda_u=10.0),
+                      lambda_u=10.0, e_h_inv=1.0, lambda_h=2.0, lambda_e=0.05, nu=1.0),
+    decay_exp: dict(d=1.0, nu=1.0),
+    decay_power_law: dict(d=1.0, nu=1.0),
 }
+_NAN_ONLY = ("budget", "length", "voltage", "d")
 _NON_FINITE_CASES = [
     pytest.param(f, name, bad, id=f"{f.__name__}-{name}-{bad}")
     for f, kw in _HELPER_ARGS.items()
-    for name in kw if name not in ("budget", "length", "order")
+    for name in kw if name != "order"
     for bad in (math.nan, math.inf)
-    if not (name == "voltage" and bad == math.inf)
+    if not (name in _NAN_ONLY and bad == math.inf)
 ]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renergy import energy_field
+from renergy import coverage, energy_field
+from renergy.cli import _repro_experiment
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
                                   boolean_exp_moments, cdf_boolean_exp,
                                   cdf_boolean_plaw, decay_exp, decay_power_law,
@@ -18,7 +20,9 @@ from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
                                   joint_cdf_boolean_exp, sample_intensity,
                                   sample_intensity_pair, shot_noise_mean,
                                   validation_window)
-from renergy.geometry import PointSet, Window, substream, uniform_points
+from renergy.geometry import (BLOCK, FIELD_STREAM, PointSet, Window, folded_square,
+                              substream, uniform_points)
+from renergy.harness import apply_sweep
 from renergy.stats import ks_statistic
 
 # Frozen reference values (independent high-precision oracle):
@@ -376,6 +380,11 @@ def _assert_matches_brute_force(spec, window, centers, counts, pts, values):
 
 _GRID = st.tuples(st.integers(0, 17), st.integers(0, 13))   # 0.5 km steps in 9 x 7
 
+# Selections that send every tile of the boolean minimum one way.
+_FORCE_SEGMENTS = {"_SLOT_POINTS": 1 << 62}
+_FORCE_SLOTS = {"_SLOT_POINTS": 1, "_SLOT_MEAN_CENTERS": 1 << 62,
+                "_SLOT_PAIRS_PER_SLOT": 0}
+
 
 @settings(max_examples=80, deadline=None)
 @given(kernel=st.sampled_from(list(Kernel)),
@@ -394,18 +403,46 @@ _GRID = st.tuples(st.integers(0, 17), st.integers(0, 13))   # 0.5 km steps in 9 
 def test_factored_kernel_equals_brute_force(kernel, wrap, points, cells, counts,
                                             tile_elements, tile_points):
     # points and centers on a grid repeat coordinates and tie distances
-    # exactly; small tiles split the points and the realizations of a block
+    # exactly; small tiles split the points and the realizations of a block,
+    # and small per-axis budgets split the slot runs. The boolean kernels run
+    # both reductions, segment-wise and slot-wise, whatever the sizes
     spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.05, nu=2.0, kernel=kernel)
     w = Window(9.0, 7.0, wrap=wrap)
     centers = 0.5 * np.array([cells[i % len(cells)] for i in range(sum(counts))],
                              dtype=float).reshape(-1, 2)
     pts = 0.5 * np.array(points, dtype=float)
     block = FieldRealization(spec, PointSet(centers), w, np.array(counts))
-    with mock.patch.object(energy_field, "_TILE_ELEMENTS", tile_elements), \
-            mock.patch.object(energy_field, "_TILE_POINTS", tile_points):
-        for where in (pts, PointSet(pts)):
-            _assert_matches_brute_force(spec, w, centers, counts, pts,
-                                        field_values(block, where))
+    for forced in _FORCE_SEGMENTS, _FORCE_SLOTS:
+        with mock.patch.multiple(energy_field, _TILE_ELEMENTS=tile_elements,
+                                 _TILE_POINTS=tile_points, _SLOT_PAIRS=tile_elements,
+                                 **forced):
+            for where in (pts, PointSet(pts)):
+                _assert_matches_brute_force(spec, w, centers, counts, pts,
+                                            field_values(block, where))
+
+
+def _fig5_harvesters_and_block(kernel):
+    """The typical aggregator's 307 harvesters at fig5 cluster size 320, and
+    the first field block its trials draw, with the given kernel."""
+    cfg = apply_sweep(_repro_experiment("fig5").scenario, "cluster_size", 320)
+    window = coverage.resolve_window(cfg)
+    positions = coverage._supply(cfg, window).positions
+    spec = replace(cfg.field, kernel=kernel)
+    return positions, draw_field(spec, window, substream(420, 0, FIELD_STREAM), BLOCK)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_many_points_reduce_slot_wise_except_sums(kernel):
+    # the boolean kernels reduce every tile slot by slot at the fig5
+    # harvesters and equal the segment reduction bit for bit; a shot-noise
+    # sum at as many points keeps the segments and their summation order
+    pts, block = _fig5_harvesters_and_block(kernel)
+    assert len(pts) == 307 and block.counts.mean() < 20
+    with mock.patch.multiple(energy_field, **_FORCE_SEGMENTS):
+        expect = field_values(block, pts)
+    unused = "_slot_reduce" if kernel is Kernel.SHOT_NOISE_EXP else "_segment_reduce"
+    with mock.patch.object(energy_field, unused, side_effect=AssertionError(unused)):
+        assert np.array_equal(field_values(block, pts), expect)
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
@@ -428,3 +465,33 @@ def test_field_values_memory_is_bounded_on_a_large_block(kernel):
     head = block.select(0, 3)
     _assert_matches_brute_force(spec, w, head.centers.points, head.counts,
                                 point.points, values[:, :3])
+
+
+def test_slot_reduction_memory_is_bounded_on_a_many_point_block():
+    # 256 lattice points over 2,000 realizations of about 12 centers: four
+    # slot-wise tiles of 512 realizations. One (points x centers) array of it
+    # alone is 49 MB; past its (points x realizations) output the reduction
+    # holds the accumulator and a slot's pairs and gather, each within
+    # _SLOT_PAIRS, and two per-axis arrays within _TILE_ELEMENTS
+    spec = EnergyFieldSpec(gamma=1.0, lambda_e=0.03, nu=1.0)
+    w = Window(20.0, 20.0, wrap=True)
+    grid = np.arange(16) * 1.25
+    pts = PointSet(np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2))
+    block = draw_field(spec, w, substream(421, 0), 2000)
+    assert len(pts) * len(block.centers) * 8 > 40 * 2**20
+    pts.axes   # the point set's own factorization is not the reduction's
+    budget = 8 * (3 * energy_field._SLOT_PAIRS + 2 * energy_field._TILE_ELEMENTS)
+    with mock.patch.object(energy_field, "_segment_reduce",
+                           side_effect=AssertionError("_segment_reduce")):
+        tracemalloc.start()
+        try:
+            d2 = energy_field._pair_reduce(block, pts, folded_square, np.add,
+                                           np.minimum, np.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < d2.nbytes + budget + 2**20, \
+        f"the slot reduction peaked at {(peak - d2.nbytes) / 2**20:.1f} MB past its output"
+    head = block.select(0, 3)
+    _assert_matches_brute_force(spec, w, head.centers.points, head.counts, pts.points,
+                                spec.gamma * decay_exp(np.sqrt(d2[:, :3]), spec.nu))
