@@ -145,8 +145,10 @@ def delivered_power(budget, length, voltage: float, beta: float,
     """
     budget = np.asarray(budget, dtype=float)
     length = np.asarray(length, dtype=float)
-    if not (np.all(budget >= 0) and np.all(length >= 0)):
-        raise ValueError("budget and length must be non-negative")
+    if not np.all((budget >= 0) & (budget < math.inf)):
+        raise ValueError("budget must be non-negative and finite")
+    if not np.all(length >= 0):
+        raise ValueError("length must be non-negative")
     if mode == "tau_floor":
         if tau is None or not 0 < tau < 1:
             raise ValueError("tau_floor mode needs tau in (0, 1)")

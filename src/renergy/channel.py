@@ -114,8 +114,8 @@ def path_gain(d, spec: ChannelSpec):
     """Power gain at distance d (km): 10^(-ref_loss_db/10) * (d/ref_dist)^(-alpha),
     with d clamped up to spec.min_dist. Non-positive distances raise."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distance must be positive")
+    if not np.all(d > 0):
+        raise ValueError("distance d must be positive")
     d = np.maximum(d, spec.min_dist)
     g = 10.0 ** (-spec.ref_loss_db / 10.0) * (d / spec.ref_dist) ** (-spec.alpha)
     return float(g) if g.ndim == 0 else g
@@ -123,11 +123,11 @@ def path_gain(d, spec: ChannelSpec):
 
 def required_power(theta: float, d, h, spec: ChannelSpec):
     """Transmit power that makes the received SNR exactly theta."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
     h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("fading gain must be positive")
+    if not np.all(h > 0):
+        raise ValueError("fading gain h must be positive")
     q = theta * spec.noise_w / (h * path_gain(d, spec))
     return float(q) if q.ndim == 0 else q
 

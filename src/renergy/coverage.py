@@ -242,9 +242,12 @@ class _Supply:
         line = self.line
         delivered = delivered_power(budgets, self.line_lengths[:, None], self.voltage,
                                     line.beta, line.mode, line.tau)
-        # Each trial's sum runs over one contiguous row, so its rounding does
-        # not depend on how many trials are evaluated together.
-        return np.ascontiguousarray(delivered.T).sum(axis=1) / self.stations_per_aggregator
+        # harvester after harvester, bit for bit as supplied_power sums a
+        # cluster; numpy would sum a lone column pairwise, so one trial takes
+        # the running sum instead
+        total = delivered.sum(axis=0) if delivered.shape[1] > 1 else \
+            delivered.cumsum(axis=0)[-1]
+        return total / self.stations_per_aggregator
 
 
 @lru_cache(maxsize=32)

@@ -18,27 +18,27 @@ is a block of one), and field_values evaluates all of them in one grouped
 pass. The samplers, the trial engine and the aggregated supply all draw and
 evaluate fields this way.
 
-field_values evaluates all three kernels with one loop that factors the
-evaluation points by axis (PointSet.axes, computed once per point set): a
-per-axis step runs once per distinct coordinate and center, its rows are
-gathered and combined per tile, and each realization reduces its pairs. The
-boolean kernels combine folded squared differences by adding them, take each
-realization's minimum squared distance and only then the sqrt, so the result
-equals the minimum over per-pair distances bit for bit. The shot-noise
-kernel's image sum factors exactly by axis, so it multiplies the per-axis
-sums of exp(-d^2/nu) over a center's images and adds over the centers.
+field_values evaluates all three kernels by factoring the evaluation points
+by axis (PointSet.axes, computed once per point set): a per-axis step runs
+once per distinct coordinate and center, its rows are gathered and combined
+per tile, and each realization reduces its pairs. The boolean kernels
+combine folded squared differences by adding them, take each realization's
+minimum squared distance and only then the sqrt, so the result equals the
+minimum over per-pair distances bit for bit. The shot-noise kernel's image
+sum factors exactly by axis, so it multiplies the per-axis sums of
+exp(-d^2/nu) over a center's images and adds over the centers.
 
-A tile of whole realizations reduces by segments (one reduceat segment per
-point and realization) or, for the boolean minimum at _SLOT_POINTS points or
-more, by slots: slot s holds the s-th center of every realization that has
-more than s, and one elementwise minimum folds it into a (points x
-realizations) accumulator. Segments cost per point and realization, slots
-per slot, so a tile goes slot-wise when its realizations are short and its
-points x realizations are many per slot; the rule, its constants and their
-measurements are beside _TILE_ELEMENTS. A minimum is exact in any order, so
-both give the same bits; a sum is not, so shot noise keeps the segments.
-Tiles bound the pairs and the accumulator, so memory does not grow with the
-block.
+Each call picks one reduction from the kernel and the point count alone.
+Sums, and boolean minima at fewer than _SLOT_POINTS (32) points, reduce by
+segments: one reduceat segment per point and realization. Boolean minima at
+32 points or more reduce by slots: slot s holds the s-th center of every
+realization that has more than s, and one elementwise minimum folds it into
+a (points x realizations) accumulator. A minimum is exact in any order, so
+both give the same bits; a sum is not, so shot noise keeps the segments and
+their summation order. Both reduce tiles of whole realizations. A segment
+tile bounds its pairs; a slot tile bounds its accumulator by its
+realizations and its index arrays by its centers. So memory does not grow
+with the block.
 
 The samplers (sample_intensity, sample_intensity_pair) take no chunk size:
 they draw and evaluate as many whole realizations at a time as hold
@@ -187,27 +187,17 @@ def _image_decay(d: np.ndarray, side: float, wrap: bool, nu: float) -> np.ndarra
 _TILE_ELEMENTS = 1 << 16
 _TILE_POINTS = 1024
 
-# The boolean kernels' minimum reduces a tile of whole realizations in one of
-# two exact ways: one reduceat segment per (point, realization), or slot by
-# slot (_slot_reduce), one elementwise minimum per slot into a (points x
-# realizations) accumulator. Segments cost an inner-loop call per point and
-# realization; slots cost a few calls per slot (the tile's largest count)
-# and one more pass over each pair. So from _SLOT_POINTS points the
-# realizations go in tiles of at most _SLOT_PAIRS // points, and a tile goes
-# slot-wise when its realizations average at most _SLOT_MEAN_CENTERS centers
-# and its points x realizations reach _SLOT_PAIRS_PER_SLOT times its slots.
-# Measured on the d^2 step of a 256-realization block (2 cores, numpy 2.4),
-# slots over segments: the fig5 harvesters at clusters 320-40 (307-43
-# points, 7-12 centers a realization) 1.3-1.4x; 307 points at 6 centers
-# 1.5x, at 25-99 centers 0.96-0.99x; 43 points at 14 centers 1.17x, at 29
-# 0.88x; 19 points 0.96x; one point 0.16-0.30x; acceptance 7's lattice (768
-# and 1024 points, 38-51 centers) 0.94-0.97x. Sums keep the segments: a
-# slot-wise sum adds in another order and moves shot-noise values in the
-# last bits.
+# The boolean minimum at _SLOT_POINTS points or more reduces slot by slot
+# (_slot_minimum); fewer points, and every sum, reduce by segments. Segments
+# cost an inner-loop call per point and realization, slots a few calls per
+# slot and one more pass over each pair, so slots win where points are many:
+# the fig5 harvesters at cluster 320 (307 points) take them, at cluster 20
+# (19 points) they would cost 0.96x. A slot tile holds whole realizations:
+# at most _SLOT_PAIRS // points of them, which bounds its accumulator and a
+# slot's pairs, and about _SLOT_PAIRS centers, which bounds its index arrays;
+# one realization at least.
 _SLOT_POINTS = 32
 _SLOT_PAIRS = 1 << 17
-_SLOT_MEAN_CENTERS = 16
-_SLOT_PAIRS_PER_SLOT = 256
 
 # Expected energy centers the samplers draw at once (16 MiB of coordinates).
 # A draw takes as many whole realizations as this holds; a single realization
@@ -223,82 +213,83 @@ def field_values(real: FieldRealization, points) -> np.ndarray:
     spec = real.spec
     if spec.kernel is Kernel.SHOT_NOISE_EXP:
         image_decay = partial(_image_decay, nu=spec.nu)
-        return spec.gamma * _pair_reduce(real, pts, image_decay, np.multiply,
-                                         np.add, 0.0)
-    d2 = _pair_reduce(real, pts, folded_square, np.add, np.minimum, np.inf)
+        return spec.gamma * _segment_reduce(real, pts, image_decay, np.multiply,
+                                            np.add, 0.0)
+    if len(pts) < _SLOT_POINTS:
+        d2 = _segment_reduce(real, pts, folded_square, np.add, np.minimum, np.inf)
+    else:
+        d2 = _slot_minimum(real, pts)
     return _boolean_kernel(spec, np.sqrt(d2))
 
 
-def _pair_reduce(real: FieldRealization, pts: PointSet, axis_step, combine: np.ufunc,
-                 reduce: np.ufunc, empty: float) -> np.ndarray:
+def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
+                    combine: np.ufunc, reduce: np.ufunc, empty: float) -> np.ndarray:
     """Per-pair values reduced over each realization's centers, (k, n): a pair
     of point and center takes combine(axis_step(dx), axis_step(dy)), and each
-    realization reduces its pairs with `reduce`; an empty one gives `empty`.
+    realization reduces its pairs with one reduceat segment per point; an
+    empty one gives `empty`.
 
     axis_step(d, side, wrap) maps per-axis coordinate differences to a new
     array. The points are factored by axis: it runs once per distinct
     coordinate and center, and pair values are gathered from its rows and
-    combined. For the boolean kernels (folded_square, add, minimum) each
-    pair's d^2 is the arithmetic of geometry.separation before its sqrt, and
-    sqrt is monotone and correctly rounded, so the caller's sqrt of the
-    minimum equals the minimum of the distances bit for bit. Tiles hold whole
-    realizations, so a block of any size is evaluated in bounded memory.
-
-    A minimum is exact in any order, so with many points it reduces each
-    tile slot by slot (_slot_reduce) where the tile's realizations are short;
-    every other tile, and every sum, reduces by segments (_segment_reduce).
+    combined. Tiles of whole realizations hold at most _TILE_POINTS points
+    and about _TILE_ELEMENTS pairs, so a block of any size is evaluated in
+    bounded memory.
     """
-    counts = real.counts
-    out = np.empty((len(pts), len(counts)))
-    if reduce is not np.minimum or len(pts) < _SLOT_POINTS:
-        _segment_reduce(real, pts, axis_step, combine, reduce, empty, 0, len(counts), out)
-        return out
-    span = max(1, _SLOT_PAIRS // len(pts))
-    for lo in range(0, len(counts), span):
-        hi = min(lo + span, len(counts))
-        tile = counts[lo:hi]
-        short = (tile.sum() <= _SLOT_MEAN_CENTERS * len(tile)
-                 and len(pts) * len(tile) >= _SLOT_PAIRS_PER_SLOT * tile.max())
-        tile_reduce = _slot_reduce if short else _segment_reduce
-        tile_reduce(real, pts, axis_step, combine, reduce, empty, lo, hi, out)
-    return out
-
-
-def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
-                    combine: np.ufunc, reduce: np.ufunc, empty: float, lo: int,
-                    hi: int, out: np.ndarray) -> None:
-    """_pair_reduce of realizations lo..hi-1 into out[:, lo:hi], in tiles of
-    at most _TILE_POINTS points and about _TILE_ELEMENTS pairs, each
-    realization's pairs reduced by one reduceat segment per point."""
     ux, ix, uy, iy = pts.axes
     window, counts = real.window, real.counts
     xs, ys = real.centers.points[:, 0], real.centers.points[:, 1]
+    out = np.full((len(ix), len(counts)), empty)
     step = max(1, min(len(ix), _TILE_POINTS))
     span = max(1, _TILE_ELEMENTS // max(step, len(ux), len(uy)))
     ends = np.cumsum(counts)
-    while lo < hi:
+    lo = 0
+    while lo < len(counts):
         first = int(ends[lo] - counts[lo])
-        top = min(hi, max(lo + 1, int(np.searchsorted(ends, first + span, side="right"))))
-        last = int(ends[top - 1])
+        hi = max(lo + 1, int(np.searchsorted(ends, first + span, side="right")))
+        last = int(ends[hi - 1])
+        cols = lo + np.flatnonzero(counts[lo:hi])   # the tile's nonempty realizations
+        starts = ends[cols] - counts[cols] - first
         ax = axis_step(ux[:, None] - xs[first:last], window.width, window.wrap)
         ay = axis_step(uy[:, None] - ys[first:last], window.height, window.wrap)
         for p in range(0, len(ix), step):
             pair = ax[ix[p:p + step]]
             combine(pair, ay[iy[p:p + step]], out=pair)
-            out[p:p + step, lo:top] = _grouped(reduce, pair, counts[lo:top], empty)
-        lo = top
+            out[p:p + step, cols] = reduce.reduceat(pair, starts, axis=1)
+        lo = hi
+    return out
 
 
-def _slot_reduce(real: FieldRealization, pts: PointSet, axis_step, combine: np.ufunc,
-                 reduce: np.ufunc, empty: float, lo: int, hi: int,
+def _slot_minimum(real: FieldRealization, pts: PointSet) -> np.ndarray:
+    """Each realization's minimum squared distance from each point to its
+    centers, (k, n), +inf for an empty one: _slot_reduce over tiles of whole
+    realizations, at most _SLOT_PAIRS // k of them and about _SLOT_PAIRS
+    centers, one realization at least."""
+    counts = real.counts
+    out = np.empty((len(pts), len(counts)))
+    span = max(1, _SLOT_PAIRS // len(pts))
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        first = int(ends[lo] - counts[lo])
+        top = int(np.searchsorted(ends, first + _SLOT_PAIRS, side="right"))
+        hi = max(lo + 1, min(lo + span, top))
+        _slot_reduce(real, pts, lo, hi, out)
+        lo = hi
+    return out
+
+
+def _slot_reduce(real: FieldRealization, pts: PointSet, lo: int, hi: int,
                  out: np.ndarray) -> None:
-    """_pair_reduce of realizations lo..hi-1 into out[:, lo:hi], slot by slot.
+    """_slot_minimum of realizations lo..hi-1 into out[:, lo:hi].
 
     Slot s holds the s-th center of every realization with more than s. With
     the realizations ordered by count, largest first, slot s covers the first
     n_s of them, so it folds into the first n_s columns of one (points x
-    realizations) accumulator with one elementwise reduce. The per-axis step
-    runs once per run of consecutive slots whose arrays fit _TILE_ELEMENTS.
+    realizations) accumulator with one elementwise minimum. A minimum is
+    exact in any order, so this equals the segment reduction bit for bit. The
+    per-axis step runs once per run of consecutive slots whose arrays fit
+    _TILE_ELEMENTS.
     """
     ux, ix, uy, iy = pts.axes
     window = real.window
@@ -313,19 +304,19 @@ def _slot_reduce(real: FieldRealization, pts: PointSet, axis_step, combine: np.u
     centers = starts[np.arange(len(slot)) - first[slot]] + slot
     xs = real.centers.points[centers, 0]
     ys = real.centers.points[centers, 1]
-    acc = np.full((len(ix), len(tile)), empty)
+    acc = np.full((len(ix), len(tile)), np.inf)
     cols = max(1, _TILE_ELEMENTS // max(len(ux), len(uy)))
     s = 0
     while s < len(n):
         top = max(s + 1, int(np.searchsorted(ends, first[s] + cols, side="right")))
         a, b = int(first[s]), int(ends[top - 1])
-        ax = axis_step(ux[:, None] - xs[a:b], window.width, window.wrap)
-        ay = axis_step(uy[:, None] - ys[a:b], window.height, window.wrap)
+        ax = folded_square(ux[:, None] - xs[a:b], window.width, window.wrap)
+        ay = folded_square(uy[:, None] - ys[a:b], window.height, window.wrap)
         for e, m in zip((first[s:top] - a).tolist(), n[s:top].tolist()):
             pair = ax[:, e:e + m][ix]
-            combine(pair, ay[:, e:e + m][iy], out=pair)
+            pair += ay[:, e:e + m][iy]
             head = acc[:, :m]
-            reduce(head, pair, out=head)
+            np.minimum(head, pair, out=head)
         s = top
     out[:, lo + order] = acc
 
@@ -342,7 +333,7 @@ def influence_radius(x: float, spec: EnergyFieldSpec) -> float:
 def cdf_boolean_exp(x, spec: EnergyFieldSpec):
     """Marginal law of the boolean exponential field: (x/gamma)^(pi psi)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > spec.gamma):
+    if not np.all((x >= 0) & (x <= spec.gamma)):
         raise ValueError("x must lie in [0, gamma]")
     return (x / spec.gamma) ** (math.pi * spec.psi)
 
@@ -354,7 +345,7 @@ def cdf_boolean_plaw(x, spec: EnergyFieldSpec):
     finite sampling windows can produce empty-field realizations there.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > spec.gamma):
+    if not np.all((x >= 0) & (x <= spec.gamma)):
         raise ValueError("x must lie in [0, gamma]")
     with np.errstate(divide="ignore"):
         return np.where(x > 0,
@@ -424,18 +415,6 @@ def joint_cdf_boolean_exp(x1: float, x2: float, d: float, spec: EnergyFieldSpec)
     if d >= r1 + r2:
         return marg
     return marg * math.exp(spec.lambda_e * disk_overlap_area(r1, r2, d))
-
-
-def _grouped(ufunc: np.ufunc, values: np.ndarray, counts: np.ndarray,
-             empty: float) -> np.ndarray:
-    """Per-row reduction of consecutive runs of counts[i] columns of a 2-D
-    array, (rows, len(counts)); empty runs give `empty`."""
-    out = np.full((len(values), len(counts)), empty)
-    nonempty = counts > 0
-    if nonempty.any():
-        starts = np.cumsum(counts) - counts
-        out[:, nonempty] = ufunc.reduceat(values, starts[nonempty], axis=1)
-    return out
 
 
 def _sample_fields(spec: EnergyFieldSpec, window: Window, points, n: int,

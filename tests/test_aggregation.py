@@ -14,11 +14,14 @@ from renergy.aggregation import (Distributed, LineSpec, build_clusters,
                                  delivered_power,
                                  sufficient_voltage, supplied_power,
                                  supply_statistics)
+from renergy import coverage
 from renergy.channel import ChannelSpec
+from renergy.cli import _repro_experiment
 from renergy.coverage import ScenarioConfig, run_trials_chunk
-from renergy.energy_field import EnergyFieldSpec, Kernel, draw_field
+from renergy.energy_field import EnergyFieldSpec, Kernel, draw_field, field_values
 from renergy.geometry import (BLOCK, FIELD_STREAM, hex_cell_circumradius, hex_pitch,
-                              substream)
+                              nearest_site_indices, substream)
+from renergy.harness import apply_sweep
 
 
 def line_loss(power, length, voltage: float, beta: float):
@@ -190,6 +193,30 @@ def test_block_supplied_power_matches_each_realization(line):
         totals = np.bincount(asg.assignment, weights=res.delivered[:, i],
                              minlength=len(asg.aggregators.sites))
         assert np.array_equal(res.per_aggregator[:, i], totals)
+
+
+@pytest.mark.parametrize("cluster_size", [20, 320])
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_typical_station_power_equals_the_lattice(kernel, cluster_size):
+    # the trial engine's typical station and the whole-lattice supply sum
+    # the same cluster harvester after harvester, so its power is bit for
+    # bit the lattice's at the typical aggregator; a trial evaluated alone
+    # gets the same bits as in its block
+    cfg = apply_sweep(_repro_experiment("fig5").scenario, "cluster_size", cluster_size)
+    cfg = replace(cfg, field=replace(cfg.field, kernel=kernel))
+    window = coverage.resolve_window(cfg)
+    supply = coverage._supply(cfg, window)
+    block = draw_field(cfg.field, window, substream(904, 0, FIELD_STREAM), BLOCK)
+    budgets = cfg.eta * field_values(block, supply.positions)
+    engine = supply.station_power(budgets)
+    arch = cfg.architecture
+    asg = build_clusters(arch.lambda_h, arch.lambda_a, window)
+    lattice = supplied_power(asg, block, arch.line, cfg.eta, cfg.lambda_b)
+    typical = int(nearest_site_indices(np.asarray(window.center)[None, :],
+                                       asg.aggregators.sites.points, window)[0][0])
+    assert np.array_equal(engine, lattice.per_station[typical * supply.stations_per_aggregator])
+    for i in (0, 1, BLOCK - 1):
+        assert supply.station_power(budgets[:, i:i + 1])[0] == engine[i]
 
 
 _lattices = st.fixed_dictionaries({

@@ -16,7 +16,9 @@ from renergy.bounds import (ASYMPTOTIC_MARGIN, BoundInputs, aggregated_outage_bo
                             fading_tail_terms_inversion, in_asymptotic_regime,
                             max_power_markov_bound, poisson_raw_moment,
                             power_law_outage_bound, total_outage_bound)
-from renergy.energy_field import decay_exp, decay_power_law
+from renergy.channel import ChannelSpec, required_power
+from renergy.energy_field import (EnergyFieldSpec, Kernel, cdf_boolean_exp, cdf_boolean_plaw,
+                                  decay_exp, decay_power_law)
 from renergy.geometry import hex_cell_circumradius, hex_pitch
 
 SHORTFALL_REF = 0.37912554244981446
@@ -151,10 +153,12 @@ def test_power_floor_reference_and_limits():
                                 lambda_b=1.0, lambda_e=1.0, nu=1.0)
 
 
-# Valid keyword arguments of the public numeric helpers; each positive
-# parameter must also reject NaN and +inf. A distance, budget or line length
-# may be +inf (the kernels read 0 there), and so may a voltage (a lossless
-# line), so those reject NaN only.
+# Valid keyword arguments of the public numeric helpers; each numeric
+# parameter but an integer order must also reject NaN and +inf. A distance
+# or line length may be +inf (the kernels read 0 there, and a path gain
+# too), so may a voltage (a lossless line) and a fading gain (its required
+# power is 0), and a CDF's x above gamma fails its range check already, so
+# those are checked for NaN only.
 _HELPER_ARGS = {
     sufficient_voltage: dict(tau=0.9, beta=1.0, eta=1.0, gamma=1.0, lambda_a=1.0),
     certified_efficiency: dict(voltage=1.0, beta=1.0, eta=1.0, gamma=1.0, lambda_a=1.0),
@@ -168,12 +172,16 @@ _HELPER_ARGS = {
                       lambda_u=10.0, e_h_inv=1.0, lambda_h=2.0, lambda_e=0.05, nu=1.0),
     decay_exp: dict(d=1.0, nu=1.0),
     decay_power_law: dict(d=1.0, nu=1.0),
+    cdf_boolean_exp: dict(x=0.5, spec=EnergyFieldSpec(gamma=1.0, lambda_e=0.05, nu=1.0)),
+    cdf_boolean_plaw: dict(x=0.5, spec=EnergyFieldSpec(gamma=1.0, lambda_e=0.05, nu=1.0,
+                                                       kernel=Kernel.BOOLEAN_MAX_PLAW)),
+    required_power: dict(theta=8.0, d=0.5, h=1.0, spec=ChannelSpec()),
 }
-_NAN_ONLY = ("budget", "length", "voltage", "d")
+_NAN_ONLY = ("length", "voltage", "d", "h", "x")
 _NON_FINITE_CASES = [
     pytest.param(f, name, bad, id=f"{f.__name__}-{name}-{bad}")
     for f, kw in _HELPER_ARGS.items()
-    for name in kw if name != "order"
+    for name, value in kw.items() if isinstance(value, float)
     for bad in (math.nan, math.inf)
     if not (name in _NAN_ONLY and bad == math.inf)
 ]

@@ -20,8 +20,8 @@ from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
                                   joint_cdf_boolean_exp, sample_intensity,
                                   sample_intensity_pair, shot_noise_mean,
                                   validation_window)
-from renergy.geometry import (BLOCK, FIELD_STREAM, PointSet, Window, folded_square,
-                              substream, uniform_points)
+from renergy.geometry import (BLOCK, FIELD_STREAM, PointSet, Window, substream,
+                              uniform_points)
 from renergy.harness import apply_sweep
 from renergy.stats import ks_statistic
 
@@ -382,8 +382,7 @@ _GRID = st.tuples(st.integers(0, 17), st.integers(0, 13))   # 0.5 km steps in 9 
 
 # Selections that send every tile of the boolean minimum one way.
 _FORCE_SEGMENTS = {"_SLOT_POINTS": 1 << 62}
-_FORCE_SLOTS = {"_SLOT_POINTS": 1, "_SLOT_MEAN_CENTERS": 1 << 62,
-                "_SLOT_PAIRS_PER_SLOT": 0}
+_FORCE_SLOTS = {"_SLOT_POINTS": 1}
 
 
 @settings(max_examples=80, deadline=None)
@@ -421,28 +420,31 @@ def test_factored_kernel_equals_brute_force(kernel, wrap, points, cells, counts,
                                             field_values(block, where))
 
 
-def _fig5_harvesters_and_block(kernel):
+def _fig5_harvesters_and_block(kernel, density=1.0):
     """The typical aggregator's 307 harvesters at fig5 cluster size 320, and
-    the first field block its trials draw, with the given kernel."""
+    the first field block its trials draw, with the given kernel and the
+    center density scaled by `density`."""
     cfg = apply_sweep(_repro_experiment("fig5").scenario, "cluster_size", 320)
     window = coverage.resolve_window(cfg)
     positions = coverage._supply(cfg, window).positions
-    spec = replace(cfg.field, kernel=kernel)
+    spec = replace(cfg.field, kernel=kernel, lambda_e=density * cfg.field.lambda_e)
     return positions, draw_field(spec, window, substream(420, 0, FIELD_STREAM), BLOCK)
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_many_points_reduce_slot_wise_except_sums(kernel):
-    # the boolean kernels reduce every tile slot by slot at the fig5
-    # harvesters and equal the segment reduction bit for bit; a shot-noise
-    # sum at as many points keeps the segments and their summation order
-    pts, block = _fig5_harvesters_and_block(kernel)
-    assert len(pts) == 307 and block.counts.mean() < 20
-    with mock.patch.multiple(energy_field, **_FORCE_SEGMENTS):
-        expect = field_values(block, pts)
+    # the boolean kernels reduce slot by slot at the fig5 harvesters, with
+    # about 13 centers a realization and with about 100 at 8 x lambda_e, and
+    # equal the segment reduction bit for bit; a shot-noise sum at as many
+    # points keeps the segments and their summation order
     unused = "_slot_reduce" if kernel is Kernel.SHOT_NOISE_EXP else "_segment_reduce"
-    with mock.patch.object(energy_field, unused, side_effect=AssertionError(unused)):
-        assert np.array_equal(field_values(block, pts), expect)
+    for density, mean_centers in ((1.0, (5, 20)), (8.0, (80, 120))):
+        pts, block = _fig5_harvesters_and_block(kernel, density)
+        assert len(pts) == 307 and mean_centers[0] < block.counts.mean() < mean_centers[1]
+        with mock.patch.multiple(energy_field, **_FORCE_SEGMENTS):
+            expect = field_values(block, pts)
+        with mock.patch.object(energy_field, unused, side_effect=AssertionError(unused)):
+            assert np.array_equal(field_values(block, pts), expect)
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
@@ -479,19 +481,40 @@ def test_slot_reduction_memory_is_bounded_on_a_many_point_block():
     pts = PointSet(np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2))
     block = draw_field(spec, w, substream(421, 0), 2000)
     assert len(pts) * len(block.centers) * 8 > 40 * 2**20
-    pts.axes   # the point set's own factorization is not the reduction's
     budget = 8 * (3 * energy_field._SLOT_PAIRS + 2 * energy_field._TILE_ELEMENTS)
-    with mock.patch.object(energy_field, "_segment_reduce",
-                           side_effect=AssertionError("_segment_reduce")):
-        tracemalloc.start()
-        try:
-            d2 = energy_field._pair_reduce(block, pts, folded_square, np.add,
-                                           np.minimum, np.inf)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    _assert_slot_reduction_within(spec, w, block, pts, budget)
+
+
+def test_slot_reduction_memory_is_bounded_on_long_realizations():
+    # 64 lattice points over 2,000 realizations of about 200 centers: by the
+    # accumulator's bound alone one tile would hold all 400k centers, and its
+    # four index arrays (each center's slot and index, x and y) 13 MB. Tiles
+    # of about _SLOT_PAIRS centers keep each of them within _SLOT_PAIRS
+    # values, beside the accumulator and a slot's pairs and gather
+    spec = EnergyFieldSpec(gamma=1.0, lambda_e=0.5, nu=1.0)
+    w = Window(20.0, 20.0, wrap=True)
+    grid = np.arange(8) * 2.5
+    pts = PointSet(np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2))
+    block = draw_field(spec, w, substream(422, 0), 2000)
+    assert len(block.centers) > 3 * energy_field._SLOT_PAIRS
+    budget = 8 * (7 * energy_field._SLOT_PAIRS + 2 * energy_field._TILE_ELEMENTS)
+    _assert_slot_reduction_within(spec, w, block, pts, budget)
+
+
+def _assert_slot_reduction_within(spec, window, block, pts, budget):
+    """The slot reduction of a boolean exponential block peaks within budget
+    bytes past its output and matches brute force on the first
+    realizations."""
+    pts.axes   # the point set's own factorization is not the reduction's
+    tracemalloc.start()
+    try:
+        d2 = energy_field._slot_minimum(block, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < d2.nbytes + budget + 2**20, \
         f"the slot reduction peaked at {(peak - d2.nbytes) / 2**20:.1f} MB past its output"
     head = block.select(0, 3)
-    _assert_matches_brute_force(spec, w, head.centers.points, head.counts, pts.points,
+    _assert_matches_brute_force(spec, window, head.centers.points, head.counts,
+                                pts.points,
                                 spec.gamma * decay_exp(np.sqrt(d2[:, :3]), spec.nu))
