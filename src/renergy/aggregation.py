@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import aggregation_power_floor  # noqa: F401  (re-export; natural home)
 from .energy_field import EnergyFieldSpec, FieldRealization, draw_field, field_values
 from .geometry import (BLOCK, FIELD_STREAM, HexLattice, Window, default_window_side,
                        hex_lattice, hex_pitch, nearest_site_indices, substream)

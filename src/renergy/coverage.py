@@ -19,22 +19,34 @@ reused by every chunk.
 Outage is reported per user, and every tally field is an integer, so chunked
 or multi-process runs merge exactly. Trials are grouped by absolute index into
 blocks of geometry.BLOCK (256), and block b draws from two streams: its fields
-(center counts, center x, center y) from substream(seed, b, FIELD_STREAM), and
-its users per cell, user positions and fading gains, in that order, from
-substream(seed, b, USER_STREAM). A trial's user side, everything but the field
-and the station's power, depends only on ScenarioConfig.user_settings:
-lambda_u, lambda_b, estimator, theta and channel. Scenarios with equal user
+from substream(seed, b, FIELD_STREAM), and its users per cell, user positions
+and fading gains, in that order, from substream(seed, b, USER_STREAM).
+
+A boolean field at the window's center alone, which is all an on-site
+station or a cluster of one harvester reads, depends on the center process
+only through the nearest center's distance. Such a scenario takes its
+fields by the center law: the field stream gives BLOCK uniforms, one per
+trial, each mapped through that distance's exact law on the window
+(energy_field.nearest_center_distance) and the kernel. The uniforms do not
+depend on the scenario, so a pass draws them once for its whole group, as
+it draws users. Every other scenario (shot noise, or several harvesters)
+draws its centers from the field stream: center counts, center x, center y
+(energy_field.draw_field).
+
+A trial's user side, everything but the field and the station's power,
+depends only on ScenarioConfig.user_settings: lambda_u, lambda_b,
+estimator, theta and channel. Scenarios with equal user
 settings form a group, and run_group_chunk runs a group's trials together, in
 passes of m * BLOCK consecutive trials: [a, min(a + m * BLOCK, stop)) for a
 in range(start, stop, m * BLOCK). A pass spans as many whole blocks m as keep
 its expected values within _PASS_VALUES (2^17), and one at least; a trial
 expects the group's users per cell plus the energy centers and field points
 of its densest scenario (lambda_e * window area + the supply's harvesters).
-One rule draws a pass from either stream (_pass_draw): each block the pass
-spans, whole as drawn or as views of the part it covers, the blocks joined
-when there are several. The last block drawn from each stream is memoized
-read-only, so consecutive chunks draw the block an edge between them cuts
-once.
+One rule draws a pass's users, uniforms or centers (_pass_draw): each
+block the pass spans, whole as drawn or as views of the part it covers, the
+blocks joined when there are several. The last block of each of the three
+draws is memoized read-only, so consecutive chunks draw the block an edge
+between them cuts once.
 
 A pass evaluates its users once for the whole group: distances, gain clamps
 (users nearer the station than ChannelSpec.min_dist, the path-gain clamp
@@ -44,12 +56,13 @@ per-trial station powers P (_outages): of a trial's k users, equal split
 covers those whose need is at most P / max(k, 1), inversion those whose
 running sum of needs is at most P; no finite power covers a pad. At the peak
 station power it gives the max-power outages (persist_*), counted once per
-pass for each distinct peak of the group. Then each scenario draws the pass's
-fields, evaluates their station powers and adds the outages at those powers
-to its tally. run_trials_chunk is the group of one. A trial's arithmetic
-depends neither on the other trials of its pass nor on the other scenarios of
-its group, so tallies do not depend on where chunks start and stop, on the
-worker count, or on which scenarios run together.
+pass for each distinct peak of the group. Then each scenario takes the
+pass's fields, by the center law from the group's uniforms or by drawing
+and evaluating its centers, evaluates their station powers and adds the
+outages at those powers to its tally. run_trials_chunk is the group of one.
+A trial's arithmetic depends neither on the other trials of its pass nor on
+the other scenarios of its group, so tallies do not depend on where chunks
+start and stop, on the worker count, or on which scenarios run together.
 """
 
 from __future__ import annotations
@@ -70,8 +83,8 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
                      total_outage_bound)
 from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
-from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
-                           field_values)
+from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, _boolean_kernel,
+                           draw_field, field_values, nearest_center_distance)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
                        default_window_side, hex_cell_circumradius, nearest_site_indices,
                        sample_in_hex_cell, substream)
@@ -307,6 +320,39 @@ def _draw_fields(spec: EnergyFieldSpec, window: Window, seed: int,
     return real
 
 
+@dataclass(frozen=True, eq=False)
+class _Uniforms:
+    """The field uniforms of a run of consecutive trials, one per trial."""
+
+    u: np.ndarray
+
+    def select(self, lo: int, hi: int) -> "_Uniforms":
+        """Trials lo..hi-1, as a view."""
+        return _Uniforms(self.u[lo:hi])
+
+    @staticmethod
+    def join(parts: list["_Uniforms"]) -> "_Uniforms":
+        """The trials of parts, one after another."""
+        return _Uniforms(np.concatenate([part.u for part in parts]))
+
+
+@lru_cache(maxsize=1)
+def _draw_uniforms(seed: int, block: int) -> _Uniforms:
+    """Block `block` of field uniforms, drawn read-only from its field stream."""
+    u = substream(seed, block, FIELD_STREAM).random(BLOCK)
+    u.setflags(write=False)
+    return _Uniforms(u)
+
+
+def _by_center_law(cfg: ScenarioConfig, window: Window, supply: _Supply) -> bool:
+    """Whether a scenario's station power needs the field at the window's
+    center alone under a boolean kernel, which depends on the center process
+    only through the nearest center's distance: on-site, or a cluster of one
+    harvester."""
+    return cfg.field.kernel is not Kernel.SHOT_NOISE_EXP and len(supply.positions) == 1 \
+        and np.array_equal(supply.positions.points[0], window.center)
+
+
 @lru_cache(maxsize=1)
 def _draw_users(cfg: ScenarioConfig, seed: int, block: int) -> _UserDraws:
     """Block `block` of users, drawn read-only from its user stream."""
@@ -377,13 +423,14 @@ def _outages(side: _UserSide, power: np.ndarray) -> tuple[int, int]:
             users - int(np.count_nonzero(side.csum <= power[:, None])))
 
 
-def _point_tally(cfg: ScenarioConfig, supply: _Supply, real: FieldRealization,
+def _point_tally(cfg: ScenarioConfig, supply: _Supply, values: np.ndarray,
                  side: _UserSide) -> TrialTally:
-    """A pass's tally at one scenario: its fields' station powers against its users."""
+    """A pass's tally at one scenario: the station powers of its field values
+    at the supply's harvesters, (harvesters, trials), against its users."""
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
-    power = supply.station_power(cfg.eta * field_values(real, supply.positions))
+    power = supply.station_power(cfg.eta * values)
     tally.out_ci, tally.out_inv = _outages(side, power)
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     tally.union_trials = int(np.count_nonzero(side.total > power))
@@ -407,14 +454,22 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
         cfg.field.lambda_e * window.area + len(supply.positions)
         for cfg, window, supply in zip(cfgs, windows, supplies))
     step = BLOCK * max(1, int(_PASS_VALUES // (BLOCK * per_trial)))
+    by_law = [_by_center_law(*point) for point in zip(cfgs, windows, supplies)]
     tallies = [TrialTally() for _ in cfgs]
     for a in range(start, stop, step):
         b = min(a + step, stop)
         side = _user_side(cfgs[0], _pass_draw(partial(_draw_users, cfgs[0], seed), a, b),
                           peaks)
+        if any(by_law):
+            u = _pass_draw(partial(_draw_uniforms, seed), a, b).u
         for i, (cfg, window, supply) in enumerate(zip(cfgs, windows, supplies)):
-            real = _pass_draw(partial(_draw_fields, cfg.field, window, seed), a, b)
-            tallies[i] += _point_tally(cfg, supply, real, side)
+            if by_law[i]:
+                d = nearest_center_distance(u, cfg.field.lambda_e, window)
+                values = _boolean_kernel(cfg.field, d)[None, :]
+            else:
+                real = _pass_draw(partial(_draw_fields, cfg.field, window, seed), a, b)
+                values = field_values(real, supply.positions)
+            tallies[i] += _point_tally(cfg, supply, values, side)
     return tallies
 
 

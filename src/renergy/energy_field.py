@@ -40,6 +40,14 @@ tile bounds its pairs; a slot tile bounds its accumulator by its
 realizations and its index arrays by its centers. So memory does not grow
 with the block.
 
+On the simulated window the boolean field at the window's center has an
+exact law too: its nearest center lies beyond r with probability
+exp(-lambda_e A(r)), A(r) being the area of the disk of radius r inside the
+window (window_disk_area), which is pi r^2 up to half the shorter side,
+where the plane laws above hold. nearest_center_distance inverts it at
+uniforms, one distance per uniform, so a field at the center takes one
+uniform instead of a realization's centers.
+
 The samplers (sample_intensity, sample_intensity_pair) take no chunk size:
 they draw and evaluate as many whole realizations at a time as hold
 _DRAW_CENTERS (2^20) expected centers, about 16 MiB of coordinates, and at
@@ -319,6 +327,85 @@ def _slot_reduce(real: FieldRealization, pts: PointSet, lo: int, hi: int,
             np.minimum(head, pair, out=head)
         s = top
     out[:, lo + order] = acc
+
+
+def _disk_area(s: np.ndarray, half_sides: tuple[float, float]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """A and dA/ds of window_disk_area at squared radius s, at most half the
+    window's squared diagonal: pi s less, for each half side h below r, the
+    two segments s phi - h sqrt(s - h^2) at phi = atan(sqrt(s - h^2) / h),
+    whose derivative is phi. The arctangent, unlike acos(h / r), keeps a thin
+    segment's area to round-off."""
+    area = math.pi * s
+    slope = np.full_like(area, math.pi)
+    for h in half_sides:
+        q = np.sqrt(np.maximum(s - h * h, 0.0))
+        phi = np.arctan2(q, h)
+        area -= 2.0 * (s * phi - h * q)
+        slope -= 2.0 * phi
+    return area, slope
+
+
+def window_disk_area(r, window: Window) -> np.ndarray:
+    """Area A(r) of the disk of radius r centered in the window: pi r^2 up to
+    half the shorter side, less two circular segments per half side r
+    exceeds, and the whole window from half the diagonal on. Distances from
+    the window's center are plain distances whether or not it wraps, so
+    exp(-lambda_e A(r)) is the probability that no energy center of a drawn
+    realization lies within r of the center."""
+    r = np.asarray(r, dtype=float)
+    if not np.all(r >= 0):
+        raise ValueError("radius must be non-negative")
+    half_sides = (0.5 * window.width, 0.5 * window.height)
+    corner = half_sides[0] ** 2 + half_sides[1] ** 2
+    s = r * r
+    area, _ = _disk_area(np.minimum(s, corner), half_sides)
+    return np.where(s >= corner, window.area, area)
+
+
+# Relative step in r^2 below which the window law's Newton iteration stops,
+# and the most steps it takes: started below the root of a concave function,
+# each step stays below it, and the slowest case, a root at the window's
+# corner where the slope vanishes, halves its distance per step.
+_NEWTON_TOL = 2.0 ** -52
+_NEWTON_STEPS = 100
+
+
+def nearest_center_distance(u, lambda_e: float, window: Window) -> np.ndarray:
+    """Distance from the window's center to the nearest energy center of a
+    realization drawn on the window at intensity lambda_e, by inversion of
+    its exact law Pr(D > r) = exp(-lambda_e A(r)) (window_disk_area) at
+    uniforms u in [0, 1): the r with A(r) = -log1p(-u) / lambda_e, and +inf,
+    no center, where that reaches the window's area.
+
+    Up to half the shorter side, r = sqrt(A / pi). Beyond it, Newton's
+    method in s = r^2 from s = A / pi: A <= pi s and A is concave in s, so
+    every iterate stays below the root. Each value iterates on its own until
+    its step falls below _NEWTON_TOL of s, so a value's result does not
+    depend on the other values of the call."""
+    if not 0 < lambda_e < math.inf:
+        raise ValueError("lambda_e must be positive and finite")
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0) & (u < 1)):
+        raise ValueError("u must lie in [0, 1)")
+    target = -np.log1p(-u.ravel()) / lambda_e
+    half_sides = (0.5 * window.width, 0.5 * window.height)
+    corner = half_sides[0] ** 2 + half_sides[1] ** 2
+    s = target / math.pi
+    empty = target >= window.area
+    idx = np.flatnonzero((s > min(half_sides) ** 2) & ~empty)
+    goal, x = target[idx], s[idx]
+    with np.errstate(divide="ignore", invalid="ignore"):   # zero slope at the corner
+        for _ in range(_NEWTON_STEPS):
+            if not len(idx):
+                break
+            area, slope = _disk_area(x, half_sides)
+            step = (goal - area) / slope
+            x = np.minimum(x + np.fmax(step, 0.0), corner)
+            s[idx] = x
+            go = (step > _NEWTON_TOL * x) & (x < corner)
+            idx, goal, x = idx[go], goal[go], x[go]
+    return np.where(empty, np.inf, np.sqrt(s)).reshape(u.shape)
 
 
 def influence_radius(x: float, spec: EnergyFieldSpec) -> float:

@@ -12,11 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from renergy.aggregation import (Distributed, LineSpec, aggregation_power_floor,
-                                 build_clusters, clustered_window,
-                                 sufficient_voltage, supplied_power,
-                                 supply_statistics)
-from renergy.bounds import BoundInputs, in_asymptotic_regime
+from renergy.aggregation import (Distributed, LineSpec, build_clusters,
+                                 clustered_window, sufficient_voltage,
+                                 supplied_power, supply_statistics)
+from renergy.bounds import BoundInputs, aggregation_power_floor, in_asymptotic_regime
 from renergy.channel import ChannelSpec, ChiSquaredFading
 from renergy.coverage import (ScenarioConfig, Scheme, estimates_from_tally,
                               simulate_both)

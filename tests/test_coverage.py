@@ -16,9 +16,11 @@ from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFadin
 from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_group_chunk,
                               run_trials_chunk)
-from renergy.energy_field import EnergyFieldSpec, FieldRealization, Kernel, field_values
+from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
+                                  _boolean_kernel, field_values, nearest_center_distance)
 from renergy.geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, hex_pitch,
                               substream)
+from renergy.cli import _repro_experiment
 from renergy.harness import apply_sweep
 from renergy.stats import wilson_ci
 
@@ -215,6 +217,7 @@ def _record_passes(monkeypatch):
     monkeypatch.setattr(coverage, "_user_side", recording_user_side)
     monkeypatch.setattr(coverage, "_outages", counting_outages)
     coverage._draw_fields.cache_clear()
+    coverage._draw_uniforms.cache_clear()
     coverage._draw_users.cache_clear()
     return drawn, passes, outages
 
@@ -269,10 +272,10 @@ def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
     n = 10 * BLOCK
     tallies = run_group_chunk(group, 0, n, 7)
     # the densest point, 61 values per trial, sets the group's passes to
-    # eight blocks; the sparsest alone runs the chunk in one pass
+    # eight blocks; the sparsest alone runs the chunk in one pass. On-site,
+    # every point takes its fields from the same uniforms, drawn once per pass
     assert passes == [8 * BLOCK, 2 * BLOCK]
-    assert drawn == {USER_STREAM: list(range(10)),
-                     FIELD_STREAM: [*range(8)] * 3 + [8, 9] * 3}
+    assert drawn == _each_stream(range(10))
     # each pass: the peak's counts once, in the user side, then one per point
     assert outages == [("peaks", 20.0), "count", "count", "count", "count"] * 2
     assert len({t.users for t in tallies}) == 1
@@ -291,6 +294,29 @@ def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
         run_group_chunk((group[0], replace(group[0], theta=4.0)), 0, 10, 7)
     with pytest.raises(ValueError, match="user_settings"):
         run_group_chunk((), 0, 10, 7)
+
+
+@pytest.mark.parametrize("kw, by_law", [
+    ({}, True),
+    ({"kernel": Kernel.BOOLEAN_MAX_PLAW, "wrap": False}, True),
+    ({"architecture": Distributed(lambda_h=1.0, lambda_a=1.0)}, True),
+    ({"kernel": Kernel.SHOT_NOISE_EXP}, False),
+    ({"architecture": Distributed(lambda_h=2.0, lambda_a=0.5)}, False),
+])
+def test_the_scenario_alone_selects_the_center_law(monkeypatch, kw, by_law):
+    # a boolean field at the window's center alone (on-site, or a cluster of
+    # one harvester) takes its fields from uniforms and never draws centers
+    calls = []
+    for name in ("draw_field", "field_values"):
+        monkeypatch.setattr(coverage, name, lambda *args, fn=getattr(coverage, name):
+                            calls.append(fn) or fn(*args))
+    coverage._draw_fields.cache_clear()
+    cfg = unit_cfg(**kw)
+    tally = run_trials_chunk(cfg, 0, 300, 5)
+    assert coverage._by_center_law(cfg, resolve_window(cfg),
+                                   coverage._supply(cfg, resolve_window(cfg))) == by_law
+    assert (not calls) == by_law
+    assert tally.out_ci > 0
 
 
 # Sweep edits that keep a scenario's user settings, by architecture; a
@@ -321,12 +347,30 @@ def test_group_tallies_equal_points_run_alone(group, estimator, start, length, s
         [run_trials_chunk(cfg, start, stop, seed) for cfg in cfgs]
 
 
+@pytest.mark.parametrize("param, values", [
+    ("psi", _repro_experiment("fig4").sweep_values),
+    ("gamma_eta", (250.0, 1000.0, 4000.0)),
+])
+def test_onsite_outages_fall_along_a_field_sweep(param, values):
+    # the points of an on-site group take their fields from the same uniform
+    # per trial, and a denser or stronger field maps it to a larger value, so
+    # no chunk's outages rise from one point to the next
+    base = _repro_experiment("fig4").scenario
+    group = tuple(apply_sweep(base, param, v) for v in values)
+    for a in range(0, 20 * 300, 300):
+        tallies = run_group_chunk(group, a, a + 300, 17)
+        for scheme in ("out_ci", "out_inv", "union_trials"):
+            counts = [getattr(t, scheme) for t in tallies]
+            assert counts == sorted(counts, reverse=True), (scheme, a, counts)
+
+
 def test_block_memo_is_read_only_and_keyed():
     cfg = unit_cfg()
     users = coverage._draw_users(cfg, 3, 1)
     real = coverage._draw_fields(cfg.field, resolve_window(cfg), 3, 1)
+    uniforms = coverage._draw_uniforms(3, 1)
     for a in (users.users, users.positions, users.fading, real.counts,
-              real.centers.points):
+              real.centers.points, uniforms.u):
         with pytest.raises(ValueError):
             a[0] = 0
     # the memo holds one block: runs that take turns evict each other's
@@ -343,6 +387,23 @@ def test_block_memo_is_read_only_and_keyed():
     assert len(set(map(str, alone))) == 3
 
 
+def _oracle_field(cfg, window, supply, seed, t):
+    """Trial t's field at the supply's harvesters, (harvesters, 1). A boolean
+    field at the window's center alone maps the trial's own uniform of its
+    block's field stream through the nearest center's law, one scalar at a
+    time; any other field evaluates the trial's own centers."""
+    b, i = divmod(t, BLOCK)
+    if cfg.field.kernel is not Kernel.SHOT_NOISE_EXP \
+            and np.array_equal(supply.positions.points, window.center[None, :]):
+        u = coverage._draw_uniforms(seed, b).u[i]
+        d = nearest_center_distance(u, cfg.field.lambda_e, window)
+        return np.reshape(_boolean_kernel(cfg.field, d), (1, 1))
+    real = coverage._draw_fields(cfg.field, window, seed, b)
+    c0 = int(real.counts[:i].sum())
+    centers = PointSet(real.centers.points[c0:c0 + real.counts[i]])
+    return field_values(FieldRealization(cfg.field, centers, window), supply.positions)
+
+
 def _oracle_tally(cfg, start, stop, seed):
     """Scalar reference engine: the engine's drawn blocks of fields and of
     users, each from its own stream, evaluated trial by trial with np.sort,
@@ -351,19 +412,11 @@ def _oracle_tally(cfg, start, stop, seed):
     window = resolve_window(cfg)
     supply = coverage._supply(cfg, window)
     peak = supply.peak_station_power
-    blocks = {}
     tally = TrialTally()
     for t in range(start, stop):
         b, i = divmod(t, BLOCK)
-        if b not in blocks:
-            blocks[b] = (coverage._draw_fields(cfg.field, window, seed, b),
-                         coverage._draw_users(cfg, seed, b))
-        real, draws = blocks[b]
-        counts = real.counts
-        c0 = int(counts[:i].sum())
-        centers = PointSet(real.centers.points[c0:c0 + counts[i]])
-        budgets = cfg.eta * field_values(FieldRealization(cfg.field, centers, window),
-                                         supply.positions)
+        draws = coverage._draw_users(cfg, seed, b)
+        budgets = cfg.eta * _oracle_field(cfg, window, supply, seed, t)
         power = float(supply.station_power(budgets)[0])
         k = int(draws.users[i])
         tally.trials += 1
@@ -394,6 +447,8 @@ _ORACLE_SUPPLIES = {
     "rule_voltage": {"architecture": Distributed(lambda_h=2.0, lambda_a=0.5)},
     "tau_floor": {"architecture": Distributed(
         lambda_h=2.0, lambda_a=0.5, line=LineSpec(mode="tau_floor"))},
+    "one_harvester": {"architecture": Distributed(
+        lambda_h=1.0, lambda_a=1.0, line=LineSpec(voltage=3.0))},
 }
 
 
@@ -504,24 +559,44 @@ def test_peak_power_monotonicity_paired():
     assert t_hi.union_trials <= t_lo.union_trials
 
 
+def _tagged_outage_rate(cfg, start, stop, seed):
+    """The share of trials whose first user is in outage under equal split,
+    trial by trial from the engine's drawn blocks."""
+    window = resolve_window(cfg)
+    supply = coverage._supply(cfg, window)
+    out = 0
+    for t in range(start, stop):
+        b, i = divmod(t, BLOCK)
+        draws = coverage._draw_users(cfg, seed, b)
+        first, k = int(draws.users[:i].sum()), int(draws.users[i])
+        power = float(supply.station_power(
+            cfg.eta * _oracle_field(cfg, window, supply, seed, t))[0])
+        pos = draws.positions[first:first + 1]
+        dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
+        need = required_power(cfg.theta, dist, draws.fading[first:first + 1], cfg.channel)
+        out += int(need[0] > power / k)
+    return out / (stop - start)
+
+
 def test_estimator_variants_agree():
-    # counting all users of a random cell population and conditioning on a
-    # deterministic extra user estimate the same per-user probability. Users
-    # sharing a trial see the same field, so per-user Wilson intervals
-    # understate the spread; compare with chunk-level standard errors instead.
+    # user_weighted estimates E[out_K] / E[K] over Poisson K users, which by
+    # the Poisson size-bias identity is the outage of a tagged user sharing
+    # its cell with K others: the first user of a palm trial (K + 1 users).
+    # Palm's own p_out counts all K + 1 and estimates E[out_(K+1)] / E[K+1]
+    # instead, about 0.014 higher here. Both runs share the seed, so each
+    # trial's field, which carries most of the spread, is the same on both
+    # sides; chunks are i.i.d., so their differences give the standard error.
     base = unit_cfg(lambda_u=4.0)
     palm = replace(base, estimator="palm")
-    n_chunks, per_chunk = 16, 400
-    ps = {}
-    for name, cfg, seed in (("uw", base, 41), ("palm", palm, 42)):
-        vals = []
-        for c in range(n_chunks):
-            t = run_trials_chunk(cfg, c * per_chunk, (c + 1) * per_chunk, seed)
-            vals.append(t.out_ci / t.users)
-        ps[name] = np.asarray(vals)
-    gap = abs(ps["uw"].mean() - ps["palm"].mean())
-    se = math.sqrt(ps["uw"].var(ddof=1) / n_chunks + ps["palm"].var(ddof=1) / n_chunks)
-    assert gap < 3.5 * se, f"estimators disagree: gap={gap:.4f} se={se:.4f}"
+    n_chunks, per_chunk, seed = 16, 400, 41
+    gaps = []
+    for c in range(n_chunks):
+        a, b = c * per_chunk, (c + 1) * per_chunk
+        t = run_trials_chunk(base, a, b, seed)
+        gaps.append(t.out_ci / t.users - _tagged_outage_rate(palm, a, b, seed))
+    gap = float(np.mean(gaps))
+    se = float(np.std(gaps, ddof=1)) / math.sqrt(n_chunks)
+    assert abs(gap) < 3.5 * se, f"estimators disagree: gap={gap:.4f} se={se:.4f}"
 
 
 def test_estimate_bookkeeping_matches_wilson():

@@ -309,6 +309,116 @@ def test_validation_window_controls_tail_mass():
         assert tail <= 0.1 * 1.63 / math.sqrt(n) + 1e-12
 
 
+# The window law's cases: the fig4 square (side 10 / sqrt(0.78)) and a
+# 10 x 14 rectangle, each wrapped and flat. At lambda_e 0.01-0.03 between
+# 1.5% and 28% of their realizations hold no center, and between 3% and 28%
+# of the others have their nearest center beyond half the shorter side,
+# where the window cuts the disk.
+_LAW_WINDOWS = [Window(10.0 / math.sqrt(0.78), 10.0 / math.sqrt(0.78), wrap=True),
+                Window(10.0 / math.sqrt(0.78), 10.0 / math.sqrt(0.78), wrap=False),
+                Window(10.0, 14.0, wrap=True), Window(10.0, 14.0, wrap=False)]
+
+
+def _two_sample_ks(a, b):
+    """Largest gap between two empirical CDFs, ties included."""
+    grid = np.union1d(a, b)
+    fa = np.searchsorted(np.sort(a), grid, side="right") / len(a)
+    fb = np.searchsorted(np.sort(b), grid, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
+
+
+@pytest.mark.parametrize("lambda_e", [0.01, 0.03])
+@pytest.mark.parametrize("window", _LAW_WINDOWS)
+@pytest.mark.parametrize("kernel", [Kernel.BOOLEAN_MAX_EXP, Kernel.BOOLEAN_MAX_PLAW])
+def test_window_law_matches_brute_force_draws(kernel, window, lambda_e):
+    spec = EnergyFieldSpec(gamma=1.0, lambda_e=lambda_e, nu=1.0, kernel=kernel)
+    n = 50_000
+    real = draw_field(spec, window, substream(61, 0), n)
+    brute = field_values(real, window.center[None, :])[0]
+    u = substream(61, 1).random(n)
+    law = energy_field._boolean_kernel(
+        spec, energy_field.nearest_center_distance(u, lambda_e, window))
+    # a two-sample KS test at level 1e-6; the atom at 0 makes it conservative
+    critical = 5.35 * math.sqrt(2.0 / n)
+    assert _two_sample_ks(brute, law) < critical
+    empty = math.exp(-lambda_e * window.area)
+    for sample in (brute, law):
+        assert abs(np.mean(sample == 0.0) - empty) < 5.0 * math.sqrt(empty / n)
+    # the nearest drawn center's distance, mapped through its window law, is
+    # uniform: Pr(D > d) = exp(-lambda_e A(d))
+    xy = real.centers.points
+    dist = np.hypot(xy[:, 0] - window.center[0], xy[:, 1] - window.center[1])
+    held = real.counts > 0
+    starts = (np.cumsum(real.counts) - real.counts)[held]
+    nearest = np.minimum.reduceat(dist, starts)
+    mass = -np.expm1(-lambda_e * energy_field.window_disk_area(nearest, window))
+    res = ks_statistic(mass / -math.expm1(-lambda_e * window.area), lambda x: x, 1e-6)
+    assert res.passed, res
+
+
+@pytest.mark.parametrize("window", _LAW_WINDOWS[::2])
+def test_window_disk_area_closed_form(window):
+    half = 0.5 * min(window.width, window.height)
+    # the plane's pi r^2 up to half the shorter side, so the plane laws hold there
+    r = np.linspace(0.0, half, 101)
+    assert np.array_equal(energy_field.window_disk_area(r, window), math.pi * (r * r))
+    for spec in (EnergyFieldSpec(1.0, 0.02, 1.0, Kernel.BOOLEAN_MAX_EXP),
+                 EnergyFieldSpec(1.0, 0.02, 1.0, Kernel.BOOLEAN_MAX_PLAW)):
+        cdf = cdf_boolean_exp if spec.kernel is Kernel.BOOLEAN_MAX_EXP else cdf_boolean_plaw
+        for x in (0.01, 0.2, 0.9):
+            rx = influence_radius(x, spec)
+            if rx <= half:
+                window_cdf = math.exp(-spec.lambda_e * energy_field.window_disk_area(rx, window))
+                assert float(cdf(x, spec)) == pytest.approx(window_cdf, rel=1e-13)
+    # beyond it, against a midpoint-rule integral of the disk's chord lengths
+    # clipped to the window's height
+    corner = 0.5 * math.hypot(window.width, window.height)
+    r = np.linspace(half, corner, 9)
+    x = (np.arange(200_000) + 0.5) / 200_000 * window.width - 0.5 * window.width
+    chords = np.minimum(2.0 * np.sqrt(np.maximum(r[:, None] ** 2 - x * x, 0.0)),
+                        window.height)
+    integral = chords.sum(axis=1) * window.width / 200_000
+    assert np.allclose(energy_field.window_disk_area(r, window), integral, rtol=1e-8)
+    assert energy_field.window_disk_area(corner, window) == pytest.approx(window.area,
+                                                                          rel=1e-14)
+    assert energy_field.window_disk_area([corner * 1.5, math.inf], window).tolist() == \
+        [window.area] * 2
+    with pytest.raises(ValueError):
+        energy_field.window_disk_area(-1.0, window)
+
+
+@pytest.mark.parametrize("window", _LAW_WINDOWS[::2])
+def test_window_law_inverse_round_trips(window):
+    lambda_e = 0.02
+    empty = math.exp(-lambda_e * window.area)
+    # uniforms across the whole law, and the last ones before no center, whose
+    # nearest center sits in the window's corners
+    u = np.concatenate([substream(62, 0).random(20_000),
+                        (1.0 - empty) * (1.0 - np.logspace(-15, -1, 200))])
+    d = energy_field.nearest_center_distance(u, lambda_e, window)
+    target = -np.log1p(-u) / lambda_e
+    held = np.isfinite(d)
+    assert np.array_equal(held, target < window.area)
+    area = energy_field.window_disk_area(d[held], window)
+    assert np.max(np.abs(area - target[held]) / target[held]) < 1e-13
+    # no center exactly where the uniform passes 1 - exp(-lambda_e * area)
+    edge = -math.expm1(-lambda_e * window.area)
+    assert np.isfinite(energy_field.nearest_center_distance(edge * (1 - 1e-12), lambda_e,
+                                                            window))
+    assert energy_field.nearest_center_distance(edge * (1 + 1e-12), lambda_e,
+                                                window) == math.inf
+    # each value is its own: one at a time gives the same bits as the batch
+    some = np.linspace(0, len(u) - 1, 400).astype(int)
+    alone = [energy_field.nearest_center_distance(u[i], lambda_e, window) for i in some]
+    assert np.array_equal(alone, d[some])
+    for bad in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValueError, match="u must"):
+            energy_field.nearest_center_distance([0.5, bad], lambda_e, window)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda_e"):
+            energy_field.nearest_center_distance(0.5, bad, window)
+
+
 @pytest.mark.parametrize("wrap", [True, False])
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_block_field_values_match_single_realizations(kernel, wrap):
