@@ -78,6 +78,8 @@ class ChannelSpec:
         for name in ("ref_loss_db", "noise_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not isinstance(self.fading, Fading):
+            raise ValueError(f"unknown fading {self.fading!r}")
 
     @property
     def min_dist(self) -> float:

@@ -16,11 +16,13 @@ supply with one harvester at the station, a zero-length lossless line and one
 station per aggregator. The supply is built once per scenario and window and
 reused by every chunk.
 
-Outage is reported per user, and every tally field is an integer, so chunked
-or multi-process runs merge exactly. Trials are grouped by absolute index into
-blocks of geometry.BLOCK (256), and block b draws from two streams: its fields
-from substream(seed, b, FIELD_STREAM), and its users per cell, user positions
-and fading gains, in that order, from substream(seed, b, USER_STREAM).
+Outage is reported per user, E[out_K]/E[K] over K users per cell: by the
+Poisson size-bias identity, a typical user's outage probability. Every tally
+field is an integer, so chunked or multi-process runs merge exactly. Trials
+are grouped by absolute index into blocks of geometry.BLOCK (256), and block
+b draws from two streams: its fields from substream(seed, b, FIELD_STREAM),
+and its users per cell, user positions and fading gains, in that order, from
+substream(seed, b, USER_STREAM).
 
 A boolean field at the window's center alone, which is all an on-site
 station or a cluster of one harvester reads, depends on the center process
@@ -34,19 +36,18 @@ draws its centers from the field stream: center counts, center x, center y
 (energy_field.draw_field).
 
 A trial's user side, everything but the field and the station's power,
-depends only on ScenarioConfig.user_settings: lambda_u, lambda_b,
-estimator, theta and channel. Scenarios with equal user
-settings form a group, and run_group_chunk runs a group's trials together, in
-passes of m * BLOCK consecutive trials: [a, min(a + m * BLOCK, stop)) for a
-in range(start, stop, m * BLOCK). A pass spans as many whole blocks m as keep
-its expected values within _PASS_VALUES (2^17), and one at least; a trial
-expects the group's users per cell plus the energy centers and field points
-of its densest scenario (lambda_e * window area + the supply's harvesters).
-One rule draws a pass's users, uniforms or centers (_pass_draw): each
-block the pass spans, whole as drawn or as views of the part it covers, the
-blocks joined when there are several. The last block of each of the three
-draws is memoized read-only, so consecutive chunks draw the block an edge
-between them cuts once.
+depends only on ScenarioConfig.user_settings: lambda_u, lambda_b, theta and
+channel. Scenarios with equal user settings form a group, and run_group_chunk
+runs a group's trials together, in passes of m * BLOCK consecutive trials:
+[a, min(a + m * BLOCK, stop)) for a in range(start, stop, m * BLOCK). A pass
+spans as many whole blocks m as keep its expected values within _PASS_VALUES
+(2^17), and one at least; a trial expects the group's users per cell plus the
+energy centers and field points of its densest scenario (lambda_e * window
+area + the supply's harvesters). One rule draws a pass's users, uniforms or
+centers (_pass_draw): each block the pass spans, whole as drawn or as views
+of the part it covers, the blocks joined when there are several. The last
+block of each of the three draws is memoized read-only, so consecutive
+chunks draw the block an edge between them cuts once.
 
 A pass evaluates its users once for the whole group: distances, gain clamps
 (users nearer the station than ChannelSpec.min_dist, the path-gain clamp
@@ -132,7 +133,6 @@ class ScenarioConfig:
     theta: float = 8.0
     eta: float = 1.0
     architecture: OnSite | Distributed = OnSite()
-    estimator: str = "user_weighted"
     wrap: bool = True
     window_side: float | None = None
 
@@ -142,22 +142,24 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
-        if self.estimator not in ("user_weighted", "palm"):
-            raise ValueError("estimator must be 'user_weighted' or 'palm'")
         if self.window_side is not None and not 0 < self.window_side < math.inf:
             raise ValueError("window_side must be positive and finite")
+        if not isinstance(self.wrap, bool):
+            raise ValueError(f"wrap must be True or False, not {self.wrap!r}")
         arch = self.architecture
+        if not isinstance(arch, (OnSite, Distributed)):
+            raise ValueError(f"unknown architecture {arch!r}")
         if isinstance(arch, Distributed):
             if not self.wrap:
                 raise ValueError("the distributed architecture needs wrap=True")
             resolve_line(arch.line, self.eta, self.field.gamma, self.lambda_b,
                          arch.lambda_a)
         area = resolve_window(self).area
+        window_keys = "field.nu, network.lambda_b, scenario.window_side"
+        if isinstance(arch, Distributed):
+            window_keys += ", distributed.lambda_a"
         centers = BLOCK * self.field.lambda_e * area
         if not centers <= _BLOCK_VALUES_CAP:
-            window_keys = "field.nu, network.lambda_b, scenario.window_side"
-            if isinstance(arch, Distributed):
-                window_keys += ", distributed.lambda_a"
             raise ValueError(
                 f"a block of {BLOCK} trials would draw {centers:.3g} energy centers, "
                 f"more than 2^26; lower field.lambda_e or the window it fills "
@@ -171,7 +173,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"the harvester lattice would hold {arch.lambda_h * area:.3g} harvesters, "
                 f"more than 2^26; lower distributed.lambda_h or the window it fills "
-                f"(field.nu, network.lambda_b, scenario.window_side, distributed.lambda_a)")
+                f"({window_keys})")
 
     @property
     def mean_users_per_cell(self) -> float:
@@ -183,7 +185,7 @@ class ScenarioConfig:
         and with what fading they are drawn, and the power each one needs.
         Scenarios with equal user settings draw the same users and run as
         one group."""
-        return (self.lambda_u, self.lambda_b, self.estimator, self.theta, self.channel)
+        return (self.lambda_u, self.lambda_b, self.theta, self.channel)
 
 
 # Margin, in multiples of the kernel length scale, kept between the typical
@@ -358,8 +360,6 @@ def _draw_users(cfg: ScenarioConfig, seed: int, block: int) -> _UserDraws:
     """Block `block` of users, drawn read-only from its user stream."""
     rng = substream(seed, block, USER_STREAM)
     users = rng.poisson(cfg.mean_users_per_cell, BLOCK)
-    if cfg.estimator == "palm":
-        users += 1
     n = int(users.sum())
     positions = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), n, rng)
     draws = _UserDraws(users, positions, sample_fading(cfg.channel, rng, n))

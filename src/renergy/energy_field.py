@@ -15,8 +15,11 @@ plane and hold on a wrapped window up to the minimal-image truncation.
 Every realization is a block: a FieldRealization holds n independent
 realizations (draw_field with n, one by default; a hand-built set of centers
 is a block of one), and field_values evaluates all of them in one grouped
-pass. The samplers, the trial engine and the aggregated supply all draw and
-evaluate fields this way.
+pass. The samplers, the aggregated supply and the trial engine's shot-noise
+and several-harvester trials draw and evaluate fields this way; the trial
+engine's boolean fields read at the window's center alone (on-site, or a
+cluster of one harvester) take one uniform each through the nearest
+center's exact window law below instead.
 
 field_values evaluates all three kernels by factoring the evaluation points
 by axis (PointSet.axes, computed once per point set): a per-axis step runs

@@ -123,7 +123,6 @@ def _settings(exp: ExperimentConfig) -> dict[str, object]:
         "network.theta": s.theta,
         "network.eta": s.eta,
         "scenario.architecture": "distributed" if distributed else "onsite",
-        "scenario.estimator": s.estimator,
         "scenario.wrap": s.wrap,
         "scenario.window_side": s.window_side,
         "distributed.lambda_h": arch.lambda_h,
@@ -226,7 +225,6 @@ def build_experiment(values: dict[str, object]) -> ExperimentConfig:
                                   lambda_u=v["network.lambda_u"],
                                   theta=v["network.theta"], eta=v["network.eta"],
                                   architecture=architecture,
-                                  estimator=v["scenario.estimator"],
                                   wrap=v["scenario.wrap"],
                                   window_side=v["scenario.window_side"])
     return ExperimentConfig(scenario=scenario, n_trials=v["run.trials"],
@@ -362,7 +360,9 @@ def _tallies(scenarios: tuple[ScenarioConfig, ...], n_trials: int, seed: int,
         group = groups.get(key, ())
         places.append((key, len(group)))
         groups[key] = group + (scenario,)
-    workers = min(workers, len(os.sched_getaffinity(0)))   # more would only wait their turn
+    # os.sched_getaffinity exists only on some platforms, Linux among them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)   # more would only wait their turn
     edges = chunk_edges(n_trials, 2 * workers) if workers > 1 else [0, n_trials]
     if len(edges) <= 2:
         done: dict[tuple, list[TrialTally]] = {}
@@ -442,7 +442,7 @@ _CSV_COLUMNS = [
     "alpha", "ref_loss_db", "ref_dist", "noise_dbm", "fading", "fading_param",
     "lambda_b", "lambda_u", "theta", "eta",
     "architecture", "lambda_h", "lambda_a", "tau", "beta", "voltage", "line_mode",
-    "estimator", "wrap", "window_side",
+    "wrap", "window_side",
     "n_trials", "seed",
     "p_out", "ci_lo", "ci_hi",
     "n_users", "n_outages", "zero_user_trials", "union_rate",

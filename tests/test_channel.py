@@ -60,6 +60,8 @@ def test_channel_spec_validation_and_noise():
                 ChannelSpec(**{name: bad})
     with pytest.raises(ValueError):
         TruncatedRicianFading(math.nan)
+    with pytest.raises(ValueError, match="unknown fading"):
+        ChannelSpec(fading="rayleigh")
     norm = ChannelSpec.normalized(alpha=3.5)
     assert norm.noise_w == pytest.approx(1.0)
     assert path_gain(2.0, norm) == pytest.approx(2.0 ** -3.5, rel=1e-12)

@@ -73,6 +73,10 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg.write_text("no.such.key = 1\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+    # p_out is always the typical user's outage; no key picks an estimator
+    cfg.write_text("scenario.estimator = user_weighted\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unknown key 'scenario.estimator'" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 

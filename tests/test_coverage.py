@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from renergy import coverage
 from renergy.aggregation import Distributed, LineSpec, build_clusters
 from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFading,
-                             required_power)
+                             required_power, sample_fading)
 from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_group_chunk,
                               run_trials_chunk)
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
                                   _boolean_kernel, field_values, nearest_center_distance)
-from renergy.geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, hex_pitch,
+from renergy.geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet,
+                              hex_cell_circumradius, hex_pitch, sample_in_hex_cell,
                               substream)
 from renergy.cli import _repro_experiment
 from renergy.harness import apply_sweep
@@ -36,8 +37,8 @@ def unit_cfg(gamma=20.0, psi=0.05, lambda_u=10.0, kernel=Kernel.BOOLEAN_MAX_EXP,
 def test_scenario_validation():
     with pytest.raises(ValueError):
         unit_cfg(eta=0.0)
-    with pytest.raises(ValueError):
-        unit_cfg(estimator="typical")
+    with pytest.raises(ValueError, match="unknown architecture"):
+        unit_cfg(architecture="distributed")
     with pytest.raises(ValueError):
         unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.3))  # 1/0.3
     with pytest.raises(ValueError):
@@ -181,12 +182,17 @@ def test_supply_is_built_once_per_scenario(monkeypatch):
     assert len(calls) == 2
 
 
+def test_wrap_must_be_a_bool():
+    # a string such as "no" is truthy, so it would wrap the window it names off
+    for bad in ("no", "false", 0, None):
+        with pytest.raises(ValueError, match="wrap must be True or False"):
+            unit_cfg(wrap=bad)
+    assert resolve_window(unit_cfg(wrap=False)).wrap is False
+
+
 _MEMO_CASES = {
-    f"{arch}-{estimator}": unit_cfg(estimator=estimator, **kw)
-    for arch, kw in (("onsite", {}),
-                     ("distributed", {"architecture": Distributed(lambda_h=2.0,
-                                                                  lambda_a=0.5)}))
-    for estimator in ("user_weighted", "palm")
+    "onsite": unit_cfg(),
+    "distributed": unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5)),
 }
 
 
@@ -334,13 +340,13 @@ _GROUPS = st.sampled_from(sorted(_GROUP_EDITS)).flatmap(
 
 
 @settings(max_examples=15, deadline=None)
-@given(group=_GROUPS, estimator=st.sampled_from(["user_weighted", "palm"]),
-       start=st.integers(0, 700), length=st.integers(0, 400), seed=st.integers(0, 2**32))
+@given(group=_GROUPS, start=st.integers(0, 700), length=st.integers(0, 400),
+       seed=st.integers(0, 2**32))
 @example(group=("distributed", [("psi", 0.2), ("cluster_size", 8.0), ("gamma_eta", 80.0)]),
-         estimator="palm", start=250, length=300, seed=5)
-def test_group_tallies_equal_points_run_alone(group, estimator, start, length, seed):
+         start=250, length=300, seed=5)
+def test_group_tallies_equal_points_run_alone(group, start, length, seed):
     arch, edits = group
-    base = replace(_GROUP_BASES[arch], estimator=estimator)
+    base = _GROUP_BASES[arch]
     cfgs = (base, *(apply_sweep(base, param, value) for param, value in edits))
     stop = start + length
     assert run_group_chunk(cfgs, start, stop, seed) == \
@@ -456,21 +462,19 @@ _ORACLE_SUPPLIES = {
 @given(kernel=st.sampled_from(list(Kernel)),
        fading=st.sampled_from([ChiSquaredFading(1), ChiSquaredFading(2),
                                TruncatedRicianFading(0.1)]),
-       estimator=st.sampled_from(["user_weighted", "palm"]),
        supply=st.sampled_from(sorted(_ORACLE_SUPPLIES)),
        psi=st.sampled_from([0.05, 0.5]), lambda_u=st.sampled_from([0.5, 10.0]),
        ref_dist=st.sampled_from([1.0, 3.0]),
        start=st.integers(0, 700), length=st.integers(0, 400),
        seed=st.integers(0, 2**32))
-@example(kernel=Kernel.BOOLEAN_MAX_EXP, fading=ChiSquaredFading(1),
-         estimator="user_weighted", supply="onsite", psi=0.05, lambda_u=10.0,
-         ref_dist=3.0, start=200, length=400, seed=8)
-def test_block_engine_matches_scalar_oracle(kernel, fading, estimator, supply, psi,
-                                            lambda_u, ref_dist, start, length, seed):
+@example(kernel=Kernel.BOOLEAN_MAX_EXP, fading=ChiSquaredFading(1), supply="onsite",
+         psi=0.05, lambda_u=10.0, ref_dist=3.0, start=200, length=400, seed=8)
+def test_block_engine_matches_scalar_oracle(kernel, fading, supply, psi, lambda_u,
+                                            ref_dist, start, length, seed):
     # lambda_u 0.5 leaves most cells empty; ref_dist 3 puts a user inside the
     # path-gain clamp radius every few dozen trials
     cfg = unit_cfg(psi=psi, lambda_u=lambda_u, kernel=kernel, fading=fading,
-                   estimator=estimator, **_ORACLE_SUPPLIES[supply])
+                   **_ORACLE_SUPPLIES[supply])
     cfg = replace(cfg, channel=replace(cfg.channel, ref_dist=ref_dist))
     stop = start + length
     assert run_trials_chunk(cfg, start, stop, seed) == _oracle_tally(cfg, start, stop, seed)
@@ -530,12 +534,16 @@ def test_union_event_equals_total_demand_exceedance():
 
 
 def test_single_user_schemes_coincide():
-    # with exactly one user per cell both schemes grant the whole budget
-    cfg = unit_cfg(lambda_u=1e-9, estimator="palm")
-    tally = run_trials_chunk(cfg, 0, 400, 33)
-    assert tally.users == tally.trials  # palm: one deterministic user
-    assert tally.out_ci == tally.out_inv
-    assert tally.persist_ci == tally.persist_inv
+    # with exactly one user in the cell both schemes grant the whole budget;
+    # one trial per chunk, so each tally is one trial's
+    cfg = unit_cfg(lambda_u=1.0)
+    single = [t for t in (run_trials_chunk(cfg, i, i + 1, 33) for i in range(400))
+              if t.users == 1]
+    assert len(single) > 100
+    assert sum(t.out_ci for t in single) > 0
+    for t in single:
+        assert t.out_ci == t.out_inv
+        assert t.persist_ci == t.persist_inv
 
 
 def test_dense_centers_remove_field_randomness():
@@ -559,44 +567,46 @@ def test_peak_power_monotonicity_paired():
     assert t_hi.union_trials <= t_lo.union_trials
 
 
+_TAGGED_STREAM = 2   # last key of a stream the engine does not draw from
+
+
 def _tagged_outage_rate(cfg, start, stop, seed):
-    """The share of trials whose first user is in outage under equal split,
-    trial by trial from the engine's drawn blocks."""
+    """The share of trials [start, stop) whose tagged user is in outage under
+    equal split. Each trial reads the engine's field (_oracle_field); its
+    cell, the tagged user first and then a Poisson number of others, comes
+    from a stream of the chunk's own that the engine does not use."""
     window = resolve_window(cfg)
     supply = coverage._supply(cfg, window)
+    rng = substream(seed, start, _TAGGED_STREAM)
     out = 0
     for t in range(start, stop):
-        b, i = divmod(t, BLOCK)
-        draws = coverage._draw_users(cfg, seed, b)
-        first, k = int(draws.users[:i].sum()), int(draws.users[i])
+        k = 1 + int(rng.poisson(cfg.mean_users_per_cell))
+        pos = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), k, rng)
+        fading = sample_fading(cfg.channel, rng, k)
         power = float(supply.station_power(
             cfg.eta * _oracle_field(cfg, window, supply, seed, t))[0])
-        pos = draws.positions[first:first + 1]
-        dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
-        need = required_power(cfg.theta, dist, draws.fading[first:first + 1], cfg.channel)
+        dist = np.maximum(np.hypot(pos[:1, 0], pos[:1, 1]), 1e-12)
+        need = required_power(cfg.theta, dist, fading[:1], cfg.channel)
         out += int(need[0] > power / k)
     return out / (stop - start)
 
 
-def test_estimator_variants_agree():
-    # user_weighted estimates E[out_K] / E[K] over Poisson K users, which by
-    # the Poisson size-bias identity is the outage of a tagged user sharing
-    # its cell with K others: the first user of a palm trial (K + 1 users).
-    # Palm's own p_out counts all K + 1 and estimates E[out_(K+1)] / E[K+1]
-    # instead, about 0.014 higher here. Both runs share the seed, so each
-    # trial's field, which carries most of the spread, is the same on both
-    # sides; chunks are i.i.d., so their differences give the standard error.
-    base = unit_cfg(lambda_u=4.0)
-    palm = replace(base, estimator="palm")
+def test_p_out_is_the_tagged_users_outage():
+    # p_out counts every user of a Poisson number K per cell, E[out_K] / E[K],
+    # which by the Poisson size-bias identity is the outage of a tagged user
+    # sharing its cell with K others. Both sides read the same field at each
+    # trial, which carries most of the spread; chunks are i.i.d., so their
+    # differences give the standard error.
+    cfg = unit_cfg(lambda_u=4.0)
     n_chunks, per_chunk, seed = 16, 400, 41
     gaps = []
     for c in range(n_chunks):
         a, b = c * per_chunk, (c + 1) * per_chunk
-        t = run_trials_chunk(base, a, b, seed)
-        gaps.append(t.out_ci / t.users - _tagged_outage_rate(palm, a, b, seed))
+        t = run_trials_chunk(cfg, a, b, seed)
+        gaps.append(t.out_ci / t.users - _tagged_outage_rate(cfg, a, b, seed))
     gap = float(np.mean(gaps))
     se = float(np.std(gaps, ddof=1)) / math.sqrt(n_chunks)
-    assert abs(gap) < 3.5 * se, f"estimators disagree: gap={gap:.4f} se={se:.4f}"
+    assert abs(gap) < 3.5 * se, f"p_out is not the tagged user's: gap={gap:.4f} se={se:.4f}"
 
 
 def test_estimate_bookkeeping_matches_wilson():

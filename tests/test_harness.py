@@ -151,7 +151,6 @@ def experiments(draw):
                               channel=channel, lambda_b=lambda_b,
                               lambda_u=lambda_b * draw(_POSITIVE), theta=draw(_POSITIVE),
                               eta=draw(st.floats(0.01, 1.0)), architecture=architecture,
-                              estimator=draw(st.sampled_from(("user_weighted", "palm"))),
                               wrap=distributed or draw(st.booleans()),
                               window_side=window_side)
     area = resolve_window(scenario).area
@@ -229,6 +228,13 @@ def test_run_point_worker_invariance():
     assert t1.trials == 600
 
 
+def test_run_point_without_sched_getaffinity(monkeypatch):
+    # platforms without os.sched_getaffinity count the machine's CPUs instead
+    monkeypatch.delattr(os, "sched_getaffinity")
+    scenario = load_config(None).scenario
+    assert run_point(scenario, 600, 77, workers=1) == run_point(scenario, 600, 77, workers=2)
+
+
 def test_run_sweep_csv_worker_invariance_with_one_pool(monkeypatch, tmp_path):
     pools = []
 
@@ -252,8 +258,7 @@ def test_run_sweep_csv_worker_invariance_with_one_pool(monkeypatch, tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("config", [
     "sweep.param = psi\nsweep.values = 0.05, 0.2, 0.5\n",
-    "scenario.architecture = distributed\nscenario.estimator = palm\n"
-    "sweep.param = cluster_size\nsweep.values = 20, 80\n",
+    "scenario.architecture = distributed\nsweep.param = cluster_size\nsweep.values = 20, 80\n",
 ], ids=["onsite_psi", "distributed_cluster_size"])
 def test_fused_sweep_rows_equal_points_run_alone(tmp_path, config, workers):
     exp = replace(parse_config_text(config + "run.trials = 600\nrun.seed = 12\n"),
@@ -413,15 +418,15 @@ def test_row_record_float_fidelity():
               "lambda_u": "7.7999999999999998", "theta": "8", "eta": "1"}
     onsite = {"fading": "truncated_rician", "fading_param": "0.10000000000000001",
               "architecture": "onsite", "lambda_h": "", "lambda_a": "", "tau": "",
-              "beta": "", "voltage": "", "line_mode": "", "estimator": "user_weighted"}
+              "beta": "", "voltage": "", "line_mode": ""}
     pinned = [
-        ("scenario.architecture = distributed\nscenario.estimator = palm\n"
+        ("scenario.architecture = distributed\n"
          "distributed.mode = tau_floor\nchannel.fading = chi_squared\n"
          "channel.omega = 3\nfield.gamma = 10\n",
          {"kernel": "boolean_max_exp", "gamma": "10", "fading": "chi_squared",
           "fading_param": "3", "architecture": "distributed", "lambda_h": "15.6",
           "lambda_a": "0.78000000000000003", "tau": "0.90000000000000002", "beta": "1",
-          "voltage": "auto", "line_mode": "tau_floor", "estimator": "palm", "wrap": "true",
+          "voltage": "auto", "line_mode": "tau_floor", "wrap": "true",
           "window_side": "12.167108553861205"}),
         ("field.kernel = boolean_max_plaw\nscenario.wrap = false\n"
          "scenario.window_side = 14\n",
