@@ -118,8 +118,12 @@ def path_gain(d, spec: ChannelSpec):
     d = np.asarray(d, dtype=float)
     if not np.all(d > 0):
         raise ValueError("distance d must be positive")
-    d = np.maximum(d, spec.min_dist)
-    g = 10.0 ** (-spec.ref_loss_db / 10.0) * (d / spec.ref_dist) ** (-spec.alpha)
+    # one new array scaled in place: the bits of c * (max(d, min_dist) /
+    # ref_dist) ** -alpha without its three temporaries
+    g = np.maximum(d, spec.min_dist)
+    g /= spec.ref_dist
+    g **= -spec.alpha
+    g *= 10.0 ** (-spec.ref_loss_db / 10.0)
     return float(g) if g.ndim == 0 else g
 
 

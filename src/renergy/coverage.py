@@ -40,12 +40,22 @@ depends only on ScenarioConfig.user_settings: lambda_u, lambda_b, theta and
 channel. Scenarios with equal user settings form a group, and run_group_chunk
 runs a group's trials together, in passes of m * BLOCK consecutive trials:
 [a, min(a + m * BLOCK, stop)) for a in range(start, stop, m * BLOCK). A pass
-spans as many whole blocks m as keep its expected values within _PASS_VALUES
-(2^17), and one at least; a trial expects the group's users per cell plus the
-energy centers and field points of its densest scenario (lambda_e * window
-area + the supply's harvesters). One rule draws a pass's users, uniforms or
-centers (_pass_draw): each block the pass spans, whole as drawn or as views
-of the part it covers, the blocks joined when there are several. The last
+spans as many whole blocks m as keep the bytes it holds at its peak within
+_PASS_BYTES (3 MiB), and one at least. Its bytes per trial are estimated
+before it draws (_pass_bytes_per_trial), as the larger of two stages: its
+user draws (users per trial, each user's position and fading) joined beside
+the blocks they join, or its rows of needs padded to the most users a trial
+is likely to hold, sorted and summed, beside its densest scenario's fields.
+By the center law those are one uniform's distance, field value and power;
+on the centers path, its drawn centers and, per harvester, its field values
+and the delivered_power arrays made from them. fig4's group, 10 users per
+cell by the center law, holds about 525 B per trial and runs passes of 23
+blocks; fig5's, whose cluster 320 holds about 15 KB per trial, runs passes
+of one. A pass lets its draws go before it builds its rows, and everything
+it holds when it ends (_pass_tallies). One rule draws a pass's users,
+uniforms or centers (_pass_draw): each block the pass spans, whole as drawn
+or as views of the part it covers, the blocks joined when there are
+several. The last
 block of each of the three draws is memoized read-only, so consecutive
 chunks draw the block an edge between them cuts once.
 
@@ -118,10 +128,16 @@ class OnSite:
 # expects about 1e5 centers per block.
 _BLOCK_VALUES_CAP = 1 << 26
 
-# Budget of expected values that sets a pass's length (see the module
-# docstring). A longer pass spreads each numpy call's fixed cost over more
-# trials, at the price of its temporaries, about 0.8 MiB per on-site block.
-_PASS_VALUES = 1 << 17
+# Bytes a pass may hold at its peak, the budget that sets its length (see the
+# module docstring). A longer pass spreads each numpy call's fixed cost over
+# more trials, at the price of its temporaries.
+_PASS_BYTES = 3 << 20
+
+# Values per trial, or per trial and harvester, that a scenario's fields,
+# station powers and outage counts hold at once: one uniform's distance, field
+# value and power and their temporaries by the center law; on the centers
+# path the field values and the delivered_power arrays made from them.
+_FIELD_ARRAYS = 6
 
 
 @dataclass(frozen=True)
@@ -394,18 +410,24 @@ class _UserSide:
     persist: dict[float, tuple[int, int]] = field(default_factory=dict)
 
 
-def _user_side(cfg: ScenarioConfig, draws: _UserDraws, peaks: tuple) -> _UserSide:
+def _user_side(cfg: ScenarioConfig, seed: int, a: int, b: int, peaks: tuple) -> _UserSide:
+    """Trials [a, b)'s users, drawn and evaluated once for their group. The
+    draws are let go before the padded rows are built."""
+    draws = _pass_draw(partial(_draw_users, cfg, seed), a, b)
     k = draws.users
     tally = TrialTally(trials=len(k), zero_user_trials=int(np.count_nonzero(k == 0)),
                        users=len(draws.positions))
     pos = draws.positions
     dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
     tally.gain_clamps = int(np.count_nonzero(dist < cfg.channel.min_dist))
+    need = required_power(cfg.theta, dist, draws.fading, cfg.channel)
+    del draws, pos, dist
     # Rows of sorted needs padded with +inf: a row's cumsum is np.cumsum(np.sort(need))
     # bit for bit; one column at least, so a pass without users has a total to read.
     valid = np.arange(max(int(k.max()), 1)) < k[:, None]
     grants = np.full(valid.shape, np.inf)
-    grants[valid] = required_power(cfg.theta, dist, draws.fading, cfg.channel)
+    grants[valid] = need
+    del valid, need
     grants.sort(axis=1)
     csum = grants.cumsum(axis=1)
     # each trial's total demand; -inf, below any power, where it has no users
@@ -437,6 +459,22 @@ def _point_tally(cfg: ScenarioConfig, supply: _Supply, values: np.ndarray,
     return tally
 
 
+def _pass_bytes_per_trial(points: list[tuple]) -> float:
+    """Bytes a pass holds per trial at its peak, estimated before it draws
+    from the (scenario, window, supply, by center law) points of its group:
+    the larger of its user draws joined beside the blocks they join, and its
+    padded rows beside its densest scenario's fields."""
+    mu = points[0][0].mean_users_per_cell
+    draws = 8 * (1 + 3 * mu)            # users per trial; each user's x, y and fading
+    width = mu + 4 * math.sqrt(mu) + 4  # a Poisson(mu) count exceeds it w.p. < 4e-5
+    rows = 8 * (2 * width + 3) + width  # grants, csum, 3 per-trial arrays, one mask
+    fields = max(8 * _FIELD_ARRAYS if law else
+                 8 * (2 * cfg.field.lambda_e * window.area + 1
+                      + _FIELD_ARRAYS * len(supply.positions))
+                 for cfg, window, supply, law in points)
+    return max(2 * draws, rows + fields)
+
+
 def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
                     seed: int) -> list[TrialTally]:
     """Run trials [start, stop) of the given master seed at every scenario of
@@ -450,27 +488,38 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
     windows = [resolve_window(cfg) for cfg in cfgs]
     supplies = [_supply(cfg, window) for cfg, window in zip(cfgs, windows)]
     peaks = tuple(dict.fromkeys(supply.peak_station_power for supply in supplies))
-    per_trial = cfgs[0].mean_users_per_cell + max(
-        cfg.field.lambda_e * window.area + len(supply.positions)
-        for cfg, window, supply in zip(cfgs, windows, supplies))
-    step = BLOCK * max(1, int(_PASS_VALUES // (BLOCK * per_trial)))
-    by_law = [_by_center_law(*point) for point in zip(cfgs, windows, supplies)]
+    points = [(*point, _by_center_law(*point)) for point in zip(cfgs, windows, supplies)]
+    step = BLOCK * max(1, int(_PASS_BYTES // (BLOCK * _pass_bytes_per_trial(points))))
     tallies = [TrialTally() for _ in cfgs]
     for a in range(start, stop, step):
-        b = min(a + step, stop)
-        side = _user_side(cfgs[0], _pass_draw(partial(_draw_users, cfgs[0], seed), a, b),
-                          peaks)
-        if any(by_law):
-            u = _pass_draw(partial(_draw_uniforms, seed), a, b).u
-        for i, (cfg, window, supply) in enumerate(zip(cfgs, windows, supplies)):
-            if by_law[i]:
-                d = nearest_center_distance(u, cfg.field.lambda_e, window)
-                values = _boolean_kernel(cfg.field, d)[None, :]
-            else:
-                real = _pass_draw(partial(_draw_fields, cfg.field, window, seed), a, b)
-                values = field_values(real, supply.positions)
-            tallies[i] += _point_tally(cfg, supply, values, side)
+        passed = _pass_tallies(points, peaks, seed, a, min(a + step, stop))
+        tallies = [t + p for t, p in zip(tallies, passed)]
     return tallies
+
+
+def _pass_tallies(points: list[tuple], peaks: tuple, seed: int, a: int,
+                  b: int) -> list[TrialTally]:
+    """Trials [a, b) as one pass at each point of a group: the users
+    evaluated once, then each scenario's fields. What the pass holds is let
+    go when it returns, before the next pass draws."""
+    side = _user_side(points[0][0], seed, a, b, peaks)
+    u = _pass_draw(partial(_draw_uniforms, seed), a, b).u \
+        if any(law for *_, law in points) else None
+    return [_point_tally(cfg, supply, _pass_fields(cfg, window, supply, law, u, seed, a, b),
+                         side)
+            for cfg, window, supply, law in points]
+
+
+def _pass_fields(cfg: ScenarioConfig, window: Window, supply: _Supply, law: bool,
+                 u: np.ndarray | None, seed: int, a: int, b: int) -> np.ndarray:
+    """Trials [a, b)'s field values at the supply's harvesters, (harvesters,
+    trials): by the center law from the group's uniforms u, or from the
+    scenario's drawn centers."""
+    if law:
+        d = nearest_center_distance(u, cfg.field.lambda_e, window)
+        return _boolean_kernel(cfg.field, d)[None, :]
+    real = _pass_draw(partial(_draw_fields, cfg.field, window, seed), a, b)
+    return field_values(real, supply.positions)
 
 
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:

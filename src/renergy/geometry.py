@@ -21,6 +21,7 @@ the minimum over the nine translated copies of the window.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,9 +35,10 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     work keyed by e.g. a trial counter is reproducible in isolation and the
     results of parallel workers do not depend on how work was partitioned.
     """
-    if seed < 0:
+    # integers only: int() would truncate 1.5 to another stream's key silently
+    entropy = tuple(map(operator.index, (seed, *key)))
+    if entropy[0] < 0:
         raise ValueError("seed must be a non-negative integer")
-    entropy = (int(seed),) + tuple(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
@@ -57,9 +59,9 @@ class Window:
     wrap: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError(
-                f"window dimensions must be positive, got {self.width} x {self.height}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"window dimensions must be positive and finite, "
+                             f"got {self.width} x {self.height}")
 
     @property
     def area(self) -> float:
@@ -162,6 +164,9 @@ def nearest_site_indices(points: np.ndarray, sites: np.ndarray, window: Window
 def default_window_side(lambda_b: float, nu: float) -> float:
     """Default arena side: ten station pitches or ten kernel length scales,
     whichever is larger, for station density lambda_b and kernel scale nu."""
+    for name, value in (("lambda_b", lambda_b), ("nu", nu)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     return max(10.0 / math.sqrt(lambda_b), 10.0 * math.sqrt(nu))
 
 
@@ -223,8 +228,8 @@ def hex_lattice(density: float, window: Window) -> HexLattice:
 def sample_in_hex_cell(circumradius: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform points in a pointy-top hexagon of the given corner radius,
     centered at the origin. Rejection from the bounding box (acceptance 3/4)."""
-    if circumradius <= 0:
-        raise ValueError("circumradius must be positive")
+    if not 0 < circumradius < math.inf:
+        raise ValueError("circumradius must be positive and finite")
     if n == 0:
         return np.empty((0, 2))
     R = circumradius

@@ -210,10 +210,10 @@ def _record_passes(monkeypatch):
         drawn[stream].append(block)
         return substream(seed, block, stream)
 
-    def recording_user_side(cfg, draws, peaks):
-        passes.append(len(draws.users))
+    def recording_user_side(cfg, seed, a, b, peaks):
+        passes.append(b - a)
         outages.append(("peaks", *peaks))
-        return user_side(cfg, draws, peaks)
+        return user_side(cfg, seed, a, b, peaks)
 
     def counting_outages(side, power):
         outages.append("count")
@@ -244,26 +244,30 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     assert passes == [200] * 10 + [48]
     for blocks in (*drawn.values(), passes):
         blocks.clear()
-    # at 16-19 expected values per trial, eight blocks fit one pass
+    # at 525 B (on-site) and 767 B (distributed) per trial, eight blocks fit one pass
     whole = run_trials_chunk(cfg, 0, n, 31)
     assert drawn == _each_stream(range(8)) and passes == [n]
     assert sum(chunks, TrialTally()) == whole
 
 
-@pytest.mark.parametrize("psi, start, stop, passes, blocks", [
-    (6.0, 500, 1000, [256, 244], [1, 2, 3]),
-    (6.0, 100, 612, [256, 256], [0, 1, 2]),
-    (2.0, 100, 1300, [512, 512, 176], [0, 1, 2, 3, 4, 5]),
-    (0.05, 500, 1000, [500], [1, 2, 3]),
+@pytest.mark.parametrize("kernel, psi, start, stop, passes, blocks", [
+    (Kernel.SHOT_NOISE_EXP, 6.0, 500, 1000, [256, 244], [1, 2, 3]),
+    (Kernel.SHOT_NOISE_EXP, 6.0, 100, 612, [256, 256], [0, 1, 2]),
+    (Kernel.SHOT_NOISE_EXP, 3.0, 100, 1300, [512, 512, 176], [0, 1, 2, 3, 4, 5]),
+    (Kernel.SHOT_NOISE_EXP, 0.05, 500, 1000, [500], [1, 2, 3]),
+    (Kernel.BOOLEAN_MAX_EXP, 6.0, 100, 6100, [5888, 112], list(range(24))),
 ])
-def test_chunk_runs_in_fewest_passes(monkeypatch, psi, start, stop, passes, blocks):
-    # a pass takes as many blocks of trials as keep its expected values within
-    # _PASS_VALUES, one at least: at 611 values per trial one block already
-    # exceeds it, 211 fit two blocks and 16 fit 32. A chunk runs in the
-    # fewest such passes wherever it starts, and each block it touches is
-    # drawn once
+def test_chunk_runs_in_fewest_passes(monkeypatch, kernel, psi, start, stop, passes, blocks):
+    # a pass takes as many blocks of trials as keep the bytes it holds within
+    # _PASS_BYTES (3 MiB: 12288 B per trial of one block), one at least. At 10
+    # users per cell a trial's padded rows take 477 B, and shot noise on the
+    # 10 x 10 window adds 8 (200 psi + 7) B of centers and fields: 10133 B at
+    # psi 6 exceed a block, 5333 B at psi 3 fit two blocks and 613 B at psi
+    # 0.05 fit 20. The center law adds 48 B whatever psi is: 525 B fit 23
+    # blocks. A chunk runs in the fewest such passes wherever it starts, and
+    # each block it touches is drawn once
     drawn, seen, _ = _record_passes(monkeypatch)
-    cfg = unit_cfg(psi=psi)
+    cfg = unit_cfg(psi=psi, kernel=kernel)
     tally = run_trials_chunk(cfg, start, stop, 19)
     assert seen == passes
     assert drawn == _each_stream(blocks)
@@ -275,13 +279,14 @@ def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
     # one peak power's outages
     drawn, passes, outages = _record_passes(monkeypatch)
     group = tuple(unit_cfg(psi=psi) for psi in (0.05, 0.2, 0.5))
-    n = 10 * BLOCK
+    n = 30 * BLOCK
     tallies = run_group_chunk(group, 0, n, 7)
-    # the densest point, 61 values per trial, sets the group's passes to
-    # eight blocks; the sparsest alone runs the chunk in one pass. On-site,
-    # every point takes its fields from the same uniforms, drawn once per pass
-    assert passes == [8 * BLOCK, 2 * BLOCK]
-    assert drawn == _each_stream(range(10))
+    # by the center law every point holds 525 B per trial, so 23 blocks fill
+    # a pass (see test_chunk_runs_in_fewest_passes) and each point alone
+    # takes its group's passes. On-site, every point takes its fields from
+    # the same uniforms, drawn once per pass
+    assert passes == [23 * BLOCK, 7 * BLOCK]
+    assert drawn == _each_stream(range(30))
     # each pass: the peak's counts once, in the user side, then one per point
     assert outages == [("peaks", 20.0), "count", "count", "count", "count"] * 2
     assert len({t.users for t in tallies}) == 1
@@ -289,17 +294,38 @@ def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
     assert len({t.persist_inv for t in tallies}) == 1
     passes.clear()
     run_trials_chunk(group[0], 0, n, 7)
-    assert passes == [n]
+    assert passes == [23 * BLOCK, 7 * BLOCK]
     # a gamma_eta group counts each distinct peak once per pass
     outages.clear()
     group = tuple(apply_sweep(unit_cfg(), "gamma_eta", g) for g in (5.0, 80.0, 5.0))
-    tallies = run_group_chunk(group, 0, n, 7)
+    tallies = run_group_chunk(group, 0, 10 * BLOCK, 7)
     assert outages == [("peaks", 5.0, 80.0), *["count"] * 5]
     assert tallies[0] == tallies[2] and tallies[0].persist_ci > tallies[1].persist_ci
     with pytest.raises(ValueError, match="user_settings"):
         run_group_chunk((group[0], replace(group[0], theta=4.0)), 0, 10, 7)
     with pytest.raises(ValueError, match="user_settings"):
         run_group_chunk((), 0, 10, 7)
+
+
+_BUDGET_CASES = {
+    "onsite_psi_group": tuple(unit_cfg(psi=psi) for psi in (0.05, 0.2, 0.5)),
+    "distributed_two_clusters": tuple(
+        unit_cfg(architecture=Distributed(lambda_h=lambda_h, lambda_a=0.5))
+        for lambda_h in (2.0, 6.0)),
+    "shot_noise": (unit_cfg(kernel=Kernel.SHOT_NOISE_EXP),),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUDGET_CASES))
+def test_tallies_do_not_depend_on_the_pass_budget(monkeypatch, case):
+    # no trial's arithmetic depends on its pass: one-block passes and a
+    # whole chunk in one pass tally what the default budget does
+    group = _BUDGET_CASES[case]
+    default = run_group_chunk(group, 100, 1400, 29)
+    assert all(t.out_inv > 0 for t in default)
+    for budget in (1, 1 << 62):
+        monkeypatch.setattr(coverage, "_PASS_BYTES", budget)
+        assert run_group_chunk(group, 100, 1400, 29) == default
 
 
 @pytest.mark.parametrize("kw, by_law", [

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from renergy import geometry
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
                                   field_values)
-from renergy.geometry import (PointSet, Window, hex_cell_circumradius,
+from renergy.geometry import (PointSet, Window, default_window_side, hex_cell_circumradius,
                               hex_lattice, hex_pitch, nearest_site_indices,
                               sample_in_hex_cell, separation, substream)
 
@@ -39,6 +39,28 @@ def test_substream_multicomponent_keys_differ():
 def test_substream_rejects_negative_seed():
     with pytest.raises(ValueError):
         substream(-1, 0)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: sample_in_hex_cell(math.nan, 3, substream(1, 0)), ValueError,
+                 id="hex-cell-nan"),
+    pytest.param(lambda: sample_in_hex_cell(math.inf, 3, substream(1, 0)), ValueError,
+                 id="hex-cell-inf"),
+    pytest.param(lambda: default_window_side(0.78, math.nan), ValueError,
+                 id="window-side-nu-nan"),
+    pytest.param(lambda: default_window_side(math.nan, 1.0), ValueError,
+                 id="window-side-lambda-b-nan"),
+    pytest.param(lambda: default_window_side(0.78, math.inf), ValueError,
+                 id="window-side-nu-inf"),
+    pytest.param(lambda: Window(math.inf, 1.0), ValueError, id="window-inf"),
+    pytest.param(lambda: substream(1.5, 2), TypeError, id="substream-float-seed"),
+    pytest.param(lambda: substream(1, 2.5), TypeError, id="substream-float-key"),
+])
+def test_geometry_helpers_reject_non_finite_input(call, error):
+    # each of these used to overflow, return nan or inf, drop the nan, or
+    # truncate a seed or key to another stream's
+    with pytest.raises(error):
+        call()
 
 
 def test_window_basics():
