@@ -113,8 +113,8 @@ def _finish_rows(rows, out: str | None) -> int:
     else:
         _print_rows(rows)
     if any(r.estimate.low_confidence for r in rows):
-        print("warning: low confidence (fewer than 100 users at some point)",
-              file=sys.stderr)
+        print("warning: low confidence (fewer than 100 users, or an expected-count "
+              "interval without a spread, at some point)", file=sys.stderr)
         return _EXIT_LOW_CONFIDENCE
     return _EXIT_OK
 

@@ -1,9 +1,10 @@
 """Monte Carlo downlink outage for stations powered by a random energy field.
 
 The typical station sits at the window center of a toroidal arena. Each trial
-draws one energy field, the station's power budget, a Poisson number of users
-uniform in the station's hexagonal cell, and their fading marks; both power
-allocation schemes are then evaluated on the same draws:
+draws one energy field (or integrates it out, by the center law below), the
+station's power budget, a Poisson number of users uniform in the station's
+hexagonal cell, and their fading marks; both power allocation schemes are
+then evaluated on the same draws:
 
 * channel_independent - the budget is split equally over the cell's users; a
   user is in outage when its required power exceeds its share.
@@ -22,18 +23,29 @@ field is an integer, so chunked or multi-process runs merge exactly. Trials
 are grouped by absolute index into blocks of geometry.BLOCK (256), and block
 b draws from two streams: its fields from substream(seed, b, FIELD_STREAM),
 and its users per cell, user positions and fading gains, in that order, from
-substream(seed, b, USER_STREAM).
+substream(seed, b, USER_STREAM). A block keeps each user's distance from the
+station, max(hypot(x, y), 1e-12), in place of its position.
 
 A boolean field at the window's center alone, which is all an on-site
 station or a cluster of one harvester reads, depends on the center process
-only through the nearest center's distance. Such a scenario takes its
-fields by the center law: the field stream gives BLOCK uniforms, one per
-trial, each mapped through that distance's exact law on the window
-(energy_field.nearest_center_distance) and the kernel. The uniforms do not
-depend on the scenario, so a pass draws them once for its whole group, as
-it draws users. Every other scenario (shot noise, or several harvesters)
-draws its centers from the field stream: center counts, center x, center y
-(energy_field.draw_field).
+only through the nearest center's distance D, whose law on the window is
+exact: Pr(D > r) = exp(-lambda_e A(r)), A(r) the area of the disk of radius
+r inside the window (energy_field.window_disk_area). Where the station's
+power is then P = c decay(D), c its peak power (on-site, or one harvester
+over a tau_floor or zero-length line), the scenario runs by the center law:
+it draws no field and integrates it out. With F(x) = Pr(P < x) =
+exp(-lambda_e A(r(x))), r(x) the distance at which c decay(r) = x
+(_CenterLaw), a trial of k users adds its expected outages given its
+users: sum_i F(k need_i) under equal split, sum_i F(csum_i) under
+inversion (csum_i the running sums of its sorted needs), and F(total) to
+the union events. Each trial's expected counts are rounded once to units of
+2^-32 and summed exactly, with their second moments, so the point's
+interval is Wilson's at its effective users and Student's t quantile; with
+no spread in its expected outages (none expected among them), or fewer than
+2 trials with users, it keeps Wilson's at its users (estimates_from_tally;
+TrialTally.in_users reads the counts in users). Every other scenario (shot
+noise, or several harvesters) draws its centers from the field stream:
+center counts, center x, center y (energy_field.draw_field).
 
 A trial's user side, everything but the field and the station's power,
 depends only on ScenarioConfig.user_settings: lambda_u, lambda_b, theta and
@@ -42,38 +54,40 @@ runs a group's trials together, in passes of m * BLOCK consecutive trials:
 [a, min(a + m * BLOCK, stop)) for a in range(start, stop, m * BLOCK). A pass
 spans as many whole blocks m as keep the bytes it holds at its peak within
 _PASS_BYTES (3 MiB), and one at least. Its bytes per trial are estimated
-before it draws (_pass_bytes_per_trial), as the larger of two stages: its
-user draws (users per trial, each user's position and fading) joined beside
-the blocks they join, or its rows of needs padded to the most users a trial
-is likely to hold, sorted and summed, beside its densest scenario's fields.
-By the center law those are one uniform's distance, field value and power;
-on the centers path, its drawn centers and, per harvester, its field values
-and the delivered_power arrays made from them. fig4's group, 10 users per
-cell by the center law, holds about 525 B per trial and runs passes of 23
-blocks; fig5's, whose cluster 320 holds about 15 KB per trial, runs passes
-of one. A pass lets its draws go before it builds its rows, and everything
-it holds when it ends (_pass_tallies). One rule draws a pass's users,
-uniforms or centers (_pass_draw): each block the pass spans, whole as drawn
-or as views of the part it covers, the blocks joined when there are
-several. The last
-block of each of the three draws is memoized read-only, so consecutive
-chunks draw the block an edge between them cuts once.
+before it draws (_pass_bytes_per_trial), as the largest of three stages: its
+user draws (users per trial, each user's distance and fading) joined beside
+the blocks they join; its rows of needs padded to the most users a trial is
+likely to hold, with each user's place in them, beside the center law's
+thresholds as they are built; and the thresholds beside the rows a counting
+point keeps and its densest scenario's fields. By the center law those are
+F at each threshold and seven sums per trial; on the centers path, its
+drawn centers and, per harvester, its field values and the delivered_power
+arrays made from them. fig4's group, 10 users per cell by the center law,
+holds about 600 B per trial and runs passes of 20 blocks; fig5's, whose
+cluster 320 holds about 15 KB per trial, runs passes of one. A pass lets its
+draws go before it builds its rows, and everything it holds when it ends
+(_pass_tallies). One rule draws a pass's users or centers (_pass_draw):
+each block the pass spans, whole as drawn or as views of the part it
+covers, the blocks joined when there are several. The last block of each
+of the two draws is memoized read-only, so consecutive chunks draw the
+block an edge between them cuts once.
 
-A pass evaluates its users once for the whole group: distances, gain clamps
-(users nearer the station than ChannelSpec.min_dist, the path-gain clamp
-radius), required powers, and each trial's needs sorted and summed in one row
-of a matrix padded with +inf. One rule counts both schemes' outages at
-per-trial station powers P (_outages): of a trial's k users, equal split
-covers those whose need is at most P / max(k, 1), inversion those whose
-running sum of needs is at most P; no finite power covers a pad. At the peak
-station power it gives the max-power outages (persist_*), counted once per
-pass for each distinct peak of the group. Then each scenario takes the
-pass's fields, by the center law from the group's uniforms or by drawing
-and evaluating its centers, evaluates their station powers and adds the
-outages at those powers to its tally. run_trials_chunk is the group of one.
-A trial's arithmetic depends neither on the other trials of its pass nor on
-the other scenarios of its group, so tallies do not depend on where chunks
-start and stop, on the worker count, or on which scenarios run together.
+A pass evaluates its users once for the whole group: gain clamps (users
+nearer the station than ChannelSpec.min_dist, the path-gain clamp radius),
+required powers, and each trial's needs sorted and summed in one row of a
+matrix padded with +inf. The max-power outages (persist_*) are counted at
+each distinct peak station power of the group, once per pass: of a trial's
+k users, equal split covers those whose need is at most P / max(k, 1),
+inversion those whose running sum of needs is at most P; no finite power
+covers a pad. If the group has a center-law point, the pass also takes the
+logs of its thresholds once (_Thresholds), and each such point integrates
+them (_expected_tally). A point on the centers path draws and evaluates its
+centers, takes their station powers and counts the outages at those powers
+by the same rule (_outages); without one, the running sums overwrite the
+needs. run_trials_chunk is the group of one. A trial's arithmetic depends
+neither on the other trials of its pass nor on the other scenarios of its
+group, so tallies do not depend on where chunks start and stop, on the
+worker count, or on which scenarios run together.
 """
 
 from __future__ import annotations
@@ -94,12 +108,12 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
                      total_outage_bound)
 from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
-from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, _boolean_kernel,
-                           draw_field, field_values, nearest_center_distance)
+from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
+                           field_values, window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
                        default_window_side, hex_cell_circumradius, nearest_site_indices,
                        sample_in_hex_cell, substream)
-from .stats import wilson_ci
+from .stats import t_quantile_975, wilson_ci, wilson_interval
 
 # glibc's malloc starts with small mmap and trim thresholds (128 KiB) and
 # raises both, for the life of the process, when it frees a mapped block
@@ -133,11 +147,16 @@ _BLOCK_VALUES_CAP = 1 << 26
 # more trials, at the price of its temporaries.
 _PASS_BYTES = 3 << 20
 
-# Values per trial, or per trial and harvester, that a scenario's fields,
-# station powers and outage counts hold at once: one uniform's distance, field
-# value and power and their temporaries by the center law; on the centers
-# path the field values and the delivered_power arrays made from them.
+# Values per trial and harvester that a scenario on the centers path holds
+# at once: its field values and the delivered_power arrays made from them.
 _FIELD_ARRAYS = 6
+
+# Values per trial that a scenario run by the center law holds beside its
+# shortfall at each threshold: seven per-trial sums and their whole parts.
+_LAW_ARRAYS = 14
+
+# The unit of a center-law point's expected counts is 2^-32 (see TrialTally).
+_FIXED_POINT = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -229,7 +248,17 @@ def resolve_window(cfg: ScenarioConfig) -> Window:
 
 @dataclass
 class TrialTally:
-    """Integer event counts; adding tallies merges runs exactly."""
+    """Integer event sums; adding tallies merges runs exactly.
+
+    A point the engine runs by the center law (see the module docstring)
+    tallies out_ci, out_inv and union_trials as expected counts in fixed
+    point, in units of 2^-32 (_FIXED_POINT), each trial's expected count
+    rounded to the unit once. Such a point also sums, over its trials, the
+    second moments of each scheme's per-trial expected outages e and users
+    k in the same unit: e^2 (sq_*) and e k (ek_*), and k^2 in whole users
+    (k_sq), which is positive exactly when such a point has users. Every
+    other count, the max-power outages (persist_*) among them, is a count
+    of events."""
 
     trials: int = 0
     zero_user_trials: int = 0
@@ -240,10 +269,26 @@ class TrialTally:
     persist_inv: int = 0
     union_trials: int = 0
     gain_clamps: int = 0
+    k_sq: int = 0
+    sq_ci: int = 0
+    sq_inv: int = 0
+    ek_ci: int = 0
+    ek_inv: int = 0
 
     def __add__(self, other: "TrialTally") -> "TrialTally":
         return TrialTally(**{f.name: getattr(self, f.name) + getattr(other, f.name)
                              for f in fields(self)})
+
+    @property
+    def expected(self) -> bool:
+        """Whether out_ci, out_inv and union_trials are expected counts in
+        2^-32 units: a center-law point that has users."""
+        return self.k_sq > 0
+
+    def in_users(self, count: int) -> float:
+        """One of out_ci, out_inv or union_trials in outages or events: an
+        expected count at a center-law point, else the count itself."""
+        return count / _FIXED_POINT if self.expected else count
 
 
 # On-site harvesting as the one-harvester cluster: the station's own harvester
@@ -308,18 +353,18 @@ def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
 @dataclass(frozen=True, eq=False)
 class _UserDraws:
     """The users of a run of consecutive trials, in stream order: the users
-    per trial, their positions relative to the station and their fading
-    gains, trial by trial."""
+    per trial, their distances from the station and their fading gains,
+    trial by trial."""
 
     users: np.ndarray
-    positions: np.ndarray
+    distance: np.ndarray
     fading: np.ndarray
 
     def select(self, lo: int, hi: int) -> "_UserDraws":
         """Trials lo..hi-1, as views."""
         first = int(self.users[:lo].sum())
         last = first + int(self.users[lo:hi].sum())
-        return _UserDraws(self.users[lo:hi], self.positions[first:last],
+        return _UserDraws(self.users[lo:hi], self.distance[first:last],
                           self.fading[first:last])
 
     @staticmethod
@@ -338,48 +383,75 @@ def _draw_fields(spec: EnergyFieldSpec, window: Window, seed: int,
     return real
 
 
-@dataclass(frozen=True, eq=False)
-class _Uniforms:
-    """The field uniforms of a run of consecutive trials, one per trial."""
-
-    u: np.ndarray
-
-    def select(self, lo: int, hi: int) -> "_Uniforms":
-        """Trials lo..hi-1, as a view."""
-        return _Uniforms(self.u[lo:hi])
-
-    @staticmethod
-    def join(parts: list["_Uniforms"]) -> "_Uniforms":
-        """The trials of parts, one after another."""
-        return _Uniforms(np.concatenate([part.u for part in parts]))
-
-
-@lru_cache(maxsize=1)
-def _draw_uniforms(seed: int, block: int) -> _Uniforms:
-    """Block `block` of field uniforms, drawn read-only from its field stream."""
-    u = substream(seed, block, FIELD_STREAM).random(BLOCK)
-    u.setflags(write=False)
-    return _Uniforms(u)
-
-
 def _by_center_law(cfg: ScenarioConfig, window: Window, supply: _Supply) -> bool:
-    """Whether a scenario's station power needs the field at the window's
-    center alone under a boolean kernel, which depends on the center process
+    """Whether a scenario's station power is a fixed multiple of a boolean
+    field at the window's center alone, which depends on the center process
     only through the nearest center's distance: on-site, or a cluster of one
-    harvester."""
+    harvester at the center whose line delivers a fixed share of its budget
+    (tau_floor, or a zero-length line)."""
     return cfg.field.kernel is not Kernel.SHOT_NOISE_EXP and len(supply.positions) == 1 \
-        and np.array_equal(supply.positions.points[0], window.center)
+        and np.array_equal(supply.positions.points[0], window.center) \
+        and (supply.line.mode == "tau_floor" or not supply.line_lengths.any())
+
+
+@dataclass(frozen=True, eq=False)
+class _CenterLaw:
+    """F(x) = Pr(P < x) for the power P of a station run by the center law.
+
+    P is the station's peak power c times the kernel's decay at the nearest
+    center's distance D, so P < x exactly when D exceeds r(x), where the
+    decay falls to x / c: r(x)^2 = nu ln(c / x) for the exponential kernel
+    and nu (c / x - 1) for the power law, and 0 from x = c on. No center
+    lies within r of the window's center with probability exp(-lambda_e A(r))
+    (energy_field.window_disk_area), and A(r) = pi r^2 up to half the
+    window's shorter side."""
+
+    peak: float
+    spec: EnergyFieldSpec
+    window: Window
+
+    @property
+    def _near(self) -> float:
+        """r^2 / nu at half the window's shorter side."""
+        half = 0.5 * min(self.window.width, self.window.height)
+        return half * half / self.spec.nu
+
+    def shortfall(self, th: "_Thresholds") -> np.ndarray:
+        """F at a pass's thresholds x, as a new array; window_disk_area runs
+        only where r(x) exceeds half the shorter side."""
+        spec, near = self.spec, self._near
+        power_law = spec.kernel is Kernel.BOOLEAN_MAX_PLAW
+        log_peak = math.log(self.peak)
+        # ln(c / x), 0 from x = c on: the thresholds' own where they hold it
+        own = th.peak != self.peak
+        t = np.maximum(log_peak - th.values, 0.0) if own else th.values
+        if power_law:
+            t = np.expm1(t, out=t if own else None)    # c / x - 1
+            own = True
+        # t = r(x)^2 / nu; a margin keeps the test on the log scale from
+        # missing a value the exact test below would catch
+        far = None
+        if log_peak - th.least > (math.log1p(near) if power_law else near) * (1.0 - 1e-9):
+            far = np.flatnonzero(t > near)
+            area = window_disk_area(np.sqrt(spec.nu * t[far]), self.window)
+        f = np.multiply(t, -math.pi * spec.psi, out=t if own else None)   # -lambda_e pi r^2
+        if far is not None:
+            f[far] = -spec.lambda_e * area
+        return np.exp(f, out=f)
 
 
 @lru_cache(maxsize=1)
 def _draw_users(cfg: ScenarioConfig, seed: int, block: int) -> _UserDraws:
-    """Block `block` of users, drawn read-only from its user stream."""
+    """Block `block` of users, drawn read-only from its user stream: each
+    user's distance from the station, kept from its position in the cell."""
     rng = substream(seed, block, USER_STREAM)
     users = rng.poisson(cfg.mean_users_per_cell, BLOCK)
     n = int(users.sum())
-    positions = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), n, rng)
-    draws = _UserDraws(users, positions, sample_fading(cfg.channel, rng, n))
-    for a in (users, positions, draws.fading):
+    pos = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), n, rng)
+    distance = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
+    del pos
+    draws = _UserDraws(users, distance, sample_fading(cfg.channel, rng, n))
+    for a in (users, distance, draws.fading):
         a.setflags(write=False)
     return draws
 
@@ -397,52 +469,117 @@ def _pass_draw(draw, a: int, b: int):
 
 
 @dataclass(frozen=True, eq=False)
+class _Thresholds:
+    """A pass's thresholds x for the center law, over its trials with users:
+    k times each user's need (equal split), then each user's running sum of
+    sorted needs (inversion), trial after trial in sorted order. values are
+    ln x, or ln(peak / x) floored at 0 where a group's center-law points
+    share one peak. Beside them: the smallest ln x, where each trial's users
+    start in each of the two parts, where its total demand (its last running
+    sum) lies, each trial's k, and the sum of k^2."""
+
+    values: np.ndarray
+    peak: float | None
+    least: float
+    starts: np.ndarray
+    last: np.ndarray
+    users: np.ndarray
+    k_sq: int
+
+
+@dataclass(frozen=True, eq=False)
 class _UserSide:
     """A pass's users, evaluated once for its group: the counts that do not
-    depend on the field, each trial's users (at least one) and needs sorted
-    and summed, its total demand, and the outages at each peak power."""
+    depend on the field, the outages at each peak power, and what the
+    group's points need of each trial's needs, sorted and summed: the padded
+    rows and the total demand where a point counts outages at drawn
+    fields, the center law's thresholds where a point integrates them."""
 
     tally: TrialTally
-    per_user: np.ndarray
-    grants: np.ndarray
-    csum: np.ndarray
-    total: np.ndarray
-    persist: dict[float, tuple[int, int]] = field(default_factory=dict)
+    persist: dict[float, tuple[int, int]]
+    per_user: np.ndarray | None = None
+    grants: np.ndarray | None = None
+    csum: np.ndarray | None = None
+    total: np.ndarray | None = None
+    thresholds: _Thresholds | None = None
 
 
-def _user_side(cfg: ScenarioConfig, seed: int, a: int, b: int, peaks: tuple) -> _UserSide:
-    """Trials [a, b)'s users, drawn and evaluated once for their group. The
-    draws are let go before the padded rows are built."""
+def _user_side(cfg: ScenarioConfig, seed: int, a: int, b: int, peaks: tuple,
+               counted: bool, law_peaks: tuple) -> _UserSide:
+    """Trials [a, b)'s users, drawn and evaluated once for their group, with
+    the padded rows if counted and the center law's thresholds if the group
+    has center-law points, whose peaks are law_peaks. The draws are let go
+    before the padded rows are built, and without counted points the running
+    sums overwrite the needs."""
     draws = _pass_draw(partial(_draw_users, cfg, seed), a, b)
     k = draws.users
     tally = TrialTally(trials=len(k), zero_user_trials=int(np.count_nonzero(k == 0)),
-                       users=len(draws.positions))
-    pos = draws.positions
-    dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
-    tally.gain_clamps = int(np.count_nonzero(dist < cfg.channel.min_dist))
-    need = required_power(cfg.theta, dist, draws.fading, cfg.channel)
-    del draws, pos, dist
+                       users=len(draws.distance),
+                       gain_clamps=int(np.count_nonzero(draws.distance < cfg.channel.min_dist)))
+    need = required_power(cfg.theta, draws.distance, draws.fading, cfg.channel)
+    del draws
     # Rows of sorted needs padded with +inf: a row's cumsum is np.cumsum(np.sort(need))
     # bit for bit; one column at least, so a pass without users has a total to read.
-    valid = np.arange(max(int(k.max()), 1)) < k[:, None]
-    grants = np.full(valid.shape, np.inf)
-    grants[valid] = need
-    del valid, need
+    # A trial's users fill its row's first places, before and after the sort.
+    grants = np.full((len(k), max(int(k.max()), 1)), np.inf)
+    place = np.flatnonzero(np.arange(grants.shape[1]) < k[:, None])
+    np.put(grants, place, need)
+    del need
     grants.sort(axis=1)
-    csum = grants.cumsum(axis=1)
-    # each trial's total demand; -inf, below any power, where it has no users
-    total = np.where(k > 0, csum[np.arange(len(k)), k - 1], -np.inf)
-    side = _UserSide(tally, np.maximum(k, 1), grants, csum, total)
-    for peak in peaks:   # the max-power outages depend only on the users and the peak
-        side.persist[peak] = _outages(side, np.full(len(k), peak))
+    per_user = np.maximum(k, 1)
+    users = tally.users
+    # the max-power outages depend only on the users and the peak
+    out_ci = [users - _covered_ci(grants, per_user, peak) for peak in peaks]
+    if law_peaks:   # the thresholds: k times each need, then each running sum
+        kk = k[k > 0]
+        x = np.empty(2 * users)
+        np.take(grants, place, out=x[:users])
+        x[:users] *= np.repeat(kk, kk)
+    csum = grants.cumsum(axis=1) if counted else np.cumsum(grants, axis=1, out=grants)
+    out_inv = [users - _covered_inv(csum, peak) for peak in peaks]
+    side = _UserSide(tally, dict(zip(peaks, zip(out_ci, out_inv))))
+    if counted:
+        # each trial's total demand; -inf, below any power, where it has no users
+        total = np.where(k > 0, csum[np.arange(len(k)), k - 1], -np.inf)
+        side = replace(side, per_user=per_user, grants=grants, csum=csum, total=total)
+    if law_peaks:
+        np.take(csum, place, out=x[users:])
+        del place
+        side = replace(side, thresholds=_thresholds(x, kk, law_peaks))
     return side
+
+
+def _thresholds(x: np.ndarray, kk: np.ndarray, law_peaks: tuple) -> _Thresholds:
+    """The center law's thresholds x of a pass's trials with users, kk of
+    them each, taken in place."""
+    logs = np.log(x, out=x)
+    least = float(logs.min(initial=math.inf))
+    peak = law_peaks[0] if len(law_peaks) == 1 else None
+    if peak is not None:   # as _CenterLaw.shortfall would take it
+        np.subtract(math.log(peak), logs, out=logs)
+        np.maximum(logs, 0.0, out=logs)
+    first = np.cumsum(kk) - kk
+    users = len(x) // 2
+    # k < 2^31, and a pass's trials keep the sum of k^2 below 2^63
+    return _Thresholds(logs, peak, least, np.concatenate((first, first + users)),
+                       first + (users - 1) + kk, kk.astype(float), int((kk * kk).sum()))
+
+
+def _covered_ci(grants: np.ndarray, per_user: np.ndarray, power) -> int:
+    """Users equal split covers at per-trial (or one) station powers."""
+    return int(np.count_nonzero(grants <= (power / per_user)[:, None]))
+
+
+def _covered_inv(csum: np.ndarray, power) -> int:
+    """Users inversion covers at per-trial (or one) station powers."""
+    return int(np.count_nonzero(csum <= np.reshape(power, (-1, 1))))
 
 
 def _outages(side: _UserSide, power: np.ndarray) -> tuple[int, int]:
     """Users in outage under equal split and under inversion at per-trial powers."""
     users = side.tally.users
-    return (users - int(np.count_nonzero(side.grants <= (power / side.per_user)[:, None])),
-            users - int(np.count_nonzero(side.csum <= power[:, None])))
+    return (users - _covered_ci(side.grants, side.per_user, power),
+            users - _covered_inv(side.csum, power))
 
 
 def _point_tally(cfg: ScenarioConfig, supply: _Supply, values: np.ndarray,
@@ -459,20 +596,75 @@ def _point_tally(cfg: ScenarioConfig, supply: _Supply, values: np.ndarray,
     return tally
 
 
+# Float sums of whole numbers are exact below 2^53.
+_EXACT_SUMS = 2.0 ** 53
+
+
+def _fixed_point_sums(e: np.ndarray) -> list[int]:
+    """The sum of each row of e, nonnegative values each rounded to units of
+    2^-32, exactly: the whole parts and the fractions' units are summed
+    apart, as whole numbers in float64, since rint(v 2^32) = floor(v) 2^32 +
+    rint((v - floor(v)) 2^32) for the even floor(v) 2^32. A row's sum may
+    pass 2^63 units at many users per trial, but either part's stays far
+    below 2^53, where float sums of whole numbers are exact (about 2^44 at
+    the ScenarioConfig cap of 2^26 users per block, whose passes hold one
+    block); a part that reaches it raises. e is left holding the fractions'
+    units."""
+    whole = np.floor(e)
+    e -= whole
+    e *= _FIXED_POINT
+    np.rint(e, out=e)
+    wholes, parts = whole.sum(axis=1), e.sum(axis=1)
+    if max(wholes.max(), parts.max()) >= _EXACT_SUMS:
+        raise OverflowError("fixed-point sums reached 2^53 in a part")
+    return [(int(w) << 32) + int(p) for w, p in zip(wholes, parts)]
+
+
+def _expected_tally(law: _CenterLaw, side: _UserSide) -> TrialTally:
+    """A pass's tally at a scenario run by the center law: each trial's
+    expected outages given its users, sum F(k need) under equal split and
+    sum F(csum) under inversion, and its union event F(total), with their
+    moments."""
+    tally = replace(side.tally)
+    if tally.users == 0:
+        return tally
+    th = side.thresholds
+    f = law.shortfall(th)
+    # rows: e_ci, e_inv, union, e_ci^2, e_inv^2, e_ci k, e_inv k
+    e = np.empty((7, len(th.users)))
+    np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
+    np.take(f, th.last, out=e[2])
+    np.multiply(e[:2], e[:2], out=e[3:5])
+    np.multiply(e[:2], th.users, out=e[5:7])
+    (tally.out_ci, tally.out_inv, tally.union_trials, tally.sq_ci, tally.sq_inv,
+     tally.ek_ci, tally.ek_inv) = _fixed_point_sums(e)
+    tally.k_sq = th.k_sq
+    tally.persist_ci, tally.persist_inv = side.persist[law.peak]
+    return tally
+
+
 def _pass_bytes_per_trial(points: list[tuple]) -> float:
     """Bytes a pass holds per trial at its peak, estimated before it draws
-    from the (scenario, window, supply, by center law) points of its group:
-    the larger of its user draws joined beside the blocks they join, and its
-    padded rows beside its densest scenario's fields."""
+    from the (scenario, window, supply, center law or None) points of its
+    group: the largest of its user draws joined beside the blocks they join,
+    its padded rows beside the center law's thresholds as they are built,
+    and the thresholds beside the rows a counting point keeps and the
+    group's densest scenario's fields."""
     mu = points[0][0].mean_users_per_cell
-    draws = 8 * (1 + 3 * mu)            # users per trial; each user's x, y and fading
+    counted = any(law is None for *_, law in points)
+    integrated = any(law is not None for *_, law in points)
+    draws = 8 * (1 + 2 * mu)            # users per trial; each user's distance and fading
     width = mu + 4 * math.sqrt(mu) + 4  # a Poisson(mu) count exceeds it w.p. < 4e-5
-    rows = 8 * (2 * width + 3) + width  # grants, csum, 3 per-trial arrays, one mask
-    fields = max(8 * _FIELD_ARRAYS if law else
+    # needs (and their running sums, kept apart for a counting point), each
+    # user's place in them, 5 per-trial arrays and one mask
+    rows = 8 * ((1 + counted) * width + mu + 5) + width
+    # two logs per user, beside one per user or 4 per trial
+    thresholds = 8 * 3 * mu if integrated else 0
+    fields = max(8 * (2 * mu + _LAW_ARRAYS) if law else
                  8 * (2 * cfg.field.lambda_e * window.area + 1
                       + _FIELD_ARRAYS * len(supply.positions))
                  for cfg, window, supply, law in points)
-    return max(2 * draws, rows + fields)
+    return max(2 * draws, rows + thresholds, rows * counted + thresholds + fields)
 
 
 def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
@@ -488,7 +680,10 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
     windows = [resolve_window(cfg) for cfg in cfgs]
     supplies = [_supply(cfg, window) for cfg, window in zip(cfgs, windows)]
     peaks = tuple(dict.fromkeys(supply.peak_station_power for supply in supplies))
-    points = [(*point, _by_center_law(*point)) for point in zip(cfgs, windows, supplies)]
+    points = [(cfg, window, supply,
+               _CenterLaw(supply.peak_station_power, cfg.field, window)
+               if _by_center_law(cfg, window, supply) else None)
+              for cfg, window, supply in zip(cfgs, windows, supplies)]
     step = BLOCK * max(1, int(_PASS_BYTES // (BLOCK * _pass_bytes_per_trial(points))))
     tallies = [TrialTally() for _ in cfgs]
     for a in range(start, stop, step):
@@ -500,24 +695,21 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
 def _pass_tallies(points: list[tuple], peaks: tuple, seed: int, a: int,
                   b: int) -> list[TrialTally]:
     """Trials [a, b) as one pass at each point of a group: the users
-    evaluated once, then each scenario's fields. What the pass holds is let
-    go when it returns, before the next pass draws."""
-    side = _user_side(points[0][0], seed, a, b, peaks)
-    u = _pass_draw(partial(_draw_uniforms, seed), a, b).u \
-        if any(law for *_, law in points) else None
-    return [_point_tally(cfg, supply, _pass_fields(cfg, window, supply, law, u, seed, a, b),
-                         side)
+    evaluated once, then each scenario's expected outages by the center law
+    or its drawn fields. What the pass holds is let go when it returns,
+    before the next pass draws."""
+    laws = [law for *_, law in points]
+    side = _user_side(points[0][0], seed, a, b, peaks, any(law is None for law in laws),
+                      tuple(dict.fromkeys(law.peak for law in laws if law is not None)))
+    return [_point_tally(cfg, supply, _pass_fields(cfg, window, supply, seed, a, b), side)
+            if law is None else _expected_tally(law, side)
             for cfg, window, supply, law in points]
 
 
-def _pass_fields(cfg: ScenarioConfig, window: Window, supply: _Supply, law: bool,
-                 u: np.ndarray | None, seed: int, a: int, b: int) -> np.ndarray:
+def _pass_fields(cfg: ScenarioConfig, window: Window, supply: _Supply, seed: int,
+                 a: int, b: int) -> np.ndarray:
     """Trials [a, b)'s field values at the supply's harvesters, (harvesters,
-    trials): by the center law from the group's uniforms u, or from the
-    scenario's drawn centers."""
-    if law:
-        d = nearest_center_distance(u, cfg.field.lambda_e, window)
-        return _boolean_kernel(cfg.field, d)[None, :]
+    trials), from the scenario's drawn centers."""
     real = _pass_draw(partial(_draw_fields, cfg.field, window, seed), a, b)
     return field_values(real, supply.positions)
 
@@ -541,7 +733,7 @@ class OutageEstimate:
     ci_hi: float
     n_trials: int
     n_users: int
-    n_outages: int
+    n_outages: float      # expected outages at a center-law point, else a count
     p_energy_random: float
     p_max_power: float
     union_rate: float | None
@@ -614,22 +806,51 @@ def bound_values(cfg: ScenarioConfig, scheme: Scheme) -> dict[str, float]:
     return vals
 
 
+def _effective_users(tally: TrialTally, out: int, sq: int, ek: int) -> float | None:
+    """n_eff = p (1 - p) / var of a scheme's expected outages, var the delta
+    method's variance of p = sum e / sum k over the trials,
+    sum (e - p k)^2 / (n (n - 1) kbar^2). None where the outages have no
+    spread to measure: none are expected, or every trial's are in
+    proportion to its users to the resolution of the sums."""
+    n, users = tally.trials, tally.users
+    scale = _FIXED_POINT * users
+    # sum (e - p k)^2 scaled by (2^32 users)^2, in exact integers
+    spread = sq * scale * users - 2 * out * ek * users + out * out * tally.k_sq
+    p = out / scale
+    if out == 0 or spread <= 0 or p >= 1.0:
+        return None
+    var = spread / (scale * scale) * n / ((n - 1) * users * users)
+    return p * (1.0 - p) / var
+
+
 def estimates_from_tally(cfg: ScenarioConfig, tally: TrialTally
                          ) -> dict[Scheme, OutageEstimate]:
     """Turn raw tallies into per-scheme estimates with Wilson intervals and
-    attached bounds."""
+    attached bounds. A center-law point's interval is Wilson's at its
+    effective users (_effective_users), at Student's t quantile with one
+    degree of freedom fewer than its trials, as var is estimated from them.
+    Any other point's is Wilson's at its users, and so is a center-law
+    point's without a spread, or with fewer than 2 trials that have users,
+    which also sets low_confidence."""
     out: dict[Scheme, OutageEstimate] = {}
     users = tally.users
+    expected = tally.expected
+    few = expected and tally.trials - tally.zero_user_trials < 2
     for scheme in Scheme:
         if scheme is Scheme.CHANNEL_INDEPENDENT:
-            n_out, n_persist = tally.out_ci, tally.persist_ci
+            count, n_persist = tally.out_ci, tally.persist_ci
+            moments = tally.sq_ci, tally.ek_ci
             union = None
         else:
-            n_out, n_persist = tally.out_inv, tally.persist_inv
-            union = tally.union_trials / tally.trials if tally.trials else None
+            count, n_persist = tally.out_inv, tally.persist_inv
+            moments = tally.sq_inv, tally.ek_inv
+            union = tally.in_users(tally.union_trials) / tally.trials if tally.trials else None
+        n_out = tally.in_users(count)
         if users > 0:
             p = n_out / users
-            lo, hi = wilson_ci(n_out, users)
+            n_eff = _effective_users(tally, count, *moments) if expected and not few else None
+            lo, hi = wilson_ci(n_out, users) if n_eff is None else \
+                wilson_interval(p, n_eff, t_quantile_975(tally.trials - 1))
         else:
             p, lo, hi = 0.0, 0.0, 1.0
         out[scheme] = OutageEstimate(
@@ -638,7 +859,7 @@ def estimates_from_tally(cfg: ScenarioConfig, tally: TrialTally
             p_energy_random=(n_out - n_persist) / users if users else 0.0,
             p_max_power=n_persist / users if users else 0.0,
             union_rate=union, zero_user_trials=tally.zero_user_trials,
-            gain_clamps=tally.gain_clamps, low_confidence=users < 100,
+            gain_clamps=tally.gain_clamps, low_confidence=users < 100 or few,
             bound_values=bound_values(cfg, scheme))
     return out
 

@@ -17,9 +17,9 @@ realizations (draw_field with n, one by default; a hand-built set of centers
 is a block of one), and field_values evaluates all of them in one grouped
 pass. The samplers, the aggregated supply and the trial engine's shot-noise
 and several-harvester trials draw and evaluate fields this way; the trial
-engine's boolean fields read at the window's center alone (on-site, or a
-cluster of one harvester) take one uniform each through the nearest
-center's exact window law below instead.
+engine integrates boolean fields read at the window's center alone
+(on-site, or a cluster of one harvester) over the nearest center's exact
+window law below instead.
 
 field_values evaluates all three kernels by factoring the evaluation points
 by axis (PointSet.axes, computed once per point set): a per-axis step runs
@@ -48,8 +48,8 @@ exact law too: its nearest center lies beyond r with probability
 exp(-lambda_e A(r)), A(r) being the area of the disk of radius r inside the
 window (window_disk_area), which is pi r^2 up to half the shorter side,
 where the plane laws above hold. nearest_center_distance inverts it at
-uniforms, one distance per uniform, so a field at the center takes one
-uniform instead of a realization's centers.
+uniforms, one distance per uniform, so a field at the center can be drawn
+from one uniform instead of a realization's centers.
 
 The samplers (sample_intensity, sample_intensity_pair) take no chunk size:
 they draw and evaluate as many whole realizations at a time as hold

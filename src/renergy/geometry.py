@@ -7,10 +7,10 @@ aggregation.supply_statistics) are grouped by absolute index into blocks of
 BLOCK. Block b has two streams: its fields come from
 substream(seed, b, FIELD_STREAM) and its users, their positions and their
 fading from substream(seed, b, USER_STREAM), so a setting that changes the
-field leaves every user draw as it was. A field stream gives either the
-block's energy centers or, for a trial that reads a boolean field at the
-window's center alone, BLOCK uniforms that every scenario of a group shares
-(see renergy.coverage). The field samplers
+field leaves every user draw as it was. A field stream gives the block's
+energy centers; a trial that reads a boolean field at the window's center
+alone integrates its field out and reads no field stream (see
+renergy.coverage). The field samplers
 (energy_field.sample_intensity, sample_intensity_pair) draw from the
 generator their caller passes instead.
 

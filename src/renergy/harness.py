@@ -10,9 +10,11 @@ scenario columns are its config settings named without their section
 (``field.gamma`` -> ``gamma``), written as the config file writes them, with
 the ``distributed`` columns empty on on-site rows; the estimate columns are
 the OutageEstimate fields of the same names, and ``bound_<name>`` is bound
-``<name>``. Only psi, fading_param, line_mode and the resolved window_side
-are named by hand. A sweep point is its scenario's settings with one key
-edited.
+``<name>``. At a point the engine runs by the center law, n_outages and
+union_rate are expected counts, which need not be whole (see
+renergy.coverage). Only psi, fading_param, line_mode and the resolved
+window_side are named by hand. A sweep point is its scenario's settings with
+one key edited.
 
 All floats are written with repr-stable 17-significant-digit formatting and
 runs are keyed by (config, seed) only, so a rerun — at any worker count —

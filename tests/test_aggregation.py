@@ -17,7 +17,7 @@ from renergy.aggregation import (Distributed, LineSpec, build_clusters,
 from renergy import coverage
 from renergy.channel import ChannelSpec
 from renergy.cli import _repro_experiment
-from renergy.coverage import ScenarioConfig, run_trials_chunk
+from renergy.coverage import ScenarioConfig, Scheme, estimates_from_tally, run_trials_chunk
 from renergy.energy_field import EnergyFieldSpec, Kernel, draw_field, field_values
 from renergy.geometry import (BLOCK, FIELD_STREAM, hex_cell_circumradius, hex_pitch,
                               nearest_site_indices, substream)
@@ -312,12 +312,11 @@ def test_single_harvester_clusters_match_onsite():
     p_on = np.empty(n_chunks)
     p_dist = np.empty(n_chunks)
     for c in range(n_chunks):
-        t_on = run_trials_chunk(onsite, c * per_chunk, (c + 1) * per_chunk, 55)
-        t_di = run_trials_chunk(dist, c * per_chunk, (c + 1) * per_chunk, 56)
-        p_on[c] = t_on.out_ci / t_on.users
-        p_dist[c] = t_di.out_ci / t_di.users
-    # users share the field draw within a trial, so chunk scatter is the
-    # honest spread estimate
+        for p, cfg, seed in ((p_on, onsite, 55), (p_dist, dist, 56)):
+            tally = run_trials_chunk(cfg, c * per_chunk, (c + 1) * per_chunk, seed)
+            p[c] = estimates_from_tally(cfg, tally)[Scheme.CHANNEL_INDEPENDENT].p_out
+    # users share their station's budget within a trial, so chunk scatter is
+    # the honest spread estimate
     se = math.sqrt(p_on.var(ddof=1) / n_chunks + p_dist.var(ddof=1) / n_chunks)
     assert abs(p_on.mean() - p_dist.mean()) < 4.0 * se + 1e-9
 

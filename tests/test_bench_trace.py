@@ -67,8 +67,8 @@ def test_traced_chunk_accounts_for_every_layer(bench_run, architecture, warm):
     summary = tracer.summary()
     assert summary[bench_run.RTC]["calls"] == 1
     assert tracer.counters["trials"] == tally.trials == 400
-    if warm:   # three blocks touched, two drawn, each from two streams
-        assert summary["geometry.substream"]["under"][bench_run.RTC]["calls"] == 4
+    if warm:   # three blocks touched and two drawn, on-site from the user stream alone
+        assert summary["geometry.substream"]["under"][bench_run.RTC]["calls"] == 2
     checks = _Checks()
     metrics = bench_run._layer_metrics(summary, tracer.counters, 0.0, 0.0, 0.0, checks)
     assert not checks.failures

@@ -1,7 +1,7 @@
 """Trial engine: tallies, scheme ordering, pairing, reproducibility."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,13 +17,13 @@ from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_group_chunk,
                               run_trials_chunk)
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
-                                  _boolean_kernel, field_values, nearest_center_distance)
+                                  field_values, window_disk_area)
 from renergy.geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet,
                               hex_cell_circumradius, hex_pitch, sample_in_hex_cell,
                               substream)
 from renergy.cli import _repro_experiment
 from renergy.harness import apply_sweep
-from renergy.stats import wilson_ci
+from renergy.stats import t_quantile_975, wilson_ci, wilson_interval
 
 
 def unit_cfg(gamma=20.0, psi=0.05, lambda_u=10.0, kernel=Kernel.BOOLEAN_MAX_EXP,
@@ -112,6 +112,8 @@ _SPLIT_CASES = {
     "exact_rule_voltage": unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5)),
     "tau_floor": unit_cfg(architecture=Distributed(
         lambda_h=2.0, lambda_a=0.5, line=LineSpec(mode="tau_floor"))),
+    "tau_floor_one_harvester": unit_cfg(architecture=Distributed(
+        lambda_h=1.0, lambda_a=1.0, line=LineSpec(mode="tau_floor"))),
 }
 _SPLIT_TRIALS, _SPLIT_SEED = 600, 19
 
@@ -198,8 +200,9 @@ _MEMO_CASES = {
 
 def _record_passes(monkeypatch):
     """The blocks drawn from each stream, the trials per pass and the calls
-    to the outage count, filled as the engine runs, with the block memos
-    emptied. Each pass's user side also records the peak powers it counts."""
+    to the outage count at drawn fields, filled as the engine runs, with the
+    block memos emptied. Each pass's user side also records the peak powers
+    it counts."""
     # run_group_chunk looks substream, _user_side and _outages up in
     # coverage's globals
     drawn, passes = {FIELD_STREAM: [], USER_STREAM: []}, []
@@ -210,10 +213,10 @@ def _record_passes(monkeypatch):
         drawn[stream].append(block)
         return substream(seed, block, stream)
 
-    def recording_user_side(cfg, seed, a, b, peaks):
+    def recording_user_side(cfg, seed, a, b, peaks, *flags):
         passes.append(b - a)
         outages.append(("peaks", *peaks))
-        return user_side(cfg, seed, a, b, peaks)
+        return user_side(cfg, seed, a, b, peaks, *flags)
 
     def counting_outages(side, power):
         outages.append("count")
@@ -223,14 +226,14 @@ def _record_passes(monkeypatch):
     monkeypatch.setattr(coverage, "_user_side", recording_user_side)
     monkeypatch.setattr(coverage, "_outages", counting_outages)
     coverage._draw_fields.cache_clear()
-    coverage._draw_uniforms.cache_clear()
     coverage._draw_users.cache_clear()
     return drawn, passes, outages
 
 
-def _each_stream(blocks):
-    """Blocks drawn once from the field stream and once from the user stream."""
-    return {FIELD_STREAM: list(blocks), USER_STREAM: list(blocks)}
+def _each_stream(blocks, fields=True):
+    """Blocks drawn once from the user stream, and once from the field stream
+    where the fields are drawn."""
+    return {FIELD_STREAM: list(blocks) if fields else [], USER_STREAM: list(blocks)}
 
 
 @pytest.mark.parametrize("case", sorted(_MEMO_CASES))
@@ -239,14 +242,16 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     cfg = _MEMO_CASES[case]
     n = 8 * BLOCK
     chunks = [run_trials_chunk(cfg, a, min(a + 200, n), 31) for a in range(0, n, 200)]
-    assert drawn == _each_stream(range(8))   # cutting the run at 200s drew 18 blocks
+    # cutting the run at 200s drew 18 blocks; on-site draws no fields
+    onsite = case == "onsite"
+    assert drawn == _each_stream(range(8), fields=not onsite)
     # a chunk across a block edge is one pass over the tail and the head
     assert passes == [200] * 10 + [48]
     for blocks in (*drawn.values(), passes):
         blocks.clear()
-    # at 525 B (on-site) and 767 B (distributed) per trial, eight blocks fit one pass
+    # at 600 B (on-site) and 863 B (distributed) per trial, eight blocks fit one pass
     whole = run_trials_chunk(cfg, 0, n, 31)
-    assert drawn == _each_stream(range(8)) and passes == [n]
+    assert drawn == _each_stream(range(8), fields=not onsite) and passes == [n]
     assert sum(chunks, TrialTally()) == whole
 
 
@@ -255,23 +260,24 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     (Kernel.SHOT_NOISE_EXP, 6.0, 100, 612, [256, 256], [0, 1, 2]),
     (Kernel.SHOT_NOISE_EXP, 3.0, 100, 1300, [512, 512, 176], [0, 1, 2, 3, 4, 5]),
     (Kernel.SHOT_NOISE_EXP, 0.05, 500, 1000, [500], [1, 2, 3]),
-    (Kernel.BOOLEAN_MAX_EXP, 6.0, 100, 6100, [5888, 112], list(range(24))),
+    (Kernel.BOOLEAN_MAX_EXP, 6.0, 100, 6100, [5120, 880], list(range(24))),
 ])
 def test_chunk_runs_in_fewest_passes(monkeypatch, kernel, psi, start, stop, passes, blocks):
     # a pass takes as many blocks of trials as keep the bytes it holds within
     # _PASS_BYTES (3 MiB: 12288 B per trial of one block), one at least. At 10
-    # users per cell a trial's padded rows take 477 B, and shot noise on the
-    # 10 x 10 window adds 8 (200 psi + 7) B of centers and fields: 10133 B at
-    # psi 6 exceed a block, 5333 B at psi 3 fit two blocks and 613 B at psi
-    # 0.05 fit 20. The center law adds 48 B whatever psi is: 525 B fit 23
-    # blocks. A chunk runs in the fewest such passes wherever it starts, and
-    # each block it touches is drawn once
+    # users per cell a trial's padded rows take 573 B, and shot noise on the
+    # 10 x 10 window adds 8 (200 psi + 7) B of centers and fields: 10229 B at
+    # psi 6 exceed a block, 5429 B at psi 3 fit two blocks and 709 B at psi
+    # 0.05 fit 17. By the center law, the needs alone and the thresholds built
+    # beside them take 600 B whatever psi is, which fit 20 blocks. A chunk
+    # runs in the fewest such passes wherever it starts, and each block it
+    # touches is drawn once
     drawn, seen, _ = _record_passes(monkeypatch)
     cfg = unit_cfg(psi=psi, kernel=kernel)
     tally = run_trials_chunk(cfg, start, stop, 19)
     assert seen == passes
-    assert drawn == _each_stream(blocks)
-    assert tally == _oracle_tally(cfg, start, stop, 19)
+    assert drawn == _each_stream(blocks, fields=kernel is Kernel.SHOT_NOISE_EXP)
+    _assert_matches_oracle(cfg, tally, start, stop, 19)
 
 
 def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
@@ -281,26 +287,33 @@ def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
     group = tuple(unit_cfg(psi=psi) for psi in (0.05, 0.2, 0.5))
     n = 30 * BLOCK
     tallies = run_group_chunk(group, 0, n, 7)
-    # by the center law every point holds 525 B per trial, so 23 blocks fill
+    # by the center law every point holds 600 B per trial, so 20 blocks fill
     # a pass (see test_chunk_runs_in_fewest_passes) and each point alone
-    # takes its group's passes. On-site, every point takes its fields from
-    # the same uniforms, drawn once per pass
-    assert passes == [23 * BLOCK, 7 * BLOCK]
-    assert drawn == _each_stream(range(30))
-    # each pass: the peak's counts once, in the user side, then one per point
-    assert outages == [("peaks", 20.0), "count", "count", "count", "count"] * 2
+    # takes its group's passes. On-site, every point integrates its field
+    # out over the pass's thresholds, so no field is drawn and no outage is
+    # counted at a drawn power
+    assert passes == [20 * BLOCK, 10 * BLOCK]
+    assert drawn == _each_stream(range(30), fields=False)
+    # each pass counts the peak's outages once, in the user side
+    assert outages == [("peaks", 20.0)] * 2
     assert len({t.users for t in tallies}) == 1
     assert len({t.out_inv for t in tallies}) == 3
     assert len({t.persist_inv for t in tallies}) == 1
     passes.clear()
     run_trials_chunk(group[0], 0, n, 7)
-    assert passes == [23 * BLOCK, 7 * BLOCK]
+    assert passes == [20 * BLOCK, 10 * BLOCK]
     # a gamma_eta group counts each distinct peak once per pass
     outages.clear()
     group = tuple(apply_sweep(unit_cfg(), "gamma_eta", g) for g in (5.0, 80.0, 5.0))
     tallies = run_group_chunk(group, 0, 10 * BLOCK, 7)
-    assert outages == [("peaks", 5.0, 80.0), *["count"] * 5]
+    assert outages == [("peaks", 5.0, 80.0)]
     assert tallies[0] == tallies[2] and tallies[0].persist_ci > tallies[1].persist_ci
+    # a distributed group counts each point's outages at its drawn powers
+    outages.clear()
+    base = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+    group = tuple(apply_sweep(base, "gamma_eta", g) for g in (5.0, 80.0))
+    run_group_chunk(group, 0, 2 * BLOCK, 7)
+    assert outages[1:] == ["count", "count"] and len(outages[0]) == 3
     with pytest.raises(ValueError, match="user_settings"):
         run_group_chunk((group[0], replace(group[0], theta=4.0)), 0, 10, 7)
     with pytest.raises(ValueError, match="user_settings"):
@@ -313,6 +326,9 @@ _BUDGET_CASES = {
         unit_cfg(architecture=Distributed(lambda_h=lambda_h, lambda_a=0.5))
         for lambda_h in (2.0, 6.0)),
     "shot_noise": (unit_cfg(kernel=Kernel.SHOT_NOISE_EXP),),
+    "tau_floor_one_harvester_gamma_group": tuple(
+        apply_sweep(_SPLIT_CASES["tau_floor_one_harvester"], "gamma_eta", g)
+        for g in (5.0, 80.0)),
 }
 
 
@@ -337,7 +353,7 @@ def test_tallies_do_not_depend_on_the_pass_budget(monkeypatch, case):
 ])
 def test_the_scenario_alone_selects_the_center_law(monkeypatch, kw, by_law):
     # a boolean field at the window's center alone (on-site, or a cluster of
-    # one harvester) takes its fields from uniforms and never draws centers
+    # one harvester) is integrated out by its law and never draws centers
     calls = []
     for name in ("draw_field", "field_values"):
         monkeypatch.setattr(coverage, name, lambda *args, fn=getattr(coverage, name):
@@ -384,9 +400,9 @@ def test_group_tallies_equal_points_run_alone(group, start, length, seed):
     ("gamma_eta", (250.0, 1000.0, 4000.0)),
 ])
 def test_onsite_outages_fall_along_a_field_sweep(param, values):
-    # the points of an on-site group take their fields from the same uniform
-    # per trial, and a denser or stronger field maps it to a larger value, so
-    # no chunk's outages rise from one point to the next
+    # the points of an on-site group integrate the same users over their
+    # field's law, and a denser or stronger field is below any threshold less
+    # often, so no chunk's expected outages rise from one point to the next
     base = _repro_experiment("fig4").scenario
     group = tuple(apply_sweep(base, param, v) for v in values)
     for a in range(0, 20 * 300, 300):
@@ -400,9 +416,8 @@ def test_block_memo_is_read_only_and_keyed():
     cfg = unit_cfg()
     users = coverage._draw_users(cfg, 3, 1)
     real = coverage._draw_fields(cfg.field, resolve_window(cfg), 3, 1)
-    uniforms = coverage._draw_uniforms(3, 1)
-    for a in (users.users, users.positions, users.fading, real.counts,
-              real.centers.points, uniforms.u):
+    for a in (users.users, users.distance, users.fading, real.counts,
+              real.centers.points):
         with pytest.raises(ValueError):
             a[0] = 0
     # the memo holds one block: runs that take turns evict each other's
@@ -419,56 +434,103 @@ def test_block_memo_is_read_only_and_keyed():
     assert len(set(map(str, alone))) == 3
 
 
+def _oracle_shortfall(cfg, window, supply, x):
+    """Pr(P < x) for the power P of a station run by the center law, one
+    threshold at a time: the chance that no center lies within r of the
+    window's center, r being where the peak station power times the kernel's
+    decay falls to x."""
+    c = supply.peak_station_power
+    if x >= c:
+        return 1.0
+    ratio = c / x
+    r2 = cfg.field.nu * (math.log(ratio) if cfg.field.kernel is Kernel.BOOLEAN_MAX_EXP
+                         else ratio - 1.0)
+    return math.exp(-cfg.field.lambda_e * float(window_disk_area(math.sqrt(r2), window)))
+
+
 def _oracle_field(cfg, window, supply, seed, t):
-    """Trial t's field at the supply's harvesters, (harvesters, 1). A boolean
-    field at the window's center alone maps the trial's own uniform of its
-    block's field stream through the nearest center's law, one scalar at a
-    time; any other field evaluates the trial's own centers."""
+    """Trial t's field at the supply's harvesters, (harvesters, 1), from the
+    trial's own centers of its block's field stream."""
     b, i = divmod(t, BLOCK)
-    if cfg.field.kernel is not Kernel.SHOT_NOISE_EXP \
-            and np.array_equal(supply.positions.points, window.center[None, :]):
-        u = coverage._draw_uniforms(seed, b).u[i]
-        d = nearest_center_distance(u, cfg.field.lambda_e, window)
-        return np.reshape(_boolean_kernel(cfg.field, d), (1, 1))
     real = coverage._draw_fields(cfg.field, window, seed, b)
     c0 = int(real.counts[:i].sum())
     centers = PointSet(real.centers.points[c0:c0 + real.counts[i]])
     return field_values(FieldRealization(cfg.field, centers, window), supply.positions)
 
 
-def _oracle_tally(cfg, start, stop, seed):
-    """Scalar reference engine: the engine's drawn blocks of fields and of
-    users, each from its own stream, evaluated trial by trial with np.sort,
-    np.cumsum and searchsorted, as the per-trial loop the block engine
-    replaced did."""
+def _fixed(v):
+    """v in units of 2^-32, rounded half to even as np.rint rounds."""
+    return round(v * 2 ** 32)
+
+
+def _oracle_trials(cfg, start, stop, seed):
+    """Scalar reference engine, one tally per trial: the engine's drawn
+    blocks of users, evaluated trial by trial with np.sort, np.cumsum and
+    searchsorted, as the per-trial loop the block engine replaced did. A
+    scenario run by the center law adds each user's F at its threshold
+    (_oracle_shortfall) and rounds the trial's sums and moments to 2^-32;
+    any other counts the outages at its drawn field."""
     window = resolve_window(cfg)
     supply = coverage._supply(cfg, window)
+    law = coverage._by_center_law(cfg, window, supply)
     peak = supply.peak_station_power
-    tally = TrialTally()
     for t in range(start, stop):
         b, i = divmod(t, BLOCK)
         draws = coverage._draw_users(cfg, seed, b)
-        budgets = cfg.eta * _oracle_field(cfg, window, supply, seed, t)
-        power = float(supply.station_power(budgets)[0])
         k = int(draws.users[i])
-        tally.trials += 1
         if k == 0:
-            tally.zero_user_trials += 1
+            yield TrialTally(trials=1, zero_user_trials=1)
             continue
-        tally.users += k
         u0 = int(draws.users[:i].sum())
         u = slice(u0, u0 + k)
-        pos = draws.positions[u]
-        dist = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
-        tally.gain_clamps += int(np.count_nonzero(dist < cfg.channel.min_dist))
+        dist = draws.distance[u]
         need = required_power(cfg.theta, dist, draws.fading[u], cfg.channel)
-        tally.out_ci += int(np.count_nonzero(need > power / k))
-        tally.persist_ci += int(np.count_nonzero(need > peak / k))
         csum = np.cumsum(np.sort(need))
-        tally.out_inv += k - int(np.searchsorted(csum, power, side="right"))
-        tally.persist_inv += k - int(np.searchsorted(csum, peak, side="right"))
-        tally.union_trials += int(csum[-1] > power)
-    return tally
+        tally = TrialTally(trials=1, users=k,
+                           gain_clamps=int(np.count_nonzero(dist < cfg.channel.min_dist)),
+                           persist_ci=int(np.count_nonzero(need > peak / k)),
+                           persist_inv=k - int(np.searchsorted(csum, peak, side="right")))
+        if law:
+            def shortfall(x):
+                return _oracle_shortfall(cfg, window, supply, float(x))
+            e_ci = sum(shortfall(k * g) for g in need)
+            e_inv = sum(shortfall(c) for c in csum)
+            tally.out_ci, tally.out_inv = _fixed(e_ci), _fixed(e_inv)
+            tally.union_trials = _fixed(shortfall(csum[-1]))
+            tally.sq_ci, tally.sq_inv = _fixed(e_ci * e_ci), _fixed(e_inv * e_inv)
+            tally.ek_ci, tally.ek_inv = _fixed(e_ci * k), _fixed(e_inv * k)
+            tally.k_sq = k * k
+        else:
+            budgets = cfg.eta * _oracle_field(cfg, window, supply, seed, t)
+            power = float(supply.station_power(budgets)[0])
+            tally.out_ci = int(np.count_nonzero(need > power / k))
+            tally.out_inv = k - int(np.searchsorted(csum, power, side="right"))
+            tally.union_trials = int(csum[-1] > power)
+        yield tally
+
+
+def _oracle_tally(cfg, start, stop, seed):
+    return sum(_oracle_trials(cfg, start, stop, seed), TrialTally())
+
+
+# The fields a center-law point tallies as expected counts and their moments.
+_EXPECTED_FIELDS = ("out_ci", "out_inv", "union_trials", "sq_ci", "sq_inv", "ek_ci", "ek_inv")
+
+
+def _assert_close_to(tally, want):
+    """Every count equal; the expected counts and moments, which the oracle
+    reaches by other arithmetic, within one unit per trial and 1e-9 of
+    their size."""
+    for f in fields(TrialTally):
+        got, expected = getattr(tally, f.name), getattr(want, f.name)
+        if f.name in _EXPECTED_FIELDS and want.k_sq:
+            assert abs(got - expected) <= want.trials + 1e-9 * expected, f.name
+        else:
+            assert got == expected, f.name
+
+
+def _assert_matches_oracle(cfg, tally, start, stop, seed):
+    _assert_close_to(tally, _oracle_tally(cfg, start, stop, seed))
 
 
 _ORACLE_SUPPLIES = {
@@ -481,6 +543,8 @@ _ORACLE_SUPPLIES = {
         lambda_h=2.0, lambda_a=0.5, line=LineSpec(mode="tau_floor"))},
     "one_harvester": {"architecture": Distributed(
         lambda_h=1.0, lambda_a=1.0, line=LineSpec(voltage=3.0))},
+    "tau_floor_one_harvester": {"architecture": Distributed(
+        lambda_h=1.0, lambda_a=1.0, line=LineSpec(mode="tau_floor"))},
 }
 
 
@@ -498,12 +562,16 @@ _ORACLE_SUPPLIES = {
 def test_block_engine_matches_scalar_oracle(kernel, fading, supply, psi, lambda_u,
                                             ref_dist, start, length, seed):
     # lambda_u 0.5 leaves most cells empty; ref_dist 3 puts a user inside the
-    # path-gain clamp radius every few dozen trials
+    # path-gain clamp radius every few dozen trials. A center-law point's
+    # expected counts are checked trial by trial too, on the chunk's first 20
     cfg = unit_cfg(psi=psi, lambda_u=lambda_u, kernel=kernel, fading=fading,
                    **_ORACLE_SUPPLIES[supply])
     cfg = replace(cfg, channel=replace(cfg.channel, ref_dist=ref_dist))
     stop = start + length
-    assert run_trials_chunk(cfg, start, stop, seed) == _oracle_tally(cfg, start, stop, seed)
+    _assert_matches_oracle(cfg, run_trials_chunk(cfg, start, stop, seed), start, stop, seed)
+    for t, want in zip(range(start, stop), _oracle_trials(cfg, start, min(stop, start + 20),
+                                                           seed)):
+        _assert_close_to(run_trials_chunk(cfg, t, t + 1, seed), want)
 
 
 def test_oracle_sees_clamps_and_both_outage_kinds():
@@ -549,8 +617,10 @@ def test_inversion_never_worse_than_equal_split_per_trial(supply, psi, gamma, tr
 
 def test_union_event_equals_total_demand_exceedance():
     # under inversion, some user is uncovered exactly when the total demand
-    # exceeds the budget, so per-trial the two events coincide
-    cfg = unit_cfg()
+    # exceeds the budget, so per-trial the two events coincide at a drawn
+    # field (a center-law point's expected counts are checked in
+    # test_expected_outages)
+    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
     for t in range(120):
         tally = run_trials_chunk(cfg, t, t + 1, 202)
         if tally.users == 0:
@@ -597,55 +667,108 @@ _TAGGED_STREAM = 2   # last key of a stream the engine does not draw from
 
 
 def _tagged_outage_rate(cfg, start, stop, seed):
-    """The share of trials [start, stop) whose tagged user is in outage under
-    equal split. Each trial reads the engine's field (_oracle_field); its
-    cell, the tagged user first and then a Poisson number of others, comes
-    from a stream of the chunk's own that the engine does not use."""
+    """The tagged user's expected outage under equal split, averaged over
+    trials [start, stop). Each trial's cell, the tagged user first and then
+    a Poisson number of others, comes from a stream of the chunk's own that
+    the engine does not use, and the field is integrated out by its law
+    (_oracle_shortfall), as the engine integrates it."""
     window = resolve_window(cfg)
     supply = coverage._supply(cfg, window)
     rng = substream(seed, start, _TAGGED_STREAM)
-    out = 0
+    out = 0.0
     for t in range(start, stop):
         k = 1 + int(rng.poisson(cfg.mean_users_per_cell))
         pos = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), k, rng)
         fading = sample_fading(cfg.channel, rng, k)
-        power = float(supply.station_power(
-            cfg.eta * _oracle_field(cfg, window, supply, seed, t))[0])
         dist = np.maximum(np.hypot(pos[:1, 0], pos[:1, 1]), 1e-12)
         need = required_power(cfg.theta, dist, fading[:1], cfg.channel)
-        out += int(need[0] > power / k)
+        out += _oracle_shortfall(cfg, window, supply, k * float(need[0]))
     return out / (stop - start)
 
 
 def test_p_out_is_the_tagged_users_outage():
     # p_out counts every user of a Poisson number K per cell, E[out_K] / E[K],
     # which by the Poisson size-bias identity is the outage of a tagged user
-    # sharing its cell with K others. Both sides read the same field at each
-    # trial, which carries most of the spread; chunks are i.i.d., so their
-    # differences give the standard error.
+    # sharing its cell with K others. Both sides integrate the field out, so
+    # only their users differ; chunks are i.i.d., so their differences give
+    # the standard error.
     cfg = unit_cfg(lambda_u=4.0)
     n_chunks, per_chunk, seed = 16, 400, 41
     gaps = []
     for c in range(n_chunks):
         a, b = c * per_chunk, (c + 1) * per_chunk
-        t = run_trials_chunk(cfg, a, b, seed)
-        gaps.append(t.out_ci / t.users - _tagged_outage_rate(cfg, a, b, seed))
+        est = estimates_from_tally(cfg, run_trials_chunk(cfg, a, b, seed))
+        gaps.append(est[Scheme.CHANNEL_INDEPENDENT].p_out - _tagged_outage_rate(cfg, a, b, seed))
     gap = float(np.mean(gaps))
     se = float(np.std(gaps, ddof=1)) / math.sqrt(n_chunks)
     assert abs(gap) < 3.5 * se, f"p_out is not the tagged user's: gap={gap:.4f} se={se:.4f}"
 
 
 def test_estimate_bookkeeping_matches_wilson():
-    cfg = unit_cfg()
+    # a point on the centers path reports Wilson's interval at its users
+    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
     tally = run_trials_chunk(cfg, 0, 200, 77)
     est = estimates_from_tally(cfg, tally)[Scheme.CHANNEL_INDEPENDENT]
     assert est.p_out == pytest.approx(tally.out_ci / tally.users)
     lo, hi = wilson_ci(tally.out_ci, tally.users)
     assert est.ci_lo == pytest.approx(lo) and est.ci_hi == pytest.approx(hi)
-    assert est.n_users == tally.users and est.n_trials == 200
+    assert est.n_users == tally.users and est.n_trials == 200 and est.n_outages == tally.out_ci
     assert not est.low_confidence
     few = estimates_from_tally(cfg, run_trials_chunk(cfg, 0, 3, 77))
     assert few[Scheme.CHANNEL_INDEPENDENT].low_confidence
+
+
+def test_center_law_interval_is_wilson_at_the_effective_users():
+    # a center-law point reports Wilson's interval at n_eff = p (1 - p) / var,
+    # var the delta method's variance of sum e / sum k over its trials, at
+    # the t quantile with n - 1 degrees of freedom; here recomputed from
+    # one-trial tallies
+    cfg = unit_cfg()
+    n = 200
+    trials = [run_trials_chunk(cfg, t, t + 1, 77) for t in range(n)]
+    tally = sum(trials, TrialTally())
+    for scheme, name in ((Scheme.CHANNEL_INDEPENDENT, "out_ci"), (Scheme.INVERSION, "out_inv")):
+        est = estimates_from_tally(cfg, tally)[scheme]
+        e = np.array([t.in_users(getattr(t, name)) for t in trials])
+        k = np.array([t.users for t in trials], dtype=float)
+        p = e.sum() / k.sum()
+        assert est.p_out == pytest.approx(p, rel=1e-12)
+        assert est.n_outages == getattr(tally, name) / 2.0 ** 32
+        var = ((e - p * k) ** 2).sum() / (n * (n - 1) * k.mean() ** 2)
+        lo, hi = wilson_interval(p, p * (1 - p) / var, t_quantile_975(n - 1))
+        assert est.ci_lo == pytest.approx(lo, rel=1e-6) and est.ci_hi == pytest.approx(hi, rel=1e-6)
+        # the field's spread integrated out, the interval is far narrower than
+        # Wilson's at the users, and not capped there
+        assert est.ci_halfwidth < 0.5 * np.diff(wilson_ci(est.n_outages, tally.users))[0] / 2
+        assert not est.low_confidence
+    inv = estimates_from_tally(cfg, tally)[Scheme.INVERSION]
+    assert inv.union_rate == tally.union_trials / 2.0 ** 32 / n
+
+
+# A center-law tally of 5 trials and 500 users: 40 expected equal-split
+# outages, spread over the trials.
+_UNIT = 1 << 32
+_SPREAD = TrialTally(trials=5, users=500, out_ci=40 * _UNIT, out_inv=30 * _UNIT,
+                     union_trials=2 * _UNIT, k_sq=60_000, sq_ci=400 * _UNIT,
+                     sq_inv=200 * _UNIT, ek_ci=4_500 * _UNIT, ek_inv=3_300 * _UNIT)
+
+
+@pytest.mark.parametrize("edit, low", [
+    ({}, False),
+    ({"trials": 1}, True),                          # one trial with users
+    ({"trials": 9, "zero_user_trials": 8}, True),   # one of nine
+    ({"out_ci": 0, "sq_ci": 0, "ek_ci": 0}, False),  # no expected outages
+    ({"sq_ci": 384 * _UNIT, "ek_ci": 4_800 * _UNIT}, False),   # e = p k throughout
+])
+def test_center_law_interval_edge_rules(edit, low):
+    # with fewer than 2 trials that have users, or outages without a spread,
+    # a center-law point keeps Wilson's interval at its users; the former
+    # sets low_confidence as well
+    tally = replace(_SPREAD, **edit)
+    est = estimates_from_tally(unit_cfg(), tally)[Scheme.CHANNEL_INDEPENDENT]
+    wilson = wilson_ci(tally.out_ci / _UNIT, 500)
+    assert ((est.ci_lo, est.ci_hi) == wilson) == bool(edit)
+    assert est.low_confidence == low
 
 
 def test_bound_attachment_dispatch():

@@ -473,6 +473,18 @@ def test_wilson_z_matches_scipy_normal_quantile():
     assert stats._Z95 == float(scipy.stats.norm.ppf(0.975))
 
 
+def test_t_quantile_matches_scipy():
+    # exact at 1 and 2 degrees of freedom; the series never exceeds the
+    # quantile, and closes in on it as the degrees grow
+    for dof, rel in ((1, 1e-14), (2, 1e-14), (3, 1.3e-3), (10, 4e-6), (50, 1e-8), (399, 1e-13),
+                     (10 ** 6, 1e-15)):
+        exact = float(scipy.stats.t.ppf(0.975, dof))
+        assert stats.t_quantile_975(dof) == pytest.approx(exact, rel=rel)
+        assert stats.t_quantile_975(dof) <= exact * (1 + 1e-15)
+    with pytest.raises(ValueError):
+        stats.t_quantile_975(0)
+
+
 def test_kolmogorov_critical_value_matches_scipy():
     # levels on both sides of x = 1, where the survival series switches form
     for level in (1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.5, 0.9):
