@@ -36,6 +36,9 @@ class ChiSquaredFading:
     omega: int
 
     def __post_init__(self) -> None:
+        # True would pass as order 1, whose E[1/H] is infinite
+        if isinstance(self.omega, (bool, np.bool_)):
+            raise ValueError(f"omega must be an integer >= 1, not {self.omega!r}")
         if not (1 <= self.omega < math.inf and int(self.omega) == self.omega):
             raise ValueError("omega must be an integer >= 1")
         object.__setattr__(self, "omega", int(self.omega))
@@ -112,30 +115,41 @@ def sample_fading(spec: ChannelSpec, rng: np.random.Generator, size: int) -> np.
     return np.maximum(re * re + im * im, fad.floor)
 
 
-def path_gain(d, spec: ChannelSpec):
-    """Power gain at distance d (km): 10^(-ref_loss_db/10) * (d/ref_dist)^(-alpha),
-    with d clamped up to spec.min_dist. Non-positive distances raise."""
-    d = np.asarray(d, dtype=float)
+def _path_loss(d, spec: ChannelSpec, scale: float = 1.0):
+    """scale * 10^(ref_loss_db/10) * (max(d, min_dist) / ref_dist)^alpha for
+    distances d (km), as a new array or a scalar. Non-positive distances
+    raise."""
     if not np.all(d > 0):
         raise ValueError("distance d must be positive")
-    # one new array scaled in place: the bits of c * (max(d, min_dist) /
-    # ref_dist) ** -alpha without its three temporaries
-    g = np.maximum(d, spec.min_dist)
-    g /= spec.ref_dist
-    g **= -spec.alpha
-    g *= 10.0 ** (-spec.ref_loss_db / 10.0)
-    return float(g) if g.ndim == 0 else g
+    # ((d / ref_dist)^2)^(alpha / 2) in place: numpy squares in place where
+    # alpha / 2 is 2, the default alpha, instead of calling pow
+    loss = np.maximum(d, spec.min_dist)
+    loss /= spec.ref_dist
+    loss *= loss
+    loss **= 0.5 * spec.alpha
+    loss *= scale * 10.0 ** (spec.ref_loss_db / 10.0)
+    return loss
+
+
+def path_gain(d, spec: ChannelSpec):
+    """Power gain at distance d (km): 10^(-ref_loss_db/10) * (d/ref_dist)^(-alpha),
+    with d clamped up to spec.min_dist, the reciprocal of the loss
+    required_power reads. Non-positive distances raise."""
+    g = 1.0 / _path_loss(np.asarray(d, dtype=float), spec)
+    return float(g) if np.ndim(g) == 0 else g
 
 
 def required_power(theta: float, d, h, spec: ChannelSpec):
-    """Transmit power that makes the received SNR exactly theta."""
+    """Transmit power that makes the received SNR exactly theta at distance d
+    (km) and fading gain h: theta * noise_w / (h * path_gain(d))."""
     if not 0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
-    h = np.asarray(h, dtype=float)
+    d, h = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(h, dtype=float))
     if not np.all(h > 0):
         raise ValueError("fading gain h must be positive")
-    q = theta * spec.noise_w / (h * path_gain(d, spec))
-    return float(q) if q.ndim == 0 else q
+    q = _path_loss(d, spec, theta * spec.noise_w)
+    q /= h
+    return float(q) if np.ndim(q) == 0 else q
 
 
 # Gauss-Legendre panels of the moment's quadrature, and the tail cut-off: the

@@ -22,9 +22,12 @@ Poisson size-bias identity, a typical user's outage probability. Every tally
 field is an integer, so chunked or multi-process runs merge exactly. Trials
 are grouped by absolute index into blocks of geometry.BLOCK (256), and block
 b draws from two streams: its fields from substream(seed, b, FIELD_STREAM),
-and its users per cell, user positions and fading gains, in that order, from
-substream(seed, b, USER_STREAM). A block keeps each user's distance from the
-station, max(hypot(x, y), 1e-12), in place of its position.
+and its users per cell, two uniforms per user for their distances from the
+station, and fading gains, in that order, from substream(seed, b,
+USER_STREAM). The cell is 12 congruent right triangles with a vertex at the
+station, so a uniform point of one has the cell's distance law, and a user's
+distance is drawn from it directly (geometry.hex_cell_distances), floored
+at 1e-12.
 
 A boolean field at the window's center alone, which is all an on-site
 station or a cluster of one harvester reads, depends on the center process
@@ -111,8 +114,10 @@ from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
 from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
                            field_values, window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
-                       default_window_side, hex_cell_circumradius, nearest_site_indices,
-                       sample_in_hex_cell, substream)
+                       default_window_side, hex_cell_circumradius, hex_cell_distances,
+                       nearest_site_indices, substream)
+# bench/run.py traces sample_in_hex_cell here, though the engine no longer calls it
+from .geometry import sample_in_hex_cell  # noqa: F401
 from .stats import t_quantile_975, wilson_ci, wilson_interval
 
 # glibc's malloc starts with small mmap and trim thresholds (128 KiB) and
@@ -442,14 +447,13 @@ class _CenterLaw:
 
 @lru_cache(maxsize=1)
 def _draw_users(cfg: ScenarioConfig, seed: int, block: int) -> _UserDraws:
-    """Block `block` of users, drawn read-only from its user stream: each
-    user's distance from the station, kept from its position in the cell."""
+    """Block `block` of users, drawn read-only from its user stream: users
+    per cell, each user's distance from the station, then fading."""
     rng = substream(seed, block, USER_STREAM)
     users = rng.poisson(cfg.mean_users_per_cell, BLOCK)
     n = int(users.sum())
-    pos = sample_in_hex_cell(hex_cell_circumradius(cfg.lambda_b), n, rng)
-    distance = np.maximum(np.hypot(pos[:, 0], pos[:, 1]), 1e-12)
-    del pos
+    distance = hex_cell_distances(hex_cell_circumradius(cfg.lambda_b), n, rng)
+    np.maximum(distance, 1e-12, out=distance)
     draws = _UserDraws(users, distance, sample_fading(cfg.channel, rng, n))
     for a in (users, distance, draws.fading):
         a.setflags(write=False)

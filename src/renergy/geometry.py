@@ -5,12 +5,15 @@ hexagonal lattices, and exact nearest-site queries with optional wraparound
 Runs of realizations (trials, or the field draws of
 aggregation.supply_statistics) are grouped by absolute index into blocks of
 BLOCK. Block b has two streams: its fields come from
-substream(seed, b, FIELD_STREAM) and its users, their positions and their
-fading from substream(seed, b, USER_STREAM), so a setting that changes the
-field leaves every user draw as it was. A field stream gives the block's
-energy centers; a trial that reads a boolean field at the window's center
-alone integrates its field out and reads no field stream (see
-renergy.coverage). The field samplers
+substream(seed, b, FIELD_STREAM) and its users, their distances from the
+station and their fading from substream(seed, b, USER_STREAM), so a setting
+that changes the field leaves every user draw as it was. A user's distance
+is drawn from the hexagonal cell's exact law (hex_cell_distances): the cell
+is 12 congruent right triangles with a vertex at the station, so a uniform
+point of one triangle, two uniforms, has the cell's distance law. A field
+stream gives the block's energy centers; a trial that reads a boolean field
+at the window's center alone integrates its field out and reads no field
+stream (see renergy.coverage). The field samplers
 (energy_field.sample_intensity, sample_intensity_pair) draw from the
 generator their caller passes instead.
 
@@ -247,3 +250,26 @@ def sample_in_hex_cell(circumradius: float, n: int, rng: np.random.Generator) ->
         out[filled:filled + take, 1] = y[sel]
         filled += take
     return out
+
+
+def hex_cell_distances(circumradius: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Distances from the center of n uniform points in a pointy-top hexagon
+    of the given corner radius, from one rng.random((2, n)) draw.
+
+    The cell is 12 congruent 30-60-90 triangles, each with its right angle at
+    an edge midpoint and a vertex at the center, so a uniform point of one
+    triangle has the cell's distance law. In such a triangle, x along the
+    inradius r_in has density 2x / r_in^2 and y is uniform on [0, x / sqrt(3)],
+    so with uniforms u0 (row 0) and u1 (row 1): x = r_in sqrt(u0),
+    y = x u1 / sqrt(3), and d = r_in sqrt(u0 (1 + u1^2 / 3)), which is
+    (circumradius / 2) sqrt(u0 (3 + u1^2)) for r_in = circumradius sqrt(3) / 2.
+    """
+    if not 0 < circumradius < math.inf:
+        raise ValueError("circumradius must be positive and finite")
+    u0, u1 = rng.random((2, n))
+    u1 *= u1
+    u1 += 3.0
+    d = np.multiply(u0, u1)   # a new array: the draw's 2n values go on return
+    np.sqrt(d, out=d)
+    d *= 0.5 * circumradius
+    return d

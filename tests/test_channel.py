@@ -39,7 +39,8 @@ def rician_mean_inverse_by_quadrature(floor, scatter_var):
 
 
 def test_fading_spec_validation():
-    for bad in (0, 1.5, math.inf, math.nan):
+    # a bool is no diversity order: True would build omega = 1
+    for bad in (0, 1.5, math.inf, math.nan, True, False, np.True_):
         with pytest.raises(ValueError, match="omega"):
             ChiSquaredFading(bad)
     with pytest.raises(ValueError):
@@ -177,6 +178,22 @@ def test_rician_moment_matches_scipy_quadrature(monkeypatch, scatter_var):
     for floor in (1e-4, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9, 0.99):
         assert mean_inverse_fading(TruncatedRicianFading(floor)) == pytest.approx(
             rician_mean_inverse_by_quadrature(floor, scatter_var), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+def test_required_power_is_the_path_gains_inverse(alpha):
+    # required_power(theta, d, h) * path_gain(d) * h == theta N, below, at
+    # and above the clamp radius, for scalar and array inputs
+    spec = ChannelSpec(alpha=alpha)
+    theta, target = 8.0, 8.0 * spec.noise_w
+    d = spec.min_dist * np.array([1e-3, 0.5, 1.0, 1.5, 100.0, 3e4])
+    h = np.array([0.1, 0.7, 1.0, 2.5, 0.33, 9.0])
+    product = required_power(theta, d, h, spec) * path_gain(d, spec) * h
+    assert np.allclose(product, target, rtol=1e-14, atol=0.0)
+    for di, hi in zip(d, h):
+        q = required_power(theta, float(di), float(hi), spec)
+        assert isinstance(q, float)
+        assert q * path_gain(float(di), spec) * hi == pytest.approx(target, rel=1e-14)
 
 
 def test_required_power_vectorized_consistency():

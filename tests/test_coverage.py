@@ -584,6 +584,22 @@ def test_oracle_sees_clamps_and_both_outage_kinds():
     assert tally.persist_ci > tally.persist_inv > 0
 
 
+@pytest.mark.parametrize("share", [0.05, 0.5, 1.0])
+def test_gain_clamps_match_their_exact_probability(share):
+    # a user lies nearer its station than min_dist <= r_in, the cell's
+    # inradius, with probability pi min_dist^2 lambda_b: the disk's share of
+    # the cell's area 1 / lambda_b. ref_dist is raised so that min_dist is
+    # the given share of r_in and clamps are common
+    cfg = unit_cfg()
+    r_in = hex_cell_circumradius(cfg.lambda_b) * math.sqrt(3.0) / 2.0
+    cfg = replace(cfg, channel=replace(cfg.channel, ref_dist=100.0 * share * r_in))
+    p = math.pi * cfg.channel.min_dist ** 2 * cfg.lambda_b
+    tally = run_trials_chunk(cfg, 0, 16 * BLOCK, 13)
+    n = tally.users
+    sigma = math.sqrt(n * p * (1.0 - p))
+    assert abs(tally.gain_clamps - n * p) < 5.0 * sigma, (tally.gain_clamps, n * p, sigma)
+
+
 def test_chunks_reproducible_and_seed_sensitive():
     cfg = unit_cfg()
     a = run_trials_chunk(cfg, 0, 150, 5)

@@ -7,14 +7,16 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.spatial import cKDTree
 
 from renergy import geometry
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
                                   field_values)
 from renergy.geometry import (PointSet, Window, default_window_side, hex_cell_circumradius,
-                              hex_lattice, hex_pitch, nearest_site_indices,
-                              sample_in_hex_cell, separation, substream)
+                              hex_cell_distances, hex_lattice, hex_pitch,
+                              nearest_site_indices, sample_in_hex_cell, separation,
+                              substream)
 
 # Reference values for a unit-density triangular lattice (closed forms
 # sqrt(2/sqrt(3)) and sqrt(2/(3*sqrt(3))), frozen by an independent script).
@@ -46,6 +48,10 @@ def test_substream_rejects_negative_seed():
                  id="hex-cell-nan"),
     pytest.param(lambda: sample_in_hex_cell(math.inf, 3, substream(1, 0)), ValueError,
                  id="hex-cell-inf"),
+    pytest.param(lambda: hex_cell_distances(math.nan, 3, substream(1, 0)), ValueError,
+                 id="hex-distances-nan"),
+    pytest.param(lambda: hex_cell_distances(math.inf, 3, substream(1, 0)), ValueError,
+                 id="hex-distances-inf"),
     pytest.param(lambda: default_window_side(0.78, math.nan), ValueError,
                  id="window-side-nu-nan"),
     pytest.param(lambda: default_window_side(math.nan, 1.0), ValueError,
@@ -256,3 +262,66 @@ class TestHexCellSampler:
         assert self._sample(0).shape == (0, 2)
         with pytest.raises(ValueError):
             sample_in_hex_cell(-1.0, 5, substream(88, 3))
+
+
+class TestHexCellDistances:
+    """The cell's distance law drawn directly: two uniforms per point."""
+
+    # z bound of the moment checks: fixed seeds, so a pass is deterministic,
+    # and a correct law fails one with probability below 1e-4
+    Z = 4.0
+
+    @pytest.mark.parametrize("lambda_b, seed", [(0.78, 5), (5.0, 6)])
+    def test_law_matches_rejection_sampled_positions(self, lambda_b, seed):
+        R = hex_cell_circumradius(lambda_b)
+        d = hex_cell_distances(R, 40000, substream(seed, 0))
+        pts = sample_in_hex_cell(R, 40000, substream(seed, 1))
+        p = stats.ks_2samp(d, np.hypot(pts[:, 0], pts[:, 1])).pvalue
+        assert p > 0.01, f"two-sample KS p = {p:.3g} at lambda_b {lambda_b}"
+
+    def test_moments_match_the_exact_values(self):
+        R = 1.3
+        r_in = R * math.sqrt(3.0) / 2.0
+        n = 200000
+        d = hex_cell_distances(R, n, substream(89, 0))
+        # E[d^2] = r_in^2 E[u0] E[1 + u1^2 / 3] = 5 r_in^2 / 9
+        d2 = d * d
+        z = (d2.mean() - 5.0 * r_in ** 2 / 9.0) / (d2.std() / math.sqrt(n))
+        assert abs(z) < self.Z
+        # the inscribed disk holds pi r_in^2 of the cell's area 2 sqrt(3) r_in^2
+        inside = math.pi * math.sqrt(3.0) / 6.0
+        z = (np.mean(d <= r_in) - inside) / math.sqrt(inside * (1.0 - inside) / n)
+        assert abs(z) < self.Z
+
+    def test_distances_lie_in_the_cell(self):
+        R = 0.7
+        d = hex_cell_distances(R, 100000, substream(90, 0))
+        assert d.shape == (100000,)
+        assert np.all((d >= 0.0) & (d <= R))
+
+        class Extreme:
+            # uniforms at the ends of [0, 1): the center and the corner
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, shape):
+                return np.full(shape, self.u)
+
+        assert hex_cell_distances(R, 3, Extreme(0.0)).tolist() == [0.0] * 3
+        top = hex_cell_distances(R, 3, Extreme(np.nextafter(1.0, 0.0)))
+        assert np.all(top <= R) and top[0] == pytest.approx(R, rel=1e-15)
+
+    def test_draw_is_one_block_of_uniforms(self):
+        # the user stream's layout: one random((2, n)) call, u0 in row 0
+        R, n = 1.1, 1000
+        rng, ref = substream(91, 0), substream(91, 0)
+        d = hex_cell_distances(R, n, rng)
+        u0, u1 = ref.random((2, n))
+        want = R * math.sqrt(3.0) / 2.0 * np.sqrt(u0 * (1.0 + u1 * u1 / 3.0))
+        assert np.allclose(d, want, rtol=1e-14, atol=0.0)
+        assert rng.random() == ref.random()
+
+    def test_empty_and_invalid(self):
+        assert hex_cell_distances(1.0, 0, substream(92, 0)).shape == (0,)
+        with pytest.raises(ValueError):
+            hex_cell_distances(-1.0, 5, substream(92, 1))
