@@ -65,10 +65,6 @@ class Distributed:
         if not self.lambda_a <= self.lambda_h < math.inf:
             raise ValueError("lambda_h must be finite and at least lambda_a")
 
-    @property
-    def cluster_size(self) -> float:
-        return self.lambda_h / self.lambda_a
-
 
 def clustered_window(lambda_a: float, min_side: float) -> Window:
     """Smallest window with sides >= min_side that is commensurate with the

@@ -14,8 +14,9 @@ then evaluated on the same draws:
 The station's budget is its equal share of what the harvesters of its
 aggregator deliver over their feeder lines. On-site harvesting is the same
 supply with one harvester at the station, a zero-length lossless line and one
-station per aggregator. The supply is built once per scenario and window and
-reused by every chunk.
+station per aggregator. The supply, with the scenario's window and its
+center-law decision, is built once per scenario and reused by every chunk
+(_supply).
 
 Outage is reported per user, E[out_K]/E[K] over K users per cell: by the
 Poisson size-bias identity, a typical user's outage probability. Every tally
@@ -29,26 +30,26 @@ station, so a uniform point of one has the cell's distance law, and a user's
 distance is drawn from it directly (geometry.hex_cell_distances), floored
 at 1e-12.
 
-A boolean field at the window's center alone, which is all an on-site
-station or a cluster of one harvester reads, depends on the center process
-only through the nearest center's distance D, whose law on the window is
-exact: Pr(D > r) = exp(-lambda_e A(r)), A(r) the area of the disk of radius
-r inside the window (energy_field.window_disk_area). Where the station's
-power is then P = c decay(D), c its peak power (on-site, or one harvester
-over a tau_floor or zero-length line), the scenario runs by the center law:
-it draws no field and integrates it out. With F(x) = Pr(P < x) =
-exp(-lambda_e A(r(x))), r(x) the distance at which c decay(r) = x
-(_CenterLaw), a trial of k users adds its expected outages given its
-users: sum_i F(k need_i) under equal split, sum_i F(csum_i) under
-inversion (csum_i the running sums of its sorted needs), and F(total) to
-the union events. Each trial's expected counts are rounded once to units of
-2^-32 and summed exactly, with their second moments, so the point's
-interval is Wilson's at its effective users and Student's t quantile; with
-no spread in its expected outages (none expected among them), or fewer than
-2 trials with users, it keeps Wilson's at its users (estimates_from_tally;
-TrialTally.in_users reads the counts in users). Every other scenario (shot
-noise, or several harvesters) draws its centers from the field stream:
-center counts, center x, center y (energy_field.draw_field).
+A boolean field at the window's center alone, which is all a station reads
+on-site, or a cluster of one harvester, which sits at the window's center
+over a zero-length line, depends on the center process only through the
+nearest center's distance D, whose law on the window is exact: Pr(D > r) =
+exp(-lambda_e A(r)), A(r) the area of the disk of radius r inside the window
+(energy_field.window_disk_area). The station's power is then P = c decay(D),
+c its peak power, and the scenario runs by the center law: it draws no field
+and integrates it out. With F(x) = Pr(P < x) = exp(-lambda_e A(r(x))), r(x)
+the distance at which c decay(r) = x (_Supply.shortfall), a trial of k users
+adds its expected outages given its users: sum_i F(k need_i) under equal
+split, sum_i F(csum_i) under inversion (csum_i the running sums of its
+sorted needs), and F(total) to the union events. Each trial's expected
+counts are rounded once to units of 2^-32 and summed exactly, with their
+second moments, so the point's interval is Wilson's at its effective users
+and Student's t quantile; with no spread in its expected outages (none
+expected among them), or fewer than 2 trials with users, it keeps Wilson's
+at its users (estimates_from_tally; TrialTally.in_users reads the counts in
+users). Every other scenario (shot noise, or several harvesters) draws its
+centers from the field stream: center counts, center x, center y
+(energy_field.draw_field).
 
 A trial's user side, everything but the field and the station's power,
 depends only on ScenarioConfig.user_settings: lambda_u, lambda_b, theta and
@@ -303,20 +304,30 @@ _ONSITE_LINE = LineSpec(voltage=math.inf)
 
 @dataclass(frozen=True, eq=False)
 class _Supply:
-    """What powers the typical station: the harvesters of its aggregator,
-    their feeder lines, and the station's equal share of what arrives."""
+    """A scenario as the engine runs it: its window; what powers the typical
+    station, the harvesters of its aggregator, their feeder lines and the
+    station's equal share of what arrives; and whether it runs by the center
+    law (by_law), a boolean field read at one harvester. That harvester is
+    on-site, or a cluster's only one, which hex_lattice places at the
+    window's center over a zero-length line."""
 
+    cfg: ScenarioConfig
+    window: Window
     positions: PointSet       # harvesters feeding the typical aggregator
     line_lengths: np.ndarray
     line: LineSpec
     voltage: float
     stations_per_aggregator: int
-    peak_budget: float        # eta * gamma, the largest harvester budget
     peak_station_power: float = field(init=False)
+    by_law: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        peak = self.station_power(np.full((len(self.line_lengths), 1), self.peak_budget))
+        cfg = self.cfg
+        # eta * gamma, the largest harvester budget
+        peak = self.station_power(np.full((len(self.line_lengths), 1), cfg.eta * cfg.field.gamma))
         object.__setattr__(self, "peak_station_power", float(peak[0]))
+        object.__setattr__(self, "by_law", cfg.field.kernel is not Kernel.SHOT_NOISE_EXP
+                           and len(self.positions) == 1)
 
     def station_power(self, budgets: np.ndarray) -> np.ndarray:
         """Station power per column of a (harvesters, trials) budget array."""
@@ -330,13 +341,48 @@ class _Supply:
             delivered.cumsum(axis=0)[-1]
         return total / self.stations_per_aggregator
 
+    def shortfall(self, th: "_Thresholds") -> np.ndarray:
+        """F(x) = Pr(P < x) at a pass's thresholds x, as a new array, for the
+        power P of a station run by the center law.
+
+        P is the station's peak power c times the kernel's decay at the
+        nearest center's distance D, so P < x exactly when D exceeds r(x),
+        where the decay falls to x / c: r(x)^2 = nu ln(c / x) for the
+        exponential kernel and nu (c / x - 1) for the power law, and 0 from
+        x = c on. No center lies within r of the window's center with
+        probability exp(-lambda_e A(r)) (energy_field.window_disk_area), and
+        A(r) = pi r^2 up to half the window's shorter side;
+        window_disk_area runs only where r(x) exceeds it."""
+        spec, window = self.cfg.field, self.window
+        half = 0.5 * min(window.width, window.height)
+        near = half * half / spec.nu    # r^2 / nu at half the shorter side
+        power_law = spec.kernel is Kernel.BOOLEAN_MAX_PLAW
+        log_peak = math.log(self.peak_station_power)
+        # ln(c / x), 0 from x = c on: the thresholds' own where they hold it
+        own = th.peak != self.peak_station_power
+        t = np.maximum(log_peak - th.values, 0.0) if own else th.values
+        if power_law:
+            t = np.expm1(t, out=t if own else None)    # c / x - 1
+            own = True
+        # t = r(x)^2 / nu; a margin keeps the test on the log scale from
+        # missing a value the exact test below would catch
+        far = None
+        if log_peak - th.least > (math.log1p(near) if power_law else near) * (1.0 - 1e-9):
+            far = np.flatnonzero(t > near)
+            area = window_disk_area(np.sqrt(spec.nu * t[far]), window)
+        f = np.multiply(t, -math.pi * spec.psi, out=t if own else None)   # -lambda_e pi r^2
+        if far is not None:
+            f[far] = -spec.lambda_e * area
+        return np.exp(f, out=f)
+
 
 @lru_cache(maxsize=32)
-def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
-    """The typical station's supply, built once per scenario and window:
-    every chunk of trials, and every field block, reuses it, along with its
+def _supply(cfg: ScenarioConfig) -> _Supply:
+    """A scenario's one engine record, built once: every chunk of trials,
+    and every field block, reuses it, along with its window and its
     harvester positions' axis factorization."""
     arch = cfg.architecture
+    window = resolve_window(cfg)
     center = np.asarray(window.center, dtype=float)[None, :]
     if isinstance(arch, Distributed):
         assign = build_clusters(arch.lambda_h, arch.lambda_a, window)
@@ -351,8 +397,7 @@ def _supply(cfg: ScenarioConfig, window: Window) -> _Supply:
         line, lambda_a = _ONSITE_LINE, cfg.lambda_b
     voltage, n_per = resolve_line(line, cfg.eta, cfg.field.gamma, cfg.lambda_b, lambda_a)
     lengths.setflags(write=False)   # shared by every later call
-    return _Supply(PointSet(positions), lengths, line, voltage, n_per,
-                   cfg.eta * cfg.field.gamma)
+    return _Supply(cfg, window, PointSet(positions), lengths, line, voltage, n_per)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,63 +431,6 @@ def _draw_fields(spec: EnergyFieldSpec, window: Window, seed: int,
     real = draw_field(spec, window, substream(seed, block, FIELD_STREAM), BLOCK)
     real.counts.setflags(write=False)
     return real
-
-
-def _by_center_law(cfg: ScenarioConfig, window: Window, supply: _Supply) -> bool:
-    """Whether a scenario's station power is a fixed multiple of a boolean
-    field at the window's center alone, which depends on the center process
-    only through the nearest center's distance: on-site, or a cluster of one
-    harvester at the center whose line delivers a fixed share of its budget
-    (tau_floor, or a zero-length line)."""
-    return cfg.field.kernel is not Kernel.SHOT_NOISE_EXP and len(supply.positions) == 1 \
-        and np.array_equal(supply.positions.points[0], window.center) \
-        and (supply.line.mode == "tau_floor" or not supply.line_lengths.any())
-
-
-@dataclass(frozen=True, eq=False)
-class _CenterLaw:
-    """F(x) = Pr(P < x) for the power P of a station run by the center law.
-
-    P is the station's peak power c times the kernel's decay at the nearest
-    center's distance D, so P < x exactly when D exceeds r(x), where the
-    decay falls to x / c: r(x)^2 = nu ln(c / x) for the exponential kernel
-    and nu (c / x - 1) for the power law, and 0 from x = c on. No center
-    lies within r of the window's center with probability exp(-lambda_e A(r))
-    (energy_field.window_disk_area), and A(r) = pi r^2 up to half the
-    window's shorter side."""
-
-    peak: float
-    spec: EnergyFieldSpec
-    window: Window
-
-    @property
-    def _near(self) -> float:
-        """r^2 / nu at half the window's shorter side."""
-        half = 0.5 * min(self.window.width, self.window.height)
-        return half * half / self.spec.nu
-
-    def shortfall(self, th: "_Thresholds") -> np.ndarray:
-        """F at a pass's thresholds x, as a new array; window_disk_area runs
-        only where r(x) exceeds half the shorter side."""
-        spec, near = self.spec, self._near
-        power_law = spec.kernel is Kernel.BOOLEAN_MAX_PLAW
-        log_peak = math.log(self.peak)
-        # ln(c / x), 0 from x = c on: the thresholds' own where they hold it
-        own = th.peak != self.peak
-        t = np.maximum(log_peak - th.values, 0.0) if own else th.values
-        if power_law:
-            t = np.expm1(t, out=t if own else None)    # c / x - 1
-            own = True
-        # t = r(x)^2 / nu; a margin keeps the test on the log scale from
-        # missing a value the exact test below would catch
-        far = None
-        if log_peak - th.least > (math.log1p(near) if power_law else near) * (1.0 - 1e-9):
-            far = np.flatnonzero(t > near)
-            area = window_disk_area(np.sqrt(spec.nu * t[far]), self.window)
-        f = np.multiply(t, -math.pi * spec.psi, out=t if own else None)   # -lambda_e pi r^2
-        if far is not None:
-            f[far] = -spec.lambda_e * area
-        return np.exp(f, out=f)
 
 
 @lru_cache(maxsize=1)
@@ -559,7 +547,7 @@ def _thresholds(x: np.ndarray, kk: np.ndarray, law_peaks: tuple) -> _Thresholds:
     logs = np.log(x, out=x)
     least = float(logs.min(initial=math.inf))
     peak = law_peaks[0] if len(law_peaks) == 1 else None
-    if peak is not None:   # as _CenterLaw.shortfall would take it
+    if peak is not None:   # as _Supply.shortfall would take it
         np.subtract(math.log(peak), logs, out=logs)
         np.maximum(logs, 0.0, out=logs)
     first = np.cumsum(kk) - kk
@@ -586,14 +574,13 @@ def _outages(side: _UserSide, power: np.ndarray) -> tuple[int, int]:
             users - _covered_inv(side.csum, power))
 
 
-def _point_tally(cfg: ScenarioConfig, supply: _Supply, values: np.ndarray,
-                 side: _UserSide) -> TrialTally:
+def _point_tally(supply: _Supply, values: np.ndarray, side: _UserSide) -> TrialTally:
     """A pass's tally at one scenario: the station powers of its field values
     at the supply's harvesters, (harvesters, trials), against its users."""
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
-    power = supply.station_power(cfg.eta * values)
+    power = supply.station_power(supply.cfg.eta * values)
     tally.out_ci, tally.out_inv = _outages(side, power)
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     tally.union_trials = int(np.count_nonzero(side.total > power))
@@ -624,7 +611,7 @@ def _fixed_point_sums(e: np.ndarray) -> list[int]:
     return [(int(w) << 32) + int(p) for w, p in zip(wholes, parts)]
 
 
-def _expected_tally(law: _CenterLaw, side: _UserSide) -> TrialTally:
+def _expected_tally(supply: _Supply, side: _UserSide) -> TrialTally:
     """A pass's tally at a scenario run by the center law: each trial's
     expected outages given its users, sum F(k need) under equal split and
     sum F(csum) under inversion, and its union event F(total), with their
@@ -633,7 +620,7 @@ def _expected_tally(law: _CenterLaw, side: _UserSide) -> TrialTally:
     if tally.users == 0:
         return tally
     th = side.thresholds
-    f = law.shortfall(th)
+    f = supply.shortfall(th)
     # rows: e_ci, e_inv, union, e_ci^2, e_inv^2, e_ci k, e_inv k
     e = np.empty((7, len(th.users)))
     np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
@@ -643,20 +630,19 @@ def _expected_tally(law: _CenterLaw, side: _UserSide) -> TrialTally:
     (tally.out_ci, tally.out_inv, tally.union_trials, tally.sq_ci, tally.sq_inv,
      tally.ek_ci, tally.ek_inv) = _fixed_point_sums(e)
     tally.k_sq = th.k_sq
-    tally.persist_ci, tally.persist_inv = side.persist[law.peak]
+    tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     return tally
 
 
-def _pass_bytes_per_trial(points: list[tuple]) -> float:
+def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
     """Bytes a pass holds per trial at its peak, estimated before it draws
-    from the (scenario, window, supply, center law or None) points of its
-    group: the largest of its user draws joined beside the blocks they join,
-    its padded rows beside the center law's thresholds as they are built,
-    and the thresholds beside the rows a counting point keeps and the
-    group's densest scenario's fields."""
-    mu = points[0][0].mean_users_per_cell
-    counted = any(law is None for *_, law in points)
-    integrated = any(law is not None for *_, law in points)
+    from the supplies of its group: the largest of its user draws joined
+    beside the blocks they join, its padded rows beside the center law's
+    thresholds as they are built, and the thresholds beside the rows a
+    counting point keeps and the group's densest scenario's fields."""
+    mu = supplies[0].cfg.mean_users_per_cell
+    counted = not all(s.by_law for s in supplies)
+    integrated = any(s.by_law for s in supplies)
     draws = 8 * (1 + 2 * mu)            # users per trial; each user's distance and fading
     width = mu + 4 * math.sqrt(mu) + 4  # a Poisson(mu) count exceeds it w.p. < 4e-5
     # needs (and their running sums, kept apart for a counting point), each
@@ -664,10 +650,10 @@ def _pass_bytes_per_trial(points: list[tuple]) -> float:
     rows = 8 * ((1 + counted) * width + mu + 5) + width
     # two logs per user, beside one per user or 4 per trial
     thresholds = 8 * 3 * mu if integrated else 0
-    fields = max(8 * (2 * mu + _LAW_ARRAYS) if law else
-                 8 * (2 * cfg.field.lambda_e * window.area + 1
-                      + _FIELD_ARRAYS * len(supply.positions))
-                 for cfg, window, supply, law in points)
+    fields = max(8 * (2 * mu + _LAW_ARRAYS) if s.by_law else
+                 8 * (2 * s.cfg.field.lambda_e * s.window.area + 1
+                      + _FIELD_ARRAYS * len(s.positions))
+                 for s in supplies)
     return max(2 * draws, rows + thresholds, rows * counted + thresholds + fields)
 
 
@@ -681,40 +667,33 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
         raise ValueError("need 0 <= start <= stop")
     if len({cfg.user_settings for cfg in cfgs}) != 1:
         raise ValueError("a group needs scenarios with equal user_settings")
-    windows = [resolve_window(cfg) for cfg in cfgs]
-    supplies = [_supply(cfg, window) for cfg, window in zip(cfgs, windows)]
-    peaks = tuple(dict.fromkeys(supply.peak_station_power for supply in supplies))
-    points = [(cfg, window, supply,
-               _CenterLaw(supply.peak_station_power, cfg.field, window)
-               if _by_center_law(cfg, window, supply) else None)
-              for cfg, window, supply in zip(cfgs, windows, supplies)]
-    step = BLOCK * max(1, int(_PASS_BYTES // (BLOCK * _pass_bytes_per_trial(points))))
+    supplies = [_supply(cfg) for cfg in cfgs]
+    peaks = tuple(dict.fromkeys(s.peak_station_power for s in supplies))
+    step = BLOCK * max(1, int(_PASS_BYTES // (BLOCK * _pass_bytes_per_trial(supplies))))
     tallies = [TrialTally() for _ in cfgs]
     for a in range(start, stop, step):
-        passed = _pass_tallies(points, peaks, seed, a, min(a + step, stop))
+        passed = _pass_tallies(supplies, peaks, seed, a, min(a + step, stop))
         tallies = [t + p for t, p in zip(tallies, passed)]
     return tallies
 
 
-def _pass_tallies(points: list[tuple], peaks: tuple, seed: int, a: int,
+def _pass_tallies(supplies: list[_Supply], peaks: tuple, seed: int, a: int,
                   b: int) -> list[TrialTally]:
-    """Trials [a, b) as one pass at each point of a group: the users
+    """Trials [a, b) as one pass at each scenario of a group: the users
     evaluated once, then each scenario's expected outages by the center law
     or its drawn fields. What the pass holds is let go when it returns,
     before the next pass draws."""
-    laws = [law for *_, law in points]
-    side = _user_side(points[0][0], seed, a, b, peaks, any(law is None for law in laws),
-                      tuple(dict.fromkeys(law.peak for law in laws if law is not None)))
-    return [_point_tally(cfg, supply, _pass_fields(cfg, window, supply, seed, a, b), side)
-            if law is None else _expected_tally(law, side)
-            for cfg, window, supply, law in points]
+    side = _user_side(supplies[0].cfg, seed, a, b, peaks,
+                      not all(s.by_law for s in supplies),
+                      tuple(dict.fromkeys(s.peak_station_power for s in supplies if s.by_law)))
+    return [_expected_tally(s, side) if s.by_law else
+            _point_tally(s, _pass_fields(s, seed, a, b), side) for s in supplies]
 
 
-def _pass_fields(cfg: ScenarioConfig, window: Window, supply: _Supply, seed: int,
-                 a: int, b: int) -> np.ndarray:
+def _pass_fields(supply: _Supply, seed: int, a: int, b: int) -> np.ndarray:
     """Trials [a, b)'s field values at the supply's harvesters, (harvesters,
     trials), from the scenario's drawn centers."""
-    real = _pass_draw(partial(_draw_fields, cfg.field, window, seed), a, b)
+    real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
     return field_values(real, supply.positions)
 
 

@@ -85,6 +85,10 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for key, value in (("run.trials", self.n_trials), ("run.seed", self.seed),
+                           ("run.workers", self.workers)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key}: expected an integer, got {value!r}")
         if not self.n_trials > 0:
             raise ConfigError(f"run.trials: must be positive, got {self.n_trials}")
         if not self.workers >= 1:

@@ -204,8 +204,8 @@ def test_typical_station_power_equals_the_lattice(kernel, cluster_size):
     # gets the same bits as in its block
     cfg = apply_sweep(_repro_experiment("fig5").scenario, "cluster_size", cluster_size)
     cfg = replace(cfg, field=replace(cfg.field, kernel=kernel))
-    window = coverage.resolve_window(cfg)
-    supply = coverage._supply(cfg, window)
+    supply = coverage._supply(cfg)
+    window = supply.window
     block = draw_field(cfg.field, window, substream(904, 0, FIELD_STREAM), BLOCK)
     budgets = cfg.eta * field_values(block, supply.positions)
     engine = supply.station_power(budgets)

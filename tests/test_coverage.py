@@ -348,8 +348,16 @@ def test_tallies_do_not_depend_on_the_pass_budget(monkeypatch, case):
     ({}, True),
     ({"kernel": Kernel.BOOLEAN_MAX_PLAW, "wrap": False}, True),
     ({"architecture": Distributed(lambda_h=1.0, lambda_a=1.0)}, True),
+    ({"architecture": Distributed(lambda_h=0.5, lambda_a=0.5, line=LineSpec(voltage=None))},
+     True),
+    ({"architecture": Distributed(lambda_h=1.0, lambda_a=1.0, line=LineSpec(voltage=50.0))},
+     True),
     ({"kernel": Kernel.SHOT_NOISE_EXP}, False),
     ({"architecture": Distributed(lambda_h=2.0, lambda_a=0.5)}, False),
+    # five harvesters: below lambda_h = 4 lambda_a the typical cluster is
+    # the center harvester alone
+    ({"architecture": Distributed(lambda_h=4.0, lambda_a=1.0, line=LineSpec(mode="tau_floor"))},
+     False),
 ])
 def test_the_scenario_alone_selects_the_center_law(monkeypatch, kw, by_law):
     # a boolean field at the window's center alone (on-site, or a cluster of
@@ -361,10 +369,36 @@ def test_the_scenario_alone_selects_the_center_law(monkeypatch, kw, by_law):
     coverage._draw_fields.cache_clear()
     cfg = unit_cfg(**kw)
     tally = run_trials_chunk(cfg, 0, 300, 5)
-    assert coverage._by_center_law(cfg, resolve_window(cfg),
-                                   coverage._supply(cfg, resolve_window(cfg))) == by_law
+    assert coverage._supply(cfg).by_law == by_law
     assert (not calls) == by_law
     assert tally.out_ci > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(lambda_a=st.floats(0.1, 2.0), ratio=st.one_of(st.just(1.0), st.floats(1.0, 8.0)),
+       stations=st.integers(1, 4), pitches=st.one_of(st.none(), st.floats(1.01, 12.0)),
+       kernel=st.sampled_from(list(Kernel)), voltage=st.sampled_from([None, 50.0, math.inf]),
+       mode=st.sampled_from(["exact", "tau_floor"]))
+def test_one_harvester_clusters_sit_at_the_center(lambda_a, ratio, stations, pitches,
+                                                  kernel, voltage, mode):
+    # both lattices put a site exactly at the window's center, so the center
+    # harvester feeds the typical aggregator over a zero-length line: a
+    # typical cluster of one is that harvester, and the center law asks only
+    # for a boolean kernel and one harvester. An explicit window side spans
+    # more than one aggregator pitch, as build_clusters needs.
+    window_side = None if pitches is None else pitches * hex_pitch(lambda_a)
+    cfg = ScenarioConfig(
+        field=EnergyFieldSpec(gamma=20.0, lambda_e=0.05, nu=1.0, kernel=kernel),
+        channel=ChannelSpec.normalized(), lambda_b=stations * lambda_a, lambda_u=10.0,
+        architecture=Distributed(lambda_h=ratio * lambda_a, lambda_a=lambda_a,
+                                 line=LineSpec(voltage=voltage, mode=mode)),
+        window_side=window_side)
+    supply = coverage._supply(cfg)
+    one = len(supply.positions) == 1
+    if one:
+        assert np.array_equal(supply.positions.points[0], supply.window.center)
+        assert not supply.line_lengths.any()
+    assert supply.by_law == (kernel is not Kernel.SHOT_NOISE_EXP and one)
 
 
 # Sweep edits that keep a scenario's user settings, by architecture; a
@@ -470,9 +504,8 @@ def _oracle_trials(cfg, start, stop, seed):
     scenario run by the center law adds each user's F at its threshold
     (_oracle_shortfall) and rounds the trial's sums and moments to 2^-32;
     any other counts the outages at its drawn field."""
-    window = resolve_window(cfg)
-    supply = coverage._supply(cfg, window)
-    law = coverage._by_center_law(cfg, window, supply)
+    supply = coverage._supply(cfg)
+    window, law = supply.window, supply.by_law
     peak = supply.peak_station_power
     for t in range(start, stop):
         b, i = divmod(t, BLOCK)
@@ -688,8 +721,8 @@ def _tagged_outage_rate(cfg, start, stop, seed):
     a Poisson number of others, comes from a stream of the chunk's own that
     the engine does not use, and the field is integrated out by its law
     (_oracle_shortfall), as the engine integrates it."""
-    window = resolve_window(cfg)
-    supply = coverage._supply(cfg, window)
+    supply = coverage._supply(cfg)
+    window = supply.window
     rng = substream(seed, start, _TAGGED_STREAM)
     out = 0.0
     for t in range(start, stop):

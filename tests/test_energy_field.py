@@ -535,8 +535,8 @@ def _fig5_harvesters_and_block(kernel, density=1.0):
     the first field block its trials draw, with the given kernel and the
     center density scaled by `density`."""
     cfg = apply_sweep(_repro_experiment("fig5").scenario, "cluster_size", 320)
-    window = coverage.resolve_window(cfg)
-    positions = coverage._supply(cfg, window).positions
+    supply = coverage._supply(cfg)
+    window, positions = supply.window, supply.positions
     spec = replace(cfg.field, kernel=kernel, lambda_e=density * cfg.field.lambda_e)
     return positions, draw_field(spec, window, substream(420, 0, FIELD_STREAM), BLOCK)
 

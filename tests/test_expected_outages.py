@@ -21,8 +21,8 @@ from renergy import coverage
 from renergy.aggregation import Distributed, LineSpec
 from renergy.channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
 from renergy.cli import _repro_experiment
-from renergy.coverage import (ScenarioConfig, Scheme, estimates_from_tally, resolve_window,
-                              run_group_chunk, run_trials_chunk)
+from renergy.coverage import (ScenarioConfig, Scheme, estimates_from_tally, run_group_chunk,
+                              run_trials_chunk)
 from renergy.energy_field import EnergyFieldSpec, Kernel
 from renergy.geometry import BLOCK
 from renergy.harness import apply_sweep
@@ -48,14 +48,9 @@ _LAW_SUPPLIES = {
 }
 
 
-def _by_center_law(cfg):
-    window = resolve_window(cfg)
-    return coverage._by_center_law(cfg, window, coverage._supply(cfg, window))
-
-
 @pytest.mark.parametrize("supply", sorted(_LAW_SUPPLIES))
 def test_the_center_law_supplies_integrate(supply):
-    assert _by_center_law(unit_cfg(**_LAW_SUPPLIES[supply]))
+    assert coverage._supply(unit_cfg(**_LAW_SUPPLIES[supply])).by_law
     assert run_trials_chunk(unit_cfg(**_LAW_SUPPLIES[supply]), 0, 50, 3).k_sq > 0
 
 
@@ -155,11 +150,10 @@ _SAMPLED_TRIALS, _SAMPLED_CHUNKS, _JOINT_Z = 8192, 64, 4.0
 def _sampled_tally(cfg, seed, a, b):
     """Trials [a, b)'s outages counted at fields drawn by draw_field from the
     field stream, which the center law leaves unread, on the engine's users."""
-    window = resolve_window(cfg)
-    supply = coverage._supply(cfg, window)
+    supply = coverage._supply(cfg)
     side = coverage._user_side(cfg, seed, a, b, (supply.peak_station_power,), True, ())
-    values = coverage._pass_fields(cfg, window, supply, seed, a, b)
-    return coverage._point_tally(cfg, supply, values, side)
+    values = coverage._pass_fields(supply, seed, a, b)
+    return coverage._point_tally(supply, values, side)
 
 
 @pytest.mark.parametrize("supply", sorted(_LAW_SUPPLIES))
@@ -215,6 +209,5 @@ def test_one_harvester_cluster_peak_is_the_tau_share():
     cfg = replace(_repro_experiment("fig4").scenario,
                   architecture=Distributed(lambda_h=0.78, lambda_a=0.78,
                                            line=LineSpec(mode="tau_floor")))
-    window = resolve_window(cfg)
-    assert coverage._supply(cfg, window).peak_station_power == pytest.approx(900.0)
-    assert _by_center_law(cfg)
+    assert coverage._supply(cfg).peak_station_power == pytest.approx(900.0)
+    assert coverage._supply(cfg).by_law

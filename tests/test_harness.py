@@ -68,6 +68,13 @@ def test_config_parsing_errors_name_the_key():
     # comments, blank lines, and repeated keys (last wins) are accepted
     exp = parse_config_text("\n# c\nrun.seed = 1\nrun.seed = 7\n")
     assert exp.seed == 7
+    # replace() is held to the file's rules: trials, seed and workers are
+    # integers, and a bool is not one
+    for name, key in (("n_trials", "run.trials"), ("seed", "run.seed"),
+                      ("workers", "run.workers")):
+        for bad in (300.0, True, False, "3"):
+            with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+                replace(exp, **{name: bad})
 
 
 def test_readme_matches_defaults_and_csv_columns():
@@ -203,7 +210,8 @@ def test_apply_sweep_parameters():
             else:
                 expected = parse_config_text(f"{text}{key} = {setting!r}\n").scenario
                 assert apply_sweep(base, param, value) == expected, param
-    assert apply_sweep(dist, "cluster_size", 40.0).architecture.cluster_size == pytest.approx(40.0)
+    arch = apply_sweep(dist, "cluster_size", 40.0).architecture
+    assert arch.lambda_h / arch.lambda_a == pytest.approx(40.0)
     with pytest.raises(ConfigError, match="^sweep.param: unknown"):
         apply_sweep(onsite, "nonsense", 1.0)
 
