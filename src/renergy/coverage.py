@@ -57,41 +57,34 @@ channel. Scenarios with equal user settings form a group, and run_group_chunk
 runs a group's trials together, in passes of m * BLOCK consecutive trials:
 [a, min(a + m * BLOCK, stop)) for a in range(start, stop, m * BLOCK). A pass
 spans as many whole blocks m as keep the bytes it holds at its peak within
-_PASS_BYTES (3 MiB), and one at least. Its bytes per trial are estimated
-before it draws (_pass_bytes_per_trial), as the largest of three stages: its
-user draws (users per trial, each user's distance and fading) joined beside
-the blocks they join; its rows of needs padded to the most users a trial is
-likely to hold, with each user's place in them, beside the center law's
-thresholds as they are built; and the thresholds beside the rows a counting
-point keeps and its densest scenario's fields. By the center law those are
-F at each threshold and seven sums per trial; on the centers path, its
-drawn centers and, per harvester, its field values and the delivered_power
-arrays made from them. fig4's group, 10 users per cell by the center law,
+_PASS_BYTES (3 MiB), and one at least, as estimated before it draws
+(_pass_bytes_per_trial). fig4's group, 10 users per cell by the center law,
 holds about 600 B per trial and runs passes of 20 blocks; fig5's, whose
-cluster 320 holds about 15 KB per trial, runs passes of one. A pass lets its
-draws go before it builds its rows, and everything it holds when it ends
-(_pass_tallies). One rule draws a pass's users or centers (_pass_draw):
-each block the pass spans, whole as drawn or as views of the part it
-covers, the blocks joined when there are several. The last block of each
-of the two draws is memoized read-only, so consecutive chunks draw the
-block an edge between them cuts once.
+cluster 320 holds about 15 KB per trial, runs passes of one. One rule draws
+a pass's users or centers (_pass_draw): each block the pass spans, whole as
+drawn or as views of the part it covers, the blocks joined when there are
+several. The last block of each of the two draws is memoized read-only, so
+consecutive chunks draw the block an edge between them cuts once.
 
-A pass evaluates its users once for the whole group: gain clamps (users
-nearer the station than ChannelSpec.min_dist, the path-gain clamp radius),
-required powers, and each trial's needs sorted and summed in one row of a
-matrix padded with +inf. The max-power outages (persist_*) are counted at
-each distinct peak station power of the group, once per pass: of a trial's
-k users, equal split covers those whose need is at most P / max(k, 1),
-inversion those whose running sum of needs is at most P; no finite power
-covers a pad. If the group has a center-law point, the pass also takes the
-logs of its thresholds once (_Thresholds), and each such point integrates
-them (_expected_tally). A point on the centers path draws and evaluates its
-centers, takes their station powers and counts the outages at those powers
-by the same rule (_outages); without one, the running sums overwrite the
-needs. run_trials_chunk is the group of one. A trial's arithmetic depends
-neither on the other trials of its pass nor on the other scenarios of its
-group, so tallies do not depend on where chunks start and stop, on the
-worker count, or on which scenarios run together.
+A pass evaluates its users once for the whole group (_user_side): gain
+clamps (users nearer the station than ChannelSpec.min_dist, the path-gain
+clamp radius), required powers, and one flat layout of its users: each
+user's need, sorted within its trial, then each user's running sum of them,
+trial after trial. Rows padded with +inf are only the workspace of the sort
+and the running sums. Every count at a power P reads the layout (_outages):
+of a trial's k users, equal split covers those whose need is at most P / k,
+inversion those whose running sum is at most P, and the union event is a
+last running sum above P. The max-power outages (persist_*) are so counted
+at each distinct peak station power of the group, once per pass, and a
+point on the centers path draws its centers and counts at their station
+powers. The center law's thresholds are built from the layout (_Thresholds),
+in place when no point counts at drawn fields and from a copy otherwise, and
+each center-law point integrates them (_expected_tally). A pass lets go of
+all it holds when it ends (_pass_tallies). run_trials_chunk is the group of
+one. A trial's arithmetic depends neither on the other trials of its pass
+nor on the other scenarios of its group, so tallies do not depend on where
+chunks start and stop, on the worker count, or on which scenarios run
+together.
 """
 
 from __future__ import annotations
@@ -112,8 +105,8 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
                      total_outage_bound)
 from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
-from .energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
-                           field_values, window_disk_area)
+from .energy_field import (_SLOT_POINTS, EnergyFieldSpec, FieldRealization, Kernel,
+                           draw_field, field_values, window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
                        default_window_side, hex_cell_circumradius, hex_cell_distances,
                        nearest_site_indices, substream)
@@ -195,10 +188,18 @@ class ScenarioConfig:
                 raise ValueError("the distributed architecture needs wrap=True")
             resolve_line(arch.line, self.eta, self.field.gamma, self.lambda_b,
                          arch.lambda_a)
-        area = resolve_window(self).area
+        window = resolve_window(self)
+        area = window.area
         window_keys = "field.nu, network.lambda_b, scenario.window_side"
         if isinstance(arch, Distributed):
             window_keys += ", distributed.lambda_a"
+            # hex_lattice's own condition, for the aggregators' larger cell
+            cell = 2 * hex_cell_circumradius(arch.lambda_a)
+            if window.width < cell or window.height < cell:
+                raise ValueError(
+                    f"the window {window.width:.6g} x {window.height:.6g} cannot contain "
+                    f"one full aggregator cell, {cell:.6g} across; raise "
+                    f"scenario.window_side or distributed.lambda_a")
         centers = BLOCK * self.field.lambda_e * area
         if not centers <= _BLOCK_VALUES_CAP:
             raise ValueError(
@@ -462,47 +463,42 @@ def _pass_draw(draw, a: int, b: int):
 
 @dataclass(frozen=True, eq=False)
 class _Thresholds:
-    """A pass's thresholds x for the center law, over its trials with users:
-    k times each user's need (equal split), then each user's running sum of
-    sorted needs (inversion), trial after trial in sorted order. values are
-    ln x, or ln(peak / x) floored at 0 where a group's center-law points
-    share one peak. Beside them: the smallest ln x, where each trial's users
-    start in each of the two parts, where its total demand (its last running
-    sum) lies, each trial's k, and the sum of k^2."""
+    """A pass's thresholds x for the center law, in its users' layout (see
+    _UserSide): k times each user's need (equal split), then each user's
+    running sum (inversion). values are ln x, or ln(peak / x) floored at 0
+    where a group's center-law points share one peak. Beside them: the
+    smallest ln x, where each trial's users start in each of the two parts,
+    and the sum of k^2."""
 
     values: np.ndarray
     peak: float | None
     least: float
     starts: np.ndarray
-    last: np.ndarray
-    users: np.ndarray
     k_sq: int
 
 
 @dataclass(frozen=True, eq=False)
 class _UserSide:
     """A pass's users, evaluated once for its group: the counts that do not
-    depend on the field, the outages at each peak power, and what the
-    group's points need of each trial's needs, sorted and summed: the padded
-    rows and the total demand where a point counts outages at drawn
-    fields, the center law's thresholds where a point integrates them."""
+    depend on the field, the outages at each peak power, its trials with
+    users (busy), the users k of each and where each one's last running sum
+    lies in the layout (see the module docstring); the layout where a point
+    counts at drawn fields, the center law's thresholds where one integrates."""
 
     tally: TrialTally
     persist: dict[float, tuple[int, int]]
-    per_user: np.ndarray | None = None
-    grants: np.ndarray | None = None
-    csum: np.ndarray | None = None
-    total: np.ndarray | None = None
+    busy: np.ndarray
+    k: np.ndarray
+    last: np.ndarray
+    flat: np.ndarray | None = None
     thresholds: _Thresholds | None = None
 
 
-def _user_side(cfg: ScenarioConfig, seed: int, a: int, b: int, peaks: tuple,
-               counted: bool, law_peaks: tuple) -> _UserSide:
-    """Trials [a, b)'s users, drawn and evaluated once for their group, with
-    the padded rows if counted and the center law's thresholds if the group
-    has center-law points, whose peaks are law_peaks. The draws are let go
-    before the padded rows are built, and without counted points the running
-    sums overwrite the needs."""
+def _user_side(supplies: list[_Supply], seed: int, a: int, b: int) -> _UserSide:
+    """Trials [a, b)'s users, drawn and evaluated once for the group of the
+    supplies. The draws are let go before the padded rows are built, and the
+    rows before the outages are counted."""
+    cfg = supplies[0].cfg
     draws = _pass_draw(partial(_draw_users, cfg, seed), a, b)
     k = draws.users
     tally = TrialTally(trials=len(k), zero_user_trials=int(np.count_nonzero(k == 0)),
@@ -510,68 +506,59 @@ def _user_side(cfg: ScenarioConfig, seed: int, a: int, b: int, peaks: tuple,
                        gain_clamps=int(np.count_nonzero(draws.distance < cfg.channel.min_dist)))
     need = required_power(cfg.theta, draws.distance, draws.fading, cfg.channel)
     del draws
-    # Rows of sorted needs padded with +inf: a row's cumsum is np.cumsum(np.sort(need))
-    # bit for bit; one column at least, so a pass without users has a total to read.
-    # A trial's users fill its row's first places, before and after the sort.
-    grants = np.full((len(k), max(int(k.max()), 1)), np.inf)
-    place = np.flatnonzero(np.arange(grants.shape[1]) < k[:, None])
-    np.put(grants, place, need)
+    # Rows padded with +inf, the workspace of the sort and the running sum: a
+    # row's cumsum is np.cumsum(np.sort(need)) bit for bit. A trial's users
+    # fill its row's first places, before and after the sort.
+    rows = np.full((len(k), int(k.max())), np.inf)
+    place = np.flatnonzero(np.arange(rows.shape[1]) < k[:, None])
+    np.put(rows, place, need)
     del need
-    grants.sort(axis=1)
-    per_user = np.maximum(k, 1)
+    rows.sort(axis=1)
     users = tally.users
+    flat = np.empty(2 * users)
+    np.take(rows, place, out=flat[:users])
+    np.take(np.cumsum(rows, axis=1, out=rows), place, out=flat[users:])
+    del rows, place
+    busy = k > 0
+    k = k[busy]
+    side = _UserSide(tally, {}, busy, k, np.cumsum(k) + (users - 1), flat)
     # the max-power outages depend only on the users and the peak
-    out_ci = [users - _covered_ci(grants, per_user, peak) for peak in peaks]
-    if law_peaks:   # the thresholds: k times each need, then each running sum
-        kk = k[k > 0]
-        x = np.empty(2 * users)
-        np.take(grants, place, out=x[:users])
-        x[:users] *= np.repeat(kk, kk)
-    csum = grants.cumsum(axis=1) if counted else np.cumsum(grants, axis=1, out=grants)
-    out_inv = [users - _covered_inv(csum, peak) for peak in peaks]
-    side = _UserSide(tally, dict(zip(peaks, zip(out_ci, out_inv))))
-    if counted:
-        # each trial's total demand; -inf, below any power, where it has no users
-        total = np.where(k > 0, csum[np.arange(len(k)), k - 1], -np.inf)
-        side = replace(side, per_user=per_user, grants=grants, csum=csum, total=total)
-    if law_peaks:
-        np.take(csum, place, out=x[users:])
-        del place
-        side = replace(side, thresholds=_thresholds(x, kk, law_peaks))
-    return side
+    persist = {peak: _outages(side, peak)
+               for peak in dict.fromkeys(s.peak_station_power for s in supplies)}
+    counted = not all(s.by_law for s in supplies)
+    law_peaks = tuple(dict.fromkeys(s.peak_station_power for s in supplies if s.by_law))
+    thresholds = _thresholds(flat.copy() if counted else flat, k, law_peaks) \
+        if law_peaks else None
+    return replace(side, persist=persist, flat=flat if counted else None,
+                   thresholds=thresholds)
 
 
-def _thresholds(x: np.ndarray, kk: np.ndarray, law_peaks: tuple) -> _Thresholds:
-    """The center law's thresholds x of a pass's trials with users, kk of
-    them each, taken in place."""
+def _thresholds(x: np.ndarray, k: np.ndarray, law_peaks: tuple) -> _Thresholds:
+    """The center law's thresholds of a pass's trials with users, k users
+    each, taken in place from their layout x."""
+    users = len(x) // 2
+    x[:users] *= np.repeat(k, k)
     logs = np.log(x, out=x)
     least = float(logs.min(initial=math.inf))
     peak = law_peaks[0] if len(law_peaks) == 1 else None
     if peak is not None:   # as _Supply.shortfall would take it
         np.subtract(math.log(peak), logs, out=logs)
         np.maximum(logs, 0.0, out=logs)
-    first = np.cumsum(kk) - kk
-    users = len(x) // 2
+    first = np.cumsum(k) - k
     # k < 2^31, and a pass's trials keep the sum of k^2 below 2^63
     return _Thresholds(logs, peak, least, np.concatenate((first, first + users)),
-                       first + (users - 1) + kk, kk.astype(float), int((kk * kk).sum()))
+                       int((k * k).sum()))
 
 
-def _covered_ci(grants: np.ndarray, per_user: np.ndarray, power) -> int:
-    """Users equal split covers at per-trial (or one) station powers."""
-    return int(np.count_nonzero(grants <= (power / per_user)[:, None]))
-
-
-def _covered_inv(csum: np.ndarray, power) -> int:
-    """Users inversion covers at per-trial (or one) station powers."""
-    return int(np.count_nonzero(csum <= np.reshape(power, (-1, 1))))
-
-
-def _outages(side: _UserSide, power: np.ndarray) -> tuple[int, int]:
-    """Users in outage under equal split and under inversion at per-trial powers."""
-    users = side.tally.users
-    return (users - _covered_ci(side.grants, side.per_user, power),
-            users - _covered_inv(side.csum, power))
+def _outages(side: _UserSide, power) -> tuple[int, int]:
+    """Users in outage under equal split and under inversion at one station
+    power, or at each trial's with users: of a trial's k users, equal split
+    covers those whose need is at most power / k, inversion those whose
+    running sum is at most power."""
+    k, users = side.k, side.tally.users
+    reach = np.repeat(power, k) if np.ndim(power) else power
+    return (users - int(np.count_nonzero(side.flat[:users] <= np.repeat(power / k, k))),
+            users - int(np.count_nonzero(side.flat[users:] <= reach)))
 
 
 def _point_tally(supply: _Supply, values: np.ndarray, side: _UserSide) -> TrialTally:
@@ -580,10 +567,10 @@ def _point_tally(supply: _Supply, values: np.ndarray, side: _UserSide) -> TrialT
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
-    power = supply.station_power(supply.cfg.eta * values)
+    power = supply.station_power(supply.cfg.eta * values)[side.busy]
     tally.out_ci, tally.out_inv = _outages(side, power)
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
-    tally.union_trials = int(np.count_nonzero(side.total > power))
+    tally.union_trials = int(np.count_nonzero(side.flat[side.last] > power))
     return tally
 
 
@@ -622,11 +609,11 @@ def _expected_tally(supply: _Supply, side: _UserSide) -> TrialTally:
     th = side.thresholds
     f = supply.shortfall(th)
     # rows: e_ci, e_inv, union, e_ci^2, e_inv^2, e_ci k, e_inv k
-    e = np.empty((7, len(th.users)))
+    e = np.empty((7, len(side.k)))
     np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
-    np.take(f, th.last, out=e[2])
+    np.take(f, side.last, out=e[2])
     np.multiply(e[:2], e[:2], out=e[3:5])
-    np.multiply(e[:2], th.users, out=e[5:7])
+    np.multiply(e[:2], side.k, out=e[5:7])
     (tally.out_ci, tally.out_inv, tally.union_trials, tally.sq_ci, tally.sq_inv,
      tally.ek_ci, tally.ek_inv) = _fixed_point_sums(e)
     tally.k_sq = th.k_sq
@@ -637,24 +624,40 @@ def _expected_tally(supply: _Supply, side: _UserSide) -> TrialTally:
 def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
     """Bytes a pass holds per trial at its peak, estimated before it draws
     from the supplies of its group: the largest of its user draws joined
-    beside the blocks they join, its padded rows beside the center law's
-    thresholds as they are built, and the thresholds beside the rows a
-    counting point keeps and the group's densest scenario's fields."""
+    beside the blocks they join; the padded rows, the workspace of the sort
+    and the running sums, beside each user's place in them and the flat
+    layout they fill; and what the pass keeps of its users beside the
+    group's most demanding point (_point_bytes)."""
     mu = supplies[0].cfg.mean_users_per_cell
     counted = not all(s.by_law for s in supplies)
     integrated = any(s.by_law for s in supplies)
     draws = 8 * (1 + 2 * mu)            # users per trial; each user's distance and fading
     width = mu + 4 * math.sqrt(mu) + 4  # a Poisson(mu) count exceeds it w.p. < 4e-5
-    # needs (and their running sums, kept apart for a counting point), each
-    # user's place in them, 5 per-trial arrays and one mask
-    rows = 8 * ((1 + counted) * width + mu + 5) + width
-    # two logs per user, beside one per user or 4 per trial
-    thresholds = 8 * 3 * mu if integrated else 0
-    fields = max(8 * (2 * mu + _LAW_ARRAYS) if s.by_law else
-                 8 * (2 * s.cfg.field.lambda_e * s.window.area + 1
-                      + _FIELD_ARRAYS * len(s.positions))
-                 for s in supplies)
-    return max(2 * draws, rows + thresholds, rows * counted + thresholds + fields)
+    # the rows, each user's place in them, the layout and the copy np.take
+    # fills it through, 5 per-trial arrays and one mask
+    rows = 8 * (width + 4 * mu + 5) + width
+    # the layout a counting point reads and the thresholds, which are a copy
+    # of it where points of both kinds share it, and 5 per-trial arrays
+    kept = 8 * (2 * mu * (counted + integrated) + 5)
+    return max(2 * draws, rows, kept + max(_point_bytes(s, mu) for s in supplies))
+
+
+def _point_bytes(supply: _Supply, mu: float) -> float:
+    """Bytes per trial a point holds beside its pass's users, mu per trial.
+    By the center law: F at each threshold, seven sums per trial and their
+    whole parts. On the centers path: its centers joined beside the blocks
+    they join, values per harvester (_FIELD_ARRAYS) and, where field_values
+    reduces by segments, each center's tile arrays: three of one axis's
+    distinct coordinates beside the other's one, then both beside the pairs."""
+    if supply.by_law:
+        return 8 * (2 * mu + _LAW_ARRAYS)
+    harvesters = len(supply.positions)
+    per_center = 4.0    # x and y, as drawn and as joined
+    if supply.cfg.field.kernel is Kernel.SHOT_NOISE_EXP or harvesters < _SLOT_POINTS:
+        ux, _, uy, _ = supply.positions.axes
+        per_center += max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + harvesters)
+    centers = supply.cfg.field.lambda_e * supply.window.area
+    return 8 * (per_center * centers + 2 + _FIELD_ARRAYS * harvesters)
 
 
 def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
@@ -668,24 +671,20 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
     if len({cfg.user_settings for cfg in cfgs}) != 1:
         raise ValueError("a group needs scenarios with equal user_settings")
     supplies = [_supply(cfg) for cfg in cfgs]
-    peaks = tuple(dict.fromkeys(s.peak_station_power for s in supplies))
     step = BLOCK * max(1, int(_PASS_BYTES // (BLOCK * _pass_bytes_per_trial(supplies))))
     tallies = [TrialTally() for _ in cfgs]
     for a in range(start, stop, step):
-        passed = _pass_tallies(supplies, peaks, seed, a, min(a + step, stop))
+        passed = _pass_tallies(supplies, seed, a, min(a + step, stop))
         tallies = [t + p for t, p in zip(tallies, passed)]
     return tallies
 
 
-def _pass_tallies(supplies: list[_Supply], peaks: tuple, seed: int, a: int,
-                  b: int) -> list[TrialTally]:
+def _pass_tallies(supplies: list[_Supply], seed: int, a: int, b: int) -> list[TrialTally]:
     """Trials [a, b) as one pass at each scenario of a group: the users
     evaluated once, then each scenario's expected outages by the center law
     or its drawn fields. What the pass holds is let go when it returns,
     before the next pass draws."""
-    side = _user_side(supplies[0].cfg, seed, a, b, peaks,
-                      not all(s.by_law for s in supplies),
-                      tuple(dict.fromkeys(s.peak_station_power for s in supplies if s.by_law)))
+    side = _user_side(supplies, seed, a, b)
     return [_expected_tally(s, side) if s.by_law else
             _point_tally(s, _pass_fields(s, seed, a, b), side) for s in supplies]
 

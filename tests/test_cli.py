@@ -33,6 +33,27 @@ def test_run_writes_csv_and_plot_script(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_sweeps_past_a_full_aggregator_cell_fail_before_any_trial(monkeypatch, tmp_path,
+                                                                  capsys):
+    # cluster_size 3120 thins the aggregators until one cell outgrows the
+    # window; the sweep value is rejected with the keys that size both
+    calls = []
+    monkeypatch.setattr(harness, "run_group_chunk", lambda *args: calls.append(args))
+    cfg = tmp_path / "distributed.cfg"
+    cfg.write_text("scenario.architecture = distributed\n")
+    assert main(["sweep", "--config", str(cfg), "--sweep", "cluster_size=320,3120"]) == 2
+    err = capsys.readouterr().err
+    assert "error: --sweep: cluster_size=3120" in err
+    swept = tmp_path / "swept.cfg"
+    swept.write_text("scenario.architecture = distributed\nsweep.param = cluster_size\n"
+                     "sweep.values = 320,3120\n")
+    assert main(["run", "--config", str(swept)]) == 2
+    err += capsys.readouterr().err
+    assert "error: sweep.values: cluster_size=3120" in err
+    assert err.count("scenario.window_side or distributed.lambda_a") == 2
+    assert calls == []
+
+
 def test_sweep_smoke(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--sweep", "theta=4,8", "--trials", "30",

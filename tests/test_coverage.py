@@ -1,6 +1,7 @@
 """Trial engine: tallies, scheme ordering, pairing, reproducibility."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from renergy.geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet,
                               hex_cell_circumradius, hex_pitch, sample_in_hex_cell,
                               substream)
 from renergy.cli import _repro_experiment
-from renergy.harness import apply_sweep
+from renergy.harness import apply_sweep, parse_config_text
 from renergy.stats import t_quantile_975, wilson_ci, wilson_interval
 
 
@@ -213,13 +214,17 @@ def _record_passes(monkeypatch):
         drawn[stream].append(block)
         return substream(seed, block, stream)
 
-    def recording_user_side(cfg, seed, a, b, peaks, *flags):
+    def recording_user_side(supplies, seed, a, b):
         passes.append(b - a)
-        outages.append(("peaks", *peaks))
-        return user_side(cfg, seed, a, b, peaks, *flags)
+        outages.append(("peaks",))
+        return user_side(supplies, seed, a, b)
 
     def counting_outages(side, power):
-        outages.append("count")
+        # the user side counts at each peak, a point at its drawn powers
+        if np.ndim(power):
+            outages.append("count")
+        else:
+            outages[-1] += (power,)
         return count_outages(side, power)
 
     monkeypatch.setattr(coverage, "substream", counting_substream)
@@ -249,7 +254,7 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     assert passes == [200] * 10 + [48]
     for blocks in (*drawn.values(), passes):
         blocks.clear()
-    # at 600 B (on-site) and 863 B (distributed) per trial, eight blocks fit one pass
+    # at 600 B (on-site) and 1125 B (distributed) per trial, eight blocks fit one pass
     whole = run_trials_chunk(cfg, 0, n, 31)
     assert drawn == _each_stream(range(8), fields=not onsite) and passes == [n]
     assert sum(chunks, TrialTally()) == whole
@@ -258,20 +263,20 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
 @pytest.mark.parametrize("kernel, psi, start, stop, passes, blocks", [
     (Kernel.SHOT_NOISE_EXP, 6.0, 500, 1000, [256, 244], [1, 2, 3]),
     (Kernel.SHOT_NOISE_EXP, 6.0, 100, 612, [256, 256], [0, 1, 2]),
-    (Kernel.SHOT_NOISE_EXP, 3.0, 100, 1300, [512, 512, 176], [0, 1, 2, 3, 4, 5]),
+    (Kernel.SHOT_NOISE_EXP, 0.8, 100, 1300, [512, 512, 176], [0, 1, 2, 3, 4, 5]),
     (Kernel.SHOT_NOISE_EXP, 0.05, 500, 1000, [500], [1, 2, 3]),
     (Kernel.BOOLEAN_MAX_EXP, 6.0, 100, 6100, [5120, 880], list(range(24))),
 ])
 def test_chunk_runs_in_fewest_passes(monkeypatch, kernel, psi, start, stop, passes, blocks):
     # a pass takes as many blocks of trials as keep the bytes it holds within
     # _PASS_BYTES (3 MiB: 12288 B per trial of one block), one at least. At 10
-    # users per cell a trial's padded rows take 573 B, and shot noise on the
-    # 10 x 10 window adds 8 (200 psi + 7) B of centers and fields: 10229 B at
-    # psi 6 exceed a block, 5429 B at psi 3 fit two blocks and 709 B at psi
-    # 0.05 fit 17. By the center law, the needs alone and the thresholds built
-    # beside them take 600 B whatever psi is, which fit 20 blocks. A chunk
-    # runs in the fewest such passes wherever it starts, and each block it
-    # touches is drawn once
+    # users per cell a trial's padded rows, beside the layout they fill, take
+    # 600 B. A shot-noise point keeps the layout (200 B) beside 8 (800 psi +
+    # 8) B of centers, their tile arrays and fields on the 10 x 10 window:
+    # 38664 B at psi 6 exceed a block, 5384 B at psi 0.8 fit two blocks, and
+    # at psi 0.05 the rows' 600 B fit 20. By the center law too the rows'
+    # 600 B fit 20 blocks, whatever psi is. A chunk runs in the fewest such
+    # passes wherever it starts, and each block it touches is drawn once
     drawn, seen, _ = _record_passes(monkeypatch)
     cfg = unit_cfg(psi=psi, kernel=kernel)
     tally = run_trials_chunk(cfg, start, stop, 19)
@@ -342,6 +347,49 @@ def test_tallies_do_not_depend_on_the_pass_budget(monkeypatch, case):
     for budget in (1, 1 << 62):
         monkeypatch.setattr(coverage, "_PASS_BYTES", budget)
         assert run_group_chunk(group, 100, 1400, 29) == default
+
+
+def _peak_cases():
+    """The groups whose one-pass peaks the byte model is held to: fig4's psi
+    sweep and fig5's cluster sizes 20 and 320; fig4 at psi 0.02 under shot
+    noise; fig4's scenario beside its shot-noise twin, and one harvester by
+    the center law beside a cluster of seven, the two groups that mix the
+    center law with drawn fields."""
+    fig4, fig5 = _repro_experiment("fig4"), _repro_experiment("fig5").scenario
+    shot = replace(fig4.scenario, field=replace(fig4.scenario.field,
+                                                kernel=Kernel.SHOT_NOISE_EXP))
+    one = parse_config_text("scenario.architecture = distributed\n"
+                            "distributed.lambda_h = 0.78\ndistributed.lambda_a = 0.78\n").scenario
+    return {
+        "fig4": tuple(apply_sweep(fig4.scenario, "psi", p) for p in fig4.sweep_values),
+        "fig5": tuple(apply_sweep(fig5, "cluster_size", c) for c in (20.0, 320.0)),
+        "fig4_shot_noise": (apply_sweep(shot, "psi", 0.02),),
+        "onsite_with_shot_noise_twin": (fig4.scenario, shot),
+        "cluster_sizes_1_and_7": tuple(apply_sweep(one, "cluster_size", c) for c in (1.0, 7.0)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_peak_cases()))
+def test_a_pass_peaks_within_its_byte_model(case):
+    # the bytes a pass holds at its peak, traced, lie between half and 1.1
+    # times the estimate its length was chosen by. The first pass warms the
+    # scenario records; the second draws its blocks afresh and is traced
+    group = _peak_cases()[case]
+    supplies = [coverage._supply(cfg) for cfg in group]
+    if case in ("onsite_with_shot_noise_twin", "cluster_sizes_1_and_7"):
+        assert {s.by_law for s in supplies} == {True, False}
+    per_trial = coverage._pass_bytes_per_trial(supplies)
+    step = BLOCK * max(1, int(coverage._PASS_BYTES // (BLOCK * per_trial)))
+    run_group_chunk(group, 0, step, 4242)
+    coverage._draw_fields.cache_clear()
+    coverage._draw_users.cache_clear()
+    tracemalloc.start()
+    try:
+        run_group_chunk(group, step, 2 * step, 4242)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 <= peak / (per_trial * step) <= 1.10, (peak, per_trial * step)
 
 
 @pytest.mark.parametrize("kw, by_law", [

@@ -149,9 +149,11 @@ _SAMPLED_TRIALS, _SAMPLED_CHUNKS, _JOINT_Z = 8192, 64, 4.0
 
 def _sampled_tally(cfg, seed, a, b):
     """Trials [a, b)'s outages counted at fields drawn by draw_field from the
-    field stream, which the center law leaves unread, on the engine's users."""
+    field stream, which the center law leaves unread, on the engine's users:
+    its shot-noise twin in the group keeps them for counting."""
     supply = coverage._supply(cfg)
-    side = coverage._user_side(cfg, seed, a, b, (supply.peak_station_power,), True, ())
+    twin = replace(cfg, field=replace(cfg.field, kernel=Kernel.SHOT_NOISE_EXP))
+    side = coverage._user_side([supply, coverage._supply(twin)], seed, a, b)
     values = coverage._pass_fields(supply, seed, a, b)
     return coverage._point_tally(supply, values, side)
 

@@ -20,7 +20,7 @@ from renergy.channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
 from renergy.coverage import (OnSite, ScenarioConfig, TrialTally, resolve_window,
                               run_trials_chunk)
 from renergy.energy_field import EnergyFieldSpec, Kernel
-from renergy.geometry import BLOCK, default_window_side
+from renergy.geometry import BLOCK, default_window_side, hex_cell_circumradius
 from renergy.harness import (DEFAULT_SEED, SEED_ENV_VAR, ConfigError, ExperimentConfig,
                              _CSV_COLUMNS, apply_sweep, chunk_edges, effective_seed,
                              emit_csv, ks_statistic, load_config,
@@ -40,6 +40,18 @@ def test_empty_config_gives_defaults():
     assert exp.n_trials == 20000
     assert exp.seed == DEFAULT_SEED == 1729
     assert exp.sweep_param is None and exp.sweep_values is None
+
+
+def test_windows_without_a_full_aggregator_cell_are_rejected_at_parse():
+    # hex_lattice cannot fill a window narrower than one aggregator cell:
+    # the config names the keys that size both before any trial runs
+    text = ("scenario.architecture = distributed\nnetwork.lambda_b = 0.25\n"
+            "distributed.lambda_a = 0.25\ndistributed.lambda_h = 0.5\n")
+    with pytest.raises(ConfigError, match="^scenario: .*aggregator cell.*"
+                       "scenario.window_side or distributed.lambda_a"):
+        parse_config_text(text + "scenario.window_side = 2\n")
+    # a side of two aggregator pitches holds a cell
+    parse_config_text(text + "scenario.window_side = 4.3\n")
 
 
 def test_config_parsing_errors_name_the_key():
@@ -146,7 +158,11 @@ def experiments(draw):
                         voltage=draw(st.none() | _POSITIVE | st.just(math.inf)),
                         mode=draw(st.sampled_from(("exact", "tau_floor"))))
         side = window_side if window_side is not None else default_window_side(lambda_b, nu)
-        area = clustered_window(lambda_a, side).area  # resolve_window's distributed arena
+        window = clustered_window(lambda_a, side)  # resolve_window's distributed arena
+        # the window holds one full aggregator cell, as hex_lattice needs
+        cell = 2 * hex_cell_circumradius(lambda_a)
+        assume(window.width >= cell and window.height >= cell)
+        area = window.area
         most = _under_cap(lambda_a * area, 400.0)
         assume(most >= 1.0)  # the aggregator lattice alone exceeds the cap
         architecture = Distributed(lambda_h=lambda_a * draw(st.floats(1.0, most)),
