@@ -153,8 +153,8 @@ def delivered_power(budget, length, voltage: float, beta: float,
         raise ValueError("voltage must be positive")
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
-    if math.isinf(voltage):
-        out = budget * np.ones_like(length)
+    if math.isinf(voltage):   # budget * 1 is budget: a copy, broadcast against the lengths
+        out = np.broadcast_to(budget, np.broadcast_shapes(budget.shape, length.shape)).copy()
         return float(out) if out.ndim == 0 else out
     a = beta * length / (voltage * voltage)
     out = np.where(a * budget > 0, 2.0 * budget / (1.0 + np.sqrt(1.0 + 4.0 * a * budget)), budget)

@@ -59,8 +59,8 @@ runs a group's trials together, in passes of m * BLOCK consecutive trials:
 spans as many whole blocks m as keep the bytes it holds at its peak within
 _PASS_BYTES (3 MiB), and one at least, as estimated before it draws
 (_pass_bytes_per_trial). fig4's group, 10 users per cell by the center law,
-holds about 600 B per trial and runs passes of 20 blocks; fig5's, whose
-cluster 320 holds about 15 KB per trial, runs passes of one. One rule draws
+holds about 520 B per trial and runs passes of 23 blocks; fig5's, whose
+cluster 320 holds about 8.8 KB per trial, runs passes of one. One rule draws
 a pass's users or centers (_pass_draw): each block the pass spans, whole as
 drawn or as views of the part it covers, the blocks joined when there are
 several. The last block of each of the two draws is memoized read-only, so
@@ -77,7 +77,7 @@ inversion those whose running sum is at most P, and the union event is a
 last running sum above P. The max-power outages (persist_*) are so counted
 at each distinct peak station power of the group, once per pass, and a
 point on the centers path draws its centers and counts at their station
-powers. The center law's thresholds are built from the layout (_Thresholds),
+powers (_drawn_tally). The center law's thresholds are built from the layout (_Thresholds),
 in place when no point counts at drawn fields and from a copy otherwise, and
 each center-law point integrates them (_expected_tally). A pass lets go of
 all it holds when it ends (_pass_tallies). run_trials_chunk is the group of
@@ -85,6 +85,30 @@ one. A trial's arithmetic depends neither on the other trials of its pass
 nor on the other scenarios of its group, so tallies do not depend on where
 chunks start and stop, on the worker count, or on which scenarios run
 together.
+
+A point on the centers path whose typical cluster holds _SLOT_POINTS (32)
+harvesters or more is bounded: most of its trials cover every user, since a
+large cluster's harvest is nearly constant, and one center per realization
+already shows it. Its pass first takes the station power at
+energy_field.nearest_center_bound, the field of the realization's center
+nearest the window's center (where the typical aggregator sits) alone,
+scaled down by _BOUND_MARGIN (1e-9), of each trial with users covered at
+the peak station power: a boolean field never exceeds gamma, so no other
+trial can be covered at its bound. A trial is settled when its largest need
+is at most that bound / k and its last running sum at most the bound, both
+read from the layout (_covered). The bound's pairs are floats field_values
+computes too, a boolean kernel's field can only be larger at the nearest of
+all the centers and a shot-noise sum only adds terms, delivered_power
+increases with the budget and the cluster sums in a fixed order, so the
+exact power is at least the bound: the margin, far above round-off, covers
+exp and sqrt followed by squaring. At the exact power every user of a
+settled trial is covered under both schemes and its union event is false,
+so counting at the bound gives the same outages, and tallies and CSV bytes
+do not change; which trials are bounded decides only which are evaluated
+exactly. field_values runs on the other trials' realizations only, or on
+the pass's block as drawn when none is settled. Below 32 harvesters
+the segment reduction costs about as much as the bound, so those points
+evaluate every trial, as on-site shot noise does.
 """
 
 from __future__ import annotations
@@ -106,7 +130,8 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
 from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import (_SLOT_POINTS, EnergyFieldSpec, FieldRealization, Kernel,
-                           draw_field, field_values, window_disk_area)
+                           draw_field, field_values, nearest_center_bound,
+                           window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
                        default_window_side, hex_cell_circumradius, hex_cell_distances,
                        nearest_site_indices, substream)
@@ -147,8 +172,14 @@ _BLOCK_VALUES_CAP = 1 << 26
 _PASS_BYTES = 3 << 20
 
 # Values per trial and harvester that a scenario on the centers path holds
-# at once: its field values and the delivered_power arrays made from them.
+# at once where field_values reduces by segments: its field values and the
+# delivered_power arrays made from them.
 _FIELD_ARRAYS = 6
+
+# The same where it reduces by slots, whose accumulator, a slot's pairs and
+# their gather outweigh the field values and the station power made from
+# them in place.
+_SLOT_ARRAYS = 3
 
 # Values per trial that a scenario run by the center law holds beside its
 # shortfall at each threshold: seven per-trial sums and their whole parts.
@@ -321,14 +352,17 @@ class _Supply:
     stations_per_aggregator: int
     peak_station_power: float = field(init=False)
     by_law: bool = field(init=False)
+    bounded: bool = field(init=False)
 
     def __post_init__(self) -> None:
         cfg = self.cfg
         # eta * gamma, the largest harvester budget
         peak = self.station_power(np.full((len(self.line_lengths), 1), cfg.eta * cfg.field.gamma))
         object.__setattr__(self, "peak_station_power", float(peak[0]))
+        harvesters = len(self.positions)
         object.__setattr__(self, "by_law", cfg.field.kernel is not Kernel.SHOT_NOISE_EXP
-                           and len(self.positions) == 1)
+                           and harvesters == 1)
+        object.__setattr__(self, "bounded", harvesters >= _SLOT_POINTS)
 
     def station_power(self, budgets: np.ndarray) -> np.ndarray:
         """Station power per column of a (harvesters, trials) budget array."""
@@ -341,6 +375,13 @@ class _Supply:
         total = delivered.sum(axis=0) if delivered.shape[1] > 1 else \
             delivered.cumsum(axis=0)[-1]
         return total / self.stations_per_aggregator
+
+    def field_power(self, values: np.ndarray) -> np.ndarray:
+        """station_power at field values, (harvesters, trials), which become
+        the budgets eta * values in place (values themselves at eta = 1)."""
+        if self.cfg.eta != 1.0:
+            values *= self.cfg.eta
+        return self.station_power(values)
 
     def shortfall(self, th: "_Thresholds") -> np.ndarray:
         """F(x) = Pr(P < x) at a pass's thresholds x, as a new array, for the
@@ -516,8 +557,9 @@ def _user_side(supplies: list[_Supply], seed: int, a: int, b: int) -> _UserSide:
     rows.sort(axis=1)
     users = tally.users
     flat = np.empty(2 * users)
-    np.take(rows, place, out=flat[:users])
-    np.take(np.cumsum(rows, axis=1, out=rows), place, out=flat[users:])
+    # place is in range, and only mode="clip" fills out without a temporary
+    np.take(rows, place, out=flat[:users], mode="clip")
+    np.take(np.cumsum(rows, axis=1, out=rows), place, out=flat[users:], mode="clip")
     del rows, place
     busy = k > 0
     k = k[busy]
@@ -561,13 +603,73 @@ def _outages(side: _UserSide, power) -> tuple[int, int]:
             users - int(np.count_nonzero(side.flat[users:] <= reach)))
 
 
-def _point_tally(supply: _Supply, values: np.ndarray, side: _UserSide) -> TrialTally:
-    """A pass's tally at one scenario: the station powers of its field values
-    at the supply's harvesters, (harvesters, trials), against its users."""
+# Relative margin by which a bounded point scales its bound on a station's
+# power down before it settles trials with it: far above the round-off by
+# which the bound's arithmetic (exp, sqrt followed by squaring, the line and
+# the cluster's sum) could exceed the exact power's at a larger field.
+_BOUND_MARGIN = 1e-9
+
+
+def _covered(side: _UserSide, power, trials=slice(None)) -> np.ndarray:
+    """Whether every user of each trial with users, or of those at positions
+    trials among them, is covered under both schemes at one station power or
+    at each trial's: its largest need at most power / k, and its last
+    running sum at most power, which also rules out its union event."""
+    k, last = side.k[trials], side.last[trials]
+    return (side.flat[last - side.tally.users] <= power / k) & (side.flat[last] <= power)
+
+
+def _realizations(real: FieldRealization, busy: np.ndarray,
+                  picked: np.ndarray) -> FieldRealization:
+    """The realizations of the trials with users at positions picked among
+    them: the pass's block as drawn where that is every trial of it."""
+    if len(picked) == len(busy):
+        return real
+    keep = np.zeros(len(busy), dtype=bool)
+    keep[np.flatnonzero(busy)[picked]] = True
+    return real.compress(keep)
+
+
+def _drawn_tally(supply: _Supply, side: _UserSide, seed: int, a: int,
+                 b: int) -> TrialTally:
+    """A pass's tally at a scenario on the centers path: the station powers
+    of trials [a, b)'s drawn fields at the supply's harvesters against its
+    users.
+
+    A bounded supply first takes a bound on each trial's power from its
+    field's nearest_center_bound, at most the exact power once scaled down
+    by _BOUND_MARGIN, for the trials with users covered at the peak station
+    power alone: a boolean field never exceeds gamma, so no other trial can
+    be covered at its bound, and one that a shot-noise field above gamma
+    could cover is evaluated exactly instead. A trial whose users are all
+    covered at its bound (_covered) is covered at its exact power too: it is
+    settled, and the bound stands in for its power. field_values runs only
+    on the realizations of the other trials with users, or on the pass's
+    block as drawn when none is settled."""
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
-    power = supply.station_power(supply.cfg.eta * values)[side.busy]
+    real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
+    busy = side.busy
+    power = None
+    if supply.bounded:
+        power = np.empty(len(side.k))
+        settled = np.zeros(len(side.k), dtype=bool)
+        bounded = np.flatnonzero(_covered(side, supply.peak_station_power))
+        if len(bounded):
+            bound = supply.field_power(nearest_center_bound(
+                _realizations(real, busy, bounded), supply.positions))
+            bound *= 1.0 - _BOUND_MARGIN
+            power[bounded] = bound
+            settled[bounded] = _covered(side, bound, bounded)
+        unsettled = np.flatnonzero(~settled)
+        if len(unsettled) == len(settled):
+            power = None
+        elif len(unsettled):
+            power[unsettled] = supply.field_power(field_values(
+                _realizations(real, busy, unsettled), supply.positions))
+    if power is None:
+        power = supply.field_power(field_values(real, supply.positions))[busy]
     tally.out_ci, tally.out_inv = _outages(side, power)
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     tally.union_trials = int(np.count_nonzero(side.flat[side.last] > power))
@@ -633,9 +735,9 @@ def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
     integrated = any(s.by_law for s in supplies)
     draws = 8 * (1 + 2 * mu)            # users per trial; each user's distance and fading
     width = mu + 4 * math.sqrt(mu) + 4  # a Poisson(mu) count exceeds it w.p. < 4e-5
-    # the rows, each user's place in them, the layout and the copy np.take
-    # fills it through, 5 per-trial arrays and one mask
-    rows = 8 * (width + 4 * mu + 5) + width
+    # the rows, each user's place in them and the layout, 5 per-trial arrays
+    # and one mask
+    rows = 8 * (width + 3 * mu + 5) + width
     # the layout a counting point reads and the thresholds, which are a copy
     # of it where points of both kinds share it, and 5 per-trial arrays
     kept = 8 * (2 * mu * (counted + integrated) + 5)
@@ -646,18 +748,29 @@ def _point_bytes(supply: _Supply, mu: float) -> float:
     """Bytes per trial a point holds beside its pass's users, mu per trial.
     By the center law: F at each threshold, seven sums per trial and their
     whole parts. On the centers path: its centers joined beside the blocks
-    they join, values per harvester (_FIELD_ARRAYS) and, where field_values
-    reduces by segments, each center's tile arrays: three of one axis's
-    distinct coordinates beside the other's one, then both beside the pairs."""
+    they join, and every trial's field values and station power. Where
+    field_values reduces by segments, each center's tile arrays (three of
+    one axis's distinct coordinates beside the other's one, then both beside
+    the pairs) beside _FIELD_ARRAYS values per harvester; by slots, each
+    center's slot, index and coordinates and a run's per-axis arrays beside
+    _SLOT_ARRAYS. That is the larger of a bounded point's two stages, and
+    the whole of it when no trial is settled: its bound holds three values
+    per center (squared distances from the window's center, and each one's
+    realization's least) and, per harvester, a pair and its gather, but no
+    accumulator."""
     if supply.by_law:
         return 8 * (2 * mu + _LAW_ARRAYS)
     harvesters = len(supply.positions)
+    ux, _, uy, _ = supply.positions.axes
+    centers = supply.cfg.field.lambda_e * supply.window.area
     per_center = 4.0    # x and y, as drawn and as joined
     if supply.cfg.field.kernel is Kernel.SHOT_NOISE_EXP or harvesters < _SLOT_POINTS:
-        ux, _, uy, _ = supply.positions.axes
         per_center += max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + harvesters)
-    centers = supply.cfg.field.lambda_e * supply.window.area
-    return 8 * (per_center * centers + 2 + _FIELD_ARRAYS * harvesters)
+        per_trial = _FIELD_ARRAYS * harvesters
+    else:
+        per_center += 4
+        per_trial = _SLOT_ARRAYS * harvesters + len(ux) + len(uy)
+    return 8 * (per_center * centers + 2 + per_trial)
 
 
 def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
@@ -685,15 +798,8 @@ def _pass_tallies(supplies: list[_Supply], seed: int, a: int, b: int) -> list[Tr
     or its drawn fields. What the pass holds is let go when it returns,
     before the next pass draws."""
     side = _user_side(supplies, seed, a, b)
-    return [_expected_tally(s, side) if s.by_law else
-            _point_tally(s, _pass_fields(s, seed, a, b), side) for s in supplies]
-
-
-def _pass_fields(supply: _Supply, seed: int, a: int, b: int) -> np.ndarray:
-    """Trials [a, b)'s field values at the supply's harvesters, (harvesters,
-    trials), from the scenario's drawn centers."""
-    real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
-    return field_values(real, supply.positions)
+    return [_expected_tally(s, side) if s.by_law else _drawn_tally(s, side, seed, a, b)
+            for s in supplies]
 
 
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:

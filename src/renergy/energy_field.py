@@ -40,8 +40,16 @@ a (points x realizations) accumulator. A minimum is exact in any order, so
 both give the same bits; a sum is not, so shot noise keeps the segments and
 their summation order. Both reduce tiles of whole realizations. A segment
 tile bounds its pairs; a slot tile bounds its accumulator by its
-realizations and its index arrays by its centers. So memory does not grow
-with the block.
+realizations, its index arrays by its centers and its per-axis arrays by
+both. So memory does not grow with the block.
+
+nearest_center_bound is a lower bound on field_values from one pair per
+point and realization: the realization's center nearest the window's center
+alone, through field_values' own per-axis step and kernel, so the pair is
+the float field_values computes for it. A boolean field's nearest center
+can only be nearer, and a shot-noise sum only adds non-negative terms. The
+trial engine settles the trials a bound already covers and evaluates the
+others' realizations, taken from their block by FieldRealization.compress.
 
 On the simulated window the boolean field at the window's center has an
 exact law too: its nearest center lies beyond r with probability
@@ -130,6 +138,13 @@ class FieldRealization:
         centers = PointSet(self.centers.points[first:last])
         return FieldRealization(self.spec, centers, self.window, self.counts[lo:hi])
 
+    def compress(self, keep: np.ndarray) -> "FieldRealization":
+        """The realizations of a block where the boolean mask keep is true,
+        as a block, each coordinate contiguous."""
+        xy = self.centers.points.T[:, np.repeat(keep, self.counts)]
+        xy.setflags(write=False)
+        return FieldRealization(self.spec, PointSet(xy.T), self.window, self.counts[keep])
+
     @staticmethod
     def join(parts: list["FieldRealization"]) -> "FieldRealization":
         """The realizations of parts, one block after another, each coordinate
@@ -171,10 +186,20 @@ def decay_power_law(d, nu: float):
 
 
 def _boolean_kernel(spec: EnergyFieldSpec, d: np.ndarray) -> np.ndarray:
-    """Boolean field value at nearest-center distance d; d = +inf (no center)
-    gives exactly 0 for both kernels."""
-    decay = decay_exp if spec.kernel is Kernel.BOOLEAN_MAX_EXP else decay_power_law
-    return spec.gamma * decay(d, spec.nu)
+    """Boolean field value at nearest-center distances d, in place: gamma
+    times decay_exp's or decay_power_law's operations in their order, so the
+    bits are theirs (dividing by -nu rounds as negating, then dividing by nu,
+    does); d = +inf (no center) gives exactly 0 for both kernels."""
+    t = np.multiply(d, d, out=d)
+    if spec.kernel is Kernel.BOOLEAN_MAX_EXP:
+        t /= -spec.nu
+        np.exp(t, out=t)
+    else:
+        t /= spec.nu
+        t += 1.0
+        np.divide(1.0, t, out=t)
+    t *= spec.gamma
+    return t
 
 
 def _image_decay(d: np.ndarray, side: float, wrap: bool, nu: float) -> np.ndarray:
@@ -222,15 +247,72 @@ def field_values(real: FieldRealization, points) -> np.ndarray:
     PointSet that is evaluated again keeps its axis factorization."""
     pts = points if isinstance(points, PointSet) else PointSet(points)
     spec = real.spec
+    step, combine = _pair_step(spec)
     if spec.kernel is Kernel.SHOT_NOISE_EXP:
-        image_decay = partial(_image_decay, nu=spec.nu)
-        return spec.gamma * _segment_reduce(real, pts, image_decay, np.multiply,
-                                            np.add, 0.0)
+        out = _segment_reduce(real, pts, step, combine, np.add, 0.0)
+        out *= spec.gamma
+        return out
     if len(pts) < _SLOT_POINTS:
-        d2 = _segment_reduce(real, pts, folded_square, np.add, np.minimum, np.inf)
+        d2 = _segment_reduce(real, pts, step, combine, np.minimum, np.inf)
     else:
         d2 = _slot_minimum(real, pts)
-    return _boolean_kernel(spec, np.sqrt(d2))
+    return _boolean_kernel(spec, np.sqrt(d2, out=d2))
+
+
+def _pair_step(spec: EnergyFieldSpec):
+    """The per-axis step of a kernel's pair values and how a pair combines
+    its two axes' values: folded squared differences, added, for the boolean
+    kernels; image sums of exp(-d^2/nu), multiplied, for shot noise."""
+    if spec.kernel is Kernel.SHOT_NOISE_EXP:
+        return partial(_image_decay, nu=spec.nu), np.multiply
+    return folded_square, np.add
+
+
+def nearest_center_bound(real: FieldRealization, points) -> np.ndarray:
+    """A lower bound on field_values(real, points), (k, n): each
+    realization's field from one of its centers alone, the one nearest the
+    window's center (the first of those tied), and 0 for an empty one.
+
+    A pair's value is the float field_values computes for that point and
+    center, from the same per-axis step and combination (_pair_step). Under
+    a boolean kernel it is a squared distance, and the minimum over all the
+    centers can only be smaller, so the field can only be larger; the kernel
+    is the same function of it (_boolean_kernel). Under shot noise it is one
+    of the non-negative terms field_values sums. One pair per point and
+    realization: the per-axis step runs once per distinct coordinate and
+    realization."""
+    pts = points if isinstance(points, PointSet) else PointSet(points)
+    spec, window, counts = real.spec, real.window, real.counts
+    ux, ix, uy, iy = pts.axes
+    xy = real.centers.points
+    full = counts > 0
+    # the first center of each realization at its least squared distance
+    # from the window's center; on a wrapped window that is the folded
+    # distance too, as no coordinate lies more than half a side from it
+    cx, cy = window.center
+    dx = xy[:, 0] - cx
+    dx *= dx
+    dy = xy[:, 1] - cy
+    dy *= dy
+    dx += dy
+    starts = (np.cumsum(counts) - counts)[full]
+    hits = np.flatnonzero(dx == np.repeat(np.minimum.reduceat(dx, starts), counts[full])) \
+        if len(starts) else starts
+    nearest = hits[np.searchsorted(hits, starts)]
+    del dx, dy
+    step, combine = _pair_step(spec)
+    pair = step(ux[:, None] - xy[nearest, 0], window.width, window.wrap)[ix]
+    combine(pair, step(uy[:, None] - xy[nearest, 1], window.height, window.wrap)[iy],
+            out=pair)
+    if spec.kernel is Kernel.SHOT_NOISE_EXP:
+        pair *= spec.gamma
+    else:
+        _boolean_kernel(spec, np.sqrt(pair, out=pair))
+    if full.all():
+        return pair
+    out = np.zeros((len(ix), len(counts)))
+    out[:, full] = pair
+    return out
 
 
 def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
@@ -277,7 +359,7 @@ def _slot_minimum(real: FieldRealization, pts: PointSet) -> np.ndarray:
     realizations, at most _SLOT_PAIRS // k of them and about _SLOT_PAIRS
     centers, one realization at least."""
     counts = real.counts
-    out = np.empty((len(pts), len(counts)))
+    out = None
     span = max(1, _SLOT_PAIRS // len(pts))
     ends = np.cumsum(counts)
     lo = 0
@@ -285,14 +367,19 @@ def _slot_minimum(real: FieldRealization, pts: PointSet) -> np.ndarray:
         first = int(ends[lo] - counts[lo])
         top = int(np.searchsorted(ends, first + _SLOT_PAIRS, side="right"))
         hi = max(lo + 1, min(lo + span, top))
-        _slot_reduce(real, pts, lo, hi, out)
+        acc, cols = _slot_reduce(real, pts, lo, hi)
+        if out is None:   # once the first tile is reduced: a block of one tile
+            out = np.empty((len(pts), len(counts)))   # peaks without it
+        out[:, cols] = acc
+        del acc   # before the next tile's accumulator
         lo = hi
-    return out
+    return np.empty((len(pts), 0)) if out is None else out
 
 
-def _slot_reduce(real: FieldRealization, pts: PointSet, lo: int, hi: int,
-                 out: np.ndarray) -> None:
-    """_slot_minimum of realizations lo..hi-1 into out[:, lo:hi].
+def _slot_reduce(real: FieldRealization, pts: PointSet, lo: int, hi: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """_slot_minimum of realizations lo..hi-1: its (points x realizations)
+    accumulator, and the realization of each of its columns.
 
     Slot s holds the s-th center of every realization with more than s. With
     the realizations ordered by count, largest first, slot s covers the first
@@ -300,7 +387,8 @@ def _slot_reduce(real: FieldRealization, pts: PointSet, lo: int, hi: int,
     realizations) accumulator with one elementwise minimum. A minimum is
     exact in any order, so this equals the segment reduction bit for bit. The
     per-axis step runs once per run of consecutive slots whose arrays fit
-    _TILE_ELEMENTS.
+    _TILE_ELEMENTS and hold no more columns than the accumulator, so they
+    are never larger than it.
     """
     ux, ix, uy, iy = pts.axes
     window = real.window
@@ -316,7 +404,7 @@ def _slot_reduce(real: FieldRealization, pts: PointSet, lo: int, hi: int,
     xs = real.centers.points[centers, 0]
     ys = real.centers.points[centers, 1]
     acc = np.full((len(ix), len(tile)), np.inf)
-    cols = max(1, _TILE_ELEMENTS // max(len(ux), len(uy)))
+    cols = max(1, min(_TILE_ELEMENTS // max(len(ux), len(uy)), len(tile)))
     s = 0
     while s < len(n):
         top = max(s + 1, int(np.searchsorted(ends, first[s] + cols, side="right")))
@@ -329,7 +417,7 @@ def _slot_reduce(real: FieldRealization, pts: PointSet, lo: int, hi: int,
             head = acc[:, :m]
             np.minimum(head, pair, out=head)
         s = top
-    out[:, lo + order] = acc
+    return acc, lo + order
 
 
 def _disk_area(s: np.ndarray, half_sides: tuple[float, float]

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFadin
 from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_group_chunk,
                               run_trials_chunk)
-from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel,
-                                  field_values, window_disk_area)
+from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
+                                  field_values, nearest_center_bound, window_disk_area)
 from renergy.geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet,
                               hex_cell_circumradius, hex_pitch, sample_in_hex_cell,
                               substream)
@@ -254,7 +255,7 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     assert passes == [200] * 10 + [48]
     for blocks in (*drawn.values(), passes):
         blocks.clear()
-    # at 600 B (on-site) and 1125 B (distributed) per trial, eight blocks fit one pass
+    # at 520 B (on-site) and 1125 B (distributed) per trial, eight blocks fit one pass
     whole = run_trials_chunk(cfg, 0, n, 31)
     assert drawn == _each_stream(range(8), fields=not onsite) and passes == [n]
     assert sum(chunks, TrialTally()) == whole
@@ -265,17 +266,17 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     (Kernel.SHOT_NOISE_EXP, 6.0, 100, 612, [256, 256], [0, 1, 2]),
     (Kernel.SHOT_NOISE_EXP, 0.8, 100, 1300, [512, 512, 176], [0, 1, 2, 3, 4, 5]),
     (Kernel.SHOT_NOISE_EXP, 0.05, 500, 1000, [500], [1, 2, 3]),
-    (Kernel.BOOLEAN_MAX_EXP, 6.0, 100, 6100, [5120, 880], list(range(24))),
+    (Kernel.BOOLEAN_MAX_EXP, 6.0, 100, 6100, [5888, 112], list(range(24))),
 ])
 def test_chunk_runs_in_fewest_passes(monkeypatch, kernel, psi, start, stop, passes, blocks):
     # a pass takes as many blocks of trials as keep the bytes it holds within
     # _PASS_BYTES (3 MiB: 12288 B per trial of one block), one at least. At 10
     # users per cell a trial's padded rows, beside the layout they fill, take
-    # 600 B. A shot-noise point keeps the layout (200 B) beside 8 (800 psi +
+    # 520 B. A shot-noise point keeps the layout (200 B) beside 8 (800 psi +
     # 8) B of centers, their tile arrays and fields on the 10 x 10 window:
     # 38664 B at psi 6 exceed a block, 5384 B at psi 0.8 fit two blocks, and
-    # at psi 0.05 the rows' 600 B fit 20. By the center law too the rows'
-    # 600 B fit 20 blocks, whatever psi is. A chunk runs in the fewest such
+    # 584 B at psi 0.05 fit 21. By the center law the rows' 520 B fit 23
+    # blocks, whatever psi is. A chunk runs in the fewest such
     # passes wherever it starts, and each block it touches is drawn once
     drawn, seen, _ = _record_passes(monkeypatch)
     cfg = unit_cfg(psi=psi, kernel=kernel)
@@ -292,12 +293,12 @@ def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
     group = tuple(unit_cfg(psi=psi) for psi in (0.05, 0.2, 0.5))
     n = 30 * BLOCK
     tallies = run_group_chunk(group, 0, n, 7)
-    # by the center law every point holds 600 B per trial, so 20 blocks fill
+    # by the center law every point holds 520 B per trial, so 23 blocks fill
     # a pass (see test_chunk_runs_in_fewest_passes) and each point alone
     # takes its group's passes. On-site, every point integrates its field
     # out over the pass's thresholds, so no field is drawn and no outage is
     # counted at a drawn power
-    assert passes == [20 * BLOCK, 10 * BLOCK]
+    assert passes == [23 * BLOCK, 7 * BLOCK]
     assert drawn == _each_stream(range(30), fields=False)
     # each pass counts the peak's outages once, in the user side
     assert outages == [("peaks", 20.0)] * 2
@@ -306,7 +307,7 @@ def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
     assert len({t.persist_inv for t in tallies}) == 1
     passes.clear()
     run_trials_chunk(group[0], 0, n, 7)
-    assert passes == [20 * BLOCK, 10 * BLOCK]
+    assert passes == [23 * BLOCK, 7 * BLOCK]
     # a gamma_eta group counts each distinct peak once per pass
     outages.clear()
     group = tuple(apply_sweep(unit_cfg(), "gamma_eta", g) for g in (5.0, 80.0, 5.0))
@@ -390,6 +391,112 @@ def test_a_pass_peaks_within_its_byte_model(case):
     finally:
         tracemalloc.stop()
     assert 0.5 <= peak / (per_trial * step) <= 1.10, (peak, per_trial * step)
+
+
+def _bound_cases():
+    """Points whose typical cluster holds _SLOT_POINTS harvesters or more, so
+    a bound on the station's power settles their covered trials: fig5 at
+    cluster 320 (about 82% of trials with users settled), and at gamma =
+    0.01 (none); the CI's dense fig5 at 320 (all); distributed shot noise at
+    cluster 80 (73 harvesters); fig5 at cluster 80 over exact lines at 2 V,
+    and at 320 over tau_floor lines."""
+    fig5 = _repro_experiment("fig5").scenario
+    arch = fig5.architecture
+    dense = parse_config_text("scenario.architecture = distributed\nfield.gamma = 10\n"
+                              "field.lambda_e = 0.4\ndistributed.voltage = inf\n").scenario
+    shot = parse_config_text("scenario.architecture = distributed\n"
+                             "field.kernel = shot_noise_exp\n").scenario
+    tau_floor = replace(fig5, architecture=replace(arch, line=replace(arch.line,
+                                                                      mode="tau_floor")))
+    return {
+        "fig5_320": apply_sweep(fig5, "cluster_size", 320.0),
+        "fig5_gamma_0.01_320": apply_sweep(
+            replace(fig5, field=replace(fig5.field, gamma=0.01)), "cluster_size", 320.0),
+        "dense_fig5_320": apply_sweep(dense, "cluster_size", 320.0),
+        "shot_noise_80": apply_sweep(shot, "cluster_size", 80.0),
+        "lossy_2V_80": apply_sweep(apply_sweep(fig5, "voltage", 2.0), "cluster_size", 80.0),
+        "tau_floor_320": apply_sweep(tau_floor, "cluster_size", 320.0),
+    }
+
+
+def _drawn_block(cfg, seed, a, b):
+    """Trials [a, b)'s field realizations, drawn block by block from the field
+    stream."""
+    window = coverage._supply(cfg).window
+    blocks = [draw_field(cfg.field, window, substream(seed, block, FIELD_STREAM), BLOCK)
+              for block in range(a // BLOCK, -(-b // BLOCK))]
+    first = a // BLOCK * BLOCK
+    return FieldRealization.join(blocks).select(a - first, b - first)
+
+
+def _every_trial_tally(cfg, seed, a, b):
+    """Trials [a, b) with every drawn realization evaluated: field_values at
+    the typical cluster and _Supply.station_power of eta times them, then
+    the outages and union events at those powers."""
+    supply = coverage._supply(cfg)
+    side = coverage._user_side([supply], seed, a, b)
+    tally = replace(side.tally)
+    real = _drawn_block(cfg, seed, a, b)
+    power = supply.station_power(cfg.eta * field_values(real, supply.positions))[side.busy]
+    tally.out_ci, tally.out_inv = coverage._outages(side, power)
+    tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
+    tally.union_trials = int(np.count_nonzero(side.flat[side.last] > power))
+    return tally
+
+
+@pytest.mark.parametrize("case", sorted(_bound_cases()))
+def test_settled_trials_tally_as_every_trial_evaluated(case):
+    # settling a trial at the bound changes no count: chunks cut inside
+    # blocks and across their edges tally what evaluating every drawn
+    # realization does
+    cfg = _bound_cases()[case]
+    assert coverage._supply(cfg).bounded
+    edges = [100, 300, 650, 1100]
+    tallies = [run_trials_chunk(cfg, a, b, 47) for a, b in zip(edges, edges[1:])]
+    assert tallies == [_every_trial_tally(cfg, 47, a, b) for a, b in zip(edges, edges[1:])]
+    if case != "dense_fig5_320":   # the dense field covers every user
+        assert sum(t.out_inv for t in tallies) > 0
+
+
+@pytest.mark.parametrize("case, settles", [("fig5_320", "some"),
+                                           ("fig5_gamma_0.01_320", "none"),
+                                           ("dense_fig5_320", "all"),
+                                           ("shot_noise_80", "some")])
+def test_exact_stage_takes_the_unsettled_trials_with_users(monkeypatch, case, settles):
+    # each pass evaluates field_values on the realizations of exactly the
+    # trials with users that its bound leaves unsettled, counted here from
+    # the users' own sorted needs: all of them settled, no call; none, the
+    # pass's block as drawn
+    cfg = _bound_cases()[case]
+    supply = coverage._supply(cfg)
+    calls = []
+    monkeypatch.setattr(coverage, "field_values", lambda real, points, fn=field_values:
+                        calls.append(real) or fn(real, points))
+    seen = set()
+    for a, b in ((100, 356), (356, 600), (600, 612), (612, 868)):   # one pass each
+        calls.clear()
+        run_trials_chunk(cfg, a, b, 47)
+        users = coverage._pass_draw(partial(coverage._draw_users, cfg, 47), a, b)
+        needs = np.split(required_power(cfg.theta, users.distance, users.fading, cfg.channel),
+                         np.cumsum(users.users)[:-1])
+        real = _drawn_block(cfg, 47, a, b)
+        bound = supply.field_power(nearest_center_bound(real, supply.positions))
+        bound *= 1.0 - coverage._BOUND_MARGIN
+        settled = np.array([len(n) > 0 and n.max() <= p / len(n) and np.cumsum(np.sort(n))[-1] <= p
+                            for n, p in zip(needs, bound)])
+        unsettled = (users.users > 0) & ~settled
+        if not unsettled.any():
+            seen.add("all")
+            assert calls == []
+            continue
+        [call] = calls
+        keep = unsettled if settled.any() else np.ones(len(settled), dtype=bool)
+        seen.add("some" if settled.any() else "none")
+        starts = np.cumsum(real.counts) - real.counts
+        centers = [real.centers.points[s:s + c] for s, c in zip(starts[keep], real.counts[keep])]
+        assert np.array_equal(call.counts, real.counts[keep])
+        assert np.array_equal(call.centers.points, np.concatenate(centers))
+    assert seen == {settles}
 
 
 @pytest.mark.parametrize("kw, by_law", [

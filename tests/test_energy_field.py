@@ -63,6 +63,18 @@ def test_decay_profiles():
     assert decay_power_law(2.0, 2.0) == pytest.approx(1.0 / 3.0)
 
 
+@pytest.mark.parametrize("kernel", [Kernel.BOOLEAN_MAX_EXP, Kernel.BOOLEAN_MAX_PLAW])
+def test_in_place_kernel_keeps_the_decay_bits(kernel):
+    # field_values and the bound apply the kernel in place, by the decay's
+    # own operations in their order, so the values keep the decay's bits;
+    # nu = 0.7 rounds where a reordering would round differently
+    spec = EnergyFieldSpec(gamma=7.3, lambda_e=0.05, nu=0.7, kernel=kernel)
+    decay = decay_exp if kernel is Kernel.BOOLEAN_MAX_EXP else decay_power_law
+    d = np.append(substream(7, 0).uniform(0.0, 5.0, 1000), np.inf)
+    assert np.array_equal(energy_field._boolean_kernel(spec, d.copy()),
+                          spec.gamma * decay(d, spec.nu))
+
+
 def test_field_values_max_kernel_by_hand():
     w = Window(10.0, 10.0, wrap=True)
     centers = PointSet(np.array([[1.0, 1.0], [5.0, 5.0]]))
@@ -423,7 +435,8 @@ def test_window_law_inverse_round_trips(window):
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_block_field_values_match_single_realizations(kernel, wrap):
     # a block evaluated in one grouped pass, in tiles of points, equals each
-    # realization evaluated alone; psi 0.02 leaves some realizations empty
+    # realization evaluated alone, and so does a part of it taken by select
+    # or under a mask; psi 0.02 leaves some realizations empty
     spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.02, nu=1.0, kernel=kernel)
     w = Window(9.0, 7.0, wrap=wrap)
     block = draw_field(spec, w, substream(412, 0), 40)
@@ -437,6 +450,8 @@ def test_block_field_values_match_single_realizations(kernel, wrap):
         assert np.array_equal(values[:, i], field_values(single, pts)[:, 0])
     part = block.select(5, 17)
     assert np.array_equal(field_values(part, pts), values[:, 5:17])
+    keep = (np.arange(40) % 3 == 0) | (block.counts == 0)
+    assert np.array_equal(field_values(block.compress(keep), pts), values[:, keep])
 
 
 def _brute_boolean_field(spec, window, centers, counts, pts):
@@ -528,6 +543,52 @@ def test_factored_kernel_equals_brute_force(kernel, wrap, points, cells, counts,
             for where in (pts, PointSet(pts)):
                 _assert_matches_brute_force(spec, w, centers, counts, pts,
                                             field_values(block, where))
+
+
+def _nearest_center_alone(block):
+    """Each realization of a block reduced to its first center at the least
+    squared distance from the window's center, as a block of one; None for
+    an empty one."""
+    cx, cy = block.window.center
+    starts = np.cumsum(block.counts) - block.counts
+    alone = []
+    for a, c in zip(starts, block.counts):
+        xy = block.centers.points[a:a + c]
+        d2 = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2
+        alone.append(FieldRealization(block.spec, PointSet(xy[np.argmin(d2)]), block.window)
+                     if c else None)
+    return alone
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=st.sampled_from(list(Kernel)),
+       wrap=st.booleans(),
+       points=st.lists(_GRID, min_size=1, max_size=40),
+       cells=st.lists(_GRID, min_size=1, max_size=20),
+       counts=st.lists(st.integers(0, 5), min_size=1, max_size=10))
+@example(kernel=Kernel.BOOLEAN_MAX_EXP, wrap=True, points=[(0, 0), (17, 13), (9, 7)],
+         cells=[(8, 7), (10, 7), (9, 12)], counts=[2, 0, 3])
+@example(kernel=Kernel.SHOT_NOISE_EXP, wrap=False, points=[(0, 0), (17, 13), (9, 7)],
+         cells=[(9, 5), (9, 9), (7, 7), (11, 7)], counts=[4, 0, 0])
+def test_nearest_center_bound_never_exceeds_the_field(kernel, wrap, points, cells, counts):
+    # on a grid, centers tie in their distance from the window's center
+    # (4.5, 3.5); the bound is the field of the first tied center alone,
+    # bit for bit, and never exceeds the field of all the centers, reduced
+    # by segments or by slots. An empty realization's bound is 0
+    spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.05, nu=2.0, kernel=kernel)
+    w = Window(9.0, 7.0, wrap=wrap)
+    centers = 0.5 * np.array([cells[i % len(cells)] for i in range(sum(counts))],
+                             dtype=float).reshape(-1, 2)
+    pts = 0.5 * np.array(points, dtype=float)
+    block = FieldRealization(spec, PointSet(centers), w, np.array(counts))
+    bound = energy_field.nearest_center_bound(block, pts)
+    assert bound.shape == (len(pts), len(counts))
+    for i, alone in enumerate(_nearest_center_alone(block)):
+        expect = 0.0 if alone is None else field_values(alone, pts)[:, 0]
+        assert np.array_equal(bound[:, i], np.broadcast_to(expect, len(pts)))
+    for forced in _FORCE_SEGMENTS, _FORCE_SLOTS:
+        with mock.patch.multiple(energy_field, **forced):
+            assert np.all(bound <= field_values(block, pts))
 
 
 def _fig5_harvesters_and_block(kernel, density=1.0):

@@ -154,8 +154,7 @@ def _sampled_tally(cfg, seed, a, b):
     supply = coverage._supply(cfg)
     twin = replace(cfg, field=replace(cfg.field, kernel=Kernel.SHOT_NOISE_EXP))
     side = coverage._user_side([supply, coverage._supply(twin)], seed, a, b)
-    values = coverage._pass_fields(supply, seed, a, b)
-    return coverage._point_tally(supply, values, side)
+    return coverage._drawn_tally(supply, side, seed, a, b)
 
 
 @pytest.mark.parametrize("supply", sorted(_LAW_SUPPLIES))
