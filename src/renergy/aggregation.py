@@ -140,7 +140,8 @@ def delivered_power(budget, length, voltage: float, beta: float,
     """
     budget = np.asarray(budget, dtype=float)
     length = np.asarray(length, dtype=float)
-    if not np.all((budget >= 0) & (budget < math.inf)):
+    # one pass each, no temporaries; NaN fails both, an empty budget neither
+    if not (budget.min(initial=0.0) >= 0 and budget.max(initial=0.0) < math.inf):
         raise ValueError("budget must be non-negative and finite")
     if not np.all(length >= 0):
         raise ValueError("length must be non-negative")

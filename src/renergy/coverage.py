@@ -86,29 +86,26 @@ nor on the other scenarios of its group, so tallies do not depend on where
 chunks start and stop, on the worker count, or on which scenarios run
 together.
 
-A point on the centers path whose typical cluster holds _SLOT_POINTS (32)
-harvesters or more is bounded: most of its trials cover every user, since a
-large cluster's harvest is nearly constant, and one center per realization
-already shows it. Its pass first takes the station power at
+Every point on the centers path settles what it can at a bound: in most of
+its trials every user is covered, and one center per realization often shows
+it already. Its pass first takes the station power at
 energy_field.nearest_center_bound, the field of the realization's center
-nearest the window's center (where the typical aggregator sits) alone,
-scaled down by _BOUND_MARGIN (1e-9), of each trial with users covered at
-the peak station power: a boolean field never exceeds gamma, so no other
-trial can be covered at its bound. A trial is settled when its largest need
-is at most that bound / k and its last running sum at most the bound, both
-read from the layout (_covered). The bound's pairs are floats field_values
-computes too, a boolean kernel's field can only be larger at the nearest of
-all the centers and a shot-noise sum only adds terms, delivered_power
-increases with the budget and the cluster sums in a fixed order, so the
-exact power is at least the bound: the margin, far above round-off, covers
-exp and sqrt followed by squaring. At the exact power every user of a
-settled trial is covered under both schemes and its union event is false,
-so counting at the bound gives the same outages, and tallies and CSV bytes
-do not change; which trials are bounded decides only which are evaluated
-exactly. field_values runs on the other trials' realizations only, or on
-the pass's block as drawn when none is settled. Below 32 harvesters
-the segment reduction costs about as much as the bound, so those points
-evaluate every trial, as on-site shot noise does.
+nearest the window's center (where the typical aggregator, or the on-site
+station, sits) alone, scaled down by _BOUND_MARGIN (1e-9), of each trial
+with users covered at the peak station power: a boolean field never exceeds
+gamma, so no other trial can be covered at its bound. A trial is settled
+when its largest need is at most that bound / k and its last running sum at
+most the bound, both read from the layout (_covered). The bound's pairs are
+floats field_values computes too, a boolean kernel's field can only be
+larger at the nearest of all the centers and a shot-noise sum only adds
+terms, delivered_power increases with the budget and the cluster sums in a
+fixed order, so the exact power is at least the bound: the margin, far above
+round-off, covers exp and sqrt followed by squaring. At the exact power
+every user of a settled trial is covered under both schemes and its union
+event is false, so counting at the bound gives the same outages, and tallies
+and CSV bytes do not change; which trials are bounded decides only which are
+evaluated exactly. field_values runs on the other trials' realizations only:
+at any cluster size, on a wrapped window or a flat one.
 """
 
 from __future__ import annotations
@@ -129,9 +126,9 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
                      total_outage_bound)
 from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
-from .energy_field import (_SLOT_POINTS, EnergyFieldSpec, FieldRealization, Kernel,
-                           draw_field, field_values, nearest_center_bound,
-                           window_disk_area)
+from .energy_field import (_SLOT_POINTS, _TILE_ELEMENTS, _TILE_POINTS, EnergyFieldSpec,
+                           FieldRealization, Kernel, draw_field, field_values,
+                           nearest_center_bound, window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
                        default_window_side, hex_cell_circumradius, hex_cell_distances,
                        nearest_site_indices, substream)
@@ -352,17 +349,14 @@ class _Supply:
     stations_per_aggregator: int
     peak_station_power: float = field(init=False)
     by_law: bool = field(init=False)
-    bounded: bool = field(init=False)
 
     def __post_init__(self) -> None:
         cfg = self.cfg
         # eta * gamma, the largest harvester budget
         peak = self.station_power(np.full((len(self.line_lengths), 1), cfg.eta * cfg.field.gamma))
         object.__setattr__(self, "peak_station_power", float(peak[0]))
-        harvesters = len(self.positions)
         object.__setattr__(self, "by_law", cfg.field.kernel is not Kernel.SHOT_NOISE_EXP
-                           and harvesters == 1)
-        object.__setattr__(self, "bounded", harvesters >= _SLOT_POINTS)
+                           and len(self.positions) == 1)
 
     def station_power(self, budgets: np.ndarray) -> np.ndarray:
         """Station power per column of a (harvesters, trials) budget array."""
@@ -603,10 +597,11 @@ def _outages(side: _UserSide, power) -> tuple[int, int]:
             users - int(np.count_nonzero(side.flat[users:] <= reach)))
 
 
-# Relative margin by which a bounded point scales its bound on a station's
-# power down before it settles trials with it: far above the round-off by
-# which the bound's arithmetic (exp, sqrt followed by squaring, the line and
-# the cluster's sum) could exceed the exact power's at a larger field.
+# Relative margin by which a point on the centers path scales its bound on a
+# station's power down before it settles trials with it: far above the
+# round-off by which the bound's arithmetic (exp, sqrt followed by squaring,
+# the line and the cluster's sum) could exceed the exact power's at a larger
+# field.
 _BOUND_MARGIN = 1e-9
 
 
@@ -622,7 +617,8 @@ def _covered(side: _UserSide, power, trials=slice(None)) -> np.ndarray:
 def _realizations(real: FieldRealization, busy: np.ndarray,
                   picked: np.ndarray) -> FieldRealization:
     """The realizations of the trials with users at positions picked among
-    them: the pass's block as drawn where that is every trial of it."""
+    them, none or all of them: the pass's block as drawn where that is every
+    trial of it, as when every trial has users and none is settled."""
     if len(picked) == len(busy):
         return real
     keep = np.zeros(len(busy), dtype=bool)
@@ -636,40 +632,32 @@ def _drawn_tally(supply: _Supply, side: _UserSide, seed: int, a: int,
     of trials [a, b)'s drawn fields at the supply's harvesters against its
     users.
 
-    A bounded supply first takes a bound on each trial's power from its
-    field's nearest_center_bound, at most the exact power once scaled down
-    by _BOUND_MARGIN, for the trials with users covered at the peak station
-    power alone: a boolean field never exceeds gamma, so no other trial can
-    be covered at its bound, and one that a shot-noise field above gamma
-    could cover is evaluated exactly instead. A trial whose users are all
-    covered at its bound (_covered) is covered at its exact power too: it is
-    settled, and the bound stands in for its power. field_values runs only
-    on the realizations of the other trials with users, or on the pass's
-    block as drawn when none is settled."""
+    The trials with users covered at the peak station power first take a
+    bound on their power from their fields' nearest_center_bound, at most the
+    exact power once scaled down by _BOUND_MARGIN: a boolean field never
+    exceeds gamma, so no other trial can be covered at its bound, and one
+    that a shot-noise field above gamma could cover is evaluated exactly
+    instead. A trial whose users are all covered at its bound (_covered) is
+    covered at its exact power too: it is settled, and the bound stands in
+    for its power. field_values runs only on the realizations of the other
+    trials with users, and not at all when every one is settled."""
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
     real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
     busy = side.busy
-    power = None
-    if supply.bounded:
-        power = np.empty(len(side.k))
-        settled = np.zeros(len(side.k), dtype=bool)
-        bounded = np.flatnonzero(_covered(side, supply.peak_station_power))
-        if len(bounded):
-            bound = supply.field_power(nearest_center_bound(
-                _realizations(real, busy, bounded), supply.positions))
-            bound *= 1.0 - _BOUND_MARGIN
-            power[bounded] = bound
-            settled[bounded] = _covered(side, bound, bounded)
-        unsettled = np.flatnonzero(~settled)
-        if len(unsettled) == len(settled):
-            power = None
-        elif len(unsettled):
-            power[unsettled] = supply.field_power(field_values(
-                _realizations(real, busy, unsettled), supply.positions))
-    if power is None:
-        power = supply.field_power(field_values(real, supply.positions))[busy]
+    power = np.empty(len(side.k))
+    settled = np.zeros(len(side.k), dtype=bool)
+    covered = np.flatnonzero(_covered(side, supply.peak_station_power))
+    bound = supply.field_power(nearest_center_bound(_realizations(real, busy, covered),
+                                                    supply.positions))
+    bound *= 1.0 - _BOUND_MARGIN
+    power[covered] = bound
+    settled[covered] = _covered(side, bound, covered)
+    unsettled = np.flatnonzero(~settled)
+    if len(unsettled):
+        power[unsettled] = supply.field_power(field_values(
+            _realizations(real, busy, unsettled), supply.positions))
     tally.out_ci, tally.out_inv = _outages(side, power)
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     tally.union_trials = int(np.count_nonzero(side.flat[side.last] > power))
@@ -728,8 +716,8 @@ def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
     from the supplies of its group: the largest of its user draws joined
     beside the blocks they join; the padded rows, the workspace of the sort
     and the running sums, beside each user's place in them and the flat
-    layout they fill; and what the pass keeps of its users beside the
-    group's most demanding point (_point_bytes)."""
+    layout they fill; and what the pass keeps of its users beside each
+    point of the group (_point_bytes)."""
     mu = supplies[0].cfg.mean_users_per_cell
     counted = not all(s.by_law for s in supplies)
     integrated = any(s.by_law for s in supplies)
@@ -741,36 +729,44 @@ def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
     # the layout a counting point reads and the thresholds, which are a copy
     # of it where points of both kinds share it, and 5 per-trial arrays
     kept = 8 * (2 * mu * (counted + integrated) + 5)
-    return max(2 * draws, rows, kept + max(_point_bytes(s, mu) for s in supplies))
+    return max(2 * draws, rows, *(_point_bytes(s, mu, kept) for s in supplies))
 
 
-def _point_bytes(supply: _Supply, mu: float) -> float:
-    """Bytes per trial a point holds beside its pass's users, mu per trial.
-    By the center law: F at each threshold, seven sums per trial and their
-    whole parts. On the centers path: its centers joined beside the blocks
-    they join, and every trial's field values and station power. Where
-    field_values reduces by segments, each center's tile arrays (three of
-    one axis's distinct coordinates beside the other's one, then both beside
-    the pairs) beside _FIELD_ARRAYS values per harvester; by slots, each
-    center's slot, index and coordinates and a run's per-axis arrays beside
-    _SLOT_ARRAYS. That is the larger of a bounded point's two stages, and
-    the whole of it when no trial is settled: its bound holds three values
-    per center (squared distances from the window's center, and each one's
-    realization's least) and, per harvester, a pair and its gather, but no
-    accumulator."""
+def _point_bytes(supply: _Supply, mu: float, kept: float) -> float:
+    """Bytes per trial a pass holds at one point, mu users per trial, beside
+    kept bytes per trial of its users. By the center law: F at each
+    threshold, seven sums per trial and their whole parts. On the centers
+    path: its centers joined beside the blocks they join, and every trial's
+    field values and station power; the bound's stage holds less, three
+    values per center and, per harvester, a pair and its gather. Where
+    field_values reduces by slots, each center's slot, index and coordinates
+    and a run's per-axis arrays beside _SLOT_ARRAYS values per harvester.
+    Where it reduces by segments, _FIELD_ARRAYS values per harvester beside
+    the tile arrays: per center, three rows of one axis's distinct
+    coordinates beside one of the other's, then both beside a row per tile
+    point. A tile holds at most _TILE_ELEMENTS / m centers, m the most rows
+    of its arrays, so they are a fixed cost T per pass once the pass holds
+    that many. A pass of _PASS_BYTES / E trials that holds c bytes per trial
+    beside them fits its budget at E = c / (1 - T / _PASS_BYTES), and the
+    model books the smaller of that and the uncapped tiles."""
     if supply.by_law:
-        return 8 * (2 * mu + _LAW_ARRAYS)
+        return kept + 8 * (2 * mu + _LAW_ARRAYS)
     harvesters = len(supply.positions)
     ux, _, uy, _ = supply.positions.axes
     centers = supply.cfg.field.lambda_e * supply.window.area
     per_center = 4.0    # x and y, as drawn and as joined
-    if supply.cfg.field.kernel is Kernel.SHOT_NOISE_EXP or harvesters < _SLOT_POINTS:
-        per_center += max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + harvesters)
-        per_trial = _FIELD_ARRAYS * harvesters
-    else:
+    if supply.cfg.field.kernel is not Kernel.SHOT_NOISE_EXP and harvesters >= _SLOT_POINTS:
         per_center += 4
-        per_trial = _SLOT_ARRAYS * harvesters + len(ux) + len(uy)
-    return 8 * (per_center * centers + 2 + per_trial)
+        return kept + 8 * (per_center * centers + 2 + _SLOT_ARRAYS * harvesters
+                           + len(ux) + len(uy))
+    per_trial = kept + 8 * (per_center * centers + 2 + _FIELD_ARRAYS * harvesters)
+    points = min(harvesters, _TILE_POINTS)
+    tile = max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + points)
+    uncapped = per_trial + 8 * tile * centers
+    fixed = 8 * tile * _TILE_ELEMENTS / max(points, len(ux), len(uy))
+    if fixed >= _PASS_BYTES:
+        return uncapped
+    return min(uncapped, per_trial / (1.0 - fixed / _PASS_BYTES))
 
 
 def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,

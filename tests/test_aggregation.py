@@ -157,6 +157,19 @@ def test_delivered_power_tau_floor_mode():
         delivered_power(8.0, 1.0, 3.0, 1.0, mode="tau_floor", tau=None)
 
 
+@pytest.mark.parametrize("mode", ["exact", "tau_floor"])
+def test_delivered_power_rejects_bad_budgets_and_accepts_an_empty_one(mode):
+    # a NaN, negative or infinite value anywhere in a budget array raises,
+    # however the array is shaped; an empty one delivers an empty array
+    kw = dict(length=1.0, voltage=3.0, beta=1.0, mode=mode, tau=0.6)
+    for bad in (math.nan, -1e-300, -math.inf, math.inf):
+        for budget in (bad, np.array([[2.0, 0.0], [1.0, bad]]), np.array([bad, 5.0])):
+            with pytest.raises(ValueError, match="budget"):
+                delivered_power(budget, **kw)
+    assert delivered_power(np.empty((3, 0)), **kw).shape == (3, 0)
+    assert delivered_power(np.array([0.0, -0.0, 4.0]), **kw).shape == (3,)
+
+
 def test_supplied_power_conservation_and_split():
     lambda_h, lambda_a, lambda_b = 2.0, 0.5, 1.0
     w = clustered_window(lambda_a, 12.0)

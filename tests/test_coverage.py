@@ -355,18 +355,23 @@ def _peak_cases():
     sweep and fig5's cluster sizes 20 and 320; fig4 at psi 0.02 under shot
     noise; fig4's scenario beside its shot-noise twin, and one harvester by
     the center law beside a cluster of seven, the two groups that mix the
-    center law with drawn fields."""
+    center law with drawn fields. The cluster of seven settles most of its
+    trials at the bound, and none at gamma = 0.01, where every trial's field
+    is evaluated and the segment tiles reach their cap."""
     fig4, fig5 = _repro_experiment("fig4"), _repro_experiment("fig5").scenario
     shot = replace(fig4.scenario, field=replace(fig4.scenario.field,
                                                 kernel=Kernel.SHOT_NOISE_EXP))
     one = parse_config_text("scenario.architecture = distributed\n"
                             "distributed.lambda_h = 0.78\ndistributed.lambda_a = 0.78\n").scenario
+    faint = replace(one, field=replace(one.field, gamma=0.01))
     return {
         "fig4": tuple(apply_sweep(fig4.scenario, "psi", p) for p in fig4.sweep_values),
         "fig5": tuple(apply_sweep(fig5, "cluster_size", c) for c in (20.0, 320.0)),
         "fig4_shot_noise": (apply_sweep(shot, "psi", 0.02),),
         "onsite_with_shot_noise_twin": (fig4.scenario, shot),
         "cluster_sizes_1_and_7": tuple(apply_sweep(one, "cluster_size", c) for c in (1.0, 7.0)),
+        "cluster_sizes_1_and_7_gamma_0.01": tuple(apply_sweep(faint, "cluster_size", c)
+                                                  for c in (1.0, 7.0)),
     }
 
 
@@ -377,7 +382,7 @@ def test_a_pass_peaks_within_its_byte_model(case):
     # scenario records; the second draws its blocks afresh and is traced
     group = _peak_cases()[case]
     supplies = [coverage._supply(cfg) for cfg in group]
-    if case in ("onsite_with_shot_noise_twin", "cluster_sizes_1_and_7"):
+    if case.startswith(("onsite_with_shot_noise_twin", "cluster_sizes_1_and_7")):
         assert {s.by_law for s in supplies} == {True, False}
     per_trial = coverage._pass_bytes_per_trial(supplies)
     step = BLOCK * max(1, int(coverage._PASS_BYTES // (BLOCK * per_trial)))
@@ -394,18 +399,24 @@ def test_a_pass_peaks_within_its_byte_model(case):
 
 
 def _bound_cases():
-    """Points whose typical cluster holds _SLOT_POINTS harvesters or more, so
-    a bound on the station's power settles their covered trials: fig5 at
-    cluster 320 (about 82% of trials with users settled), and at gamma =
-    0.01 (none); the CI's dense fig5 at 320 (all); distributed shot noise at
-    cluster 80 (73 harvesters); fig5 at cluster 80 over exact lines at 2 V,
-    and at 320 over tau_floor lines."""
+    """Points on the centers path, whose covered trials settle at a bound on
+    the station's power: fig5 at cluster 320 (about 82% of trials with users
+    settled), and at gamma = 0.01 (none); the CI's dense fig5 at 320 (all);
+    distributed shot noise at clusters 20 and 80 (19 and 73 harvesters);
+    fig5 at cluster 80 over exact lines at 2 V, and at 320 over tau_floor
+    lines; fig5 at cluster 20 (19 harvesters) and a cluster of 7 at
+    lambda_h = 0.78, both below the slot reduction's 32 points; and on-site
+    shot noise at psi 0.5 and gamma = 10 (about a quarter of the trials
+    evaluated), on a wrapped window and on a flat one."""
     fig5 = _repro_experiment("fig5").scenario
     arch = fig5.architecture
     dense = parse_config_text("scenario.architecture = distributed\nfield.gamma = 10\n"
                               "field.lambda_e = 0.4\ndistributed.voltage = inf\n").scenario
     shot = parse_config_text("scenario.architecture = distributed\n"
                              "field.kernel = shot_noise_exp\n").scenario
+    seven = parse_config_text("scenario.architecture = distributed\n"
+                              "distributed.lambda_h = 0.78\n").scenario
+    onsite_shot = parse_config_text("field.kernel = shot_noise_exp\nfield.gamma = 10\n").scenario
     tau_floor = replace(fig5, architecture=replace(arch, line=replace(arch.line,
                                                                       mode="tau_floor")))
     return {
@@ -416,6 +427,11 @@ def _bound_cases():
         "shot_noise_80": apply_sweep(shot, "cluster_size", 80.0),
         "lossy_2V_80": apply_sweep(apply_sweep(fig5, "voltage", 2.0), "cluster_size", 80.0),
         "tau_floor_320": apply_sweep(tau_floor, "cluster_size", 320.0),
+        "fig5_20": apply_sweep(fig5, "cluster_size", 20.0),
+        "exact_lambda_h_0.78_7": apply_sweep(seven, "cluster_size", 7.0),
+        "shot_noise_20": apply_sweep(shot, "cluster_size", 20.0),
+        "onsite_shot_noise_0.5": apply_sweep(onsite_shot, "psi", 0.5),
+        "onsite_shot_noise_0.5_flat": replace(apply_sweep(onsite_shot, "psi", 0.5), wrap=False),
     }
 
 
@@ -450,7 +466,6 @@ def test_settled_trials_tally_as_every_trial_evaluated(case):
     # blocks and across their edges tally what evaluating every drawn
     # realization does
     cfg = _bound_cases()[case]
-    assert coverage._supply(cfg).bounded
     edges = [100, 300, 650, 1100]
     tallies = [run_trials_chunk(cfg, a, b, 47) for a, b in zip(edges, edges[1:])]
     assert tallies == [_every_trial_tally(cfg, 47, a, b) for a, b in zip(edges, edges[1:])]
@@ -461,12 +476,14 @@ def test_settled_trials_tally_as_every_trial_evaluated(case):
 @pytest.mark.parametrize("case, settles", [("fig5_320", "some"),
                                            ("fig5_gamma_0.01_320", "none"),
                                            ("dense_fig5_320", "all"),
-                                           ("shot_noise_80", "some")])
+                                           ("shot_noise_80", "some"),
+                                           ("fig5_20", "some"),
+                                           ("onsite_shot_noise_0.5_flat", "some")])
 def test_exact_stage_takes_the_unsettled_trials_with_users(monkeypatch, case, settles):
     # each pass evaluates field_values on the realizations of exactly the
     # trials with users that its bound leaves unsettled, counted here from
-    # the users' own sorted needs: all of them settled, no call; none, the
-    # pass's block as drawn
+    # the users' own sorted needs: all of them settled, no call; none, every
+    # trial with users
     cfg = _bound_cases()[case]
     supply = coverage._supply(cfg)
     calls = []
@@ -490,11 +507,11 @@ def test_exact_stage_takes_the_unsettled_trials_with_users(monkeypatch, case, se
             assert calls == []
             continue
         [call] = calls
-        keep = unsettled if settled.any() else np.ones(len(settled), dtype=bool)
         seen.add("some" if settled.any() else "none")
         starts = np.cumsum(real.counts) - real.counts
-        centers = [real.centers.points[s:s + c] for s, c in zip(starts[keep], real.counts[keep])]
-        assert np.array_equal(call.counts, real.counts[keep])
+        centers = [real.centers.points[s:s + c]
+                   for s, c in zip(starts[unsettled], real.counts[unsettled])]
+        assert np.array_equal(call.counts, real.counts[unsettled])
         assert np.array_equal(call.centers.points, np.concatenate(centers))
     assert seen == {settles}
 
