@@ -60,7 +60,7 @@ spans as many whole blocks m as keep the bytes it holds at its peak within
 _PASS_BYTES (3 MiB), and one at least, as estimated before it draws
 (_pass_bytes_per_trial). fig4's group, 10 users per cell by the center law,
 holds about 520 B per trial and runs passes of 23 blocks; fig5's, whose
-cluster 320 holds about 8.8 KB per trial, runs passes of one. One rule draws
+cluster 320 holds about 6.9 KB per trial, runs passes of one. One rule draws
 a pass's users or centers (_pass_draw): each block the pass spans, whole as
 drawn or as views of the part it covers, the blocks joined when there are
 several. The last block of each of the two draws is memoized read-only, so
@@ -126,7 +126,7 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
                      total_outage_bound)
 from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
-from .energy_field import (_SLOT_POINTS, _TILE_ELEMENTS, _TILE_POINTS, EnergyFieldSpec,
+from .energy_field import (_TILE_ELEMENTS, _TILE_POINTS, EnergyFieldSpec,
                            FieldRealization, Kernel, draw_field, field_values,
                            nearest_center_bound, window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
@@ -167,16 +167,6 @@ _BLOCK_VALUES_CAP = 1 << 26
 # module docstring). A longer pass spreads each numpy call's fixed cost over
 # more trials, at the price of its temporaries.
 _PASS_BYTES = 3 << 20
-
-# Values per trial and harvester that a scenario on the centers path holds
-# at once where field_values reduces by segments: its field values and the
-# delivered_power arrays made from them.
-_FIELD_ARRAYS = 6
-
-# The same where it reduces by slots, whose accumulator, a slot's pairs and
-# their gather outweigh the field values and the station power made from
-# them in place.
-_SLOT_ARRAYS = 3
 
 # Values per trial that a scenario run by the center law holds beside its
 # shortfall at each threshold: seven per-trial sums and their whole parts.
@@ -736,30 +726,27 @@ def _point_bytes(supply: _Supply, mu: float, kept: float) -> float:
     """Bytes per trial a pass holds at one point, mu users per trial, beside
     kept bytes per trial of its users. By the center law: F at each
     threshold, seven sums per trial and their whole parts. On the centers
-    path: its centers joined beside the blocks they join, and every trial's
-    field values and station power; the bound's stage holds less, three
-    values per center and, per harvester, a pair and its gather. Where
-    field_values reduces by slots, each center's slot, index and coordinates
-    and a run's per-axis arrays beside _SLOT_ARRAYS values per harvester.
-    Where it reduces by segments, _FIELD_ARRAYS values per harvester beside
-    the tile arrays: per center, three rows of one axis's distinct
-    coordinates beside one of the other's, then both beside a row per tile
-    point. A tile holds at most _TILE_ELEMENTS / m centers, m the most rows
-    of its arrays, so they are a fixed cost T per pass once the pass holds
-    that many. A pass of _PASS_BYTES / E trials that holds c bytes per trial
-    beside them fits its budget at E = c / (1 - T / _PASS_BYTES), and the
-    model books the smaller of that and the uncapped tiles."""
+    path: its centers joined beside the blocks they join and, per harvester,
+    every trial's field values and what delivered_power makes of them, six
+    arrays on an exact line at a finite voltage (the quadratic's
+    temporaries) and two on a lossless or tau_floor line (a copy or a
+    product); the bound's stage holds less, three values per center and, per
+    harvester, a pair and its gather. Beside them, field_values' tile
+    arrays: per center, three rows of one axis's distinct coordinates beside
+    one of the other's, then both beside a row per tile point. A tile holds
+    at most _TILE_ELEMENTS / m centers, m the most rows of its arrays, so
+    they are a fixed cost T per pass once the pass holds that many. A pass of
+    _PASS_BYTES / E trials that holds c bytes per trial beside them fits its
+    budget at E = c / (1 - T / _PASS_BYTES), and the model books the smaller
+    of that and the uncapped tiles."""
     if supply.by_law:
         return kept + 8 * (2 * mu + _LAW_ARRAYS)
     harvesters = len(supply.positions)
     ux, _, uy, _ = supply.positions.axes
     centers = supply.cfg.field.lambda_e * supply.window.area
-    per_center = 4.0    # x and y, as drawn and as joined
-    if supply.cfg.field.kernel is not Kernel.SHOT_NOISE_EXP and harvesters >= _SLOT_POINTS:
-        per_center += 4
-        return kept + 8 * (per_center * centers + 2 + _SLOT_ARRAYS * harvesters
-                           + len(ux) + len(uy))
-    per_trial = kept + 8 * (per_center * centers + 2 + _FIELD_ARRAYS * harvesters)
+    quadratic = supply.line.mode == "exact" and math.isfinite(supply.voltage)
+    # x and y of each center, as drawn and as joined
+    per_trial = kept + 8 * (4 * centers + 2 + (6 if quadratic else 2) * harvesters)
     points = min(harvesters, _TILE_POINTS)
     tile = max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + points)
     uncapped = per_trial + 8 * tile * centers

@@ -31,17 +31,10 @@ minimum over per-pair distances bit for bit. The shot-noise kernel's image
 sum factors exactly by axis, so it multiplies the per-axis sums of
 exp(-d^2/nu) over a center's images and adds over the centers.
 
-Each call picks one reduction from the kernel and the point count alone.
-Sums, and boolean minima at fewer than _SLOT_POINTS (32) points, reduce by
-segments: one reduceat segment per point and realization. Boolean minima at
-32 points or more reduce by slots: slot s holds the s-th center of every
-realization that has more than s, and one elementwise minimum folds it into
-a (points x realizations) accumulator. A minimum is exact in any order, so
-both give the same bits; a sum is not, so shot noise keeps the segments and
-their summation order. Both reduce tiles of whole realizations. A segment
-tile bounds its pairs; a slot tile bounds its accumulator by its
-realizations, its index arrays by its centers and its per-axis arrays by
-both. So memory does not grow with the block.
+Every kernel reduces by segments: one reduceat segment per point and
+realization, a minimum for the boolean kernels and a sum for shot noise.
+Tiles of whole realizations hold at most _TILE_POINTS points and about
+_TILE_ELEMENTS pairs, so memory does not grow with the block.
 
 nearest_center_bound is a lower bound on field_values from one pair per
 point and realization: the realization's center nearest the window's center
@@ -216,24 +209,12 @@ def _image_decay(d: np.ndarray, side: float, wrap: bool, nu: float) -> np.ndarra
     return acc
 
 
-# Largest (points x centers) array the segment reduction builds at once. Each
-# per-axis array (distinct coordinates x centers) of either reduction also
-# stays within it, and a segment tile takes at most _TILE_POINTS points; only
-# a single realization with more centers than that is evaluated whole.
+# Largest (points x centers) array field_values builds at once. Each per-axis
+# array (distinct coordinates x centers) also stays within it, and a tile
+# takes at most _TILE_POINTS points; only a single realization with more
+# centers than that is evaluated whole.
 _TILE_ELEMENTS = 1 << 16
 _TILE_POINTS = 1024
-
-# The boolean minimum at _SLOT_POINTS points or more reduces slot by slot
-# (_slot_minimum); fewer points, and every sum, reduce by segments. Segments
-# cost an inner-loop call per point and realization, slots a few calls per
-# slot and one more pass over each pair, so slots win where points are many:
-# the fig5 harvesters at cluster 320 (307 points) take them, at cluster 20
-# (19 points) they would cost 0.96x. A slot tile holds whole realizations:
-# at most _SLOT_PAIRS // points of them, which bounds its accumulator and a
-# slot's pairs, and about _SLOT_PAIRS centers, which bounds its index arrays;
-# one realization at least.
-_SLOT_POINTS = 32
-_SLOT_PAIRS = 1 << 17
 
 # Expected energy centers the samplers draw at once (16 MiB of coordinates).
 # A draw takes as many whole realizations as this holds; a single realization
@@ -252,10 +233,7 @@ def field_values(real: FieldRealization, points) -> np.ndarray:
         out = _segment_reduce(real, pts, step, combine, np.add, 0.0)
         out *= spec.gamma
         return out
-    if len(pts) < _SLOT_POINTS:
-        d2 = _segment_reduce(real, pts, step, combine, np.minimum, np.inf)
-    else:
-        d2 = _slot_minimum(real, pts)
+    d2 = _segment_reduce(real, pts, step, combine, np.minimum, np.inf)
     return _boolean_kernel(spec, np.sqrt(d2, out=d2))
 
 
@@ -351,73 +329,6 @@ def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
             out[p:p + step, cols] = reduce.reduceat(pair, starts, axis=1)
         lo = hi
     return out
-
-
-def _slot_minimum(real: FieldRealization, pts: PointSet) -> np.ndarray:
-    """Each realization's minimum squared distance from each point to its
-    centers, (k, n), +inf for an empty one: _slot_reduce over tiles of whole
-    realizations, at most _SLOT_PAIRS // k of them and about _SLOT_PAIRS
-    centers, one realization at least."""
-    counts = real.counts
-    out = None
-    span = max(1, _SLOT_PAIRS // len(pts))
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(counts):
-        first = int(ends[lo] - counts[lo])
-        top = int(np.searchsorted(ends, first + _SLOT_PAIRS, side="right"))
-        hi = max(lo + 1, min(lo + span, top))
-        acc, cols = _slot_reduce(real, pts, lo, hi)
-        if out is None:   # once the first tile is reduced: a block of one tile
-            out = np.empty((len(pts), len(counts)))   # peaks without it
-        out[:, cols] = acc
-        del acc   # before the next tile's accumulator
-        lo = hi
-    return np.empty((len(pts), 0)) if out is None else out
-
-
-def _slot_reduce(real: FieldRealization, pts: PointSet, lo: int, hi: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """_slot_minimum of realizations lo..hi-1: its (points x realizations)
-    accumulator, and the realization of each of its columns.
-
-    Slot s holds the s-th center of every realization with more than s. With
-    the realizations ordered by count, largest first, slot s covers the first
-    n_s of them, so it folds into the first n_s columns of one (points x
-    realizations) accumulator with one elementwise minimum. A minimum is
-    exact in any order, so this equals the segment reduction bit for bit. The
-    per-axis step runs once per run of consecutive slots whose arrays fit
-    _TILE_ELEMENTS and hold no more columns than the accumulator, so they
-    are never larger than it.
-    """
-    ux, ix, uy, iy = pts.axes
-    window = real.window
-    tile = real.counts[lo:hi]
-    order = np.argsort(-tile, kind="stable")
-    ranked = tile[order]
-    starts = (np.cumsum(real.counts)[lo:hi] - tile)[order]
-    n = len(tile) - np.cumsum(np.bincount(ranked))[:-1]   # realizations per slot
-    ends = np.cumsum(n)
-    first = ends - n                                       # slot s's first column
-    slot = np.repeat(np.arange(len(n)), n)
-    centers = starts[np.arange(len(slot)) - first[slot]] + slot
-    xs = real.centers.points[centers, 0]
-    ys = real.centers.points[centers, 1]
-    acc = np.full((len(ix), len(tile)), np.inf)
-    cols = max(1, min(_TILE_ELEMENTS // max(len(ux), len(uy)), len(tile)))
-    s = 0
-    while s < len(n):
-        top = max(s + 1, int(np.searchsorted(ends, first[s] + cols, side="right")))
-        a, b = int(first[s]), int(ends[top - 1])
-        ax = folded_square(ux[:, None] - xs[a:b], window.width, window.wrap)
-        ay = folded_square(uy[:, None] - ys[a:b], window.height, window.wrap)
-        for e, m in zip((first[s:top] - a).tolist(), n[s:top].tolist()):
-            pair = ax[:, e:e + m][ix]
-            pair += ay[:, e:e + m][iy]
-            head = acc[:, :m]
-            np.minimum(head, pair, out=head)
-        s = top
-    return acc, lo + order
 
 
 def _disk_area(s: np.ndarray, half_sides: tuple[float, float]

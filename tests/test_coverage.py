@@ -273,9 +273,9 @@ def test_chunk_runs_in_fewest_passes(monkeypatch, kernel, psi, start, stop, pass
     # _PASS_BYTES (3 MiB: 12288 B per trial of one block), one at least. At 10
     # users per cell a trial's padded rows, beside the layout they fill, take
     # 520 B. A shot-noise point keeps the layout (200 B) beside 8 (800 psi +
-    # 8) B of centers, their tile arrays and fields on the 10 x 10 window:
-    # 38664 B at psi 6 exceed a block, 5384 B at psi 0.8 fit two blocks, and
-    # 584 B at psi 0.05 fit 21. By the center law the rows' 520 B fit 23
+    # 4) B of centers, their tile arrays and fields on the 10 x 10 window:
+    # 38632 B at psi 6 exceed a block, 5352 B at psi 0.8 fit two blocks, and
+    # 552 B at psi 0.05 fit 22. By the center law the rows' 520 B fit 23
     # blocks, whatever psi is. A chunk runs in the fewest such
     # passes wherever it starts, and each block it touches is drawn once
     drawn, seen, _ = _record_passes(monkeypatch)
@@ -352,21 +352,26 @@ def test_tallies_do_not_depend_on_the_pass_budget(monkeypatch, case):
 
 def _peak_cases():
     """The groups whose one-pass peaks the byte model is held to: fig4's psi
-    sweep and fig5's cluster sizes 20 and 320; fig4 at psi 0.02 under shot
-    noise; fig4's scenario beside its shot-noise twin, and one harvester by
-    the center law beside a cluster of seven, the two groups that mix the
-    center law with drawn fields. The cluster of seven settles most of its
-    trials at the bound, and none at gamma = 0.01, where every trial's field
-    is evaluated and the segment tiles reach their cap."""
+    sweep and fig5's cluster sizes 20 and 320, over lossless lines; the
+    lossy CI sweep's cluster sizes 20 and 80, over exact lines at the rule's
+    voltage; fig4 at psi 0.02 under shot noise; fig4's scenario beside its
+    shot-noise twin, and one harvester by the center law beside a cluster of
+    seven, the two groups that mix the center law with drawn fields. The
+    cluster of seven settles most of its trials at the bound, and none at
+    gamma = 0.01, where every trial's field is evaluated and the tiles reach
+    their cap."""
     fig4, fig5 = _repro_experiment("fig4"), _repro_experiment("fig5").scenario
     shot = replace(fig4.scenario, field=replace(fig4.scenario.field,
                                                 kernel=Kernel.SHOT_NOISE_EXP))
     one = parse_config_text("scenario.architecture = distributed\n"
                             "distributed.lambda_h = 0.78\ndistributed.lambda_a = 0.78\n").scenario
     faint = replace(one, field=replace(one.field, gamma=0.01))
+    lossy = parse_config_text("scenario.architecture = distributed\n"
+                              "channel.ref_dist = 3\n").scenario
     return {
         "fig4": tuple(apply_sweep(fig4.scenario, "psi", p) for p in fig4.sweep_values),
         "fig5": tuple(apply_sweep(fig5, "cluster_size", c) for c in (20.0, 320.0)),
+        "lossy": tuple(apply_sweep(lossy, "cluster_size", c) for c in (20.0, 80.0)),
         "fig4_shot_noise": (apply_sweep(shot, "psi", 0.02),),
         "onsite_with_shot_noise_twin": (fig4.scenario, shot),
         "cluster_sizes_1_and_7": tuple(apply_sweep(one, "cluster_size", c) for c in (1.0, 7.0)),
@@ -405,9 +410,9 @@ def _bound_cases():
     distributed shot noise at clusters 20 and 80 (19 and 73 harvesters);
     fig5 at cluster 80 over exact lines at 2 V, and at 320 over tau_floor
     lines; fig5 at cluster 20 (19 harvesters) and a cluster of 7 at
-    lambda_h = 0.78, both below the slot reduction's 32 points; and on-site
-    shot noise at psi 0.5 and gamma = 10 (about a quarter of the trials
-    evaluated), on a wrapped window and on a flat one."""
+    lambda_h = 0.78; and on-site shot noise at psi 0.5 and gamma = 10 (about
+    a quarter of the trials evaluated), on a wrapped window and on a flat
+    one."""
     fig5 = _repro_experiment("fig5").scenario
     arch = fig5.architecture
     dense = parse_config_text("scenario.architecture = distributed\nfield.gamma = 10\n"

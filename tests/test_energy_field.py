@@ -505,10 +505,6 @@ def _assert_matches_brute_force(spec, window, centers, counts, pts, values):
 
 _GRID = st.tuples(st.integers(0, 17), st.integers(0, 13))   # 0.5 km steps in 9 x 7
 
-# Selections that send every tile of the boolean minimum one way.
-_FORCE_SEGMENTS = {"_SLOT_POINTS": 1 << 62}
-_FORCE_SLOTS = {"_SLOT_POINTS": 1}
-
 
 @settings(max_examples=80, deadline=None)
 @given(kernel=st.sampled_from(list(Kernel)),
@@ -527,22 +523,18 @@ _FORCE_SLOTS = {"_SLOT_POINTS": 1}
 def test_factored_kernel_equals_brute_force(kernel, wrap, points, cells, counts,
                                             tile_elements, tile_points):
     # points and centers on a grid repeat coordinates and tie distances
-    # exactly; small tiles split the points and the realizations of a block,
-    # and small per-axis budgets split the slot runs. The boolean kernels run
-    # both reductions, segment-wise and slot-wise, whatever the sizes
+    # exactly; small tiles split the points and the realizations of a block
     spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.05, nu=2.0, kernel=kernel)
     w = Window(9.0, 7.0, wrap=wrap)
     centers = 0.5 * np.array([cells[i % len(cells)] for i in range(sum(counts))],
                              dtype=float).reshape(-1, 2)
     pts = 0.5 * np.array(points, dtype=float)
     block = FieldRealization(spec, PointSet(centers), w, np.array(counts))
-    for forced in _FORCE_SEGMENTS, _FORCE_SLOTS:
-        with mock.patch.multiple(energy_field, _TILE_ELEMENTS=tile_elements,
-                                 _TILE_POINTS=tile_points, _SLOT_PAIRS=tile_elements,
-                                 **forced):
-            for where in (pts, PointSet(pts)):
-                _assert_matches_brute_force(spec, w, centers, counts, pts,
-                                            field_values(block, where))
+    with mock.patch.multiple(energy_field, _TILE_ELEMENTS=tile_elements,
+                             _TILE_POINTS=tile_points):
+        for where in (pts, PointSet(pts)):
+            _assert_matches_brute_force(spec, w, centers, counts, pts,
+                                        field_values(block, where))
 
 
 def _nearest_center_alone(block):
@@ -573,8 +565,8 @@ def _nearest_center_alone(block):
 def test_nearest_center_bound_never_exceeds_the_field(kernel, wrap, points, cells, counts):
     # on a grid, centers tie in their distance from the window's center
     # (4.5, 3.5); the bound is the field of the first tied center alone,
-    # bit for bit, and never exceeds the field of all the centers, reduced
-    # by segments or by slots. An empty realization's bound is 0
+    # bit for bit, and never exceeds the field of all the centers. An empty
+    # realization's bound is 0
     spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.05, nu=2.0, kernel=kernel)
     w = Window(9.0, 7.0, wrap=wrap)
     centers = 0.5 * np.array([cells[i % len(cells)] for i in range(sum(counts))],
@@ -586,9 +578,7 @@ def test_nearest_center_bound_never_exceeds_the_field(kernel, wrap, points, cell
     for i, alone in enumerate(_nearest_center_alone(block)):
         expect = 0.0 if alone is None else field_values(alone, pts)[:, 0]
         assert np.array_equal(bound[:, i], np.broadcast_to(expect, len(pts)))
-    for forced in _FORCE_SEGMENTS, _FORCE_SLOTS:
-        with mock.patch.multiple(energy_field, **forced):
-            assert np.all(bound <= field_values(block, pts))
+    assert np.all(bound <= field_values(block, pts))
 
 
 def _fig5_harvesters_and_block(kernel, density=1.0):
@@ -603,19 +593,18 @@ def _fig5_harvesters_and_block(kernel, density=1.0):
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
-def test_many_points_reduce_slot_wise_except_sums(kernel):
-    # the boolean kernels reduce slot by slot at the fig5 harvesters, with
-    # about 13 centers a realization and with about 100 at 8 x lambda_e, and
-    # equal the segment reduction bit for bit; a shot-noise sum at as many
-    # points keeps the segments and their summation order
-    unused = "_slot_reduce" if kernel is Kernel.SHOT_NOISE_EXP else "_segment_reduce"
+def test_many_points_match_brute_force(kernel):
+    # the fig5 harvesters, with about 13 centers a realization and with
+    # about 100 at 8 x lambda_e: a whole block's field values equal the
+    # brute-force oracles on its first realizations, the boolean kernels bit
+    # for bit and shot noise to round-off
     for density, mean_centers in ((1.0, (5, 20)), (8.0, (80, 120))):
         pts, block = _fig5_harvesters_and_block(kernel, density)
         assert len(pts) == 307 and mean_centers[0] < block.counts.mean() < mean_centers[1]
-        with mock.patch.multiple(energy_field, **_FORCE_SEGMENTS):
-            expect = field_values(block, pts)
-        with mock.patch.object(energy_field, unused, side_effect=AssertionError(unused)):
-            assert np.array_equal(field_values(block, pts), expect)
+        values = field_values(block, pts)
+        head = block.select(0, 16)
+        _assert_matches_brute_force(block.spec, block.window, head.centers.points,
+                                    head.counts, pts.points, values[:, :16])
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
@@ -640,52 +629,49 @@ def test_field_values_memory_is_bounded_on_a_large_block(kernel):
                                 point.points, values[:, :3])
 
 
-def test_slot_reduction_memory_is_bounded_on_a_many_point_block():
-    # 256 lattice points over 2,000 realizations of about 12 centers: four
-    # slot-wise tiles of 512 realizations. One (points x centers) array of it
-    # alone is 49 MB; past its (points x realizations) output the reduction
-    # holds the accumulator and a slot's pairs and gather, each within
-    # _SLOT_PAIRS, and two per-axis arrays within _TILE_ELEMENTS
+def test_field_values_memory_is_bounded_on_a_many_point_block():
+    # 256 lattice points over 2,000 realizations of about 12 centers. One
+    # (points x centers) array of it alone is 49 MB; past its (points x
+    # realizations) output, a tile of all the points holds its pairs and the
+    # other axis's gather, each within _TILE_ELEMENTS, beside its two
+    # per-axis arrays
     spec = EnergyFieldSpec(gamma=1.0, lambda_e=0.03, nu=1.0)
     w = Window(20.0, 20.0, wrap=True)
     grid = np.arange(16) * 1.25
     pts = PointSet(np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2))
     block = draw_field(spec, w, substream(421, 0), 2000)
     assert len(pts) * len(block.centers) * 8 > 40 * 2**20
-    budget = 8 * (3 * energy_field._SLOT_PAIRS + 2 * energy_field._TILE_ELEMENTS)
-    _assert_slot_reduction_within(spec, w, block, pts, budget)
+    _assert_field_values_within_tiles(spec, w, block, pts)
 
 
-def test_slot_reduction_memory_is_bounded_on_long_realizations():
-    # 64 lattice points over 2,000 realizations of about 200 centers: by the
-    # accumulator's bound alone one tile would hold all 400k centers, and its
-    # four index arrays (each center's slot and index, x and y) 13 MB. Tiles
-    # of about _SLOT_PAIRS centers keep each of them within _SLOT_PAIRS
-    # values, beside the accumulator and a slot's pairs and gather
+def test_field_values_memory_is_bounded_on_long_realizations():
+    # 64 lattice points over 2,000 realizations of about 200 centers: one
+    # (points x centers) array of it alone is 205 MB, and tiles of about
+    # _TILE_ELEMENTS / 64 centers keep it within the same arrays
     spec = EnergyFieldSpec(gamma=1.0, lambda_e=0.5, nu=1.0)
     w = Window(20.0, 20.0, wrap=True)
     grid = np.arange(8) * 2.5
     pts = PointSet(np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2))
     block = draw_field(spec, w, substream(422, 0), 2000)
-    assert len(block.centers) > 3 * energy_field._SLOT_PAIRS
-    budget = 8 * (7 * energy_field._SLOT_PAIRS + 2 * energy_field._TILE_ELEMENTS)
-    _assert_slot_reduction_within(spec, w, block, pts, budget)
+    assert len(pts) * len(block.centers) * 8 > 190 * 2**20
+    _assert_field_values_within_tiles(spec, w, block, pts)
 
 
-def _assert_slot_reduction_within(spec, window, block, pts, budget):
-    """The slot reduction of a boolean exponential block peaks within budget
-    bytes past its output and matches brute force on the first
-    realizations."""
+def _assert_field_values_within_tiles(spec, window, block, pts):
+    """field_values of a boolean exponential block, at fewer points than a
+    tile takes, peaks within four tile arrays of _TILE_ELEMENTS values past
+    its output and matches brute force on the first realizations."""
+    assert len(pts) <= energy_field._TILE_POINTS
     pts.axes   # the point set's own factorization is not the reduction's
     tracemalloc.start()
     try:
-        d2 = energy_field._slot_minimum(block, pts)
+        values = field_values(block, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < d2.nbytes + budget + 2**20, \
-        f"the slot reduction peaked at {(peak - d2.nbytes) / 2**20:.1f} MB past its output"
+    budget = 8 * 4 * energy_field._TILE_ELEMENTS
+    assert peak < values.nbytes + budget + 2**20, \
+        f"field_values peaked at {(peak - values.nbytes) / 2**20:.1f} MB past its output"
     head = block.select(0, 3)
     _assert_matches_brute_force(spec, window, head.centers.points, head.counts,
-                                pts.points,
-                                spec.gamma * decay_exp(np.sqrt(d2[:, :3]), spec.nu))
+                                pts.points, values[:, :3])
