@@ -136,7 +136,9 @@ def delivered_power(budget, length, voltage: float, beta: float,
 
     In exact mode the delivered power P solves P + loss(P) = budget, taking
     the stable positive root of the quadratic, so energy is conserved to
-    round-off. In tau_floor mode P is exactly tau * budget.
+    round-off; on a lossless line (voltage inf) P is the budget, and a float
+    array budget that already has the broadcast shape is returned itself,
+    not copied. In tau_floor mode P is exactly tau * budget.
     """
     budget = np.asarray(budget, dtype=float)
     length = np.asarray(length, dtype=float)
@@ -154,8 +156,11 @@ def delivered_power(budget, length, voltage: float, beta: float,
         raise ValueError("voltage must be positive")
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
-    if math.isinf(voltage):   # budget * 1 is budget: a copy, broadcast against the lengths
-        out = np.broadcast_to(budget, np.broadcast_shapes(budget.shape, length.shape)).copy()
+    if math.isinf(voltage):   # budget * 1 is budget, broadcast against the lengths
+        shape = np.broadcast_shapes(budget.shape, length.shape)
+        if budget.shape == shape and budget.ndim:
+            return budget
+        out = np.broadcast_to(budget, shape).copy()
         return float(out) if out.ndim == 0 else out
     a = beta * length / (voltage * voltage)
     out = np.where(a * budget > 0, 2.0 * budget / (1.0 + np.sqrt(1.0 + 4.0 * a * budget)), budget)

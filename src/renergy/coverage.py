@@ -49,7 +49,7 @@ expected among them), or fewer than 2 trials with users, it keeps Wilson's
 at its users (estimates_from_tally; TrialTally.in_users reads the counts in
 users). Every other scenario (shot noise, or several harvesters) draws its
 centers from the field stream: center counts, center x, center y
-(energy_field.draw_field).
+(energy_field.draw_field), and takes the one-center control below.
 
 A trial's user side, everything but the field and the station's power,
 depends only on ScenarioConfig.user_settings: lambda_u, lambda_b, theta and
@@ -60,7 +60,7 @@ spans as many whole blocks m as keep the bytes it holds at its peak within
 _PASS_BYTES (3 MiB), and one at least, as estimated before it draws
 (_pass_bytes_per_trial). fig4's group, 10 users per cell by the center law,
 holds about 520 B per trial and runs passes of 23 blocks; fig5's, whose
-cluster 320 holds about 6.9 KB per trial, runs passes of one. One rule draws
+cluster 320 holds about 7.1 KB per trial, runs passes of one. One rule draws
 a pass's users or centers (_pass_draw): each block the pass spans, whole as
 drawn or as views of the part it covers, the blocks joined when there are
 several. The last block of each of the two draws is memoized read-only, so
@@ -77,9 +77,11 @@ inversion those whose running sum is at most P, and the union event is a
 last running sum above P. The max-power outages (persist_*) are so counted
 at each distinct peak station power of the group, once per pass, and a
 point on the centers path draws its centers and counts at their station
-powers (_drawn_tally). The center law's thresholds are built from the layout (_Thresholds),
-in place when no point counts at drawn fields and from a copy otherwise, and
-each center-law point integrates them (_expected_tally). A pass lets go of
+powers and their bounds (_drawn_tally, _counts). The thresholds x are built
+from the layout as ln x (_Thresholds), in place when no point counts at
+drawn fields and from a copy otherwise, and each center-law point (as
+ln(peak / x) where they share one peak, _expected_tally) and each point on
+the centers path integrates its law at them. A pass lets go of
 all it holds when it ends (_pass_tallies). run_trials_chunk is the group of
 one. A trial's arithmetic depends neither on the other trials of its pass
 nor on the other scenarios of its group, so tallies do not depend on where
@@ -88,12 +90,11 @@ together.
 
 Every point on the centers path settles what it can at a bound: in most of
 its trials every user is covered, and one center per realization often shows
-it already. Its pass first takes the station power at
+it already. Its pass first takes the station power L at
 energy_field.nearest_center_bound, the field of the realization's center
 nearest the window's center (where the typical aggregator, or the on-site
 station, sits) alone, scaled down by _BOUND_MARGIN (1e-9), of each trial
-with users covered at the peak station power: a boolean field never exceeds
-gamma, so no other trial can be covered at its bound. A trial is settled
+with users. A trial is settled
 when its largest need is at most that bound / k and its last running sum at
 most the bound, both read from the layout (_covered). The bound's pairs are
 floats field_values computes too, a boolean kernel's field can only be
@@ -102,10 +103,27 @@ terms, delivered_power increases with the budget and the cluster sums in a
 fixed order, so the exact power is at least the bound: the margin, far above
 round-off, covers exp and sqrt followed by squaring. At the exact power
 every user of a settled trial is covered under both schemes and its union
-event is false, so counting at the bound gives the same outages, and tallies
-and CSV bytes do not change; which trials are bounded decides only which are
-evaluated exactly. field_values runs on the other trials' realizations only:
-at any cluster size, on a wrapped window or a flat one.
+event is false, so counting at the bound gives the same outages; which
+trials are settled decides only which are evaluated exactly. field_values
+runs on the other trials' realizations only: at any cluster size, on a
+wrapped window or a flat one.
+
+The bound is also the point's control. Per scheme and for the union event,
+a trial's outages Y at its exact power P are counted as events, and so are
+its outages C at L, C >= Y user by user as L <= P (a settled trial has
+C = Y = 0). Their expectation given the users, G, is sum F_L(k need) under
+equal split, sum F_L(csum) under inversion and F_L(total) for the union
+event, F_L(x) = Pr(L < x) being L's law: the center law's sums, at the
+bound's law. The trial tallies Z = Y + G - C, whose mean is Y's and from
+whose spread most of the field's is gone, since the nearest center decides
+most outages: Y, C and G per scheme (TrialTally's bound_* and law_*), and
+Z's moments in place of the center law's expected outages'. Its interval
+is the center law's, from Z's moments (estimates_from_tally); a sum of Z
+not above zero reads as no outage. F_L is tabulated once per scenario, at
+the first pass that needs it (_Supply.bound_law, _bound_law), from the
+engine's own L at one-center realizations placed by a shifted lattice
+(energy_field.nearest_center_realizations), fixed for every scenario so
+that tallies depend on no process or worker count.
 """
 
 from __future__ import annotations
@@ -113,7 +131,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Mapping
 
 import numpy as np
@@ -128,7 +146,8 @@ from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import (_TILE_ELEMENTS, _TILE_POINTS, EnergyFieldSpec,
                            FieldRealization, Kernel, draw_field, field_values,
-                           nearest_center_bound, window_disk_area)
+                           nearest_center_bound, nearest_center_realizations,
+                           window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
                        default_window_side, hex_cell_circumradius, hex_cell_distances,
                        nearest_site_indices, substream)
@@ -172,8 +191,21 @@ _PASS_BYTES = 3 << 20
 # shortfall at each threshold: seven per-trial sums and their whole parts.
 _LAW_ARRAYS = 14
 
+# Values per trial that a point on the centers path holds beside its bound
+# law at each threshold: seven sums per trial and their whole parts, and
+# the two estimates Z.
+_CONTROL_ARRAYS = 16
+
 # The unit of a center-law point's expected counts is 2^-32 (see TrialTally).
 _FIXED_POINT = 1 << 32
+
+# The table of a point's one-center law (_BoundLaw): a Fibonacci lattice of
+# F_23 points with generator F_22, under one shift fixed for every scenario
+# (numpy's default_rng(20140408).random(2), written out so that importing
+# the module loads no generator), and the nodes of its grid, uniform in ln x.
+_LATTICE, _LATTICE_STEP = 28657, 17711
+_LATTICE_SHIFT = (0.07424495059502512, 0.2099421446370625)
+_LAW_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -278,12 +310,18 @@ class TrialTally:
     A point the engine runs by the center law (see the module docstring)
     tallies out_ci, out_inv and union_trials as expected counts in fixed
     point, in units of 2^-32 (_FIXED_POINT), each trial's expected count
-    rounded to the unit once. Such a point also sums, over its trials, the
-    second moments of each scheme's per-trial expected outages e and users
-    k in the same unit: e^2 (sq_*) and e k (ek_*), and k^2 in whole users
-    (k_sq), which is positive exactly when such a point has users. Every
-    other count, the max-power outages (persist_*) among them, is a count
-    of events."""
+    rounded to the unit once. A point on the centers path counts them as
+    events, its outages Y at each trial's exact power, and beside them its
+    outages C at the trial's one-center bound (bound_*, counts) and their
+    expectation G given the trial's users under the bound's law (law_*, in
+    2^-32 units), per scheme and for the union event; drawn_trials counts
+    its trials with users. Either point sums, over its trials, the second
+    moments of each scheme's per-trial estimate e and users k in 2^-32
+    units: e^2 (sq_*) and e k (ek_*), and k^2 in whole users (k_sq), which
+    is positive exactly when the point has users. e is the expected outages
+    at a center-law point and Z = Y + G - C on the centers path. Every other
+    count, the max-power outages (persist_*) among them, is a count of
+    events."""
 
     trials: int = 0
     zero_user_trials: int = 0
@@ -299,6 +337,13 @@ class TrialTally:
     sq_inv: int = 0
     ek_ci: int = 0
     ek_inv: int = 0
+    drawn_trials: int = 0
+    bound_ci: int = 0
+    bound_inv: int = 0
+    bound_union: int = 0
+    law_ci: int = 0
+    law_inv: int = 0
+    law_union: int = 0
 
     def __add__(self, other: "TrialTally") -> "TrialTally":
         return TrialTally(**{f.name: getattr(self, f.name) + getattr(other, f.name)
@@ -308,7 +353,7 @@ class TrialTally:
     def expected(self) -> bool:
         """Whether out_ci, out_inv and union_trials are expected counts in
         2^-32 units: a center-law point that has users."""
-        return self.k_sq > 0
+        return self.k_sq > 0 and not self.drawn_trials
 
     def in_users(self, count: int) -> float:
         """One of out_ci, out_inv or union_trials in outages or events: an
@@ -367,6 +412,12 @@ class _Supply:
             values *= self.cfg.eta
         return self.station_power(values)
 
+    @cached_property
+    def bound_law(self) -> "_BoundLaw":
+        """The law of the station power at the one-center bound, built at
+        the first pass that asks for it (_bound_law)."""
+        return _bound_law(self)
+
     def shortfall(self, th: "_Thresholds") -> np.ndarray:
         """F(x) = Pr(P < x) at a pass's thresholds x, as a new array, for the
         power P of a station run by the center law.
@@ -400,6 +451,65 @@ class _Supply:
         if far is not None:
             f[far] = -spec.lambda_e * area
         return np.exp(f, out=f)
+
+
+@dataclass(frozen=True, eq=False)
+class _BoundLaw:
+    """F(x) = Pr(L < x) for a point's station power L at the one-center
+    bound, tabulated at nodes uniform in ln x: node j sits at
+    lo + j / scale, F is its value there and slope its rise to the next
+    node, 0 from the last."""
+
+    lo: float
+    scale: float
+    f: np.ndarray
+    slope: np.ndarray
+
+    def at(self, logs: np.ndarray) -> np.ndarray:
+        """F at thresholds x from their logs, as a new array: linear in ln x
+        between nodes, the first node's value below them and the last's,
+        1, above."""
+        t = logs - self.lo
+        t *= self.scale
+        np.clip(t, 0.0, len(self.f) - 1, out=t)
+        node = np.floor(t)
+        t -= node
+        node = node.astype(np.intp)
+        f = self.slope[node]
+        f *= t
+        f += self.f[node]
+        return f
+
+
+def _bound_law(supply: _Supply) -> _BoundLaw:
+    """A point's one-center law, from the station power at the bound of
+    _LATTICE realizations that each hold the nearest center alone, placed by
+    the points of a shifted lattice (energy_field.nearest_center_realizations).
+    Each power is the engine's own bound, nearest_center_bound through
+    _Supply.field_power and scaled down by _BOUND_MARGIN, built BLOCK
+    realizations at a time; only the table is kept. Its grid spans the
+    smallest positive power and the largest in _LAW_NODES - 3 equal steps of
+    ln x, one step beyond each: F is the share of the powers below each
+    node, the empty windows' share at the first and 1 at the last."""
+    spec, window, n = supply.cfg.field, supply.window, _LATTICE
+    power = np.empty(n)
+    for a in range(0, n, BLOCK):
+        i = np.arange(a, min(a + BLOCK, n))
+        u = (i / n + _LATTICE_SHIFT[0]) % 1.0
+        v = (i * _LATTICE_STEP % n / n + _LATTICE_SHIFT[1]) % 1.0
+        real = nearest_center_realizations(spec, window, u, v)
+        power[a:a + len(i)] = supply.field_power(nearest_center_bound(real, supply.positions))
+    power *= 1.0 - _BOUND_MARGIN
+    power.sort()
+    nodes = _LAW_NODES
+    empty = int(np.searchsorted(power, 0.0, side="right"))
+    if empty == n:   # no center reaches the harvesters: L = 0 below every x
+        return _BoundLaw(0.0, 1.0, np.ones(nodes), np.zeros(nodes))
+    least, most = math.log(power[empty]), math.log(power[-1])
+    step = (most - least) / (nodes - 3) if most > least else 1.0
+    lo = least - step
+    f = np.searchsorted(power, np.exp(lo + step * np.arange(nodes)), side="left") / n
+    return _BoundLaw(lo, 1.0 / step, f, np.diff(f, append=f[-1]))
 
 
 @lru_cache(maxsize=32)
@@ -488,10 +598,11 @@ def _pass_draw(draw, a: int, b: int):
 
 @dataclass(frozen=True, eq=False)
 class _Thresholds:
-    """A pass's thresholds x for the center law, in its users' layout (see
-    _UserSide): k times each user's need (equal split), then each user's
-    running sum (inversion). values are ln x, or ln(peak / x) floored at 0
-    where a group's center-law points share one peak. Beside them: the
+    """A pass's thresholds x, at which the center law and the bound's law
+    are integrated, in its users' layout (see _UserSide): k times each
+    user's need (equal split), then each user's running sum (inversion).
+    values are ln x, or ln(peak / x) floored at 0 where the group's points
+    are all center-law points that share one peak. Beside them: the
     smallest ln x, where each trial's users start in each of the two parts,
     and the sum of k^2."""
 
@@ -508,7 +619,7 @@ class _UserSide:
     depend on the field, the outages at each peak power, its trials with
     users (busy), the users k of each and where each one's last running sum
     lies in the layout (see the module docstring); the layout where a point
-    counts at drawn fields, the center law's thresholds where one integrates."""
+    counts at drawn fields, and the thresholds."""
 
     tally: TrialTally
     persist: dict[float, tuple[int, int]]
@@ -551,17 +662,19 @@ def _user_side(supplies: list[_Supply], seed: int, a: int, b: int) -> _UserSide:
     # the max-power outages depend only on the users and the peak
     persist = {peak: _outages(side, peak)
                for peak in dict.fromkeys(s.peak_station_power for s in supplies)}
+    # a point on the centers path reads the layout and integrates its
+    # bound's law at ln x; center-law points alone share ln(peak / x)
     counted = not all(s.by_law for s in supplies)
-    law_peaks = tuple(dict.fromkeys(s.peak_station_power for s in supplies if s.by_law))
-    thresholds = _thresholds(flat.copy() if counted else flat, k, law_peaks) \
-        if law_peaks else None
+    law_peaks = () if counted else tuple(dict.fromkeys(s.peak_station_power
+                                                       for s in supplies))
+    thresholds = _thresholds(flat.copy() if counted else flat, k, law_peaks)
     return replace(side, persist=persist, flat=flat if counted else None,
                    thresholds=thresholds)
 
 
 def _thresholds(x: np.ndarray, k: np.ndarray, law_peaks: tuple) -> _Thresholds:
-    """The center law's thresholds of a pass's trials with users, k users
-    each, taken in place from their layout x."""
+    """The thresholds of a pass's trials with users, k users each, taken in
+    place from their layout x."""
     users = len(x) // 2
     x[:users] *= np.repeat(k, k)
     logs = np.log(x, out=x)
@@ -595,20 +708,22 @@ def _outages(side: _UserSide, power) -> tuple[int, int]:
 _BOUND_MARGIN = 1e-9
 
 
-def _covered(side: _UserSide, power, trials=slice(None)) -> np.ndarray:
-    """Whether every user of each trial with users, or of those at positions
-    trials among them, is covered under both schemes at one station power or
-    at each trial's: its largest need at most power / k, and its last
-    running sum at most power, which also rules out its union event."""
-    k, last = side.k[trials], side.last[trials]
-    return (side.flat[last - side.tally.users] <= power / k) & (side.flat[last] <= power)
+def _covered(side: _UserSide, power) -> np.ndarray:
+    """Whether every user of each trial with users is covered under both
+    schemes at one station power or at each trial's: its largest need at
+    most power / k, and its last running sum at most power, which also rules
+    out its union event."""
+    last = side.last
+    return (side.flat[last - side.tally.users] <= power / side.k) & (side.flat[last] <= power)
 
 
 def _realizations(real: FieldRealization, busy: np.ndarray,
-                  picked: np.ndarray) -> FieldRealization:
-    """The realizations of the trials with users at positions picked among
-    them, none or all of them: the pass's block as drawn where that is every
-    trial of it, as when every trial has users and none is settled."""
+                  picked: np.ndarray | None = None) -> FieldRealization:
+    """The realizations of the trials with users, or of those at positions
+    picked among them: the pass's block as drawn where that is every trial
+    of it, as when every trial has users and none is settled."""
+    if picked is None:
+        return real if busy.all() else real.compress(busy)
     if len(picked) == len(busy):
         return real
     keep = np.zeros(len(busy), dtype=bool)
@@ -616,42 +731,84 @@ def _realizations(real: FieldRealization, busy: np.ndarray,
     return real.compress(keep)
 
 
-def _drawn_tally(supply: _Supply, side: _UserSide, seed: int, a: int,
+def _drawn_tally(supply: _Supply, side: _UserSide, law: _BoundLaw, seed: int, a: int,
                  b: int) -> TrialTally:
     """A pass's tally at a scenario on the centers path: the station powers
     of trials [a, b)'s drawn fields at the supply's harvesters against its
-    users.
+    users, with the one-center control at law, the supply's bound law.
 
-    The trials with users covered at the peak station power first take a
-    bound on their power from their fields' nearest_center_bound, at most the
-    exact power once scaled down by _BOUND_MARGIN: a boolean field never
-    exceeds gamma, so no other trial can be covered at its bound, and one
-    that a shot-noise field above gamma could cover is evaluated exactly
-    instead. A trial whose users are all covered at its bound (_covered) is
-    covered at its exact power too: it is settled, and the bound stands in
-    for its power. field_values runs only on the realizations of the other
-    trials with users, and not at all when every one is settled."""
+    Every trial with users first takes a bound L on its power from its
+    field's nearest_center_bound, at most the exact power P once scaled down
+    by _BOUND_MARGIN. A trial whose users are all covered at L (_covered) is
+    covered at P too: it is settled, and L stands in for P. field_values runs
+    only on the realizations of the other trials with users, and not at all
+    when every one is settled. Each trial's outages Y at P are counted, and
+    so are its outages C at L, of which Y are part as L <= P, as the extra
+    ones C - Y (_counts). Their expectation G given the users is the bound's
+    law at the thresholds (_BoundLaw.at), summed as the center law sums its
+    own, so the trial's Z = Y + G - C = G - (C - Y) has Y's mean and most
+    of the field's spread taken out."""
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
     real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
-    busy = side.busy
-    power = np.empty(len(side.k))
-    settled = np.zeros(len(side.k), dtype=bool)
-    covered = np.flatnonzero(_covered(side, supply.peak_station_power))
-    bound = supply.field_power(nearest_center_bound(_realizations(real, busy, covered),
+    busy, k = side.busy, side.k
+    bound = supply.field_power(nearest_center_bound(_realizations(real, busy),
                                                     supply.positions))
     bound *= 1.0 - _BOUND_MARGIN
-    power[covered] = bound
-    settled[covered] = _covered(side, bound, covered)
-    unsettled = np.flatnonzero(~settled)
+    power = bound.copy()
+    unsettled = np.flatnonzero(~_covered(side, bound))
     if len(unsettled):
         power[unsettled] = supply.field_power(field_values(
             _realizations(real, busy, unsettled), supply.positions))
-    tally.out_ci, tally.out_inv = _outages(side, power)
+    (tally.out_ci, tally.out_inv, tally.union_trials), extra = _counts(side, power, bound)
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
-    tally.union_trials = int(np.count_nonzero(side.flat[side.last] > power))
+    th = side.thresholds
+    f = law.at(th.values)
+    # rows: G_ci, G_inv, G_union, then Z_ci^2, Z_inv^2, Z_ci k, Z_inv k
+    e = np.empty((7, len(k)))
+    np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
+    np.take(f, side.last, out=e[2])
+    del f
+    z = e[:2] - extra[:2]
+    np.multiply(z, z, out=e[3:5])
+    np.multiply(z, k, out=e[5:7])
+    (tally.law_ci, tally.law_inv, tally.law_union, tally.sq_ci, tally.sq_inv,
+     tally.ek_ci, tally.ek_inv) = _fixed_point_sums(e)
+    c_ci, c_inv, c_union = extra.sum(axis=1).tolist()
+    tally.bound_ci, tally.bound_inv = tally.out_ci + c_ci, tally.out_inv + c_inv
+    tally.bound_union = tally.union_trials + c_union
+    tally.k_sq, tally.drawn_trials = th.k_sq, len(k)
     return tally
+
+
+def _counts(side: _UserSide, power: np.ndarray, bound: np.ndarray
+            ) -> tuple[tuple[int, int, int], np.ndarray]:
+    """Users in outage under equal split and under inversion, and union
+    events, at each trial's power (as _outages counts them); and per trial
+    with users, (3, trials), what its bound, never above its power, adds to
+    them: users covered at the power but not at the bound under each scheme,
+    and whether its union event holds at the bound alone. A settled trial,
+    whose power is its bound, adds none."""
+    k, users, flat = side.k, side.tally.users, side.flat
+    n = len(k)
+    # each user's reach at the power and at the bound: its share of the
+    # power under equal split, the power itself under inversion
+    reach = np.empty((2, 2 * n))
+    np.divide(power, k, out=reach[0, :n])
+    reach[0, n:] = power
+    np.divide(bound, k, out=reach[1, :n])
+    reach[1, n:] = bound
+    covered = flat <= np.repeat(reach, np.concatenate((k, k)), axis=1)
+    extra = np.empty((3, n), dtype=np.intp)
+    np.add.reduceat(np.not_equal(covered[0], covered[1]), side.thresholds.starts,
+                    dtype=np.intp, out=extra[:2].reshape(-1))
+    total = flat[side.last]
+    union = total > power
+    np.not_equal(total > bound, union, out=extra[2])
+    return (users - int(np.count_nonzero(covered[0, :users])),
+            users - int(np.count_nonzero(covered[0, users:])),
+            int(np.count_nonzero(union))), extra
 
 
 # Float sums of whole numbers are exact below 2^53.
@@ -659,21 +816,22 @@ _EXACT_SUMS = 2.0 ** 53
 
 
 def _fixed_point_sums(e: np.ndarray) -> list[int]:
-    """The sum of each row of e, nonnegative values each rounded to units of
-    2^-32, exactly: the whole parts and the fractions' units are summed
+    """The sum of each row of e, values of either sign each rounded to units
+    of 2^-32, exactly: the whole parts and the fractions' units are summed
     apart, as whole numbers in float64, since rint(v 2^32) = floor(v) 2^32 +
     rint((v - floor(v)) 2^32) for the even floor(v) 2^32. A row's sum may
     pass 2^63 units at many users per trial, but either part's stays far
     below 2^53, where float sums of whole numbers are exact (about 2^44 at
     the ScenarioConfig cap of 2^26 users per block, whose passes hold one
-    block); a part that reaches it raises. e is left holding the fractions'
-    units."""
+    block). Every partial sum of a row's whole parts is at most the sum of
+    their magnitudes, and a part whose sum of magnitudes reaches 2^53
+    raises. e is left holding the fractions' units."""
     whole = np.floor(e)
     e -= whole
     e *= _FIXED_POINT
     np.rint(e, out=e)
     wholes, parts = whole.sum(axis=1), e.sum(axis=1)
-    if max(wholes.max(), parts.max()) >= _EXACT_SUMS:
+    if max(np.abs(whole, out=whole).sum(axis=1).max(), parts.max()) >= _EXACT_SUMS:
         raise OverflowError("fixed-point sums reached 2^53 in a part")
     return [(int(w) << 32) + int(p) for w, p in zip(wholes, parts)]
 
@@ -710,15 +868,14 @@ def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
     point of the group (_point_bytes)."""
     mu = supplies[0].cfg.mean_users_per_cell
     counted = not all(s.by_law for s in supplies)
-    integrated = any(s.by_law for s in supplies)
     draws = 8 * (1 + 2 * mu)            # users per trial; each user's distance and fading
     width = mu + 4 * math.sqrt(mu) + 4  # a Poisson(mu) count exceeds it w.p. < 4e-5
     # the rows, each user's place in them and the layout, 5 per-trial arrays
     # and one mask
     rows = 8 * (width + 3 * mu + 5) + width
-    # the layout a counting point reads and the thresholds, which are a copy
-    # of it where points of both kinds share it, and 5 per-trial arrays
-    kept = 8 * (2 * mu * (counted + integrated) + 5)
+    # the thresholds, and the layout they are a copy of where a point counts
+    # at drawn fields, and 5 per-trial arrays
+    kept = 8 * (2 * mu * (1 + counted) + 5)
     return max(2 * draws, rows, *(_point_bytes(s, mu, kept) for s in supplies))
 
 
@@ -726,12 +883,15 @@ def _point_bytes(supply: _Supply, mu: float, kept: float) -> float:
     """Bytes per trial a pass holds at one point, mu users per trial, beside
     kept bytes per trial of its users. By the center law: F at each
     threshold, seven sums per trial and their whole parts. On the centers
-    path: its centers joined beside the blocks they join and, per harvester,
-    every trial's field values and what delivered_power makes of them, six
-    arrays on an exact line at a finite voltage (the quadratic's
-    temporaries) and two on a lossless or tau_floor line (a copy or a
-    product); the bound's stage holds less, three values per center and, per
-    harvester, a pair and its gather. Beside them, field_values' tile
+    path: its centers joined beside the blocks they join, each trial's bound
+    and power, and the larger of two stages. The exact stage holds, per
+    harvester, every trial's field values and what delivered_power makes of
+    them, six arrays on an exact line at a finite voltage (the quadratic's
+    temporaries) and two on a lossless or tau_floor line (the values, or
+    their product); the bound's stage holds less, three values per center
+    and, per harvester, a pair and its gather. The control holds, per
+    threshold, the bound law's value, node and fraction, and
+    _CONTROL_ARRAYS values per trial. Beside them, field_values' tile
     arrays: per center, three rows of one axis's distinct coordinates beside
     one of the other's, then both beside a row per tile point. A tile holds
     at most _TILE_ELEMENTS / m centers, m the most rows of its arrays, so
@@ -745,8 +905,11 @@ def _point_bytes(supply: _Supply, mu: float, kept: float) -> float:
     ux, _, uy, _ = supply.positions.axes
     centers = supply.cfg.field.lambda_e * supply.window.area
     quadratic = supply.line.mode == "exact" and math.isfinite(supply.voltage)
-    # x and y of each center, as drawn and as joined
-    per_trial = kept + 8 * (4 * centers + 2 + (6 if quadratic else 2) * harvesters)
+    # x and y of each center, as drawn and as joined, the bound and the
+    # power; then the larger of the exact stage's field values and the
+    # control's F at each threshold with its node and fraction
+    stage = max((6 if quadratic else 2) * harvesters, 6 * mu + _CONTROL_ARRAYS)
+    per_trial = kept + 8 * (4 * centers + 2 + stage)
     points = min(harvesters, _TILE_POINTS)
     tile = max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + points)
     uncapped = per_trial + 8 * tile * centers
@@ -780,9 +943,12 @@ def _pass_tallies(supplies: list[_Supply], seed: int, a: int, b: int) -> list[Tr
     evaluated once, then each scenario's expected outages by the center law
     or its drawn fields. What the pass holds is let go when it returns,
     before the next pass draws."""
+    # a point on the centers path builds its bound's law at its first pass,
+    # before the pass holds anything
+    laws = [None if s.by_law else s.bound_law for s in supplies]
     side = _user_side(supplies, seed, a, b)
-    return [_expected_tally(s, side) if s.by_law else _drawn_tally(s, side, seed, a, b)
-            for s in supplies]
+    return [_expected_tally(s, side) if law is None else _drawn_tally(s, side, law, seed, a, b)
+            for s, law in zip(supplies, laws)]
 
 
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:
@@ -878,48 +1044,61 @@ def bound_values(cfg: ScenarioConfig, scheme: Scheme) -> dict[str, float]:
 
 
 def _effective_users(tally: TrialTally, out: int, sq: int, ek: int) -> float | None:
-    """n_eff = p (1 - p) / var of a scheme's expected outages, var the delta
-    method's variance of p = sum e / sum k over the trials,
-    sum (e - p k)^2 / (n (n - 1) kbar^2). None where the outages have no
-    spread to measure: none are expected, or every trial's are in
-    proportion to its users to the resolution of the sums."""
+    """n_eff = p (1 - p) / var of a scheme's per-trial estimates e (out their
+    sum in 2^-32 units), var the delta method's variance of p = sum e /
+    sum k over the trials, sum (e - p k)^2 / (n (n - 1) kbar^2). None where
+    the outages have no spread to measure: their sum is not positive, or
+    every trial's are in proportion to its users to the resolution of the
+    sums."""
     n, users = tally.trials, tally.users
     scale = _FIXED_POINT * users
     # sum (e - p k)^2 scaled by (2^32 users)^2, in exact integers
     spread = sq * scale * users - 2 * out * ek * users + out * out * tally.k_sq
     p = out / scale
-    if out == 0 or spread <= 0 or p >= 1.0:
+    if out <= 0 or spread <= 0 or p >= 1.0:
         return None
     var = spread / (scale * scale) * n / ((n - 1) * users * users)
     return p * (1.0 - p) / var
 
 
+def _estimated(tally: TrialTally, count: int, bound: int, law: int) -> int:
+    """One of a tally's outage sums, or its union events, in 2^-32 units: a
+    center-law point's expected count as tallied, a point on the centers
+    path's Y + G - C, any other's count."""
+    if tally.drawn_trials:
+        return ((count - bound) << 32) + law
+    return count if tally.expected else count << 32
+
+
 def estimates_from_tally(cfg: ScenarioConfig, tally: TrialTally
                          ) -> dict[Scheme, OutageEstimate]:
     """Turn raw tallies into per-scheme estimates with Wilson intervals and
-    attached bounds. A center-law point's interval is Wilson's at its
-    effective users (_effective_users), at Student's t quantile with one
-    degree of freedom fewer than its trials, as var is estimated from them.
-    Any other point's is Wilson's at its users, and so is a center-law
-    point's without a spread, or with fewer than 2 trials that have users,
-    which also sets low_confidence."""
+    attached bounds. At a center-law point and on the centers path, the
+    interval is Wilson's at the point's effective users (_effective_users),
+    at Student's t quantile with one degree of freedom fewer than its
+    trials, as var is estimated from them. Any other point's is Wilson's at
+    its users, and so is one of those without a spread, or with fewer than
+    2 trials that have users, which also sets low_confidence. A sum below
+    zero, which the control allows where outages are too rare for the run
+    to resolve, reads as none."""
     out: dict[Scheme, OutageEstimate] = {}
     users = tally.users
-    expected = tally.expected
-    few = expected and tally.trials - tally.zero_user_trials < 2
+    per_trial = tally.k_sq > 0   # a center-law or centers-path point with users
+    few = per_trial and tally.trials - tally.zero_user_trials < 2
+    union = max(_estimated(tally, tally.union_trials, tally.bound_union, tally.law_union), 0)
     for scheme in Scheme:
         if scheme is Scheme.CHANNEL_INDEPENDENT:
-            count, n_persist = tally.out_ci, tally.persist_ci
-            moments = tally.sq_ci, tally.ek_ci
-            union = None
+            count = _estimated(tally, tally.out_ci, tally.bound_ci, tally.law_ci)
+            n_persist, moments = tally.persist_ci, (tally.sq_ci, tally.ek_ci)
+            union_rate = None
         else:
-            count, n_persist = tally.out_inv, tally.persist_inv
-            moments = tally.sq_inv, tally.ek_inv
-            union = tally.in_users(tally.union_trials) / tally.trials if tally.trials else None
-        n_out = tally.in_users(count)
+            count = _estimated(tally, tally.out_inv, tally.bound_inv, tally.law_inv)
+            n_persist, moments = tally.persist_inv, (tally.sq_inv, tally.ek_inv)
+            union_rate = union / _FIXED_POINT / tally.trials if tally.trials else None
+        n_out = max(count, 0) / _FIXED_POINT
         if users > 0:
             p = n_out / users
-            n_eff = _effective_users(tally, count, *moments) if expected and not few else None
+            n_eff = _effective_users(tally, count, *moments) if per_trial and not few else None
             lo, hi = wilson_ci(n_out, users) if n_eff is None else \
                 wilson_interval(p, n_eff, t_quantile_975(tally.trials - 1))
         else:
@@ -927,9 +1106,9 @@ def estimates_from_tally(cfg: ScenarioConfig, tally: TrialTally
         out[scheme] = OutageEstimate(
             scheme=scheme, p_out=p, ci_lo=lo, ci_hi=hi,
             n_trials=tally.trials, n_users=users, n_outages=n_out,
-            p_energy_random=(n_out - n_persist) / users if users else 0.0,
+            p_energy_random=max(n_out - n_persist, 0.0) / users if users else 0.0,
             p_max_power=n_persist / users if users else 0.0,
-            union_rate=union, zero_user_trials=tally.zero_user_trials,
+            union_rate=union_rate, zero_user_trials=tally.zero_user_trials,
             gain_clamps=tally.gain_clamps, low_confidence=users < 100 or few,
             bound_values=bound_values(cfg, scheme))
     return out

@@ -410,6 +410,38 @@ def nearest_center_distance(u, lambda_e: float, window: Window) -> np.ndarray:
     return np.where(empty, np.inf, np.sqrt(s)).reshape(u.shape)
 
 
+def nearest_center_realizations(spec: EnergyFieldSpec, window: Window, u: np.ndarray,
+                                v: np.ndarray) -> FieldRealization:
+    """A block of realizations of at most one center each: the center nearest
+    the window's center of a realization drawn on the window, placed by the
+    uniforms u and v in [0, 1) of each.
+
+    Its distance is nearest_center_distance(u), and none lies in a
+    realization whose window is empty there. Given its distance r, the center
+    is uniform on the arc of that circle inside the window, whose part in
+    each quadrant spans the angles arccos(min(1, hx / r)) to
+    arcsin(min(1, hy / r)) from the horizontal, hx and hy being the half
+    sides: 4 v picks the quadrant by its whole part and the angle by its
+    fraction."""
+    r = nearest_center_distance(u, spec.lambda_e, window)
+    full = np.isfinite(r)
+    r, v = r[full], np.asarray(v, dtype=float)[full]
+    hx, hy = 0.5 * window.width, 0.5 * window.height
+    with np.errstate(divide="ignore"):   # r = 0 spans the whole quadrant
+        lo = np.arccos(np.minimum(1.0, hx / r))
+        hi = np.arcsin(np.minimum(1.0, hy / r))
+    quadrant, frac = np.divmod(4.0 * v, 1.0)
+    angle = lo + frac * (hi - lo)
+    # quadrants 0 to 3 counterclockwise: x falls left of the center in 1 and
+    # 2, y below it in 2 and 3
+    xy = np.empty((2, len(r)))
+    xy[0] = np.where((quadrant == 1) | (quadrant == 2), hx - r * np.cos(angle),
+                     hx + r * np.cos(angle))
+    xy[1] = np.where(quadrant >= 2, hy - r * np.sin(angle), hy + r * np.sin(angle))
+    xy.setflags(write=False)
+    return FieldRealization(spec, PointSet(xy.T), window, full.astype(np.int64))
+
+
 def influence_radius(x: float, spec: EnergyFieldSpec) -> float:
     """Radius within which a center must lie for the boolean field to exceed x."""
     if not 0 < x <= spec.gamma:

@@ -205,11 +205,12 @@ def _record_passes(monkeypatch):
     to the outage count at drawn fields, filled as the engine runs, with the
     block memos emptied. Each pass's user side also records the peak powers
     it counts."""
-    # run_group_chunk looks substream, _user_side and _outages up in
+    # run_group_chunk looks substream, _user_side, _outages and _counts up in
     # coverage's globals
     drawn, passes = {FIELD_STREAM: [], USER_STREAM: []}, []
     outages = []
-    user_side, count_outages = coverage._user_side, coverage._outages
+    user_side, count_outages, count_drawn = coverage._user_side, coverage._outages, \
+        coverage._counts
 
     def counting_substream(seed, block, stream):
         drawn[stream].append(block)
@@ -221,16 +222,19 @@ def _record_passes(monkeypatch):
         return user_side(supplies, seed, a, b)
 
     def counting_outages(side, power):
-        # the user side counts at each peak, a point at its drawn powers
-        if np.ndim(power):
-            outages.append("count")
-        else:
-            outages[-1] += (power,)
+        # the user side counts at each peak
+        outages[-1] += (power,)
         return count_outages(side, power)
+
+    def counting_drawn(side, power, bound):
+        # a point at its drawn powers and their bounds
+        outages.append("count")
+        return count_drawn(side, power, bound)
 
     monkeypatch.setattr(coverage, "substream", counting_substream)
     monkeypatch.setattr(coverage, "_user_side", recording_user_side)
     monkeypatch.setattr(coverage, "_outages", counting_outages)
+    monkeypatch.setattr(coverage, "_counts", counting_drawn)
     coverage._draw_fields.cache_clear()
     coverage._draw_users.cache_clear()
     return drawn, passes, outages
@@ -255,9 +259,11 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     assert passes == [200] * 10 + [48]
     for blocks in (*drawn.values(), passes):
         blocks.clear()
-    # at 520 B (on-site) and 1125 B (distributed) per trial, eight blocks fit one pass
+    # at 520 B (on-site) per trial, eight blocks fit one pass; at 1701 B
+    # (distributed), seven do
     whole = run_trials_chunk(cfg, 0, n, 31)
-    assert drawn == _each_stream(range(8), fields=not onsite) and passes == [n]
+    assert drawn == _each_stream(range(8), fields=not onsite)
+    assert passes == ([n] if onsite else [7 * BLOCK, BLOCK])
     assert sum(chunks, TrialTally()) == whole
 
 
@@ -272,10 +278,11 @@ def test_chunk_runs_in_fewest_passes(monkeypatch, kernel, psi, start, stop, pass
     # a pass takes as many blocks of trials as keep the bytes it holds within
     # _PASS_BYTES (3 MiB: 12288 B per trial of one block), one at least. At 10
     # users per cell a trial's padded rows, beside the layout they fill, take
-    # 520 B. A shot-noise point keeps the layout (200 B) beside 8 (800 psi +
-    # 4) B of centers, their tile arrays and fields on the 10 x 10 window:
-    # 38632 B at psi 6 exceed a block, 5352 B at psi 0.8 fit two blocks, and
-    # 552 B at psi 0.05 fit 22. By the center law the rows' 520 B fit 23
+    # 520 B. A shot-noise point keeps the layout and its thresholds (360 B)
+    # beside 8 (800 psi + 78) B of centers, their tile arrays, each trial's
+    # bound and power and the control's arrays on the 10 x 10 window:
+    # 39384 B at psi 6 exceed a block, 6104 B at psi 0.8 fit two blocks, and
+    # 1304 B at psi 0.05 fit nine. By the center law the rows' 520 B fit 23
     # blocks, whatever psi is. A chunk runs in the fewest such
     # passes wherever it starts, and each block it touches is drawn once
     drawn, seen, _ = _record_passes(monkeypatch)
@@ -453,15 +460,42 @@ def _drawn_block(cfg, seed, a, b):
 def _every_trial_tally(cfg, seed, a, b):
     """Trials [a, b) with every drawn realization evaluated: field_values at
     the typical cluster and _Supply.station_power of eta times them, then
-    the outages and union events at those powers."""
+    the outages and union events at those powers; and the control at every
+    realization's one-center bound L: the outages and union events at L,
+    their expectations under the bound's law, and the moments of
+    Y + G - C, each trial's extra outages at L counted user by user."""
     supply = coverage._supply(cfg)
     side = coverage._user_side([supply], seed, a, b)
     tally = replace(side.tally)
     real = _drawn_block(cfg, seed, a, b)
-    power = supply.station_power(cfg.eta * field_values(real, supply.positions))[side.busy]
+    busy, k, users = side.busy, side.k, side.tally.users
+    power = supply.station_power(cfg.eta * field_values(real, supply.positions))[busy]
+    bound = supply.station_power(cfg.eta * nearest_center_bound(real, supply.positions))[busy]
+    bound *= 1.0 - coverage._BOUND_MARGIN
     tally.out_ci, tally.out_inv = coverage._outages(side, power)
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
-    tally.union_trials = int(np.count_nonzero(side.flat[side.last] > power))
+    last = side.flat[side.last]
+    tally.union_trials = int(np.count_nonzero(last > power))
+    c_ci, c_inv = coverage._outages(side, bound)
+    tally.bound_ci, tally.bound_inv = c_ci, c_inv
+    tally.bound_union = int(np.count_nonzero(last > bound))
+    th = side.thresholds
+    f = supply.bound_law.at(th.values)
+    e = np.empty((7, len(k)))
+    np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
+    np.take(f, side.last, out=e[2])
+    trial = np.repeat(np.arange(len(k)), k)
+    need, csum = side.flat[:users], side.flat[users:]
+    extra = np.array([np.bincount(trial, weights=(need > np.repeat(bound / k, k))
+                                  & (need <= np.repeat(power / k, k)), minlength=len(k)),
+                      np.bincount(trial, weights=(csum > np.repeat(bound, k))
+                                  & (csum <= np.repeat(power, k)), minlength=len(k))])
+    z = e[:2] - extra
+    np.multiply(z, z, out=e[3:5])
+    np.multiply(z, k, out=e[5:7])
+    (tally.law_ci, tally.law_inv, tally.law_union, tally.sq_ci, tally.sq_inv,
+     tally.ek_ci, tally.ek_inv) = coverage._fixed_point_sums(e)
+    tally.k_sq, tally.drawn_trials = int((k * k).sum()), len(k)
     return tally
 
 
@@ -659,14 +693,21 @@ def _oracle_shortfall(cfg, window, supply, x):
     return math.exp(-cfg.field.lambda_e * float(window_disk_area(math.sqrt(r2), window)))
 
 
-def _oracle_field(cfg, window, supply, seed, t):
-    """Trial t's field at the supply's harvesters, (harvesters, 1), from the
-    trial's own centers of its block's field stream."""
+def _oracle_realization(cfg, window, seed, t):
+    """Trial t's own centers of its block's field stream."""
     b, i = divmod(t, BLOCK)
     real = coverage._draw_fields(cfg.field, window, seed, b)
     c0 = int(real.counts[:i].sum())
     centers = PointSet(real.centers.points[c0:c0 + real.counts[i]])
-    return field_values(FieldRealization(cfg.field, centers, window), supply.positions)
+    return FieldRealization(cfg.field, centers, window)
+
+
+def _oracle_bound_law(supply, x):
+    """The bound's law at threshold x, interpolated in ln x between the
+    nodes of its table by np.interp."""
+    law = supply.bound_law
+    nodes = law.lo + np.arange(len(law.f)) / law.scale
+    return float(np.interp(math.log(x), nodes, law.f))
 
 
 def _fixed(v):
@@ -680,7 +721,9 @@ def _oracle_trials(cfg, start, stop, seed):
     searchsorted, as the per-trial loop the block engine replaced did. A
     scenario run by the center law adds each user's F at its threshold
     (_oracle_shortfall) and rounds the trial's sums and moments to 2^-32;
-    any other counts the outages at its drawn field."""
+    any other counts the outages at its drawn field and at its one-center
+    bound, adds each user's bound law at its threshold (_oracle_bound_law),
+    and rounds those sums and the moments of Y + G - C to 2^-32."""
     supply = coverage._supply(cfg)
     window, law = supply.window, supply.by_law
     peak = supply.peak_station_power
@@ -711,11 +754,27 @@ def _oracle_trials(cfg, start, stop, seed):
             tally.ek_ci, tally.ek_inv = _fixed(e_ci * k), _fixed(e_inv * k)
             tally.k_sq = k * k
         else:
-            budgets = cfg.eta * _oracle_field(cfg, window, supply, seed, t)
-            power = float(supply.station_power(budgets)[0])
-            tally.out_ci = int(np.count_nonzero(need > power / k))
-            tally.out_inv = k - int(np.searchsorted(csum, power, side="right"))
-            tally.union_trials = int(csum[-1] > power)
+            real = _oracle_realization(cfg, window, seed, t)
+            power = float(supply.station_power(cfg.eta * field_values(real, supply.positions))[0])
+            bound = float(supply.station_power(
+                cfg.eta * nearest_center_bound(real, supply.positions))[0])
+            bound *= 1.0 - coverage._BOUND_MARGIN
+            counts = []
+            for p in (power, bound):
+                counts.append((int(np.count_nonzero(need > p / k)),
+                               k - int(np.searchsorted(csum, p, side="right")),
+                               int(csum[-1] > p)))
+            (tally.out_ci, tally.out_inv, tally.union_trials), \
+                (tally.bound_ci, tally.bound_inv, tally.bound_union) = counts
+            g_ci = sum(_oracle_bound_law(supply, k * g) for g in need)
+            g_inv = sum(_oracle_bound_law(supply, c) for c in csum)
+            tally.law_ci, tally.law_inv = _fixed(g_ci), _fixed(g_inv)
+            tally.law_union = _fixed(_oracle_bound_law(supply, csum[-1]))
+            z_ci = tally.out_ci + g_ci - tally.bound_ci
+            z_inv = tally.out_inv + g_inv - tally.bound_inv
+            tally.sq_ci, tally.sq_inv = _fixed(z_ci * z_ci), _fixed(z_inv * z_inv)
+            tally.ek_ci, tally.ek_inv = _fixed(z_ci * k), _fixed(z_inv * k)
+            tally.k_sq, tally.drawn_trials = k * k, 1
         yield tally
 
 
@@ -723,18 +782,23 @@ def _oracle_tally(cfg, start, stop, seed):
     return sum(_oracle_trials(cfg, start, stop, seed), TrialTally())
 
 
-# The fields a center-law point tallies as expected counts and their moments.
-_EXPECTED_FIELDS = ("out_ci", "out_inv", "union_trials", "sq_ci", "sq_inv", "ek_ci", "ek_inv")
+# The fields a point with users tallies in 2^-32 units beside its counts: a
+# center-law point's expected counts, or the centers path's expected counts
+# at the bound, and the moments of either.
+_MOMENT_FIELDS = ("sq_ci", "sq_inv", "ek_ci", "ek_inv")
+_EXPECTED_FIELDS = ("out_ci", "out_inv", "union_trials")
+_LAW_FIELDS = ("law_ci", "law_inv", "law_union")
 
 
 def _assert_close_to(tally, want):
     """Every count equal; the expected counts and moments, which the oracle
     reaches by other arithmetic, within one unit per trial and 1e-9 of
     their size."""
+    fixed = _MOMENT_FIELDS + (_LAW_FIELDS if want.drawn_trials else _EXPECTED_FIELDS)
     for f in fields(TrialTally):
         got, expected = getattr(tally, f.name), getattr(want, f.name)
-        if f.name in _EXPECTED_FIELDS and want.k_sq:
-            assert abs(got - expected) <= want.trials + 1e-9 * expected, f.name
+        if f.name in fixed and want.k_sq:
+            assert abs(got - expected) <= want.trials + 1e-9 * abs(expected), f.name
         else:
             assert got == expected, f.name
 
@@ -931,15 +995,38 @@ def test_p_out_is_the_tagged_users_outage():
 
 
 def test_estimate_bookkeeping_matches_wilson():
-    # a point on the centers path reports Wilson's interval at its users
+    # a point on the centers path estimates p = sum Z / sum k from each
+    # trial's Z = Y + G - C and reports Wilson's interval at its effective
+    # users, from Z's per-trial moments, at the t quantile with n - 1 degrees
+    # of freedom; here recomputed from one-trial tallies
     cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
-    tally = run_trials_chunk(cfg, 0, 200, 77)
-    est = estimates_from_tally(cfg, tally)[Scheme.CHANNEL_INDEPENDENT]
-    assert est.p_out == pytest.approx(tally.out_ci / tally.users)
-    lo, hi = wilson_ci(tally.out_ci, tally.users)
-    assert est.ci_lo == pytest.approx(lo) and est.ci_hi == pytest.approx(hi)
-    assert est.n_users == tally.users and est.n_trials == 200 and est.n_outages == tally.out_ci
-    assert not est.low_confidence
+    n = 200
+    trials = [run_trials_chunk(cfg, t, t + 1, 77) for t in range(n)]
+    tally = sum(trials, TrialTally())
+    assert tally == run_trials_chunk(cfg, 0, n, 77)
+    assert tally.drawn_trials == n - tally.zero_user_trials
+    k = np.array([t.users for t in trials], dtype=float)
+
+    def control(out, bound, law):
+        return np.array([getattr(t, out) + getattr(t, law) / 2.0 ** 32 - getattr(t, bound)
+                         for t in trials])
+
+    for scheme, sums in ((Scheme.CHANNEL_INDEPENDENT, ("out_ci", "bound_ci", "law_ci")),
+                         (Scheme.INVERSION, ("out_inv", "bound_inv", "law_inv"))):
+        est = estimates_from_tally(cfg, tally)[scheme]
+        z = control(*sums)
+        p = z.sum() / k.sum()
+        assert 0 < p < 1
+        assert est.p_out == pytest.approx(p, rel=1e-12)
+        assert est.n_outages == pytest.approx(z.sum(), rel=1e-12)
+        var = ((z - p * k) ** 2).sum() / (n * (n - 1) * k.mean() ** 2)
+        lo, hi = wilson_interval(p, p * (1 - p) / var, t_quantile_975(n - 1))
+        assert est.ci_lo == pytest.approx(lo, rel=1e-6) and est.ci_hi == pytest.approx(hi, rel=1e-6)
+        assert est.n_users == tally.users and est.n_trials == n
+        assert not est.low_confidence
+    union = control("union_trials", "bound_union", "law_union").sum() / n
+    assert estimates_from_tally(cfg, tally)[Scheme.INVERSION].union_rate == \
+        pytest.approx(union, rel=1e-12)
     few = estimates_from_tally(cfg, run_trials_chunk(cfg, 0, 3, 77))
     assert few[Scheme.CHANNEL_INDEPENDENT].low_confidence
 
@@ -995,6 +1082,23 @@ def test_center_law_interval_edge_rules(edit, low):
     wilson = wilson_ci(tally.out_ci / _UNIT, 500)
     assert ((est.ci_lo, est.ci_hi) == wilson) == bool(edit)
     assert est.low_confidence == low
+
+
+def test_control_sum_below_zero_reads_as_no_outage():
+    # on the centers path Z = Y + G - C may sum below zero where outages are
+    # too rare for the run to resolve: the estimate reads no outage and keeps
+    # Wilson's interval at the users, and a positive sum its effective users
+    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+    tally = replace(_SPREAD, drawn_trials=5, out_ci=1, bound_ci=3, law_ci=_UNIT, out_inv=0,
+                    bound_inv=0, law_inv=0, union_trials=0, bound_union=1, law_union=0)
+    ests = estimates_from_tally(cfg, tally)
+    for est in ests.values():
+        assert est.p_out == est.n_outages == est.p_energy_random == 0.0
+        assert (est.ci_lo, est.ci_hi) == wilson_ci(0, 500)
+    assert ests[Scheme.INVERSION].union_rate == 0.0
+    tally = replace(tally, law_ci=3 * _UNIT)
+    est = estimates_from_tally(cfg, tally)[Scheme.CHANNEL_INDEPENDENT]
+    assert est.n_outages == 1.0 and (est.ci_lo, est.ci_hi) != wilson_ci(1, 500)
 
 
 def test_bound_attachment_dispatch():

@@ -368,6 +368,36 @@ def test_window_law_matches_brute_force_draws(kernel, window, lambda_e):
     assert res.passed, res
 
 
+@pytest.mark.parametrize("window", [Window(10.0, 3.0, wrap=True), Window(4.0, 9.0, wrap=False)])
+def test_nearest_center_realizations_place_the_drawn_nearest_center(window):
+    # one center each, at nearest_center_distance(u) from the window's center
+    # and inside the window, none where the window is empty; its position
+    # follows the nearest center of drawn realizations: on these narrow
+    # windows most circles leave the window, and the angle keeps to the arcs
+    # inside it
+    lambda_e, n = 0.1, 40_000
+    spec = EnergyFieldSpec(gamma=1.0, lambda_e=lambda_e, nu=1.0)
+    rng = substream(63, 0)
+    u, v = rng.random(n), rng.random(n)
+    one = energy_field.nearest_center_realizations(spec, window, u, v)
+    r = energy_field.nearest_center_distance(u, lambda_e, window)
+    assert np.array_equal(one.counts, np.isfinite(r).astype(int))
+    xy = one.centers.points
+    assert np.all((xy >= 0) & (xy <= [window.width, window.height]))
+    offset = xy - window.center
+    assert np.allclose(np.hypot(*offset.T), r[np.isfinite(r)], rtol=1e-12, atol=1e-12)
+    real = draw_field(spec, window, substream(63, 1), n)
+    d2 = ((real.centers.points - window.center) ** 2).sum(axis=1)
+    held = real.counts > 0
+    starts = (np.cumsum(real.counts) - real.counts)[held]
+    hits = np.flatnonzero(d2 == np.repeat(np.minimum.reduceat(d2, starts), real.counts[held]))
+    drawn = real.centers.points[hits[np.searchsorted(hits, starts)]] - window.center
+    # two-sample KS tests at level 1e-6 on each coordinate
+    critical = 5.35 * math.sqrt(2.0 / n)
+    for axis in (0, 1):
+        assert _two_sample_ks(offset[:, axis], drawn[:, axis]) < critical, axis
+
+
 @pytest.mark.parametrize("window", _LAW_WINDOWS[::2])
 def test_window_disk_area_closed_form(window):
     half = 0.5 * min(window.width, window.height)

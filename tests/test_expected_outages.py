@@ -1,10 +1,13 @@
-"""Expected outages at center-law points: ordering, fixed point, bias and
-interval coverage.
+"""Expected outages at center-law points and the one-center control on the
+centers path: ordering, fixed point, bias and interval coverage.
 
 A scenario run by the center law (a boolean field read at the window's
 center alone: on-site, or a cluster of one harvester) tallies each trial's
 expected outages given its users, the field integrated out by its exact law
-on the window, in units of 2^-32.
+on the window, in units of 2^-32. A point on the centers path tallies its
+outages Y at its drawn fields, C at their one-center bounds and G, the
+expectation of C given the users under the bound's tabulated law, and
+estimates from Y + G - C.
 """
 
 import functools
@@ -25,7 +28,7 @@ from renergy.coverage import (ScenarioConfig, Scheme, estimates_from_tally, run_
                               run_trials_chunk)
 from renergy.energy_field import EnergyFieldSpec, Kernel
 from renergy.geometry import BLOCK
-from renergy.harness import apply_sweep
+from renergy.harness import apply_sweep, parse_config_text
 
 UNIT = 1 << 32
 
@@ -154,7 +157,7 @@ def _sampled_tally(cfg, seed, a, b):
     supply = coverage._supply(cfg)
     twin = replace(cfg, field=replace(cfg.field, kernel=Kernel.SHOT_NOISE_EXP))
     side = coverage._user_side([supply, coverage._supply(twin)], seed, a, b)
-    return coverage._drawn_tally(supply, side, seed, a, b)
+    return coverage._drawn_tally(supply, side, supply.bound_law, seed, a, b)
 
 
 @pytest.mark.parametrize("supply", sorted(_LAW_SUPPLIES))
@@ -202,6 +205,81 @@ def test_center_law_intervals_cover_the_long_run(per, runs):
             covered[scheme] += est.ci_lo <= reference[scheme].p_out <= est.ci_hi
     for scheme, n in covered.items():
         assert n >= 0.92 * runs, (scheme, n / runs)
+
+
+def _centers_path_cases():
+    """Points on the centers path: fig5 at clusters 20 and 320, over lossless
+    lines; distributed shot noise at 80; on-site shot noise at psi 0.5 and
+    gamma = 10 on a wrapped window and on a flat one; fig5 at 320 over
+    tau_floor lines, and at 80 over exact lines at 2 V."""
+    fig5 = _repro_experiment("fig5").scenario
+    arch = fig5.architecture
+    shot = parse_config_text("scenario.architecture = distributed\n"
+                             "field.kernel = shot_noise_exp\n").scenario
+    onsite_shot = apply_sweep(parse_config_text("field.kernel = shot_noise_exp\n"
+                                                "field.gamma = 10\n").scenario, "psi", 0.5)
+    tau_floor = replace(fig5, architecture=replace(arch, line=replace(arch.line,
+                                                                      mode="tau_floor")))
+    return {
+        "fig5_20": apply_sweep(fig5, "cluster_size", 20.0),
+        "fig5_320": apply_sweep(fig5, "cluster_size", 320.0),
+        "shot_noise_80": apply_sweep(shot, "cluster_size", 80.0),
+        "onsite_shot_noise_0.5": onsite_shot,
+        "onsite_shot_noise_0.5_flat": replace(onsite_shot, wrap=False),
+        "tau_floor_320": apply_sweep(tau_floor, "cluster_size", 320.0),
+        "lossy_2V_80": apply_sweep(apply_sweep(fig5, "voltage", 2.0), "cluster_size", 80.0),
+    }
+
+
+# Trials and chunks of the control's check; the joint interval is _JOINT_Z.
+_CONTROL_TRIALS, _CONTROL_CHUNKS = 32768, 64
+
+
+@pytest.mark.parametrize("case", sorted(_centers_path_cases()))
+def test_control_matches_plain_counts(case):
+    # on the same trials, Y + G - C and the plain counts Y differ by G - C,
+    # whose mean is zero when G is the expectation of C given the users:
+    # chunk by chunk, for both schemes and the union event, within the joint
+    # interval of their spread
+    cfg = _centers_path_cases()[case]
+    per = _CONTROL_TRIALS // _CONTROL_CHUNKS
+    gaps = []
+    for c in range(_CONTROL_CHUNKS):
+        t = run_trials_chunk(cfg, c * per, (c + 1) * per, 73)
+        assert t.drawn_trials == t.trials - t.zero_user_trials > 0
+        assert (t.bound_ci, t.bound_inv, t.bound_union) >= (t.out_ci, t.out_inv, t.union_trials)
+        gaps.append([t.law_ci / UNIT - t.bound_ci, t.law_inv / UNIT - t.bound_inv,
+                     t.law_union / UNIT - t.bound_union])
+    gaps = np.array(gaps)
+    mean = gaps.mean(axis=0)
+    se = gaps.std(axis=0, ddof=1) / math.sqrt(_CONTROL_CHUNKS)
+    assert np.all(se > 0) and np.all(np.abs(mean) <= _JOINT_Z * se), (mean, se)
+
+
+@functools.lru_cache(maxsize=None)
+def _fig5_long_run(cluster):
+    """fig5 at one cluster size and its estimates over 102,400 trials at a
+    seed the runs below do not use."""
+    cfg = apply_sweep(_repro_experiment("fig5").scenario, "cluster_size", cluster)
+    return cfg, estimates_from_tally(cfg, run_trials_chunk(cfg, 0, 400 * BLOCK, 4242))
+
+
+@pytest.mark.parametrize("cluster", [20.0, 320.0])
+def test_centers_path_intervals_cover_the_long_run(cluster):
+    # 200 runs of 512 trials at fig5: the interval of each covers the long
+    # run's estimate in at least 90% of runs, for both schemes. Wilson's
+    # interval at the users, which treats the users of one field as
+    # independent, covered about half of such runs at cluster 320
+    cfg, reference = _fig5_long_run(cluster)
+    runs, per = 200, 512
+    covered = {scheme: 0 for scheme in Scheme}
+    for r in range(runs):
+        ests = estimates_from_tally(cfg, run_trials_chunk(cfg, r * per, (r + 1) * per, 99))
+        for scheme, est in ests.items():
+            assert not est.low_confidence
+            covered[scheme] += est.ci_lo <= reference[scheme].p_out <= est.ci_hi
+    for scheme, n in covered.items():
+        assert n >= 0.9 * runs, (scheme, n / runs)
 
 
 def test_one_harvester_cluster_peak_is_the_tau_share():
