@@ -77,7 +77,7 @@ inversion those whose running sum is at most P, and the union event is a
 last running sum above P. The max-power outages (persist_*) are so counted
 at each distinct peak station power of the group, once per pass, and a
 point on the centers path draws its centers and counts at their station
-powers and their bounds (_drawn_tally, _counts). The thresholds x are built
+powers and their bounds (_drawn_tally, _coverage). The thresholds x are built
 from the layout as ln x (_Thresholds), in place when no point counts at
 drawn fields and from a copy otherwise, and each center-law point (as
 ln(peak / x) where they share one peak, _expected_tally) and each point on
@@ -118,8 +118,9 @@ bound's law. The trial tallies Z = Y + G - C, whose mean is Y's and from
 whose spread most of the field's is gone, since the nearest center decides
 most outages: Y, C and G per scheme (TrialTally's bound_* and law_*), and
 Z's moments in place of the center law's expected outages'. Its interval
-is the center law's, from Z's moments (estimates_from_tally); a sum of Z
-not above zero reads as no outage. F_L is tabulated once per scenario, at
+is the center law's, from Z's moments (estimates_from_tally), with a lower
+end that allows for residual outages C - Y the run did not draw; a sum of
+Z not above zero reads as no outage. F_L is tabulated once per scenario, at
 the first pass that needs it (_Supply.bound_law, _bound_law), from the
 engine's own L at one-center realizations placed by a shifted lattice
 (energy_field.nearest_center_realizations), fixed for every scenario so
@@ -314,7 +315,8 @@ class TrialTally:
     events, its outages Y at each trial's exact power, and beside them its
     outages C at the trial's one-center bound (bound_*, counts) and their
     expectation G given the trial's users under the bound's law (law_*, in
-    2^-32 units), per scheme and for the union event; drawn_trials counts
+    2^-32 units: each trial's Z, below, rounded to the unit, with C - Y
+    added back), per scheme and for the union event; drawn_trials counts
     its trials with users. Either point sums, over its trials, the second
     moments of each scheme's per-trial estimate e and users k in 2^-32
     units: e^2 (sq_*) and e k (ek_*), and k^2 in whole users (k_sq), which
@@ -689,15 +691,13 @@ def _thresholds(x: np.ndarray, k: np.ndarray, law_peaks: tuple) -> _Thresholds:
                        int((k * k).sum()))
 
 
-def _outages(side: _UserSide, power) -> tuple[int, int]:
+def _outages(side: _UserSide, power: float) -> tuple[int, int]:
     """Users in outage under equal split and under inversion at one station
-    power, or at each trial's with users: of a trial's k users, equal split
-    covers those whose need is at most power / k, inversion those whose
-    running sum is at most power."""
+    power: of a trial's k users, equal split covers those whose need is at
+    most power / k, inversion those whose running sum is at most power."""
     k, users = side.k, side.tally.users
-    reach = np.repeat(power, k) if np.ndim(power) else power
     return (users - int(np.count_nonzero(side.flat[:users] <= np.repeat(power / k, k))),
-            users - int(np.count_nonzero(side.flat[users:] <= reach)))
+            users - int(np.count_nonzero(side.flat[users:] <= power)))
 
 
 # Relative margin by which a point on the centers path scales its bound on a
@@ -718,12 +718,10 @@ def _covered(side: _UserSide, power) -> np.ndarray:
 
 
 def _realizations(real: FieldRealization, busy: np.ndarray,
-                  picked: np.ndarray | None = None) -> FieldRealization:
-    """The realizations of the trials with users, or of those at positions
-    picked among them: the pass's block as drawn where that is every trial
-    of it, as when every trial has users and none is settled."""
-    if picked is None:
-        return real if busy.all() else real.compress(busy)
+                  picked: np.ndarray) -> FieldRealization:
+    """The realizations of the trials at positions picked among those with
+    users: the pass's block as drawn where that is every trial of it, as
+    when every trial has users and all are picked."""
     if len(picked) == len(busy):
         return real
     keep = np.zeros(len(busy), dtype=bool)
@@ -743,72 +741,63 @@ def _drawn_tally(supply: _Supply, side: _UserSide, law: _BoundLaw, seed: int, a:
     covered at P too: it is settled, and L stands in for P. field_values runs
     only on the realizations of the other trials with users, and not at all
     when every one is settled. Each trial's outages Y at P are counted, and
-    so are its outages C at L, of which Y are part as L <= P, as the extra
-    ones C - Y (_counts). Their expectation G given the users is the bound's
-    law at the thresholds (_BoundLaw.at), summed as the center law sums its
-    own, so the trial's Z = Y + G - C = G - (C - Y) has Y's mean and most
-    of the field's spread taken out."""
+    so are its outages C at L, of which Y are part as L <= P (_coverage).
+    Their expectation G given the users is the bound's law at the
+    thresholds (_BoundLaw.at); less 1 at each user covered at P and not at
+    L, the center law's sums (_law_sums) give each trial's Z = Y + G - C =
+    G - (C - Y), which has Y's mean and most of the field's spread taken
+    out."""
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
     real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
-    busy, k = side.busy, side.k
-    bound = supply.field_power(nearest_center_bound(_realizations(real, busy),
-                                                    supply.positions))
+    busy, k, users = side.busy, side.k, tally.users
+    bound = supply.field_power(nearest_center_bound(
+        _realizations(real, busy, np.arange(len(k))), supply.positions))
     bound *= 1.0 - _BOUND_MARGIN
     power = bound.copy()
     unsettled = np.flatnonzero(~_covered(side, bound))
     if len(unsettled):
         power[unsettled] = supply.field_power(field_values(
             _realizations(real, busy, unsettled), supply.positions))
-    (tally.out_ci, tally.out_inv, tally.union_trials), extra = _counts(side, power, bound)
+    covered = _coverage(side, power, bound)
+    # users in outage under each scheme, and union events (a last running
+    # sum not covered), at the power (Y) and at the bound (C)
+    counts = [(users - np.count_nonzero(covered[:, :users], axis=1)).tolist(),
+              (users - np.count_nonzero(covered[:, users:], axis=1)).tolist(),
+              (len(k) - np.count_nonzero(np.take(covered, side.last, axis=1), axis=1)).tolist()]
+    (tally.out_ci, tally.bound_ci), (tally.out_inv, tally.bound_inv), \
+        (tally.union_trials, tally.bound_union) = counts
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
-    th = side.thresholds
-    f = law.at(th.values)
-    # rows: G_ci, G_inv, G_union, then Z_ci^2, Z_inv^2, Z_ci k, Z_inv k
-    e = np.empty((7, len(k)))
-    np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
-    np.take(f, side.last, out=e[2])
-    del f
-    z = e[:2] - extra[:2]
-    np.multiply(z, z, out=e[3:5])
-    np.multiply(z, k, out=e[5:7])
-    (tally.law_ci, tally.law_inv, tally.law_union, tally.sq_ci, tally.sq_inv,
-     tally.ek_ci, tally.ek_inv) = _fixed_point_sums(e)
-    c_ci, c_inv, c_union = extra.sum(axis=1).tolist()
-    tally.bound_ci, tally.bound_inv = tally.out_ci + c_ci, tally.out_inv + c_inv
-    tally.bound_union = tally.union_trials + c_union
-    tally.k_sq, tally.drawn_trials = th.k_sq, len(k)
+    # F_L at each threshold, less 1 where its user is covered at the power
+    # and not at the bound: a trial's sums are its Z = G - (C - Y), and G
+    # adds C - Y back
+    z = law.at(side.thresholds.values)
+    z -= covered[0] > covered[1]
+    sums = _law_sums(z, side)
+    tally.law_ci, tally.law_inv, tally.law_union = (
+        zs + ((c - y) << 32) for zs, (y, c) in zip(sums, counts))
+    tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv = sums[3:]
+    tally.k_sq, tally.drawn_trials = side.thresholds.k_sq, len(k)
     return tally
 
 
-def _counts(side: _UserSide, power: np.ndarray, bound: np.ndarray
-            ) -> tuple[tuple[int, int, int], np.ndarray]:
-    """Users in outage under equal split and under inversion, and union
-    events, at each trial's power (as _outages counts them); and per trial
-    with users, (3, trials), what its bound, never above its power, adds to
-    them: users covered at the power but not at the bound under each scheme,
-    and whether its union event holds at the bound alone. A settled trial,
-    whose power is its bound, adds none."""
-    k, users, flat = side.k, side.tally.users, side.flat
-    n = len(k)
-    # each user's reach at the power and at the bound: its share of the
-    # power under equal split, the power itself under inversion
+def _coverage(side: _UserSide, power: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Whether each user of the layout is covered, (2, 2 users): at each
+    trial's power (row 0) and at its bound (row 1), as _outages counts:
+    under equal split where its need is at most the power / k, under
+    inversion where its running sum is at most the power. The bound is
+    never above the power, so a user covered at the bound is covered at the
+    power, and a settled trial, whose power is its bound, alike at both."""
+    k, n = side.k, len(side.k)
+    # each user's reach: its share of the power under equal split, the power
+    # itself under inversion
     reach = np.empty((2, 2 * n))
     np.divide(power, k, out=reach[0, :n])
     reach[0, n:] = power
     np.divide(bound, k, out=reach[1, :n])
     reach[1, n:] = bound
-    covered = flat <= np.repeat(reach, np.concatenate((k, k)), axis=1)
-    extra = np.empty((3, n), dtype=np.intp)
-    np.add.reduceat(np.not_equal(covered[0], covered[1]), side.thresholds.starts,
-                    dtype=np.intp, out=extra[:2].reshape(-1))
-    total = flat[side.last]
-    union = total > power
-    np.not_equal(total > bound, union, out=extra[2])
-    return (users - int(np.count_nonzero(covered[0, :users])),
-            users - int(np.count_nonzero(covered[0, users:])),
-            int(np.count_nonzero(union))), extra
+    return side.flat <= np.repeat(reach, np.concatenate((k, k)), axis=1)
 
 
 # Float sums of whole numbers are exact below 2^53.
@@ -836,6 +825,21 @@ def _fixed_point_sums(e: np.ndarray) -> list[int]:
     return [(int(w) << 32) + int(p) for w, p in zip(wholes, parts)]
 
 
+def _law_sums(f: np.ndarray, side: _UserSide) -> list[int]:
+    """The fixed-point sums over a pass's trials with users of per-threshold
+    values f: each trial's estimate e, its sum of f over its equal-split
+    thresholds and over its inversion thresholds, and its union event's,
+    f at its last running sum; then e^2 and e k under each scheme."""
+    th = side.thresholds
+    # rows: e_ci, e_inv, e_union, e_ci^2, e_inv^2, e_ci k, e_inv k
+    e = np.empty((7, len(side.k)))
+    np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
+    np.take(f, side.last, out=e[2])
+    np.multiply(e[:2], e[:2], out=e[3:5])
+    np.multiply(e[:2], side.k, out=e[5:7])
+    return _fixed_point_sums(e)
+
+
 def _expected_tally(supply: _Supply, side: _UserSide) -> TrialTally:
     """A pass's tally at a scenario run by the center law: each trial's
     expected outages given its users, sum F(k need) under equal split and
@@ -844,17 +848,9 @@ def _expected_tally(supply: _Supply, side: _UserSide) -> TrialTally:
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
-    th = side.thresholds
-    f = supply.shortfall(th)
-    # rows: e_ci, e_inv, union, e_ci^2, e_inv^2, e_ci k, e_inv k
-    e = np.empty((7, len(side.k)))
-    np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
-    np.take(f, side.last, out=e[2])
-    np.multiply(e[:2], e[:2], out=e[3:5])
-    np.multiply(e[:2], side.k, out=e[5:7])
     (tally.out_ci, tally.out_inv, tally.union_trials, tally.sq_ci, tally.sq_inv,
-     tally.ek_ci, tally.ek_inv) = _fixed_point_sums(e)
-    tally.k_sq = th.k_sq
+     tally.ek_ci, tally.ek_inv) = _law_sums(supply.shortfall(side.thresholds), side)
+    tally.k_sq = side.thresholds.k_sq
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     return tally
 
@@ -1080,29 +1076,37 @@ def estimates_from_tally(cfg: ScenarioConfig, tally: TrialTally
     its users, and so is one of those without a spread, or with fewer than
     2 trials that have users, which also sets low_confidence. A sum below
     zero, which the control allows where outages are too rare for the run
-    to resolve, reads as none."""
+    to resolve, reads as none.
+
+    On the centers path p = g - d, g the rate of G and d that of the residual
+    C - Y. Where the run draws few residual outages, Z's moments miss most of
+    d's spread, and at none they hold G's alone: an interval for g, which
+    is at least p. So the lower end is at most G's rate less Wilson's upper
+    limit at the users on d, and at least 0."""
     out: dict[Scheme, OutageEstimate] = {}
     users = tally.users
     per_trial = tally.k_sq > 0   # a center-law or centers-path point with users
     few = per_trial and tally.trials - tally.zero_user_trials < 2
     union = max(_estimated(tally, tally.union_trials, tally.bound_union, tally.law_union), 0)
-    for scheme in Scheme:
-        if scheme is Scheme.CHANNEL_INDEPENDENT:
-            count = _estimated(tally, tally.out_ci, tally.bound_ci, tally.law_ci)
-            n_persist, moments = tally.persist_ci, (tally.sq_ci, tally.ek_ci)
-            union_rate = None
-        else:
-            count = _estimated(tally, tally.out_inv, tally.bound_inv, tally.law_inv)
-            n_persist, moments = tally.persist_inv, (tally.sq_inv, tally.ek_inv)
-            union_rate = union / _FIXED_POINT / tally.trials if tally.trials else None
+    sums = {Scheme.CHANNEL_INDEPENDENT: (tally.out_ci, tally.bound_ci, tally.law_ci,
+                                         tally.persist_ci, tally.sq_ci, tally.ek_ci),
+            Scheme.INVERSION: (tally.out_inv, tally.bound_inv, tally.law_inv,
+                               tally.persist_inv, tally.sq_inv, tally.ek_inv)}
+    for scheme, (events, bound, law, n_persist, sq, ek) in sums.items():
+        count = _estimated(tally, events, bound, law)
         n_out = max(count, 0) / _FIXED_POINT
         if users > 0:
             p = n_out / users
-            n_eff = _effective_users(tally, count, *moments) if per_trial and not few else None
+            n_eff = _effective_users(tally, count, sq, ek) if per_trial and not few else None
             lo, hi = wilson_ci(n_out, users) if n_eff is None else \
                 wilson_interval(p, n_eff, t_quantile_975(tally.trials - 1))
+            if tally.drawn_trials:
+                lo = max(0.0, min(lo, law / _FIXED_POINT / users
+                                  - wilson_ci(bound - events, users)[1]))
         else:
             p, lo, hi = 0.0, 0.0, 1.0
+        union_rate = union / _FIXED_POINT / tally.trials \
+            if scheme is Scheme.INVERSION and tally.trials else None
         out[scheme] = OutageEstimate(
             scheme=scheme, p_out=p, ci_lo=lo, ci_hi=hi,
             n_trials=tally.trials, n_users=users, n_outages=n_out,

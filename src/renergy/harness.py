@@ -12,8 +12,9 @@ the ``distributed`` columns empty on on-site rows; the estimate columns are
 the OutageEstimate fields of the same names, and ``bound_<name>`` is bound
 ``<name>``. At a point the engine runs by the center law, n_outages and
 union_rate are expected counts, and on the centers path the one-center
-control's estimates of them; neither need be whole (see renergy.coverage). Only psi, fading_param, line_mode and the resolved
-window_side are named by hand. A sweep point is its scenario's settings with
+control's estimates of them; neither need be whole (see renergy.coverage).
+Only psi, fading_param, line_mode and the resolved window_side are named by
+hand. A sweep point is its scenario's settings with
 one key edited.
 
 All floats are written with repr-stable 17-significant-digit formatting and

@@ -205,12 +205,12 @@ def _record_passes(monkeypatch):
     to the outage count at drawn fields, filled as the engine runs, with the
     block memos emptied. Each pass's user side also records the peak powers
     it counts."""
-    # run_group_chunk looks substream, _user_side, _outages and _counts up in
+    # run_group_chunk looks substream, _user_side, _outages and _coverage up in
     # coverage's globals
     drawn, passes = {FIELD_STREAM: [], USER_STREAM: []}, []
     outages = []
     user_side, count_outages, count_drawn = coverage._user_side, coverage._outages, \
-        coverage._counts
+        coverage._coverage
 
     def counting_substream(seed, block, stream):
         drawn[stream].append(block)
@@ -234,7 +234,7 @@ def _record_passes(monkeypatch):
     monkeypatch.setattr(coverage, "substream", counting_substream)
     monkeypatch.setattr(coverage, "_user_side", recording_user_side)
     monkeypatch.setattr(coverage, "_outages", counting_outages)
-    monkeypatch.setattr(coverage, "_counts", counting_drawn)
+    monkeypatch.setattr(coverage, "_coverage", counting_drawn)
     coverage._draw_fields.cache_clear()
     coverage._draw_users.cache_clear()
     return drawn, passes, outages
@@ -463,7 +463,8 @@ def _every_trial_tally(cfg, seed, a, b):
     the outages and union events at those powers; and the control at every
     realization's one-center bound L: the outages and union events at L,
     their expectations under the bound's law, and the moments of
-    Y + G - C, each trial's extra outages at L counted user by user."""
+    Y + G - C, each user's outage at L but not at its power found by its own
+    comparisons."""
     supply = coverage._supply(cfg)
     side = coverage._user_side([supply], seed, a, b)
     tally = replace(side.tally)
@@ -472,29 +473,25 @@ def _every_trial_tally(cfg, seed, a, b):
     power = supply.station_power(cfg.eta * field_values(real, supply.positions))[busy]
     bound = supply.station_power(cfg.eta * nearest_center_bound(real, supply.positions))[busy]
     bound *= 1.0 - coverage._BOUND_MARGIN
-    tally.out_ci, tally.out_inv = coverage._outages(side, power)
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
-    last = side.flat[side.last]
-    tally.union_trials = int(np.count_nonzero(last > power))
-    c_ci, c_inv = coverage._outages(side, bound)
-    tally.bound_ci, tally.bound_inv = c_ci, c_inv
-    tally.bound_union = int(np.count_nonzero(last > bound))
-    th = side.thresholds
-    f = supply.bound_law.at(th.values)
-    e = np.empty((7, len(k)))
-    np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
-    np.take(f, side.last, out=e[2])
-    trial = np.repeat(np.arange(len(k)), k)
-    need, csum = side.flat[:users], side.flat[users:]
-    extra = np.array([np.bincount(trial, weights=(need > np.repeat(bound / k, k))
-                                  & (need <= np.repeat(power / k, k)), minlength=len(k)),
-                      np.bincount(trial, weights=(csum > np.repeat(bound, k))
-                                  & (csum <= np.repeat(power, k)), minlength=len(k))])
-    z = e[:2] - extra
-    np.multiply(z, z, out=e[3:5])
-    np.multiply(z, k, out=e[5:7])
-    (tally.law_ci, tally.law_inv, tally.law_union, tally.sq_ci, tally.sq_inv,
-     tally.ek_ci, tally.ek_inv) = coverage._fixed_point_sums(e)
+    need, csum, last = side.flat[:users], side.flat[users:], side.flat[side.last]
+
+    def outages(at):
+        # users in outage under equal split and under inversion, and union events
+        return (int(np.count_nonzero(need > np.repeat(at / k, k))),
+                int(np.count_nonzero(csum > np.repeat(at, k))), int(np.count_nonzero(last > at)))
+
+    counts = list(zip(outages(power), outages(bound)))
+    (tally.out_ci, tally.bound_ci), (tally.out_inv, tally.bound_inv), \
+        (tally.union_trials, tally.bound_union) = counts
+    # F_L at each threshold, less 1 at each user in outage at L but not at P
+    low, high = np.repeat(bound / k, k), np.repeat(power / k, k)
+    residual = np.concatenate(((need > low) & (need <= high),
+                               (csum > np.repeat(bound, k)) & (csum <= np.repeat(power, k))))
+    sums = coverage._law_sums(supply.bound_law.at(side.thresholds.values) - residual, side)
+    tally.law_ci, tally.law_inv, tally.law_union = (
+        s + ((n_c - n_y) << 32) for s, (n_y, n_c) in zip(sums, counts))
+    tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv = sums[3:]
     tally.k_sq, tally.drawn_trials = int((k * k).sum()), len(k)
     return tally
 
@@ -1021,6 +1018,12 @@ def test_estimate_bookkeeping_matches_wilson():
         assert est.n_outages == pytest.approx(z.sum(), rel=1e-12)
         var = ((z - p * k) ** 2).sum() / (n * (n - 1) * k.mean() ** 2)
         lo, hi = wilson_interval(p, p * (1 - p) / var, t_quantile_975(n - 1))
+        # the lower end is at most G's rate less Wilson's upper limit on the
+        # residual C - Y's
+        g = sum(getattr(t, sums[2]) for t in trials) / 2.0 ** 32
+        d = sum(getattr(t, sums[1]) - getattr(t, sums[0]) for t in trials)
+        residual = g / k.sum() - wilson_ci(d, tally.users)[1]
+        lo = max(0.0, min(lo, residual))
         assert est.ci_lo == pytest.approx(lo, rel=1e-6) and est.ci_hi == pytest.approx(hi, rel=1e-6)
         assert est.n_users == tally.users and est.n_trials == n
         assert not est.low_confidence
@@ -1099,6 +1102,31 @@ def test_control_sum_below_zero_reads_as_no_outage():
     tally = replace(tally, law_ci=3 * _UNIT)
     est = estimates_from_tally(cfg, tally)[Scheme.CHANNEL_INDEPENDENT]
     assert est.n_outages == 1.0 and (est.ci_lo, est.ci_hi) != wilson_ci(1, 500)
+
+
+def test_control_lower_end_allows_for_the_residual():
+    # on the centers path p = g - d: the lower end is Z's own, or G's rate
+    # less Wilson's upper limit at the users on the residual C - Y's where
+    # that is lower, floored at 0; the estimate and the upper end are Z's
+    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+    ci = Scheme.CHANNEL_INDEPENDENT
+    only = dict(drawn_trials=5, out_inv=0, bound_inv=0, law_inv=0, union_trials=0,
+                bound_union=0, law_union=0)
+    z = estimates_from_tally(cfg, _SPREAD)[ci]   # sum Z = 40 with the same moments
+    lows = []
+    for law, residual in ((40, 0), (100, 60), (240, 200)):
+        est = estimates_from_tally(cfg, replace(_SPREAD, out_ci=3, bound_ci=3 + residual,
+                                                law_ci=law * _UNIT, **only))[ci]
+        assert (est.p_out, est.ci_hi) == (z.p_out, z.ci_hi)
+        lows.append(law / 500 - wilson_ci(residual, 500)[1])
+        assert est.ci_lo == min(z.ci_lo, lows[-1])
+    assert lows[0] > z.ci_lo > lows[2] > 0
+    # a run that drew no residual, where G's rate is below Wilson's upper
+    # limit on none: Z's own lower end is above 0
+    assert estimates_from_tally(cfg, replace(_SPREAD, out_ci=2 * _UNIT))[ci].ci_lo > 0
+    est = estimates_from_tally(cfg, replace(_SPREAD, out_ci=0, bound_ci=0, law_ci=2 * _UNIT,
+                                            **only))[ci]
+    assert est.p_out == 2 / 500 and est.ci_lo == 0.0
 
 
 def test_bound_attachment_dispatch():
