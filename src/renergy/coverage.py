@@ -37,19 +37,11 @@ nearest center's distance D, whose law on the window is exact: Pr(D > r) =
 exp(-lambda_e A(r)), A(r) the area of the disk of radius r inside the window
 (energy_field.window_disk_area). The station's power is then P = c decay(D),
 c its peak power, and the scenario runs by the center law: it draws no field
-and integrates it out. With F(x) = Pr(P < x) = exp(-lambda_e A(r(x))), r(x)
-the distance at which c decay(r) = x (_Supply.shortfall), a trial of k users
-adds its expected outages given its users: sum_i F(k need_i) under equal
-split, sum_i F(csum_i) under inversion (csum_i the running sums of its
-sorted needs), and F(total) to the union events. Each trial's expected
-counts are rounded once to units of 2^-32 and summed exactly, with their
-second moments, so the point's interval is Wilson's at its effective users
-and Student's t quantile; with no spread in its expected outages (none
-expected among them), or fewer than 2 trials with users, it keeps Wilson's
-at its users (estimates_from_tally; TrialTally.in_users reads the counts in
-users). Every other scenario (shot noise, or several harvesters) draws its
-centers from the field stream: center counts, center x, center y
-(energy_field.draw_field), and takes the one-center control below.
+and integrates it out, F(x) = Pr(P < x) = exp(-lambda_e A(r(x))), r(x) the
+distance at which c decay(r) = x (_Supply.shortfall). Every other scenario
+(shot noise, or several harvesters) draws its centers from the field stream:
+center counts, center x, center y (energy_field.draw_field), and is on the
+centers path.
 
 A trial's user side, everything but the field and the station's power,
 depends only on ScenarioConfig.user_settings: lambda_u, lambda_b, theta and
@@ -77,11 +69,11 @@ inversion those whose running sum is at most P, and the union event is a
 last running sum above P. The max-power outages (persist_*) are so counted
 at each distinct peak station power of the group, once per pass, and a
 point on the centers path draws its centers and counts at their station
-powers and their bounds (_drawn_tally, _coverage). The thresholds x are built
-from the layout as ln x (_Thresholds), in place when no point counts at
-drawn fields and from a copy otherwise, and each center-law point (as
-ln(peak / x) where they share one peak, _expected_tally) and each point on
-the centers path integrates its law at them. A pass lets go of
+powers and their bounds (_coverage). The thresholds x are built from the
+layout as ln x (_Thresholds), in place when no point counts at drawn fields
+and from a copy otherwise, or as ln(peak / x) where the group's points all
+run by the center law and share one peak, and every point integrates its
+law at them (_point_tally). A pass lets go of
 all it holds when it ends (_pass_tallies). run_trials_chunk is the group of
 one. A trial's arithmetic depends neither on the other trials of its pass
 nor on the other scenarios of its group, so tallies do not depend on where
@@ -108,23 +100,27 @@ trials are settled decides only which are evaluated exactly. field_values
 runs on the other trials' realizations only: at any cluster size, on a
 wrapped window or a flat one.
 
-The bound is also the point's control. Per scheme and for the union event,
-a trial's outages Y at its exact power P are counted as events, and so are
-its outages C at L, C >= Y user by user as L <= P (a settled trial has
-C = Y = 0). Their expectation given the users, G, is sum F_L(k need) under
-equal split, sum F_L(csum) under inversion and F_L(total) for the union
-event, F_L(x) = Pr(L < x) being L's law: the center law's sums, at the
-bound's law. The trial tallies Z = Y + G - C, whose mean is Y's and from
-whose spread most of the field's is gone, since the nearest center decides
-most outages: Y, C and G per scheme (TrialTally's bound_* and law_*), and
-Z's moments in place of the center law's expected outages'. Its interval
-is the center law's, from Z's moments (estimates_from_tally), with a lower
-end that allows for residual outages C - Y the run did not draw; a sum of
-Z not above zero reads as no outage. F_L is tabulated once per scenario, at
-the first pass that needs it (_Supply.bound_law, _bound_law), from the
-engine's own L at one-center realizations placed by a shifted lattice
-(energy_field.nearest_center_realizations), fixed for every scenario so
-that tallies depend on no process or worker count.
+Every point estimates its outages the same way. Take a trial with users, its
+station power P and a bound L <= P whose law F_L(x) = Pr(L < x) is known.
+Per scheme and for the union event, Y counts its outages at P and C those at
+L, C >= Y user by user, and G is their expectation given the users:
+sum F_L(k need_i) under equal split, sum F_L(csum_i) under inversion (csum_i
+the running sums of its sorted needs) and F_L(total) for the union event.
+The trial's estimate Z = Y + G - C has Y's mean, and the spread of its
+nearest center, which decides most outages, is gone from it. By the center
+law L = P, so F_L = F and C = Y: the point draws no field and counts
+neither, its Y and C stay 0, and Z = G. On the centers path L is the
+one-center bound above, and F_L is tabulated once per scenario, at the first
+pass that needs it (_Supply.bound_law, _bound_law), from the engine's own L
+at one-center realizations placed by a shifted lattice
+(energy_field.nearest_center_realizations), fixed for every scenario so that
+tallies depend on no process or worker count. The tally holds Y and C as
+counts and G in units of 2^-32, each trial's rounded once and summed
+exactly, with the second moments of Z (TrialTally). The point's p is its sum
+of Z over its users, a sum not above zero reading as no outage, and its
+interval Wilson's at its effective users and Student's t quantile, from Z's
+moments; its lower end allows for residual outages C - Y a run on the
+centers path did not draw (estimates_from_tally).
 """
 
 from __future__ import annotations
@@ -188,16 +184,12 @@ _BLOCK_VALUES_CAP = 1 << 26
 # more trials, at the price of its temporaries.
 _PASS_BYTES = 3 << 20
 
-# Values per trial that a scenario run by the center law holds beside its
-# shortfall at each threshold: seven per-trial sums and their whole parts.
-_LAW_ARRAYS = 14
-
-# Values per trial that a point on the centers path holds beside its bound
-# law at each threshold: seven sums per trial and their whole parts, and
-# the two estimates Z.
+# Values per trial that a point holds beside its law at each threshold:
+# seven sums per trial and their whole parts (_law_sums), and two to spare.
 _CONTROL_ARRAYS = 16
 
-# The unit of a center-law point's expected counts is 2^-32 (see TrialTally).
+# The unit of a tally's expected counts G and of its moments is 2^-32 (see
+# TrialTally).
 _FIXED_POINT = 1 << 32
 
 # The table of a point's one-center law (_BoundLaw): a Fibonacci lattice of
@@ -308,22 +300,19 @@ def resolve_window(cfg: ScenarioConfig) -> Window:
 class TrialTally:
     """Integer event sums; adding tallies merges runs exactly.
 
-    A point the engine runs by the center law (see the module docstring)
-    tallies out_ci, out_inv and union_trials as expected counts in fixed
-    point, in units of 2^-32 (_FIXED_POINT), each trial's expected count
-    rounded to the unit once. A point on the centers path counts them as
-    events, its outages Y at each trial's exact power, and beside them its
-    outages C at the trial's one-center bound (bound_*, counts) and their
-    expectation G given the trial's users under the bound's law (law_*, in
-    2^-32 units: each trial's Z, below, rounded to the unit, with C - Y
-    added back), per scheme and for the union event; drawn_trials counts
-    its trials with users. Either point sums, over its trials, the second
-    moments of each scheme's per-trial estimate e and users k in 2^-32
-    units: e^2 (sq_*) and e k (ek_*), and k^2 in whole users (k_sq), which
-    is positive exactly when the point has users. e is the expected outages
-    at a center-law point and Z = Y + G - C on the centers path. Every other
-    count, the max-power outages (persist_*) among them, is a count of
-    events."""
+    Per scheme and for the union event, a point counts its outages Y at
+    each trial's exact power (out_ci, out_inv, union_trials) and its
+    outages C at the trial's one-center bound (bound_*), and sums G, their
+    expectation given the trial's users under the bound's law (law_*), in
+    units of 2^-32 (_FIXED_POINT): each trial's Z = Y + G - C rounded to
+    the unit, with C - Y added back. A point run by the center law counts
+    neither Y nor C, which it leaves at 0, so its law_* hold its expected
+    outages. drawn_trials counts the trials with users whose fields a point
+    drew. Every point sums, over its trials, the second moments of each
+    scheme's Z and users k in 2^-32 units: Z^2 (sq_*) and Z k (ek_*), and
+    k^2 in whole users (k_sq), which is positive exactly when the point has
+    users. Every other count, the max-power outages (persist_*) among them,
+    is a count of events."""
 
     trials: int = 0
     zero_user_trials: int = 0
@@ -348,19 +337,11 @@ class TrialTally:
     law_union: int = 0
 
     def __add__(self, other: "TrialTally") -> "TrialTally":
-        return TrialTally(**{f.name: getattr(self, f.name) + getattr(other, f.name)
-                             for f in fields(self)})
+        return TrialTally(*[getattr(self, name) + getattr(other, name)
+                            for name in _TALLY_FIELDS])
 
-    @property
-    def expected(self) -> bool:
-        """Whether out_ci, out_inv and union_trials are expected counts in
-        2^-32 units: a center-law point that has users."""
-        return self.k_sq > 0 and not self.drawn_trials
 
-    def in_users(self, count: int) -> float:
-        """One of out_ci, out_inv or union_trials in outages or events: an
-        expected count at a center-law point, else the count itself."""
-        return count / _FIXED_POINT if self.expected else count
+_TALLY_FIELDS = tuple(f.name for f in fields(TrialTally))
 
 
 # On-site harvesting as the one-harvester cluster: the station's own harvester
@@ -729,56 +710,61 @@ def _realizations(real: FieldRealization, busy: np.ndarray,
     return real.compress(keep)
 
 
-def _drawn_tally(supply: _Supply, side: _UserSide, law: _BoundLaw, seed: int, a: int,
-                 b: int) -> TrialTally:
-    """A pass's tally at a scenario on the centers path: the station powers
-    of trials [a, b)'s drawn fields at the supply's harvesters against its
-    users, with the one-center control at law, the supply's bound law.
+def _point_tally(supply: _Supply, side: _UserSide, law: _BoundLaw | None, seed: int,
+                 a: int, b: int) -> TrialTally:
+    """A pass's tally at one scenario: each trial's Z = Y + G - C against
+    trials [a, b)'s users, per scheme and for the union event, with its
+    moments. law is the supply's bound law, or None by the center law, where
+    L = P: the trial's outages C and Y are then equal and left uncounted,
+    and G is the center law's, F at the thresholds (_Supply.shortfall).
 
-    Every trial with users first takes a bound L on its power from its
-    field's nearest_center_bound, at most the exact power P once scaled down
-    by _BOUND_MARGIN. A trial whose users are all covered at L (_covered) is
-    covered at P too: it is settled, and L stands in for P. field_values runs
-    only on the realizations of the other trials with users, and not at all
-    when every one is settled. Each trial's outages Y at P are counted, and
-    so are its outages C at L, of which Y are part as L <= P (_coverage).
-    Their expectation G given the users is the bound's law at the
-    thresholds (_BoundLaw.at); less 1 at each user covered at P and not at
-    L, the center law's sums (_law_sums) give each trial's Z = Y + G - C =
-    G - (C - Y), which has Y's mean and most of the field's spread taken
-    out."""
+    Otherwise every trial with users first takes a bound L on its power from
+    its drawn field's nearest_center_bound, at most the exact power P once
+    scaled down by _BOUND_MARGIN. A trial whose users are all covered at L
+    (_covered) is covered at P too: it is settled, and L stands in for P.
+    field_values runs only on the realizations of the other trials with
+    users, and not at all when every one is settled. Each trial's outages Y
+    at P are counted, and so are its outages C at L, of which Y are part as
+    L <= P (_coverage). G is the bound's law at the thresholds
+    (_BoundLaw.at); less 1 at each user covered at P and not at L, their
+    sums (_law_sums) are each trial's Z = G - (C - Y)."""
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
-    real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
-    busy, k, users = side.busy, side.k, tally.users
-    bound = supply.field_power(nearest_center_bound(
-        _realizations(real, busy, np.arange(len(k))), supply.positions))
-    bound *= 1.0 - _BOUND_MARGIN
-    power = bound.copy()
-    unsettled = np.flatnonzero(~_covered(side, bound))
-    if len(unsettled):
-        power[unsettled] = supply.field_power(field_values(
-            _realizations(real, busy, unsettled), supply.positions))
-    covered = _coverage(side, power, bound)
-    # users in outage under each scheme, and union events (a last running
-    # sum not covered), at the power (Y) and at the bound (C)
-    counts = [(users - np.count_nonzero(covered[:, :users], axis=1)).tolist(),
-              (users - np.count_nonzero(covered[:, users:], axis=1)).tolist(),
-              (len(k) - np.count_nonzero(np.take(covered, side.last, axis=1), axis=1)).tolist()]
-    (tally.out_ci, tally.bound_ci), (tally.out_inv, tally.bound_inv), \
-        (tally.union_trials, tally.bound_union) = counts
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
-    # F_L at each threshold, less 1 where its user is covered at the power
-    # and not at the bound: a trial's sums are its Z = G - (C - Y), and G
-    # adds C - Y back
-    z = law.at(side.thresholds.values)
-    z -= covered[0] > covered[1]
+    tally.k_sq = side.thresholds.k_sq
+    if law is None:
+        z = supply.shortfall(side.thresholds)
+    else:
+        real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
+        busy, k, users = side.busy, side.k, tally.users
+        bound = supply.field_power(nearest_center_bound(
+            _realizations(real, busy, np.arange(len(k))), supply.positions))
+        bound *= 1.0 - _BOUND_MARGIN
+        power = bound.copy()
+        unsettled = np.flatnonzero(~_covered(side, bound))
+        if len(unsettled):
+            power[unsettled] = supply.field_power(field_values(
+                _realizations(real, busy, unsettled), supply.positions))
+        covered = _coverage(side, power, bound)
+        # users in outage under each scheme, and union events (a last running
+        # sum not covered), at the power (Y) and at the bound (C)
+        (tally.out_ci, tally.bound_ci), (tally.out_inv, tally.bound_inv), \
+            (tally.union_trials, tally.bound_union) = (
+                (users - np.count_nonzero(covered[:, :users], axis=1)).tolist(),
+                (users - np.count_nonzero(covered[:, users:], axis=1)).tolist(),
+                (len(k) - np.count_nonzero(np.take(covered, side.last, axis=1),
+                                           axis=1)).tolist())
+        tally.drawn_trials = len(k)
+        z = law.at(side.thresholds.values)
+        z -= covered[0] > covered[1]
     sums = _law_sums(z, side)
+    # G adds C - Y back to the sums of Z
     tally.law_ci, tally.law_inv, tally.law_union = (
-        zs + ((c - y) << 32) for zs, (y, c) in zip(sums, counts))
+        zs + ((c - y) << 32) for zs, y, c in zip(
+            sums, (tally.out_ci, tally.out_inv, tally.union_trials),
+            (tally.bound_ci, tally.bound_inv, tally.bound_union)))
     tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv = sums[3:]
-    tally.k_sq, tally.drawn_trials = side.thresholds.k_sq, len(k)
     return tally
 
 
@@ -840,21 +826,6 @@ def _law_sums(f: np.ndarray, side: _UserSide) -> list[int]:
     return _fixed_point_sums(e)
 
 
-def _expected_tally(supply: _Supply, side: _UserSide) -> TrialTally:
-    """A pass's tally at a scenario run by the center law: each trial's
-    expected outages given its users, sum F(k need) under equal split and
-    sum F(csum) under inversion, and its union event F(total), with their
-    moments."""
-    tally = replace(side.tally)
-    if tally.users == 0:
-        return tally
-    (tally.out_ci, tally.out_inv, tally.union_trials, tally.sq_ci, tally.sq_inv,
-     tally.ek_ci, tally.ek_inv) = _law_sums(supply.shortfall(side.thresholds), side)
-    tally.k_sq = side.thresholds.k_sq
-    tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
-    return tally
-
-
 def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
     """Bytes a pass holds per trial at its peak, estimated before it draws
     from the supplies of its group: the largest of its user draws joined
@@ -878,7 +849,7 @@ def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
 def _point_bytes(supply: _Supply, mu: float, kept: float) -> float:
     """Bytes per trial a pass holds at one point, mu users per trial, beside
     kept bytes per trial of its users. By the center law: F at each
-    threshold, seven sums per trial and their whole parts. On the centers
+    threshold and _CONTROL_ARRAYS values per trial. On the centers
     path: its centers joined beside the blocks they join, each trial's bound
     and power, and the larger of two stages. The exact stage holds, per
     harvester, every trial's field values and what delivered_power makes of
@@ -896,7 +867,7 @@ def _point_bytes(supply: _Supply, mu: float, kept: float) -> float:
     budget at E = c / (1 - T / _PASS_BYTES), and the model books the smaller
     of that and the uncapped tiles."""
     if supply.by_law:
-        return kept + 8 * (2 * mu + _LAW_ARRAYS)
+        return kept + 8 * (2 * mu + _CONTROL_ARRAYS)
     harvesters = len(supply.positions)
     ux, _, uy, _ = supply.positions.axes
     centers = supply.cfg.field.lambda_e * supply.window.area
@@ -936,15 +907,13 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
 
 def _pass_tallies(supplies: list[_Supply], seed: int, a: int, b: int) -> list[TrialTally]:
     """Trials [a, b) as one pass at each scenario of a group: the users
-    evaluated once, then each scenario's expected outages by the center law
-    or its drawn fields. What the pass holds is let go when it returns,
-    before the next pass draws."""
+    evaluated once, then each scenario's tally (_point_tally). What the pass
+    holds is let go when it returns, before the next pass draws."""
     # a point on the centers path builds its bound's law at its first pass,
     # before the pass holds anything
     laws = [None if s.by_law else s.bound_law for s in supplies]
     side = _user_side(supplies, seed, a, b)
-    return [_expected_tally(s, side) if law is None else _drawn_tally(s, side, law, seed, a, b)
-            for s, law in zip(supplies, laws)]
+    return [_point_tally(s, side, law, seed, a, b) for s, law in zip(supplies, laws)]
 
 
 def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> TrialTally:
@@ -966,7 +935,7 @@ class OutageEstimate:
     ci_hi: float
     n_trials: int
     n_users: int
-    n_outages: float      # expected outages at a center-law point, else a count
+    n_outages: float      # the sum of the trials' Z, floored at 0; need not be whole
     p_energy_random: float
     p_max_power: float
     union_rate: float | None
@@ -1040,9 +1009,9 @@ def bound_values(cfg: ScenarioConfig, scheme: Scheme) -> dict[str, float]:
 
 
 def _effective_users(tally: TrialTally, out: int, sq: int, ek: int) -> float | None:
-    """n_eff = p (1 - p) / var of a scheme's per-trial estimates e (out their
-    sum in 2^-32 units), var the delta method's variance of p = sum e /
-    sum k over the trials, sum (e - p k)^2 / (n (n - 1) kbar^2). None where
+    """n_eff = p (1 - p) / var of a scheme's per-trial estimates Z (out their
+    sum in 2^-32 units), var the delta method's variance of p = sum Z /
+    sum k over the trials, sum (Z - p k)^2 / (n (n - 1) kbar^2). None where
     the outages have no spread to measure: their sum is not positive, or
     every trial's are in proportion to its users to the resolution of the
     sums."""
@@ -1057,47 +1026,37 @@ def _effective_users(tally: TrialTally, out: int, sq: int, ek: int) -> float | N
     return p * (1.0 - p) / var
 
 
-def _estimated(tally: TrialTally, count: int, bound: int, law: int) -> int:
-    """One of a tally's outage sums, or its union events, in 2^-32 units: a
-    center-law point's expected count as tallied, a point on the centers
-    path's Y + G - C, any other's count."""
-    if tally.drawn_trials:
-        return ((count - bound) << 32) + law
-    return count if tally.expected else count << 32
-
-
 def estimates_from_tally(cfg: ScenarioConfig, tally: TrialTally
                          ) -> dict[Scheme, OutageEstimate]:
     """Turn raw tallies into per-scheme estimates with Wilson intervals and
-    attached bounds. At a center-law point and on the centers path, the
-    interval is Wilson's at the point's effective users (_effective_users),
-    at Student's t quantile with one degree of freedom fewer than its
-    trials, as var is estimated from them. Any other point's is Wilson's at
-    its users, and so is one of those without a spread, or with fewer than
-    2 trials that have users, which also sets low_confidence. A sum below
-    zero, which the control allows where outages are too rare for the run
-    to resolve, reads as none.
+    attached bounds. A scheme's outages, and the union events, are the sum
+    of each trial's Z = Y + G - C, ((out - bound) << 32) + law in 2^-32
+    units; a sum below zero, which the control allows where outages are too
+    rare for the run to resolve, reads as none. The interval is Wilson's at
+    the point's effective users (_effective_users), at Student's t quantile
+    with one degree of freedom fewer than its trials, as var is estimated
+    from them. Where Z has no spread, or fewer than 2 trials have users, it
+    is Wilson's at the users, and the latter also sets low_confidence.
 
-    On the centers path p = g - d, g the rate of G and d that of the residual
-    C - Y. Where the run draws few residual outages, Z's moments miss most of
-    d's spread, and at none they hold G's alone: an interval for g, which
-    is at least p. So the lower end is at most G's rate less Wilson's upper
-    limit at the users on d, and at least 0."""
+    p = g - d, g the rate of G and d that of the residual C - Y. Where a run
+    that drew fields (drawn_trials) draws few residual outages, Z's moments
+    miss most of d's spread, and at none they hold G's alone: an interval
+    for g, which is at least p. So its lower end is at most G's rate less
+    Wilson's upper limit at the users on d, and at least 0."""
     out: dict[Scheme, OutageEstimate] = {}
     users = tally.users
-    per_trial = tally.k_sq > 0   # a center-law or centers-path point with users
-    few = per_trial and tally.trials - tally.zero_user_trials < 2
-    union = max(_estimated(tally, tally.union_trials, tally.bound_union, tally.law_union), 0)
+    few = tally.trials - tally.zero_user_trials < 2
+    union = max(((tally.union_trials - tally.bound_union) << 32) + tally.law_union, 0)
     sums = {Scheme.CHANNEL_INDEPENDENT: (tally.out_ci, tally.bound_ci, tally.law_ci,
                                          tally.persist_ci, tally.sq_ci, tally.ek_ci),
             Scheme.INVERSION: (tally.out_inv, tally.bound_inv, tally.law_inv,
                                tally.persist_inv, tally.sq_inv, tally.ek_inv)}
     for scheme, (events, bound, law, n_persist, sq, ek) in sums.items():
-        count = _estimated(tally, events, bound, law)
+        count = ((events - bound) << 32) + law
         n_out = max(count, 0) / _FIXED_POINT
         if users > 0:
             p = n_out / users
-            n_eff = _effective_users(tally, count, sq, ek) if per_trial and not few else None
+            n_eff = None if few else _effective_users(tally, count, sq, ek)
             lo, hi = wilson_ci(n_out, users) if n_eff is None else \
                 wilson_interval(p, n_eff, t_quantile_975(tally.trials - 1))
             if tally.drawn_trials:

@@ -10,9 +10,9 @@ scenario columns are its config settings named without their section
 (``field.gamma`` -> ``gamma``), written as the config file writes them, with
 the ``distributed`` columns empty on on-site rows; the estimate columns are
 the OutageEstimate fields of the same names, and ``bound_<name>`` is bound
-``<name>``. At a point the engine runs by the center law, n_outages and
-union_rate are expected counts, and on the centers path the one-center
-control's estimates of them; neither need be whole (see renergy.coverage).
+``<name>``. n_outages and union_rate are the one-center control's
+estimates, expected counts at a point the engine runs by the center law;
+neither need be whole (see renergy.coverage).
 Only psi, fading_param, line_mode and the resolved window_side are named by
 hand. A sweep point is its scenario's settings with
 one key edited.

@@ -120,6 +120,13 @@ _SPLIT_CASES = {
 _SPLIT_TRIALS, _SPLIT_SEED = 600, 19
 
 
+def _outage_fields(cfg):
+    """Where a point's tally holds its outages under equal split and under
+    inversion: a center-law point's expected counts in law_*, any other's
+    counts at its exact power."""
+    return ("law_ci", "law_inv") if coverage._supply(cfg).by_law else ("out_ci", "out_inv")
+
+
 def _split_tally(cfg, cuts):
     edges = [0, *sorted(cuts), _SPLIT_TRIALS]
     return sum((run_trials_chunk(cfg, a, b, _SPLIT_SEED) for a, b in zip(edges, edges[1:])),
@@ -131,7 +138,8 @@ def test_tallies_do_not_depend_on_chunk_edges(case):
     # 600 trials are blocks [0, 256), [256, 512) and part of [512, 768)
     cfg = _SPLIT_CASES[case]
     whole = run_trials_chunk(cfg, 0, _SPLIT_TRIALS, _SPLIT_SEED)
-    assert whole.out_inv > 0 and whole.out_ci > whole.out_inv
+    out_ci, out_inv = (getattr(whole, name) for name in _outage_fields(cfg))
+    assert out_inv > 0 and out_ci > out_inv
     assert whole.gain_clamps > 0
     assert _split_tally(cfg, [1, 257]) == whole
     assert _split_tally(cfg, [255, 256, 513]) == whole
@@ -310,7 +318,7 @@ def test_group_draws_and_evaluates_users_once_per_pass(monkeypatch):
     # each pass counts the peak's outages once, in the user side
     assert outages == [("peaks", 20.0)] * 2
     assert len({t.users for t in tallies}) == 1
-    assert len({t.out_inv for t in tallies}) == 3
+    assert len({t.law_inv for t in tallies}) == 3
     assert len({t.persist_inv for t in tallies}) == 1
     passes.clear()
     run_trials_chunk(group[0], 0, n, 7)
@@ -351,7 +359,7 @@ def test_tallies_do_not_depend_on_the_pass_budget(monkeypatch, case):
     # whole chunk in one pass tally what the default budget does
     group = _BUDGET_CASES[case]
     default = run_group_chunk(group, 100, 1400, 29)
-    assert all(t.out_inv > 0 for t in default)
+    assert all(getattr(t, _outage_fields(cfg)[1]) > 0 for cfg, t in zip(group, default))
     for budget in (1, 1 << 62):
         monkeypatch.setattr(coverage, "_PASS_BYTES", budget)
         assert run_group_chunk(group, 100, 1400, 29) == default
@@ -579,7 +587,7 @@ def test_the_scenario_alone_selects_the_center_law(monkeypatch, kw, by_law):
     tally = run_trials_chunk(cfg, 0, 300, 5)
     assert coverage._supply(cfg).by_law == by_law
     assert (not calls) == by_law
-    assert tally.out_ci > 0
+    assert getattr(tally, _outage_fields(cfg)[0]) > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -649,7 +657,7 @@ def test_onsite_outages_fall_along_a_field_sweep(param, values):
     group = tuple(apply_sweep(base, param, v) for v in values)
     for a in range(0, 20 * 300, 300):
         tallies = run_group_chunk(group, a, a + 300, 17)
-        for scheme in ("out_ci", "out_inv", "union_trials"):
+        for scheme in ("law_ci", "law_inv", "law_union"):
             counts = [getattr(t, scheme) for t in tallies]
             assert counts == sorted(counts, reverse=True), (scheme, a, counts)
 
@@ -717,7 +725,8 @@ def _oracle_trials(cfg, start, stop, seed):
     blocks of users, evaluated trial by trial with np.sort, np.cumsum and
     searchsorted, as the per-trial loop the block engine replaced did. A
     scenario run by the center law adds each user's F at its threshold
-    (_oracle_shortfall) and rounds the trial's sums and moments to 2^-32;
+    (_oracle_shortfall) into law_* and rounds the trial's sums and moments
+    to 2^-32, its counts left at 0;
     any other counts the outages at its drawn field and at its one-center
     bound, adds each user's bound law at its threshold (_oracle_bound_law),
     and rounds those sums and the moments of Y + G - C to 2^-32."""
@@ -745,8 +754,8 @@ def _oracle_trials(cfg, start, stop, seed):
                 return _oracle_shortfall(cfg, window, supply, float(x))
             e_ci = sum(shortfall(k * g) for g in need)
             e_inv = sum(shortfall(c) for c in csum)
-            tally.out_ci, tally.out_inv = _fixed(e_ci), _fixed(e_inv)
-            tally.union_trials = _fixed(shortfall(csum[-1]))
+            tally.law_ci, tally.law_inv = _fixed(e_ci), _fixed(e_inv)
+            tally.law_union = _fixed(shortfall(csum[-1]))
             tally.sq_ci, tally.sq_inv = _fixed(e_ci * e_ci), _fixed(e_inv * e_inv)
             tally.ek_ci, tally.ek_inv = _fixed(e_ci * k), _fixed(e_inv * k)
             tally.k_sq = k * k
@@ -779,22 +788,18 @@ def _oracle_tally(cfg, start, stop, seed):
     return sum(_oracle_trials(cfg, start, stop, seed), TrialTally())
 
 
-# The fields a point with users tallies in 2^-32 units beside its counts: a
-# center-law point's expected counts, or the centers path's expected counts
-# at the bound, and the moments of either.
-_MOMENT_FIELDS = ("sq_ci", "sq_inv", "ek_ci", "ek_inv")
-_EXPECTED_FIELDS = ("out_ci", "out_inv", "union_trials")
-_LAW_FIELDS = ("law_ci", "law_inv", "law_union")
+# The fields a point with users tallies in 2^-32 units beside its counts:
+# its expected counts G and the moments of its estimates.
+_FIXED_FIELDS = ("law_ci", "law_inv", "law_union", "sq_ci", "sq_inv", "ek_ci", "ek_inv")
 
 
 def _assert_close_to(tally, want):
     """Every count equal; the expected counts and moments, which the oracle
     reaches by other arithmetic, within one unit per trial and 1e-9 of
     their size."""
-    fixed = _MOMENT_FIELDS + (_LAW_FIELDS if want.drawn_trials else _EXPECTED_FIELDS)
     for f in fields(TrialTally):
         got, expected = getattr(tally, f.name), getattr(want, f.name)
-        if f.name in fixed and want.k_sq:
+        if f.name in _FIXED_FIELDS and want.k_sq:
             assert abs(got - expected) <= want.trials + 1e-9 * abs(expected), f.name
         else:
             assert got == expected, f.name
@@ -850,8 +855,8 @@ def test_oracle_sees_clamps_and_both_outage_kinds():
     cfg = unit_cfg(fading=ChiSquaredFading(1))
     cfg = replace(cfg, channel=replace(cfg.channel, ref_dist=3.0))
     tally = _oracle_tally(cfg, 200, 600, 8)
-    assert tally.gain_clamps > 0 and tally.union_trials > 0
-    assert tally.out_ci > tally.out_inv > 0
+    assert tally.gain_clamps > 0 and tally.law_union > 0
+    assert tally.law_ci > tally.law_inv > 0
     assert tally.persist_ci > tally.persist_inv > 0
 
 
@@ -882,7 +887,7 @@ def test_chunks_reproducible_and_seed_sensitive():
 
 def test_inversion_never_worse_than_equal_split():
     tally = run_trials_chunk(unit_cfg(), 0, 400, 11)
-    assert tally.out_inv <= tally.out_ci
+    assert tally.law_inv <= tally.law_ci
     assert tally.persist_inv <= tally.persist_ci
     est = estimates_from_tally(unit_cfg(), tally)
     assert est[Scheme.INVERSION].p_out <= est[Scheme.CHANNEL_INDEPENDENT].p_out
@@ -898,7 +903,8 @@ def test_inversion_never_worse_than_equal_split_per_trial(supply, psi, gamma, tr
     # m of them need at most m P/k <= P, so inversion covers them too
     cfg = unit_cfg(gamma=gamma, psi=psi, **_ORACLE_SUPPLIES[supply])
     tally = run_trials_chunk(cfg, trial, trial + 1, seed)
-    assert tally.out_inv <= tally.out_ci
+    out_ci, out_inv = (getattr(tally, name) for name in _outage_fields(cfg))
+    assert out_inv <= out_ci
     assert tally.persist_inv <= tally.persist_ci
 
 
@@ -923,9 +929,9 @@ def test_single_user_schemes_coincide():
     single = [t for t in (run_trials_chunk(cfg, i, i + 1, 33) for i in range(400))
               if t.users == 1]
     assert len(single) > 100
-    assert sum(t.out_ci for t in single) > 0
+    assert sum(t.law_ci for t in single) > 0
     for t in single:
-        assert t.out_ci == t.out_inv
+        assert t.law_ci == t.law_inv
         assert t.persist_ci == t.persist_inv
 
 
@@ -945,9 +951,9 @@ def test_peak_power_monotonicity_paired():
     t_lo = run_trials_chunk(lo, 0, 300, 29)
     t_hi = run_trials_chunk(hi, 0, 300, 29)
     assert t_hi.users == t_lo.users
-    assert t_hi.out_ci <= t_lo.out_ci
-    assert t_hi.out_inv <= t_lo.out_inv
-    assert t_hi.union_trials <= t_lo.union_trials
+    assert t_hi.law_ci <= t_lo.law_ci
+    assert t_hi.law_inv <= t_lo.law_inv
+    assert t_hi.law_union <= t_lo.law_union
 
 
 _TAGGED_STREAM = 2   # last key of a stream the engine does not draw from
@@ -1043,9 +1049,9 @@ def test_center_law_interval_is_wilson_at_the_effective_users():
     n = 200
     trials = [run_trials_chunk(cfg, t, t + 1, 77) for t in range(n)]
     tally = sum(trials, TrialTally())
-    for scheme, name in ((Scheme.CHANNEL_INDEPENDENT, "out_ci"), (Scheme.INVERSION, "out_inv")):
+    for scheme, name in ((Scheme.CHANNEL_INDEPENDENT, "law_ci"), (Scheme.INVERSION, "law_inv")):
         est = estimates_from_tally(cfg, tally)[scheme]
-        e = np.array([t.in_users(getattr(t, name)) for t in trials])
+        e = np.array([getattr(t, name) / 2.0 ** 32 for t in trials])
         k = np.array([t.users for t in trials], dtype=float)
         p = e.sum() / k.sum()
         assert est.p_out == pytest.approx(p, rel=1e-12)
@@ -1058,14 +1064,14 @@ def test_center_law_interval_is_wilson_at_the_effective_users():
         assert est.ci_halfwidth < 0.5 * np.diff(wilson_ci(est.n_outages, tally.users))[0] / 2
         assert not est.low_confidence
     inv = estimates_from_tally(cfg, tally)[Scheme.INVERSION]
-    assert inv.union_rate == tally.union_trials / 2.0 ** 32 / n
+    assert inv.union_rate == tally.law_union / 2.0 ** 32 / n
 
 
 # A center-law tally of 5 trials and 500 users: 40 expected equal-split
 # outages, spread over the trials.
 _UNIT = 1 << 32
-_SPREAD = TrialTally(trials=5, users=500, out_ci=40 * _UNIT, out_inv=30 * _UNIT,
-                     union_trials=2 * _UNIT, k_sq=60_000, sq_ci=400 * _UNIT,
+_SPREAD = TrialTally(trials=5, users=500, law_ci=40 * _UNIT, law_inv=30 * _UNIT,
+                     law_union=2 * _UNIT, k_sq=60_000, sq_ci=400 * _UNIT,
                      sq_inv=200 * _UNIT, ek_ci=4_500 * _UNIT, ek_inv=3_300 * _UNIT)
 
 
@@ -1073,7 +1079,7 @@ _SPREAD = TrialTally(trials=5, users=500, out_ci=40 * _UNIT, out_inv=30 * _UNIT,
     ({}, False),
     ({"trials": 1}, True),                          # one trial with users
     ({"trials": 9, "zero_user_trials": 8}, True),   # one of nine
-    ({"out_ci": 0, "sq_ci": 0, "ek_ci": 0}, False),  # no expected outages
+    ({"law_ci": 0, "sq_ci": 0, "ek_ci": 0}, False),  # no expected outages
     ({"sq_ci": 384 * _UNIT, "ek_ci": 4_800 * _UNIT}, False),   # e = p k throughout
 ])
 def test_center_law_interval_edge_rules(edit, low):
@@ -1082,7 +1088,7 @@ def test_center_law_interval_edge_rules(edit, low):
     # sets low_confidence as well
     tally = replace(_SPREAD, **edit)
     est = estimates_from_tally(unit_cfg(), tally)[Scheme.CHANNEL_INDEPENDENT]
-    wilson = wilson_ci(tally.out_ci / _UNIT, 500)
+    wilson = wilson_ci(tally.law_ci / _UNIT, 500)
     assert ((est.ci_lo, est.ci_hi) == wilson) == bool(edit)
     assert est.low_confidence == low
 
@@ -1123,7 +1129,7 @@ def test_control_lower_end_allows_for_the_residual():
     assert lows[0] > z.ci_lo > lows[2] > 0
     # a run that drew no residual, where G's rate is below Wilson's upper
     # limit on none: Z's own lower end is above 0
-    assert estimates_from_tally(cfg, replace(_SPREAD, out_ci=2 * _UNIT))[ci].ci_lo > 0
+    assert estimates_from_tally(cfg, replace(_SPREAD, law_ci=2 * _UNIT))[ci].ci_lo > 0
     est = estimates_from_tally(cfg, replace(_SPREAD, out_ci=0, bound_ci=0, law_ci=2 * _UNIT,
                                             **only))[ci]
     assert est.p_out == 2 / 500 and est.ci_lo == 0.0

@@ -3,11 +3,11 @@ centers path: ordering, fixed point, bias and interval coverage.
 
 A scenario run by the center law (a boolean field read at the window's
 center alone: on-site, or a cluster of one harvester) tallies each trial's
-expected outages given its users, the field integrated out by its exact law
-on the window, in units of 2^-32. A point on the centers path tallies its
-outages Y at its drawn fields, C at their one-center bounds and G, the
-expectation of C given the users under the bound's tabulated law, and
-estimates from Y + G - C.
+expected outages given its users in law_*, the field integrated out by its
+exact law on the window, in units of 2^-32. A point on the centers path
+tallies its outages Y at its drawn fields, C at their one-center bounds and
+G, the expectation of C given the users under the bound's tabulated law,
+and estimates from Y + G - C.
 """
 
 import functools
@@ -80,13 +80,13 @@ def test_expected_outages_keep_the_per_trial_order(kernel, fading, supply, psi, 
         tallies = run_group_chunk(group, trial, trial + 1, seed)
         for t in tallies:
             k = t.users
-            assert t.persist_inv * UNIT <= t.out_inv <= t.out_ci <= k * UNIT
-            assert t.persist_ci * UNIT <= t.out_ci
-            assert 0 <= t.union_trials <= (UNIT if k else 0)
-            assert t.union_trials <= t.out_inv
+            assert t.persist_inv * UNIT <= t.law_inv <= t.law_ci <= k * UNIT
+            assert t.persist_ci * UNIT <= t.law_ci
+            assert 0 <= t.law_union <= (UNIT if k else 0)
+            assert t.law_union <= t.law_inv
             if k == 1:
-                assert t.out_ci == t.out_inv
-        for name in ("out_ci", "out_inv", "union_trials", "persist_ci", "persist_inv"):
+                assert t.law_ci == t.law_inv
+        for name in ("law_ci", "law_inv", "law_union", "persist_ci", "persist_inv"):
             counts = [getattr(t, name) for t in tallies]
             assert counts == sorted(counts, reverse=True), (param, name, counts)
 
@@ -140,9 +140,9 @@ def test_union_is_the_last_inversion_threshold():
     for t in range(60):
         tally = run_trials_chunk(cfg, t, t + 1, 202)
         if tally.users == 0:
-            assert tally.union_trials == tally.out_inv == 0
+            assert tally.law_union == tally.law_inv == 0
             continue
-        assert tally.union_trials <= tally.out_inv <= tally.users * (tally.union_trials + 1)
+        assert tally.law_union <= tally.law_inv <= tally.users * (tally.law_union + 1)
 
 
 # Trials, chunks and the z of the joint interval in the sampling check. At
@@ -158,7 +158,7 @@ def _sampled_tally(cfg, seed, a, b):
     supply = coverage._supply(cfg)
     twin = replace(cfg, field=replace(cfg.field, kernel=Kernel.SHOT_NOISE_EXP))
     side = coverage._user_side([supply, coverage._supply(twin)], seed, a, b)
-    return coverage._drawn_tally(supply, side, supply.bound_law, seed, a, b)
+    return coverage._point_tally(supply, side, supply.bound_law, seed, a, b)
 
 
 @pytest.mark.parametrize("supply", sorted(_LAW_SUPPLIES))
@@ -176,9 +176,9 @@ def test_expected_outages_match_sampled_fields(kernel, psi, supply):
         expected = run_trials_chunk(cfg, a, b, 61)
         sampled = _sampled_tally(cfg, 61, a, b)
         assert (expected.users, expected.persist_ci) == (sampled.users, sampled.persist_ci)
-        pairs = ((sampled.out_ci, expected.out_ci), (sampled.out_inv, expected.out_inv),
-                 (sampled.union_trials, expected.union_trials))
-        gaps.append([s - expected.in_users(e) for s, e in pairs])
+        pairs = ((sampled.out_ci, expected.law_ci), (sampled.out_inv, expected.law_inv),
+                 (sampled.union_trials, expected.law_union))
+        gaps.append([s - e / UNIT for s, e in pairs])
     gaps = np.array(gaps)
     mean = gaps.mean(axis=0)
     se = gaps.std(axis=0, ddof=1) / math.sqrt(_SAMPLED_CHUNKS)
