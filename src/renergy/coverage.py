@@ -50,9 +50,13 @@ runs a group's trials together, in passes of m * BLOCK consecutive trials:
 [a, min(a + m * BLOCK, stop)) for a in range(start, stop, m * BLOCK). A pass
 spans as many whole blocks m as keep the bytes it holds at its peak within
 _PASS_BYTES (3 MiB), and one at least, as estimated before it draws
-(_pass_bytes_per_trial). fig4's group, 10 users per cell by the center law,
+(_pass_plan): bytes for each trial the pass holds, and bytes for each trial
+up to a cap where a stage holds at most so many trials at once however long
+the pass is (the slices of the bound's and the exact stage, _sliced, and
+field_values' tiles). fig4's group, 10 users per cell by the center law,
 holds about 520 B per trial and runs passes of 23 blocks; fig5's, whose
-cluster 320 holds about 7.1 KB per trial, runs passes of one. One rule draws
+cluster 320 holds about 790 B per trial beside about 1.7 MB of the exact
+stage's slice and tiles, runs passes of 7. One rule draws
 a pass's users or centers (_pass_draw): each block the pass spans, whole as
 drawn or as views of the part it covers, the blocks joined when there are
 several. The last block of each of the two draws is memoized read-only, so
@@ -82,23 +86,33 @@ together.
 
 Every point on the centers path settles what it can at a bound: in most of
 its trials every user is covered, and one center per realization often shows
-it already. Its pass first takes the station power L at
-energy_field.nearest_center_bound, the field of the realization's center
-nearest the window's center (where the typical aggregator, or the on-site
-station, sits) alone, scaled down by _BOUND_MARGIN (1e-9), of each trial
-with users. A trial is settled
-when its largest need is at most that bound / k and its last running sum at
-most the bound, both read from the layout (_covered). The bound's pairs are
-floats field_values computes too, a boolean kernel's field can only be
-larger at the nearest of all the centers and a shot-noise sum only adds
-terms, delivered_power increases with the budget and the cluster sums in a
-fixed order, so the exact power is at least the bound: the margin, far above
-round-off, covers exp and sqrt followed by squaring. At the exact power
-every user of a settled trial is covered under both schemes and its union
-event is false, so counting at the bound gives the same outages; which
-trials are settled decides only which are evaluated exactly. field_values
-runs on the other trials' realizations only: at any cluster size, on a
-wrapped window or a flat one.
+it already. Its pass first takes, for each trial with users, the station
+power L at the field of the realization's center nearest the window's
+center (energy_field.nearest_center; where the typical aggregator, or the
+on-site station, sits) alone, scaled down by _BOUND_MARGIN (1e-9)
+(_Supply.bound). Where the line delivers a fixed share of the budget
+(lossless or tau_floor) and the kernel is exponential, L is that share of
+the harvesters' fields summed by axis (energy_field.nearest_center_total),
+one decay per distinct coordinate and trial; otherwise each harvester's field
+(energy_field.nearest_center_bound) goes through field_power. A trial is
+settled when its largest need is at most L / k and its last running sum at
+most L, both read from the layout (_covered). The per-harvester bound's
+pairs are floats field_values computes too, and the factored sum differs
+from their sum only by the rounding of a product of two exps and of the
+order it adds in; a boolean kernel's field can only be larger at the
+nearest of all the centers and a shot-noise sum only adds terms,
+delivered_power increases with the budget and the cluster sums in a fixed
+order, so the exact power is at least the bound: the margin, far above
+round-off, covers exp and sqrt followed by squaring, and the factored sum's
+rounding. At the exact power every user of a settled trial is covered
+under both schemes and its union event is false, so counting at the bound
+gives the same outages; which trials are settled decides only which are
+evaluated exactly. field_values runs on the other trials' realizations
+only: at any cluster size, on a wrapped window or a flat one. The bound's
+stage and the exact stage take their realizations in slices of at most
+_TILE_ELEMENTS // harvesters (_sliced), so a pass holds at most one slice's
+per-harvester values, and a realization's L and P do not depend on its
+slice.
 
 Every point estimates its outages the same way. Take a trial with users, its
 station power P and a bound L <= P whose law F_L(x) = Pr(L < x) is known.
@@ -112,7 +126,7 @@ law L = P, so F_L = F and C = Y: the point draws no field and counts
 neither, its Y and C stay 0, and Z = G. On the centers path L is the
 one-center bound above, and F_L is tabulated once per scenario, at the first
 pass that needs it (_Supply.bound_law, _bound_law), from the engine's own L
-at one-center realizations placed by a shifted lattice
+(_Supply.bound) at one-center realizations placed by a shifted lattice
 (energy_field.nearest_center_realizations), fixed for every scenario so that
 tallies depend on no process or worker count. The tally holds Y and C as
 counts and G in units of 2^-32, each trial's rounded once and summed
@@ -129,7 +143,8 @@ import enum
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache, partial
-from typing import Mapping
+from operator import itemgetter
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -143,8 +158,8 @@ from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import (_TILE_ELEMENTS, _TILE_POINTS, EnergyFieldSpec,
                            FieldRealization, Kernel, draw_field, field_values,
-                           nearest_center_bound, nearest_center_realizations,
-                           window_disk_area)
+                           nearest_center, nearest_center_bound, nearest_center_realizations,
+                           nearest_center_total, window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
                        default_window_side, hex_cell_circumradius, hex_cell_distances,
                        nearest_site_indices, substream)
@@ -367,6 +382,7 @@ class _Supply:
     stations_per_aggregator: int
     peak_station_power: float = field(init=False)
     by_law: bool = field(init=False)
+    gain: float | None = field(init=False)
 
     def __post_init__(self) -> None:
         cfg = self.cfg
@@ -375,6 +391,16 @@ class _Supply:
         object.__setattr__(self, "peak_station_power", float(peak[0]))
         object.__setattr__(self, "by_law", cfg.field.kernel is not Kernel.SHOT_NOISE_EXP
                            and len(self.positions) == 1)
+        # station power per unit of the harvesters' summed field, where the
+        # delivered power is linear in the budget and the kernel factors by
+        # axis; None otherwise
+        line = self.line
+        linear = line.mode == "tau_floor" or math.isinf(self.voltage)
+        gain = None
+        if linear and cfg.field.kernel is not Kernel.BOOLEAN_MAX_PLAW:
+            gain = cfg.eta * (line.tau if line.mode == "tau_floor" else 1.0) \
+                / self.stations_per_aggregator
+        object.__setattr__(self, "gain", gain)
 
     def station_power(self, budgets: np.ndarray) -> np.ndarray:
         """Station power per column of a (harvesters, trials) budget array."""
@@ -394,6 +420,29 @@ class _Supply:
         if self.cfg.eta != 1.0:
             values *= self.cfg.eta
         return self.station_power(values)
+
+    def power(self, real: FieldRealization) -> np.ndarray:
+        """The station power P at each realization of a block: field_values
+        at the harvesters through field_power, in slices (_sliced)."""
+        return _sliced(self, real, lambda part: self.field_power(
+            field_values(part, self.positions)))
+
+    def bound(self, real: FieldRealization) -> np.ndarray:
+        """The station power L at each realization's one-center bound,
+        scaled down by _BOUND_MARGIN, in slices (_sliced). Where the line is
+        linear and the kernel exponential (gain), it is the gain times the
+        harvesters' summed bound, factored by axis (nearest_center_total);
+        otherwise field_power of each harvester's (nearest_center_bound).
+        Either way L is at most P: the factored sum differs from the
+        harvester by harvester one only by round-off, far below the margin."""
+        if self.gain is None:
+            out = _sliced(self, real, lambda part: self.field_power(
+                nearest_center_bound(part, self.positions)))
+        else:
+            out = _sliced(self, real, lambda part: nearest_center_total(part, self.positions))
+            out *= self.gain
+        out *= 1.0 - _BOUND_MARGIN
+        return out
 
     @cached_property
     def bound_law(self) -> "_BoundLaw":
@@ -436,6 +485,22 @@ class _Supply:
         return np.exp(f, out=f)
 
 
+def _sliced(supply: _Supply, real: FieldRealization, evaluate) -> np.ndarray:
+    """evaluate(part), one value per realization of part, over a block's
+    realizations at most _TILE_ELEMENTS // harvesters at a time, so that an
+    array of one value per harvester and realization holds at most
+    _TILE_ELEMENTS values however long the block is. A realization's value
+    does not depend on its slice."""
+    n = len(real.counts)
+    step = max(1, _TILE_ELEMENTS // len(supply.positions))
+    if n <= step:
+        return evaluate(real)
+    out = np.empty(n)
+    for lo in range(0, n, step):
+        out[lo:lo + step] = evaluate(real.select(lo, min(lo + step, n)))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class _BoundLaw:
     """F(x) = Pr(L < x) for a point's station power L at the one-center
@@ -468,8 +533,7 @@ def _bound_law(supply: _Supply) -> _BoundLaw:
     """A point's one-center law, from the station power at the bound of
     _LATTICE realizations that each hold the nearest center alone, placed by
     the points of a shifted lattice (energy_field.nearest_center_realizations).
-    Each power is the engine's own bound, nearest_center_bound through
-    _Supply.field_power and scaled down by _BOUND_MARGIN, built BLOCK
+    Each power is the engine's own bound, _Supply.bound, built BLOCK
     realizations at a time; only the table is kept. Its grid spans the
     smallest positive power and the largest in _LAW_NODES - 3 equal steps of
     ln x, one step beyond each: F is the share of the powers below each
@@ -480,9 +544,7 @@ def _bound_law(supply: _Supply) -> _BoundLaw:
         i = np.arange(a, min(a + BLOCK, n))
         u = (i / n + _LATTICE_SHIFT[0]) % 1.0
         v = (i * _LATTICE_STEP % n / n + _LATTICE_SHIFT[1]) % 1.0
-        real = nearest_center_realizations(spec, window, u, v)
-        power[a:a + len(i)] = supply.field_power(nearest_center_bound(real, supply.positions))
-    power *= 1.0 - _BOUND_MARGIN
+        power[a:a + len(i)] = supply.bound(nearest_center_realizations(spec, window, u, v))
     power.sort()
     nodes = _LAW_NODES
     empty = int(np.searchsorted(power, 0.0, side="right"))
@@ -719,10 +781,10 @@ def _point_tally(supply: _Supply, side: _UserSide, law: _BoundLaw | None, seed: 
     and G is the center law's, F at the thresholds (_Supply.shortfall).
 
     Otherwise every trial with users first takes a bound L on its power from
-    its drawn field's nearest_center_bound, at most the exact power P once
-    scaled down by _BOUND_MARGIN. A trial whose users are all covered at L
-    (_covered) is covered at P too: it is settled, and L stands in for P.
-    field_values runs only on the realizations of the other trials with
+    its drawn field's nearest center (_Supply.bound), at most the exact
+    power P. A trial whose users are all covered at L (_covered) is covered
+    at P too: it is settled, and L stands in for P. P is evaluated
+    (_Supply.power) only on the realizations of the other trials with
     users, and not at all when every one is settled. Each trial's outages Y
     at P are counted, and so are its outages C at L, of which Y are part as
     L <= P (_coverage). G is the bound's law at the thresholds
@@ -738,14 +800,11 @@ def _point_tally(supply: _Supply, side: _UserSide, law: _BoundLaw | None, seed: 
     else:
         real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
         busy, k, users = side.busy, side.k, tally.users
-        bound = supply.field_power(nearest_center_bound(
-            _realizations(real, busy, np.arange(len(k))), supply.positions))
-        bound *= 1.0 - _BOUND_MARGIN
+        bound = supply.bound(_realizations(nearest_center(real), busy, np.arange(len(k))))
         power = bound.copy()
         unsettled = np.flatnonzero(~_covered(side, bound))
         if len(unsettled):
-            power[unsettled] = supply.field_power(field_values(
-                _realizations(real, busy, unsettled), supply.positions))
+            power[unsettled] = supply.power(_realizations(real, busy, unsettled))
         covered = _coverage(side, power, bound)
         # users in outage under each scheme, and union events (a last running
         # sum not covered), at the power (Y) and at the bound (C)
@@ -826,13 +885,39 @@ def _law_sums(f: np.ndarray, side: _UserSide) -> list[int]:
     return _fixed_point_sums(e)
 
 
-def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
-    """Bytes a pass holds per trial at its peak, estimated before it draws
-    from the supplies of its group: the largest of its user draws joined
-    beside the blocks they join; the padded rows, the workspace of the sort
-    and the running sums, beside each user's place in them and the flat
-    layout they fill; and what the pass keeps of its users beside each
-    point of the group (_point_bytes)."""
+class _Bytes(NamedTuple):
+    """Bytes one stage of a pass holds at its peak, n trials long:
+    per_trial bytes for each trial, and for each capped pair (b, m), b
+    bytes for each of its first m trials, the most that stage holds at once
+    however long the pass is: per_trial n + sum b min(n, m)."""
+
+    per_trial: float
+    capped: tuple[tuple[float, float], ...] = ()
+
+    def at(self, n: int) -> float:
+        return self.per_trial * n + sum([b * min(n, m) for b, m in self.capped])
+
+    def fits(self) -> float:
+        """The most trials whose bytes stay within _PASS_BYTES."""
+        n, used = 0.0, 0.0
+        slope = self.per_trial + sum([b for b, _ in self.capped])
+        for b, m in sorted(self.capped, key=itemgetter(1)):
+            if used + slope * (m - n) > _PASS_BYTES:
+                break
+            used += slope * (m - n)
+            n, slope = m, slope - b
+        return n + (_PASS_BYTES - used) / slope
+
+
+def _pass_plan(supplies: list[_Supply]) -> tuple[int, float]:
+    """The trials a pass of a group spans and the bytes it holds at its
+    peak, estimated before it draws: as many whole blocks as keep every
+    stage's bytes (_Bytes) within _PASS_BYTES, one at least, and the most
+    any stage holds at that length. The stages: the largest of its user
+    draws joined beside the blocks they join; the padded rows, the workspace
+    of the sort and the running sums, beside each user's place in them and
+    the flat layout they fill; and what the pass keeps of its users beside
+    each point of the group (_point_bytes)."""
     mu = supplies[0].cfg.mean_users_per_cell
     counted = not all(s.by_law for s in supplies)
     draws = 8 * (1 + 2 * mu)            # users per trial; each user's distance and fading
@@ -843,47 +928,63 @@ def _pass_bytes_per_trial(supplies: list[_Supply]) -> float:
     # the thresholds, and the layout they are a copy of where a point counts
     # at drawn fields, and 5 per-trial arrays
     kept = 8 * (2 * mu * (1 + counted) + 5)
-    return max(2 * draws, rows, *(_point_bytes(s, mu, kept) for s in supplies))
+    stages = [_Bytes(max(2 * draws, rows))]
+    for supply in supplies:
+        stages += _point_bytes(supply, mu, kept)
+    n = BLOCK * max(1, int(min(stage.fits() for stage in stages) // BLOCK))
+    return n, max(stage.at(n) for stage in stages)
 
 
-def _point_bytes(supply: _Supply, mu: float, kept: float) -> float:
-    """Bytes per trial a pass holds at one point, mu users per trial, beside
-    kept bytes per trial of its users. By the center law: F at each
-    threshold and _CONTROL_ARRAYS values per trial. On the centers
-    path: its centers joined beside the blocks they join, each trial's bound
-    and power, and the larger of two stages. The exact stage holds, per
-    harvester, every trial's field values and what delivered_power makes of
-    them, six arrays on an exact line at a finite voltage (the quadratic's
-    temporaries) and two on a lossless or tau_floor line (the values, or
-    their product); the bound's stage holds less, three values per center
-    and, per harvester, a pair and its gather. The control holds, per
-    threshold, the bound law's value, node and fraction, and
-    _CONTROL_ARRAYS values per trial. Beside them, field_values' tile
-    arrays: per center, three rows of one axis's distinct coordinates beside
-    one of the other's, then both beside a row per tile point. A tile holds
-    at most _TILE_ELEMENTS / m centers, m the most rows of its arrays, so
-    they are a fixed cost T per pass once the pass holds that many. A pass of
-    _PASS_BYTES / E trials that holds c bytes per trial beside them fits its
-    budget at E = c / (1 - T / _PASS_BYTES), and the model books the smaller
-    of that and the uncapped tiles."""
+def _point_bytes(supply: _Supply, mu: float, kept: float) -> list[_Bytes]:
+    """The stages of a pass at one point, mu users per trial, beside kept
+    bytes per trial of its users (_Bytes). By the center law, one: F at
+    each threshold and _CONTROL_ARRAYS values per trial.
+
+    On the centers path the nearest-center search holds, per center, the
+    joined centers and three values of its own, beside the last block of
+    centers drawn (_draw_fields). Every later stage holds, per trial, its
+    centers twice (joined, and as taken for the exact stage), its nearest
+    center, its bound and its power, and that last block. Beside them one
+    of four: the control's arrays, per threshold the bound law's value,
+    node and fraction, and _CONTROL_ARRAYS values per trial;
+    the bound's slice; or the exact stage's slice beside field_values' tile
+    arrays, or beside delivered_power's. A slice (_sliced) holds at most
+    _TILE_ELEMENTS // harvesters trials and a tile at most _TILE_ELEMENTS /
+    m centers, m the most rows of its arrays, so those are capped however
+    long the pass is. Per trial of a slice, the bound holds one gather per
+    harvester beside each distinct x's and y's decay where it is summed by
+    axis (_Supply.gain), and otherwise per harvester its pair, the other
+    axis's gather and delivered_power's arrays. The exact stage holds per
+    harvester the field values, and delivered_power makes three arrays of
+    them on an exact line at a finite voltage (the quadratic's
+    temporaries), one on a tau_floor line (their product) and none on a
+    lossless one. A tile holds per center three rows of one axis's distinct
+    coordinates beside one of the other's, then both beside the pairs and
+    the gather they combine with, a row each per tile point."""
+    control = kept + 8 * (2 * mu + _CONTROL_ARRAYS)
     if supply.by_law:
-        return kept + 8 * (2 * mu + _CONTROL_ARRAYS)
+        return [_Bytes(control)]
     harvesters = len(supply.positions)
     ux, _, uy, _ = supply.positions.axes
     centers = supply.cfg.field.lambda_e * supply.window.area
-    quadratic = supply.line.mode == "exact" and math.isfinite(supply.voltage)
-    # x and y of each center, as drawn and as joined, the bound and the
-    # power; then the larger of the exact stage's field values and the
-    # control's F at each threshold with its node and fraction
-    stage = max((6 if quadratic else 2) * harvesters, 6 * mu + _CONTROL_ARRAYS)
-    per_trial = kept + 8 * (4 * centers + 2 + stage)
+    # delivered_power's arrays per harvester beside the budgets
+    line = 3 if supply.line.mode == "exact" and math.isfinite(supply.voltage) else \
+        int(supply.line.mode == "tau_floor")
+    # each trial's centers twice, its nearest center, bound and power; the
+    # last block drawn
+    held = kept + 8 * (4 * centers + 4)
+    memo = (16 * centers, BLOCK)
+    sliced = max(1, _TILE_ELEMENTS // harvesters)
+    bound = harvesters + len(ux) + len(uy) if supply.gain is not None \
+        else harvesters * max(2, 1 + line)
     points = min(harvesters, _TILE_POINTS)
-    tile = max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + points)
-    uncapped = per_trial + 8 * tile * centers
-    fixed = 8 * tile * _TILE_ELEMENTS / max(points, len(ux), len(uy))
-    if fixed >= _PASS_BYTES:
-        return uncapped
-    return min(uncapped, per_trial / (1.0 - fixed / _PASS_BYTES))
+    tile = max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + 2 * points)
+    tiled = _TILE_ELEMENTS / max(points, len(ux), len(uy)) / centers
+    return [_Bytes(kept + 8 * 5 * centers, (memo,)),
+            _Bytes(held + 8 * (6 * mu + _CONTROL_ARRAYS), (memo,)),
+            _Bytes(held, (memo, (8 * bound, sliced))),
+            _Bytes(held, (memo, (8 * harvesters, sliced), (8 * tile * centers, tiled))),
+            _Bytes(held, (memo, (8 * harvesters * (1 + line), sliced)))]
 
 
 def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
@@ -897,7 +998,7 @@ def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,
     if len({cfg.user_settings for cfg in cfgs}) != 1:
         raise ValueError("a group needs scenarios with equal user_settings")
     supplies = [_supply(cfg) for cfg in cfgs]
-    step = BLOCK * max(1, int(_PASS_BYTES // (BLOCK * _pass_bytes_per_trial(supplies))))
+    step, _ = _pass_plan(supplies)
     tallies = [TrialTally() for _ in cfgs]
     for a in range(start, stop, step):
         passed = _pass_tallies(supplies, seed, a, min(a + step, stop))

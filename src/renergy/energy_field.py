@@ -38,10 +38,16 @@ _TILE_ELEMENTS pairs, so memory does not grow with the block.
 
 nearest_center_bound is a lower bound on field_values from one pair per
 point and realization: the realization's center nearest the window's center
-alone, through field_values' own per-axis step and kernel, so the pair is
-the float field_values computes for it. A boolean field's nearest center
-can only be nearer, and a shot-noise sum only adds non-negative terms. The
-trial engine settles the trials a bound already covers and evaluates the
+alone (nearest_center), through field_values' own per-axis step and kernel,
+so the pair is the float field_values computes for it. A boolean field's
+nearest center can only be nearer, and a shot-noise sum only adds
+non-negative terms. nearest_center_total sums that bound over the points of
+an exponential kernel from each axis's decays alone, one decay per distinct
+coordinate and realization instead of a kernel per point. Its product of two
+decays and its order of summation round differently from the pairs, so it
+is their sum only to a few units of round-off, and it lies below the field
+only once scaled down by a margin far above that (coverage._BOUND_MARGIN).
+The trial engine settles the trials a bound already covers and evaluates the
 others' realizations, taken from their block by FieldRealization.compress.
 
 On the simulated window the boolean field at the window's center has an
@@ -246,10 +252,40 @@ def _pair_step(spec: EnergyFieldSpec):
     return folded_square, np.add
 
 
+def nearest_center(real: FieldRealization) -> FieldRealization:
+    """Each realization's center nearest the window's center (the first of
+    those tied) alone, as a block of realizations of at most one center
+    each: none for an empty one. A block of at most one center per
+    realization is its own."""
+    counts = real.counts
+    if counts.max(initial=0) <= 1:
+        return real
+    xy = real.centers.points
+    full = counts > 0
+    # the first center of each realization at its least squared distance
+    # from the window's center; on a wrapped window that is the folded
+    # distance too, as no coordinate lies more than half a side from it
+    cx, cy = real.window.center
+    dx = xy[:, 0] - cx
+    dx *= dx
+    dy = xy[:, 1] - cy
+    dy *= dy
+    dx += dy
+    starts = (np.cumsum(counts) - counts)[full]
+    hits = np.flatnonzero(dx == np.repeat(np.minimum.reduceat(dx, starts), counts[full]))
+    nearest = hits[np.searchsorted(hits, starts)]
+    del dx, dy
+    one = np.empty((2, len(nearest)))
+    np.take(xy[:, 0], nearest, out=one[0])
+    np.take(xy[:, 1], nearest, out=one[1])
+    one.setflags(write=False)
+    return FieldRealization(real.spec, PointSet(one.T), real.window, full.astype(np.int64))
+
+
 def nearest_center_bound(real: FieldRealization, points) -> np.ndarray:
     """A lower bound on field_values(real, points), (k, n): each
-    realization's field from one of its centers alone, the one nearest the
-    window's center (the first of those tied), and 0 for an empty one.
+    realization's field from its nearest_center alone, and 0 for an empty
+    one.
 
     A pair's value is the float field_values computes for that point and
     center, from the same per-axis step and combination (_pair_step). Under
@@ -260,37 +296,75 @@ def nearest_center_bound(real: FieldRealization, points) -> np.ndarray:
     realization: the per-axis step runs once per distinct coordinate and
     realization."""
     pts = points if isinstance(points, PointSet) else PointSet(points)
-    spec, window, counts = real.spec, real.window, real.counts
+    one = nearest_center(real)
+    spec, window, full = one.spec, one.window, one.counts > 0
     ux, ix, uy, iy = pts.axes
-    xy = real.centers.points
-    full = counts > 0
-    # the first center of each realization at its least squared distance
-    # from the window's center; on a wrapped window that is the folded
-    # distance too, as no coordinate lies more than half a side from it
-    cx, cy = window.center
-    dx = xy[:, 0] - cx
-    dx *= dx
-    dy = xy[:, 1] - cy
-    dy *= dy
-    dx += dy
-    starts = (np.cumsum(counts) - counts)[full]
-    hits = np.flatnonzero(dx == np.repeat(np.minimum.reduceat(dx, starts), counts[full])) \
-        if len(starts) else starts
-    nearest = hits[np.searchsorted(hits, starts)]
-    del dx, dy
+    xy = one.centers.points
     step, combine = _pair_step(spec)
-    pair = step(ux[:, None] - xy[nearest, 0], window.width, window.wrap)[ix]
-    combine(pair, step(uy[:, None] - xy[nearest, 1], window.height, window.wrap)[iy],
-            out=pair)
+    pair = step(ux[:, None] - xy[:, 0], window.width, window.wrap)[ix]
+    combine(pair, step(uy[:, None] - xy[:, 1], window.height, window.wrap)[iy], out=pair)
     if spec.kernel is Kernel.SHOT_NOISE_EXP:
         pair *= spec.gamma
     else:
         _boolean_kernel(spec, np.sqrt(pair, out=pair))
     if full.all():
         return pair
-    out = np.zeros((len(ix), len(counts)))
+    out = np.zeros((len(ix), len(full)))
     out[:, full] = pair
     return out
+
+
+def nearest_center_total(real: FieldRealization, points) -> np.ndarray:
+    """nearest_center_bound(real, points) summed over the points, (n,), under
+    an exponential kernel, from each axis's decays at the nearest center
+    alone: len(ux) + len(uy) of them per realization (PointSet.axes), not
+    one per point.
+
+    Both kernels factor by axis: the boolean one's exp(-(dx^2 + dy^2) / nu)
+    is exp(-dx^2 / nu) exp(-dy^2 / nu) of the folded differences, and shot
+    noise's image sum is the product of its axes' (_image_decay). The points
+    are summed by rows of equal y (PointSet.rows): the x decays of each
+    row's points are summed, each sum is multiplied by its row's y decay,
+    and the rows are summed, each sum a reduceat that reduces every
+    realization's column on its own, so a realization's total takes the
+    same operations in the same order whatever block it is evaluated in. It
+    differs from the sum of nearest_center_bound's values only by the
+    rounding of the factored product and of the order of the sum, a few
+    units of round-off relative to each value's exponent and to the total."""
+    spec = real.spec
+    if spec.kernel is Kernel.BOOLEAN_MAX_PLAW:
+        raise ValueError("the power-law kernel does not factor by axis")
+    pts = points if isinstance(points, PointSet) else PointSet(points)
+    one = nearest_center(real)
+    window, full = one.window, one.counts > 0
+    ux, _, uy, _ = pts.axes
+    order, rows = pts.rows
+    xy = one.centers.points
+    out = np.zeros(len(full))
+    if not len(xy):
+        return out
+    decay = _axis_decay(spec)
+    ex = decay(ux[:, None] - xy[:, 0], window.width, window.wrap)
+    total = np.add.reduceat(np.take(ex, order, axis=0), rows, axis=0)
+    total *= decay(uy[:, None] - xy[:, 1], window.height, window.wrap)
+    # a reduceat, unlike sum, reduces a lone column as it does each of many
+    out[full] = np.add.reduceat(total, [0], axis=0)[0]
+    out *= spec.gamma
+    return out
+
+
+def _axis_decay(spec: EnergyFieldSpec):
+    """Per-axis factor of an exponential kernel at coordinate differences d,
+    as a new array: exp(-d^2/nu) of the folded difference for the boolean
+    kernel, the image sum _image_decay for shot noise."""
+    if spec.kernel is Kernel.SHOT_NOISE_EXP:
+        return partial(_image_decay, nu=spec.nu)
+
+    def decay(d, side, wrap):
+        e = folded_square(d, side, wrap)
+        e /= -spec.nu
+        return np.exp(e, out=e)
+    return decay
 
 
 def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,

@@ -101,6 +101,16 @@ class PointSet:
         uy, iy = np.unique(self.points[:, 1], return_inverse=True)
         return ux, ix, uy, iy
 
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(each point's x index in axes, the points ordered by their y
+        index and then by their x index; where each row of one distinct y
+        starts in that order), computed once per point set. Every distinct y
+        has a row."""
+        _, ix, _, iy = self.axes
+        order = np.lexsort((ix, iy))
+        return ix[order], np.flatnonzero(np.diff(iy[order], prepend=-1))
+
 
 def uniform_points(window: Window, n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform points in the window, all x coordinates drawn before all y.

@@ -267,18 +267,19 @@ def test_consecutive_chunks_draw_each_block_once(monkeypatch, case):
     assert passes == [200] * 10 + [48]
     for blocks in (*drawn.values(), passes):
         blocks.clear()
-    # at 520 B (on-site) per trial, eight blocks fit one pass; at 1701 B
-    # (distributed), seven do
+    # at 520 B (on-site) and about 1240 B (distributed: its centers, and
+    # the exact stage's tile arrays, beside the layout) per trial, all eight
+    # blocks fit one pass
     whole = run_trials_chunk(cfg, 0, n, 31)
     assert drawn == _each_stream(range(8), fields=not onsite)
-    assert passes == ([n] if onsite else [7 * BLOCK, BLOCK])
+    assert passes == [n]
     assert sum(chunks, TrialTally()) == whole
 
 
 @pytest.mark.parametrize("kernel, psi, start, stop, passes, blocks", [
     (Kernel.SHOT_NOISE_EXP, 6.0, 500, 1000, [256, 244], [1, 2, 3]),
     (Kernel.SHOT_NOISE_EXP, 6.0, 100, 612, [256, 256], [0, 1, 2]),
-    (Kernel.SHOT_NOISE_EXP, 0.8, 100, 1300, [512, 512, 176], [0, 1, 2, 3, 4, 5]),
+    (Kernel.SHOT_NOISE_EXP, 0.8, 100, 1300, [256, 256, 256, 256, 176], [0, 1, 2, 3, 4, 5]),
     (Kernel.SHOT_NOISE_EXP, 0.05, 500, 1000, [500], [1, 2, 3]),
     (Kernel.BOOLEAN_MAX_EXP, 6.0, 100, 6100, [5888, 112], list(range(24))),
 ])
@@ -286,13 +287,16 @@ def test_chunk_runs_in_fewest_passes(monkeypatch, kernel, psi, start, stop, pass
     # a pass takes as many blocks of trials as keep the bytes it holds within
     # _PASS_BYTES (3 MiB: 12288 B per trial of one block), one at least. At 10
     # users per cell a trial's padded rows, beside the layout they fill, take
-    # 520 B. A shot-noise point keeps the layout and its thresholds (360 B)
-    # beside 8 (800 psi + 78) B of centers, their tile arrays, each trial's
-    # bound and power and the control's arrays on the 10 x 10 window:
-    # 39384 B at psi 6 exceed a block, 6104 B at psi 0.8 fit two blocks, and
-    # 1304 B at psi 0.05 fit nine. By the center law the rows' 520 B fit 23
-    # blocks, whatever psi is. A chunk runs in the fewest such
-    # passes wherever it starts, and each block it touches is drawn once
+    # 520 B. A shot-noise point on the 10 x 10 window, 100 psi centers per
+    # trial, keeps the layout and its thresholds (360 B) beside 32 B per
+    # center and 32 B of each trial's nearest center, bound and power, and
+    # then either the control's arrays (608 B) or the exact stage's tile
+    # arrays (32 B per center, 65536 centers at most); the last block drawn
+    # stays beside them (16 B per center of one block). At psi 6 one block
+    # exceeds the budget; at psi 0.8 two blocks take 3.15 MB, just past it;
+    # at psi 0.05 ten blocks take 1160 B per trial. By the center law the
+    # rows' 520 B fit 23 blocks, whatever psi is. A chunk runs in the fewest
+    # such passes wherever it starts, and each block it touches is drawn once
     drawn, seen, _ = _record_passes(monkeypatch)
     cfg = unit_cfg(psi=psi, kernel=kernel)
     tally = run_trials_chunk(cfg, start, stop, 19)
@@ -366,26 +370,30 @@ def test_tallies_do_not_depend_on_the_pass_budget(monkeypatch, case):
 
 
 def _peak_cases():
-    """The groups whose one-pass peaks the byte model is held to: fig4's psi
-    sweep and fig5's cluster sizes 20 and 320, over lossless lines; the
-    lossy CI sweep's cluster sizes 20 and 80, over exact lines at the rule's
-    voltage; fig4 at psi 0.02 under shot noise; fig4's scenario beside its
-    shot-noise twin, and one harvester by the center law beside a cluster of
-    seven, the two groups that mix the center law with drawn fields. The
-    cluster of seven settles most of its trials at the bound, and none at
-    gamma = 0.01, where every trial's field is evaluated and the tiles reach
-    their cap."""
+    """The groups whose one-pass peaks the byte model is held to: fig5's
+    cluster sizes 20 and 320, over lossless lines, and the faint CI sweep's
+    80 and 320 at gamma = 0.01, where no trial settles and every slice of
+    the exact stage is full; fig4's psi sweep; the lossy CI sweep's cluster
+    sizes 20 and 80, over exact lines at the rule's voltage; fig4 at psi
+    0.02 under shot noise; fig4's scenario beside its shot-noise twin, and
+    one harvester by the center law beside a cluster of seven, the two
+    groups that mix the center law with drawn fields. The cluster of seven
+    settles most of its trials at the bound, and none at gamma = 0.01, where
+    every trial's field is evaluated and the tiles reach their cap."""
     fig4, fig5 = _repro_experiment("fig4"), _repro_experiment("fig5").scenario
     shot = replace(fig4.scenario, field=replace(fig4.scenario.field,
                                                 kernel=Kernel.SHOT_NOISE_EXP))
     one = parse_config_text("scenario.architecture = distributed\n"
                             "distributed.lambda_h = 0.78\ndistributed.lambda_a = 0.78\n").scenario
     faint = replace(one, field=replace(one.field, gamma=0.01))
+    faint_fig5 = replace(fig5, field=replace(fig5.field, gamma=0.01))
     lossy = parse_config_text("scenario.architecture = distributed\n"
                               "channel.ref_dist = 3\n").scenario
     return {
         "fig4": tuple(apply_sweep(fig4.scenario, "psi", p) for p in fig4.sweep_values),
         "fig5": tuple(apply_sweep(fig5, "cluster_size", c) for c in (20.0, 320.0)),
+        "fig5_gamma_0.01": tuple(apply_sweep(faint_fig5, "cluster_size", c)
+                                 for c in (80.0, 320.0)),
         "lossy": tuple(apply_sweep(lossy, "cluster_size", c) for c in (20.0, 80.0)),
         "fig4_shot_noise": (apply_sweep(shot, "psi", 0.02),),
         "onsite_with_shot_noise_twin": (fig4.scenario, shot),
@@ -404,8 +412,9 @@ def test_a_pass_peaks_within_its_byte_model(case):
     supplies = [coverage._supply(cfg) for cfg in group]
     if case.startswith(("onsite_with_shot_noise_twin", "cluster_sizes_1_and_7")):
         assert {s.by_law for s in supplies} == {True, False}
-    per_trial = coverage._pass_bytes_per_trial(supplies)
-    step = BLOCK * max(1, int(coverage._PASS_BYTES // (BLOCK * per_trial)))
+    step, estimate = coverage._pass_plan(supplies)
+    if case == "fig5":   # 320 harvesters' values are held one slice at a time
+        assert step >= 4 * BLOCK
     run_group_chunk(group, 0, step, 4242)
     coverage._draw_fields.cache_clear()
     coverage._draw_users.cache_clear()
@@ -415,7 +424,7 @@ def test_a_pass_peaks_within_its_byte_model(case):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.5 <= peak / (per_trial * step) <= 1.10, (peak, per_trial * step)
+    assert 0.5 <= peak / estimate <= 1.10, (peak, estimate)
 
 
 def _bound_cases():
@@ -525,9 +534,9 @@ def test_settled_trials_tally_as_every_trial_evaluated(case):
                                            ("onsite_shot_noise_0.5_flat", "some")])
 def test_exact_stage_takes_the_unsettled_trials_with_users(monkeypatch, case, settles):
     # each pass evaluates field_values on the realizations of exactly the
-    # trials with users that its bound leaves unsettled, counted here from
-    # the users' own sorted needs: all of them settled, no call; none, every
-    # trial with users
+    # trials with users that its bound leaves unsettled, slice by slice in
+    # their order, counted here from the users' own sorted needs: all of
+    # them settled, no call; none, every trial with users
     cfg = _bound_cases()[case]
     supply = coverage._supply(cfg)
     calls = []
@@ -550,7 +559,10 @@ def test_exact_stage_takes_the_unsettled_trials_with_users(monkeypatch, case, se
             seen.add("all")
             assert calls == []
             continue
-        [call] = calls
+        # in slices of at most _TILE_ELEMENTS // harvesters realizations
+        assert all(len(c.counts) <= max(1, coverage._TILE_ELEMENTS // len(supply.positions))
+                   for c in calls)
+        call = FieldRealization.join(calls)
         seen.add("some" if settled.any() else "none")
         starts = np.cumsum(real.counts) - real.counts
         centers = [real.centers.points[s:s + c]
@@ -559,6 +571,58 @@ def test_exact_stage_takes_the_unsettled_trials_with_users(monkeypatch, case, se
         assert np.array_equal(call.centers.points, np.concatenate(centers))
     assert seen == {settles}
 
+
+def _factored_cfg(kernel, where, mode, eta, psi):
+    """A scenario whose bound is summed by axis: fig5's clusters of 20, 80 and
+    320 over lossless or tau_floor lines (wrapped windows), or on-site, on a
+    wrapped window or a flat one."""
+    if where in ("wrapped", "flat"):
+        return unit_cfg(psi=psi, kernel=kernel, eta=eta, wrap=where == "wrapped")
+    fig5 = _repro_experiment("fig5").scenario
+    arch = fig5.architecture
+    if mode == "tau_floor":
+        arch = replace(arch, line=replace(arch.line, mode="tau_floor"))
+    field = replace(fig5.field, kernel=kernel, lambda_e=psi / fig5.field.nu)
+    return apply_sweep(replace(fig5, field=field, architecture=arch, eta=eta),
+                       "cluster_size", where)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel=st.sampled_from([Kernel.BOOLEAN_MAX_EXP, Kernel.SHOT_NOISE_EXP]),
+       where=st.sampled_from(["wrapped", "flat", 20.0, 80.0, 320.0]),
+       mode=st.sampled_from(["lossless", "tau_floor"]), eta=st.sampled_from([1.0, 0.6]),
+       psi=st.sampled_from([0.05, 0.5]), seed=st.integers(0, 2**16))
+def test_the_factored_bound_is_the_harvesters_bound_to_round_off(kernel, where, mode, eta,
+                                                                psi, seed):
+    # on a linear line under an exponential kernel the station's bound L is
+    # summed by axis (_Supply.gain): it equals field_power of every
+    # harvester's nearest_center_bound to 1e-12, and after _BOUND_MARGIN it
+    # never exceeds the exact power; a trial's L has the same bits alone as
+    # in its block of 256
+    cfg = _factored_cfg(kernel, where, mode, eta, psi)
+    supply = coverage._supply(cfg)
+    assert supply.gain is not None
+    real = draw_field(cfg.field, supply.window, substream(seed, 0, FIELD_STREAM), BLOCK)
+    bound = supply.bound(real)
+    harvesters = supply.field_power(nearest_center_bound(real, supply.positions))
+    np.testing.assert_allclose(bound, harvesters * (1.0 - coverage._BOUND_MARGIN),
+                               rtol=1e-12, atol=0.0)
+    assert np.all(bound <= supply.field_power(field_values(real, supply.positions)))
+    for i in range(BLOCK):
+        assert np.array_equal(supply.bound(real.select(i, i + 1)), bound[i:i + 1])
+
+
+@pytest.mark.parametrize("case", ["fig5_320", "fig5_gamma_0.01_320", "tau_floor_320",
+                                  "lossy_2V_80", "shot_noise_80", "onsite_shot_noise_0.5_flat"])
+def test_tallies_do_not_depend_on_the_stage_slices(monkeypatch, case):
+    # the bound's stage and the exact stage take a pass's realizations in
+    # slices of at most _TILE_ELEMENTS // harvesters; slices of one
+    # realization each tally what the default slices do
+    cfg = _bound_cases()[case]
+    default = run_trials_chunk(cfg, 100, 1400, 29)
+    assert default.out_inv > 0
+    monkeypatch.setattr(coverage, "_TILE_ELEMENTS", 1)
+    assert run_trials_chunk(cfg, 100, 1400, 29) == default
 
 @pytest.mark.parametrize("kw, by_law", [
     ({}, True),

@@ -611,6 +611,37 @@ def test_nearest_center_bound_never_exceeds_the_field(kernel, wrap, points, cell
     assert np.all(bound <= field_values(block, pts))
 
 
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=st.sampled_from([Kernel.BOOLEAN_MAX_EXP, Kernel.SHOT_NOISE_EXP]),
+       wrap=st.booleans(),
+       points=st.lists(_GRID, min_size=1, max_size=40),
+       cells=st.lists(_GRID, min_size=1, max_size=20),
+       counts=st.lists(st.integers(0, 5), min_size=1, max_size=10))
+@example(kernel=Kernel.BOOLEAN_MAX_EXP, wrap=True, points=[(0, 0), (17, 13), (9, 7)],
+         cells=[(8, 7), (10, 7), (9, 12)], counts=[2, 0, 3])
+def test_nearest_center_total_sums_the_bound_by_axis(kernel, wrap, points, cells, counts):
+    # the bound summed over the points from each axis's decays: the sum of
+    # nearest_center_bound's values to round-off, each realization's total
+    # the same bits alone as in its block, and 0 for an empty one
+    spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.05, nu=2.0, kernel=kernel)
+    w = Window(9.0, 7.0, wrap=wrap)
+    centers = 0.5 * np.array([cells[i % len(cells)] for i in range(sum(counts))],
+                             dtype=float).reshape(-1, 2)
+    pts = PointSet(0.5 * np.array(points, dtype=float))
+    block = FieldRealization(spec, PointSet(centers), w, np.array(counts))
+    total = energy_field.nearest_center_total(block, pts)
+    np.testing.assert_allclose(total, energy_field.nearest_center_bound(block, pts).sum(axis=0),
+                               rtol=1e-12, atol=0.0)
+    for i in range(len(counts)):
+        assert np.array_equal(energy_field.nearest_center_total(block.select(i, i + 1), pts),
+                              total[i:i + 1])
+    assert np.all(total[np.array(counts) == 0] == 0.0)
+    with pytest.raises(ValueError, match="power-law"):
+        energy_field.nearest_center_total(
+            FieldRealization(replace(spec, kernel=Kernel.BOOLEAN_MAX_PLAW), PointSet(centers),
+                             w, np.array(counts)), pts)
+
 def _fig5_harvesters_and_block(kernel, density=1.0):
     """The typical aggregator's 307 harvesters at fig5 cluster size 320, and
     the first field block its trials draw, with the given kernel and the
