@@ -93,26 +93,27 @@ on-site station, sits) alone, scaled down by _BOUND_MARGIN (1e-9)
 (_Supply.bound). Where the line delivers a fixed share of the budget
 (lossless or tau_floor) and the kernel is exponential, L is that share of
 the harvesters' fields summed by axis (energy_field.nearest_center_total),
-one decay per distinct coordinate and trial; otherwise each harvester's field
-(energy_field.nearest_center_bound) goes through field_power. A trial is
+one decay per distinct coordinate and trial; otherwise L is the station's
+power at the nearest center alone (_Supply.power(nearest_center(real))),
+the exact stage's own evaluation at one center per trial. A trial is
 settled when its largest need is at most L / k and its last running sum at
-most L, both read from the layout (_covered). The per-harvester bound's
-pairs are floats field_values computes too, and the factored sum differs
-from their sum only by the rounding of a product of two exps and of the
-order it adds in; a boolean kernel's field can only be larger at the
-nearest of all the centers and a shot-noise sum only adds terms,
-delivered_power increases with the budget and the cluster sums in a fixed
-order, so the exact power is at least the bound: the margin, far above
-round-off, covers exp and sqrt followed by squaring, and the factored sum's
-rounding. At the exact power every user of a settled trial is covered
-under both schemes and its union event is false, so counting at the bound
-gives the same outages; which trials are settled decides only which are
-evaluated exactly. field_values runs on the other trials' realizations
-only: at any cluster size, on a wrapped window or a flat one. The bound's
-stage and the exact stage take their realizations in slices of at most
-_TILE_ELEMENTS // harvesters (_sliced), so a pass holds at most one slice's
-per-harvester values, and a realization's L and P do not depend on its
-slice.
+most L, both read from the layout (_covered). The field at the nearest
+center alone is, point by point, a pair value field_values reduces over the
+whole realization, and the factored sum differs from its sum only by the
+rounding of a product of two exps and of the order it adds in; a boolean
+kernel's field can only be larger at the nearest of all the centers and a
+shot-noise sum only adds terms, delivered_power increases with the budget
+and the cluster sums in a fixed order, so the exact power is at least the
+bound: the margin, far above round-off, covers exp and sqrt followed by
+squaring, and the factored sum's rounding. At the exact power every user
+of a settled trial is covered under both schemes and its union event is
+false, so counting at the bound gives the same outages; which trials are
+settled decides only which are evaluated exactly. The exact stage runs
+field_values on the other trials' realizations only: at any cluster size,
+on a wrapped window or a flat one. The bound's stage and the exact stage
+take their realizations in slices of at most _TILE_ELEMENTS // harvesters
+(_sliced), so a pass holds at most one slice's per-harvester values, and a
+realization's L and P do not depend on its slice.
 
 Every point estimates its outages the same way. Take a trial with users, its
 station power P and a bound L <= P whose law F_L(x) = Pr(L < x) is known.
@@ -158,7 +159,7 @@ from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import (_TILE_ELEMENTS, _TILE_POINTS, EnergyFieldSpec,
                            FieldRealization, Kernel, draw_field, field_values,
-                           nearest_center, nearest_center_bound, nearest_center_realizations,
+                           nearest_center, nearest_center_realizations,
                            nearest_center_total, window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
                        default_window_side, hex_cell_circumradius, hex_cell_distances,
@@ -414,30 +415,28 @@ class _Supply:
             delivered.cumsum(axis=0)[-1]
         return total / self.stations_per_aggregator
 
-    def field_power(self, values: np.ndarray) -> np.ndarray:
-        """station_power at field values, (harvesters, trials), which become
-        the budgets eta * values in place (values themselves at eta = 1)."""
-        if self.cfg.eta != 1.0:
-            values *= self.cfg.eta
-        return self.station_power(values)
-
     def power(self, real: FieldRealization) -> np.ndarray:
-        """The station power P at each realization of a block: field_values
-        at the harvesters through field_power, in slices (_sliced)."""
-        return _sliced(self, real, lambda part: self.field_power(
-            field_values(part, self.positions)))
+        """The station power P at each realization of a block: station_power
+        at the budgets eta times field_values at the harvesters (the values
+        themselves at eta = 1), in slices (_sliced)."""
+        def at(part: FieldRealization) -> np.ndarray:
+            values = field_values(part, self.positions)
+            if self.cfg.eta != 1.0:
+                values *= self.cfg.eta
+            return self.station_power(values)
+        return _sliced(self, real, at)
 
     def bound(self, real: FieldRealization) -> np.ndarray:
-        """The station power L at each realization's one-center bound,
-        scaled down by _BOUND_MARGIN, in slices (_sliced). Where the line is
+        """The station power L at each realization's nearest center alone
+        (nearest_center), scaled down by _BOUND_MARGIN. Where the line is
         linear and the kernel exponential (gain), it is the gain times the
-        harvesters' summed bound, factored by axis (nearest_center_total);
-        otherwise field_power of each harvester's (nearest_center_bound).
-        Either way L is at most P: the factored sum differs from the
-        harvester by harvester one only by round-off, far below the margin."""
+        harvesters' fields there summed by axis (nearest_center_total), in
+        slices (_sliced); otherwise the station's power at the nearest
+        center alone, power(nearest_center(real)). Either way L is at most
+        P: the factored sum differs from the harvester by harvester one only
+        by round-off, far below the margin."""
         if self.gain is None:
-            out = _sliced(self, real, lambda part: self.field_power(
-                nearest_center_bound(part, self.positions)))
+            out = self.power(nearest_center(real))
         else:
             out = _sliced(self, real, lambda part: nearest_center_total(part, self.positions))
             out *= self.gain
@@ -945,16 +944,16 @@ def _point_bytes(supply: _Supply, mu: float, kept: float) -> list[_Bytes]:
     centers drawn (_draw_fields). Every later stage holds, per trial, its
     centers twice (joined, and as taken for the exact stage), its nearest
     center, its bound and its power, and that last block. Beside them one
-    of four: the control's arrays, per threshold the bound law's value,
-    node and fraction, and _CONTROL_ARRAYS values per trial;
-    the bound's slice; or the exact stage's slice beside field_values' tile
-    arrays, or beside delivered_power's. A slice (_sliced) holds at most
-    _TILE_ELEMENTS // harvesters trials and a tile at most _TILE_ELEMENTS /
-    m centers, m the most rows of its arrays, so those are capped however
-    long the pass is. Per trial of a slice, the bound holds one gather per
-    harvester beside each distinct x's and y's decay where it is summed by
-    axis (_Supply.gain), and otherwise per harvester its pair, the other
-    axis's gather and delivered_power's arrays. The exact stage holds per
+    of: the control's arrays, per threshold the bound law's value, node and
+    fraction, and _CONTROL_ARRAYS values per trial; the exact stage's slice
+    beside field_values' tile arrays, or beside delivered_power's; and,
+    where the bound is summed by axis (_Supply.gain), its slice. A slice
+    (_sliced) holds at most _TILE_ELEMENTS // harvesters trials and a tile
+    at most _TILE_ELEMENTS / m centers, m the most rows of its arrays, so
+    those are capped however long the pass is. Per trial of a slice, the
+    summed bound holds one gather per harvester beside each distinct x's
+    and y's decay. Any other bound is the exact stage at one center per
+    trial, within what that stage books. The exact stage holds per
     harvester the field values, and delivered_power makes three arrays of
     them on an exact line at a finite voltage (the quadratic's
     temporaries), one on a tau_floor line (their product) and none on a
@@ -975,16 +974,16 @@ def _point_bytes(supply: _Supply, mu: float, kept: float) -> list[_Bytes]:
     held = kept + 8 * (4 * centers + 4)
     memo = (16 * centers, BLOCK)
     sliced = max(1, _TILE_ELEMENTS // harvesters)
-    bound = harvesters + len(ux) + len(uy) if supply.gain is not None \
-        else harvesters * max(2, 1 + line)
     points = min(harvesters, _TILE_POINTS)
     tile = max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + 2 * points)
     tiled = _TILE_ELEMENTS / max(points, len(ux), len(uy)) / centers
-    return [_Bytes(kept + 8 * 5 * centers, (memo,)),
-            _Bytes(held + 8 * (6 * mu + _CONTROL_ARRAYS), (memo,)),
-            _Bytes(held, (memo, (8 * bound, sliced))),
-            _Bytes(held, (memo, (8 * harvesters, sliced), (8 * tile * centers, tiled))),
-            _Bytes(held, (memo, (8 * harvesters * (1 + line), sliced)))]
+    stages = [_Bytes(kept + 8 * 5 * centers, (memo,)),
+              _Bytes(held + 8 * (6 * mu + _CONTROL_ARRAYS), (memo,)),
+              _Bytes(held, (memo, (8 * harvesters, sliced), (8 * tile * centers, tiled))),
+              _Bytes(held, (memo, (8 * harvesters * (1 + line), sliced)))]
+    if supply.gain is not None:
+        stages.append(_Bytes(held, (memo, (8 * (harvesters + len(ux) + len(uy)), sliced))))
+    return stages
 
 
 def run_group_chunk(cfgs: tuple[ScenarioConfig, ...], start: int, stop: int,

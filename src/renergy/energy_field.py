@@ -36,14 +36,14 @@ realization, a minimum for the boolean kernels and a sum for shot noise.
 Tiles of whole realizations hold at most _TILE_POINTS points and about
 _TILE_ELEMENTS pairs, so memory does not grow with the block.
 
-nearest_center_bound is a lower bound on field_values from one pair per
-point and realization: the realization's center nearest the window's center
-alone (nearest_center), through field_values' own per-axis step and kernel,
-so the pair is the float field_values computes for it. A boolean field's
-nearest center can only be nearer, and a shot-noise sum only adds
-non-negative terms. nearest_center_total sums that bound over the points of
-an exponential kernel from each axis's decays alone, one decay per distinct
-coordinate and realization instead of a kernel per point. Its product of two
+field_values at the block nearest_center returns, each realization's center
+nearest the window's center alone, is a lower bound on field_values at the
+block it came from. Each of its values is the pair of that point and center
+that field_values reduces in the full realization: a boolean field's
+minimum over all the centers can only be nearer, and a shot-noise sum only
+adds non-negative terms. nearest_center_total sums that bound over the
+points of an exponential kernel from each axis's decays alone, one decay
+per distinct coordinate and realization instead of a kernel per point. Its product of two
 decays and its order of summation round differently from the pairs, so it
 is their sum only to a few units of round-off, and it lies below the field
 only once scaled down by a margin far above that (coverage._BOUND_MARGIN).
@@ -234,22 +234,15 @@ def field_values(real: FieldRealization, points) -> np.ndarray:
     PointSet that is evaluated again keeps its axis factorization."""
     pts = points if isinstance(points, PointSet) else PointSet(points)
     spec = real.spec
-    step, combine = _pair_step(spec)
     if spec.kernel is Kernel.SHOT_NOISE_EXP:
-        out = _segment_reduce(real, pts, step, combine, np.add, 0.0)
+        # per-axis image sums of exp(-d^2/nu), multiplied, summed over centers
+        out = _segment_reduce(real, pts, partial(_image_decay, nu=spec.nu), np.multiply,
+                              np.add, 0.0)
         out *= spec.gamma
         return out
-    d2 = _segment_reduce(real, pts, step, combine, np.minimum, np.inf)
+    # folded squared differences, added, least over centers
+    d2 = _segment_reduce(real, pts, folded_square, np.add, np.minimum, np.inf)
     return _boolean_kernel(spec, np.sqrt(d2, out=d2))
-
-
-def _pair_step(spec: EnergyFieldSpec):
-    """The per-axis step of a kernel's pair values and how a pair combines
-    its two axes' values: folded squared differences, added, for the boolean
-    kernels; image sums of exp(-d^2/nu), multiplied, for shot noise."""
-    if spec.kernel is Kernel.SHOT_NOISE_EXP:
-        return partial(_image_decay, nu=spec.nu), np.multiply
-    return folded_square, np.add
 
 
 def nearest_center(real: FieldRealization) -> FieldRealization:
@@ -282,43 +275,11 @@ def nearest_center(real: FieldRealization) -> FieldRealization:
     return FieldRealization(real.spec, PointSet(one.T), real.window, full.astype(np.int64))
 
 
-def nearest_center_bound(real: FieldRealization, points) -> np.ndarray:
-    """A lower bound on field_values(real, points), (k, n): each
-    realization's field from its nearest_center alone, and 0 for an empty
-    one.
-
-    A pair's value is the float field_values computes for that point and
-    center, from the same per-axis step and combination (_pair_step). Under
-    a boolean kernel it is a squared distance, and the minimum over all the
-    centers can only be smaller, so the field can only be larger; the kernel
-    is the same function of it (_boolean_kernel). Under shot noise it is one
-    of the non-negative terms field_values sums. One pair per point and
-    realization: the per-axis step runs once per distinct coordinate and
-    realization."""
-    pts = points if isinstance(points, PointSet) else PointSet(points)
-    one = nearest_center(real)
-    spec, window, full = one.spec, one.window, one.counts > 0
-    ux, ix, uy, iy = pts.axes
-    xy = one.centers.points
-    step, combine = _pair_step(spec)
-    pair = step(ux[:, None] - xy[:, 0], window.width, window.wrap)[ix]
-    combine(pair, step(uy[:, None] - xy[:, 1], window.height, window.wrap)[iy], out=pair)
-    if spec.kernel is Kernel.SHOT_NOISE_EXP:
-        pair *= spec.gamma
-    else:
-        _boolean_kernel(spec, np.sqrt(pair, out=pair))
-    if full.all():
-        return pair
-    out = np.zeros((len(ix), len(full)))
-    out[:, full] = pair
-    return out
-
-
 def nearest_center_total(real: FieldRealization, points) -> np.ndarray:
-    """nearest_center_bound(real, points) summed over the points, (n,), under
-    an exponential kernel, from each axis's decays at the nearest center
-    alone: len(ux) + len(uy) of them per realization (PointSet.axes), not
-    one per point.
+    """field_values(nearest_center(real), points) summed over the points,
+    (n,), under an exponential kernel, from each axis's decays at the
+    nearest center alone: len(ux) + len(uy) of them per realization
+    (PointSet.axes), not one per point.
 
     Both kernels factor by axis: the boolean one's exp(-(dx^2 + dy^2) / nu)
     is exp(-dx^2 / nu) exp(-dy^2 / nu) of the folded differences, and shot
@@ -328,7 +289,7 @@ def nearest_center_total(real: FieldRealization, points) -> np.ndarray:
     and the rows are summed, each sum a reduceat that reduces every
     realization's column on its own, so a realization's total takes the
     same operations in the same order whatever block it is evaluated in. It
-    differs from the sum of nearest_center_bound's values only by the
+    differs from the sum of field_values' values there only by the
     rounding of the factored product and of the order of the sum, a few
     units of round-off relative to each value's exponent and to the total."""
     spec = real.spec
@@ -372,7 +333,11 @@ def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
     """Per-pair values reduced over each realization's centers, (k, n): a pair
     of point and center takes combine(axis_step(dx), axis_step(dy)), and each
     realization reduces its pairs with one reduceat segment per point; an
-    empty one gives `empty`.
+    empty one gives `empty`. A tile whose nonempty realizations hold one
+    center each skips the reduceat, whose one-pair segments are the pairs
+    themselves, and a tile without an empty realization writes its columns
+    as a slice of the result, not through their indices: the bits are the
+    same either way.
 
     axis_step(d, side, wrap) maps per-axis coordinate differences to a new
     array. The points are factored by axis: it runs once per distinct
@@ -395,12 +360,15 @@ def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
         last = int(ends[hi - 1])
         cols = lo + np.flatnonzero(counts[lo:hi])   # the tile's nonempty realizations
         starts = ends[cols] - counts[cols] - first
+        alone = len(starts) == last - first         # one center per nonempty one
+        if len(cols) == hi - lo:
+            cols = slice(lo, hi)
         ax = axis_step(ux[:, None] - xs[first:last], window.width, window.wrap)
         ay = axis_step(uy[:, None] - ys[first:last], window.height, window.wrap)
         for p in range(0, len(ix), step):
             pair = ax[ix[p:p + step]]
             combine(pair, ay[iy[p:p + step]], out=pair)
-            out[p:p + step, cols] = reduce.reduceat(pair, starts, axis=1)
+            out[p:p + step, cols] = pair if alone else reduce.reduceat(pair, starts, axis=1)
         lo = hi
     return out
 

@@ -19,7 +19,7 @@ from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_group_chunk,
                               run_trials_chunk)
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
-                                  field_values, nearest_center_bound, window_disk_area)
+                                  field_values, nearest_center, window_disk_area)
 from renergy.geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet,
                               hex_cell_circumradius, hex_pitch, sample_in_hex_cell,
                               substream)
@@ -369,17 +369,26 @@ def test_tallies_do_not_depend_on_the_pass_budget(monkeypatch, case):
         assert run_group_chunk(group, 100, 1400, 29) == default
 
 
+def _plaw_fig5():
+    """fig5's lossless clusters under the power-law kernel at gamma = 0.5,
+    whose bound is the station's power at the nearest center alone."""
+    fig5 = _repro_experiment("fig5").scenario
+    return replace(fig5, field=replace(fig5.field, kernel=Kernel.BOOLEAN_MAX_PLAW, gamma=0.5))
+
+
 def _peak_cases():
     """The groups whose one-pass peaks the byte model is held to: fig5's
     cluster sizes 20 and 320, over lossless lines, and the faint CI sweep's
     80 and 320 at gamma = 0.01, where no trial settles and every slice of
     the exact stage is full; fig4's psi sweep; the lossy CI sweep's cluster
-    sizes 20 and 80, over exact lines at the rule's voltage; fig4 at psi
-    0.02 under shot noise; fig4's scenario beside its shot-noise twin, and
-    one harvester by the center law beside a cluster of seven, the two
-    groups that mix the center law with drawn fields. The cluster of seven
-    settles most of its trials at the bound, and none at gamma = 0.01, where
-    every trial's field is evaluated and the tiles reach their cap."""
+    sizes 20 and 80, over exact lines at the rule's voltage; fig5's cluster
+    sizes 20 and 80 under the power law at gamma = 0.5, whose bound never
+    factors by axis; fig4 at psi 0.02 under shot noise; fig4's scenario
+    beside its shot-noise twin, and one harvester by the center law beside
+    a cluster of seven, the two groups that mix the center law with drawn
+    fields. The cluster of seven settles most of its trials at the bound,
+    and none at gamma = 0.01, where every trial's field is evaluated and the
+    tiles reach their cap."""
     fig4, fig5 = _repro_experiment("fig4"), _repro_experiment("fig5").scenario
     shot = replace(fig4.scenario, field=replace(fig4.scenario.field,
                                                 kernel=Kernel.SHOT_NOISE_EXP))
@@ -389,12 +398,14 @@ def _peak_cases():
     faint_fig5 = replace(fig5, field=replace(fig5.field, gamma=0.01))
     lossy = parse_config_text("scenario.architecture = distributed\n"
                               "channel.ref_dist = 3\n").scenario
+    plaw = _plaw_fig5()
     return {
         "fig4": tuple(apply_sweep(fig4.scenario, "psi", p) for p in fig4.sweep_values),
         "fig5": tuple(apply_sweep(fig5, "cluster_size", c) for c in (20.0, 320.0)),
         "fig5_gamma_0.01": tuple(apply_sweep(faint_fig5, "cluster_size", c)
                                  for c in (80.0, 320.0)),
         "lossy": tuple(apply_sweep(lossy, "cluster_size", c) for c in (20.0, 80.0)),
+        "plaw_fig5": tuple(apply_sweep(plaw, "cluster_size", c) for c in (20.0, 80.0)),
         "fig4_shot_noise": (apply_sweep(shot, "psi", 0.02),),
         "onsite_with_shot_noise_twin": (fig4.scenario, shot),
         "cluster_sizes_1_and_7": tuple(apply_sweep(one, "cluster_size", c) for c in (1.0, 7.0)),
@@ -433,10 +444,11 @@ def _bound_cases():
     settled), and at gamma = 0.01 (none); the CI's dense fig5 at 320 (all);
     distributed shot noise at clusters 20 and 80 (19 and 73 harvesters);
     fig5 at cluster 80 over exact lines at 2 V, and at 320 over tau_floor
-    lines; fig5 at cluster 20 (19 harvesters) and a cluster of 7 at
-    lambda_h = 0.78; and on-site shot noise at psi 0.5 and gamma = 10 (about
-    a quarter of the trials evaluated), on a wrapped window and on a flat
-    one."""
+    lines; fig5 at cluster 80 under the power law at gamma = 0.5 (73
+    harvesters, p_inv about 1.8%); fig5 at cluster 20 (19 harvesters) and a
+    cluster of 7 at lambda_h = 0.78; and on-site shot noise at psi 0.5 and
+    gamma = 10 (about a quarter of the trials evaluated), on a wrapped
+    window and on a flat one."""
     fig5 = _repro_experiment("fig5").scenario
     arch = fig5.architecture
     dense = parse_config_text("scenario.architecture = distributed\nfield.gamma = 10\n"
@@ -456,12 +468,29 @@ def _bound_cases():
         "shot_noise_80": apply_sweep(shot, "cluster_size", 80.0),
         "lossy_2V_80": apply_sweep(apply_sweep(fig5, "voltage", 2.0), "cluster_size", 80.0),
         "tau_floor_320": apply_sweep(tau_floor, "cluster_size", 320.0),
+        "plaw_80": apply_sweep(_plaw_fig5(), "cluster_size", 80.0),
         "fig5_20": apply_sweep(fig5, "cluster_size", 20.0),
         "exact_lambda_h_0.78_7": apply_sweep(seven, "cluster_size", 7.0),
         "shot_noise_20": apply_sweep(shot, "cluster_size", 20.0),
         "onsite_shot_noise_0.5": apply_sweep(onsite_shot, "psi", 0.5),
         "onsite_shot_noise_0.5_flat": replace(apply_sweep(onsite_shot, "psi", 0.5), wrap=False),
     }
+
+
+def _nearest_center_fields(real, points):
+    """field_values at each realization's first center at the least distance
+    from the window's center alone, found by its own argmin, (k, n); 0 for
+    an empty realization."""
+    cx, cy = real.window.center
+    out = np.zeros((len(points), len(real.counts)))
+    starts = np.cumsum(real.counts) - real.counts
+    for i, (a, c) in enumerate(zip(starts, real.counts)):
+        if c:
+            xy = real.centers.points[a:a + c]
+            d2 = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2
+            alone = FieldRealization(real.spec, PointSet(xy[np.argmin(d2)]), real.window)
+            out[:, i] = field_values(alone, points)[:, 0]
+    return out
 
 
 def _drawn_block(cfg, seed, a, b):
@@ -478,17 +507,18 @@ def _every_trial_tally(cfg, seed, a, b):
     """Trials [a, b) with every drawn realization evaluated: field_values at
     the typical cluster and _Supply.station_power of eta times them, then
     the outages and union events at those powers; and the control at every
-    realization's one-center bound L: the outages and union events at L,
-    their expectations under the bound's law, and the moments of
-    Y + G - C, each user's outage at L but not at its power found by its own
-    comparisons."""
+    realization's one-center bound L, the station power at its nearest
+    center alone (_nearest_center_fields): the outages and union events at
+    L, their expectations under the bound's law, and the moments of
+    Y + G - C, each user's outage at L but not at its power found by its
+    own comparisons."""
     supply = coverage._supply(cfg)
     side = coverage._user_side([supply], seed, a, b)
     tally = replace(side.tally)
     real = _drawn_block(cfg, seed, a, b)
     busy, k, users = side.busy, side.k, side.tally.users
     power = supply.station_power(cfg.eta * field_values(real, supply.positions))[busy]
-    bound = supply.station_power(cfg.eta * nearest_center_bound(real, supply.positions))[busy]
+    bound = supply.station_power(cfg.eta * _nearest_center_fields(real, supply.positions))[busy]
     bound *= 1.0 - coverage._BOUND_MARGIN
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     need, csum, last = side.flat[:users], side.flat[users:], side.flat[side.last]
@@ -530,27 +560,46 @@ def test_settled_trials_tally_as_every_trial_evaluated(case):
                                            ("fig5_gamma_0.01_320", "none"),
                                            ("dense_fig5_320", "all"),
                                            ("shot_noise_80", "some"),
+                                           ("plaw_80", "some"),
                                            ("fig5_20", "some"),
                                            ("onsite_shot_noise_0.5_flat", "some")])
 def test_exact_stage_takes_the_unsettled_trials_with_users(monkeypatch, case, settles):
     # each pass evaluates field_values on the realizations of exactly the
     # trials with users that its bound leaves unsettled, slice by slice in
     # their order, counted here from the users' own sorted needs: all of
-    # them settled, no call; none, every trial with users
+    # them settled, no call; none, every trial with users. Off the factored
+    # path the bound is itself field_values at the nearest centers alone:
+    # those calls, made inside _Supply.bound, are told apart and hold at
+    # most one center per realization
     cfg = _bound_cases()[case]
     supply = coverage._supply(cfg)
-    calls = []
-    monkeypatch.setattr(coverage, "field_values", lambda real, points, fn=field_values:
-                        calls.append(real) or fn(real, points))
+    calls, bound_calls, in_bound = [], [], []
+
+    def bound(self, real, fn=coverage._Supply.bound):
+        in_bound.append(True)
+        try:
+            return fn(self, real)
+        finally:
+            in_bound.pop()
+
+    def values(real, points, fn=field_values):
+        (bound_calls if in_bound else calls).append(real)
+        return fn(real, points)
+
+    monkeypatch.setattr(coverage._Supply, "bound", bound)
+    monkeypatch.setattr(coverage, "field_values", values)
     seen = set()
     for a, b in ((100, 356), (356, 600), (600, 612), (612, 868)):   # one pass each
         calls.clear()
+        bound_calls.clear()
         run_trials_chunk(cfg, a, b, 47)
+        assert bool(bound_calls) == (supply.gain is None)
+        assert all(c.counts.max(initial=0) <= 1 for c in bound_calls)
         users = coverage._pass_draw(partial(coverage._draw_users, cfg, 47), a, b)
         needs = np.split(required_power(cfg.theta, users.distance, users.fading, cfg.channel),
                          np.cumsum(users.users)[:-1])
         real = _drawn_block(cfg, 47, a, b)
-        bound = supply.field_power(nearest_center_bound(real, supply.positions))
+        bound = supply.station_power(cfg.eta * _nearest_center_fields(real, supply.positions))
         bound *= 1.0 - coverage._BOUND_MARGIN
         settled = np.array([len(n) > 0 and n.max() <= p / len(n) and np.cumsum(np.sort(n))[-1] <= p
                             for n, p in zip(needs, bound)])
@@ -595,25 +644,26 @@ def _factored_cfg(kernel, where, mode, eta, psi):
 def test_the_factored_bound_is_the_harvesters_bound_to_round_off(kernel, where, mode, eta,
                                                                 psi, seed):
     # on a linear line under an exponential kernel the station's bound L is
-    # summed by axis (_Supply.gain): it equals field_power of every
-    # harvester's nearest_center_bound to 1e-12, and after _BOUND_MARGIN it
-    # never exceeds the exact power; a trial's L has the same bits alone as
-    # in its block of 256
+    # summed by axis (_Supply.gain): it equals the station's power at the
+    # nearest centers alone, harvester by harvester, to 1e-12, and after
+    # _BOUND_MARGIN it never exceeds the exact power; a trial's L has the
+    # same bits alone as in its block of 256
     cfg = _factored_cfg(kernel, where, mode, eta, psi)
     supply = coverage._supply(cfg)
     assert supply.gain is not None
     real = draw_field(cfg.field, supply.window, substream(seed, 0, FIELD_STREAM), BLOCK)
     bound = supply.bound(real)
-    harvesters = supply.field_power(nearest_center_bound(real, supply.positions))
+    harvesters = supply.power(nearest_center(real))
     np.testing.assert_allclose(bound, harvesters * (1.0 - coverage._BOUND_MARGIN),
                                rtol=1e-12, atol=0.0)
-    assert np.all(bound <= supply.field_power(field_values(real, supply.positions)))
+    assert np.all(bound <= supply.power(real))
     for i in range(BLOCK):
         assert np.array_equal(supply.bound(real.select(i, i + 1)), bound[i:i + 1])
 
 
 @pytest.mark.parametrize("case", ["fig5_320", "fig5_gamma_0.01_320", "tau_floor_320",
-                                  "lossy_2V_80", "shot_noise_80", "onsite_shot_noise_0.5_flat"])
+                                  "lossy_2V_80", "shot_noise_80", "plaw_80",
+                                  "onsite_shot_noise_0.5_flat"])
 def test_tallies_do_not_depend_on_the_stage_slices(monkeypatch, case):
     # the bound's stage and the exact stage take a pass's realizations in
     # slices of at most _TILE_ELEMENTS // harvesters; slices of one
@@ -827,7 +877,7 @@ def _oracle_trials(cfg, start, stop, seed):
             real = _oracle_realization(cfg, window, seed, t)
             power = float(supply.station_power(cfg.eta * field_values(real, supply.positions))[0])
             bound = float(supply.station_power(
-                cfg.eta * nearest_center_bound(real, supply.positions))[0])
+                cfg.eta * _nearest_center_fields(real, supply.positions))[0])
             bound *= 1.0 - coverage._BOUND_MARGIN
             counts = []
             for p in (power, bound):

@@ -550,6 +550,14 @@ _GRID = st.tuples(st.integers(0, 17), st.integers(0, 13))   # 0.5 km steps in 9 
 @example(kernel=Kernel.SHOT_NOISE_EXP, wrap=True, points=[(0, 0), (17, 13), (9, 7)],
          cells=[(1, 1), (17, 0), (9, 12)], counts=[2, 0, 3, 0], tile_elements=6,
          tile_points=1)
+# one center per realization: tiles that skip the reduceat and are written
+# as a slice, and with an empty realization, through their column indices
+@example(kernel=Kernel.BOOLEAN_MAX_EXP, wrap=True, points=[(0, 0), (17, 13), (9, 7)],
+         cells=[(1, 1), (17, 0), (9, 12)], counts=[1, 1, 1], tile_elements=6,
+         tile_points=1)
+@example(kernel=Kernel.SHOT_NOISE_EXP, wrap=False, points=[(0, 0), (17, 13), (9, 7)],
+         cells=[(1, 1), (17, 0), (9, 12)], counts=[1, 0, 1, 1, 0], tile_elements=6,
+         tile_points=1)
 def test_factored_kernel_equals_brute_force(kernel, wrap, points, cells, counts,
                                             tile_elements, tile_points):
     # points and centers on a grid repeat coordinates and tie distances
@@ -592,18 +600,19 @@ def _nearest_center_alone(block):
          cells=[(8, 7), (10, 7), (9, 12)], counts=[2, 0, 3])
 @example(kernel=Kernel.SHOT_NOISE_EXP, wrap=False, points=[(0, 0), (17, 13), (9, 7)],
          cells=[(9, 5), (9, 9), (7, 7), (11, 7)], counts=[4, 0, 0])
-def test_nearest_center_bound_never_exceeds_the_field(kernel, wrap, points, cells, counts):
+def test_the_field_at_the_nearest_center_alone_never_exceeds_the_field(kernel, wrap, points,
+                                                                         cells, counts):
     # on a grid, centers tie in their distance from the window's center
-    # (4.5, 3.5); the bound is the field of the first tied center alone,
-    # bit for bit, and never exceeds the field of all the centers. An empty
-    # realization's bound is 0
+    # (4.5, 3.5); field_values at nearest_center's block is the field of the
+    # first tied center alone, bit for bit, and never exceeds the field of
+    # all the centers. An empty realization's is 0
     spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.05, nu=2.0, kernel=kernel)
     w = Window(9.0, 7.0, wrap=wrap)
     centers = 0.5 * np.array([cells[i % len(cells)] for i in range(sum(counts))],
                              dtype=float).reshape(-1, 2)
     pts = 0.5 * np.array(points, dtype=float)
     block = FieldRealization(spec, PointSet(centers), w, np.array(counts))
-    bound = energy_field.nearest_center_bound(block, pts)
+    bound = field_values(energy_field.nearest_center(block), pts)
     assert bound.shape == (len(pts), len(counts))
     for i, alone in enumerate(_nearest_center_alone(block)):
         expect = 0.0 if alone is None else field_values(alone, pts)[:, 0]
@@ -622,7 +631,7 @@ def test_nearest_center_bound_never_exceeds_the_field(kernel, wrap, points, cell
          cells=[(8, 7), (10, 7), (9, 12)], counts=[2, 0, 3])
 def test_nearest_center_total_sums_the_bound_by_axis(kernel, wrap, points, cells, counts):
     # the bound summed over the points from each axis's decays: the sum of
-    # nearest_center_bound's values to round-off, each realization's total
+    # field_values at nearest_center's block to round-off, each realization's total
     # the same bits alone as in its block, and 0 for an empty one
     spec = EnergyFieldSpec(gamma=3.0, lambda_e=0.05, nu=2.0, kernel=kernel)
     w = Window(9.0, 7.0, wrap=wrap)
@@ -631,8 +640,8 @@ def test_nearest_center_total_sums_the_bound_by_axis(kernel, wrap, points, cells
     pts = PointSet(0.5 * np.array(points, dtype=float))
     block = FieldRealization(spec, PointSet(centers), w, np.array(counts))
     total = energy_field.nearest_center_total(block, pts)
-    np.testing.assert_allclose(total, energy_field.nearest_center_bound(block, pts).sum(axis=0),
-                               rtol=1e-12, atol=0.0)
+    alone = field_values(energy_field.nearest_center(block), pts)
+    np.testing.assert_allclose(total, alone.sum(axis=0), rtol=1e-12, atol=0.0)
     for i in range(len(counts)):
         assert np.array_equal(energy_field.nearest_center_total(block.select(i, i + 1), pts),
                               total[i:i + 1])

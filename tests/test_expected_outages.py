@@ -212,7 +212,9 @@ def _centers_path_cases():
     """Points on the centers path: fig5 at clusters 20 and 320, over lossless
     lines; distributed shot noise at 80; on-site shot noise at psi 0.5 and
     gamma = 10 on a wrapped window and on a flat one; fig5 at 320 over
-    tau_floor lines, and at 80 over exact lines at 2 V."""
+    tau_floor lines, and at 80 over exact lines at 2 V; and fig5 at 80
+    under the power law at gamma = 0.5, whose bound never factors by
+    axis."""
     fig5 = _repro_experiment("fig5").scenario
     arch = fig5.architecture
     shot = parse_config_text("scenario.architecture = distributed\n"
@@ -221,6 +223,7 @@ def _centers_path_cases():
                                                 "field.gamma = 10\n").scenario, "psi", 0.5)
     tau_floor = replace(fig5, architecture=replace(arch, line=replace(arch.line,
                                                                       mode="tau_floor")))
+    plaw = replace(fig5, field=replace(fig5.field, kernel=Kernel.BOOLEAN_MAX_PLAW, gamma=0.5))
     return {
         "fig5_20": apply_sweep(fig5, "cluster_size", 20.0),
         "fig5_320": apply_sweep(fig5, "cluster_size", 320.0),
@@ -229,6 +232,7 @@ def _centers_path_cases():
         "onsite_shot_noise_0.5_flat": replace(onsite_shot, wrap=False),
         "tau_floor_320": apply_sweep(tau_floor, "cluster_size", 320.0),
         "lossy_2V_80": apply_sweep(apply_sweep(fig5, "voltage", 2.0), "cluster_size", 80.0),
+        "plaw_80": apply_sweep(plaw, "cluster_size", 80.0),
     }
 
 
