@@ -14,6 +14,8 @@ p(h) = c e^(-c(h+1)) I0(2c sqrt(h)), and
 
 which is computed from that definition: both integrals by Gauss-Legendre
 quadrature over fixed panels, with numpy's I0, the tail in s = ln h.
+Integrals over the whole fading law (fading_rule) use the same density, the
+floor an atom of mass F(floor).
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .stats import gauss_legendre_panels
 
 # Total scatter power of the Rician phasor; split evenly between the real and
 # imaginary branches. Exposed so alternative readings can be tested.
@@ -158,30 +162,72 @@ def required_power(theta: float, d, h, spec: ChannelSpec):
 _PANELS, _NODES, _TAIL_EXPONENT = 8, 47, 45.0
 
 
+def _panel_integral(f, a: float, b: float) -> float:
+    """The integral of f over [a, b] by _PANELS equal panels of _NODES-point
+    Gauss-Legendre rules."""
+    x, w = gauss_legendre_panels(_NODES, np.linspace(a, b, _PANELS + 1))
+    return float(np.sum(w * f(x)))
+
+
+def _rician_density(h, c: float):
+    """The unfloored Rician gain's density at h, c = 1/scatter variance."""
+    return c * np.exp(-c * (h + 1.0)) * np.i0(2.0 * c * np.sqrt(h))
+
+
+def _rician_top(c: float) -> float:
+    """The gain past which the unfloored Rician density is neglected."""
+    return (1.0 + math.sqrt(_TAIL_EXPONENT / c)) ** 2
+
+
 @functools.lru_cache(maxsize=None)
 def _rician_mean_inverse(floor: float, scatter_var: float) -> float:
-    # Gauss-Legendre nodes are the eigenvalues of the Jacobi matrix, and the
-    # weights twice the squared first components of its eigenvectors
-    k = np.arange(1.0, _NODES)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vecs = np.linalg.eigh(np.diag(beta, -1))
-    weights = 2.0 * vecs[0] ** 2
-
-    def integral(f, a: float, b: float) -> float:
-        edges = np.linspace(a, b, _PANELS + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        return float(np.sum(half * weights * f(edges[:-1, None] + half * (1.0 + nodes))))
-
     c = 1.0 / scatter_var
-
-    def density(h):
-        return c * np.exp(-c * (h + 1.0)) * np.i0(2.0 * c * np.sqrt(h))
-
-    h_max = (1.0 + math.sqrt(_TAIL_EXPONENT / c)) ** 2
-    cdf = integral(density, 0.0, floor)
+    cdf = _panel_integral(lambda h: _rician_density(h, c), 0.0, floor)
     # the tail in s = ln h, where p(h)/h dh = p(e^s) ds
-    tail = integral(lambda s: density(np.exp(s)), math.log(floor), math.log(h_max))
+    tail = _panel_integral(lambda s: _rician_density(np.exp(s), c), math.log(floor),
+                           math.log(_rician_top(c)))
     return cdf / floor + tail
+
+
+# Mass of a Gamma(omega) gain's law below the least node of fading_rule, and
+# how far past omega its top node lies, in multiples of 1 + sqrt(omega): the
+# mass beyond is below e^(-40).
+_GAMMA_LOW_MASS, _GAMMA_TOP = 1e-13, 40.0
+
+
+def fading_rule(fading: Fading, nodes: int, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gains h and weights w such that sum w g(h) is E[g(H)] for the fading
+    gain H and a smooth g: Gauss-Legendre rules of `nodes` nodes over equal
+    panels at most `width` wide in ln h, at the law's density in ln h.
+
+    The truncated Rician gain's law is the floor's atom, whose mass
+    F(floor) is the moment's integral of the density up to the floor, and
+    the density from the floor to the moment's cut-off. A Gamma(omega)
+    gain's density runs from where its law holds _GAMMA_LOW_MASS below,
+    which stands as an atom at that end (F(h) <= h^omega / omega!), to
+    _GAMMA_TOP (1 + sqrt(omega)) past omega."""
+    if isinstance(fading, ChiSquaredFading):
+        omega = fading.omega
+        lo = (math.log(_GAMMA_LOW_MASS) + math.lgamma(omega + 1.0)) / omega
+        hi = math.log(omega + _GAMMA_TOP * (1.0 + math.sqrt(omega)))
+        u, w = _log_panels(nodes, lo, hi, width)
+        h = np.exp(u)
+        # h^omega e^(-h) / Gamma(omega), the density in ln h
+        w *= np.exp(omega * u - h - math.lgamma(omega))
+        return np.append(math.exp(lo), h), np.append(_GAMMA_LOW_MASS, w)
+    c = 1.0 / RICIAN_SCATTER_VAR
+    u, w = _log_panels(nodes, math.log(fading.floor), math.log(_rician_top(c)), width)
+    h = np.exp(u)
+    w *= h * _rician_density(h, c)
+    atom = _panel_integral(lambda g: _rician_density(g, c), 0.0, fading.floor)
+    return np.append(fading.floor, h), np.append(atom, w)
+
+
+def _log_panels(nodes: int, lo: float, hi: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights over [lo, hi] in equal panels at
+    most width wide."""
+    panels = max(1, math.ceil((hi - lo) / width))
+    return gauss_legendre_panels(nodes, np.linspace(lo, hi, panels + 1))
 
 
 def mean_inverse_fading(fading: Fading) -> float:

@@ -115,7 +115,7 @@ take their realizations in slices of at most _TILE_ELEMENTS // harvesters
 (_sliced), so a pass holds at most one slice's per-harvester values, and a
 realization's L and P do not depend on its slice.
 
-Every point estimates its outages the same way. Take a trial with users, its
+Every point tallies its outages the same way. Take a trial with users, its
 station power P and a bound L <= P whose law F_L(x) = Pr(L < x) is known.
 Per scheme and for the union event, Y counts its outages at P and C those at
 L, C >= Y user by user, and G is their expectation given the users:
@@ -131,11 +131,28 @@ pass that needs it (_Supply.bound_law, _bound_law), from the engine's own L
 (energy_field.nearest_center_realizations), fixed for every scenario so that
 tallies depend on no process or worker count. The tally holds Y and C as
 counts and G in units of 2^-32, each trial's rounded once and summed
-exactly, with the second moments of Z (TrialTally). The point's p is its sum
-of Z over its users, a sum not above zero reading as no outage, and its
-interval Wilson's at its effective users and Student's t quantile, from Z's
-moments; its lower end allows for residual outages C - Y a run on the
-centers path did not draw (estimates_from_tally).
+exactly, with the second moments of Z, the schemes' cross product Z_ci Z_inv
+among them (TrialTally). The point's p is its sum of Z over its users, a sum
+not above zero reading as no outage, and its interval Wilson's at its
+effective users and Student's t quantile, from Z's moments; its lower end
+allows for residual outages C - Y a run on the centers path did not draw
+(estimates_from_tally).
+
+At a center-law point equal split's G_ci = sum F(k need_i) has a mean that
+needs no trials: mu_ci = sum_k pi_k k E[F(k need)], pi the Poisson law of
+users per cell and need a user's required power over the cell's distance
+law and the fading law, with F the point's own _Supply.shortfall. It is
+integrated once per scenario, at the first estimate that asks for it, by a
+tensor Gauss-Legendre rule whose difference from a coarser one is its error
+estimate (_Supply.equal_split, _equal_split_law). Equal split then reports
+p = mu_ci / E[k], its interval that error estimate on either side; and
+equal split's sampled rate, tracking inversion's trial by trial, is a
+control with a known mean for inversion, whose p is p_inv - beta (p_ci -
+mu_ci / E[k]) with beta the regression slope from the tallied moments,
+capped at equal split's p, and whose interval is Wilson's at the effective
+users of the control's residual (_controlled). A point whose error
+estimate exceeds _KNOWN_MEAN_TOL of the mean, and every point on the
+centers path, keeps the sampled estimator.
 """
 
 from __future__ import annotations
@@ -155,15 +172,15 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
                      fading_tail_terms_equal_split, fading_tail_terms_inversion,
                      max_power_markov_bound, power_law_outage_bound,
                      total_outage_bound)
-from .channel import (ChannelSpec, ChiSquaredFading, mean_inverse_fading,
+from .channel import (ChannelSpec, ChiSquaredFading, fading_rule, mean_inverse_fading,
                       required_power, sample_fading)
 from .energy_field import (_TILE_ELEMENTS, _TILE_POINTS, EnergyFieldSpec,
                            FieldRealization, Kernel, draw_field, field_values,
                            nearest_center, nearest_center_realizations,
                            nearest_center_total, window_disk_area)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
-                       default_window_side, hex_cell_circumradius, hex_cell_distances,
-                       nearest_site_indices, substream)
+                       default_window_side, hex_cell_circumradius, hex_cell_distance_rule,
+                       hex_cell_distances, nearest_site_indices, substream)
 # bench/run.py traces sample_in_hex_cell here, though the engine no longer calls it
 from .geometry import sample_in_hex_cell  # noqa: F401
 from .stats import t_quantile_975, wilson_ci, wilson_interval
@@ -200,8 +217,8 @@ _BLOCK_VALUES_CAP = 1 << 26
 # more trials, at the price of its temporaries.
 _PASS_BYTES = 3 << 20
 
-# Values per trial that a point holds beside its law at each threshold:
-# seven sums per trial and their whole parts (_law_sums), and two to spare.
+# Values per trial that a point holds beside its law at each threshold: eight
+# sums per trial and their whole parts (_law_sums).
 _CONTROL_ARRAYS = 16
 
 # The unit of a tally's expected counts G and of its moments is 2^-32 (see
@@ -215,6 +232,16 @@ _FIXED_POINT = 1 << 32
 _LATTICE, _LATTICE_STEP = 28657, 17711
 _LATTICE_SHIFT = (0.07424495059502512, 0.2099421446370625)
 _LAW_NODES = 4096
+
+# Equal split's known mean at a center-law point (_equal_split_law): the
+# tensor Gauss-Legendre rule it reports, as nodes in s and in u1 of the cell's
+# distance law (geometry.hex_cell_distance_rule), then nodes per panel of the
+# fading law and its widest panel in ln h (channel.fading_rule); the coarser
+# rule whose difference from it is its error estimate; and the largest error
+# estimate, relative to the mean, at which a point uses it.
+_USER_RULE = (12, 4, 8, 2.0)
+_CHECK_RULE = (8, 3, 6, 3.0)
+_KNOWN_MEAN_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -325,10 +352,11 @@ class TrialTally:
     neither Y nor C, which it leaves at 0, so its law_* hold its expected
     outages. drawn_trials counts the trials with users whose fields a point
     drew. Every point sums, over its trials, the second moments of each
-    scheme's Z and users k in 2^-32 units: Z^2 (sq_*) and Z k (ek_*), and
-    k^2 in whole users (k_sq), which is positive exactly when the point has
-    users. Every other count, the max-power outages (persist_*) among them,
-    is a count of events."""
+    scheme's Z and users k in 2^-32 units: Z^2 (sq_*), Z k (ek_*) and the
+    schemes' cross product Z_ci Z_inv (cross), and k^2 in whole users
+    (k_sq), which is positive exactly when the point has users. Every other
+    count, the max-power outages (persist_*) among them, is a count of
+    events."""
 
     trials: int = 0
     zero_user_trials: int = 0
@@ -344,6 +372,7 @@ class TrialTally:
     sq_inv: int = 0
     ek_ci: int = 0
     ek_inv: int = 0
+    cross: int = 0
     drawn_trials: int = 0
     bound_ci: int = 0
     bound_inv: int = 0
@@ -442,6 +471,12 @@ class _Supply:
             out *= self.gain
         out *= 1.0 - _BOUND_MARGIN
         return out
+
+    @cached_property
+    def equal_split(self) -> "_KnownMean | None":
+        """Equal split's p integrated over the users, at a center-law point,
+        built at the first estimate that asks for it (_equal_split_law)."""
+        return _equal_split_law(self)
 
     @cached_property
     def bound_law(self) -> "_BoundLaw":
@@ -554,6 +589,61 @@ def _bound_law(supply: _Supply) -> _BoundLaw:
     lo = least - step
     f = np.searchsorted(power, np.exp(lo + step * np.arange(nodes)), side="left") / n
     return _BoundLaw(lo, 1.0 / step, f, np.diff(f, append=f[-1]))
+
+
+class _KnownMean(NamedTuple):
+    """Equal split's p at a center-law point, integrated over the users by
+    quadrature, and the quadrature's error estimate."""
+
+    p: float
+    err: float
+
+
+def _equal_split_law(supply: _Supply) -> _KnownMean | None:
+    """p = mu_ci / E[k] for a center-law point, mu_ci = sum_k pi_k k
+    E[F(k need)] the mean of each trial's equal-split sum G_ci, by the rule
+    _USER_RULE, with its difference from _CHECK_RULE's as its error
+    estimate (_law_mean); None where that estimate exceeds _KNOWN_MEAN_TOL
+    of the mean, as where the law is near a step (psi far above 1) or the
+    mean far below a rule's resolution, and on the centers path."""
+    if not supply.by_law:
+        return None
+    mu = supply.cfg.mean_users_per_cell
+    mean, check = (_law_mean(supply, rule) for rule in (_USER_RULE, _CHECK_RULE))
+    p, err = min(mean / mu, 1.0), abs(mean - check) / mu
+    return _KnownMean(p, err) if err <= _KNOWN_MEAN_TOL * p else None
+
+
+def _law_mean(supply: _Supply, rule: tuple[int, int, int, float]) -> float:
+    """sum_k pi_k k E[F(k need)] by one tensor Gauss-Legendre rule (see
+    _USER_RULE): pi the Poisson law of users per cell, from mu - 12 sqrt(mu)
+    - 10 users to mu + 12 sqrt(mu) + 10 (each tail below 1e-30), need the
+    required power of a user at the cell's distance law, floored at 1e-12
+    and clamped as required_power clamps it, and the fading law, and F
+    _Supply.shortfall itself, the law the engine tallies, at k need. The
+    users are taken a few at a time, so the rule's values at them hold at
+    most about _PASS_BYTES."""
+    cfg = supply.cfg
+    radial, angular, nodes, width = rule
+    # the engine floors distances at 1e-12, then clamps them at min_dist
+    d, wd = hex_cell_distance_rule(hex_cell_circumradius(cfg.lambda_b), radial, angular,
+                                   max(cfg.channel.min_dist, 1e-12))
+    h, wh = fading_rule(cfg.channel.fading, nodes, width)
+    logs = np.log(required_power(cfg.theta, d[:, None], h, cfg.channel)).ravel()
+    w = np.multiply.outer(wd, wh).ravel()
+    mu = cfg.mean_users_per_cell
+    spread = 12.0 * math.sqrt(mu) + 10.0
+    k = np.arange(max(1, math.floor(mu - spread)), math.floor(mu + spread) + 1)
+    log_k = np.log(k)
+    # pi_k k = exp(k ln mu - mu - ln k! + ln k)
+    pi_k = np.exp(k * math.log(mu) - mu - np.array([math.lgamma(j + 1.0) for j in k]) + log_k)
+    rows = max(1, _PASS_BYTES // (32 * len(logs)))
+    total = 0.0
+    for a in range(0, len(k), rows):
+        x = np.add.outer(log_k[a:a + rows], logs).ravel()   # ln(k need)
+        f = supply.shortfall(_Thresholds(x, None, float(x.min()), None, 0))
+        total += float(pi_k[a:a + rows] @ (f.reshape(-1, len(logs)) @ w))
+    return total
 
 
 @lru_cache(maxsize=32)
@@ -822,7 +912,7 @@ def _point_tally(supply: _Supply, side: _UserSide, law: _BoundLaw | None, seed: 
         zs + ((c - y) << 32) for zs, y, c in zip(
             sums, (tally.out_ci, tally.out_inv, tally.union_trials),
             (tally.bound_ci, tally.bound_inv, tally.bound_union)))
-    tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv = sums[3:]
+    tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv, tally.cross = sums[3:]
     return tally
 
 
@@ -844,21 +934,30 @@ def _coverage(side: _UserSide, power: np.ndarray, bound: np.ndarray) -> np.ndarr
     return side.flat <= np.repeat(reach, np.concatenate((k, k)), axis=1)
 
 
-# Float sums of whole numbers are exact below 2^53.
+# Float sums of whole numbers are exact below 2^53. int64 sums are exact
+# where a row's units sum below 2^63 in magnitude, as n values of magnitude
+# below _INT_SUMS / n do (below 2^62 units in all, with room for rounding).
 _EXACT_SUMS = 2.0 ** 53
+_INT_SUMS = 2.0 ** 30
 
 
 def _fixed_point_sums(e: np.ndarray) -> list[int]:
     """The sum of each row of e, values of either sign each rounded to units
-    of 2^-32, exactly: the whole parts and the fractions' units are summed
-    apart, as whole numbers in float64, since rint(v 2^32) = floor(v) 2^32 +
-    rint((v - floor(v)) 2^32) for the even floor(v) 2^32. A row's sum may
-    pass 2^63 units at many users per trial, but either part's stays far
-    below 2^53, where float sums of whole numbers are exact (about 2^44 at
-    the ScenarioConfig cap of 2^26 users per block, whose passes hold one
-    block). Every partial sum of a row's whole parts is at most the sum of
-    their magnitudes, and a part whose sum of magnitudes reaches 2^53
-    raises. e is left holding the fractions' units."""
+    of 2^-32, exactly. Where no row can reach 2^63 units (n max |v| below
+    _INT_SUMS, as at every point short of thousands of users per trial),
+    the rounded units are summed as int64. Otherwise the whole parts and the
+    fractions' units are summed apart, as whole numbers in float64, since
+    rint(v 2^32) = floor(v) 2^32 + rint((v - floor(v)) 2^32) for the even
+    floor(v) 2^32. A row's sum may pass 2^63 units at many users per trial,
+    but either part's stays far below 2^53, where float sums of whole
+    numbers are exact (about 2^44 at the ScenarioConfig cap of 2^26 users
+    per block, whose passes hold one block). Every partial sum of a row's
+    whole parts is at most the sum of their magnitudes, and a part whose
+    sum of magnitudes reaches 2^53 raises. e is left holding units."""
+    if e.shape[1] * max(e.max(initial=0.0), -e.min(initial=0.0)) < _INT_SUMS:
+        e *= _FIXED_POINT
+        np.rint(e, out=e)
+        return e.astype(np.int64).sum(axis=1).tolist()
     whole = np.floor(e)
     e -= whole
     e *= _FIXED_POINT
@@ -873,14 +972,16 @@ def _law_sums(f: np.ndarray, side: _UserSide) -> list[int]:
     """The fixed-point sums over a pass's trials with users of per-threshold
     values f: each trial's estimate e, its sum of f over its equal-split
     thresholds and over its inversion thresholds, and its union event's,
-    f at its last running sum; then e^2 and e k under each scheme."""
+    f at its last running sum; then e^2 and e k under each scheme, and
+    e_ci e_inv."""
     th = side.thresholds
-    # rows: e_ci, e_inv, e_union, e_ci^2, e_inv^2, e_ci k, e_inv k
-    e = np.empty((7, len(side.k)))
+    # rows: e_ci, e_inv, e_union, e_ci^2, e_inv^2, e_ci k, e_inv k, e_ci e_inv
+    e = np.empty((8, len(side.k)))
     np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
     np.take(f, side.last, out=e[2])
     np.multiply(e[:2], e[:2], out=e[3:5])
     np.multiply(e[:2], side.k, out=e[5:7])
+    np.multiply(e[0], e[1], out=e[7])
     return _fixed_point_sums(e)
 
 
@@ -1108,22 +1209,41 @@ def bound_values(cfg: ScenarioConfig, scheme: Scheme) -> dict[str, float]:
     return vals
 
 
-def _effective_users(tally: TrialTally, out: int, sq: int, ek: int) -> float | None:
-    """n_eff = p (1 - p) / var of a scheme's per-trial estimates Z (out their
-    sum in 2^-32 units), var the delta method's variance of p = sum Z /
-    sum k over the trials, sum (Z - p k)^2 / (n (n - 1) kbar^2). None where
-    the outages have no spread to measure: their sum is not positive, or
-    every trial's are in proportion to its users to the resolution of the
-    sums."""
+def _spread(tally: TrialTally, a: int, ea: int, b: int, eb: int, ab: int) -> int:
+    """sum (Z_a - p_a k)(Z_b - p_b k) over the trials, two schemes' (or one
+    scheme's) residuals from their rates p = sum Z / sum k, scaled by
+    (2^32 users)^2 in exact integers: a and b their sums of Z, ea and eb of
+    Z k, and ab of Z_a Z_b, in 2^-32 units."""
+    users = tally.users
+    return ab * _FIXED_POINT * users * users - (a * eb + b * ea) * users + a * b * tally.k_sq
+
+
+def _variance(tally: TrialTally, spread: float) -> float:
+    """The delta method's variance of p = sum Z / sum k over the trials, sum
+    (Z - p k)^2 / (n (n - 1) kbar^2), from spread, the residuals' sum of
+    squares scaled as _spread scales it."""
     n, users = tally.trials, tally.users
     scale = _FIXED_POINT * users
-    # sum (e - p k)^2 scaled by (2^32 users)^2, in exact integers
-    spread = sq * scale * users - 2 * out * ek * users + out * out * tally.k_sq
-    p = out / scale
-    if out <= 0 or spread <= 0 or p >= 1.0:
-        return None
-    var = spread / (scale * scale) * n / ((n - 1) * users * users)
-    return p * (1.0 - p) / var
+    return spread / (scale * scale) * n / ((n - 1) * users * users)
+
+
+def _controlled(tally: TrialTally, known: _KnownMean) -> tuple[float, float]:
+    """Inversion's p at a center-law point, with equal split's sampled rate
+    as a control whose mean, known.p, is known, and the spread of its
+    residuals: p_inv - beta (p_ci - known.p), beta = sum r_ci r_inv /
+    sum r_ci^2 the regression slope of the trials' residuals r = Z - p k
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2004, 4.1),
+    capped at known.p, as inversion never covers fewer users than equal
+    split; and the sum of squares of r_inv - beta r_ci, scaled as _spread
+    scales it. Without a spread in r_ci there is no control: beta = 0."""
+    ci, inv = tally.law_ci, tally.law_inv
+    s_cc = _spread(tally, ci, tally.ek_ci, ci, tally.ek_ci, tally.sq_ci)
+    s_ii = _spread(tally, inv, tally.ek_inv, inv, tally.ek_inv, tally.sq_inv)
+    s_ci = _spread(tally, ci, tally.ek_ci, inv, tally.ek_inv, tally.cross)
+    beta, residual = (s_ci / s_cc, (s_ii * s_cc - s_ci * s_ci) / s_cc) if s_cc > 0 \
+        else (0.0, s_ii)
+    scale = _FIXED_POINT * tally.users
+    return max(min(inv / scale - beta * (ci / scale - known.p), known.p), 0.0), residual
 
 
 def estimates_from_tally(cfg: ScenarioConfig, tally: TrialTally
@@ -1133,37 +1253,59 @@ def estimates_from_tally(cfg: ScenarioConfig, tally: TrialTally
     of each trial's Z = Y + G - C, ((out - bound) << 32) + law in 2^-32
     units; a sum below zero, which the control allows where outages are too
     rare for the run to resolve, reads as none. The interval is Wilson's at
-    the point's effective users (_effective_users), at Student's t quantile
+    the point's effective users n_eff = p (1 - p) / var, var the delta
+    method's variance of its trials' Z (_variance), at Student's t quantile
     with one degree of freedom fewer than its trials, as var is estimated
-    from them. Where Z has no spread, or fewer than 2 trials have users, it
-    is Wilson's at the users, and the latter also sets low_confidence.
+    from them. Where Z has no spread (every trial's outages in proportion to
+    its users, to the resolution of the sums), p is not inside (0, 1), or
+    fewer than 2 trials have users, it is Wilson's at the users, and the
+    last also sets low_confidence.
 
     p = g - d, g the rate of G and d that of the residual C - Y. Where a run
     that drew fields (drawn_trials) draws few residual outages, Z's moments
     miss most of d's spread, and at none they hold G's alone: an interval
     for g, which is at least p. So its lower end is at most G's rate less
-    Wilson's upper limit at the users on d, and at least 0."""
+    Wilson's upper limit at the users on d, and at least 0.
+
+    Where equal split's mean is known (a center-law point, _Supply.
+    equal_split), equal split reports it, p = mu_ci / E[k], with the
+    quadrature's error estimate on either side as its interval and p times
+    the users as its outages; inversion reports its rate with equal split's
+    sampled rate as a control (_controlled), and Wilson's interval at the
+    effective users of the control's residual, under the same rules."""
     out: dict[Scheme, OutageEstimate] = {}
     users = tally.users
     few = tally.trials - tally.zero_user_trials < 2
     union = max(((tally.union_trials - tally.bound_union) << 32) + tally.law_union, 0)
+    known = _supply(cfg).equal_split if users > 0 else None
     sums = {Scheme.CHANNEL_INDEPENDENT: (tally.out_ci, tally.bound_ci, tally.law_ci,
                                          tally.persist_ci, tally.sq_ci, tally.ek_ci),
             Scheme.INVERSION: (tally.out_inv, tally.bound_inv, tally.law_inv,
                                tally.persist_inv, tally.sq_inv, tally.ek_inv)}
     for scheme, (events, bound, law, n_persist, sq, ek) in sums.items():
-        count = ((events - bound) << 32) + law
-        n_out = max(count, 0) / _FIXED_POINT
-        if users > 0:
-            p = n_out / users
-            n_eff = None if few else _effective_users(tally, count, sq, ek)
-            lo, hi = wilson_ci(n_out, users) if n_eff is None else \
-                wilson_interval(p, n_eff, t_quantile_975(tally.trials - 1))
+        if users == 0:
+            p, n_out, lo, hi = 0.0, 0.0, 0.0, 1.0
+        elif known is not None and scheme is Scheme.CHANNEL_INDEPENDENT:
+            p = known.p
+            n_out = p * users
+            lo, hi = max(0.0, p - known.err), min(1.0, p + known.err)
+        else:
+            if known is None:
+                count = ((events - bound) << 32) + law
+                n_out = max(count, 0) / _FIXED_POINT
+                p = n_out / users
+                spread = _spread(tally, count, ek, count, ek, sq)
+            else:
+                p, spread = _controlled(tally, known)
+                n_out = p * users
+            # Wilson's interval at the effective users p (1 - p) / var, where
+            # the outages have a spread to measure
+            lo, hi = wilson_ci(n_out, users) if few or spread <= 0 or not 0.0 < p < 1.0 \
+                else wilson_interval(p, p * (1.0 - p) / _variance(tally, spread),
+                                     t_quantile_975(tally.trials - 1))
             if tally.drawn_trials:
                 lo = max(0.0, min(lo, law / _FIXED_POINT / users
                                   - wilson_ci(bound - events, users)[1]))
-        else:
-            p, lo, hi = 0.0, 0.0, 1.0
         union_rate = union / _FIXED_POINT / tally.trials \
             if scheme is Scheme.INVERSION and tally.trials else None
         out[scheme] = OutageEstimate(

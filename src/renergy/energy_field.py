@@ -333,11 +333,13 @@ def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
     """Per-pair values reduced over each realization's centers, (k, n): a pair
     of point and center takes combine(axis_step(dx), axis_step(dy)), and each
     realization reduces its pairs with one reduceat segment per point; an
-    empty one gives `empty`. A tile whose nonempty realizations hold one
-    center each skips the reduceat, whose one-pair segments are the pairs
-    themselves, and a tile without an empty realization writes its columns
-    as a slice of the result, not through their indices: the bits are the
-    same either way.
+    empty one gives `empty`, which only the columns of tiles that hold an
+    empty realization are filled with first. A tile whose nonempty
+    realizations hold one center each skips the reduceat, whose one-pair
+    segments are the pairs themselves, and combines its pairs straight into
+    its slice of the result where it holds no empty realization; a tile
+    without an empty realization writes its columns as a slice of the
+    result, not through their indices: the bits are the same either way.
 
     axis_step(d, side, wrap) maps per-axis coordinate differences to a new
     array. The points are factored by axis: it runs once per distinct
@@ -349,7 +351,7 @@ def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
     ux, ix, uy, iy = pts.axes
     window, counts = real.window, real.counts
     xs, ys = real.centers.points[:, 0], real.centers.points[:, 1]
-    out = np.full((len(ix), len(counts)), empty)
+    out = np.empty((len(ix), len(counts)))
     step = max(1, min(len(ix), _TILE_POINTS))
     span = max(1, _TILE_ELEMENTS // max(step, len(ux), len(uy)))
     ends = np.cumsum(counts)
@@ -361,14 +363,21 @@ def _segment_reduce(real: FieldRealization, pts: PointSet, axis_step,
         cols = lo + np.flatnonzero(counts[lo:hi])   # the tile's nonempty realizations
         starts = ends[cols] - counts[cols] - first
         alone = len(starts) == last - first         # one center per nonempty one
-        if len(cols) == hi - lo:
+        whole = len(cols) == hi - lo                 # no empty realization
+        if whole:
             cols = slice(lo, hi)
+        else:
+            out[:, lo:hi] = empty
         ax = axis_step(ux[:, None] - xs[first:last], window.width, window.wrap)
         ay = axis_step(uy[:, None] - ys[first:last], window.height, window.wrap)
         for p in range(0, len(ix), step):
-            pair = ax[ix[p:p + step]]
-            combine(pair, ay[iy[p:p + step]], out=pair)
-            out[p:p + step, cols] = pair if alone else reduce.reduceat(pair, starts, axis=1)
+            rows = slice(p, p + step)
+            if alone and whole:
+                combine(ax[ix[rows]], ay[iy[rows]], out=out[rows, cols])
+                continue
+            pair = ax[ix[rows]]
+            combine(pair, ay[iy[rows]], out=pair)
+            out[rows, cols] = pair if alone else reduce.reduceat(pair, starts, axis=1)
         lo = hi
     return out
 

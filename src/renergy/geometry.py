@@ -30,6 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .stats import gauss_legendre_panels
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator derived from a master seed and an integer key.
@@ -283,3 +285,22 @@ def hex_cell_distances(circumradius: float, n: int, rng: np.random.Generator) ->
     np.sqrt(d, out=d)
     d *= 0.5 * circumradius
     return d
+
+
+def hex_cell_distance_rule(circumradius: float, radial: int, angular: int,
+                           least: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distances d and weights w such that sum w g(d) is E[g(max(D, least))]
+    for the distance D of hex_cell_distances and a g smooth above least:
+    with s = sqrt(u0), D = (circumradius / 2) s sqrt(3 + u1^2), s of density
+    2s and u1 uniform on [0, 1], by Gauss-Legendre rules of `angular` nodes
+    in u1 and, at each, `radial` nodes in s from where D reaches least to 1.
+    The mass below least, s^2 there, is an atom at least, the first node."""
+    unit = np.array([0.0, 1.0])
+    u1, wu = gauss_legendre_panels(angular, unit)
+    stretch = 0.5 * circumradius * np.sqrt(3.0 + u1 * u1)   # D at s = 1
+    lo = np.minimum(least / stretch, 1.0)
+    s, ws = gauss_legendre_panels(radial, unit)
+    s = lo[:, None] + (1.0 - lo)[:, None] * s
+    ws = (1.0 - lo)[:, None] * ws * 2.0 * s
+    return np.append(least, (stretch[:, None] * s).ravel()), \
+        np.append(wu @ (lo * lo), (wu[:, None] * ws).ravel())

@@ -11,7 +11,8 @@ scenario columns are its config settings named without their section
 the ``distributed`` columns empty on on-site rows; the estimate columns are
 the OutageEstimate fields of the same names, and ``bound_<name>`` is bound
 ``<name>``. n_outages and union_rate are the one-center control's
-estimates, expected counts at a point the engine runs by the center law;
+estimates, expected counts at a point the engine runs by the center law,
+where equal split's n_outages is its known mean's p times the users;
 neither need be whole (see renergy.coverage).
 Only psi, fading_param, line_mode and the resolved window_side are named by
 hand. A sweep point is its scenario's settings with

@@ -39,6 +39,29 @@ def wilson_interval(p: float, n: float, z: float = _Z95) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only: its nodes are
+    the eigenvalues of the Jacobi matrix of the Legendre polynomials, and
+    its weights twice the squared first components of their eigenvectors
+    (Golub & Welsch, 1969)."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(beta, -1))
+    weights = 2.0 * vecs[0] ** 2
+    for a in (nodes, weights):
+        a.setflags(write=False)
+    return nodes, weights
+
+
+def gauss_legendre_panels(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on each panel
+    between consecutive edges, panel after panel."""
+    nodes, weights = gauss_legendre(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (1.0 + nodes)).ravel(), (half * weights).ravel()
+
+
 def t_quantile_975(dof: int) -> float:
     """Student's t quantile at 0.975 with dof degrees of freedom: exact at 1
     and 2, else the Cornish-Fisher series in 1/dof through its fourth term

@@ -204,3 +204,21 @@ def test_required_power_vectorized_consistency():
     for i in range(3):
         assert q[i] == pytest.approx(required_power(8.0, float(d[i]), float(h[i]),
                                                     spec), rel=1e-12)
+
+
+@pytest.mark.parametrize("fading", [ChiSquaredFading(1), ChiSquaredFading(2),
+                                    ChiSquaredFading(4), TruncatedRicianFading(0.1),
+                                    TruncatedRicianFading(0.5)])
+def test_fading_rule_integrates_the_fading_law(fading):
+    # the rule the equal-split mean uses (8 nodes per panel at most 2 wide in
+    # ln h): its weights are a law, and it reproduces E[H] = omega and the
+    # moment E[1/H] of mean_inverse_fading, the Rician floor's atom included
+    h, w = channel.fading_rule(fading, 8, 2.0)
+    assert np.all(h > 0) and np.all(w >= 0)
+    assert w.sum() == pytest.approx(1.0, rel=1e-6)
+    if isinstance(fading, ChiSquaredFading):
+        assert (w * h).sum() == pytest.approx(fading.omega, rel=1e-5)
+    else:
+        assert h[0] == fading.floor and h[1:].min() > fading.floor
+    if fading != ChiSquaredFading(1):
+        assert (w / h).sum() == pytest.approx(mean_inverse_fading(fading), rel=1e-6)

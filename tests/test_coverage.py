@@ -140,7 +140,7 @@ def test_tallies_do_not_depend_on_chunk_edges(case):
     whole = run_trials_chunk(cfg, 0, _SPLIT_TRIALS, _SPLIT_SEED)
     out_ci, out_inv = (getattr(whole, name) for name in _outage_fields(cfg))
     assert out_inv > 0 and out_ci > out_inv
-    assert whole.gain_clamps > 0
+    assert whole.gain_clamps > 0 and whole.cross > 0
     assert _split_tally(cfg, [1, 257]) == whole
     assert _split_tally(cfg, [255, 256, 513]) == whole
     assert _split_tally(cfg, [100, 200]) == whole            # inside one block
@@ -363,7 +363,8 @@ def test_tallies_do_not_depend_on_the_pass_budget(monkeypatch, case):
     # whole chunk in one pass tally what the default budget does
     group = _BUDGET_CASES[case]
     default = run_group_chunk(group, 100, 1400, 29)
-    assert all(getattr(t, _outage_fields(cfg)[1]) > 0 for cfg, t in zip(group, default))
+    assert all(getattr(t, _outage_fields(cfg)[1]) > 0 and t.cross > 0
+               for cfg, t in zip(group, default))
     for budget in (1, 1 << 62):
         monkeypatch.setattr(coverage, "_PASS_BYTES", budget)
         assert run_group_chunk(group, 100, 1400, 29) == default
@@ -538,7 +539,7 @@ def _every_trial_tally(cfg, seed, a, b):
     sums = coverage._law_sums(supply.bound_law.at(side.thresholds.values) - residual, side)
     tally.law_ci, tally.law_inv, tally.law_union = (
         s + ((n_c - n_y) << 32) for s, (n_y, n_c) in zip(sums, counts))
-    tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv = sums[3:]
+    tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv, tally.cross = sums[3:]
     tally.k_sq, tally.drawn_trials = int((k * k).sum()), len(k)
     return tally
 
@@ -872,6 +873,7 @@ def _oracle_trials(cfg, start, stop, seed):
             tally.law_union = _fixed(shortfall(csum[-1]))
             tally.sq_ci, tally.sq_inv = _fixed(e_ci * e_ci), _fixed(e_inv * e_inv)
             tally.ek_ci, tally.ek_inv = _fixed(e_ci * k), _fixed(e_inv * k)
+            tally.cross = _fixed(e_ci * e_inv)
             tally.k_sq = k * k
         else:
             real = _oracle_realization(cfg, window, seed, t)
@@ -894,6 +896,7 @@ def _oracle_trials(cfg, start, stop, seed):
             z_inv = tally.out_inv + g_inv - tally.bound_inv
             tally.sq_ci, tally.sq_inv = _fixed(z_ci * z_ci), _fixed(z_inv * z_inv)
             tally.ek_ci, tally.ek_inv = _fixed(z_ci * k), _fixed(z_inv * k)
+            tally.cross = _fixed(z_ci * z_inv)
             tally.k_sq, tally.drawn_trials = k * k, 1
         yield tally
 
@@ -903,8 +906,10 @@ def _oracle_tally(cfg, start, stop, seed):
 
 
 # The fields a point with users tallies in 2^-32 units beside its counts:
-# its expected counts G and the moments of its estimates.
-_FIXED_FIELDS = ("law_ci", "law_inv", "law_union", "sq_ci", "sq_inv", "ek_ci", "ek_inv")
+# its expected counts G and the moments of its estimates, the schemes' cross
+# product among them.
+_FIXED_FIELDS = ("law_ci", "law_inv", "law_union", "sq_ci", "sq_inv", "ek_ci", "ek_inv",
+                 "cross")
 
 
 def _assert_close_to(tally, want):
@@ -1154,57 +1159,124 @@ def test_estimate_bookkeeping_matches_wilson():
     assert few[Scheme.CHANNEL_INDEPENDENT].low_confidence
 
 
-def test_center_law_interval_is_wilson_at_the_effective_users():
-    # a center-law point reports Wilson's interval at n_eff = p (1 - p) / var,
-    # var the delta method's variance of sum e / sum k over its trials, at
-    # the t quantile with n - 1 degrees of freedom; here recomputed from
-    # one-trial tallies
+def _moment_sums(trials, names):
+    """The one-trial tallies' sums of each named field, in units of 1 (the
+    fixed-point fields) or of whole users (k_sq)."""
+    return [sum(getattr(t, name) for t in trials) / (1 if name == "k_sq" else 2.0 ** 32)
+            for name in names]
+
+
+def test_center_law_estimates_integrate_equal_split_and_control_inversion():
+    # a center-law point reports equal split's known mean, mu_ci / E[k], with
+    # the quadrature's error estimate on either side, and inversion's rate
+    # less beta times equal split's sampled rate's distance from that mean,
+    # beta the regression slope of the trials' residuals Z - p k, with
+    # Wilson's interval at the effective users of the residual r_inv -
+    # beta r_ci at the t quantile with n - 1 degrees of freedom; here
+    # recomputed from one-trial tallies' moments
     cfg = unit_cfg()
     n = 200
     trials = [run_trials_chunk(cfg, t, t + 1, 77) for t in range(n)]
     tally = sum(trials, TrialTally())
-    for scheme, name in ((Scheme.CHANNEL_INDEPENDENT, "law_ci"), (Scheme.INVERSION, "law_inv")):
-        est = estimates_from_tally(cfg, tally)[scheme]
-        e = np.array([getattr(t, name) / 2.0 ** 32 for t in trials])
-        k = np.array([t.users for t in trials], dtype=float)
-        p = e.sum() / k.sum()
-        assert est.p_out == pytest.approx(p, rel=1e-12)
-        assert est.n_outages == getattr(tally, name) / 2.0 ** 32
-        var = ((e - p * k) ** 2).sum() / (n * (n - 1) * k.mean() ** 2)
-        lo, hi = wilson_interval(p, p * (1 - p) / var, t_quantile_975(n - 1))
-        assert est.ci_lo == pytest.approx(lo, rel=1e-6) and est.ci_hi == pytest.approx(hi, rel=1e-6)
-        # the field's spread integrated out, the interval is far narrower than
-        # Wilson's at the users, and not capped there
-        assert est.ci_halfwidth < 0.5 * np.diff(wilson_ci(est.n_outages, tally.users))[0] / 2
-        assert not est.low_confidence
-    inv = estimates_from_tally(cfg, tally)[Scheme.INVERSION]
+    known = coverage._supply(cfg).equal_split
+    assert known is not None and 0 < known.err < 1e-4 * known.p
+    ests = estimates_from_tally(cfg, tally)
+    ci, inv = ests[Scheme.CHANNEL_INDEPENDENT], ests[Scheme.INVERSION]
+    assert ci.p_out == known.p and ci.n_outages == known.p * tally.users
+    assert (ci.ci_lo, ci.ci_hi) == (known.p - known.err, known.p + known.err)
+    z_ci, z_inv, sq_ci, sq_inv, ek_ci, ek_inv, cross, k_sq = _moment_sums(
+        trials, ("law_ci", "law_inv", "sq_ci", "sq_inv", "ek_ci", "ek_inv", "cross", "k_sq"))
+    users = tally.users
+    p_ci, p_inv = z_ci / users, z_inv / users
+    s_cc = sq_ci - 2 * p_ci * ek_ci + p_ci * p_ci * k_sq
+    s_ii = sq_inv - 2 * p_inv * ek_inv + p_inv * p_inv * k_sq
+    s_ci = cross - p_ci * ek_inv - p_inv * ek_ci + p_ci * p_inv * k_sq
+    beta = s_ci / s_cc
+    p = p_inv - beta * (p_ci - known.p)
+    assert 0.3 < beta < 1 and 0 < p < known.p
+    assert inv.p_out == pytest.approx(p, rel=1e-12)
+    assert inv.n_outages == pytest.approx(p * users, rel=1e-12)
+    var = (s_ii - beta * s_ci) / (n * (n - 1) * (users / n) ** 2)
+    lo, hi = wilson_interval(p, p * (1 - p) / var, t_quantile_975(n - 1))
+    assert inv.ci_lo == pytest.approx(lo, rel=1e-12) and inv.ci_hi == pytest.approx(hi, rel=1e-12)
+    # the moments are the trials' own: beta and the residual from each
+    # trial's Z, to the rounding of the moments to 2^-32
+    e_ci, e_inv = (np.array([getattr(t, name) / 2.0 ** 32 for t in trials])
+                   for name in ("law_ci", "law_inv"))
+    k = np.array([t.users for t in trials], dtype=float)
+    r_ci, r_inv = e_ci - p_ci * k, e_inv - p_inv * k
+    assert beta == pytest.approx((r_ci * r_inv).sum() / (r_ci * r_ci).sum(), rel=1e-6)
+    assert var == pytest.approx(((r_inv - beta * r_ci) ** 2).sum()
+                                / (n * (n - 1) * k.mean() ** 2), rel=1e-6)
+    # the control narrows the interval far below inversion's own, and below
+    # Wilson's at the users
+    plain = ((r_inv * r_inv).sum() / (n * (n - 1) * k.mean() ** 2))
+    assert var < 0.2 * plain
+    assert inv.ci_halfwidth < 0.5 * np.diff(wilson_ci(inv.n_outages, users))[0] / 2
+    assert not ci.low_confidence and not inv.low_confidence
     assert inv.union_rate == tally.law_union / 2.0 ** 32 / n
 
 
 # A center-law tally of 5 trials and 500 users: 40 expected equal-split
-# outages, spread over the trials.
+# outages and 30 under inversion, spread over the trials: residual sums of
+# squares 64 (equal split) and 20 (inversion), and of products 30.
 _UNIT = 1 << 32
 _SPREAD = TrialTally(trials=5, users=500, law_ci=40 * _UNIT, law_inv=30 * _UNIT,
                      law_union=2 * _UNIT, k_sq=60_000, sq_ci=400 * _UNIT,
-                     sq_inv=200 * _UNIT, ek_ci=4_500 * _UNIT, ek_inv=3_300 * _UNIT)
+                     sq_inv=200 * _UNIT, ek_ci=4_500 * _UNIT, ek_inv=3_300 * _UNIT,
+                     cross=276 * _UNIT)
+_KNOWN = coverage._KnownMean(0.07, 1e-6)
 
 
-@pytest.mark.parametrize("edit, low", [
-    ({}, False),
-    ({"trials": 1}, True),                          # one trial with users
-    ({"trials": 9, "zero_user_trials": 8}, True),   # one of nine
-    ({"law_ci": 0, "sq_ci": 0, "ek_ci": 0}, False),  # no expected outages
-    ({"sq_ci": 384 * _UNIT, "ek_ci": 4_800 * _UNIT}, False),   # e = p k throughout
+def _wilson_at_residual(p, residual):
+    """Wilson's interval of the _SPREAD trials at p, whose residual sum of
+    squares is given."""
+    var = residual / (5 * 4 * 100 ** 2)
+    return wilson_interval(p, p * (1 - p) / var, t_quantile_975(4))
+
+
+# Inversion's controlled rate at _KNOWN: 0.06 - (30 / 64) (0.08 - 0.07).
+_CONTROLLED = 0.06 - 30 / 64 * 0.01
+
+
+@pytest.mark.parametrize("edit, known, p, rule, low", [
+    ({}, _KNOWN, _CONTROLLED, "control", False),
+    ({"trials": 1}, _KNOWN, _CONTROLLED, "users", True),   # one trial with users
+    ({"trials": 9, "zero_user_trials": 8}, _KNOWN, _CONTROLLED, "users", True),   # one of nine
+    # inversion's Z = p k throughout: beta = 0, and the residual has no spread
+    ({"sq_inv": 216 * _UNIT, "ek_inv": 3_600 * _UNIT, "cross": 270 * _UNIT}, _KNOWN, 0.06,
+     "users", False),
+    # equal split's Z = p k throughout, or no expected outages: no control
+    ({"sq_ci": 384 * _UNIT, "ek_ci": 4_800 * _UNIT, "cross": 264 * _UNIT}, _KNOWN, 0.06,
+     "plain", False),
+    ({"law_ci": 0, "sq_ci": 0, "ek_ci": 0, "cross": 0}, _KNOWN, 0.06, "plain", False),
+    ({}, coverage._KnownMean(0.04, 1e-6), 0.04, "control", False),   # capped at the mean
+    ({}, coverage._KnownMean(0.0, 0.0), 0.0, "users", False),        # no outage at all
 ])
-def test_center_law_interval_edge_rules(edit, low):
-    # with fewer than 2 trials that have users, or outages without a spread,
-    # a center-law point keeps Wilson's interval at its users; the former
-    # sets low_confidence as well
+def test_center_law_interval_edge_rules(monkeypatch, edit, known, p, rule, low):
+    # equal split reports its known mean whatever the trials; inversion's
+    # rate with the control is 0.06 - (sum r_ci r_inv / sum r_ci^2) (0.08 -
+    # known.p), capped at known.p, and its interval Wilson's at its
+    # residual's effective users. With fewer than 2 trials that have users,
+    # a residual without a spread, or no outage, inversion keeps Wilson's
+    # interval at its users; the former sets low_confidence as well. Without
+    # a spread in equal split's Z there is no control, and inversion's
+    # interval is its own
+    cfg = unit_cfg()
+    monkeypatch.setitem(coverage._supply(cfg).__dict__, "equal_split", known)
     tally = replace(_SPREAD, **edit)
-    est = estimates_from_tally(unit_cfg(), tally)[Scheme.CHANNEL_INDEPENDENT]
-    wilson = wilson_ci(tally.law_ci / _UNIT, 500)
-    assert ((est.ci_lo, est.ci_hi) == wilson) == bool(edit)
-    assert est.low_confidence == low
+    ests = estimates_from_tally(cfg, tally)
+    ci, inv = ests[Scheme.CHANNEL_INDEPENDENT], ests[Scheme.INVERSION]
+    assert (ci.p_out, ci.n_outages) == (known.p, known.p * 500)
+    assert (ci.ci_lo, ci.ci_hi) == (max(0.0, known.p - known.err), known.p + known.err)
+    interval = {"users": lambda: wilson_ci(p * 500, 500),
+                "plain": lambda: _wilson_at_residual(p, 20),
+                "control": lambda: _wilson_at_residual(p, 20 - 30 * 30 / 64)}[rule]()
+    assert inv.p_out == pytest.approx(p, rel=1e-12)
+    assert inv.ci_lo == pytest.approx(interval[0], rel=1e-12, abs=1e-15)
+    assert inv.ci_hi == pytest.approx(interval[1], rel=1e-12)
+    assert ci.low_confidence == inv.low_confidence == low
+    assert inv.p_out <= ci.p_out
 
 
 def test_control_sum_below_zero_reads_as_no_outage():

@@ -12,6 +12,7 @@ and estimates from Y + G - C.
 
 import functools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,12 @@ def test_fixed_point_sums_are_exact_at_the_user_cap():
     edges = [0.0, 0.5, 1.0, 1.5, 2.5, 2 ** -33, 3.0, 1 - 2 ** -40]
     small = np.vstack((rows[:, :8] / rows.max(), edges, np.negative(edges)))
     assert coverage._fixed_point_sums(small.copy()) == _exact_fixed_sums(small)
+    # on either side of the bound below which units are summed as int64
+    for most in (0.999, 1.001):
+        near = rng.random((2, 64)) * (coverage._INT_SUMS / 64)
+        near[:, 0] = most * coverage._INT_SUMS / 64
+        near[1] *= -1
+        assert coverage._fixed_point_sums(near.copy()) == _exact_fixed_sums(near)
     # and a merge of such sums stays exact
     halves = [coverage._fixed_point_sums(rows[:, a:b].copy()) for a, b in ((0, 1000), (1000, n))]
     assert [x + y for x, y in zip(*halves)] == _exact_fixed_sums(rows)
@@ -186,10 +193,17 @@ def test_expected_outages_match_sampled_fields(kernel, psi, supply):
 
 
 @functools.lru_cache(maxsize=None)
+def _fig4_long_tally():
+    """fig4 at psi = 0.1 and its tally over 204,800 trials."""
+    cfg = apply_sweep(_repro_experiment("fig4").scenario, "psi", 0.1)
+    return cfg, run_trials_chunk(cfg, 0, 800 * BLOCK, 4242)
+
+
+@functools.lru_cache(maxsize=None)
 def _fig4_long_run():
     """fig4 at psi = 0.1 and its estimates over 204,800 trials."""
-    cfg = apply_sweep(_repro_experiment("fig4").scenario, "psi", 0.1)
-    return cfg, estimates_from_tally(cfg, run_trials_chunk(cfg, 0, 800 * BLOCK, 4242))
+    cfg, tally = _fig4_long_tally()
+    return cfg, estimates_from_tally(cfg, tally)
 
 
 @pytest.mark.parametrize("per, runs", [(200, 1000), (400, 500), (512, 400)])
@@ -206,6 +220,100 @@ def test_center_law_intervals_cover_the_long_run(per, runs):
             covered[scheme] += est.ci_lo <= reference[scheme].p_out <= est.ci_hi
     for scheme, n in covered.items():
         assert n >= 0.92 * runs, (scheme, n / runs)
+
+
+def test_controlled_inversion_intervals_cover_the_plain_long_run():
+    # 1000 runs of 200 trials at fig4 psi = 0.1, where the benchmark's
+    # time-to-CI check stops: inversion's interval, controlled by equal
+    # split's known mean, covers the plain sampled rate law_inv / users of
+    # 204,800 other trials in at least 90% of runs
+    cfg, tally = _fig4_long_tally()
+    plain = tally.law_inv / UNIT / tally.users
+    runs, per = 1000, 200
+    covered = 0
+    for r in range(runs):
+        est = estimates_from_tally(cfg, run_trials_chunk(cfg, r * per, (r + 1) * per, 99))
+        inv = est[Scheme.INVERSION]
+        assert inv.ci_halfwidth < 1e-3 and not inv.low_confidence
+        covered += inv.ci_lo <= plain <= inv.ci_hi
+    assert covered >= 0.9 * runs, covered / runs
+
+
+def _fig4_point(psi, fading=None):
+    cfg = apply_sweep(_repro_experiment("fig4").scenario, "psi", psi)
+    return cfg if fading is None else replace(cfg, channel=replace(cfg.channel, fading=fading))
+
+
+def _known_mean_cases():
+    """Center-law points whose equal-split mean is integrated: fig4 at psi
+    0.02, 0.1 and 0.5 under its truncated Rician fading, whose floor is an
+    atom of the gain's law, and under chi-squared fading of order 2; and
+    acceptance 5's first power-law point, on a window of side 20."""
+    cases = {f"fig4_{psi}{name}": _fig4_point(psi, fading)
+             for psi in (0.02, 0.1, 0.5)
+             for name, fading in (("", None), ("_chi2", ChiSquaredFading(2)))}
+    cases["plaw_200"] = replace(unit_cfg(gamma=200.0, kernel=Kernel.BOOLEAN_MAX_PLAW,
+                                         fading=ChiSquaredFading(2)), window_side=20.0)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_known_mean_cases()))
+def test_known_mean_matches_sampled_equal_split(case):
+    # mu_ci / E[k] against equal split's plain sampled rate law_ci / users
+    # over 10^6 trials: within 4 of the latter's standard errors, by the
+    # delta method from its moments, and the quadrature's error estimate
+    # below 5e-5 and 1e-4 of the mean
+    cfg = _known_mean_cases()[case]
+    known = coverage._supply(cfg).equal_split
+    assert known is not None
+    assert known.err < 5e-5 and known.err < 1e-4 * known.p
+    n = 10 ** 6
+    t = run_trials_chunk(cfg, 0, n, 2014)
+    users = t.users
+    p = t.law_ci / UNIT / users
+    spread = t.sq_ci / UNIT - 2 * p * t.ek_ci / UNIT + p * p * t.k_sq
+    se = math.sqrt(spread / (n * (n - 1) * (users / n) ** 2))
+    assert abs(p - known.p) <= 4 * se + known.err, (p, known.p, se)
+
+
+@pytest.mark.parametrize("psi", [0.02, 0.05, 0.1, 0.2, 0.35, 0.5])
+def test_known_mean_builds_within_10_ms(psi):
+    # the first estimate at a fig4 point builds its mean: both rules, at
+    # most 10 ms (the least of 5 builds, on a shared host)
+    supply = coverage._supply(_fig4_point(psi))
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        coverage._equal_split_law(supply)
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 0.01, times
+
+
+# The center-law points of the inversion cap's property: the fig4 sweep and a
+# cluster of one harvester over an exact line at two field densities.
+_ONE_EXACT = parse_config_text("scenario.architecture = distributed\n"
+                               "distributed.lambda_h = 0.78\n"
+                               "distributed.lambda_a = 0.78\n").scenario
+_CAP_POINTS = [("fig4", psi) for psi in (0.02, 0.05, 0.1, 0.2, 0.35, 0.5)] + \
+    [("one_exact", psi) for psi in (0.05, 0.2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(point=st.sampled_from(_CAP_POINTS), seed=st.integers(0, 2**32),
+       start=st.integers(0, 3 * BLOCK), length=st.one_of(st.just(200),
+                                                         st.integers(2, 3 * BLOCK)))
+@example(point=("fig4", 0.1), seed=0, start=0, length=200)
+@example(point=("one_exact", 0.05), seed=1, start=200, length=200)
+def test_inversion_never_above_equal_split_at_center_law_points(point, seed, start, length):
+    # inversion covers every user equal split covers, so its true rate is at
+    # most equal split's known mean, and the controlled estimate, whatever
+    # its trials, never reads above it
+    name, psi = point
+    cfg = _fig4_point(psi) if name == "fig4" else apply_sweep(_ONE_EXACT, "psi", psi)
+    assert coverage._supply(cfg).by_law
+    ests = estimates_from_tally(cfg, run_trials_chunk(cfg, start, start + length, seed))
+    ci, inv = ests[Scheme.CHANNEL_INDEPENDENT], ests[Scheme.INVERSION]
+    assert inv.p_out <= ci.p_out and inv.n_outages <= ci.n_outages
 
 
 def _centers_path_cases():

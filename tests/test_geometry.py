@@ -325,3 +325,21 @@ class TestHexCellDistances:
         assert hex_cell_distances(1.0, 0, substream(92, 0)).shape == (0,)
         with pytest.raises(ValueError):
             hex_cell_distances(-1.0, 5, substream(92, 1))
+
+
+@pytest.mark.parametrize("least", [0.0, 0.01, 0.3, 0.8])
+def test_hex_cell_distance_rule_integrates_the_clamped_cell_law(least):
+    # max(D, least)^2 is (R/2)^2 s^2 (3 + u1^2) above the clamp, a polynomial
+    # the rule integrates exactly, so E = 5/12 R^2 + pi least^4 / (2 A) for a
+    # least within the inradius, A the cell's area; the atom is least's
+    # share of the cell, pi least^2 / A, which 16 nodes in u1 reach to
+    # round-off
+    r = 1.3
+    area = 1.5 * math.sqrt(3.0) * r * r
+    least *= r
+    d, w = geometry.hex_cell_distance_rule(r, 2, 16, least)
+    assert d[0] == least and np.all(d[1:] >= least * (1 - 1e-15))
+    assert w.sum() == pytest.approx(1.0, rel=1e-13)
+    assert w[0] == pytest.approx(math.pi * least ** 2 / area, rel=1e-12, abs=1e-300)
+    second = 5.0 / 12.0 * r * r + math.pi * least ** 4 / (2.0 * area)
+    assert (w * d * d).sum() == pytest.approx(second, rel=1e-12)

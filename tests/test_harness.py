@@ -249,7 +249,7 @@ def test_run_point_worker_invariance():
     t1 = run_point(scenario, 600, 77, workers=1)
     t2 = run_point(scenario, 600, 77, workers=2)
     assert t1 == t2
-    assert t1.trials == 600
+    assert t1.trials == 600 and t1.cross > 0
 
 
 def test_run_point_without_sched_getaffinity(monkeypatch):
