@@ -38,7 +38,7 @@ exp(-lambda_e A(r)), A(r) the area of the disk of radius r inside the window
 (energy_field.window_disk_area). The station's power is then P = c decay(D),
 c its peak power, and the scenario runs by the center law: it draws no field
 and integrates it out, F(x) = Pr(P < x) = exp(-lambda_e A(r(x))), r(x) the
-distance at which c decay(r) = x (_Supply.shortfall). Every other scenario
+distance at which c decay(r) = x (estimator.center_law). Every other scenario
 (shot noise, or several harvesters) draws its centers from the field stream:
 center counts, center x, center y (energy_field.draw_field), and is on the
 centers path.
@@ -74,11 +74,11 @@ last running sum above P. The max-power outages (persist_*) are so counted
 at each distinct peak station power of the group, once per pass, and a
 point on the centers path draws its centers and counts at their station
 powers and their bounds (_coverage). The thresholds x are built from the
-layout as ln x (_Thresholds), in place when no point counts at drawn fields
-and from a copy otherwise, or as ln(peak / x) where the group's points all
-run by the center law and share one peak, and every point integrates its
-law at them (_point_tally). A pass lets go of
-all it holds when it ends (_pass_tallies). run_trials_chunk is the group of
+layout as ln x (estimator.Thresholds), in place when no point counts at
+drawn fields and from a copy otherwise, or as ln(peak / x) where the
+group's points all run by the center law and share one peak, and every
+point integrates its law at them (_point_tally). A pass lets go of all it
+holds when it ends (_pass_tallies). run_trials_chunk is the group of
 one. A trial's arithmetic depends neither on the other trials of its pass
 nor on the other scenarios of its group, so tallies do not depend on where
 chunks start and stop, on the worker count, or on which scenarios run
@@ -87,82 +87,66 @@ together.
 Every point on the centers path settles what it can at a bound: in most of
 its trials every user is covered, and one center per realization often shows
 it already. Its pass first takes, for each trial with users, the station
-power L at the field of the realization's center nearest the window's
+power L1 at the field of the realization's center nearest the window's
 center (energy_field.nearest_center; where the typical aggregator, or the
 on-site station, sits) alone, scaled down by _BOUND_MARGIN (1e-9)
 (_Supply.bound). Where the line delivers a fixed share of the budget
-(lossless or tau_floor) and the kernel is exponential, L is that share of
-the harvesters' fields summed by axis (energy_field.nearest_center_total),
-one decay per distinct coordinate and trial; otherwise L is the station's
-power at the nearest center alone (_Supply.power(nearest_center(real))),
-the exact stage's own evaluation at one center per trial. A trial is
-settled when its largest need is at most L / k and its last running sum at
-most L, both read from the layout (_covered). The field at the nearest
-center alone is, point by point, a pair value field_values reduces over the
-whole realization, and the factored sum differs from its sum only by the
-rounding of a product of two exps and of the order it adds in; a boolean
-kernel's field can only be larger at the nearest of all the centers and a
-shot-noise sum only adds terms, delivered_power increases with the budget
-and the cluster sums in a fixed order, so the exact power is at least the
-bound: the margin, far above round-off, covers exp and sqrt followed by
-squaring, and the factored sum's rounding. At the exact power every user
-of a settled trial is covered under both schemes and its union event is
-false, so counting at the bound gives the same outages; which trials are
-settled decides only which are evaluated exactly. The exact stage runs
-field_values on the other trials' realizations only: at any cluster size,
-on a wrapped window or a flat one. The bound's stage and the exact stage
-take their realizations in slices of at most _TILE_ELEMENTS // harvesters
-(_sliced), so a pass holds at most one slice's per-harvester values, and a
-realization's L and P do not depend on its slice.
+(lossless or tau_floor) and the kernel is exponential (_Supply.gain), L1 is
+that share of the harvesters' fields summed by axis
+(energy_field.nearest_center_total), one decay per distinct coordinate and
+trial; otherwise L1 is the station's power at the nearest center alone
+(_Supply.power(nearest_center(real))), the exact stage's own evaluation at
+one center per trial. A trial is settled when its largest need is at most
+L1 / k and its last running sum at most L1, both read from the layout
+(_covered). The field at the nearest center alone is, point by point, a
+pair value field_values reduces over the whole realization, and the
+factored sum differs from its sum only by the rounding of a product of two
+exps and of the order it adds in; a boolean kernel's field can only be
+larger at the nearest of all the centers and a shot-noise sum only adds
+terms, delivered_power increases with the budget and the cluster sums in a
+fixed order, so the exact power is at least the bound: the margin, far
+above round-off, covers exp and sqrt followed by squaring, and the factored
+sum's rounding. At the exact power every user of a settled trial is covered
+under both schemes and its union event is false, so counting at the bound
+gives the same outages; which trials are settled decides only which are
+evaluated exactly. The exact stage runs field_values on the other trials'
+realizations only: at any cluster size, on a wrapped window or a flat one.
 
-Every point tallies its outages the same way. Take a trial with users, its
-station power P and a bound L <= P whose law F_L(x) = Pr(L < x) is known.
-Per scheme and for the union event, Y counts its outages at P and C those at
-L, C >= Y user by user, and G is their expectation given the users:
-sum F_L(k need_i) under equal split, sum F_L(csum_i) under inversion (csum_i
-the running sums of its sorted needs) and F_L(total) for the union event.
-The trial's estimate Z = Y + G - C has Y's mean, and the spread of its
-nearest center, which decides most outages, is gone from it. By the center
-law L = P, so F_L = F and C = Y: the point draws no field and counts
-neither, its Y and C stay 0, and Z = G. On the centers path L is the
-one-center bound above, and F_L is tabulated once per scenario, at the first
-pass that needs it (_Supply.bound_law, _bound_law), from the engine's own L
-(_Supply.bound) at one-center realizations placed by a shifted lattice
-(energy_field.nearest_center_realizations), fixed for every scenario so that
-tallies depend on no process or worker count. The tally holds Y and C as
-counts and G in units of 2^-32, each trial's rounded once and summed
-exactly, with the second moments of Z, the schemes' cross product Z_ci Z_inv
-among them (TrialTally). The point's p is its sum of Z over its users, a sum
-not above zero reading as no outage, and its interval Wilson's at its
-effective users and Student's t quantile, from Z's moments; its lower end
-allows for residual outages C - Y a run on the centers path did not draw
-(estimates_from_tally).
+The control's bound is L = max(L2, L1), L2 the station power at the two
+centers nearest the window's center alone (energy_field.nearest_centers),
+scaled down by the same margin (_Supply.bound with pair=True): where gain is
+set, the gain times the harvesters' fields there from per-axis decays
+(energy_field.factored_total), the larger of the two centers' at each
+harvester under the boolean kernel and their sum under shot noise;
+otherwise _Supply.power at the two centers. It is taken only on the
+residual trials, those with a user covered at P and not at L1
+(estimator.residual_trials): L1 <= L <= P, so on every other trial each
+user is covered at L exactly where it is at L1 and at P, and counting there
+at L1 counts at L. The bound's stage, the pair's and the exact stage take their
+realizations in slices of at most _TILE_ELEMENTS // harvesters (_sliced),
+so a pass holds at most one slice's per-harvester values, and a
+realization's L1, L2 and P do not depend on its slice.
 
-At a center-law point equal split's G_ci = sum F(k need_i) has a mean that
-needs no trials: mu_ci = sum_k pi_k k E[F(k need)], pi the Poisson law of
-users per cell and need a user's required power over the cell's distance
-law and the fading law, with F the point's own _Supply.shortfall. It is
-integrated once per scenario, at the first estimate that asks for it, by a
-tensor Gauss-Legendre rule whose difference from a coarser one is its error
-estimate (_Supply.equal_split, _equal_split_law). Equal split then reports
-p = mu_ci / E[k], its interval that error estimate on either side; and
-equal split's sampled rate, tracking inversion's trial by trial, is a
-control with a known mean for inversion, whose p is p_inv - beta (p_ci -
-mu_ci / E[k]) with beta the regression slope from the tallied moments,
-capped at equal split's p, and whose interval is Wilson's at the effective
-users of the control's residual (_controlled). A point whose error
-estimate exceeds _KNOWN_MEAN_TOL of the mean, and every point on the
-centers path, keeps the sampled estimator.
+A trial tallies, per scheme and for the union event, its outages Y at P and
+C at L, and G = E[C | users] from the law of L, which the estimator turns
+into estimates (renergy.estimator, estimates_from_tally). By the center law
+L = P, so C = Y: the point draws no field and counts neither, and G is the
+center law at its thresholds (estimator.center_law). On the centers path the
+law of L is tabulated once per scenario, at the first pass that needs it
+(_Supply.bound_law, estimator.lattice_law), from the engine's own L2 at
+two-center realizations placed by the estimator's lattice rule; L2 >= L1
+holds in exact arithmetic, so the table's L is L2. Equal split's mean over
+the users is integrated from the same law, the center law's or the table's,
+at the first estimate that asks for it (_Supply.equal_split).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache, partial
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,18 +156,19 @@ from .bounds import (BoundInputs, aggregated_outage_bound, energy_shortfall_boun
                      fading_tail_terms_equal_split, fading_tail_terms_inversion,
                      max_power_markov_bound, power_law_outage_bound,
                      total_outage_bound)
-from .channel import (ChannelSpec, ChiSquaredFading, fading_rule, mean_inverse_fading,
-                      required_power, sample_fading)
+from .channel import ChannelSpec, ChiSquaredFading, mean_inverse_fading, required_power, \
+    sample_fading
 from .energy_field import (_TILE_ELEMENTS, _TILE_POINTS, EnergyFieldSpec,
-                           FieldRealization, Kernel, draw_field, field_values,
-                           nearest_center, nearest_center_realizations,
-                           nearest_center_total, window_disk_area)
+                           FieldRealization, Kernel, draw_field, factored_total, field_values,
+                           nearest_center, nearest_center_total, nearest_centers)
+from .estimator import (KnownMean, LawTable, OutageEstimate, Scheme, Thresholds, TrialTally,
+                        center_law, cover_again, estimates, known_mean, lattice_law, record,
+                        residual_trials, thresholds_of)
 from .geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet, Window,
-                       default_window_side, hex_cell_circumradius, hex_cell_distance_rule,
-                       hex_cell_distances, nearest_site_indices, substream)
+                       default_window_side, hex_cell_circumradius, hex_cell_distances,
+                       nearest_site_indices, substream)
 # bench/run.py traces sample_in_hex_cell here, though the engine no longer calls it
 from .geometry import sample_in_hex_cell  # noqa: F401
-from .stats import t_quantile_975, wilson_ci, wilson_interval
 
 # glibc's malloc starts with small mmap and trim thresholds (128 KiB) and
 # raises both, for the life of the process, when it frees a mapped block
@@ -194,11 +179,6 @@ from .stats import t_quantile_975, wilson_ci, wilson_interval
 # other allocators are unaffected.
 _threshold_raiser = np.empty(4 << 20, dtype=np.uint8)
 del _threshold_raiser
-
-
-class Scheme(str, enum.Enum):
-    CHANNEL_INDEPENDENT = "channel_independent"
-    INVERSION = "inversion"
 
 
 @dataclass(frozen=True)
@@ -217,31 +197,11 @@ _BLOCK_VALUES_CAP = 1 << 26
 # more trials, at the price of its temporaries.
 _PASS_BYTES = 3 << 20
 
-# Values per trial that a point holds beside its law at each threshold: eight
-# sums per trial and their whole parts (_law_sums).
+# Values per trial that a point holds beside its law at each threshold: its
+# sums per trial and their whole parts (estimator.law_sums), eight by the
+# center law and twelve on the centers path.
 _CONTROL_ARRAYS = 16
-
-# The unit of a tally's expected counts G and of its moments is 2^-32 (see
-# TrialTally).
-_FIXED_POINT = 1 << 32
-
-# The table of a point's one-center law (_BoundLaw): a Fibonacci lattice of
-# F_23 points with generator F_22, under one shift fixed for every scenario
-# (numpy's default_rng(20140408).random(2), written out so that importing
-# the module loads no generator), and the nodes of its grid, uniform in ln x.
-_LATTICE, _LATTICE_STEP = 28657, 17711
-_LATTICE_SHIFT = (0.07424495059502512, 0.2099421446370625)
-_LAW_NODES = 4096
-
-# Equal split's known mean at a center-law point (_equal_split_law): the
-# tensor Gauss-Legendre rule it reports, as nodes in s and in u1 of the cell's
-# distance law (geometry.hex_cell_distance_rule), then nodes per panel of the
-# fading law and its widest panel in ln h (channel.fading_rule); the coarser
-# rule whose difference from it is its error estimate; and the largest error
-# estimate, relative to the mean, at which a point uses it.
-_USER_RULE = (12, 4, 8, 2.0)
-_CHECK_RULE = (8, 3, 6, 3.0)
-_KNOWN_MEAN_TOL = 1e-4
+_RESIDUAL_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -339,56 +299,6 @@ def resolve_window(cfg: ScenarioConfig) -> Window:
     return Window(side, side, wrap=cfg.wrap)
 
 
-@dataclass
-class TrialTally:
-    """Integer event sums; adding tallies merges runs exactly.
-
-    Per scheme and for the union event, a point counts its outages Y at
-    each trial's exact power (out_ci, out_inv, union_trials) and its
-    outages C at the trial's one-center bound (bound_*), and sums G, their
-    expectation given the trial's users under the bound's law (law_*), in
-    units of 2^-32 (_FIXED_POINT): each trial's Z = Y + G - C rounded to
-    the unit, with C - Y added back. A point run by the center law counts
-    neither Y nor C, which it leaves at 0, so its law_* hold its expected
-    outages. drawn_trials counts the trials with users whose fields a point
-    drew. Every point sums, over its trials, the second moments of each
-    scheme's Z and users k in 2^-32 units: Z^2 (sq_*), Z k (ek_*) and the
-    schemes' cross product Z_ci Z_inv (cross), and k^2 in whole users
-    (k_sq), which is positive exactly when the point has users. Every other
-    count, the max-power outages (persist_*) among them, is a count of
-    events."""
-
-    trials: int = 0
-    zero_user_trials: int = 0
-    users: int = 0
-    out_ci: int = 0
-    persist_ci: int = 0
-    out_inv: int = 0
-    persist_inv: int = 0
-    union_trials: int = 0
-    gain_clamps: int = 0
-    k_sq: int = 0
-    sq_ci: int = 0
-    sq_inv: int = 0
-    ek_ci: int = 0
-    ek_inv: int = 0
-    cross: int = 0
-    drawn_trials: int = 0
-    bound_ci: int = 0
-    bound_inv: int = 0
-    bound_union: int = 0
-    law_ci: int = 0
-    law_inv: int = 0
-    law_union: int = 0
-
-    def __add__(self, other: "TrialTally") -> "TrialTally":
-        return TrialTally(*[getattr(self, name) + getattr(other, name)
-                            for name in _TALLY_FIELDS])
-
-
-_TALLY_FIELDS = tuple(f.name for f in fields(TrialTally))
-
-
 # On-site harvesting as the one-harvester cluster: the station's own harvester
 # over a zero-length lossless line, one station per aggregator.
 _ONSITE_LINE = LineSpec(voltage=math.inf)
@@ -455,68 +365,45 @@ class _Supply:
             return self.station_power(values)
         return _sliced(self, real, at)
 
-    def bound(self, real: FieldRealization) -> np.ndarray:
-        """The station power L at each realization's nearest center alone
-        (nearest_center), scaled down by _BOUND_MARGIN. Where the line is
-        linear and the kernel exponential (gain), it is the gain times the
-        harvesters' fields there summed by axis (nearest_center_total), in
-        slices (_sliced); otherwise the station's power at the nearest
-        center alone, power(nearest_center(real)). Either way L is at most
-        P: the factored sum differs from the harvester by harvester one only
-        by round-off, far below the margin."""
+    def bound(self, real: FieldRealization, pair: bool = False) -> np.ndarray:
+        """The station power at each realization's nearest center alone
+        (nearest_center), L1, or with pair at its two nearest centers alone
+        (nearest_centers), L2, scaled down by _BOUND_MARGIN. Where the line
+        is linear and the kernel exponential (gain), it is the gain times
+        the harvesters' fields there from per-axis decays, in slices
+        (_sliced): summed by axis at one center (nearest_center_total), at
+        two by harvester (factored_total). Otherwise it is the station's
+        power there, power(nearest_center(real)) or power(nearest_centers(
+        real, 2)). Either way it is at most P: the factored sums differ from
+        the harvester by harvester one only by round-off, far below the
+        margin."""
         if self.gain is None:
-            out = self.power(nearest_center(real))
+            out = self.power(nearest_centers(real, 2) if pair else nearest_center(real))
         else:
-            out = _sliced(self, real, lambda part: nearest_center_total(part, self.positions))
+            total = partial(factored_total if pair else nearest_center_total,
+                            points=self.positions)
+            out = _sliced(self, nearest_centers(real, 2) if pair else real, total)
             out *= self.gain
         out *= 1.0 - _BOUND_MARGIN
         return out
 
     @cached_property
-    def equal_split(self) -> "_KnownMean | None":
-        """Equal split's p integrated over the users, at a center-law point,
-        built at the first estimate that asks for it (_equal_split_law)."""
-        return _equal_split_law(self)
+    def equal_split(self) -> KnownMean | None:
+        """Equal split's p integrated over the users from the law the point
+        tallies, the center law's or the bound's table, built at the first
+        estimate that asks for it (estimator.known_mean)."""
+        if not self.by_law:
+            return known_mean(self.cfg, self.bound_law.at)
+        return known_mean(self.cfg, lambda logs: center_law(
+            self.cfg.field, self.window, self.peak_station_power,
+            Thresholds(logs, None, float(logs.min()), None, 0)))
 
     @cached_property
-    def bound_law(self) -> "_BoundLaw":
-        """The law of the station power at the one-center bound, built at
-        the first pass that asks for it (_bound_law)."""
-        return _bound_law(self)
-
-    def shortfall(self, th: "_Thresholds") -> np.ndarray:
-        """F(x) = Pr(P < x) at a pass's thresholds x, as a new array, for the
-        power P of a station run by the center law.
-
-        P is the station's peak power c times the kernel's decay at the
-        nearest center's distance D, so P < x exactly when D exceeds r(x),
-        where the decay falls to x / c: r(x)^2 = nu ln(c / x) for the
-        exponential kernel and nu (c / x - 1) for the power law, and 0 from
-        x = c on. No center lies within r of the window's center with
-        probability exp(-lambda_e A(r)) (energy_field.window_disk_area), and
-        A(r) = pi r^2 up to half the window's shorter side;
-        window_disk_area runs only where r(x) exceeds it."""
-        spec, window = self.cfg.field, self.window
-        half = 0.5 * min(window.width, window.height)
-        near = half * half / spec.nu    # r^2 / nu at half the shorter side
-        power_law = spec.kernel is Kernel.BOOLEAN_MAX_PLAW
-        log_peak = math.log(self.peak_station_power)
-        # ln(c / x), 0 from x = c on: the thresholds' own where they hold it
-        own = th.peak != self.peak_station_power
-        t = np.maximum(log_peak - th.values, 0.0) if own else th.values
-        if power_law:
-            t = np.expm1(t, out=t if own else None)    # c / x - 1
-            own = True
-        # t = r(x)^2 / nu; a margin keeps the test on the log scale from
-        # missing a value the exact test below would catch
-        far = None
-        if log_peak - th.least > (math.log1p(near) if power_law else near) * (1.0 - 1e-9):
-            far = np.flatnonzero(t > near)
-            area = window_disk_area(np.sqrt(spec.nu * t[far]), window)
-        f = np.multiply(t, -math.pi * spec.psi, out=t if own else None)   # -lambda_e pi r^2
-        if far is not None:
-            f[far] = -spec.lambda_e * area
-        return np.exp(f, out=f)
+    def bound_law(self) -> LawTable:
+        """The law of the station power at the two-center bound, built at
+        the first pass that asks for it from the bound itself
+        (estimator.lattice_law)."""
+        return lattice_law(partial(self.bound, pair=True), self.cfg.field, self.window)
 
 
 def _sliced(supply: _Supply, real: FieldRealization, evaluate) -> np.ndarray:
@@ -533,117 +420,6 @@ def _sliced(supply: _Supply, real: FieldRealization, evaluate) -> np.ndarray:
     for lo in range(0, n, step):
         out[lo:lo + step] = evaluate(real.select(lo, min(lo + step, n)))
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class _BoundLaw:
-    """F(x) = Pr(L < x) for a point's station power L at the one-center
-    bound, tabulated at nodes uniform in ln x: node j sits at
-    lo + j / scale, F is its value there and slope its rise to the next
-    node, 0 from the last."""
-
-    lo: float
-    scale: float
-    f: np.ndarray
-    slope: np.ndarray
-
-    def at(self, logs: np.ndarray) -> np.ndarray:
-        """F at thresholds x from their logs, as a new array: linear in ln x
-        between nodes, the first node's value below them and the last's,
-        1, above."""
-        t = logs - self.lo
-        t *= self.scale
-        np.clip(t, 0.0, len(self.f) - 1, out=t)
-        node = np.floor(t)
-        t -= node
-        node = node.astype(np.intp)
-        f = self.slope[node]
-        f *= t
-        f += self.f[node]
-        return f
-
-
-def _bound_law(supply: _Supply) -> _BoundLaw:
-    """A point's one-center law, from the station power at the bound of
-    _LATTICE realizations that each hold the nearest center alone, placed by
-    the points of a shifted lattice (energy_field.nearest_center_realizations).
-    Each power is the engine's own bound, _Supply.bound, built BLOCK
-    realizations at a time; only the table is kept. Its grid spans the
-    smallest positive power and the largest in _LAW_NODES - 3 equal steps of
-    ln x, one step beyond each: F is the share of the powers below each
-    node, the empty windows' share at the first and 1 at the last."""
-    spec, window, n = supply.cfg.field, supply.window, _LATTICE
-    power = np.empty(n)
-    for a in range(0, n, BLOCK):
-        i = np.arange(a, min(a + BLOCK, n))
-        u = (i / n + _LATTICE_SHIFT[0]) % 1.0
-        v = (i * _LATTICE_STEP % n / n + _LATTICE_SHIFT[1]) % 1.0
-        power[a:a + len(i)] = supply.bound(nearest_center_realizations(spec, window, u, v))
-    power.sort()
-    nodes = _LAW_NODES
-    empty = int(np.searchsorted(power, 0.0, side="right"))
-    if empty == n:   # no center reaches the harvesters: L = 0 below every x
-        return _BoundLaw(0.0, 1.0, np.ones(nodes), np.zeros(nodes))
-    least, most = math.log(power[empty]), math.log(power[-1])
-    step = (most - least) / (nodes - 3) if most > least else 1.0
-    lo = least - step
-    f = np.searchsorted(power, np.exp(lo + step * np.arange(nodes)), side="left") / n
-    return _BoundLaw(lo, 1.0 / step, f, np.diff(f, append=f[-1]))
-
-
-class _KnownMean(NamedTuple):
-    """Equal split's p at a center-law point, integrated over the users by
-    quadrature, and the quadrature's error estimate."""
-
-    p: float
-    err: float
-
-
-def _equal_split_law(supply: _Supply) -> _KnownMean | None:
-    """p = mu_ci / E[k] for a center-law point, mu_ci = sum_k pi_k k
-    E[F(k need)] the mean of each trial's equal-split sum G_ci, by the rule
-    _USER_RULE, with its difference from _CHECK_RULE's as its error
-    estimate (_law_mean); None where that estimate exceeds _KNOWN_MEAN_TOL
-    of the mean, as where the law is near a step (psi far above 1) or the
-    mean far below a rule's resolution, and on the centers path."""
-    if not supply.by_law:
-        return None
-    mu = supply.cfg.mean_users_per_cell
-    mean, check = (_law_mean(supply, rule) for rule in (_USER_RULE, _CHECK_RULE))
-    p, err = min(mean / mu, 1.0), abs(mean - check) / mu
-    return _KnownMean(p, err) if err <= _KNOWN_MEAN_TOL * p else None
-
-
-def _law_mean(supply: _Supply, rule: tuple[int, int, int, float]) -> float:
-    """sum_k pi_k k E[F(k need)] by one tensor Gauss-Legendre rule (see
-    _USER_RULE): pi the Poisson law of users per cell, from mu - 12 sqrt(mu)
-    - 10 users to mu + 12 sqrt(mu) + 10 (each tail below 1e-30), need the
-    required power of a user at the cell's distance law, floored at 1e-12
-    and clamped as required_power clamps it, and the fading law, and F
-    _Supply.shortfall itself, the law the engine tallies, at k need. The
-    users are taken a few at a time, so the rule's values at them hold at
-    most about _PASS_BYTES."""
-    cfg = supply.cfg
-    radial, angular, nodes, width = rule
-    # the engine floors distances at 1e-12, then clamps them at min_dist
-    d, wd = hex_cell_distance_rule(hex_cell_circumradius(cfg.lambda_b), radial, angular,
-                                   max(cfg.channel.min_dist, 1e-12))
-    h, wh = fading_rule(cfg.channel.fading, nodes, width)
-    logs = np.log(required_power(cfg.theta, d[:, None], h, cfg.channel)).ravel()
-    w = np.multiply.outer(wd, wh).ravel()
-    mu = cfg.mean_users_per_cell
-    spread = 12.0 * math.sqrt(mu) + 10.0
-    k = np.arange(max(1, math.floor(mu - spread)), math.floor(mu + spread) + 1)
-    log_k = np.log(k)
-    # pi_k k = exp(k ln mu - mu - ln k! + ln k)
-    pi_k = np.exp(k * math.log(mu) - mu - np.array([math.lgamma(j + 1.0) for j in k]) + log_k)
-    rows = max(1, _PASS_BYTES // (32 * len(logs)))
-    total = 0.0
-    for a in range(0, len(k), rows):
-        x = np.add.outer(log_k[a:a + rows], logs).ravel()   # ln(k need)
-        f = supply.shortfall(_Thresholds(x, None, float(x.min()), None, 0))
-        total += float(pi_k[a:a + rows] @ (f.reshape(-1, len(logs)) @ w))
-    return total
 
 
 @lru_cache(maxsize=32)
@@ -731,23 +507,6 @@ def _pass_draw(draw, a: int, b: int):
 
 
 @dataclass(frozen=True, eq=False)
-class _Thresholds:
-    """A pass's thresholds x, at which the center law and the bound's law
-    are integrated, in its users' layout (see _UserSide): k times each
-    user's need (equal split), then each user's running sum (inversion).
-    values are ln x, or ln(peak / x) floored at 0 where the group's points
-    are all center-law points that share one peak. Beside them: the
-    smallest ln x, where each trial's users start in each of the two parts,
-    and the sum of k^2."""
-
-    values: np.ndarray
-    peak: float | None
-    least: float
-    starts: np.ndarray
-    k_sq: int
-
-
-@dataclass(frozen=True, eq=False)
 class _UserSide:
     """A pass's users, evaluated once for its group: the counts that do not
     depend on the field, the outages at each peak power, its trials with
@@ -761,7 +520,7 @@ class _UserSide:
     k: np.ndarray
     last: np.ndarray
     flat: np.ndarray | None = None
-    thresholds: _Thresholds | None = None
+    thresholds: Thresholds | None = None
 
 
 def _user_side(supplies: list[_Supply], seed: int, a: int, b: int) -> _UserSide:
@@ -801,26 +560,9 @@ def _user_side(supplies: list[_Supply], seed: int, a: int, b: int) -> _UserSide:
     counted = not all(s.by_law for s in supplies)
     law_peaks = () if counted else tuple(dict.fromkeys(s.peak_station_power
                                                        for s in supplies))
-    thresholds = _thresholds(flat.copy() if counted else flat, k, law_peaks)
+    thresholds = thresholds_of(flat.copy() if counted else flat, k, law_peaks)
     return replace(side, persist=persist, flat=flat if counted else None,
                    thresholds=thresholds)
-
-
-def _thresholds(x: np.ndarray, k: np.ndarray, law_peaks: tuple) -> _Thresholds:
-    """The thresholds of a pass's trials with users, k users each, taken in
-    place from their layout x."""
-    users = len(x) // 2
-    x[:users] *= np.repeat(k, k)
-    logs = np.log(x, out=x)
-    least = float(logs.min(initial=math.inf))
-    peak = law_peaks[0] if len(law_peaks) == 1 else None
-    if peak is not None:   # as _Supply.shortfall would take it
-        np.subtract(math.log(peak), logs, out=logs)
-        np.maximum(logs, 0.0, out=logs)
-    first = np.cumsum(k) - k
-    # k < 2^31, and a pass's trials keep the sum of k^2 below 2^63
-    return _Thresholds(logs, peak, least, np.concatenate((first, first + users)),
-                       int((k * k).sum()))
 
 
 def _outages(side: _UserSide, power: float) -> tuple[int, int]:
@@ -861,58 +603,49 @@ def _realizations(real: FieldRealization, busy: np.ndarray,
     return real.compress(keep)
 
 
-def _point_tally(supply: _Supply, side: _UserSide, law: _BoundLaw | None, seed: int,
+def _point_tally(supply: _Supply, side: _UserSide, law: LawTable | None, seed: int,
                  a: int, b: int) -> TrialTally:
     """A pass's tally at one scenario: each trial's Z = Y + G - C against
     trials [a, b)'s users, per scheme and for the union event, with its
     moments. law is the supply's bound law, or None by the center law, where
     L = P: the trial's outages C and Y are then equal and left uncounted,
-    and G is the center law's, F at the thresholds (_Supply.shortfall).
+    and G is the center law's, F at the thresholds (estimator.center_law).
 
-    Otherwise every trial with users first takes a bound L on its power from
-    its drawn field's nearest center (_Supply.bound), at most the exact
-    power P. A trial whose users are all covered at L (_covered) is covered
-    at P too: it is settled, and L stands in for P. P is evaluated
+    Otherwise every trial with users first takes a bound L1 on its power
+    from its drawn field's nearest center (_Supply.bound), at most the exact
+    power P. A trial whose users are all covered at L1 (_covered) is covered
+    at P too: it is settled, and L1 stands in for P. P is evaluated
     (_Supply.power) only on the realizations of the other trials with
-    users, and not at all when every one is settled. Each trial's outages Y
-    at P are counted, and so are its outages C at L, of which Y are part as
-    L <= P (_coverage). G is the bound's law at the thresholds
-    (_BoundLaw.at); less 1 at each user covered at P and not at L, their
-    sums (_law_sums) are each trial's Z = G - (C - Y)."""
+    users, and not at all when every one is settled. The residual trials
+    (estimator.residual_trials) then take L = max(L2, L1) from their two
+    nearest centers (_Supply.bound with pair), every other trial L = L1. Each
+    trial's outages Y at P are counted, and so are its outages C at L, of
+    which Y are part as L <= P (_coverage), and G is the bound's law at the
+    thresholds (LawTable.at): the estimator records each trial's Z = G - (C
+    - Y) (estimator.record)."""
     tally = replace(side.tally)
     if tally.users == 0:
         return tally
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     tally.k_sq = side.thresholds.k_sq
     if law is None:
-        z = supply.shortfall(side.thresholds)
+        record(tally, side, center_law(supply.cfg.field, supply.window,
+                                       supply.peak_station_power, side.thresholds))
     else:
         real = _pass_draw(partial(_draw_fields, supply.cfg.field, supply.window, seed), a, b)
-        busy, k, users = side.busy, side.k, tally.users
+        busy, k = side.busy, side.k
         bound = supply.bound(_realizations(nearest_center(real), busy, np.arange(len(k))))
         power = bound.copy()
         unsettled = np.flatnonzero(~_covered(side, bound))
         if len(unsettled):
             power[unsettled] = supply.power(_realizations(real, busy, unsettled))
         covered = _coverage(side, power, bound)
-        # users in outage under each scheme, and union events (a last running
-        # sum not covered), at the power (Y) and at the bound (C)
-        (tally.out_ci, tally.bound_ci), (tally.out_inv, tally.bound_inv), \
-            (tally.union_trials, tally.bound_union) = (
-                (users - np.count_nonzero(covered[:, :users], axis=1)).tolist(),
-                (users - np.count_nonzero(covered[:, users:], axis=1)).tolist(),
-                (len(k) - np.count_nonzero(np.take(covered, side.last, axis=1),
-                                           axis=1)).tolist())
-        tally.drawn_trials = len(k)
-        z = law.at(side.thresholds.values)
-        z -= covered[0] > covered[1]
-    sums = _law_sums(z, side)
-    # G adds C - Y back to the sums of Z
-    tally.law_ci, tally.law_inv, tally.law_union = (
-        zs + ((c - y) << 32) for zs, y, c in zip(
-            sums, (tally.out_ci, tally.out_inv, tally.union_trials),
-            (tally.bound_ci, tally.bound_inv, tally.bound_union)))
-    tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv, tally.cross = sums[3:]
+        pair = residual_trials(side, covered)
+        if len(pair):
+            two = supply.bound(_realizations(real, busy, pair), pair=True)
+            bound[pair] = np.maximum(two, bound[pair])
+            cover_again(side, covered[1], bound, pair)
+        record(tally, side, law.at(side.thresholds.values), covered)
     return tally
 
 
@@ -932,57 +665,6 @@ def _coverage(side: _UserSide, power: np.ndarray, bound: np.ndarray) -> np.ndarr
     np.divide(bound, k, out=reach[1, :n])
     reach[1, n:] = bound
     return side.flat <= np.repeat(reach, np.concatenate((k, k)), axis=1)
-
-
-# Float sums of whole numbers are exact below 2^53. int64 sums are exact
-# where a row's units sum below 2^63 in magnitude, as n values of magnitude
-# below _INT_SUMS / n do (below 2^62 units in all, with room for rounding).
-_EXACT_SUMS = 2.0 ** 53
-_INT_SUMS = 2.0 ** 30
-
-
-def _fixed_point_sums(e: np.ndarray) -> list[int]:
-    """The sum of each row of e, values of either sign each rounded to units
-    of 2^-32, exactly. Where no row can reach 2^63 units (n max |v| below
-    _INT_SUMS, as at every point short of thousands of users per trial),
-    the rounded units are summed as int64. Otherwise the whole parts and the
-    fractions' units are summed apart, as whole numbers in float64, since
-    rint(v 2^32) = floor(v) 2^32 + rint((v - floor(v)) 2^32) for the even
-    floor(v) 2^32. A row's sum may pass 2^63 units at many users per trial,
-    but either part's stays far below 2^53, where float sums of whole
-    numbers are exact (about 2^44 at the ScenarioConfig cap of 2^26 users
-    per block, whose passes hold one block). Every partial sum of a row's
-    whole parts is at most the sum of their magnitudes, and a part whose
-    sum of magnitudes reaches 2^53 raises. e is left holding units."""
-    if e.shape[1] * max(e.max(initial=0.0), -e.min(initial=0.0)) < _INT_SUMS:
-        e *= _FIXED_POINT
-        np.rint(e, out=e)
-        return e.astype(np.int64).sum(axis=1).tolist()
-    whole = np.floor(e)
-    e -= whole
-    e *= _FIXED_POINT
-    np.rint(e, out=e)
-    wholes, parts = whole.sum(axis=1), e.sum(axis=1)
-    if max(np.abs(whole, out=whole).sum(axis=1).max(), parts.max()) >= _EXACT_SUMS:
-        raise OverflowError("fixed-point sums reached 2^53 in a part")
-    return [(int(w) << 32) + int(p) for w, p in zip(wholes, parts)]
-
-
-def _law_sums(f: np.ndarray, side: _UserSide) -> list[int]:
-    """The fixed-point sums over a pass's trials with users of per-threshold
-    values f: each trial's estimate e, its sum of f over its equal-split
-    thresholds and over its inversion thresholds, and its union event's,
-    f at its last running sum; then e^2 and e k under each scheme, and
-    e_ci e_inv."""
-    th = side.thresholds
-    # rows: e_ci, e_inv, e_union, e_ci^2, e_inv^2, e_ci k, e_inv k, e_ci e_inv
-    e = np.empty((8, len(side.k)))
-    np.add.reduceat(f, th.starts, out=e[:2].reshape(-1))
-    np.take(f, side.last, out=e[2])
-    np.multiply(e[:2], e[:2], out=e[3:5])
-    np.multiply(e[:2], side.k, out=e[5:7])
-    np.multiply(e[0], e[1], out=e[7])
-    return _fixed_point_sums(e)
 
 
 class _Bytes(NamedTuple):
@@ -1046,9 +728,11 @@ def _point_bytes(supply: _Supply, mu: float, kept: float) -> list[_Bytes]:
     centers twice (joined, and as taken for the exact stage), its nearest
     center, its bound and its power, and that last block. Beside them one
     of: the control's arrays, per threshold the bound law's value, node and
-    fraction, and _CONTROL_ARRAYS values per trial; the exact stage's slice
-    beside field_values' tile arrays, or beside delivered_power's; and,
-    where the bound is summed by axis (_Supply.gain), its slice. A slice
+    fraction, and _CONTROL_ARRAYS + _RESIDUAL_ARRAYS values per trial; the
+    exact stage's slice beside field_values' tile arrays, or beside
+    delivered_power's; the two-center bound's slice, three values per
+    harvester and trial; and, where the bound is summed by axis
+    (_Supply.gain), its slice. A slice
     (_sliced) holds at most _TILE_ELEMENTS // harvesters trials and a tile
     at most _TILE_ELEMENTS / m centers, m the most rows of its arrays, so
     those are capped however long the pass is. Per trial of a slice, the
@@ -1079,8 +763,9 @@ def _point_bytes(supply: _Supply, mu: float, kept: float) -> list[_Bytes]:
     tile = max(3 * len(ux), len(ux) + 3 * len(uy), len(ux) + len(uy) + 2 * points)
     tiled = _TILE_ELEMENTS / max(points, len(ux), len(uy)) / centers
     stages = [_Bytes(kept + 8 * 5 * centers, (memo,)),
-              _Bytes(held + 8 * (6 * mu + _CONTROL_ARRAYS), (memo,)),
+              _Bytes(held + 8 * (6 * mu + _CONTROL_ARRAYS + _RESIDUAL_ARRAYS), (memo,)),
               _Bytes(held, (memo, (8 * harvesters, sliced), (8 * tile * centers, tiled))),
+              _Bytes(held, (memo, (24 * harvesters, sliced))),
               _Bytes(held, (memo, (8 * harvesters * (1 + line), sliced)))]
     if supply.gain is not None:
         stages.append(_Bytes(held, (memo, (8 * (harvesters + len(ux) + len(uy)), sliced))))
@@ -1122,32 +807,6 @@ def run_trials_chunk(cfg: ScenarioConfig, start: int, stop: int, seed: int) -> T
     both schemes from shared draws: the group of one."""
     [tally] = run_group_chunk((cfg,), start, stop, seed)
     return tally
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    """Per-user outage estimate for one scheme, with its decomposition into
-    the component removable by more power (energy_random) and the component
-    that persists at the peak budget (max_power)."""
-
-    scheme: Scheme
-    p_out: float
-    ci_lo: float
-    ci_hi: float
-    n_trials: int
-    n_users: int
-    n_outages: float      # the sum of the trials' Z, floored at 0; need not be whole
-    p_energy_random: float
-    p_max_power: float
-    union_rate: float | None
-    zero_user_trials: int
-    gain_clamps: int
-    low_confidence: bool
-    bound_values: Mapping[str, float]
-
-    @property
-    def ci_halfwidth(self) -> float:
-        return 0.5 * (self.ci_hi - self.ci_lo)
 
 
 def bound_inputs(cfg: ScenarioConfig, tau: float = 1.0) -> BoundInputs:
@@ -1209,114 +868,13 @@ def bound_values(cfg: ScenarioConfig, scheme: Scheme) -> dict[str, float]:
     return vals
 
 
-def _spread(tally: TrialTally, a: int, ea: int, b: int, eb: int, ab: int) -> int:
-    """sum (Z_a - p_a k)(Z_b - p_b k) over the trials, two schemes' (or one
-    scheme's) residuals from their rates p = sum Z / sum k, scaled by
-    (2^32 users)^2 in exact integers: a and b their sums of Z, ea and eb of
-    Z k, and ab of Z_a Z_b, in 2^-32 units."""
-    users = tally.users
-    return ab * _FIXED_POINT * users * users - (a * eb + b * ea) * users + a * b * tally.k_sq
-
-
-def _variance(tally: TrialTally, spread: float) -> float:
-    """The delta method's variance of p = sum Z / sum k over the trials, sum
-    (Z - p k)^2 / (n (n - 1) kbar^2), from spread, the residuals' sum of
-    squares scaled as _spread scales it."""
-    n, users = tally.trials, tally.users
-    scale = _FIXED_POINT * users
-    return spread / (scale * scale) * n / ((n - 1) * users * users)
-
-
-def _controlled(tally: TrialTally, known: _KnownMean) -> tuple[float, float]:
-    """Inversion's p at a center-law point, with equal split's sampled rate
-    as a control whose mean, known.p, is known, and the spread of its
-    residuals: p_inv - beta (p_ci - known.p), beta = sum r_ci r_inv /
-    sum r_ci^2 the regression slope of the trials' residuals r = Z - p k
-    (Glasserman, Monte Carlo Methods in Financial Engineering, 2004, 4.1),
-    capped at known.p, as inversion never covers fewer users than equal
-    split; and the sum of squares of r_inv - beta r_ci, scaled as _spread
-    scales it. Without a spread in r_ci there is no control: beta = 0."""
-    ci, inv = tally.law_ci, tally.law_inv
-    s_cc = _spread(tally, ci, tally.ek_ci, ci, tally.ek_ci, tally.sq_ci)
-    s_ii = _spread(tally, inv, tally.ek_inv, inv, tally.ek_inv, tally.sq_inv)
-    s_ci = _spread(tally, ci, tally.ek_ci, inv, tally.ek_inv, tally.cross)
-    beta, residual = (s_ci / s_cc, (s_ii * s_cc - s_ci * s_ci) / s_cc) if s_cc > 0 \
-        else (0.0, s_ii)
-    scale = _FIXED_POINT * tally.users
-    return max(min(inv / scale - beta * (ci / scale - known.p), known.p), 0.0), residual
-
-
 def estimates_from_tally(cfg: ScenarioConfig, tally: TrialTally
                          ) -> dict[Scheme, OutageEstimate]:
     """Turn raw tallies into per-scheme estimates with Wilson intervals and
-    attached bounds. A scheme's outages, and the union events, are the sum
-    of each trial's Z = Y + G - C, ((out - bound) << 32) + law in 2^-32
-    units; a sum below zero, which the control allows where outages are too
-    rare for the run to resolve, reads as none. The interval is Wilson's at
-    the point's effective users n_eff = p (1 - p) / var, var the delta
-    method's variance of its trials' Z (_variance), at Student's t quantile
-    with one degree of freedom fewer than its trials, as var is estimated
-    from them. Where Z has no spread (every trial's outages in proportion to
-    its users, to the resolution of the sums), p is not inside (0, 1), or
-    fewer than 2 trials have users, it is Wilson's at the users, and the
-    last also sets low_confidence.
-
-    p = g - d, g the rate of G and d that of the residual C - Y. Where a run
-    that drew fields (drawn_trials) draws few residual outages, Z's moments
-    miss most of d's spread, and at none they hold G's alone: an interval
-    for g, which is at least p. So its lower end is at most G's rate less
-    Wilson's upper limit at the users on d, and at least 0.
-
-    Where equal split's mean is known (a center-law point, _Supply.
-    equal_split), equal split reports it, p = mu_ci / E[k], with the
-    quadrature's error estimate on either side as its interval and p times
-    the users as its outages; inversion reports its rate with equal split's
-    sampled rate as a control (_controlled), and Wilson's interval at the
-    effective users of the control's residual, under the same rules."""
-    out: dict[Scheme, OutageEstimate] = {}
-    users = tally.users
-    few = tally.trials - tally.zero_user_trials < 2
-    union = max(((tally.union_trials - tally.bound_union) << 32) + tally.law_union, 0)
-    known = _supply(cfg).equal_split if users > 0 else None
-    sums = {Scheme.CHANNEL_INDEPENDENT: (tally.out_ci, tally.bound_ci, tally.law_ci,
-                                         tally.persist_ci, tally.sq_ci, tally.ek_ci),
-            Scheme.INVERSION: (tally.out_inv, tally.bound_inv, tally.law_inv,
-                               tally.persist_inv, tally.sq_inv, tally.ek_inv)}
-    for scheme, (events, bound, law, n_persist, sq, ek) in sums.items():
-        if users == 0:
-            p, n_out, lo, hi = 0.0, 0.0, 0.0, 1.0
-        elif known is not None and scheme is Scheme.CHANNEL_INDEPENDENT:
-            p = known.p
-            n_out = p * users
-            lo, hi = max(0.0, p - known.err), min(1.0, p + known.err)
-        else:
-            if known is None:
-                count = ((events - bound) << 32) + law
-                n_out = max(count, 0) / _FIXED_POINT
-                p = n_out / users
-                spread = _spread(tally, count, ek, count, ek, sq)
-            else:
-                p, spread = _controlled(tally, known)
-                n_out = p * users
-            # Wilson's interval at the effective users p (1 - p) / var, where
-            # the outages have a spread to measure
-            lo, hi = wilson_ci(n_out, users) if few or spread <= 0 or not 0.0 < p < 1.0 \
-                else wilson_interval(p, p * (1.0 - p) / _variance(tally, spread),
-                                     t_quantile_975(tally.trials - 1))
-            if tally.drawn_trials:
-                lo = max(0.0, min(lo, law / _FIXED_POINT / users
-                                  - wilson_ci(bound - events, users)[1]))
-        union_rate = union / _FIXED_POINT / tally.trials \
-            if scheme is Scheme.INVERSION and tally.trials else None
-        out[scheme] = OutageEstimate(
-            scheme=scheme, p_out=p, ci_lo=lo, ci_hi=hi,
-            n_trials=tally.trials, n_users=users, n_outages=n_out,
-            p_energy_random=max(n_out - n_persist, 0.0) / users if users else 0.0,
-            p_max_power=n_persist / users if users else 0.0,
-            union_rate=union_rate, zero_user_trials=tally.zero_user_trials,
-            gain_clamps=tally.gain_clamps, low_confidence=users < 100 or few,
-            bound_values=bound_values(cfg, scheme))
-    return out
+    attached bounds (estimator.estimates), with equal split's known mean
+    where the scenario has one (_Supply.equal_split)."""
+    known = _supply(cfg).equal_split if tally.users > 0 else None
+    return estimates(tally, known, partial(bound_values, cfg))
 
 
 def simulate_both(cfg: ScenarioConfig, n_trials: int, seed: int

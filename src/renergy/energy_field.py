@@ -47,6 +47,8 @@ per distinct coordinate and realization instead of a kernel per point. Its produ
 decays and its order of summation round differently from the pairs, so it
 is their sum only to a few units of round-off, and it lies below the field
 only once scaled down by a margin far above that (coverage._BOUND_MARGIN).
+The same holds at each realization's two nearest centers (nearest_centers),
+whose field factored_total sums by gathering each point's x and y decays.
 The trial engine settles the trials a bound already covers and evaluates the
 others' realizations, taken from their block by FieldRealization.compress.
 
@@ -56,7 +58,9 @@ exp(-lambda_e A(r)), A(r) being the area of the disk of radius r inside the
 window (window_disk_area), which is pi r^2 up to half the shorter side,
 where the plane laws above hold. nearest_center_distance inverts it at
 uniforms, one distance per uniform, so a field at the center can be drawn
-from one uniform instead of a realization's centers.
+from one uniform instead of a realization's centers; A maps the centers'
+distances to a Poisson process on [0, area), so nearest_center_realizations
+places a realization's k nearest centers from 2k uniforms.
 
 The samplers (sample_intensity, sample_intensity_pair) take no chunk size:
 they draw and evaluate as many whole realizations at a time as hold
@@ -139,10 +143,15 @@ class FieldRealization:
 
     def compress(self, keep: np.ndarray) -> "FieldRealization":
         """The realizations of a block where the boolean mask keep is true,
-        as a block, each coordinate contiguous."""
-        xy = self.centers.points.T[:, np.repeat(keep, self.counts)]
+        as a block, each coordinate contiguous: their centers gathered by
+        index, so the work grows with the centers kept."""
+        rows = np.flatnonzero(keep)
+        counts = self.counts[rows]
+        first = (np.cumsum(self.counts) - self.counts)[rows]
+        at = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        xy = self.centers.points.T[:, at]
         xy.setflags(write=False)
-        return FieldRealization(self.spec, PointSet(xy.T), self.window, self.counts[keep])
+        return FieldRealization(self.spec, PointSet(xy.T), self.window, counts)
 
     @staticmethod
     def join(parts: list["FieldRealization"]) -> "FieldRealization":
@@ -248,31 +257,8 @@ def field_values(real: FieldRealization, points) -> np.ndarray:
 def nearest_center(real: FieldRealization) -> FieldRealization:
     """Each realization's center nearest the window's center (the first of
     those tied) alone, as a block of realizations of at most one center
-    each: none for an empty one. A block of at most one center per
-    realization is its own."""
-    counts = real.counts
-    if counts.max(initial=0) <= 1:
-        return real
-    xy = real.centers.points
-    full = counts > 0
-    # the first center of each realization at its least squared distance
-    # from the window's center; on a wrapped window that is the folded
-    # distance too, as no coordinate lies more than half a side from it
-    cx, cy = real.window.center
-    dx = xy[:, 0] - cx
-    dx *= dx
-    dy = xy[:, 1] - cy
-    dy *= dy
-    dx += dy
-    starts = (np.cumsum(counts) - counts)[full]
-    hits = np.flatnonzero(dx == np.repeat(np.minimum.reduceat(dx, starts), counts[full]))
-    nearest = hits[np.searchsorted(hits, starts)]
-    del dx, dy
-    one = np.empty((2, len(nearest)))
-    np.take(xy[:, 0], nearest, out=one[0])
-    np.take(xy[:, 1], nearest, out=one[1])
-    one.setflags(write=False)
-    return FieldRealization(real.spec, PointSet(one.T), real.window, full.astype(np.int64))
+    each: none for an empty one (nearest_centers with k = 1)."""
+    return nearest_centers(real, 1)
 
 
 def nearest_center_total(real: FieldRealization, points) -> np.ndarray:
@@ -312,6 +298,79 @@ def nearest_center_total(real: FieldRealization, points) -> np.ndarray:
     out[full] = np.add.reduceat(total, [0], axis=0)[0]
     out *= spec.gamma
     return out
+
+
+def nearest_centers(real: FieldRealization, k: int) -> FieldRealization:
+    """Each realization's k centers nearest the window's center, nearest
+    first (of those tied, the first drawn first), as a block of
+    realizations of at most k centers each. The j-th nearest is the first
+    center at the least squared distance among those not yet taken: one
+    reduceat per j over the block. On a wrapped window that is the folded
+    distance too, as no coordinate lies more than half a side from the
+    window's center. A block of at most k centers per realization is its
+    own."""
+    counts = real.counts
+    if counts.max(initial=0) <= k:
+        return real
+    xy = real.centers.points
+    cx, cy = real.window.center
+    d2 = xy[:, 0] - cx
+    d2 *= d2
+    dy = xy[:, 1] - cy
+    dy *= dy
+    d2 += dy
+    full = counts > 0
+    starts = (np.cumsum(counts) - counts)[full]
+    kept = np.minimum(counts, k)
+    slot = (np.cumsum(kept) - kept)[full]
+    taken = np.empty(int(kept.sum()), dtype=np.intp)
+    for j in range(k):
+        if j:   # the centers taken read inf, as do realizations they emptied
+            d2[at] = np.inf
+        least = np.repeat(np.minimum.reduceat(d2, starts), counts[full])
+        hits = np.flatnonzero(d2 == least)
+        held = counts[full] > j
+        at = hits[np.searchsorted(hits, starts[held])]
+        taken[slot[held] + j] = at
+    xy = xy.T[:, taken]
+    xy.setflags(write=False)
+    return FieldRealization(real.spec, PointSet(xy.T), real.window, kept)
+
+
+def factored_total(real: FieldRealization, points) -> np.ndarray:
+    """field_values(real, points) summed over the points, (n,), under an
+    exponential kernel, for a block of few centers per realization, from
+    each axis's decays (_axis_decay) at each center: a point's value at a
+    center is the product of its x and y decays, gathered per point
+    (PointSet.axes), the boolean kernel's field the largest of them over
+    the realization's centers and shot noise's their sum. The j-th centers
+    of the realizations are taken together, a realization without one
+    adding nothing, and the points are summed by a reduceat, which reduces
+    each realization's column on its own. Like nearest_center_total, it
+    differs from the sum of field_values' values only by a few units of
+    round-off."""
+    spec, window, counts = real.spec, real.window, real.counts
+    if spec.kernel is Kernel.BOOLEAN_MAX_PLAW:
+        raise ValueError("the power-law kernel does not factor by axis")
+    pts = points if isinstance(points, PointSet) else PointSet(points)
+    ux, ix, uy, iy = pts.axes
+    decay = _axis_decay(spec)
+    xy = real.centers.points
+    first = np.cumsum(counts) - counts
+    reduce = np.add if spec.kernel is Kernel.SHOT_NOISE_EXP else np.maximum
+    values = np.zeros((len(ix), len(counts)))
+    for j in range(int(counts.max(initial=0))):
+        held = counts > j
+        at = first[held] + j
+        v = np.take(decay(ux[:, None] - xy[at, 0], window.width, window.wrap), ix, axis=0)
+        v *= np.take(decay(uy[:, None] - xy[at, 1], window.height, window.wrap), iy, axis=0)
+        if len(at) < len(counts):
+            values[:, held] = reduce(values[:, held], v)
+        else:
+            reduce(values, v, out=values)
+    total = np.add.reduceat(values, [0], axis=0)[0]
+    total *= spec.gamma
+    return total
 
 
 def _axis_decay(spec: EnergyFieldSpec):
@@ -429,19 +488,25 @@ def nearest_center_distance(u, lambda_e: float, window: Window) -> np.ndarray:
     realization drawn on the window at intensity lambda_e, by inversion of
     its exact law Pr(D > r) = exp(-lambda_e A(r)) (window_disk_area) at
     uniforms u in [0, 1): the r with A(r) = -log1p(-u) / lambda_e, and +inf,
-    no center, where that reaches the window's area.
+    no center, where that reaches the window's area (_window_radius)."""
+    if not 0 < lambda_e < math.inf:
+        raise ValueError("lambda_e must be positive and finite")
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0) & (u < 1)):
+        raise ValueError("u must lie in [0, 1)")
+    return _window_radius(-np.log1p(-u) / lambda_e, window)
+
+
+def _window_radius(target: np.ndarray, window: Window) -> np.ndarray:
+    """The radius r of each A(r) = target (window_disk_area), +inf where the
+    target reaches the window's area.
 
     Up to half the shorter side, r = sqrt(A / pi). Beyond it, Newton's
     method in s = r^2 from s = A / pi: A <= pi s and A is concave in s, so
     every iterate stays below the root. Each value iterates on its own until
     its step falls below _NEWTON_TOL of s, so a value's result does not
     depend on the other values of the call."""
-    if not 0 < lambda_e < math.inf:
-        raise ValueError("lambda_e must be positive and finite")
-    u = np.asarray(u, dtype=float)
-    if not np.all((u >= 0) & (u < 1)):
-        raise ValueError("u must lie in [0, 1)")
-    target = -np.log1p(-u.ravel()) / lambda_e
+    shape, target = target.shape, target.ravel()
     half_sides = (0.5 * window.width, 0.5 * window.height)
     corner = half_sides[0] ** 2 + half_sides[1] ** 2
     s = target / math.pi
@@ -458,25 +523,32 @@ def nearest_center_distance(u, lambda_e: float, window: Window) -> np.ndarray:
             s[idx] = x
             go = (step > _NEWTON_TOL * x) & (x < corner)
             idx, goal, x = idx[go], goal[go], x[go]
-    return np.where(empty, np.inf, np.sqrt(s)).reshape(u.shape)
+    return np.where(empty, np.inf, np.sqrt(s)).reshape(shape)
 
 
 def nearest_center_realizations(spec: EnergyFieldSpec, window: Window, u: np.ndarray,
                                 v: np.ndarray) -> FieldRealization:
-    """A block of realizations of at most one center each: the center nearest
-    the window's center of a realization drawn on the window, placed by the
-    uniforms u and v in [0, 1) of each.
+    """A block of realizations of at most k centers each, nearest first: the
+    k centers nearest the window's center of a realization drawn on the
+    window, placed by the uniforms u and v in [0, 1), (n, k) arrays, or (n,)
+    for k = 1.
 
-    Its distance is nearest_center_distance(u), and none lies in a
-    realization whose window is empty there. Given its distance r, the center
-    is uniform on the arc of that circle inside the window, whose part in
-    each quadrant spans the angles arccos(min(1, hx / r)) to
-    arcsin(min(1, hy / r)) from the horizontal, hx and hy being the half
-    sides: 4 v picks the quadrant by its whole part and the angle by its
-    fraction."""
-    r = nearest_center_distance(u, spec.lambda_e, window)
+    A maps the centers' distances to a Poisson process of rate lambda_e on
+    [0, area), so the j-th nearest lies at A(r_j) = (E_1 + ... + E_j) /
+    lambda_e, E_i = -log1p(-u_i) (_window_radius), and none lies beyond the
+    window's area. Given its distance r, a center is uniform on the arc of
+    that circle inside the window, whose part in each quadrant spans the
+    angles arccos(min(1, hx / r)) to arcsin(min(1, hy / r)) from the
+    horizontal, hx and hy being the half sides: 4 v picks the quadrant by its
+    whole part and the angle by its fraction."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.ndim == 1:
+        u, v = u[:, None], v[:, None]
+    if not np.all((u >= 0) & (u < 1)):
+        raise ValueError("u must lie in [0, 1)")
+    r = _window_radius(np.cumsum(-np.log1p(-u), axis=1) / spec.lambda_e, window)
     full = np.isfinite(r)
-    r, v = r[full], np.asarray(v, dtype=float)[full]
+    r, v = r[full], v[full]
     hx, hy = 0.5 * window.width, 0.5 * window.height
     with np.errstate(divide="ignore"):   # r = 0 spans the whole quadrant
         lo = np.arccos(np.minimum(1.0, hx / r))
@@ -490,7 +562,7 @@ def nearest_center_realizations(spec: EnergyFieldSpec, window: Window, u: np.nda
                      hx + r * np.cos(angle))
     xy[1] = np.where(quadrant >= 2, hy - r * np.sin(angle), hy + r * np.sin(angle))
     xy.setflags(write=False)
-    return FieldRealization(spec, PointSet(xy.T), window, full.astype(np.int64))
+    return FieldRealization(spec, PointSet(xy.T), window, full.sum(axis=1))
 
 
 def influence_radius(x: float, spec: EnergyFieldSpec) -> float:

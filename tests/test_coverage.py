@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renergy import coverage
+from renergy import coverage, estimator
 from renergy.aggregation import Distributed, LineSpec, build_clusters
 from renergy.channel import (ChannelSpec, ChiSquaredFading, TruncatedRicianFading,
                              required_power, sample_fading)
@@ -19,12 +19,13 @@ from renergy.coverage import (ScenarioConfig, Scheme, TrialTally, bound_values,
                               estimates_from_tally, resolve_window, run_group_chunk,
                               run_trials_chunk)
 from renergy.energy_field import (EnergyFieldSpec, FieldRealization, Kernel, draw_field,
-                                  field_values, nearest_center, window_disk_area)
+                                  field_values, nearest_center, nearest_center_realizations,
+                                  nearest_centers, window_disk_area)
 from renergy.geometry import (BLOCK, FIELD_STREAM, USER_STREAM, PointSet,
                               hex_cell_circumradius, hex_pitch, sample_in_hex_cell,
                               substream)
 from renergy.cli import _repro_experiment
-from renergy.harness import apply_sweep, parse_config_text
+from renergy.harness import apply_sweep, parse_config_text, run_point
 from renergy.stats import t_quantile_975, wilson_ci, wilson_interval
 
 
@@ -478,10 +479,11 @@ def _bound_cases():
     }
 
 
-def _nearest_center_fields(real, points):
-    """field_values at each realization's first center at the least distance
-    from the window's center alone, found by its own argmin, (k, n); 0 for
-    an empty realization."""
+def _nearest_center_fields(real, points, k=1):
+    """field_values at each realization's k centers at the least distances
+    from the window's center alone (the first drawn first among ties),
+    found by its own stable argsort, (points, n); 0 for an empty
+    realization."""
     cx, cy = real.window.center
     out = np.zeros((len(points), len(real.counts)))
     starts = np.cumsum(real.counts) - real.counts
@@ -489,9 +491,22 @@ def _nearest_center_fields(real, points):
         if c:
             xy = real.centers.points[a:a + c]
             d2 = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2
-            alone = FieldRealization(real.spec, PointSet(xy[np.argmin(d2)]), real.window)
-            out[:, i] = field_values(alone, points)[:, 0]
+            near = FieldRealization(real.spec, PointSet(xy[np.argsort(d2, kind="stable")[:k]]),
+                                    real.window)
+            out[:, i] = field_values(near, points)[:, 0]
     return out
+
+
+def _two_center_bound(supply, real):
+    """The control's bound L = max(L2, L1) at each realization of a block:
+    the station power at its nearest center alone and at its two nearest
+    centers alone (_nearest_center_fields), each scaled down by
+    _BOUND_MARGIN."""
+    cfg = supply.cfg
+    bound = np.maximum(*(supply.station_power(cfg.eta * _nearest_center_fields(
+        real, supply.positions, k)) for k in (1, 2)))
+    bound *= 1.0 - coverage._BOUND_MARGIN
+    return bound
 
 
 def _drawn_block(cfg, seed, a, b):
@@ -508,19 +523,18 @@ def _every_trial_tally(cfg, seed, a, b):
     """Trials [a, b) with every drawn realization evaluated: field_values at
     the typical cluster and _Supply.station_power of eta times them, then
     the outages and union events at those powers; and the control at every
-    realization's one-center bound L, the station power at its nearest
-    center alone (_nearest_center_fields): the outages and union events at
-    L, their expectations under the bound's law, and the moments of
-    Y + G - C, each user's outage at L but not at its power found by its
-    own comparisons."""
+    realization's two-center bound L (_two_center_bound), taken at every
+    trial: the outages and union events at L, their expectations under the
+    bound's law, and the moments of Y + G - C and of equal split's residual
+    C - Y, each user's outage at L but not at its power found by its own
+    comparisons."""
     supply = coverage._supply(cfg)
     side = coverage._user_side([supply], seed, a, b)
     tally = replace(side.tally)
     real = _drawn_block(cfg, seed, a, b)
     busy, k, users = side.busy, side.k, side.tally.users
     power = supply.station_power(cfg.eta * field_values(real, supply.positions))[busy]
-    bound = supply.station_power(cfg.eta * _nearest_center_fields(real, supply.positions))[busy]
-    bound *= 1.0 - coverage._BOUND_MARGIN
+    bound = _two_center_bound(supply, real)[busy]
     tally.persist_ci, tally.persist_inv = side.persist[supply.peak_station_power]
     need, csum, last = side.flat[:users], side.flat[users:], side.flat[side.last]
 
@@ -536,10 +550,12 @@ def _every_trial_tally(cfg, seed, a, b):
     low, high = np.repeat(bound / k, k), np.repeat(power / k, k)
     residual = np.concatenate(((need > low) & (need <= high),
                                (csum > np.repeat(bound, k)) & (csum <= np.repeat(power, k))))
-    sums = coverage._law_sums(supply.bound_law.at(side.thresholds.values) - residual, side)
+    sums = estimator.law_sums(supply.bound_law.at(side.thresholds.values) - residual, side,
+                              np.flatnonzero(residual[:users]))
     tally.law_ci, tally.law_inv, tally.law_union = (
         s + ((n_c - n_y) << 32) for s, (n_y, n_c) in zip(sums, counts))
-    tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv, tally.cross = sums[3:]
+    tally.sq_ci, tally.sq_inv, tally.ek_ci, tally.ek_inv, tally.cross = sums[3:8]
+    tally.res_sq, tally.res_k, tally.res_ci, tally.res_inv = sums[8:]
     tally.k_sq, tally.drawn_trials = int((k * k).sum()), len(k)
     return tally
 
@@ -576,15 +592,20 @@ def test_exact_stage_takes_the_unsettled_trials_with_users(monkeypatch, case, se
     supply = coverage._supply(cfg)
     calls, bound_calls, in_bound = [], [], []
 
-    def bound(self, real, fn=coverage._Supply.bound):
-        in_bound.append(True)
+    def bound(self, real, pair=False, fn=coverage._Supply.bound):
+        in_bound.append(1 + pair)
         try:
-            return fn(self, real)
+            return fn(self, real, pair)
         finally:
             in_bound.pop()
 
     def values(real, points, fn=field_values):
-        (bound_calls if in_bound else calls).append(real)
+        if in_bound:
+            # the bound's own evaluations, at one center or, with pair, two
+            assert real.counts.max(initial=0) <= in_bound[-1]
+            bound_calls.append(real)
+        else:
+            calls.append(real)
         return fn(real, points)
 
     monkeypatch.setattr(coverage._Supply, "bound", bound)
@@ -595,7 +616,6 @@ def test_exact_stage_takes_the_unsettled_trials_with_users(monkeypatch, case, se
         bound_calls.clear()
         run_trials_chunk(cfg, a, b, 47)
         assert bool(bound_calls) == (supply.gain is None)
-        assert all(c.counts.max(initial=0) <= 1 for c in bound_calls)
         users = coverage._pass_draw(partial(coverage._draw_users, cfg, 47), a, b)
         needs = np.split(required_power(cfg.theta, users.distance, users.fading, cfg.channel),
                          np.cumsum(users.users)[:-1])
@@ -644,22 +664,27 @@ def _factored_cfg(kernel, where, mode, eta, psi):
        psi=st.sampled_from([0.05, 0.5]), seed=st.integers(0, 2**16))
 def test_the_factored_bound_is_the_harvesters_bound_to_round_off(kernel, where, mode, eta,
                                                                 psi, seed):
-    # on a linear line under an exponential kernel the station's bound L is
+    # on a linear line under an exponential kernel the station's bound L1 is
     # summed by axis (_Supply.gain): it equals the station's power at the
     # nearest centers alone, harvester by harvester, to 1e-12, and after
-    # _BOUND_MARGIN it never exceeds the exact power; a trial's L has the
-    # same bits alone as in its block of 256
+    # _BOUND_MARGIN it never exceeds the exact power; a trial's L1 has the
+    # same bits alone as in its block of 256. So does the two-center bound
+    # L2, from per-axis decays gathered per harvester, at the two nearest
+    # centers (nearest_centers), and L2 is at least L1 to round-off
     cfg = _factored_cfg(kernel, where, mode, eta, psi)
     supply = coverage._supply(cfg)
     assert supply.gain is not None
     real = draw_field(cfg.field, supply.window, substream(seed, 0, FIELD_STREAM), BLOCK)
-    bound = supply.bound(real)
-    harvesters = supply.power(nearest_center(real))
-    np.testing.assert_allclose(bound, harvesters * (1.0 - coverage._BOUND_MARGIN),
-                               rtol=1e-12, atol=0.0)
-    assert np.all(bound <= supply.power(real))
-    for i in range(BLOCK):
-        assert np.array_equal(supply.bound(real.select(i, i + 1)), bound[i:i + 1])
+    for pair, near in ((False, nearest_center(real)), (True, nearest_centers(real, 2))):
+        bound = supply.bound(real, pair)
+        harvesters = supply.power(near)
+        np.testing.assert_allclose(bound, harvesters * (1.0 - coverage._BOUND_MARGIN),
+                                   rtol=1e-12, atol=0.0)
+        assert np.all(bound <= supply.power(real))
+        for i in range(BLOCK):
+            assert np.array_equal(supply.bound(real.select(i, i + 1), pair), bound[i:i + 1])
+    np.testing.assert_array_less(supply.bound(real) * (1.0 - 1e-12),
+                                 supply.bound(real, True) + 1e-300)
 
 
 @pytest.mark.parametrize("case", ["fig5_320", "fig5_gamma_0.01_320", "tau_floor_320",
@@ -674,6 +699,114 @@ def test_tallies_do_not_depend_on_the_stage_slices(monkeypatch, case):
     assert default.out_inv > 0
     monkeypatch.setattr(coverage, "_TILE_ELEMENTS", 1)
     assert run_trials_chunk(cfg, 100, 1400, 29) == default
+
+@pytest.mark.parametrize("case", ["fig5_320", "fig5_20", "lossy_2V_80", "shot_noise_80",
+                                  "plaw_80", "onsite_shot_noise_0.5_flat"])
+def test_the_pair_bound_on_residual_trials_tallies_as_on_every_trial(monkeypatch, case):
+    # L = max(L2, L1) is taken only where a user is covered at P and not at
+    # L1; L1 <= L <= P, so elsewhere every user is covered at L as at L1 and
+    # P. Taking L2 at every trial with users tallies the same
+    cfg = _bound_cases()[case]
+    residual_only = run_trials_chunk(cfg, 100, 1400, 29)
+    taken = []
+
+    def every_trial(side, covered, fn=coverage.residual_trials):
+        taken.append(len(fn(side, covered)) / len(side.k))
+        return np.arange(len(side.k))
+
+    monkeypatch.setattr(coverage, "residual_trials", every_trial)
+    assert run_trials_chunk(cfg, 100, 1400, 29) == residual_only
+    assert residual_only.res_sq > 0 and 0 < max(taken) < 0.5
+
+
+@pytest.mark.parametrize("case", ["fig5_320", "lossy_2V_80"])
+def test_centers_path_tallies_do_not_depend_on_chunks_or_workers(case):
+    # the two-center control's tallies, its residual's moments among them,
+    # are the same cut at any chunk edges and over two workers' pool
+    cfg = _bound_cases()[case]
+    whole = run_trials_chunk(cfg, 0, 1300, 53)
+    assert whole.res_sq > 0 and whole.res_inv != 0
+    edges = [0, 1, 255, 256, 600, 1299, 1300]
+    assert sum((run_trials_chunk(cfg, a, b, 53) for a, b in zip(edges, edges[1:])),
+               TrialTally()) == whole
+    assert run_point(cfg, 1300, 53, workers=2) == whole
+
+
+def _drawn_and_constructed(cfg, n, seed):
+    """n realizations drawn on cfg's window (draw_field) and n built from
+    the two-nearest construction at independent uniforms
+    (nearest_center_realizations), each as its two centers nearest the
+    window's center."""
+    supply = coverage._supply(cfg)
+    drawn = nearest_centers(draw_field(cfg.field, supply.window, substream(seed, 0), n), 2)
+    u = substream(seed, 1).random((n, 4))
+    built = nearest_center_realizations(cfg.field, supply.window, u[:, 0::2], u[:, 1::2])
+    return supply, drawn, built
+
+
+def _center_distances(real):
+    """Each realization's nearest and second nearest center's distance from
+    the window's center, +inf where it holds none."""
+    r = np.full((len(real.counts), 2), np.inf)
+    d = np.hypot(*(real.centers.points - real.window.center).T)
+    starts = np.cumsum(real.counts) - real.counts
+    for j in (0, 1):
+        held = real.counts > j
+        r[held, j] = d[starts[held] + j]
+    return r
+
+
+@pytest.mark.parametrize("case", ["fig5_20", "fig5_320", "onsite_shot_noise_0.5_flat"])
+def test_two_nearest_construction_matches_drawn_fields(case):
+    # the table's realizations, A(r_j) = (E_1 + ... + E_j) / lambda_e with
+    # each angle uniform on its arc inside the window, against the two
+    # centers nearest the window's center of drawn fields: two-sample KS
+    # tests at level 1e-6 of r1, r2 and the two-center bound L2, on fig5's
+    # wrapped windows at clusters 20 and 320 and on a flat window
+    cfg = _bound_cases()[case]
+    assert cfg.wrap == (case != "onsite_shot_noise_0.5_flat")
+    n = 20_000
+    supply, drawn, built = _drawn_and_constructed(cfg, n, 83)
+    assert drawn.counts.max() == built.counts.max() == 2
+    critical = 5.35 * math.sqrt(2.0 / n)
+    r_drawn, r_built = _center_distances(drawn), _center_distances(built)
+    for j in (0, 1):
+        assert _two_sample_ks(r_drawn[:, j], r_built[:, j]) < critical, j
+    l_drawn, l_built = supply.bound(drawn, pair=True), supply.bound(built, pair=True)
+    assert _two_sample_ks(l_drawn, l_built) < critical
+    # the nearest center sits inside the window, the second no nearer
+    assert np.all(r_built[:, 0] <= r_built[:, 1])
+    xy = built.centers.points
+    assert np.all((xy >= 0) & (xy <= [supply.window.width, supply.window.height]))
+
+
+def _two_sample_ks(a, b):
+    """Largest gap between two empirical CDFs, ties included."""
+    grid = np.union1d(a, b)
+    fa = np.searchsorted(np.sort(a), grid, side="right") / len(a)
+    fb = np.searchsorted(np.sort(b), grid, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
+
+
+@pytest.mark.parametrize("cluster", [20.0, 320.0])
+def test_two_center_table_error_across_lattice_shifts(cluster):
+    # the table's error, estimated from R = 8 independent shifts of its
+    # lattice rule (Cranley & Patterson, 1976): the standard deviation of
+    # mu_ci / E[k] over the shifts' tables is below 5% of the benchmark's
+    # target half-width, 0.0015 * 0.05 = 7.5e-5, and the rule's own shift
+    # lies among them
+    cfg = apply_sweep(_repro_experiment("fig5").scenario, "cluster_size", cluster)
+    supply = coverage._supply(cfg)
+    means = []
+    for r in range(8):
+        law = estimator.lattice_law(partial(supply.bound, pair=True), cfg.field,
+                                    supply.window, tuple(substream(2024, r).random(4)))
+        means.append(estimator.law_mean(cfg, law.at, estimator._USER_RULE)
+                     / cfg.mean_users_per_cell)
+    spread = float(np.std(means, ddof=1))
+    assert spread < 7.5e-5, spread
+    assert abs(supply.equal_split.p - np.mean(means)) < 4 * spread
+
 
 @pytest.mark.parametrize("kw, by_law", [
     ({}, True),
@@ -842,9 +975,10 @@ def _oracle_trials(cfg, start, stop, seed):
     scenario run by the center law adds each user's F at its threshold
     (_oracle_shortfall) into law_* and rounds the trial's sums and moments
     to 2^-32, its counts left at 0;
-    any other counts the outages at its drawn field and at its one-center
-    bound, adds each user's bound law at its threshold (_oracle_bound_law),
-    and rounds those sums and the moments of Y + G - C to 2^-32."""
+    any other counts the outages at its drawn field and at its two-center
+    bound max(L2, L1) (_two_center_bound), adds each user's bound law at
+    its threshold (_oracle_bound_law), and rounds those sums, the moments of
+    Y + G - C and those of equal split's residual C - Y to 2^-32."""
     supply = coverage._supply(cfg)
     window, law = supply.window, supply.by_law
     peak = supply.peak_station_power
@@ -878,9 +1012,7 @@ def _oracle_trials(cfg, start, stop, seed):
         else:
             real = _oracle_realization(cfg, window, seed, t)
             power = float(supply.station_power(cfg.eta * field_values(real, supply.positions))[0])
-            bound = float(supply.station_power(
-                cfg.eta * _nearest_center_fields(real, supply.positions))[0])
-            bound *= 1.0 - coverage._BOUND_MARGIN
+            bound = float(_two_center_bound(supply, real)[0])
             counts = []
             for p in (power, bound):
                 counts.append((int(np.count_nonzero(need > p / k)),
@@ -897,6 +1029,9 @@ def _oracle_trials(cfg, start, stop, seed):
             tally.sq_ci, tally.sq_inv = _fixed(z_ci * z_ci), _fixed(z_inv * z_inv)
             tally.ek_ci, tally.ek_inv = _fixed(z_ci * k), _fixed(z_inv * k)
             tally.cross = _fixed(z_ci * z_inv)
+            r = tally.bound_ci - tally.out_ci
+            tally.res_sq, tally.res_k = _fixed(r * r), _fixed(r * k)
+            tally.res_ci, tally.res_inv = _fixed(r * z_ci), _fixed(r * z_inv)
             tally.k_sq, tally.drawn_trials = k * k, 1
         yield tally
 
@@ -907,9 +1042,9 @@ def _oracle_tally(cfg, start, stop, seed):
 
 # The fields a point with users tallies in 2^-32 units beside its counts:
 # its expected counts G and the moments of its estimates, the schemes' cross
-# product among them.
+# product and equal split's residual's among them.
 _FIXED_FIELDS = ("law_ci", "law_inv", "law_union", "sq_ci", "sq_inv", "ek_ci", "ek_inv",
-                 "cross")
+                 "cross", "res_sq", "res_k", "res_ci", "res_inv")
 
 
 def _assert_close_to(tally, want):
@@ -1116,12 +1251,21 @@ def test_p_out_is_the_tagged_users_outage():
     assert abs(gap) < 3.5 * se, f"p_out is not the tagged user's: gap={gap:.4f} se={se:.4f}"
 
 
-def test_estimate_bookkeeping_matches_wilson():
-    # a point on the centers path estimates p = sum Z / sum k from each
-    # trial's Z = Y + G - C and reports Wilson's interval at its effective
-    # users, from Z's per-trial moments, at the t quantile with n - 1 degrees
-    # of freedom; here recomputed from one-trial tallies
-    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+def _without_known_mean(monkeypatch, cfg):
+    """cfg, with its equal-split mean unknown, as where the quadrature's
+    error estimate gates it out: the point keeps the sampled estimator."""
+    monkeypatch.setitem(coverage._supply(cfg).__dict__, "equal_split", None)
+    return cfg
+
+
+def test_estimate_bookkeeping_matches_wilson(monkeypatch):
+    # a point on the centers path without equal split's known mean estimates
+    # p = sum Z / sum k from each trial's Z = Y + G - C and reports Wilson's
+    # interval at its effective users, from Z's per-trial moments, at the t
+    # quantile with n - 1 degrees of freedom; here recomputed from one-trial
+    # tallies
+    cfg = _without_known_mean(
+        monkeypatch, unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5)))
     n = 200
     trials = [run_trials_chunk(cfg, t, t + 1, 77) for t in range(n)]
     tally = sum(trials, TrialTally())
@@ -1225,7 +1369,7 @@ _SPREAD = TrialTally(trials=5, users=500, law_ci=40 * _UNIT, law_inv=30 * _UNIT,
                      law_union=2 * _UNIT, k_sq=60_000, sq_ci=400 * _UNIT,
                      sq_inv=200 * _UNIT, ek_ci=4_500 * _UNIT, ek_inv=3_300 * _UNIT,
                      cross=276 * _UNIT)
-_KNOWN = coverage._KnownMean(0.07, 1e-6)
+_KNOWN = estimator.KnownMean(0.07, 1e-6)
 
 
 def _wilson_at_residual(p, residual):
@@ -1250,8 +1394,8 @@ _CONTROLLED = 0.06 - 30 / 64 * 0.01
     ({"sq_ci": 384 * _UNIT, "ek_ci": 4_800 * _UNIT, "cross": 264 * _UNIT}, _KNOWN, 0.06,
      "plain", False),
     ({"law_ci": 0, "sq_ci": 0, "ek_ci": 0, "cross": 0}, _KNOWN, 0.06, "plain", False),
-    ({}, coverage._KnownMean(0.04, 1e-6), 0.04, "control", False),   # capped at the mean
-    ({}, coverage._KnownMean(0.0, 0.0), 0.0, "users", False),        # no outage at all
+    ({}, estimator.KnownMean(0.04, 1e-6), 0.04, "control", False),   # capped at the mean
+    ({}, estimator.KnownMean(0.0, 0.0), 0.0, "users", False),        # no outage at all
 ])
 def test_center_law_interval_edge_rules(monkeypatch, edit, known, p, rule, low):
     # equal split reports its known mean whatever the trials; inversion's
@@ -1279,11 +1423,13 @@ def test_center_law_interval_edge_rules(monkeypatch, edit, known, p, rule, low):
     assert inv.p_out <= ci.p_out
 
 
-def test_control_sum_below_zero_reads_as_no_outage():
+def test_control_sum_below_zero_reads_as_no_outage(monkeypatch):
     # on the centers path Z = Y + G - C may sum below zero where outages are
-    # too rare for the run to resolve: the estimate reads no outage and keeps
-    # Wilson's interval at the users, and a positive sum its effective users
-    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+    # too rare for the run to resolve: the sampled estimate reads no outage
+    # and keeps Wilson's interval at the users, and a positive sum its
+    # effective users
+    cfg = _without_known_mean(
+        monkeypatch, unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5)))
     tally = replace(_SPREAD, drawn_trials=5, out_ci=1, bound_ci=3, law_ci=_UNIT, out_inv=0,
                     bound_inv=0, law_inv=0, union_trials=0, bound_union=1, law_union=0)
     ests = estimates_from_tally(cfg, tally)
@@ -1296,11 +1442,13 @@ def test_control_sum_below_zero_reads_as_no_outage():
     assert est.n_outages == 1.0 and (est.ci_lo, est.ci_hi) != wilson_ci(1, 500)
 
 
-def test_control_lower_end_allows_for_the_residual():
-    # on the centers path p = g - d: the lower end is Z's own, or G's rate
-    # less Wilson's upper limit at the users on the residual C - Y's where
-    # that is lower, floored at 0; the estimate and the upper end are Z's
-    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+def test_control_lower_end_allows_for_the_residual(monkeypatch):
+    # on the centers path p = g - d: the sampled estimate's lower end is Z's
+    # own, or G's rate less Wilson's upper limit at the users on the residual
+    # C - Y's where that is lower, floored at 0; the estimate and the upper
+    # end are Z's
+    cfg = _without_known_mean(
+        monkeypatch, unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5)))
     ci = Scheme.CHANNEL_INDEPENDENT
     only = dict(drawn_trials=5, out_inv=0, bound_inv=0, law_inv=0, union_trials=0,
                 bound_union=0, law_union=0)
@@ -1319,6 +1467,84 @@ def test_control_lower_end_allows_for_the_residual():
     est = estimates_from_tally(cfg, replace(_SPREAD, out_ci=0, bound_ci=0, law_ci=2 * _UNIT,
                                             **only))[ci]
     assert est.p_out == 2 / 500 and est.ci_lo == 0.0
+
+
+def test_centers_path_estimates_use_equal_splits_known_mean():
+    # a point on the centers path whose equal-split mean mu_ci / E[k] is
+    # known (under its two-center bound's law) reports it less the residual
+    # R = C - Y's rate, with Wilson's interval at the effective users of R's
+    # spread; inversion reports its rate less beta times G_ci's rate's
+    # distance from that mean, beta the regression slope of the trials'
+    # residuals on G_ci's, capped at equal split's p, with Wilson's interval
+    # at the effective users of the regression's residual. Both lower ends
+    # allow for residual outages the run did not draw: at most the rate
+    # before the residual less Wilson's upper limit at the users on the
+    # residual's. Here recomputed from one-trial tallies
+    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+    n = 200
+    trials = [run_trials_chunk(cfg, t, t + 1, 77) for t in range(n)]
+    tally = sum(trials, TrialTally())
+    known = coverage._supply(cfg).equal_split
+    assert known is not None and 0 < known.err < 1e-4 * known.p
+    ests = estimates_from_tally(cfg, tally)
+    k = np.array([t.users for t in trials], dtype=float)
+    users, t975 = k.sum(), t_quantile_975(n - 1)
+
+    def per_trial(name):
+        return np.array([getattr(t, name) for t in trials], dtype=float)
+
+    g = per_trial("law_ci") / 2.0 ** 32
+    r_ci, r_inv = (per_trial(b) - per_trial(o) for b, o in (("bound_ci", "out_ci"),
+                                                            ("bound_inv", "out_inv")))
+    z_inv = per_trial("out_inv") + per_trial("law_inv") / 2.0 ** 32 - per_trial("bound_inv")
+    assert r_ci.sum() > 0 and np.all(r_ci >= 0)
+
+    def var(res):
+        return (res ** 2).sum() / (n * (n - 1) * k.mean() ** 2)
+
+    d = r_ci.sum() / users
+    p_ci = known.p - d
+    lo, hi = wilson_interval(p_ci, p_ci * (1 - p_ci) / var(r_ci - d * k), t975)
+    lo = max(0.0, min(lo, known.p - wilson_ci(r_ci.sum(), users)[1]))
+    ci = ests[Scheme.CHANNEL_INDEPENDENT]
+    assert ci.p_out == pytest.approx(p_ci, rel=1e-12)
+    assert ci.n_outages == pytest.approx(p_ci * users, rel=1e-12)
+    assert (ci.ci_lo, ci.ci_hi) == (pytest.approx(lo, rel=1e-6), pytest.approx(hi, rel=1e-6))
+    p_g, p_z = g.sum() / users, z_inv.sum() / users
+    res_g, res_z = g - p_g * k, z_inv - p_z * k
+    beta = (res_g * res_z).sum() / (res_g * res_g).sum()
+    raw = p_z - beta * (p_g - known.p)
+    p_inv = min(raw, p_ci)
+    lo, hi = wilson_interval(p_inv, p_inv * (1 - p_inv) / var(res_z - beta * res_g), t975)
+    lo = max(0.0, min(lo, raw + r_inv.sum() / users - wilson_ci(r_inv.sum(), users)[1]))
+    inv = ests[Scheme.INVERSION]
+    assert 0.5 < beta < 1.5 and 0 < p_inv < p_ci
+    assert inv.p_out == pytest.approx(p_inv, rel=1e-9)
+    assert (inv.ci_lo, inv.ci_hi) == (pytest.approx(lo, rel=1e-6), pytest.approx(hi, rel=1e-6))
+    # the control narrows inversion's interval below the sampled estimator's
+    plain = var(res_z)
+    assert var(res_z - beta * res_g) < 0.5 * plain
+    assert not ci.low_confidence and not inv.low_confidence
+
+
+def test_known_mean_residual_rules_on_the_centers_path():
+    # equal split's known mean less a residual with no spread keeps the
+    # quadrature's error estimate on either side, lowered by Wilson's upper
+    # limit on the residual; inversion never reads above equal split
+    cfg = unit_cfg(architecture=Distributed(lambda_h=2.0, lambda_a=0.5))
+    known = coverage._supply(cfg).equal_split
+    tally = replace(_SPREAD, drawn_trials=5, law_ci=int(known.p * 500 * _UNIT))
+    ci = estimates_from_tally(cfg, tally)[Scheme.CHANNEL_INDEPENDENT]
+    assert ci.p_out == known.p
+    assert (ci.ci_lo, ci.ci_hi) == (known.p - wilson_ci(0, 500)[1], known.p + known.err)
+    # three users of one trial with 100 users in outage at the bound only:
+    # R has a spread, and its rate comes off the known mean
+    tally = replace(tally, bound_ci=3, res_sq=9 * _UNIT, res_k=300 * _UNIT)
+    ests = estimates_from_tally(cfg, tally)
+    ci, inv = ests[Scheme.CHANNEL_INDEPENDENT], ests[Scheme.INVERSION]
+    assert ci.p_out == pytest.approx(known.p - 3 / 500, rel=1e-12)
+    assert ci.ci_lo <= known.p - wilson_ci(3, 500)[1] < ci.p_out < ci.ci_hi
+    assert inv.p_out <= ci.p_out and inv.n_outages <= ci.n_outages
 
 
 def test_bound_attachment_dispatch():

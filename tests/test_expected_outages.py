@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renergy import coverage
+from renergy import coverage, estimator
 from renergy.aggregation import Distributed, LineSpec
 from renergy.channel import ChannelSpec, ChiSquaredFading, TruncatedRicianFading
 from renergy.cli import _repro_experiment
@@ -110,24 +110,24 @@ def test_fixed_point_sums_are_exact_at_the_user_cap():
     k = rng.poisson(_CAP_USERS, n).astype(float)
     e = k * rng.random((2, n))
     rows = np.vstack((e, rng.random(n), e * e, e * k))
-    assert coverage._fixed_point_sums(rows.copy()) == _exact_fixed_sums(rows)
-    assert coverage._fixed_point_sums(-rows) == _exact_fixed_sums(-rows)
+    assert estimator._fixed_point_sums(rows.copy()) == _exact_fixed_sums(rows)
+    assert estimator._fixed_point_sums(-rows) == _exact_fixed_sums(-rows)
     # so are small values of either sign, near and at whole units
     edges = [0.0, 0.5, 1.0, 1.5, 2.5, 2 ** -33, 3.0, 1 - 2 ** -40]
     small = np.vstack((rows[:, :8] / rows.max(), edges, np.negative(edges)))
-    assert coverage._fixed_point_sums(small.copy()) == _exact_fixed_sums(small)
+    assert estimator._fixed_point_sums(small.copy()) == _exact_fixed_sums(small)
     # on either side of the bound below which units are summed as int64
     for most in (0.999, 1.001):
-        near = rng.random((2, 64)) * (coverage._INT_SUMS / 64)
-        near[:, 0] = most * coverage._INT_SUMS / 64
+        near = rng.random((2, 64)) * (estimator._INT_SUMS / 64)
+        near[:, 0] = most * estimator._INT_SUMS / 64
         near[1] *= -1
-        assert coverage._fixed_point_sums(near.copy()) == _exact_fixed_sums(near)
+        assert estimator._fixed_point_sums(near.copy()) == _exact_fixed_sums(near)
     # and a merge of such sums stays exact
-    halves = [coverage._fixed_point_sums(rows[:, a:b].copy()) for a, b in ((0, 1000), (1000, n))]
+    halves = [estimator._fixed_point_sums(rows[:, a:b].copy()) for a, b in ((0, 1000), (1000, n))]
     assert [x + y for x, y in zip(*halves)] == _exact_fixed_sums(rows)
     # a part that could round raises instead
     with pytest.raises(OverflowError):
-        coverage._fixed_point_sums(np.full((1, 2), 2.0 ** 52))
+        estimator._fixed_point_sums(np.full((1, 2), 2.0 ** 52))
 
 
 def test_many_users_per_trial_sum_exactly():
@@ -284,7 +284,7 @@ def test_known_mean_builds_within_10_ms(psi):
     times = []
     for _ in range(5):
         start = time.perf_counter()
-        coverage._equal_split_law(supply)
+        coverage._Supply.equal_split.func(supply)
         times.append(time.perf_counter() - start)
     assert min(times) <= 0.01, times
 
@@ -370,11 +370,18 @@ def test_control_matches_plain_counts(case):
 
 
 @functools.lru_cache(maxsize=None)
-def _fig5_long_run(cluster):
-    """fig5 at one cluster size and its estimates over 102,400 trials at a
-    seed the runs below do not use."""
+def _fig5_long_tally(cluster):
+    """fig5 at one cluster size and its tally over 102,400 trials at a seed
+    the runs below do not use."""
     cfg = apply_sweep(_repro_experiment("fig5").scenario, "cluster_size", cluster)
-    return cfg, estimates_from_tally(cfg, run_trials_chunk(cfg, 0, 400 * BLOCK, 4242))
+    return cfg, run_trials_chunk(cfg, 0, 400 * BLOCK, 4242)
+
+
+@functools.lru_cache(maxsize=None)
+def _fig5_long_run(cluster):
+    """fig5 at one cluster size and its estimates over 102,400 trials."""
+    cfg, tally = _fig5_long_tally(cluster)
+    return cfg, estimates_from_tally(cfg, tally)
 
 
 @pytest.mark.parametrize("cluster", [20.0, 320.0])
@@ -393,6 +400,25 @@ def test_centers_path_intervals_cover_the_long_run(cluster):
             covered[scheme] += est.ci_lo <= reference[scheme].p_out <= est.ci_hi
     for scheme, n in covered.items():
         assert n >= 0.9 * runs, (scheme, n / runs)
+
+
+def test_two_center_controlled_intervals_cover_the_plain_long_run():
+    # 200 runs of 400 trials at fig5 cluster 320, where the benchmark's
+    # time-to-CI check measures: inversion's interval, controlled by equal
+    # split's known mean under the two-center bound's law, covers the
+    # sampled rate sum Z_inv / users of the 102,400 trials of the long run,
+    # which takes no known mean, in at least 90% of runs
+    cfg, tally = _fig5_long_tally(320.0)
+    assert coverage._supply(cfg).equal_split is not None
+    plain = (((tally.out_inv - tally.bound_inv) << 32) + tally.law_inv) / UNIT / tally.users
+    runs, per = 200, 400
+    covered = 0
+    for r in range(runs):
+        inv = estimates_from_tally(cfg, run_trials_chunk(cfg, r * per, (r + 1) * per, 99))[
+            Scheme.INVERSION]
+        assert not inv.low_confidence
+        covered += inv.ci_lo <= plain <= inv.ci_hi
+    assert covered >= 0.9 * runs, covered / runs
 
 
 @functools.lru_cache(maxsize=None)
