@@ -569,15 +569,16 @@ def estimates(tally, known: KnownMean | None,
             else:
                 p, g, spread = controlled[scheme]
                 n_out = p * users
-            # Wilson's interval at the effective users p (1 - p) / var, where
-            # what is left sampled has a spread to measure
-            if not (few or spread <= 0 or not 0.0 < p < 1.0):
+            if few or spread <= 0 or not 0.0 < p < 1.0:
+                # no spread to measure, or p at an end: the known mean's own
+                # error, or Wilson's interval at the users
+                lo, hi = (max(0.0, p - known.err), min(1.0, p + known.err)) \
+                    if controlled is not None and scheme is Scheme.CHANNEL_INDEPENDENT \
+                    else wilson_ci(n_out, users)
+            else:
+                # Wilson's interval at the effective users p (1 - p) / var
                 lo, hi = wilson_interval(p, p * (1.0 - p) / _variance(tally, spread),
                                          t_quantile_975(tally.trials - 1))
-            elif controlled is not None and scheme is Scheme.CHANNEL_INDEPENDENT:
-                lo, hi = max(0.0, p - known.err), min(1.0, p + known.err)
-            else:
-                lo, hi = wilson_ci(n_out, users)
             if tally.drawn_trials:
                 lo = max(0.0, min(lo, g - wilson_ci(bound - events, users)[1]))
         union_rate = union / _FIXED_POINT / tally.trials \
